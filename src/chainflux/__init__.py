@@ -54,15 +54,14 @@ from .operators import (
 )
 from .lindblad import (
     OMEGA_MIN,
+    Channel,
     JumpOperator,
     LindbladModel,
     assemble,
     bose_occupation,
-    build_global_dissipator,
     build_liouvillian,
     build_local_dissipator,
     global_jump_operators,
-    liouvillian_unitary,
     spectral_density,
     thermal_dissipator,
     trace_vector,

@@ -1,4 +1,4 @@
-"""Jump operators, dissipators and the full generator in vectorized form.
+"""Jump operators, dissipative channels and the generator in vectorized form.
 
 Two routes to the dissipators are built here.  The eigenbasis ("global")
 route decomposes each endpoint coupling operator into lowering components
@@ -9,11 +9,18 @@ at its own gap, ignoring the interqubit coupling in the rates.
 
 All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
+
+Both routes end in the same operator form: per reservoir, a list of
+channels (omega, A, gamma, nbar).  Every superoperator is built from that
+form by one function, :func:`superoperator`, on a chosen set of unknowns:
+the equal-excitation block for the steady solve, every entry for the dense
+generator kept for tests and time evolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,7 +34,7 @@ from .operators import (
     EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
-    kron_dense,
+    excitation_numbers,
     site_operator,
 )
 
@@ -168,25 +175,158 @@ def global_jump_operators(
     return jumps
 
 
-def _lindblad_super(A: np.ndarray, rate: float) -> np.ndarray:
-    """rate * (A . A^dag - {A^dag A, .}/2) on column-stacked matrices."""
-    d = A.shape[0]
-    eye = np.eye(d)
-    AdA = A.conj().T @ A
-    return rate * (
-        kron_dense(A.conj(), A)
-        - 0.5 * kron_dense(eye, AdA)
-        - 0.5 * kron_dense(AdA.T, eye)
+@dataclass(frozen=True, eq=False)
+class Unknowns:
+    """Density-matrix entries rho[rows[i], cols[i]] a generator acts on.
+
+    Entries are listed in column-stacked order, so the full set reproduces
+    :func:`vectorize`.  ``row_pairs[i, j]`` is the flat index
+    rows[i] * dim + rows[j] and ``col_pairs`` the same over cols, so a
+    d x d matrix X read on a grid is X.ravel()[col_pairs][i, j] =
+    X[cols[i], cols[j]].  ``same_col`` holds the flat positions i * size + j
+    with cols[i] == cols[j] and ``row_pairs`` there (``same_row`` likewise),
+    the only entries of I (x) Y and X (x) I.  ``diagonal`` lists the
+    positions with rows == cols.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    row_pairs: np.ndarray
+    col_pairs: np.ndarray
+    same_col: tuple
+    same_row: tuple
+    diagonal: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def gather(self, rho: np.ndarray) -> np.ndarray:
+        """The listed entries of a d x d matrix, as a vector."""
+        return rho[self.rows, self.cols]
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """d x d matrix holding v at the listed entries and zero elsewhere."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho[self.rows, self.cols] = v
+        return rho
+
+
+def _unknowns(dim: int, flat: np.ndarray) -> Unknowns:
+    """Unknowns at the given column-stacked positions c * dim + r, read-only."""
+    rows, cols = flat % dim, flat // dim
+    row_pairs = rows[:, None] * dim + rows[None, :]
+    col_pairs = cols[:, None] * dim + cols[None, :]
+    same_col = np.flatnonzero(cols[:, None] == cols[None, :])
+    same_row = np.flatnonzero(rows[:, None] == rows[None, :])
+    out = Unknowns(
+        dim=dim, rows=rows, cols=cols, row_pairs=row_pairs, col_pairs=col_pairs,
+        same_col=(same_col, row_pairs.ravel()[same_col]),
+        same_row=(same_row, col_pairs.ravel()[same_row]),
+        diagonal=np.flatnonzero(rows == cols),
     )
+    for a in (rows, cols, row_pairs, col_pairs, *out.same_col, *out.same_row, out.diagonal):
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def full_unknowns(dim: int) -> Unknowns:
+    """Every entry of a dim x dim matrix: the dense generator's index."""
+    return _unknowns(dim, np.arange(dim * dim))
+
+
+@lru_cache(maxsize=None)
+def excitation_block(n_qubits: int) -> Unknowns:
+    """Entries rho[a, b] whose two basis states have equal excitation number.
+
+    C(2N, N) entries of the 4^N.  A generator whose Hamiltonian conserves
+    excitation number and whose jump operators each change it by one fixed
+    amount maps this block into itself and the rest into the rest (a weak
+    U(1) symmetry), and the block holds every diagonal entry, so the unique
+    steady state lies in it.
+    """
+    exc = excitation_numbers(n_qubits)
+    d = len(exc)
+    flat = np.arange(d * d)
+    return _unknowns(d, flat[exc[flat % d] == exc[flat // d]])
+
+
+def superoperator(H, terms, unknowns: Unknowns) -> np.ndarray:
+    """-i[H, .] + sum of rate * D[A] over (rate, A) terms, on ``unknowns``.
+
+    D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
+    generator is I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
+    J = -iH - sum rate * A^dag A / 2, and entry (i, j) of X (x) Y on the
+    unknowns is X[c_i, c_j] * Y[r_i, r_j]; only those entries are formed.
+    ``H`` may be None for a dissipator alone; zero-rate terms are skipped.
+    """
+    d = unknowns.dim
+    J = np.zeros((d, d), dtype=complex) if H is None else -1j * H
+    L = np.zeros((unknowns.size, unknowns.size), dtype=complex)
+    left, right = np.empty_like(L), np.empty_like(L)
+    for rate, A in terms:
+        if rate == 0:
+            continue
+        J -= (0.5 * rate) * (A.conj().T @ A)
+        # the grids are in range; mode="clip" lets take fill ``out`` directly
+        # instead of through a bounds-checked copy
+        np.take((rate * A.conj()).ravel(), unknowns.col_pairs, out=left, mode="clip")
+        np.take(A.ravel(), unknowns.row_pairs, out=right, mode="clip")
+        left *= right
+        L += left
+    flat = L.reshape(-1)
+    at, pairs = unknowns.same_col
+    flat[at] += J.ravel()[pairs]
+    at, pairs = unknowns.same_row
+    flat[at] += J.conj().ravel()[pairs]
+    return L
+
+
+def _thermal_terms(A: np.ndarray, gamma: float, nbar: float) -> tuple:
+    return ((gamma * (nbar + 1.0), A), (gamma * nbar, A.conj().T))
+
+
+@dataclass(frozen=True)
+class Channel:
+    """One dissipative channel of a reservoir, in operator form.
+
+    Emission through ``operator`` at rate gamma (nbar + 1) and absorption
+    through its adjoint at rate gamma nbar.  ``omega`` is the Bohr frequency
+    of the channel (its bin for the global approach, the site gap for the
+    local one).
+    """
+
+    omega: float
+    operator: np.ndarray
+    gamma: float
+    nbar: float
+
+    def terms(self) -> tuple:
+        """(rate, jump operator) pairs of the Lindblad form."""
+        return _thermal_terms(self.operator, self.gamma, self.nbar)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """D(rho) in matrix form."""
+        jumped = np.zeros_like(rho, dtype=complex)
+        decay = np.zeros_like(rho, dtype=complex)
+        for rate, A in self.terms():
+            if rate == 0:
+                continue
+            Ad = A.conj().T
+            jumped += rate * (A @ rho @ Ad)
+            decay += rate * (Ad @ A)
+        return jumped - 0.5 * (decay @ rho + rho @ decay)
 
 
 def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
-    """Emission at gamma (nbar + 1) through A plus absorption at gamma nbar through A^dag."""
-    return _lindblad_super(A, gamma * (nbar + 1.0)) + _lindblad_super(A.conj().T, gamma * nbar)
+    """Dense emission at gamma (nbar + 1) through A plus absorption at gamma nbar through A^dag."""
+    return superoperator(None, _thermal_terms(A, gamma, nbar), full_unknowns(A.shape[0]))
 
 
-def global_dissipator_bins(jumps, bath: BathSpec):
-    """Per-frequency-bin dissipators for one reservoir.
+def global_channels(jumps, bath: BathSpec) -> tuple:
+    """One channel per frequency bin of one reservoir.
 
     Jump operators sharing a bin are summed before the Lindblad form is
     applied, so equal-frequency cross terms survive while cross terms
@@ -197,48 +337,43 @@ def global_dissipator_bins(jumps, bath: BathSpec):
     groups = {}
     for jump in jumps:
         groups.setdefault(jump.omega, []).append(jump)
-    out = []
-    for omega in sorted(groups):
-        A = sum(j.operator for j in groups[omega])
-        nbar = bose_occupation(omega, bath.temperature)
-        out.append((omega, thermal_dissipator(A, bath.gamma, nbar)))
-    return out
+    return tuple(
+        Channel(omega, sum(j.operator for j in groups[omega]), bath.gamma,
+                bose_occupation(omega, bath.temperature))
+        for omega in sorted(groups)
+    )
 
 
-def build_global_dissipator(jumps, bath: BathSpec) -> np.ndarray:
-    """Eigenbasis dissipator of one reservoir (sum over its frequency bins)."""
+def global_dissipator_bins(jumps, bath: BathSpec) -> list:
+    """Dense (omega, dissipator) pair of each frequency bin of one reservoir."""
     if not jumps:
-        raise ValueError("no jump operators supplied")
-    d = jumps[0].operator.shape[0]
-    D = np.zeros((d * d, d * d), dtype=complex)
-    for _, piece in global_dissipator_bins(jumps, bath):
-        D += piece
-    return D
+        return []
+    full = full_unknowns(jumps[0].operator.shape[0])
+    return [(ch.omega, superoperator(None, ch.terms(), full))
+            for ch in global_channels(jumps, bath)]
 
 
-def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
-    """Site-basis dissipator: bare thermal jumps of the attached qubit.
+def local_channel(spec: ChainSpec, bath: BathSpec) -> Channel:
+    """Site-basis channel: bare thermal jumps of the attached qubit.
 
     Rates are evaluated at the attached qubit's own gap, ignoring the
     interqubit coupling.
     """
     site = bath.attached_site
-    nbar = bose_occupation(spec.epsilons[site], bath.temperature)
-    lower = site_operator(spec.n_qubits, site, "lower")
-    return thermal_dissipator(lower, bath.gamma, nbar)
+    eps = spec.epsilons[site]
+    return Channel(eps, site_operator(spec.n_qubits, site, "lower"), bath.gamma,
+                   bose_occupation(eps, bath.temperature))
 
 
-def liouvillian_unitary(H: np.ndarray) -> np.ndarray:
-    """Superoperator of -i[H, .] in the column-stacking convention."""
-    d = H.shape[0]
-    eye = np.eye(d)
-    return -1j * (kron_dense(eye, H) - kron_dense(H.T, eye))
+def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
+    """Dense site-basis dissipator of one reservoir."""
+    return superoperator(None, local_channel(spec, bath).terms(), full_unknowns(spec.dim))
 
 
 def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
-    """Full generator: unitary part plus the supplied dissipators."""
+    """Dense generator: unitary part plus the supplied dense dissipators."""
     d = H.shape[0]
-    L = liouvillian_unitary(H)
+    L = superoperator(H, (), full_unknowns(d))
     for D in dissipators:
         if D.shape != (d * d, d * d):
             raise DimensionMismatch(
@@ -248,51 +383,86 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     return L
 
 
+def _conserves_excitation(n_qubits: int, H: np.ndarray, operators) -> bool:
+    """True when H keeps excitation number and each operator shifts it by one fixed amount."""
+    exc = excitation_numbers(n_qubits)
+    shift = exc[:, None] - exc[None, :]
+    if np.any(H[shift != 0]):
+        return False
+    for A in operators:
+        shifts = shift[A != 0]
+        if shifts.size and np.any(shifts != shifts[0]):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LindbladModel:
-    """Assembled generator of one chain under one approach.
+    """Generator of one chain under one approach, held in operator form.
 
-    ``dissipators`` holds one superoperator per reservoir, ``channels`` the
-    per-frequency pieces of each (a single entry at the site gap for the
-    local approach), so heat flux can be resolved by energy channel.
+    ``channels[j]`` lists reservoir j's channels: one per frequency bin for
+    the global approach, a single one at the site gap for the local.
+    ``eigensystem`` is the diagonalization the global channels were built
+    from (None for the local approach).  Superoperators are derived from
+    these on first use: ``block`` on the unknowns the steady state occupies,
+    ``liouvillian`` and the per-reservoir ``dissipators`` densely.
     """
 
     spec: ChainSpec
     approach: str
     hamiltonian: np.ndarray
-    dissipators: tuple
     channels: tuple
-    liouvillian: np.ndarray
+    eigensystem: EigenSystem = None
+
+    def terms(self) -> list:
+        """(rate, jump operator) pairs of every channel of every reservoir."""
+        return [term for reservoir in self.channels for ch in reservoir for term in ch.terms()]
+
+    @cached_property
+    def unknowns(self) -> Unknowns:
+        """Equal-excitation block when the generator keeps it invariant, else every entry.
+
+        Only a frequency bin that joins excitation-raising and -lowering
+        jumps (opposite single-particle energies) breaks the invariance.
+        """
+        operators = [ch.operator for reservoir in self.channels for ch in reservoir]
+        if _conserves_excitation(self.spec.n_qubits, self.hamiltonian, operators):
+            return excitation_block(self.spec.n_qubits)
+        return full_unknowns(self.spec.dim)
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """Generator restricted to :attr:`unknowns`."""
+        return superoperator(self.hamiltonian, self.terms(), self.unknowns)
+
+    @cached_property
+    def liouvillian(self) -> np.ndarray:
+        """Dense d^2 x d^2 generator, the oracle for :attr:`block`."""
+        return superoperator(self.hamiltonian, self.terms(), full_unknowns(self.spec.dim))
+
+    @cached_property
+    def dissipators(self) -> tuple:
+        """Dense superoperator of each reservoir."""
+        full = full_unknowns(self.spec.dim)
+        return tuple(superoperator(None, [t for ch in reservoir for t in ch.terms()], full)
+                     for reservoir in self.channels)
 
 
 def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
-    """Build Hamiltonian, per-reservoir dissipators and the full generator."""
+    """Build the Hamiltonian and each reservoir's channels."""
     if approach not in ("global", "local"):
         raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
     H = build_chain_hamiltonian(spec)
-    dissipators = []
+    if approach == "local":
+        channels = tuple((local_channel(spec, bath),) for bath in spec.baths)
+        return LindbladModel(spec=spec, approach=approach, hamiltonian=H, channels=channels)
+    es = diagonalize(H)
     channels = []
-    if approach == "global":
-        es = diagonalize(H)
-        for j, bath in enumerate(spec.baths):
-            site = bath.attached_site
-            coupling = (site_operator(spec.n_qubits, site, "raise")
-                        + site_operator(spec.n_qubits, site, "lower"))
-            jumps = global_jump_operators(es, coupling, reservoir=j)
-            bins = global_dissipator_bins(jumps, bath)
-            dissipators.append(sum(piece for _, piece in bins))
-            channels.append(tuple(bins))
-    else:
-        for bath in spec.baths:
-            D = build_local_dissipator(spec, bath)
-            dissipators.append(D)
-            channels.append(((spec.epsilons[bath.attached_site], D),))
-    L = build_liouvillian(H, dissipators)
-    return LindbladModel(
-        spec=spec,
-        approach=approach,
-        hamiltonian=H,
-        dissipators=tuple(dissipators),
-        channels=tuple(channels),
-        liouvillian=L,
-    )
+    for j, bath in enumerate(spec.baths):
+        site = bath.attached_site
+        coupling = (site_operator(spec.n_qubits, site, "raise")
+                    + site_operator(spec.n_qubits, site, "lower"))
+        jumps = global_jump_operators(es, coupling, reservoir=j)
+        channels.append(global_channels(jumps, bath))
+    return LindbladModel(spec=spec, approach=approach, hamiltonian=H,
+                         channels=tuple(channels), eigensystem=es)

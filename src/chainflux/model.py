@@ -34,8 +34,8 @@ from .errors import (
 HBAR = 1.0
 K_B = 1.0
 
-# Dense superoperator algebra: 2^5 gives a 1024 x 1024 generator, which is
-# the largest this package will solve.
+# 2^5 qubits give a 1024 x 1024 dense generator, the largest test oracle this
+# package builds; the steady solve itself has C(10, 5) = 252 unknowns there.
 MAX_QUBITS = 5
 
 _CONVENTIONS_TEXT = (
@@ -98,7 +98,7 @@ def validate_spec(raw: ChainSpec) -> ChainSpec:
         violations.append((LengthMismatch, f"n_qubits must be >= 1, got {n}"))
     if n > MAX_QUBITS:
         violations.append(
-            (NTooLarge, f"dense solver handles at most {MAX_QUBITS} qubits, got {n}")
+            (NTooLarge, f"solver handles at most {MAX_QUBITS} qubits, got {n}")
         )
 
     eps = tuple(float(x) for x in raw.epsilons)

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .lindblad import (
     OMEGA_MIN,
+    Channel,
     LindbladModel,
     assemble,
     bose_occupation,
@@ -47,12 +48,21 @@ def qubit_population(rho: np.ndarray, site: int) -> float:
     return float(val.real)
 
 
-def heat_flux(H: np.ndarray, dissipator: np.ndarray, rho: np.ndarray) -> float:
-    """Energy flow from one reservoir into the system, Tr{H D(rho)}."""
+def heat_flux(H: np.ndarray, dissipator, rho: np.ndarray) -> float:
+    """Energy flow from one reservoir into the system, Tr{H D(rho)}.
+
+    ``dissipator`` is a :class:`Channel`, applied in matrix form, or a dense
+    d^2 x d^2 superoperator.
+    """
     d = H.shape[0]
-    if rho.shape != (d, d) or dissipator.shape != (d * d, d * d):
-        raise DimensionMismatch("Hamiltonian, dissipator and state dimensions differ")
-    drho = unvectorize(dissipator @ vectorize(rho), d)
+    if isinstance(dissipator, Channel):
+        if rho.shape != (d, d) or dissipator.operator.shape != (d, d):
+            raise DimensionMismatch("Hamiltonian, channel and state dimensions differ")
+        drho = dissipator.apply(rho)
+    else:
+        if rho.shape != (d, d) or dissipator.shape != (d * d, d * d):
+            raise DimensionMismatch("Hamiltonian, dissipator and state dimensions differ")
+        drho = unvectorize(dissipator @ vectorize(rho), d)
     val = np.trace(H @ drho)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"heat flux has imaginary residue {val.imag:.3e}")
@@ -251,17 +261,20 @@ class SteadyReport:
 
 def steady_report(spec: ChainSpec, approach: str,
                   model: LindbladModel = None) -> SteadyReport:
-    """Assemble, solve and measure one chain; the one-stop numeric pipeline."""
+    """Assemble, solve and measure one chain; the one-stop numeric pipeline.
+
+    The solve runs on ``model.block``; each reservoir's flux is the sum of
+    its channel fluxes.
+    """
     if model is None:
         model = assemble(spec, approach)
-    sol = solve_steady(model.liouvillian)
+    sol = solve_steady(model.block, unknowns=model.unknowns)
     pops = tuple(qubit_population(sol.rho, q) for q in range(spec.n_qubits))
-    fluxes = tuple(heat_flux(model.hamiltonian, D, sol.rho) for D in model.dissipators)
     breakdown = tuple(
-        tuple((omega, heat_flux(model.hamiltonian, piece, sol.rho))
-              for omega, piece in reservoir_bins)
-        for reservoir_bins in model.channels
+        tuple((ch.omega, heat_flux(model.hamiltonian, ch, sol.rho)) for ch in reservoir)
+        for reservoir in model.channels
     )
+    fluxes = tuple(sum(q for _, q in reservoir) for reservoir in breakdown)
     return SteadyReport(
         spec=spec, approach=approach, rho=sol.rho, populations=pops,
         fluxes=fluxes, residual=sol.residual, channel_fluxes=breakdown,

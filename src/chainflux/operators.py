@@ -116,12 +116,67 @@ class EigenSystem:
         return len(self.energies)
 
 
+@lru_cache(maxsize=None)
+def excitation_numbers(n_qubits: int) -> np.ndarray:
+    """Total excitation number of each basis state of an n-qubit register.
+
+    Bit value 0 of a qubit factor is its excited state, so the count is the
+    number of zero bits among the n lowest of the state index.
+    """
+    index = np.arange(2**n_qubits)
+    ground = sum((index >> q) & 1 for q in range(n_qubits))
+    out = np.asarray(n_qubits - ground)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sector_layout(n_qubits: int) -> tuple:
+    """Mask of the elements between different excitation numbers, and each sector's indices."""
+    labels = excitation_numbers(n_qubits)
+    across = labels[:, None] != labels[None, :]
+    sectors = tuple(np.flatnonzero(labels == k) for k in range(n_qubits + 1))
+    for a in (across, *sectors):
+        a.setflags(write=False)
+    return across, sectors
+
+
+def _excitation_sectors(H: np.ndarray) -> tuple:
+    """Basis indices of each excitation sector of a qubit-register operator.
+
+    Falls back to one block holding every index when H is not a register
+    operator or has an element between different excitation numbers.
+    """
+    d = H.shape[0]
+    n = d.bit_length() - 1
+    if d == 2**n:
+        across, sectors = _sector_layout(n)
+        if not np.any(H[across]):
+            return sectors
+    return (np.arange(d),)
+
+
 def diagonalize(H: np.ndarray) -> EigenSystem:
-    """Diagonalize a Hermitian operator; deterministic for identical input."""
+    """Diagonalize a Hermitian operator; deterministic for identical input.
+
+    An excitation-conserving H is diagonalized block by block, so every
+    eigenvector lies exactly in one excitation sector; near-degenerate levels
+    of different sectors cannot mix.  Energies are then stable-sorted
+    ascending.
+    """
     assert_hermitian(H)
-    energies, vectors = np.linalg.eigh(H)
-    vectors = vectors.astype(complex, copy=True)
-    for p in range(vectors.shape[1]):
+    d = H.shape[0]
+    energies = np.empty(d)
+    vectors = np.zeros((d, d), dtype=complex)
+    start = 0
+    for idx in _excitation_sectors(H):
+        stop = start + len(idx)
+        energies[start:stop], vectors[idx, start:stop] = np.linalg.eigh(H[np.ix_(idx, idx)])
+        start = stop
+    order = np.argsort(energies, kind="stable")
+    energies = energies[order]
+    vectors = vectors[:, order]
+    for p in range(d):
         col = vectors[:, p]
         lead = col[int(np.abs(col).argmax())]
         mag = abs(lead)
@@ -129,7 +184,7 @@ def diagonalize(H: np.ndarray) -> EigenSystem:
             vectors[:, p] = col * (lead.conj() / mag)
     scale = max(1.0, np.abs(H).max())
     resid = np.abs(H @ vectors - vectors * energies).max()
-    ortho = np.abs(vectors.conj().T @ vectors - np.eye(len(energies))).max()
+    ortho = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()
     if resid > 1e-10 * scale or ortho > 1e-10:
         raise ConvergenceFailure(
             f"eigendecomposition residual {resid:.3e}, orthonormality {ortho:.3e}"

@@ -13,7 +13,7 @@ from .errors import (
     NonFiniteState,
     StepTooLarge,
 )
-from .lindblad import trace_vector, unvectorize, vectorize
+from .lindblad import Unknowns, full_unknowns, unvectorize, vectorize
 
 RESIDUAL_TOL = 1e-10
 
@@ -46,45 +46,59 @@ class SteadySolution:
     replaced_row: int
 
 
-def solve_steady(L: np.ndarray, check_kernel: bool = True) -> SteadySolution:
-    """Solve L vec(rho) = 0 with the trace constraint replacing one row.
+def solve_steady(L: np.ndarray, check_kernel: bool = True,
+                 unknowns: Unknowns = None) -> SteadySolution:
+    """Solve L v = 0 with the trace constraint replacing one row.
+
+    ``unknowns`` names the entries of rho that v holds; by default all of
+    them, with L the dense d^2 x d^2 generator.  Entries outside the set are
+    zero in the returned state, which is exact when L keeps the set
+    invariant, as for ``LindbladModel.block``; the kernel check then covers
+    that set only.
 
     The replaced row is chosen among the rows belonging to diagonal matrix
     elements: trace preservation makes those rows sum to zero, so dropping
     the one with the largest diagonal magnitude never removes an independent
     equation.
     """
-    d2 = L.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if d * d != d2 or L.shape != (d2, d2):
-        raise DimensionMismatch(f"generator shape {L.shape} is not a square over d^2")
+    if unknowns is None:
+        d2 = L.shape[0]
+        d = int(round(np.sqrt(d2)))
+        if d * d != d2 or L.shape != (d2, d2):
+            raise DimensionMismatch(f"generator shape {L.shape} is not a square over d^2")
+        unknowns = full_unknowns(d)
+    m = unknowns.size
+    if L.shape != (m, m):
+        raise DimensionMismatch(f"generator shape {L.shape} does not match {m} unknowns")
 
-    diag_rows = np.arange(d) * (d + 1)
-    replaced = int(diag_rows[np.abs(L[diag_rows, diag_rows]).argmax()])
+    diag = unknowns.diagonal
+    replaced = int(diag[np.abs(L[diag, diag]).argmax()])
 
     M = L.copy()
-    M[replaced, :] = trace_vector(d).conj()
-    b = np.zeros(d2, dtype=complex)
+    M[replaced, :] = 0.0
+    M[replaced, diag] = 1.0
+    b = np.zeros(m, dtype=complex)
     b[replaced] = 1.0
 
-    if check_kernel and np.linalg.matrix_rank(M) < d2:
+    if check_kernel and np.linalg.matrix_rank(M) < m:
         raise DegenerateKernel(
             "constrained system is rank deficient: the steady state is not unique"
         )
 
     v = np.linalg.solve(M, b)
-    raw = unvectorize(v, d)
+    raw = unknowns.scatter(v)
     asymmetry = float(np.abs(raw - raw.conj().T).max())
     rho = 0.5 * (raw + raw.conj().T)
 
     scale = max(np.linalg.norm(L), 1.0)
-    residual = float(np.linalg.norm(L @ vectorize(rho)))
+    residual = float(np.linalg.norm(L @ unknowns.gather(rho)))
     if residual > RESIDUAL_TOL * scale:
         raise NoConvergence(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
         )
+    replaced_row = int(unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced])
     return SteadySolution(rho=rho, residual=residual, asymmetry=asymmetry,
-                          replaced_row=replaced)
+                          replaced_row=replaced_row)
 
 
 def steady_state(L: np.ndarray, check_kernel: bool = True) -> np.ndarray:
@@ -115,8 +129,8 @@ def evolve_rk4(
     """Classical fixed-step RK4 on vec(rho), independent of the linear solver.
 
     Stops early once |L vec(rho)| falls below ``residual_stop``.  Stored
-    states are trace-renormalized; the accumulated trace drift is asserted
-    to stay below 1e-9 per unit time rather than being silently absorbed.
+    states are trace-renormalized; an accumulated trace drift above 1e-9 per
+    unit time raises NoConvergence rather than being silently absorbed.
     """
     if dt <= 0:
         raise StepTooLarge("dt must be positive")
@@ -150,9 +164,10 @@ def evolve_rk4(
             if not np.all(np.isfinite(v)):
                 raise NonFiniteState(f"state left the finite range at t = {t:.6g}")
             drift = abs(np.trace(unvectorize(v, d)) - 1.0)
-            assert drift <= 1e-9 * max(t, 1.0), (
-                f"trace drift {drift:.3e} at t = {t:.6g} exceeds 1e-9 per unit time"
-            )
+            if not drift <= 1e-9 * max(t, 1.0):
+                raise NoConvergence(
+                    f"trace drift {drift:.3e} at t = {t:.6g} exceeds 1e-9 per unit time"
+                )
             times.append(t)
             states.append(store(v))
             if residual_stop > 0 and np.abs(L @ v).max() <= residual_stop:

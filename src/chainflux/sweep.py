@@ -16,9 +16,10 @@ from .errors import (
     SpecInvalid,
     UnknownKey,
 )
+from .lindblad import assemble
 from .model import ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import steady_report
-from .operators import build_chain_hamiltonian, diagonalize
+from .operators import diagonalize
 
 AXES = ("t1", "t2", "k", "eps")
 APPROACHES = ("global", "local")
@@ -270,13 +271,14 @@ def _row_task(args):
     request, value, approach = args
     try:
         spec = apply_axis(request.base, request.axis, value)
-        report = steady_report(spec, approach)
+        model = assemble(spec, approach)
+        report = steady_report(spec, approach, model=model)
     except DegenerateTransition as err:
         return SkippedRow(axis_value=value, approach=approach,
                           reason=f"degenerate-transition (omega = {err.omega:.3e})")
     diagonals = ()
     if "rho_diagonals" in request.outputs:
-        es = diagonalize(build_chain_hamiltonian(spec))
+        es = model.eigensystem or diagonalize(model.hamiltonian)
         rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
         diagonals = tuple(float(x) for x in np.real(np.diag(rho_eig)))
     return SweepRow(

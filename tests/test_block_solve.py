@@ -1,0 +1,88 @@
+"""The equal-excitation block solve against the dense d^2 x d^2 oracle."""
+
+import numpy as np
+import pytest
+
+from chainflux import (
+    assemble,
+    chain,
+    heat_flux,
+    qubit_population,
+    solve_steady,
+    steady_report,
+    thermal_dissipator,
+)
+from chainflux.lindblad import excitation_block
+from chainflux.operators import excitation_numbers
+
+
+def random_cases(seed, n_qubits, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield chain(rng.uniform(0.3, 3.0, n_qubits),
+                    rng.uniform(0.1, 1.5, n_qubits - 1),
+                    rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0),
+                    rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)), ("global", "local")[i % 2]
+
+
+CASES = [case for n in (1, 2, 3, 4) for case in random_cases(40 + n, n, 6)]
+CASES += list(random_cases(45, 5, 2))  # one global and one local point
+
+
+@pytest.mark.parametrize("spec, approach", CASES,
+                         ids=[f"N{s.n_qubits}-{a}-{i}" for i, (s, a) in enumerate(CASES)])
+def test_block_solve_matches_dense_oracle(spec, approach):
+    model = assemble(spec, approach)
+    assert model.unknowns.size == excitation_block(spec.n_qubits).size
+    report = steady_report(spec, approach, model=model)
+    # check_kernel on: the dense rank is full wherever the block's is
+    dense = solve_steady(model.liouvillian).rho
+    assert np.abs(report.rho - dense).max() <= 1e-12
+
+    for q in range(spec.n_qubits):
+        assert report.populations[q] == pytest.approx(qubit_population(dense, q), abs=1e-12)
+    H = model.hamiltonian
+    for j, reservoir in enumerate(model.channels):
+        oracles = [heat_flux(H, thermal_dissipator(ch.operator, ch.gamma, ch.nbar), dense)
+                   for ch in reservoir]
+        assert [omega for omega, _ in report.channel_fluxes[j]] == [ch.omega for ch in reservoir]
+        assert [q for _, q in report.channel_fluxes[j]] == pytest.approx(oracles, abs=1e-10)
+        assert report.fluxes[j] == pytest.approx(sum(oracles), abs=1e-10)
+    assert abs(report.fluxes[0] + report.fluxes[1]) <= 1e-9
+
+
+def test_block_holds_no_entry_between_excitation_numbers():
+    for n in range(1, 6):
+        block = excitation_block(n)
+        exc = excitation_numbers(n)
+        assert block.size == [2, 6, 20, 70, 252][n - 1]
+        assert np.array_equal(exc[block.rows], exc[block.cols])
+        flat = block.cols * block.dim + block.rows
+        assert np.all(np.diff(flat) > 0)  # column-stacked order
+
+
+def test_gibbs_state_is_fixed_point_of_block_generator():
+    rng = np.random.default_rng(19)
+    for n in (2, 3, 4, 5):
+        t = rng.uniform(0.4, 6.0)
+        spec = chain(rng.uniform(0.3, 3.0, n), rng.uniform(0.1, 1.5, n - 1),
+                     t, t, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
+        model = assemble(spec, "global")
+        es = model.eigensystem
+        weights = np.exp(-(es.energies - es.energies.min()) / t)
+        gibbs = (es.vectors * (weights / weights.sum())) @ es.vectors.conj().T
+        assert np.abs(model.block @ model.unknowns.gather(gibbs)).max() <= 1e-9
+
+
+def test_bin_joining_raising_and_lowering_jumps_solves_on_every_entry():
+    # single-particle energies eps + 2K cos(k pi / 5) are +-3.35 for two
+    # modes at eps = 1.5, K = 3: one frequency bin holds a jump that lowers
+    # the excitation number and one that raises it, the steady state leaves
+    # the block, and the solve must fall back to every entry
+    spec = chain([1.5] * 4, [3.0] * 3, 1.0, 0.5)
+    model = assemble(spec, "global")
+    assert model.unknowns.size == spec.dim**2
+    rho = steady_report(spec, "global", model=model).rho
+    exc = excitation_numbers(4)
+    assert np.abs(rho[exc[:, None] != exc[None, :]]).max() > 1e-3
+    assert np.abs(rho - solve_steady(model.liouvillian).rho).max() <= 1e-12

@@ -138,6 +138,17 @@ def test_degenerate_transition_raises():
         global_jump_operators(es, coupling_op(2, 0), reservoir=0)
 
 
+def test_near_degenerate_chain_assembles():
+    # a full-matrix eigh mixes near-degenerate levels of different
+    # excitation sectors at 1e-13, which gives sigma^x a spurious element
+    # across two degenerate eigenstates (omega = 3e-16)
+    spec = chain([1.0] * 5, [1.001] * 4, 2.0, 0.3)
+    model = assemble(spec, "global")
+    jumps = global_jump_operators(model.eigensystem, coupling_op(5, 0), reservoir=0)
+    assert len(jumps) == 98
+    assert [len(reservoir) for reservoir in model.channels] == [5, 5]
+
+
 # ----------------------------------------------------------- dissipators
 
 

@@ -91,6 +91,17 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def test_chain_eigenvectors_lie_in_one_excitation_sector():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4, 5):
+        spec = chain(rng.uniform(0.5, 2.0, n), rng.uniform(0.1, 1.5, n - 1), 1.0, 0.0)
+        es = diagonalize(build_chain_hamiltonian(spec))
+        exc = np.real(np.diag(total_excitation(n)))
+        assert np.all(np.diff(es.energies) >= 0)
+        for p in range(es.dim):
+            assert len(set(exc[es.vectors[:, p] != 0])) == 1
+
+
 def test_phase_convention_largest_entry_real_positive():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chainflux
 from chainflux import (
     DegenerateKernel,
     DimensionMismatch,
+    NoConvergence,
     StepTooLarge,
     assemble,
     chain,
@@ -67,6 +74,34 @@ def test_rk4_step_guard():
         evolve_rk4(L, np.eye(2, dtype=complex) / 2, dt=0.1, t_end=1.0)
     with pytest.raises(StepTooLarge):
         evolve_rk4(L, np.eye(2, dtype=complex) / 2, dt=0.0, t_end=1.0)
+
+
+def test_rk4_trace_drift_raises_typed_error():
+    # uniform decay of every entry: not trace preserving
+    L = -0.1 * np.eye(4, dtype=complex)
+    with pytest.raises(NoConvergence, match="trace drift"):
+        evolve_rk4(L, np.eye(2, dtype=complex) / 2, dt=0.01, t_end=1.0)
+
+
+def test_rk4_trace_drift_raises_under_python_O():
+    # the check must not be an assert, which python -O strips
+    check = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from chainflux import NoConvergence, evolve_rk4\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(3)\n"
+        "try:\n"
+        "    evolve_rk4(-0.1 * np.eye(4, dtype=complex), np.eye(2, dtype=complex) / 2,\n"
+        "               dt=0.01, t_end=1.0)\n"
+        "except NoConvergence:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chainflux.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-O", "-c", check], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_rk4_reproduces_two_level_decay():

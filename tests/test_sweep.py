@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from chainflux import (
     SpecInvalid,
     UnknownKey,
     apply_axis,
+    chain,
     dimer,
     emit_csv,
     figure_requests,
@@ -147,6 +149,41 @@ def test_degenerate_point_is_skipped_not_fatal():
     assert "degenerate-transition" in skip.reason
     assert sum(1 for r in table.rows if r.approach == "global") == 2
     assert sum(1 for r in table.rows if r.approach == "local") == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_only_true_zero_modes_are_skipped(n):
+    # the uniform chain has a zero-energy single-particle mode exactly at
+    # eps = 2K cos(k pi / (N + 1)); neighbours within 1e-5 and interior K
+    # must solve, however close their levels of equal excitation number lie
+    eps = 1.5
+    zeros = [eps / (2.0 * math.cos(k * math.pi / (n + 1)))
+             for k in range(1, n + 1) if math.cos(k * math.pi / (n + 1)) > 1e-12]
+    grid = {z * f for z in zeros for f in (1 - 1e-3, 1 - 1e-5, 1.0, 1 + 1e-5, 1 + 1e-3)}
+    grid |= {0.5, 1.25, 2.2, 2.9}
+    req = SweepRequest(base=chain([eps] * n, [1.0] * (n - 1), 1.0, 0.5), axis="k",
+                       grid=tuple(sorted(grid)), approaches=("global",),
+                       outputs=("heat_flux",))
+    table = run_sweep(req)
+    assert {s.axis_value for s in table.skipped} == set(zeros)
+    assert len(table.rows) == len(grid) - len(zeros)
+
+
+def test_global_rows_diagonalize_once(monkeypatch):
+    import chainflux.lindblad
+    import chainflux.sweep
+
+    calls = []
+
+    def counting(H, _real=chainflux.lindblad.diagonalize):
+        calls.append(H.shape)
+        return _real(H)
+
+    monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
+    monkeypatch.setattr(chainflux.sweep, "diagonalize", counting)
+    req = small_request(outputs=("rho_diagonals",), grid=(0.5, 2.0))
+    run_sweep(req)
+    assert len(calls) == 4  # one per row, global and local alike
 
 
 def test_run_matches_direct_pipeline():
