@@ -78,7 +78,15 @@ class DimensionMismatch(ChainfluxError, ValueError):
 
 
 class DegenerateKernel(ChainfluxError, RuntimeError):
-    """The generator has more than one steady state."""
+    """The generator has more than one steady state.
+
+    ``rcond`` is the 1-norm reciprocal condition number of the constrained
+    system that was rejected (0 for an exactly singular one).
+    """
+
+    def __init__(self, message, rcond=None):
+        super().__init__(message)
+        self.rcond = rcond
 
 
 class NoConvergence(ChainfluxError, RuntimeError):

@@ -11,15 +11,17 @@ All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
 
 Both routes end in the same operator form: per reservoir, a list of
-channels (omega, A, gamma, nbar).  Every superoperator is built from that
-form by one function, :func:`superoperator`, on a chosen set of unknowns:
-the equal-excitation block for the steady solve, every entry for the dense
-generator kept for tests and time evolution.
+channels (omega, A, gamma, nbar), with A held in the frame the steady state
+is solved in (the eigenbasis for the global route, the site basis for the
+local one).  Every superoperator is built from that form by one function,
+:func:`superoperator`, on a chosen set of unknowns: the entries the
+generator couples to the diagonal for the steady solve, every entry for the
+dense site-basis generator kept for tests and time evolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -34,7 +36,6 @@ from .operators import (
     EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
-    excitation_numbers,
     site_operator,
 )
 
@@ -93,16 +94,24 @@ def trace_vector(dim: int) -> np.ndarray:
 class JumpOperator:
     """A lowering component of a coupling operator.
 
-    ``operator`` stores weight * |p><q| between eigenstates with
-    E_q - E_p = omega > 0, so [H, operator] = -omega * operator.  ``omega``
-    is snapped to its frequency bin; operators sharing a bin carry an
-    identical value.
+    The operator is weight * |p><q| between eigenstates p = ``lower`` and
+    q = ``upper`` of ``eigensystem`` with E_q - E_p = omega > 0, so
+    [H, operator] = -omega * operator.  ``omega`` is snapped to its
+    frequency bin; operators sharing a bin carry an identical value.
     """
 
-    operator: np.ndarray
     omega: float
     reservoir: int
-    weight: float
+    weight: complex
+    lower: int
+    upper: int
+    eigensystem: EigenSystem = field(repr=False)
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The d x d site-basis matrix, built on request."""
+        vectors = self.eigensystem.vectors
+        return np.outer(vectors[:, self.lower], vectors[:, self.upper].conj()) * self.weight
 
 
 def global_jump_operators(
@@ -116,62 +125,50 @@ def global_jump_operators(
     For every ordered eigenpair (p, q) with E_q - E_p above the frequency
     cutoff, the matrix element <p|coupling|q> becomes the weight of one jump
     operator.  Frequencies closer than ``secular_tol`` (relative to the
-    energy scale) are merged into a single bin.  Zero matrix elements are
-    dropped; a nonzero element across a sub-cutoff gap raises
-    DegenerateTransition.
+    energy scale) to the lowest of their bin are merged into that bin.  Zero
+    matrix elements are dropped; a nonzero element across a sub-cutoff gap
+    raises DegenerateTransition.  Jumps come sorted by (omega, p, q).
     """
     energies = es.energies
-    vectors = es.vectors
-    d = es.dim
-    elements = vectors.conj().T @ coupling @ vectors
-
-    raw = []
-    for p in range(d):
-        for q in range(d):
-            if p == q:
-                continue
-            omega = energies[q] - energies[p]
-            elem = elements[p, q]
-            if abs(elem) <= ELEMENT_TOL:
-                continue
-            if omega <= 0:
-                continue  # the raising partner is handled via the (q, p) pair
-            if omega <= OMEGA_MIN:
-                raise DegenerateTransition(
-                    f"transition at omega = {omega:.3e} below cutoff {OMEGA_MIN:.1e} "
-                    f"between eigenstates {p} and {q}",
-                    omega=omega,
-                )
-            raw.append((omega, p, q, elem))
+    elements = es.vectors.conj().T @ coupling @ es.vectors
+    gaps = energies[None, :] - energies[:, None]  # gaps[p, q] = E_q - E_p
+    coupled = np.abs(elements) > ELEMENT_TOL
+    lowering = coupled & (gaps > 0)  # the raising partner of (p, q) is (q, p)
+    below = lowering & (gaps <= OMEGA_MIN)
+    if below.any():
+        p, q = np.argwhere(below)[0]
+        raise DegenerateTransition(
+            f"transition at omega = {gaps[p, q]:.3e} below cutoff {OMEGA_MIN:.1e} "
+            f"between eigenstates {p} and {q}",
+            omega=float(gaps[p, q]),
+        )
     # degenerate pairs with a coupling element are unresolvable as well
-    for p in range(d):
-        for q in range(p + 1, d):
-            if abs(energies[q] - energies[p]) <= OMEGA_MIN and abs(elements[p, q]) > ELEMENT_TOL:
-                raise DegenerateTransition(
-                    f"coupling element across degenerate eigenstates {p}, {q}",
-                    omega=abs(energies[q] - energies[p]),
-                )
+    degenerate = np.triu(coupled & (np.abs(gaps) <= OMEGA_MIN), 1)
+    if degenerate.any():
+        p, q = np.argwhere(degenerate)[0]
+        raise DegenerateTransition(
+            f"coupling element across degenerate eigenstates {p}, {q}",
+            omega=float(abs(gaps[p, q])),
+        )
 
-    raw.sort(key=lambda item: (item[0], item[1], item[2]))
-    scale = max(1.0, np.abs(energies).max())
-    bins = []  # list of lists of raw entries
-    for item in raw:
-        if bins and item[0] - bins[-1][0][0] <= secular_tol * scale:
-            bins[-1].append(item)
-        else:
-            bins.append([item])
-
+    lower, upper = np.nonzero(lowering)
+    order = np.lexsort((upper, lower, gaps[lower, upper]))
+    lower, upper = lower[order], upper[order]
+    omegas = gaps[lower, upper]
+    weights = elements[lower, upper]
+    real = (np.abs(weights.imag) <= 1e-10 * np.maximum(1.0, np.abs(weights))).tolist()
+    tol = secular_tol * max(1.0, np.abs(energies).max())
+    values = omegas.tolist()
+    starts = []
+    for i, omega in enumerate(values):
+        if not starts or omega - values[starts[-1]] > tol:
+            starts.append(i)
     jumps = []
-    for group in bins:
-        omega_bin = float(np.mean([item[0] for item in group]))
-        for _, p, q, elem in group:
-            if abs(elem.imag) > 1e-10 * max(1.0, abs(elem)):
-                weight = complex(elem)
-            else:
-                weight = float(elem.real)
-            V = np.outer(vectors[:, p], vectors[:, q].conj()) * weight
-            jumps.append(JumpOperator(operator=V, omega=omega_bin,
-                                      reservoir=reservoir, weight=weight))
+    for start, stop in zip(starts, starts[1:] + [len(omegas)]):
+        omega_bin = float(omegas[start:stop].sum() / (stop - start))  # as np.mean
+        for p, q, w, r in zip(lower[start:stop].tolist(), upper[start:stop].tolist(),
+                              weights[start:stop].tolist(), real[start:stop]):
+            jumps.append(JumpOperator(omega_bin, reservoir, w.real if r else w, p, q, es))
     return jumps
 
 
@@ -237,20 +234,39 @@ def full_unknowns(dim: int) -> Unknowns:
     return _unknowns(dim, np.arange(dim * dim))
 
 
-@lru_cache(maxsize=None)
-def excitation_block(n_qubits: int) -> Unknowns:
-    """Entries rho[a, b] whose two basis states have equal excitation number.
+def coupled_unknowns(H: np.ndarray, terms) -> Unknowns:
+    """Entries of rho that the generator of (H, terms) joins to the diagonal.
 
-    C(2N, N) entries of the 4^N.  A generator whose Hamiltonian conserves
-    excitation number and whose jump operators each change it by one fixed
-    amount maps this block into itself and the rest into the rest (a weak
-    U(1) symmetry), and the block holds every diagonal entry, so the unique
-    steady state lies in it.
+    The generator I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
+    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
+    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
+    A[r', r] and A[c', c] are both nonzero.  The set is every entry reached
+    from a diagonal one over these links taken in both directions, read off
+    the structural nonzero pattern of H and the nonzero-rate A.  No link
+    leaves it, so the generator maps it into itself and the rest into the
+    rest; it holds every diagonal entry, so it carries the trace and the
+    steady state, and restricting the solve to it is exact.  Listed in
+    column-stacked order and cached by pattern, which a sweep's rows share.
     """
-    exc = excitation_numbers(n_qubits)
-    d = len(exc)
-    flat = np.arange(d * d)
-    return _unknowns(d, flat[exc[flat % d] == exc[flat // d]])
+    patterns = np.stack([H != 0] + [A != 0 for rate, A in terms if rate != 0])
+    return _coupled_unknowns(H.shape[0], len(patterns), np.packbits(patterns).tobytes())
+
+
+@lru_cache(maxsize=64)
+def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
+    hamiltonian, *operators = bits.reshape(count, dim, dim).astype(float)
+    damping = hamiltonian + sum(A.T @ A for A in operators)
+    damping = damping + damping.T
+    reached = np.eye(dim)  # reached[r, c]: entry (r, c) is in the set
+    while True:
+        grown = reached + damping @ reached + reached @ damping
+        for A in operators:
+            grown += A @ reached @ A.T + A.T @ reached @ A
+        grown = (grown > 0).astype(float)
+        if np.array_equal(grown, reached):
+            return _unknowns(dim, np.flatnonzero(reached.T))
+        reached = grown
 
 
 def superoperator(H, terms, unknowns: Unknowns) -> np.ndarray:
@@ -295,7 +311,7 @@ class Channel:
     Emission through ``operator`` at rate gamma (nbar + 1) and absorption
     through its adjoint at rate gamma nbar.  ``omega`` is the Bohr frequency
     of the channel (its bin for the global approach, the site gap for the
-    local one).
+    local one).  The operator is given in the basis of the caller's choice.
     """
 
     omega: float
@@ -326,30 +342,45 @@ def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
 
 
 def global_channels(jumps, bath: BathSpec) -> tuple:
-    """One channel per frequency bin of one reservoir.
+    """One channel per frequency bin of one reservoir, in the eigenbasis frame.
 
     Jump operators sharing a bin are summed before the Lindblad form is
     applied, so equal-frequency cross terms survive while cross terms
-    between different bins are dropped.
+    between different bins are dropped.  Each bin's operator is given in the
+    basis ``eigensystem.frame``: it holds the weights at the frame positions
+    of (p, q) and is exactly zero elsewhere.
     """
     if len({jump.reservoir for jump in jumps}) > 1:
         raise ValueError("jump operators from several reservoirs in one dissipator")
+    if not jumps:
+        return ()
+    es = jumps[0].eigensystem
+    position = np.argsort(es.frame_order)
     groups = {}
     for jump in jumps:
         groups.setdefault(jump.omega, []).append(jump)
-    return tuple(
-        Channel(omega, sum(j.operator for j in groups[omega]), bath.gamma,
-                bose_occupation(omega, bath.temperature))
-        for omega in sorted(groups)
-    )
+    channels = []
+    for omega in sorted(groups):
+        A = np.zeros((es.dim, es.dim), dtype=complex)
+        for j in groups[omega]:
+            A[position[j.lower], position[j.upper]] = j.weight
+        channels.append(Channel(omega, A, bath.gamma, bose_occupation(omega, bath.temperature)))
+    return tuple(channels)
+
+
+def to_site_basis(channel: Channel, frame: np.ndarray) -> Channel:
+    """A channel given in the basis ``frame`` (columns in the site basis), in the site basis."""
+    return Channel(channel.omega, frame @ channel.operator @ frame.conj().T,
+                   channel.gamma, channel.nbar)
 
 
 def global_dissipator_bins(jumps, bath: BathSpec) -> list:
     """Dense (omega, dissipator) pair of each frequency bin of one reservoir."""
     if not jumps:
         return []
-    full = full_unknowns(jumps[0].operator.shape[0])
-    return [(ch.omega, superoperator(None, ch.terms(), full))
+    es = jumps[0].eigensystem
+    full = full_unknowns(es.dim)
+    return [(ch.omega, superoperator(None, to_site_basis(ch, es.frame).terms(), full))
             for ch in global_channels(jumps, bath)]
 
 
@@ -383,66 +414,76 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     return L
 
 
-def _conserves_excitation(n_qubits: int, H: np.ndarray, operators) -> bool:
-    """True when H keeps excitation number and each operator shifts it by one fixed amount."""
-    exc = excitation_numbers(n_qubits)
-    shift = exc[:, None] - exc[None, :]
-    if np.any(H[shift != 0]):
-        return False
-    for A in operators:
-        shifts = shift[A != 0]
-        if shifts.size and np.any(shifts != shifts[0]):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class LindbladModel:
     """Generator of one chain under one approach, held in operator form.
 
-    ``channels[j]`` lists reservoir j's channels: one per frequency bin for
-    the global approach, a single one at the site gap for the local.
-    ``eigensystem`` is the diagonalization the global channels were built
-    from (None for the local approach).  Superoperators are derived from
-    these on first use: ``block`` on the unknowns the steady state occupies,
-    ``liouvillian`` and the per-reservoir ``dissipators`` densely.
+    The steady state is solved in a frame: the eigenbasis
+    ``eigensystem.frame`` for the global approach, where H is diagonal, and
+    the site basis for the local one (``eigensystem`` is None there).
+    ``frame_channels[j]`` lists reservoir j's channels in that frame: one
+    per frequency bin for the global approach, a single one at the site gap
+    for the local.  Everything else is derived on first use: ``block`` in
+    the frame on the unknowns the steady state occupies, and in the site
+    basis ``channels``, the dense ``liouvillian`` and the per-reservoir
+    ``dissipators``.
     """
 
     spec: ChainSpec
     approach: str
     hamiltonian: np.ndarray
-    channels: tuple
+    frame_channels: tuple
     eigensystem: EigenSystem = None
 
+    @cached_property
+    def channels(self) -> tuple:
+        """``frame_channels`` in the site basis."""
+        if self.eigensystem is None:
+            return self.frame_channels
+        frame = self.eigensystem.frame
+        return tuple(tuple(to_site_basis(ch, frame) for ch in reservoir)
+                     for reservoir in self.frame_channels)
+
     def terms(self) -> list:
-        """(rate, jump operator) pairs of every channel of every reservoir."""
+        """(rate, jump operator) pairs of every channel of every reservoir, site basis."""
         return [term for reservoir in self.channels for ch in reservoir for term in ch.terms()]
+
+    def frame_terms(self) -> list:
+        """:meth:`terms` in the solve frame."""
+        return [term for reservoir in self.frame_channels for ch in reservoir
+                for term in ch.terms()]
+
+    @cached_property
+    def frame_hamiltonian(self) -> np.ndarray:
+        """H in the solve frame."""
+        es = self.eigensystem
+        return self.hamiltonian if es is None else np.diag(es.energies[es.frame_order])
+
+    def to_site(self, rho: np.ndarray) -> np.ndarray:
+        """A matrix given in the solve frame, in the site basis."""
+        if self.eigensystem is None:
+            return rho
+        frame = self.eigensystem.frame
+        return frame @ rho @ frame.conj().T
 
     @cached_property
     def unknowns(self) -> Unknowns:
-        """Equal-excitation block when the generator keeps it invariant, else every entry.
-
-        Only a frequency bin that joins excitation-raising and -lowering
-        jumps (opposite single-particle energies) breaks the invariance.
-        """
-        operators = [ch.operator for reservoir in self.channels for ch in reservoir]
-        if _conserves_excitation(self.spec.n_qubits, self.hamiltonian, operators):
-            return excitation_block(self.spec.n_qubits)
-        return full_unknowns(self.spec.dim)
+        """Entries the frame generator joins to the diagonal (:func:`coupled_unknowns`)."""
+        return coupled_unknowns(self.frame_hamiltonian, self.frame_terms())
 
     @cached_property
     def block(self) -> np.ndarray:
-        """Generator restricted to :attr:`unknowns`."""
-        return superoperator(self.hamiltonian, self.terms(), self.unknowns)
+        """Frame generator restricted to :attr:`unknowns`."""
+        return superoperator(self.frame_hamiltonian, self.frame_terms(), self.unknowns)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
-        """Dense d^2 x d^2 generator, the oracle for :attr:`block`."""
+        """Dense d^2 x d^2 site-basis generator, the oracle for :attr:`block`."""
         return superoperator(self.hamiltonian, self.terms(), full_unknowns(self.spec.dim))
 
     @cached_property
     def dissipators(self) -> tuple:
-        """Dense superoperator of each reservoir."""
+        """Dense site-basis superoperator of each reservoir."""
         full = full_unknowns(self.spec.dim)
         return tuple(superoperator(None, [t for ch in reservoir for t in ch.terms()], full)
                      for reservoir in self.channels)
@@ -455,7 +496,8 @@ def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
     H = build_chain_hamiltonian(spec)
     if approach == "local":
         channels = tuple((local_channel(spec, bath),) for bath in spec.baths)
-        return LindbladModel(spec=spec, approach=approach, hamiltonian=H, channels=channels)
+        return LindbladModel(spec=spec, approach=approach, hamiltonian=H,
+                             frame_channels=channels)
     es = diagonalize(H)
     channels = []
     for j, bath in enumerate(spec.baths):
@@ -465,4 +507,4 @@ def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
         jumps = global_jump_operators(es, coupling, reservoir=j)
         channels.append(global_channels(jumps, bath))
     return LindbladModel(spec=spec, approach=approach, hamiltonian=H,
-                         channels=tuple(channels), eigensystem=es)
+                         frame_channels=tuple(channels), eigensystem=es)

@@ -35,7 +35,9 @@ HBAR = 1.0
 K_B = 1.0
 
 # 2^5 qubits give a 1024 x 1024 dense generator, the largest test oracle this
-# package builds; the steady solve itself has C(10, 5) = 252 unknowns there.
+# package builds.  The steady solve runs only on the entries the generator
+# couples to the diagonal: C(10, 5) = 252 for the local approach, 36 for the
+# uniform global chain in its eigenbasis.
 MAX_QUBITS = 5
 
 _CONVENTIONS_TEXT = (

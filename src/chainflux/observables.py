@@ -263,19 +263,21 @@ def steady_report(spec: ChainSpec, approach: str,
                   model: LindbladModel = None) -> SteadyReport:
     """Assemble, solve and measure one chain; the one-stop numeric pipeline.
 
-    The solve runs on ``model.block``; each reservoir's flux is the sum of
-    its channel fluxes.
+    The solve runs on ``model.block`` in the model's frame, where the
+    channel fluxes Tr{H D(rho)} are taken too; the state is reported in the
+    site basis.  Each reservoir's flux is the sum of its channel fluxes.
     """
     if model is None:
         model = assemble(spec, approach)
     sol = solve_steady(model.block, unknowns=model.unknowns)
-    pops = tuple(qubit_population(sol.rho, q) for q in range(spec.n_qubits))
+    rho = model.to_site(sol.rho)
+    pops = tuple(qubit_population(rho, q) for q in range(spec.n_qubits))
     breakdown = tuple(
-        tuple((ch.omega, heat_flux(model.hamiltonian, ch, sol.rho)) for ch in reservoir)
-        for reservoir in model.channels
+        tuple((ch.omega, heat_flux(model.frame_hamiltonian, ch, sol.rho)) for ch in reservoir)
+        for reservoir in model.frame_channels
     )
     fluxes = tuple(sum(q for _, q in reservoir) for reservoir in breakdown)
     return SteadyReport(
-        spec=spec, approach=approach, rho=sol.rho, populations=pops,
+        spec=spec, approach=approach, rho=rho, populations=pops,
         fluxes=fluxes, residual=sol.residual, channel_fluxes=breakdown,
     )

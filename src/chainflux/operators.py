@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,6 +114,24 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return len(self.energies)
+
+    @cached_property
+    def frame_order(self) -> np.ndarray:
+        """Eigenvector positions sorted by the site index of each one's leading entry.
+
+        The leading entry is the one the phase gauge makes real and positive.
+        The sort is stable, so a diagonal operator's frame is the identity.
+        """
+        order = np.argsort(np.abs(self.vectors).argmax(axis=0), kind="stable")
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The eigenvectors as columns in :attr:`frame_order`."""
+        frame = self.vectors[:, self.frame_order]
+        frame.setflags(write=False)
+        return frame
 
 
 @lru_cache(maxsize=None)

@@ -46,6 +46,31 @@ class SteadySolution:
     replaced_row: int
 
 
+def checked_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverse of a constrained steady-state system, or DegenerateKernel.
+
+    One LU factorization, ``np.linalg.solve`` against the identity, gives
+    the inverse.  The system is rejected when the LU meets an exactly zero
+    pivot or when rcond_1 = 1 / (|M|_1 |M^-1|_1) <= m^2 eps.  Since
+    |X|_2 <= sqrt(m) |X|_1, rcond_1 <= m rcond_2, so every system that
+    ``np.linalg.matrix_rank`` calls rank deficient (rcond_2 <= m eps) is
+    rejected as well.
+    """
+    m = M.shape[0]
+    try:
+        inverse = np.linalg.solve(M, np.eye(m, dtype=M.dtype))
+    except np.linalg.LinAlgError:
+        raise DegenerateKernel(
+            "constrained system is singular: the steady state is not unique", rcond=0.0
+        ) from None
+    rcond = 1.0 / (np.abs(M).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
+    if not rcond > m * m * np.finfo(float).eps:
+        raise DegenerateKernel(
+            f"constrained system has rcond {rcond:.3e} <= m^2 eps for m = {m}: "
+            "the steady state is not unique", rcond=float(rcond))
+    return inverse
+
+
 def solve_steady(L: np.ndarray, check_kernel: bool = True,
                  unknowns: Unknowns = None) -> SteadySolution:
     """Solve L v = 0 with the trace constraint replacing one row.
@@ -53,8 +78,8 @@ def solve_steady(L: np.ndarray, check_kernel: bool = True,
     ``unknowns`` names the entries of rho that v holds; by default all of
     them, with L the dense d^2 x d^2 generator.  Entries outside the set are
     zero in the returned state, which is exact when L keeps the set
-    invariant, as for ``LindbladModel.block``; the kernel check then covers
-    that set only.
+    invariant, as for ``LindbladModel.block``; the kernel check
+    (:func:`checked_inverse`) then covers that set only.
 
     The replaced row is chosen among the rows belonging to diagonal matrix
     elements: trace preservation makes those rows sum to zero, so dropping
@@ -77,15 +102,12 @@ def solve_steady(L: np.ndarray, check_kernel: bool = True,
     M = L.copy()
     M[replaced, :] = 0.0
     M[replaced, diag] = 1.0
-    b = np.zeros(m, dtype=complex)
-    b[replaced] = 1.0
-
-    if check_kernel and np.linalg.matrix_rank(M) < m:
-        raise DegenerateKernel(
-            "constrained system is rank deficient: the steady state is not unique"
-        )
-
-    v = np.linalg.solve(M, b)
+    if check_kernel:
+        v = checked_inverse(M)[:, replaced]
+    else:
+        b = np.zeros(m, dtype=complex)
+        b[replaced] = 1.0
+        v = np.linalg.solve(M, b)
     raw = unknowns.scatter(v)
     asymmetry = float(np.abs(raw - raw.conj().T).max())
     rho = 0.5 * (raw + raw.conj().T)

@@ -10,6 +10,7 @@ import numpy as np
 from ._version import __version__
 from .errors import (
     ConfigSyntaxError,
+    DegenerateKernel,
     DegenerateTransition,
     NoConvergence,
     SpecError,
@@ -276,6 +277,9 @@ def _row_task(args):
     except DegenerateTransition as err:
         return SkippedRow(axis_value=value, approach=approach,
                           reason=f"degenerate-transition (omega = {err.omega:.3e})")
+    except DegenerateKernel as err:
+        return SkippedRow(axis_value=value, approach=approach,
+                          reason=f"degenerate-kernel (rcond = {err.rcond:.3e})")
     diagonals = ()
     if "rho_diagonals" in request.outputs:
         es = model.eigensystem or diagonalize(model.hamiltonian)
@@ -295,8 +299,9 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     """Run the full numeric pipeline at every (grid point, approach).
 
     Rows come out sorted by (approach, axis value) and are identical for any
-    worker count; points where the eigenbasis construction degenerates are
-    recorded as annotated skips instead of aborting the run.
+    worker count; points where the eigenbasis construction degenerates or
+    the steady state is not unique are recorded as annotated skips instead
+    of aborting the run.
     """
     tasks = [(request, value, approach)
              for approach in request.approaches

@@ -1,4 +1,4 @@
-"""The equal-excitation block solve against the dense d^2 x d^2 oracle."""
+"""The steady solve on the coupled entries of the frame generator against the dense oracle."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from chainflux import (
     steady_report,
     thermal_dissipator,
 )
-from chainflux.lindblad import excitation_block
+from chainflux.lindblad import full_unknowns, superoperator
 from chainflux.operators import excitation_numbers
 
 
@@ -33,7 +33,7 @@ CASES += list(random_cases(45, 5, 2))  # one global and one local point
                          ids=[f"N{s.n_qubits}-{a}-{i}" for i, (s, a) in enumerate(CASES)])
 def test_block_solve_matches_dense_oracle(spec, approach):
     model = assemble(spec, approach)
-    assert model.unknowns.size == excitation_block(spec.n_qubits).size
+    assert model.unknowns.size < spec.dim**2
     report = steady_report(spec, approach, model=model)
     # check_kernel on: the dense rank is full wherever the block's is
     dense = solve_steady(model.liouvillian).rho
@@ -51,14 +51,40 @@ def test_block_solve_matches_dense_oracle(spec, approach):
     assert abs(report.fluxes[0] + report.fluxes[1]) <= 1e-9
 
 
+@pytest.mark.parametrize("approach", ["global", "local"])
+def test_frame_generator_holds_no_entry_between_coupled_set_and_rest(approach):
+    for spec, _ in CASES:
+        model = assemble(spec, approach)
+        d = spec.dim
+        dense = superoperator(model.frame_hamiltonian, model.frame_terms(), full_unknowns(d))
+        inside = np.zeros(d * d, dtype=bool)
+        inside[model.unknowns.cols * d + model.unknowns.rows] = True
+        assert np.all(inside[np.arange(d) * (d + 1)])  # every diagonal entry
+        assert not np.any(dense[np.ix_(inside, ~inside)])
+        assert not np.any(dense[np.ix_(~inside, inside)])
+
+
 def test_block_holds_no_entry_between_excitation_numbers():
+    # in the site basis the local generator couples exactly the
+    # equal-excitation block to the diagonal
     for n in range(1, 6):
-        block = excitation_block(n)
+        block = assemble(chain([1.5] * n, [1.0] * (n - 1), 1.0, 0.5), "local").unknowns
         exc = excitation_numbers(n)
         assert block.size == [2, 6, 20, 70, 252][n - 1]
         assert np.array_equal(exc[block.rows], exc[block.cols])
         flat = block.cols * block.dim + block.rows
         assert np.all(np.diff(flat) > 0)  # column-stacked order
+
+
+def test_uniform_global_chain_couples_few_entries():
+    # the full-secular generator commutes with [H, .]: in the eigenbasis it
+    # joins only entries between levels of equal energy to the diagonal
+    for n, size in ((4, 18), (5, 36)):
+        model = assemble(chain([1.5] * n, [1.0] * (n - 1), 1.0, 0.5), "global")
+        unknowns = model.unknowns
+        assert unknowns.size == size
+        energies = np.diag(model.frame_hamiltonian)
+        assert np.abs(energies[unknowns.rows] - energies[unknowns.cols]).max() <= 1e-9
 
 
 def test_gibbs_state_is_fixed_point_of_block_generator():
@@ -71,17 +97,18 @@ def test_gibbs_state_is_fixed_point_of_block_generator():
         es = model.eigensystem
         weights = np.exp(-(es.energies - es.energies.min()) / t)
         gibbs = (es.vectors * (weights / weights.sum())) @ es.vectors.conj().T
-        assert np.abs(model.block @ model.unknowns.gather(gibbs)).max() <= 1e-9
+        in_frame = es.frame.conj().T @ gibbs @ es.frame
+        assert np.abs(model.block @ model.unknowns.gather(in_frame)).max() <= 1e-9
 
 
-def test_bin_joining_raising_and_lowering_jumps_solves_on_every_entry():
+def test_bin_joining_raising_and_lowering_jumps_solves_beyond_the_excitation_block():
     # single-particle energies eps + 2K cos(k pi / 5) are +-3.35 for two
     # modes at eps = 1.5, K = 3: one frequency bin holds a jump that lowers
-    # the excitation number and one that raises it, the steady state leaves
-    # the block, and the solve must fall back to every entry
+    # the excitation number and one that raises it, and the steady state
+    # leaves the equal-excitation block; the coupled set follows it there
     spec = chain([1.5] * 4, [3.0] * 3, 1.0, 0.5)
     model = assemble(spec, "global")
-    assert model.unknowns.size == spec.dim**2
+    assert model.unknowns.size < spec.dim**2
     rho = steady_report(spec, "global", model=model).rho
     exc = excitation_numbers(4)
     assert np.abs(rho[exc[:, None] != exc[None, :]]).max() > 1e-3

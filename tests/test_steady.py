@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import chainflux
+from chainflux.steady import checked_inverse
 from chainflux import (
     DegenerateKernel,
     DimensionMismatch,
@@ -22,6 +23,7 @@ from chainflux import (
     qubit_population,
     site_operator,
     solve_steady,
+    steady_report,
     steady_state,
     thermal_dissipator,
     trace_distance,
@@ -51,6 +53,37 @@ def test_monomer_population_equals_analytic():
         rho = steady_state(assemble(monomer(eps, t1, t2), "global").liouvillian)
         assert qubit_population(rho, 0) == pytest.approx(
             monomer_population_analytic(eps, t1, t2), abs=1e-10)
+
+
+def random_unitary(rng, m):
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("m", [2, 6, 20, 36, 70, 252])
+def test_uniqueness_check_rejects_what_matrix_rank_rejects(m):
+    # systems with singular values spread from 1 down to rcond_2; the LU
+    # check must reject every one the SVD rank test rejects, and rcond_1 >=
+    # rcond_2 / m keeps it from rejecting the well-conditioned end
+    rng = np.random.default_rng(1000 + m)
+    rejected_by_rank = 0
+    for rcond in np.logspace(-20, -8, 25):
+        s = np.logspace(0.0, np.log10(rcond), m)
+        M = (random_unitary(rng, m) * s) @ random_unitary(rng, m).conj().T
+        if np.linalg.matrix_rank(M) < m:
+            rejected_by_rank += 1
+            with pytest.raises(DegenerateKernel):
+                checked_inverse(M)
+        elif rcond >= m**3 * np.finfo(float).eps * 10:
+            checked_inverse(M)
+    assert rejected_by_rank >= 10
+
+
+def test_non_unique_chain_steady_state_raises():
+    # at eps = 1.5, K = 3 the global N = 5 generator has two dense singular
+    # values below 1e-15: two steady states
+    with pytest.raises(DegenerateKernel):
+        steady_report(chain([1.5] * 5, [3.0] * 4, 1.0, 0.5), "global")
 
 
 def test_degenerate_kernel_detected():

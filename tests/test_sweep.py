@@ -151,6 +151,22 @@ def test_degenerate_point_is_skipped_not_fatal():
     assert sum(1 for r in table.rows if r.approach == "local") == 3
 
 
+def test_non_unique_steady_state_is_skipped_not_fatal(tmp_path):
+    # the global N = 5 chain at eps = 1.5, K = 3 has two steady states
+    req = SweepRequest(base=chain([1.5] * 5, [1.0] * 4, 1.0, 0.5), axis="k",
+                       grid=(2.9, 3.0, 3.1), approaches=("global",),
+                       outputs=("heat_flux",))
+    table = run_sweep(req)
+    assert [r.axis_value for r in table.rows] == [2.9, 3.1]
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [(3.0, "global")]
+    assert table.skipped[0].reason.startswith("degenerate-kernel (rcond = ")
+    path = tmp_path / "k.csv"
+    emit_csv(table, path)
+    metadata, _, _ = read_csv_table(path)
+    assert any(line.startswith("# skipped: degenerate-kernel") and "k=3 " in line
+               for line in metadata)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_only_true_zero_modes_are_skipped(n):
     # the uniform chain has a zero-energy single-particle mode exactly at
