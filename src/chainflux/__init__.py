@@ -103,5 +103,33 @@ from .sweep import (
     read_csv_table,
     run_sweep,
 )
+from .verify import run_verification
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AnalyticFormMismatch", "BadBathAttachment", "ChainfluxError",
+    "ConfigSyntaxError", "ConvergenceFailure", "DegenerateDenominator",
+    "DegenerateKernel", "DegenerateTransition", "DimensionMismatch",
+    "IndexOutOfRange", "LengthMismatch", "NegativeTemperature", "NoConvergence",
+    "NonFiniteState", "NonPositiveFrequency", "NonPositiveGap", "NonPositiveRate",
+    "NotHermitian", "NTooLarge", "SpecError", "SpecInvalid", "StepTooLarge",
+    "UnknownKey",
+    "BathSpec", "ChainSpec", "chain", "conventions_fingerprint", "dimer", "monomer",
+    "validate_spec",
+    "EigenSystem", "EigenSystemDimer", "build_chain_hamiltonian", "diagonalize",
+    "dimer_analytic_eigensystem", "number_operator", "site_operator",
+    "total_excitation",
+    "OMEGA_MIN", "Channel", "JumpOperator", "LindbladModel", "assemble",
+    "bose_occupation", "build_liouvillian", "build_local_dissipator",
+    "global_jump_operators", "spectral_density", "thermal_dissipator",
+    "trace_vector", "unvectorize", "vectorize",
+    "SteadySolution", "Trajectory", "check_density_matrix", "evolve_rk4",
+    "solve_steady", "steady_state", "trace_distance",
+    "DimerGlobalFlux", "DimerGlobalSteadyState", "SteadyReport",
+    "dimer_global_heat_flux_analytic", "dimer_global_populations_analytic",
+    "dimer_local_heat_flux_analytic", "dimer_local_populations_analytic",
+    "heat_flux", "monomer_heat_flux_analytic", "monomer_population_analytic",
+    "qubit_population", "steady_report", "universal_e",
+    "SweepRequest", "SweepTable", "apply_axis", "emit_csv", "figure_requests",
+    "format_config", "parse_config", "read_csv_table", "run_sweep",
+    "run_verification",
+]

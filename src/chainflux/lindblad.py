@@ -17,6 +17,12 @@ local one).  Every superoperator is built from that form by one function,
 :func:`superoperator`, on a chosen set of unknowns: the entries the
 generator couples to the diagonal for the steady solve, every entry for the
 dense site-basis generator kept for tests and time evolution.
+
+Temperatures and bath rates enter only through the rates of the channels.
+Everything else, H, its eigensystem, the binned operators and each bin's
+flux functionals, is built once per (gaps, couplings, approach) and cached
+(:func:`chain_structure`), so the rows of a temperature sweep only
+evaluate occupations and solve.
 """
 
 from __future__ import annotations
@@ -210,6 +216,11 @@ class Unknowns:
         return rho
 
 
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def _unknowns(dim: int, flat: np.ndarray) -> Unknowns:
     """Unknowns at the given column-stacked positions c * dim + r, read-only."""
     rows, cols = flat % dim, flat // dim
@@ -223,8 +234,7 @@ def _unknowns(dim: int, flat: np.ndarray) -> Unknowns:
         same_row=(same_row, col_pairs.ravel()[same_row]),
         diagonal=np.flatnonzero(rows == cols),
     )
-    for a in (rows, cols, row_pairs, col_pairs, *out.same_col, *out.same_row, out.diagonal):
-        a.setflags(write=False)
+    _read_only(rows, cols, row_pairs, col_pairs, *out.same_col, *out.same_row, out.diagonal)
     return out
 
 
@@ -269,6 +279,11 @@ def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
         reached = grown
 
 
+# Most elements of the per-term Kronecker grids held at once: the terms are
+# gathered in stacks of up to this size, one stack for a small block.
+_GRID_ELEMENTS = 1 << 16
+
+
 def superoperator(H, terms, unknowns: Unknowns) -> np.ndarray:
     """-i[H, .] + sum of rate * D[A] over (rate, A) terms, on ``unknowns``.
 
@@ -278,20 +293,29 @@ def superoperator(H, terms, unknowns: Unknowns) -> np.ndarray:
     unknowns is X[c_i, c_j] * Y[r_i, r_j]; only those entries are formed.
     ``H`` may be None for a dissipator alone; zero-rate terms are skipped.
     """
-    d = unknowns.dim
+    d, m = unknowns.dim, unknowns.size
+    terms = [(rate, A) for rate, A in terms if rate != 0]
     J = np.zeros((d, d), dtype=complex) if H is None else -1j * H
-    L = np.zeros((unknowns.size, unknowns.size), dtype=complex)
-    left, right = np.empty_like(L), np.empty_like(L)
-    for rate, A in terms:
-        if rate == 0:
-            continue
-        J -= (0.5 * rate) * (A.conj().T @ A)
-        # the grids are in range; mode="clip" lets take fill ``out`` directly
-        # instead of through a bounds-checked copy
-        np.take((rate * A.conj()).ravel(), unknowns.col_pairs, out=left, mode="clip")
-        np.take(A.ravel(), unknowns.row_pairs, out=right, mode="clip")
-        left *= right
-        L += left
+    L = np.zeros((m, m), dtype=complex)
+    if terms:
+        rates = np.array([rate for rate, _ in terms])
+        ops = np.array([A for _, A in terms], dtype=complex)
+        decay = (0.5 * rates)[:, None, None] * (ops.conj().swapaxes(1, 2) @ ops)
+        J = np.subtract.reduce(np.concatenate([J[None], decay]), axis=0)  # term by term
+        ops = ops.reshape(len(terms), d * d)
+        step = min(len(terms), max(1, _GRID_ELEMENTS // (m * m)))
+        left = np.empty((step, m, m), dtype=complex)
+        right = np.empty_like(left)
+        for i in range(0, len(terms), step):
+            n = min(step, len(terms) - i)
+            # the grids are in range; mode="clip" lets take fill ``out``
+            # directly instead of through a bounds-checked copy
+            np.take(rates[i:i + n, None] * ops[i:i + n].conj(), unknowns.col_pairs,
+                    axis=1, out=left[:n], mode="clip")
+            np.take(ops[i:i + n], unknowns.row_pairs, axis=1, out=right[:n], mode="clip")
+            left[:n] *= right[:n]
+            for piece in left[:n]:
+                L += piece
     flat = L.reshape(-1)
     at, pairs = unknowns.same_col
     flat[at] += J.ravel()[pairs]
@@ -341,8 +365,8 @@ def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
     return superoperator(None, _thermal_terms(A, gamma, nbar), full_unknowns(A.shape[0]))
 
 
-def global_channels(jumps, bath: BathSpec) -> tuple:
-    """One channel per frequency bin of one reservoir, in the eigenbasis frame.
+def global_bins(jumps) -> tuple:
+    """(omega, A) of each frequency bin of one reservoir, in the eigenbasis frame.
 
     Jump operators sharing a bin are summed before the Lindblad form is
     applied, so equal-frequency cross terms survive while cross terms
@@ -359,13 +383,28 @@ def global_channels(jumps, bath: BathSpec) -> tuple:
     groups = {}
     for jump in jumps:
         groups.setdefault(jump.omega, []).append(jump)
-    channels = []
+    bins = []
     for omega in sorted(groups):
         A = np.zeros((es.dim, es.dim), dtype=complex)
         for j in groups[omega]:
             A[position[j.lower], position[j.upper]] = j.weight
-        channels.append(Channel(omega, A, bath.gamma, bose_occupation(omega, bath.temperature)))
-    return tuple(channels)
+        bins.append((omega, A))
+    return tuple(bins)
+
+
+def local_bins(spec: ChainSpec, bath: BathSpec) -> tuple:
+    """(omega, A) of the bare jump of the attached qubit, in the site basis.
+
+    Its frequency is the qubit's own gap, ignoring the interqubit coupling.
+    """
+    site = bath.attached_site
+    return ((spec.epsilons[site], site_operator(spec.n_qubits, site, "lower")),)
+
+
+def thermal_channels(bins, bath: BathSpec) -> tuple:
+    """The channel of each (omega, A) bin at the rate and temperature of ``bath``."""
+    return tuple(Channel(omega, A, bath.gamma, bose_occupation(omega, bath.temperature))
+                 for omega, A in bins)
 
 
 def to_site_basis(channel: Channel, frame: np.ndarray) -> Channel:
@@ -381,24 +420,13 @@ def global_dissipator_bins(jumps, bath: BathSpec) -> list:
     es = jumps[0].eigensystem
     full = full_unknowns(es.dim)
     return [(ch.omega, superoperator(None, to_site_basis(ch, es.frame).terms(), full))
-            for ch in global_channels(jumps, bath)]
-
-
-def local_channel(spec: ChainSpec, bath: BathSpec) -> Channel:
-    """Site-basis channel: bare thermal jumps of the attached qubit.
-
-    Rates are evaluated at the attached qubit's own gap, ignoring the
-    interqubit coupling.
-    """
-    site = bath.attached_site
-    eps = spec.epsilons[site]
-    return Channel(eps, site_operator(spec.n_qubits, site, "lower"), bath.gamma,
-                   bose_occupation(eps, bath.temperature))
+            for ch in thermal_channels(global_bins(jumps), bath)]
 
 
 def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
     """Dense site-basis dissipator of one reservoir."""
-    return superoperator(None, local_channel(spec, bath).terms(), full_unknowns(spec.dim))
+    (channel,) = thermal_channels(local_bins(spec, bath), bath)
+    return superoperator(None, channel.terms(), full_unknowns(spec.dim))
 
 
 def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
@@ -414,26 +442,145 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     return L
 
 
+# Rate-free structures kept per process: enough (chain, approach) pairs for
+# the figure presets, which sweep temperature at a few fixed chains.
+_STRUCTURES = 8
+
+
+def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """D[A]^dag(H) = A^dag H A - {A^dag A, H} / 2, so Tr{H D[A](rho)} = Tr{D[A]^dag(H) rho}.
+
+    ``A`` may be a stack of operators; the result is stacked the same way.
+    A diagonal H (the eigenbasis frame) acts by elementwise products.
+    """
+    Ad = A.conj().swapaxes(-1, -2)
+    AdA = Ad @ A
+    h = np.diagonal(H)
+    if np.count_nonzero(H) == np.count_nonzero(h):
+        return (Ad * h) @ A - 0.5 * AdA * (h[:, None] + h)
+    return Ad @ H @ A - 0.5 * (AdA @ H + H @ AdA)
+
+
+@dataclass(frozen=True, eq=False)
+class ChainStructure:
+    """The rate-free part of one chain's generator under one approach.
+
+    Temperatures and bath rates enter the generator only through the rates
+    gamma (nbar + 1) and gamma nbar of each channel, so everything here is
+    fixed by the gaps, couplings and approach, and one structure serves
+    every row of a temperature sweep: H, its ``eigensystem`` (global
+    approach; None for the local one), H in the solve frame, each
+    reservoir's (omega, A) ``bins`` in that frame, and ``flux_functionals``,
+    which holds D[A]^dag(H) and D[A^dag]^dag(H) in the frame for every bin,
+    reservoir by reservoir, so that a channel's heat current is
+    gamma (nbar + 1) Tr{F[c, 0] rho} + gamma nbar Tr{F[c, 1] rho}
+    (Alicki's form).  Every array is read-only.
+    """
+
+    hamiltonian: np.ndarray
+    eigensystem: EigenSystem
+    frame_hamiltonian: np.ndarray
+    bins: tuple
+    flux_functionals: np.ndarray
+    patterns: dict = field(default_factory=dict, init=False, repr=False)
+
+    def unknowns(self, terms) -> Unknowns:
+        """:func:`coupled_unknowns` of the frame H and ``terms``, this structure's bins at some rates.
+
+        The terms' operators are fixed, so the pattern changes only with
+        which rates are zero (nbar = 0 at T = 0 or omega / T > 700); the set
+        is kept for each such choice.
+        """
+        zero = tuple(rate == 0 for rate, _ in terms)
+        found = self.patterns.get(zero)
+        if found is None:
+            found = self.patterns[zero] = coupled_unknowns(self.frame_hamiltonian, terms)
+        return found
+
+    @cached_property
+    def spectrum(self) -> EigenSystem:
+        """Eigensystem of H: ``eigensystem``, or for the local approach H diagonalized once."""
+        if self.eigensystem is not None:
+            return self.eigensystem
+        es = diagonalize(self.hamiltonian)
+        _read_only(es.energies, es.vectors)
+        return es
+
+
+def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
+    """The cached rate-free structure of ``spec`` under ``approach``.
+
+    The key is the spec with each bath reduced to its attachment site, so
+    specs that differ only in temperatures or rates share one structure.
+    Building one that raises (DegenerateTransition) caches nothing, so the
+    error is raised again on every call.
+    """
+    baths = tuple(BathSpec(0.0, attached_site=bath.attached_site) for bath in spec.baths)
+    shape = ChainSpec(spec.n_qubits, tuple(spec.epsilons), tuple(spec.couplings), baths)
+    return _chain_structure(shape, approach)
+
+
+@lru_cache(maxsize=_STRUCTURES)
+def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
+    H = build_chain_hamiltonian(shape)
+    if approach == "local":
+        es, frame_H = None, H
+        bins = tuple(local_bins(shape, bath) for bath in shape.baths)
+    else:
+        es = diagonalize(H)
+        frame_H = np.diag(es.energies[es.frame_order])
+        n = shape.n_qubits
+        bins = []
+        for j, bath in enumerate(shape.baths):
+            site = bath.attached_site
+            coupling = site_operator(n, site, "raise") + site_operator(n, site, "lower")
+            bins.append(global_bins(global_jump_operators(es, coupling, reservoir=j)))
+        bins = tuple(bins)
+        _read_only(es.energies, es.vectors, *(A for reservoir in bins for _, A in reservoir))
+    emitted = np.array([A for reservoir in bins for _, A in reservoir]).reshape((-1,) + H.shape)
+    jumps = np.stack([emitted, emitted.conj().swapaxes(-1, -2)], axis=1)  # A, A^dag
+    functionals = adjoint_dissipator(jumps, frame_H)
+    _read_only(H, frame_H, functionals)
+    return ChainStructure(hamiltonian=H, eigensystem=es, frame_hamiltonian=frame_H,
+                          bins=bins, flux_functionals=functionals)
+
+
 @dataclass(frozen=True)
 class LindbladModel:
-    """Generator of one chain under one approach, held in operator form.
+    """Generator of one chain under one approach at one set of bath rates.
 
-    The steady state is solved in a frame: the eigenbasis
+    ``structure`` is the chain's rate-free part (:func:`chain_structure`),
+    shared by every model of the same gaps, couplings and approach.  The
+    steady state is solved in a frame: the eigenbasis
     ``eigensystem.frame`` for the global approach, where H is diagonal, and
     the site basis for the local one (``eigensystem`` is None there).
-    ``frame_channels[j]`` lists reservoir j's channels in that frame: one
-    per frequency bin for the global approach, a single one at the site gap
-    for the local.  Everything else is derived on first use: ``block`` in
-    the frame on the unknowns the steady state occupies, and in the site
-    basis ``channels``, the dense ``liouvillian`` and the per-reservoir
-    ``dissipators``.
+    ``frame_channels[j]`` lists reservoir j's channels in that frame at this
+    model's rates: one per frequency bin for the global approach, a single
+    one at the site gap for the local.  Everything else is derived on first
+    use: ``block`` in the frame on the unknowns the steady state occupies,
+    and in the site basis ``channels``, the dense ``liouvillian`` and the
+    per-reservoir ``dissipators``.
     """
 
     spec: ChainSpec
     approach: str
-    hamiltonian: np.ndarray
+    structure: ChainStructure
     frame_channels: tuple
-    eigensystem: EigenSystem = None
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H in the site basis."""
+        return self.structure.hamiltonian
+
+    @property
+    def eigensystem(self) -> EigenSystem:
+        """The global frame's eigensystem; None for the local approach."""
+        return self.structure.eigensystem
+
+    @property
+    def frame_hamiltonian(self) -> np.ndarray:
+        """H in the solve frame."""
+        return self.structure.frame_hamiltonian
 
     @cached_property
     def channels(self) -> tuple:
@@ -453,12 +600,6 @@ class LindbladModel:
         return [term for reservoir in self.frame_channels for ch in reservoir
                 for term in ch.terms()]
 
-    @cached_property
-    def frame_hamiltonian(self) -> np.ndarray:
-        """H in the solve frame."""
-        es = self.eigensystem
-        return self.hamiltonian if es is None else np.diag(es.energies[es.frame_order])
-
     def to_site(self, rho: np.ndarray) -> np.ndarray:
         """A matrix given in the solve frame, in the site basis."""
         if self.eigensystem is None:
@@ -469,7 +610,7 @@ class LindbladModel:
     @cached_property
     def unknowns(self) -> Unknowns:
         """Entries the frame generator joins to the diagonal (:func:`coupled_unknowns`)."""
-        return coupled_unknowns(self.frame_hamiltonian, self.frame_terms())
+        return self.structure.unknowns(self.frame_terms())
 
     @cached_property
     def block(self) -> np.ndarray:
@@ -490,21 +631,11 @@ class LindbladModel:
 
 
 def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
-    """Build the Hamiltonian and each reservoir's channels."""
+    """The chain's rate-free structure with each channel's rates at ``spec``'s baths."""
     if approach not in ("global", "local"):
         raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    H = build_chain_hamiltonian(spec)
-    if approach == "local":
-        channels = tuple((local_channel(spec, bath),) for bath in spec.baths)
-        return LindbladModel(spec=spec, approach=approach, hamiltonian=H,
-                             frame_channels=channels)
-    es = diagonalize(H)
-    channels = []
-    for j, bath in enumerate(spec.baths):
-        site = bath.attached_site
-        coupling = (site_operator(spec.n_qubits, site, "raise")
-                    + site_operator(spec.n_qubits, site, "lower"))
-        jumps = global_jump_operators(es, coupling, reservoir=j)
-        channels.append(global_channels(jumps, bath))
-    return LindbladModel(spec=spec, approach=approach, hamiltonian=H,
-                         frame_channels=tuple(channels), eigensystem=es)
+    structure = chain_structure(spec, approach)
+    channels = tuple(thermal_channels(bins, bath)
+                     for bins, bath in zip(structure.bins, spec.baths))
+    return LindbladModel(spec=spec, approach=approach, structure=structure,
+                         frame_channels=channels)

@@ -264,20 +264,38 @@ def steady_report(spec: ChainSpec, approach: str,
     """Assemble, solve and measure one chain; the one-stop numeric pipeline.
 
     The solve runs on ``model.block`` in the model's frame, where the
-    channel fluxes Tr{H D(rho)} are taken too; the state is reported in the
-    site basis.  Each reservoir's flux is the sum of its channel fluxes.
+    channel fluxes are taken too; the state is reported in the site basis.
+    Each reservoir's flux is the sum of its channel fluxes.
     """
     if model is None:
         model = assemble(spec, approach)
     sol = solve_steady(model.block, unknowns=model.unknowns)
     rho = model.to_site(sol.rho)
     pops = tuple(qubit_population(rho, q) for q in range(spec.n_qubits))
-    breakdown = tuple(
-        tuple((ch.omega, heat_flux(model.frame_hamiltonian, ch, sol.rho)) for ch in reservoir)
-        for reservoir in model.frame_channels
-    )
+    breakdown = _channel_fluxes(model, sol.rho)
     fluxes = tuple(sum(q for _, q in reservoir) for reservoir in breakdown)
     return SteadyReport(
         spec=spec, approach=approach, rho=rho, populations=pops,
         fluxes=fluxes, residual=sol.residual, channel_fluxes=breakdown,
     )
+
+
+def _channel_fluxes(model: LindbladModel, rho: np.ndarray) -> tuple:
+    """((omega, Tr{H D(rho)}), ...) of each reservoir's channels, rho in the model's frame.
+
+    Tr{H D(rho)} is linear in rho: gamma (nbar + 1) Tr{F_e rho} +
+    gamma nbar Tr{F_a rho} with the flux functionals F_e = D[A]^dag(H) and
+    F_a = D[A^dag]^dag(H) the chain's structure keeps, so one product with
+    rho gives every channel's traces.
+    """
+    functionals = model.structure.flux_functionals
+    traces = functionals.reshape(len(functionals), 2, -1) @ rho.T.reshape(-1)
+    channels = [ch for reservoir in model.frame_channels for ch in reservoir]
+    rates = np.array([(ch.gamma * (ch.nbar + 1.0), ch.gamma * ch.nbar) for ch in channels])
+    values = (rates * traces).sum(axis=1)
+    worst = np.abs(values.imag).max(initial=0.0)
+    if worst > 1e-10:
+        raise ValueError(f"heat flux has imaginary residue {worst:.3e}")
+    values = iter(values.real.tolist())
+    return tuple(tuple((ch.omega, next(values)) for ch in reservoir)
+                 for reservoir in model.frame_channels)

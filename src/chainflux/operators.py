@@ -189,17 +189,17 @@ def diagonalize(H: np.ndarray) -> EigenSystem:
     start = 0
     for idx in _excitation_sectors(H):
         stop = start + len(idx)
-        energies[start:stop], vectors[idx, start:stop] = np.linalg.eigh(H[np.ix_(idx, idx)])
+        if len(idx) == 1:  # a basis state: its own eigenvector
+            energies[start], vectors[idx[0], start] = H[idx[0], idx[0]].real, 1.0
+        else:
+            energies[start:stop], vectors[idx, start:stop] = np.linalg.eigh(H[np.ix_(idx, idx)])
         start = stop
     order = np.argsort(energies, kind="stable")
     energies = energies[order]
     vectors = vectors[:, order]
-    for p in range(d):
-        col = vectors[:, p]
-        lead = col[int(np.abs(col).argmax())]
-        mag = abs(lead)
-        if mag > 0:
-            vectors[:, p] = col * (lead.conj() / mag)
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(d)]
+    mag = np.abs(lead)
+    vectors *= np.divide(lead.conj(), mag, out=np.ones(d, dtype=complex), where=mag > 0)
     scale = max(1.0, np.abs(H).max())
     resid = np.abs(H @ vectors - vectors * energies).max()
     ortho = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()

@@ -20,7 +20,6 @@ from .errors import (
 from .lindblad import assemble
 from .model import ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import steady_report
-from .operators import diagonalize
 
 AXES = ("t1", "t2", "k", "eps")
 APPROACHES = ("global", "local")
@@ -282,7 +281,7 @@ def _row_task(args):
                           reason=f"degenerate-kernel (rcond = {err.rcond:.3e})")
     diagonals = ()
     if "rho_diagonals" in request.outputs:
-        es = model.eigensystem or diagonalize(model.hamiltonian)
+        es = model.structure.spectrum
         rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
         diagonals = tuple(float(x) for x in np.real(np.diag(rho_eig)))
     return SweepRow(
@@ -301,7 +300,11 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     Rows come out sorted by (approach, axis value) and are identical for any
     worker count; points where the eigenbasis construction degenerates or
     the steady state is not unique are recorded as annotated skips instead
-    of aborting the run.
+    of aborting the run.  A row residual above ROW_RESIDUAL_LIMIT raises
+    NoConvergence naming the worst row.  Each worker process keeps its own
+    chain structures (:func:`chainflux.lindblad.chain_structure`); tasks
+    are listed approach by approach and sent in chunks of 16 consecutive
+    grid points, so a temperature sweep reuses one structure per chunk.
     """
     tasks = [(request, value, approach)
              for approach in request.approaches
@@ -314,9 +317,12 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
 
     rows = tuple(r for r in results if isinstance(r, SweepRow))
     skipped = tuple(r for r in results if isinstance(r, SkippedRow))
-    worst = max((r.residual for r in rows), default=0.0)
-    if worst > ROW_RESIDUAL_LIMIT:
-        raise NoConvergence(f"row residual {worst:.3e} exceeds {ROW_RESIDUAL_LIMIT:.1e}")
+    worst = max(rows, key=lambda r: r.residual, default=None)
+    if worst is not None and worst.residual > ROW_RESIDUAL_LIMIT:
+        raise NoConvergence(
+            f"row residual {worst.residual:.3e} exceeds {ROW_RESIDUAL_LIMIT:.1e} at "
+            f"{request.axis} = {worst.axis_value!r}, approach {worst.approach}"
+        )
 
     metadata = (("tool", f"chainflux {__version__}"),
                 ("conventions", conventions_fingerprint()))

@@ -318,10 +318,12 @@ def test_figure_clauses_reject_the_excluded_curves():
 
 
 def test_criterion_08_thermodynamic_sanity():
+    # the draws run through steady_report, the path sweeps take; the first
+    # 200 are also measured with the dense dissipators on the dense solve
     rng = np.random.default_rng(808)
-    dev_balance = 0.0
+    dev_balance = dev_dense = 0.0
     positive = True
-    for _ in range(10_000):
+    for draw in range(10_000):
         eps = rng.uniform(0.0, 5.0) or 1.0
         k = rng.uniform(0.0, 3.0) or 1.0
         ta, tb = rng.uniform(0.0, 10.0, 2)
@@ -329,12 +331,14 @@ def test_criterion_08_thermodynamic_sanity():
         g1, g2 = rng.uniform(0.0, 2.0, 2)
         spec = dimer(eps, eps, k, t1, t2, g1 or 1.0, g2 or 1.0)
         model = assemble(spec, "global")
-        rho = solve_steady(model.liouvillian, check_kernel=False).rho
-        q1 = heat_flux(model.hamiltonian, model.dissipators[0], rho)
-        q2 = heat_flux(model.hamiltonian, model.dissipators[1], rho)
+        q1, q2 = steady_report(spec, "global", model=model).fluxes
         dev_balance = max(dev_balance, abs(q1 + q2))
         if q1 < 0:
             positive = False
+        if draw < 200:
+            rho = solve_steady(model.liouvillian, check_kernel=False).rho
+            dense = [heat_flux(model.hamiltonian, D, rho) for D in model.dissipators]
+            dev_dense = max(dev_dense, abs(q1 - dense[0]), abs(q2 - dense[1]))
     dev_gibbs = 0.0
     for _ in range(20):
         t = rng.uniform(0.3, 8.0)
@@ -347,6 +351,7 @@ def test_criterion_08_thermodynamic_sanity():
         dev_gibbs = max(dev_gibbs, trace_distance(rho, gibbs))
     conclude(8, "energy balance, flux direction and equilibrium Gibbs state", [
         (dev_balance <= 1e-9, f"|Q1 + Q2| = {dev_balance:.3e} > 1e-9"),
+        (dev_dense <= 1e-12, f"steady_report vs dense heat_flux {dev_dense:.3e} > 1e-12"),
         (positive, "Q1 < 0 found for T1 >= T2"),
         (dev_gibbs <= 1e-8, f"trace distance to Gibbs state {dev_gibbs:.3e} > 1e-8"),
     ])

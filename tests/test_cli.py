@@ -63,3 +63,24 @@ def test_verify_command_passes_on_this_build(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 8
+
+
+def test_package_exports_every_name_tests_and_cli_import():
+    import ast
+    from pathlib import Path
+
+    import chainflux
+
+    package = Path(chainflux.__file__).resolve().parent
+    imported = set()
+    for path in [package / "cli.py", *Path(__file__).resolve().parent.glob("test_*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            public = node.module == "chainflux" or (path.name == "cli.py" and node.level == 1)
+            if public:
+                imported |= {a.name for a in node.names if not a.name.startswith("_")}
+    assert imported
+    assert sorted(imported - set(chainflux.__all__)) == []
+    assert len(set(chainflux.__all__)) == len(chainflux.__all__)
+    assert all(hasattr(chainflux, name) for name in chainflux.__all__)

@@ -6,6 +6,7 @@ import pytest
 
 from chainflux import (
     ConfigSyntaxError,
+    NoConvergence,
     SpecInvalid,
     UnknownKey,
     apply_axis,
@@ -186,8 +187,10 @@ def test_only_true_zero_modes_are_skipped(n):
 
 
 def test_global_rows_diagonalize_once(monkeypatch):
+    # a temperature sweep reuses its chain's structure: H is diagonalized
+    # once per approach, for the eigenbasis frame (global) and for the
+    # rho_diagonals columns (local), not once per row
     import chainflux.lindblad
-    import chainflux.sweep
 
     calls = []
 
@@ -196,10 +199,24 @@ def test_global_rows_diagonalize_once(monkeypatch):
         return _real(H)
 
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
-    monkeypatch.setattr(chainflux.sweep, "diagonalize", counting)
-    req = small_request(outputs=("rho_diagonals",), grid=(0.5, 2.0))
+    chainflux.lindblad._chain_structure.cache_clear()
+    req = small_request(outputs=("rho_diagonals",), grid=(0.5, 1.0, 2.0))
     run_sweep(req)
-    assert len(calls) == 4  # one per row, global and local alike
+    assert len(calls) == 2
+
+
+def test_row_residual_failure_names_the_worst_row(monkeypatch):
+    import chainflux.sweep
+
+    table = run_sweep(small_request())
+    worst = max(table.rows, key=lambda r: r.residual)
+    assert worst.residual > 0
+    monkeypatch.setattr(chainflux.sweep, "ROW_RESIDUAL_LIMIT", 0.5 * worst.residual)
+    with pytest.raises(NoConvergence) as info:
+        run_sweep(small_request())
+    message = str(info.value)
+    assert f"{worst.residual:.3e}" in message
+    assert f"t1 = {worst.axis_value!r}, approach {worst.approach}" in message
 
 
 def test_run_matches_direct_pipeline():
