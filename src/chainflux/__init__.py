@@ -13,7 +13,6 @@ from .errors import (
     BadBathAttachment,
     ChainfluxError,
     ConfigSyntaxError,
-    ConvergenceFailure,
     DegenerateDenominator,
     DegenerateKernel,
     DegenerateTransition,
@@ -22,7 +21,6 @@ from .errors import (
     LengthMismatch,
     NegativeTemperature,
     NoConvergence,
-    NonFiniteState,
     NonPositiveFrequency,
     NonPositiveGap,
     NonPositiveRate,
@@ -55,16 +53,10 @@ from .operators import (
 from .lindblad import (
     OMEGA_MIN,
     Channel,
-    JumpOperator,
     LindbladModel,
     assemble,
     bose_occupation,
-    build_liouvillian,
-    build_local_dissipator,
-    global_jump_operators,
-    spectral_density,
     thermal_dissipator,
-    trace_vector,
     unvectorize,
     vectorize,
 )
@@ -74,7 +66,6 @@ from .steady import (
     check_density_matrix,
     evolve_rk4,
     solve_steady,
-    steady_state,
     trace_distance,
 )
 from .observables import (
@@ -107,23 +98,20 @@ from .verify import run_verification
 
 __all__ = [
     "AnalyticFormMismatch", "BadBathAttachment", "ChainfluxError",
-    "ConfigSyntaxError", "ConvergenceFailure", "DegenerateDenominator",
-    "DegenerateKernel", "DegenerateTransition", "DimensionMismatch",
-    "IndexOutOfRange", "LengthMismatch", "NegativeTemperature", "NoConvergence",
-    "NonFiniteState", "NonPositiveFrequency", "NonPositiveGap", "NonPositiveRate",
-    "NotHermitian", "NTooLarge", "SpecError", "SpecInvalid", "StepTooLarge",
-    "UnknownKey",
+    "ConfigSyntaxError", "DegenerateDenominator", "DegenerateKernel",
+    "DegenerateTransition", "DimensionMismatch", "IndexOutOfRange", "LengthMismatch",
+    "NegativeTemperature", "NoConvergence", "NonPositiveFrequency", "NonPositiveGap",
+    "NonPositiveRate", "NotHermitian", "NTooLarge", "SpecError", "SpecInvalid",
+    "StepTooLarge", "UnknownKey",
     "BathSpec", "ChainSpec", "chain", "conventions_fingerprint", "dimer", "monomer",
     "validate_spec",
     "EigenSystem", "EigenSystemDimer", "build_chain_hamiltonian", "diagonalize",
     "dimer_analytic_eigensystem", "number_operator", "site_operator",
     "total_excitation",
-    "OMEGA_MIN", "Channel", "JumpOperator", "LindbladModel", "assemble",
-    "bose_occupation", "build_liouvillian", "build_local_dissipator",
-    "global_jump_operators", "spectral_density", "thermal_dissipator",
-    "trace_vector", "unvectorize", "vectorize",
+    "OMEGA_MIN", "Channel", "LindbladModel", "assemble", "bose_occupation",
+    "thermal_dissipator", "unvectorize", "vectorize",
     "SteadySolution", "Trajectory", "check_density_matrix", "evolve_rk4",
-    "solve_steady", "steady_state", "trace_distance",
+    "solve_steady", "trace_distance",
     "DimerGlobalFlux", "DimerGlobalSteadyState", "SteadyReport",
     "dimer_global_heat_flux_analytic", "dimer_global_populations_analytic",
     "dimer_local_heat_flux_analytic", "dimer_local_populations_analytic",

@@ -49,10 +49,6 @@ class NotHermitian(ChainfluxError, ValueError):
     pass
 
 
-class ConvergenceFailure(ChainfluxError, RuntimeError):
-    pass
-
-
 class DegenerateDenominator(ChainfluxError, ZeroDivisionError):
     """Closed-form dimer amplitudes are singular (only happens at K = 0)."""
 
@@ -90,14 +86,10 @@ class DegenerateKernel(ChainfluxError, RuntimeError):
 
 
 class NoConvergence(ChainfluxError, RuntimeError):
-    pass
+    """A numerical step did not converge or left the finite range."""
 
 
 class StepTooLarge(ChainfluxError, ValueError):
-    pass
-
-
-class NonFiniteState(ChainfluxError, RuntimeError):
     pass
 
 

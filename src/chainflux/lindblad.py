@@ -27,7 +27,7 @@ evaluate occupations and solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -72,15 +72,6 @@ def bose_occupation(omega: float, temperature: float) -> float:
     return 1.0 / np.expm1(x)
 
 
-def spectral_density(gamma: float, omega: float, temperature: float) -> float:
-    """Wide-band absorption rate gamma * nbar(omega, T).
-
-    The matching emission rate is gamma * (nbar + 1); detailed balance
-    nbar * exp(omega/T) = nbar + 1 is used instead of exponentiating.
-    """
-    return gamma * bose_occupation(omega, temperature)
-
-
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix."""
     return rho.reshape(-1, order="F")
@@ -91,49 +82,22 @@ def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def trace_vector(dim: int) -> np.ndarray:
-    """Row vector implementing the trace on column-stacked matrices."""
-    return np.eye(dim, dtype=complex).reshape(-1, order="F")
+# One entry per lowering jump: its bin's Bohr frequency, the eigenstates
+# p = lower and q = upper it joins and its matrix element <p|coupling|q>.
+JUMP_DTYPE = np.dtype([("omega", float), ("lower", np.intp), ("upper", np.intp), ("weight", complex)])
 
 
-@dataclass(frozen=True)
-class JumpOperator:
-    """A lowering component of a coupling operator.
-
-    The operator is weight * |p><q| between eigenstates p = ``lower`` and
-    q = ``upper`` of ``eigensystem`` with E_q - E_p = omega > 0, so
-    [H, operator] = -omega * operator.  ``omega`` is snapped to its
-    frequency bin; operators sharing a bin carry an identical value.
-    """
-
-    omega: float
-    reservoir: int
-    weight: complex
-    lower: int
-    upper: int
-    eigensystem: EigenSystem = field(repr=False)
-
-    @property
-    def operator(self) -> np.ndarray:
-        """The d x d site-basis matrix, built on request."""
-        vectors = self.eigensystem.vectors
-        return np.outer(vectors[:, self.lower], vectors[:, self.upper].conj()) * self.weight
-
-
-def global_jump_operators(
-    es: EigenSystem,
-    coupling: np.ndarray,
-    reservoir: int,
-    secular_tol: float = SECULAR_TOL,
-) -> list:
+def global_jump_operators(es: EigenSystem, coupling: np.ndarray) -> np.ndarray:
     """Decompose a coupling operator into binned lowering eigenoperators.
 
     For every ordered eigenpair (p, q) with E_q - E_p above the frequency
     cutoff, the matrix element <p|coupling|q> becomes the weight of one jump
-    operator.  Frequencies closer than ``secular_tol`` (relative to the
-    energy scale) to the lowest of their bin are merged into that bin.  Zero
-    matrix elements are dropped; a nonzero element across a sub-cutoff gap
-    raises DegenerateTransition.  Jumps come sorted by (omega, p, q).
+    weight * |p><q|, so [H, jump] = -omega * jump.  Frequencies closer than
+    ``SECULAR_TOL`` (relative to the energy scale) to the lowest of their bin
+    are merged into that bin, and each jump's ``omega`` is its bin's mean.
+    Zero matrix elements are dropped; a nonzero element across a sub-cutoff
+    gap raises DegenerateTransition.  The jumps come as a :data:`JUMP_DTYPE`
+    array sorted by (omega, p, q).
     """
     energies = es.energies
     elements = es.vectors.conj().T @ coupling @ es.vectors
@@ -162,19 +126,18 @@ def global_jump_operators(
     lower, upper = lower[order], upper[order]
     omegas = gaps[lower, upper]
     weights = elements[lower, upper]
-    real = (np.abs(weights.imag) <= 1e-10 * np.maximum(1.0, np.abs(weights))).tolist()
-    tol = secular_tol * max(1.0, np.abs(energies).max())
+    real = np.abs(weights.imag) <= 1e-10 * np.maximum(1.0, np.abs(weights))
+    tol = SECULAR_TOL * max(1.0, np.abs(energies).max())
     values = omegas.tolist()
     starts = []
     for i, omega in enumerate(values):
         if not starts or omega - values[starts[-1]] > tol:
             starts.append(i)
-    jumps = []
-    for start, stop in zip(starts, starts[1:] + [len(omegas)]):
-        omega_bin = float(omegas[start:stop].sum() / (stop - start))  # as np.mean
-        for p, q, w, r in zip(lower[start:stop].tolist(), upper[start:stop].tolist(),
-                              weights[start:stop].tolist(), real[start:stop]):
-            jumps.append(JumpOperator(omega_bin, reservoir, w.real if r else w, p, q, es))
+    jumps = np.empty(len(values), dtype=JUMP_DTYPE)
+    jumps["lower"], jumps["upper"] = lower, upper
+    jumps["weight"] = np.where(real, weights.real, weights)
+    for start, stop in zip(starts, starts[1:] + [len(values)]):
+        jumps["omega"][start:stop] = omegas[start:stop].sum() / (stop - start)  # as np.mean
     return jumps
 
 
@@ -347,49 +310,26 @@ class Channel:
         """(rate, jump operator) pairs of the Lindblad form."""
         return _thermal_terms(self.operator, self.gamma, self.nbar)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """D(rho) in matrix form."""
-        jumped = np.zeros_like(rho, dtype=complex)
-        decay = np.zeros_like(rho, dtype=complex)
-        for rate, A in self.terms():
-            if rate == 0:
-                continue
-            Ad = A.conj().T
-            jumped += rate * (A @ rho @ Ad)
-            decay += rate * (Ad @ A)
-        return jumped - 0.5 * (decay @ rho + rho @ decay)
-
 
 def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
     """Dense emission at gamma (nbar + 1) through A plus absorption at gamma nbar through A^dag."""
     return superoperator(None, _thermal_terms(A, gamma, nbar), full_unknowns(A.shape[0]))
 
 
-def global_bins(jumps) -> tuple:
-    """(omega, A) of each frequency bin of one reservoir, in the eigenbasis frame.
+def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
+    """(omega, A) of each frequency bin of one reservoir's :data:`JUMP_DTYPE` array, in the frame.
 
-    Jump operators sharing a bin are summed before the Lindblad form is
-    applied, so equal-frequency cross terms survive while cross terms
-    between different bins are dropped.  Each bin's operator is given in the
-    basis ``eigensystem.frame``: it holds the weights at the frame positions
-    of (p, q) and is exactly zero elsewhere.
+    Jumps sharing a bin are summed before the Lindblad form is applied, so
+    equal-frequency cross terms survive while cross terms between different
+    bins are dropped.  Each bin's operator is given in the basis
+    ``es.frame``: it holds the weights at the frame positions of (p, q) and
+    is exactly zero elsewhere.
     """
-    if len({jump.reservoir for jump in jumps}) > 1:
-        raise ValueError("jump operators from several reservoirs in one dissipator")
-    if not jumps:
-        return ()
-    es = jumps[0].eigensystem
+    omegas, which = np.unique(jumps["omega"], return_inverse=True)
     position = np.argsort(es.frame_order)
-    groups = {}
-    for jump in jumps:
-        groups.setdefault(jump.omega, []).append(jump)
-    bins = []
-    for omega in sorted(groups):
-        A = np.zeros((es.dim, es.dim), dtype=complex)
-        for j in groups[omega]:
-            A[position[j.lower], position[j.upper]] = j.weight
-        bins.append((omega, A))
-    return tuple(bins)
+    ops = np.zeros((len(omegas), es.dim, es.dim), dtype=complex)
+    ops[which, position[jumps["lower"]], position[jumps["upper"]]] = jumps["weight"]
+    return tuple(zip(omegas.tolist(), ops))
 
 
 def local_bins(spec: ChainSpec, bath: BathSpec) -> tuple:
@@ -407,39 +347,27 @@ def thermal_channels(bins, bath: BathSpec) -> tuple:
                  for omega, A in bins)
 
 
-def to_site_basis(channel: Channel, frame: np.ndarray) -> Channel:
-    """A channel given in the basis ``frame`` (columns in the site basis), in the site basis."""
-    return Channel(channel.omega, frame @ channel.operator @ frame.conj().T,
-                   channel.gamma, channel.nbar)
-
-
-def global_dissipator_bins(jumps, bath: BathSpec) -> list:
+# Dense site-basis builders outside the sweep path; perfbench/tracing.py
+# times them by these names.
+def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
     """Dense (omega, dissipator) pair of each frequency bin of one reservoir."""
-    if not jumps:
-        return []
-    es = jumps[0].eigensystem
-    full = full_unknowns(es.dim)
-    return [(ch.omega, superoperator(None, to_site_basis(ch, es.frame).terms(), full))
-            for ch in thermal_channels(global_bins(jumps), bath)]
+    return [(omega, thermal_dissipator(es.frame @ A @ es.frame.conj().T, bath.gamma,
+                                       bose_occupation(omega, bath.temperature)))
+            for omega, A in global_bins(es, jumps)]
 
 
 def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
     """Dense site-basis dissipator of one reservoir."""
-    (channel,) = thermal_channels(local_bins(spec, bath), bath)
-    return superoperator(None, channel.terms(), full_unknowns(spec.dim))
+    ((omega, A),) = local_bins(spec, bath)
+    return thermal_dissipator(A, bath.gamma, bose_occupation(omega, bath.temperature))
 
 
 def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     """Dense generator: unitary part plus the supplied dense dissipators."""
-    d = H.shape[0]
-    L = superoperator(H, (), full_unknowns(d))
-    for D in dissipators:
-        if D.shape != (d * d, d * d):
-            raise DimensionMismatch(
-                f"dissipator shape {D.shape} does not match dim {d}"
-            )
-        L = L + D
-    return L
+    L = superoperator(H, (), full_unknowns(H.shape[0]))
+    if any(D.shape != L.shape for D in dissipators):
+        raise DimensionMismatch(f"a dissipator's shape differs from the generator's {L.shape}")
+    return sum(dissipators, L)
 
 
 # Rate-free structures kept per process: enough (chain, approach) pairs for
@@ -531,10 +459,10 @@ def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
         frame_H = np.diag(es.energies[es.frame_order])
         n = shape.n_qubits
         bins = []
-        for j, bath in enumerate(shape.baths):
+        for bath in shape.baths:
             site = bath.attached_site
             coupling = site_operator(n, site, "raise") + site_operator(n, site, "lower")
-            bins.append(global_bins(global_jump_operators(es, coupling, reservoir=j)))
+            bins.append(global_bins(es, global_jump_operators(es, coupling)))
         bins = tuple(bins)
         _read_only(es.energies, es.vectors, *(A for reservoir in bins for _, A in reservoir))
     emitted = np.array([A for reservoir in bins for _, A in reservoir]).reshape((-1,) + H.shape)
@@ -585,10 +513,7 @@ class LindbladModel:
     @cached_property
     def channels(self) -> tuple:
         """``frame_channels`` in the site basis."""
-        if self.eigensystem is None:
-            return self.frame_channels
-        frame = self.eigensystem.frame
-        return tuple(tuple(to_site_basis(ch, frame) for ch in reservoir)
+        return tuple(tuple(replace(ch, operator=self.to_site(ch.operator)) for ch in reservoir)
                      for reservoir in self.frame_channels)
 
     def terms(self) -> list:

@@ -19,6 +19,7 @@ Units and sign conventions, fixed package-wide:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -30,9 +31,6 @@ from .errors import (
     NTooLarge,
     SpecError,
 )
-
-HBAR = 1.0
-K_B = 1.0
 
 # 2^5 qubits give a 1024 x 1024 dense generator, the largest test oracle this
 # package builds.  The steady solve runs only on the entries the generator
@@ -90,8 +88,8 @@ class ChainSpec:
 def validate_spec(raw: ChainSpec) -> ChainSpec:
     """Return a normalized copy of ``raw`` or raise listing every violation.
 
-    Normalization coerces the sequences to float tuples.  The function is
-    idempotent: validating an already valid spec returns an equal spec.
+    Every value must be finite.  Normalization coerces the sequences to
+    float tuples; validating an already valid spec returns an equal spec.
     """
     violations = []
 
@@ -114,7 +112,7 @@ def validate_spec(raw: ChainSpec) -> ChainSpec:
             (LengthMismatch, f"expected {max(n - 1, 0)} couplings, got {len(cpl)}")
         )
     for q, e in enumerate(eps):
-        if not e > 0:
+        if e <= 0:
             violations.append((NonPositiveGap, f"gap of qubit {q} is {e}, must be > 0"))
 
     baths = tuple(
@@ -136,8 +134,14 @@ def validate_spec(raw: ChainSpec) -> ChainSpec:
             violations.append(
                 (NegativeTemperature, f"bath {j} temperature is {bath.temperature}")
             )
-        if not bath.gamma > 0:
+        if bath.gamma <= 0:
             violations.append((NonPositiveRate, f"bath {j} gamma is {bath.gamma}"))
+    fields = (("gap of qubit", eps), ("coupling", cpl),
+              ("temperature of bath", [b.temperature for b in baths]),
+              ("gamma of bath", [b.gamma for b in baths]))
+    violations += [(SpecError, f"{name} {i} is {x}, must be finite")
+                   for name, values in fields for i, x in enumerate(values)
+                   if not math.isfinite(x)]
 
     if violations:
         names = tuple(cls.__name__ for cls, _ in violations)

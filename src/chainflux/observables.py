@@ -22,7 +22,6 @@ from .errors import (
 )
 from .lindblad import (
     OMEGA_MIN,
-    Channel,
     LindbladModel,
     assemble,
     bose_occupation,
@@ -48,21 +47,12 @@ def qubit_population(rho: np.ndarray, site: int) -> float:
     return float(val.real)
 
 
-def heat_flux(H: np.ndarray, dissipator, rho: np.ndarray) -> float:
-    """Energy flow from one reservoir into the system, Tr{H D(rho)}.
-
-    ``dissipator`` is a :class:`Channel`, applied in matrix form, or a dense
-    d^2 x d^2 superoperator.
-    """
+def heat_flux(H: np.ndarray, dissipator: np.ndarray, rho: np.ndarray) -> float:
+    """Energy flow Tr{H D(rho)} from one reservoir into the system; D is d^2 x d^2."""
     d = H.shape[0]
-    if isinstance(dissipator, Channel):
-        if rho.shape != (d, d) or dissipator.operator.shape != (d, d):
-            raise DimensionMismatch("Hamiltonian, channel and state dimensions differ")
-        drho = dissipator.apply(rho)
-    else:
-        if rho.shape != (d, d) or dissipator.shape != (d * d, d * d):
-            raise DimensionMismatch("Hamiltonian, dissipator and state dimensions differ")
-        drho = unvectorize(dissipator @ vectorize(rho), d)
+    if rho.shape != (d, d) or dissipator.shape != (d * d, d * d):
+        raise DimensionMismatch("Hamiltonian, dissipator and state dimensions differ")
+    drho = unvectorize(dissipator @ vectorize(rho), d)
     val = np.trace(H @ drho)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"heat flux has imaginary residue {val.imag:.3e}")

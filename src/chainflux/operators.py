@@ -9,9 +9,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DegenerateDenominator,
     IndexOutOfRange,
+    NoConvergence,
     NotHermitian,
     NTooLarge,
 )
@@ -27,22 +27,12 @@ _KINDS = {"raise": SIGMA_PLUS, "lower": SIGMA_MINUS, "z": SIGMA_Z}
 HERMITICITY_TOL = 1e-12
 
 
-def kron_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices via broadcasting.
-
-    Same values as numpy.kron; avoids its per-call overhead, which dominates
-    when many small superoperators are assembled.
-    """
-    da, db = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(da * db, da * db)
-
-
 @lru_cache(maxsize=None)
 def _site_operator_cached(n_qubits: int, site: int, kind: str) -> np.ndarray:
     sigma = _KINDS[kind]
     out = np.eye(1, dtype=complex)
     for q in range(n_qubits):
-        out = kron_dense(out, sigma if q == site else IDENTITY2)
+        out = np.kron(out, sigma if q == site else IDENTITY2)
     out.setflags(write=False)
     return out
 
@@ -204,7 +194,7 @@ def diagonalize(H: np.ndarray) -> EigenSystem:
     resid = np.abs(H @ vectors - vectors * energies).max()
     ortho = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()
     if resid > 1e-10 * scale or ortho > 1e-10:
-        raise ConvergenceFailure(
+        raise NoConvergence(
             f"eigendecomposition residual {resid:.3e}, orthonormality {ortho:.3e}"
         )
     return EigenSystem(energies=energies, vectors=vectors)

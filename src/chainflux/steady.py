@@ -10,7 +10,6 @@ from .errors import (
     DegenerateKernel,
     DimensionMismatch,
     NoConvergence,
-    NonFiniteState,
     StepTooLarge,
 )
 from .lindblad import Unknowns, full_unknowns, unvectorize, vectorize
@@ -71,15 +70,14 @@ def checked_inverse(M: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def solve_steady(L: np.ndarray, check_kernel: bool = True,
-                 unknowns: Unknowns = None) -> SteadySolution:
+def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     """Solve L v = 0 with the trace constraint replacing one row.
 
     ``unknowns`` names the entries of rho that v holds; by default all of
     them, with L the dense d^2 x d^2 generator.  Entries outside the set are
     zero in the returned state, which is exact when L keeps the set
-    invariant, as for ``LindbladModel.block``; the kernel check
-    (:func:`checked_inverse`) then covers that set only.
+    invariant, as for ``LindbladModel.block``; the uniqueness check
+    (:func:`checked_inverse`), which always runs, then covers that set only.
 
     The replaced row is chosen among the rows belonging to diagonal matrix
     elements: trace preservation makes those rows sum to zero, so dropping
@@ -102,13 +100,7 @@ def solve_steady(L: np.ndarray, check_kernel: bool = True,
     M = L.copy()
     M[replaced, :] = 0.0
     M[replaced, diag] = 1.0
-    if check_kernel:
-        v = checked_inverse(M)[:, replaced]
-    else:
-        b = np.zeros(m, dtype=complex)
-        b[replaced] = 1.0
-        v = np.linalg.solve(M, b)
-    raw = unknowns.scatter(v)
+    raw = unknowns.scatter(checked_inverse(M)[:, replaced])
     asymmetry = float(np.abs(raw - raw.conj().T).max())
     rho = 0.5 * (raw + raw.conj().T)
 
@@ -121,11 +113,6 @@ def solve_steady(L: np.ndarray, check_kernel: bool = True,
     replaced_row = int(unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced])
     return SteadySolution(rho=rho, residual=residual, asymmetry=asymmetry,
                           replaced_row=replaced_row)
-
-
-def steady_state(L: np.ndarray, check_kernel: bool = True) -> np.ndarray:
-    """Unique steady state of a trace-preserving generator."""
-    return solve_steady(L, check_kernel=check_kernel).rho
 
 
 @dataclass(frozen=True)
@@ -184,7 +171,7 @@ def evolve_rk4(
         t = step * dt
         if step % record_every == 0 or step == n_steps:
             if not np.all(np.isfinite(v)):
-                raise NonFiniteState(f"state left the finite range at t = {t:.6g}")
+                raise NoConvergence(f"state left the finite range at t = {t:.6g}")
             drift = abs(np.trace(unvectorize(v, d)) - 1.0)
             if not drift <= 1e-9 * max(t, 1.0):
                 raise NoConvergence(

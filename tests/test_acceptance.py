@@ -72,7 +72,7 @@ def test_criterion_01_monomer_equivalence():
         g = assemble(spec, "global")
         l = assemble(spec, "local")
         dev_matrix = max(dev_matrix, np.abs(g.liouvillian - l.liouvillian).max())
-        rho = solve_steady(g.liouvillian, check_kernel=False).rho
+        rho = solve_steady(g.liouvillian).rho
         pop = np.real(rho[0, 0])
         dev_pop = max(dev_pop, abs(pop - monomer_population_analytic(eps, t1, t2)))
     conclude(1, "monomer: eigenbasis and site-basis builds coincide", [
@@ -91,7 +91,7 @@ def test_criterion_02_monomer_flux():
         gamma = rng.uniform(0.0, 2.0) or 1.0
         spec = monomer(eps, t1, t2, gamma, gamma)
         model = assemble(spec, "global")
-        rho = solve_steady(model.liouvillian, check_kernel=False).rho
+        rho = solve_steady(model.liouvillian).rho
         q1 = heat_flux(model.hamiltonian, model.dissipators[0], rho)
         rational = monomer_heat_flux_analytic(eps, t1, t2, gamma, gamma)
         n1, n2 = bose_occupation(eps, t1), bose_occupation(eps, t2)
@@ -106,7 +106,7 @@ def test_criterion_02_monomer_flux():
         t = rng.uniform(0.0, 10.0)
         spec = monomer(rng.uniform(0.1, 5.0), t, t)
         model = assemble(spec, "global")
-        rho = solve_steady(model.liouvillian, check_kernel=False).rho
+        rho = solve_steady(model.liouvillian).rho
         dev_zero = max(dev_zero, abs(heat_flux(model.hamiltonian,
                                                model.dissipators[0], rho)))
     conclude(2, "monomer: flux matches both printed algebraic forms", [
@@ -336,7 +336,7 @@ def test_criterion_08_thermodynamic_sanity():
         if q1 < 0:
             positive = False
         if draw < 200:
-            rho = solve_steady(model.liouvillian, check_kernel=False).rho
+            rho = solve_steady(model.liouvillian).rho
             dense = [heat_flux(model.hamiltonian, D, rho) for D in model.dissipators]
             dev_dense = max(dev_dense, abs(q1 - dense[0]), abs(q2 - dense[1]))
     dev_gibbs = 0.0

@@ -12,8 +12,8 @@ from chainflux import (
     steady_report,
     thermal_dissipator,
 )
-from chainflux.lindblad import full_unknowns, superoperator
-from chainflux.operators import excitation_numbers
+from chainflux.lindblad import chain_structure, full_unknowns, superoperator
+from chainflux.operators import excitation_numbers, site_operator
 
 
 def random_cases(seed, n_qubits, count):
@@ -35,7 +35,7 @@ def test_block_solve_matches_dense_oracle(spec, approach):
     model = assemble(spec, approach)
     assert model.unknowns.size < spec.dim**2
     report = steady_report(spec, approach, model=model)
-    # check_kernel on: the dense rank is full wherever the block's is
+    # the dense uniqueness check passes wherever the block's does
     dense = solve_steady(model.liouvillian).rho
     assert np.abs(report.rho - dense).max() <= 1e-12
 
@@ -49,6 +49,20 @@ def test_block_solve_matches_dense_oracle(spec, approach):
         assert [q for _, q in report.channel_fluxes[j]] == pytest.approx(oracles, abs=1e-10)
         assert report.fluxes[j] == pytest.approx(sum(oracles), abs=1e-10)
     assert abs(report.fluxes[0] + report.fluxes[1]) <= 1e-9
+
+
+def test_global_bins_sum_to_the_frame_coupling():
+    # sum_b (A_b + A_b^dag) = F^dag sigma^x F: the binning drops and
+    # double-counts no jump
+    for spec, _ in CASES:
+        structure = chain_structure(spec, "global")
+        frame = structure.eigensystem.frame
+        for bins, bath in zip(structure.bins, spec.baths):
+            site = bath.attached_site
+            coupling = (site_operator(spec.n_qubits, site, "raise")
+                        + site_operator(spec.n_qubits, site, "lower"))
+            total = sum(A + A.conj().T for _, A in bins)
+            assert np.abs(total - frame.conj().T @ coupling @ frame).max() <= 1e-12
 
 
 @pytest.mark.parametrize("approach", ["global", "local"])

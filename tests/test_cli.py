@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from chainflux.cli import cli_main
 
 
@@ -20,6 +22,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     cfg.write_text("n_qubits = 1\nepsilon = -1\nt1 = 1\nt2 = 0\naxis = t1\ngrid = 1\n")
     assert cli_main(["sweep", "--config", str(cfg)]) == 2
     assert "NonPositiveGap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--couplings", "nan", "--t1", "1"],
+                                  ["--couplings", "1", "--t1", "nan"],
+                                  ["--couplings", "1", "--t1", "inf"]])
+def test_steady_rejects_non_finite_input(args, capsys):
+    assert cli_main(["steady", "--epsilons", "1.5,1.5", "--t2", "0", *args]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_steady_monomer_reports_identical_approaches(capsys):

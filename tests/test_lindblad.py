@@ -9,21 +9,25 @@ from chainflux import (
     assemble,
     bose_occupation,
     build_chain_hamiltonian,
-    build_liouvillian,
-    build_local_dissipator,
     chain,
     diagonalize,
     dimer,
     dimer_analytic_eigensystem,
-    global_jump_operators,
     monomer,
     site_operator,
-    spectral_density,
-    steady_state,
+    solve_steady,
     thermal_dissipator,
-    trace_vector,
     unvectorize,
     vectorize,
+)
+from chainflux.lindblad import (
+    build_liouvillian,
+    build_local_dissipator,
+    full_unknowns,
+    global_bins,
+    global_dissipator_bins,
+    global_jump_operators,
+    superoperator,
 )
 
 
@@ -58,11 +62,6 @@ def test_bose_occupation_rejects_nonpositive_frequency():
         bose_occupation(-1.0, 1.0)
 
 
-def test_spectral_density_examples():
-    assert spectral_density(1.0, 1.0, 0.0) == 0.0
-    assert spectral_density(1.0, 1.0, 1.0 / np.log(2.0)) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_detailed_balance_ratio():
     for omega, t in [(1.0, 0.7), (2.5, 4.0)]:
         nb = bose_occupation(omega, t)
@@ -75,34 +74,37 @@ def test_detailed_balance_ratio():
 def test_monomer_single_jump_operator():
     spec = monomer(1.5, 1.0, 0.0)
     es = diagonalize(build_chain_hamiltonian(spec))
-    jumps = global_jump_operators(es, coupling_op(1, 0), reservoir=0)
+    jumps = global_jump_operators(es, coupling_op(1, 0))
     assert len(jumps) == 1
-    assert jumps[0].omega == pytest.approx(1.5)
-    assert jumps[0].weight == pytest.approx(1.0)
-    assert np.allclose(jumps[0].operator, site_operator(1, 0, "lower"))
+    assert jumps["omega"][0] == pytest.approx(1.5)
+    assert jumps["weight"][0] == pytest.approx(1.0)
+    ((omega, A),) = global_bins(es, jumps)
+    assert omega == jumps["omega"][0]
+    assert np.allclose(es.frame @ A @ es.frame.conj().T, site_operator(1, 0, "lower"))
 
 
 def test_symmetric_dimer_has_two_frequency_bins_per_reservoir():
     eps, k = 1.5, 1.0
     es = diagonalize(build_chain_hamiltonian(dimer(eps, eps, k, 1.0, 0.0)))
-    for reservoir, site in ((0, 0), (1, 1)):
-        jumps = global_jump_operators(es, coupling_op(2, site), reservoir=reservoir)
+    for site in (0, 1):
+        jumps = global_jump_operators(es, coupling_op(2, site))
         assert len(jumps) == 4
-        freqs = sorted({j.omega for j in jumps})
+        freqs = sorted(set(jumps["omega"].tolist()))
         assert freqs == pytest.approx([abs(eps - k), eps + k])
-        assert sorted(abs(j.weight) for j in jumps) == pytest.approx([1 / np.sqrt(2)] * 4)
+        assert sorted(np.abs(jumps["weight"])) == pytest.approx([1 / np.sqrt(2)] * 4)
 
 
 def test_jump_operators_lower_energy_by_omega():
     spec = chain([1.2, 0.7, 2.1], [0.4, 0.9], 1.0, 0.0)
     H = build_chain_hamiltonian(spec)
     es = diagonalize(H)
+    frame_H = np.diag(es.energies[es.frame_order])
     scale = np.abs(H).max()
-    jumps = global_jump_operators(es, coupling_op(3, 0), reservoir=0)
-    assert jumps
-    for j in jumps:
-        comm = H @ j.operator - j.operator @ H
-        assert np.abs(comm + j.omega * j.operator).max() <= 1e-10 * scale
+    bins = global_bins(es, global_jump_operators(es, coupling_op(3, 0)))
+    assert bins
+    for omega, A in bins:
+        comm = frame_H @ A - A @ frame_H
+        assert np.abs(comm + omega * A).max() <= 1e-10 * scale
 
 
 def test_asymmetric_dimer_weights_match_analytic_amplitudes():
@@ -122,20 +124,20 @@ def test_asymmetric_dimer_weights_match_analytic_amplitudes():
         1: {(0, 1): sigma4 * ana.c42, (0, 2): sigma3 * ana.c32,
             (1, 3): sigma4 * ana.c41, (2, 3): sigma3 * ana.c31},
     }
+    position = np.argsort(es.frame_order)
     for reservoir, site in ((0, 0), (1, 1)):
-        jumps = global_jump_operators(es, coupling_op(2, site), reservoir=reservoir)
+        jumps = global_jump_operators(es, coupling_op(2, site))
         assert len(jumps) == 4
-        for j in jumps:
-            M = es.vectors.conj().T @ j.operator @ es.vectors
-            p, q = (int(i) for i in np.unravel_index(np.abs(M).argmax(), M.shape))
-            assert j.weight == pytest.approx(expected[reservoir][(p, q)], abs=1e-10)
-            assert M[p, q].real == pytest.approx(j.weight, abs=1e-10)
+        bins = dict(global_bins(es, jumps))
+        for omega, p, q, weight in jumps.tolist():
+            assert weight == pytest.approx(expected[reservoir][(p, q)], abs=1e-10)
+            assert bins[omega][position[p], position[q]] == weight
 
 
 def test_degenerate_transition_raises():
     es = diagonalize(build_chain_hamiltonian(dimer(1.0, 1.0, 1.0, 1.0, 0.0)))
     with pytest.raises(DegenerateTransition):
-        global_jump_operators(es, coupling_op(2, 0), reservoir=0)
+        global_jump_operators(es, coupling_op(2, 0))
 
 
 def test_near_degenerate_chain_assembles():
@@ -144,7 +146,7 @@ def test_near_degenerate_chain_assembles():
     # across two degenerate eigenstates (omega = 3e-16)
     spec = chain([1.0] * 5, [1.001] * 4, 2.0, 0.3)
     model = assemble(spec, "global")
-    jumps = global_jump_operators(model.eigensystem, coupling_op(5, 0), reservoir=0)
+    jumps = global_jump_operators(model.eigensystem, coupling_op(5, 0))
     assert len(jumps) == 98
     assert [len(reservoir) for reservoir in model.channels] == [5, 5]
 
@@ -165,7 +167,7 @@ def test_generators_preserve_trace():
     for i, spec in enumerate(random_specs(21, 12)):
         approach = "global" if i % 2 else "local"
         model = assemble(spec, approach)
-        tvec = trace_vector(spec.dim)
+        tvec = vectorize(np.eye(spec.dim, dtype=complex))
         for D in model.dissipators:
             assert np.abs(tvec.conj() @ D).max() <= 1e-10
         assert np.abs(tvec.conj() @ model.liouvillian).max() <= 1e-10
@@ -218,7 +220,7 @@ def test_gibbs_state_is_global_fixed_point():
 
 def test_zero_temperature_bath_is_pure_decay():
     spec = dimer(1.5, 1.5, 1.0, 0.0, 0.0)
-    D = build_local_dissipator(spec, spec.baths[0])
+    D = assemble(spec, "local").dissipators[0]
     lower = site_operator(2, 0, "lower")
     assert np.abs(D - thermal_dissipator(lower, 1.0, 0.0)).max() == 0
     # absorption half absent: applying D to the ground state gives zero
@@ -231,7 +233,7 @@ def test_local_dimer_equal_temperatures_population():
     t = 1.3
     spec = dimer(1.5, 1.5, 1.0, t, t)
     model = assemble(spec, "local")
-    rho = steady_state(model.liouvillian)
+    rho = solve_steady(model.liouvillian).rho
     nbar = bose_occupation(1.5, t)
     expected = nbar / (1.0 + 2.0 * nbar)
     for site in range(2):
@@ -242,7 +244,7 @@ def test_local_dimer_equal_temperatures_population():
 
 def test_unitary_generator_has_imaginary_spectrum():
     H = np.diag([0.75, -0.75]).astype(complex)
-    L = build_liouvillian(H, [])
+    L = superoperator(H, (), full_unknowns(2))
     assert np.abs(np.linalg.eigvals(L).real).max() <= 1e-12
 
 
@@ -256,3 +258,19 @@ def test_dimension_mismatch_rejected():
     H = np.diag([0.5, -0.5]).astype(complex)
     with pytest.raises(DimensionMismatch):
         build_liouvillian(H, [np.zeros((9, 9), dtype=complex)])
+
+
+def test_dense_builders_match_model():
+    spec = dimer(1.7, 0.9, 0.6, 2.0, 0.3)
+    for approach in ("global", "local"):
+        model = assemble(spec, approach)
+        if approach == "global":
+            es = model.eigensystem
+            dissipators = [sum(D for _, D in global_dissipator_bins(
+                es, global_jump_operators(es, coupling_op(2, bath.attached_site)), bath))
+                for bath in spec.baths]
+        else:
+            dissipators = [build_local_dissipator(spec, bath) for bath in spec.baths]
+        assert np.abs(np.array(dissipators) - model.dissipators).max() <= 1e-14
+        L = build_liouvillian(model.hamiltonian, dissipators)
+        assert np.abs(L - model.liouvillian).max() <= 1e-14

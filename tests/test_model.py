@@ -87,6 +87,23 @@ def test_all_violations_reported_together():
     assert "NegativeTemperature" in excinfo.value.violations
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["epsilon", "coupling", "t1", "t2", "gamma1", "gamma2"])
+def test_non_finite_field_rejected(field, value):
+    args = {"epsilons": [1.5, 1.5], "couplings": [1.0], "t1": 1.0, "t2": 0.0}
+    if field in ("epsilon", "coupling"):
+        args[field + "s"] = [value] + args[field + "s"][1:]
+    else:
+        args[field] = value
+    with pytest.raises(SpecError, match="must be finite") as excinfo:
+        chain(**args)
+    assert excinfo.value.violations == ("SpecError",)
+
+
+def test_negative_coupling_is_legal():
+    assert dimer(1.5, 1.5, -1.0, t1=1.0, t2=0.0).couplings == (-1.0,)
+
+
 def test_validate_is_idempotent():
     raw = ChainSpec(
         n_qubits=2, epsilons=[1.5, 1.5], couplings=[1], baths=(

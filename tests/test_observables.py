@@ -17,8 +17,8 @@ from chainflux import (
     monomer_heat_flux_analytic,
     monomer_population_analytic,
     qubit_population,
+    solve_steady,
     steady_report,
-    steady_state,
     universal_e,
 )
 
@@ -40,7 +40,7 @@ def test_population_matches_eigenbasis_combination():
     # eigenbasis, with the one-excitation block carrying the coherence
     spec = dimer(1.5, 1.5, 1.0, 2.0, 0.0)
     model = assemble(spec, "local")
-    rho = steady_state(model.liouvillian)
+    rho = solve_steady(model.liouvillian).rho
     es = diagonalize(model.hamiltonian)
     r = es.vectors.conj().T @ rho @ es.vectors
     # ascending order: s1, s4, s3, s2 for eps > K
@@ -89,7 +89,7 @@ def test_monomer_flux_antisymmetric_under_bath_swap():
 def test_monomer_flux_matches_numeric():
     eps, t1, t2 = 1.0, 1.0, 0.0
     model = assemble(monomer(eps, t1, t2), "global")
-    rho = steady_state(model.liouvillian)
+    rho = solve_steady(model.liouvillian).rho
     q1 = heat_flux(model.hamiltonian, model.dissipators[0], rho)
     assert q1 == pytest.approx(monomer_heat_flux_analytic(eps, t1, t2), abs=1e-10)
 
@@ -134,7 +134,7 @@ def test_global_populations_match_numeric_including_strong_coupling():
         for t1 in (0.3, 2.0, 15.0):
             spec = dimer(eps, eps, k, t1, 0.0)
             model = assemble(spec, "global")
-            rho = steady_state(model.liouvillian)
+            rho = solve_steady(model.liouvillian).rho
             es = diagonalize(model.hamiltonian)
             diag = np.real(np.diag(es.vectors.conj().T @ rho @ es.vectors))
             ana = dimer_global_populations_analytic(eps, k, t1, 0.0)

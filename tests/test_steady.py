@@ -24,7 +24,6 @@ from chainflux import (
     site_operator,
     solve_steady,
     steady_report,
-    steady_state,
     thermal_dissipator,
     trace_distance,
     vectorize,
@@ -50,7 +49,7 @@ def test_monomer_population_equals_analytic():
     for _ in range(25):
         eps = rng.uniform(0.2, 5.0)
         t1, t2 = rng.uniform(0.0, 10.0, 2)
-        rho = steady_state(assemble(monomer(eps, t1, t2), "global").liouvillian)
+        rho = solve_steady(assemble(monomer(eps, t1, t2), "global").liouvillian).rho
         assert qubit_population(rho, 0) == pytest.approx(
             monomer_population_analytic(eps, t1, t2), abs=1e-10)
 
@@ -152,7 +151,7 @@ def test_rk4_endpoint_agrees_with_steady_state():
     spec = dimer(1.5, 1.1, 0.8, 2.0, 0.4)
     for approach in ("global", "local"):
         model = assemble(spec, approach)
-        rho_ss = steady_state(model.liouvillian)
+        rho_ss = solve_steady(model.liouvillian).rho
         dt = 0.05 / np.abs(model.liouvillian).max()
         traj = evolve_rk4(model.liouvillian, np.eye(4, dtype=complex) / 4,
                           dt=dt, t_end=300.0, residual_stop=1e-9)
@@ -185,7 +184,7 @@ def test_steady_state_positive_over_figure_grids():
         for t1 in np.logspace(-2, 2, 50):
             spec = dimer(eps, eps, 1.0, t1, 0.0)
             for approach in ("global", "local"):
-                rho = steady_state(assemble(spec, approach).liouvillian)
+                rho = solve_steady(assemble(spec, approach).liouvillian).rho
                 assert np.linalg.eigvalsh(rho).min() >= -1e-8
 
 

@@ -60,6 +60,13 @@ def test_parse_rejects_nonpositive_gap():
         parse_config(text)
 
 
+def test_parse_rejects_nan_grid_point():
+    # NaN passes the strictly-increasing check; validation must still reject it
+    text = "n_qubits = 1\nepsilon = 1\nt1 = 1\nt2 = 0\naxis = t1\ngrid = 0.5, nan, 2\n"
+    with pytest.raises(SpecInvalid, match="must be finite"):
+        parse_config(text)
+
+
 def test_parse_rejects_unknown_key_with_line_number():
     with pytest.raises(UnknownKey) as excinfo:
         parse_config("n_qubits = 1\nbogus = 3\n")
