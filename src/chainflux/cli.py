@@ -61,7 +61,8 @@ def _print_report(report) -> None:
         if len(channels) > 1:
             parts = ", ".join(f"omega = {w:.6g}: {q:.12g}" for w, q in channels)
             print(f"  reservoir {j + 1} channels: {parts}")
-    print(f"  solver residual: {report.residual:.3e}")
+    print(f"  solver residual: {report.residual:.3e} "
+          f"(rcond {report.rcond:.3e}, {report.unknowns} unknowns)")
 
 
 def cmd_steady(args) -> int:

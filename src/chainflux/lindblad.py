@@ -42,6 +42,7 @@ from .operators import (
     EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
+    number_operator,
     site_operator,
 )
 
@@ -207,21 +208,22 @@ def full_unknowns(dim: int) -> Unknowns:
     return _unknowns(dim, np.arange(dim * dim))
 
 
-def coupled_unknowns(H: np.ndarray, terms) -> Unknowns:
-    """Entries of rho that the generator of (H, terms) joins to the diagonal.
+def coupled_unknowns(H: np.ndarray, operators) -> Unknowns:
+    """Entries of rho that the generator of H and the jump ``operators`` joins to the diagonal.
 
     The generator I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
     J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
     J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
     A[r', r] and A[c', c] are both nonzero.  The set is every entry reached
     from a diagonal one over these links taken in both directions, read off
-    the structural nonzero pattern of H and the nonzero-rate A.  No link
-    leaves it, so the generator maps it into itself and the rest into the
-    rest; it holds every diagonal entry, so it carries the trace and the
-    steady state, and restricting the solve to it is exact.  Listed in
-    column-stacked order and cached by pattern, which a sweep's rows share.
+    the structural nonzero pattern of H and of the operators, which are the
+    ones at a nonzero rate.  No link leaves it, so the generator maps it into
+    itself and the rest into the rest; it holds every diagonal entry, so it
+    carries the trace and the steady state, and restricting the solve to it
+    is exact.  Listed in column-stacked order and cached by pattern, which a
+    sweep's rows share.
     """
-    patterns = np.stack([H != 0] + [A != 0 for rate, A in terms if rate != 0])
+    patterns = np.stack([H != 0] + [A != 0 for A in operators])
     return _coupled_unknowns(H.shape[0], len(patterns), np.packbits(patterns).tobytes())
 
 
@@ -243,52 +245,66 @@ def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
 
 
 # Most elements of the per-term Kronecker grids held at once: the terms are
-# gathered in stacks of up to this size, one stack for a small block.
+# gathered in stacks of up to this size, one stack for small blocks.  The
+# steady solves go in stacks of at most this many block elements as well.
 _GRID_ELEMENTS = 1 << 16
 
 
-def superoperator(H, terms, unknowns: Unknowns) -> np.ndarray:
-    """-i[H, .] + sum of rate * D[A] over (rate, A) terms, on ``unknowns``.
+def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
+    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
 
     D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
     generator is I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
     J = -iH - sum rate * A^dag A / 2, and entry (i, j) of X (x) Y on the
     unknowns is X[c_i, c_j] * Y[r_i, r_j]; only those entries are formed.
-    ``H`` may be None for a dissipator alone; zero-rate terms are skipped.
+
+    ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
+    of k blocks that share the T operators.  Their rate-free parts, A^dag A
+    and the gathered grids, are formed once per stack; each block is then
+    summed term by term in the same order whatever the stack, so it does not
+    depend on the stack it is built in.  ``H`` may be None for a dissipator
+    alone; terms whose rate is zero in every row are skipped.
     """
     d, m = unknowns.dim, unknowns.size
-    terms = [(rate, A) for rate, A in terms if rate != 0]
+    rates = np.asarray(rates, dtype=float)
+    single = rates.ndim == 1
+    rates = np.atleast_2d(rates)
+    used = np.flatnonzero((rates != 0).any(axis=0))
+    rates = rates[:, used]
+    ops = np.asarray(operators, dtype=complex).reshape(-1, d, d)[used]
+    k = len(rates)
     J = np.zeros((d, d), dtype=complex) if H is None else -1j * H
-    L = np.zeros((m, m), dtype=complex)
-    if terms:
-        rates = np.array([rate for rate, _ in terms])
-        ops = np.array([A for _, A in terms], dtype=complex)
-        decay = (0.5 * rates)[:, None, None] * (ops.conj().swapaxes(1, 2) @ ops)
-        J = np.subtract.reduce(np.concatenate([J[None], decay]), axis=0)  # term by term
-        ops = ops.reshape(len(terms), d * d)
-        step = min(len(terms), max(1, _GRID_ELEMENTS // (m * m)))
-        left = np.empty((step, m, m), dtype=complex)
-        right = np.empty_like(left)
-        for i in range(0, len(terms), step):
-            n = min(step, len(terms) - i)
-            # the grids are in range; mode="clip" lets take fill ``out``
-            # directly instead of through a bounds-checked copy
-            np.take(rates[i:i + n, None] * ops[i:i + n].conj(), unknowns.col_pairs,
-                    axis=1, out=left[:n], mode="clip")
-            np.take(ops[i:i + n], unknowns.row_pairs, axis=1, out=right[:n], mode="clip")
-            left[:n] *= right[:n]
-            for piece in left[:n]:
-                L += piece
-    flat = L.reshape(-1)
+    J = np.broadcast_to(J, (k, d, d))
+    decay = ops.conj().swapaxes(1, 2) @ ops
+    for t in range(len(used)):  # term by term
+        J = J - (0.5 * rates[:, t])[:, None, None] * decay[t]
+    L = np.zeros((k, m, m), dtype=complex)
+    ops = ops.reshape(len(used), d * d)
+    step = max(1, min(len(used), _GRID_ELEMENTS // (k * m * m)))
+    left = np.empty((step, k, m, m), dtype=complex)
+    right = np.empty((step, 1, m, m), dtype=complex)
+    for i in range(0, len(used), step):
+        n = min(step, len(used) - i)
+        # the grids are in range; mode="clip" lets take fill ``out``
+        # directly instead of through a bounds-checked copy
+        np.take(rates[:, i:i + n].T[:, :, None] * ops[i:i + n, None].conj(),
+                unknowns.col_pairs, axis=2, out=left[:n], mode="clip")
+        np.take(ops[i:i + n, None], unknowns.row_pairs, axis=2, out=right[:n], mode="clip")
+        left[:n] *= right[:n]
+        for piece in left[:n]:
+            L += piece
+    flat = L.reshape(k, m * m)
+    J = J.reshape(k, d * d)
     at, pairs = unknowns.same_col
-    flat[at] += J.ravel()[pairs]
+    flat[:, at] += J[:, pairs]
     at, pairs = unknowns.same_row
-    flat[at] += J.conj().ravel()[pairs]
-    return L
+    flat[:, at] += J.conj()[:, pairs]
+    return L[0] if single else L
 
 
-def _thermal_terms(A: np.ndarray, gamma: float, nbar: float) -> tuple:
-    return ((gamma * (nbar + 1.0), A), (gamma * nbar, A.conj().T))
+def thermal_rates(gamma: float, nbar: float) -> tuple:
+    """Rates gamma (nbar + 1) of emission through A and gamma nbar of absorption through A^dag."""
+    return gamma * (nbar + 1.0), gamma * nbar
 
 
 @dataclass(frozen=True)
@@ -306,14 +322,11 @@ class Channel:
     gamma: float
     nbar: float
 
-    def terms(self) -> tuple:
-        """(rate, jump operator) pairs of the Lindblad form."""
-        return _thermal_terms(self.operator, self.gamma, self.nbar)
-
 
 def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
     """Dense emission at gamma (nbar + 1) through A plus absorption at gamma nbar through A^dag."""
-    return superoperator(None, _thermal_terms(A, gamma, nbar), full_unknowns(A.shape[0]))
+    return superoperator(None, (A, A.conj().T), thermal_rates(gamma, nbar),
+                         full_unknowns(A.shape[0]))
 
 
 def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
@@ -364,7 +377,7 @@ def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
 
 def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     """Dense generator: unitary part plus the supplied dense dissipators."""
-    L = superoperator(H, (), full_unknowns(H.shape[0]))
+    L = superoperator(H, (), (), full_unknowns(H.shape[0]))
     if any(D.shape != L.shape for D in dissipators):
         raise DimensionMismatch(f"a dissipator's shape differs from the generator's {L.shape}")
     return sum(dissipators, L)
@@ -398,32 +411,54 @@ class ChainStructure:
     fixed by the gaps, couplings and approach, and one structure serves
     every row of a temperature sweep: H, its ``eigensystem`` (global
     approach; None for the local one), H in the solve frame, each
-    reservoir's (omega, A) ``bins`` in that frame, and ``flux_functionals``,
-    which holds D[A]^dag(H) and D[A^dag]^dag(H) in the frame for every bin,
-    reservoir by reservoir, so that a channel's heat current is
-    gamma (nbar + 1) Tr{F[c, 0] rho} + gamma nbar Tr{F[c, 1] rho}
-    (Alicki's form).  Every array is read-only.
+    reservoir's (omega, A) ``bins`` in that frame, the jump ``operators``
+    A and A^dag of every bin in that order, reservoir by reservoir (the
+    terms :meth:`rates` gives rates for), and two sets of linear
+    functionals of the frame state: ``flux_functionals`` holds
+    D[A]^dag(H) and D[A^dag]^dag(H) for every bin, so that a channel's heat
+    current is gamma (nbar + 1) Tr{F[c, 0] rho} + gamma nbar Tr{F[c, 1] rho}
+    (Alicki's form), and ``population_functionals`` holds each qubit's
+    number operator in the frame, so n_q = Tr{P[q] rho}.  Every array is
+    read-only.
     """
 
     hamiltonian: np.ndarray
     eigensystem: EigenSystem
     frame_hamiltonian: np.ndarray
     bins: tuple
+    operators: np.ndarray
     flux_functionals: np.ndarray
+    population_functionals: np.ndarray
     patterns: dict = field(default_factory=dict, init=False, repr=False)
 
-    def unknowns(self, terms) -> Unknowns:
-        """:func:`coupled_unknowns` of the frame H and ``terms``, this structure's bins at some rates.
+    def rates(self, baths) -> list:
+        """Rate of each of :attr:`operators` with ``baths`` attached."""
+        out = []
+        for reservoir, bath in zip(self.bins, baths):
+            for omega, _ in reservoir:
+                out += thermal_rates(bath.gamma, bose_occupation(omega, bath.temperature))
+        return out
 
-        The terms' operators are fixed, so the pattern changes only with
-        which rates are zero (nbar = 0 at T = 0 or omega / T > 700); the set
-        is kept for each such choice.
+    def unknowns(self, zero) -> Unknowns:
+        """:func:`coupled_unknowns` of the frame H and the :attr:`operators` not flagged in ``zero``.
+
+        ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0 or
+        omega / T > 700); the operators are fixed, so the set changes only
+        with these flags and is kept for each choice of them.
         """
-        zero = tuple(rate == 0 for rate, _ in terms)
+        zero = tuple(bool(z) for z in zero)
         found = self.patterns.get(zero)
         if found is None:
-            found = self.patterns[zero] = coupled_unknowns(self.frame_hamiltonian, terms)
+            found = self.patterns[zero] = coupled_unknowns(
+                self.frame_hamiltonian, self.operators[~np.array(zero)])
         return found
+
+    def to_site(self, rho: np.ndarray) -> np.ndarray:
+        """Matrices given in the solve frame (one, or a stack), in the site basis."""
+        if self.eigensystem is None:
+            return rho
+        frame = self.eigensystem.frame
+        return frame @ rho @ frame.conj().T
 
     @cached_property
     def spectrum(self) -> EigenSystem:
@@ -443,6 +478,8 @@ def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
     Building one that raises (DegenerateTransition) caches nothing, so the
     error is raised again on every call.
     """
+    if approach not in ("global", "local"):
+        raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
     baths = tuple(BathSpec(0.0, attached_site=bath.attached_site) for bath in spec.baths)
     shape = ChainSpec(spec.n_qubits, tuple(spec.epsilons), tuple(spec.couplings), baths)
     return _chain_structure(shape, approach)
@@ -468,9 +505,14 @@ def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
     emitted = np.array([A for reservoir in bins for _, A in reservoir]).reshape((-1,) + H.shape)
     jumps = np.stack([emitted, emitted.conj().swapaxes(-1, -2)], axis=1)  # A, A^dag
     functionals = adjoint_dissipator(jumps, frame_H)
-    _read_only(H, frame_H, functionals)
-    return ChainStructure(hamiltonian=H, eigensystem=es, frame_hamiltonian=frame_H,
-                          bins=bins, flux_functionals=functionals)
+    numbers = np.array([number_operator(shape.n_qubits, q) for q in range(shape.n_qubits)])
+    if es is not None:
+        numbers = es.frame.conj().T @ numbers @ es.frame
+    operators = jumps.reshape((-1,) + H.shape)
+    _read_only(H, frame_H, operators, functionals, numbers)
+    return ChainStructure(hamiltonian=H, eigensystem=es, frame_hamiltonian=frame_H, bins=bins,
+                          operators=operators, flux_functionals=functionals,
+                          population_functionals=numbers)
 
 
 @dataclass(frozen=True)
@@ -516,49 +558,44 @@ class LindbladModel:
         return tuple(tuple(replace(ch, operator=self.to_site(ch.operator)) for ch in reservoir)
                      for reservoir in self.frame_channels)
 
-    def terms(self) -> list:
-        """(rate, jump operator) pairs of every channel of every reservoir, site basis."""
-        return [term for reservoir in self.channels for ch in reservoir for term in ch.terms()]
-
-    def frame_terms(self) -> list:
-        """:meth:`terms` in the solve frame."""
-        return [term for reservoir in self.frame_channels for ch in reservoir
-                for term in ch.terms()]
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Rate of each of the structure's jump operators at this model's baths."""
+        return np.array(self.structure.rates(self.spec.baths))
 
     def to_site(self, rho: np.ndarray) -> np.ndarray:
         """A matrix given in the solve frame, in the site basis."""
-        if self.eigensystem is None:
-            return rho
-        frame = self.eigensystem.frame
-        return frame @ rho @ frame.conj().T
+        return self.structure.to_site(rho)
 
     @cached_property
     def unknowns(self) -> Unknowns:
         """Entries the frame generator joins to the diagonal (:func:`coupled_unknowns`)."""
-        return self.structure.unknowns(self.frame_terms())
+        return self.structure.unknowns(self.rates == 0)
 
     @cached_property
     def block(self) -> np.ndarray:
         """Frame generator restricted to :attr:`unknowns`."""
-        return superoperator(self.frame_hamiltonian, self.frame_terms(), self.unknowns)
+        return superoperator(self.frame_hamiltonian, self.structure.operators, self.rates,
+                             self.unknowns)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
         """Dense d^2 x d^2 site-basis generator, the oracle for :attr:`block`."""
-        return superoperator(self.hamiltonian, self.terms(), full_unknowns(self.spec.dim))
+        return superoperator(self.hamiltonian, self.to_site(self.structure.operators),
+                             self.rates, full_unknowns(self.spec.dim))
 
     @cached_property
     def dissipators(self) -> tuple:
         """Dense site-basis superoperator of each reservoir."""
         full = full_unknowns(self.spec.dim)
-        return tuple(superoperator(None, [t for ch in reservoir for t in ch.terms()], full)
-                     for reservoir in self.channels)
+        operators = self.to_site(self.structure.operators)
+        bounds = np.cumsum([0] + [2 * len(reservoir) for reservoir in self.structure.bins])
+        return tuple(superoperator(None, operators[a:b], self.rates[a:b], full)
+                     for a, b in zip(bounds, bounds[1:]))
 
 
 def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
     """The chain's rate-free structure with each channel's rates at ``spec``'s baths."""
-    if approach not in ("global", "local"):
-        raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
     structure = chain_structure(spec, approach)
     channels = tuple(thermal_channels(bins, bath)
                      for bins, bath in zip(structure.bins, spec.baths))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     BadBathAttachment,
@@ -115,10 +115,8 @@ def validate_spec(raw: ChainSpec) -> ChainSpec:
         if e <= 0:
             violations.append((NonPositiveGap, f"gap of qubit {q} is {e}, must be > 0"))
 
-    baths = tuple(
-        replace(b, temperature=float(b.temperature), gamma=float(b.gamma))
-        for b in raw.baths
-    )
+    baths = tuple(BathSpec(float(b.temperature), float(b.gamma), b.attached_site)
+                  for b in raw.baths)
     if len(baths) != 2:
         violations.append((BadBathAttachment, f"need exactly 2 baths, got {len(baths)}"))
     else:

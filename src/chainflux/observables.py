@@ -11,7 +11,7 @@ exponentiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,16 +21,18 @@ from .errors import (
     DimensionMismatch,
 )
 from .lindblad import (
+    _GRID_ELEMENTS,
     OMEGA_MIN,
-    LindbladModel,
-    assemble,
+    ChainStructure,
     bose_occupation,
+    chain_structure,
+    superoperator,
     unvectorize,
     vectorize,
 )
 from .model import ChainSpec
 from .operators import number_operator
-from .steady import solve_steady
+from .steady import solve_steady, uniqueness_error
 
 _FORM_TOL = 1e-12
 
@@ -238,7 +240,12 @@ def dimer_local_heat_flux_analytic(eps, coupling, t1, t2,
 
 @dataclass(frozen=True)
 class SteadyReport:
-    """Full numeric pipeline output for one chain under one approach."""
+    """Full numeric pipeline output for one chain under one approach.
+
+    ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal condition
+    number and the number of entries of rho it solved for; ``structure`` is
+    the chain's rate-free structure the state was solved on.
+    """
 
     spec: ChainSpec
     approach: str
@@ -247,45 +254,107 @@ class SteadyReport:
     fluxes: tuple
     residual: float
     channel_fluxes: tuple  # per reservoir: ((omega, flux), ...)
+    rcond: float
+    unknowns: int
+    structure: ChainStructure = field(repr=False, compare=False)
 
 
-def steady_report(spec: ChainSpec, approach: str,
-                  model: LindbladModel = None) -> SteadyReport:
+def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
     """Assemble, solve and measure one chain; the one-stop numeric pipeline.
 
-    The solve runs on ``model.block`` in the model's frame, where the
-    channel fluxes are taken too; the state is reported in the site basis.
-    Each reservoir's flux is the sum of its channel fluxes.
+    A stack of one of :func:`steady_reports`; raises the DegenerateTransition
+    or DegenerateKernel that function would return.
     """
-    if model is None:
-        model = assemble(spec, approach)
-    sol = solve_steady(model.block, unknowns=model.unknowns)
-    rho = model.to_site(sol.rho)
-    pops = tuple(qubit_population(rho, q) for q in range(spec.n_qubits))
-    breakdown = _channel_fluxes(model, sol.rho)
-    fluxes = tuple(sum(q for _, q in reservoir) for reservoir in breakdown)
-    return SteadyReport(
-        spec=spec, approach=approach, rho=rho, populations=pops,
-        fluxes=fluxes, residual=sol.residual, channel_fluxes=breakdown,
-    )
+    (report,) = steady_reports([spec], approach)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
-def _channel_fluxes(model: LindbladModel, rho: np.ndarray) -> tuple:
-    """((omega, Tr{H D(rho)}), ...) of each reservoir's channels, rho in the model's frame.
+def steady_reports(specs, approach: str) -> list:
+    """The SteadyReport of each spec under ``approach``, or the error that stopped it.
 
-    Tr{H D(rho)} is linear in rho: gamma (nbar + 1) Tr{F_e rho} +
-    gamma nbar Tr{F_a rho} with the flux functionals F_e = D[A]^dag(H) and
-    F_a = D[A^dag]^dag(H) the chain's structure keeps, so one product with
-    rho gives every channel's traces.
+    Specs of one chain (the same gaps, couplings and attachments, as along a
+    temperature sweep) share one structure, and those with the same zero
+    rates share one set of unknowns.  Such rows are solved in stacks of at
+    most ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a
+    dimer sweep is one stack per set and an N = 5 local block (252^2
+    elements) goes alone.  Every spec of a chain whose eigenbasis route
+    degenerates gets that DegenerateTransition, and a spec whose steady
+    state is not unique gets its own DegenerateKernel.  Each report is the
+    one :func:`steady_report` gives, bit for bit.
     """
-    functionals = model.structure.flux_functionals
-    traces = functionals.reshape(len(functionals), 2, -1) @ rho.T.reshape(-1)
-    channels = [ch for reservoir in model.frame_channels for ch in reservoir]
-    rates = np.array([(ch.gamma * (ch.nbar + 1.0), ch.gamma * ch.nbar) for ch in channels])
-    values = (rates * traces).sum(axis=1)
+    chains = {}
+    for i, spec in enumerate(specs):
+        key = (spec.epsilons, spec.couplings, spec.baths[0].attached_site,
+               spec.baths[-1].attached_site)
+        chains.setdefault(key, []).append(i)
+    results = [None] * len(specs)
+    for rows in chains.values():
+        try:
+            structure = chain_structure(specs[rows[0]], approach)
+        except DegenerateTransition as err:
+            for i in rows:
+                results[i] = err
+            continue
+        stacks = {}
+        for i in rows:
+            rates = structure.rates(specs[i].baths)
+            stacks.setdefault(tuple(r == 0 for r in rates), []).append((i, rates))
+        for zero, members in stacks.items():
+            unknowns = structure.unknowns(zero)
+            step = max(1, _GRID_ELEMENTS // unknowns.size**2)
+            for start in range(0, len(members), step):
+                part = members[start:start + step]
+                reports = _stack_reports(structure, [specs[i] for i, _ in part], approach,
+                                         np.array([rates for _, rates in part]), unknowns)
+                for (i, _), report in zip(part, reports):
+                    results[i] = report
+    return results
+
+
+def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
     worst = np.abs(values.imag).max(initial=0.0)
     if worst > 1e-10:
-        raise ValueError(f"heat flux has imaginary residue {worst:.3e}")
-    values = iter(values.real.tolist())
-    return tuple(tuple((ch.omega, next(values)) for ch in reservoir)
-                 for reservoir in model.frame_channels)
+        raise ValueError(f"{what} has imaginary residue {worst:.3e}")
+    return values.real
+
+
+def _stack_reports(structure, specs, approach, rates, unknowns) -> list:
+    """Reports of one stack of rows that share ``structure`` and ``unknowns``.
+
+    The blocks are built at once (:func:`superoperator`) and solved by one
+    stacked call (:func:`solve_steady`).  Tr{H D(rho)} is linear in rho:
+    gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
+    functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) the chain's
+    structure keeps, so one product with each rho gives every channel's
+    traces; the populations are read off the number operators in the frame
+    the same way.  Each reservoir's flux is the sum of its channel fluxes.
+    """
+    sol = solve_steady(superoperator(structure.frame_hamiltonian, structure.operators, rates,
+                                     unknowns), unknowns)
+    k, d = len(specs), structure.hamiltonian.shape[0]
+    flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{F rho} = F . rho^T
+    traces = structure.flux_functionals.reshape(-1, d * d) @ flat
+    channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
+    channels = _imaginary_residue(channels, "heat flux").tolist()
+    populations = structure.population_functionals.reshape(-1, d * d) @ flat
+    populations = _imaginary_residue(populations[..., 0], "population").tolist()
+    rho = structure.to_site(sol.rho)
+    bins = [[omega for omega, _ in reservoir] for reservoir in structure.bins]
+    residuals, rconds = sol.residual.tolist(), sol.rcond.tolist()
+    out = []
+    for j, spec in enumerate(specs):
+        error = uniqueness_error(rconds[j], unknowns.size)
+        if error is not None:
+            out.append(error)
+            continue
+        values = iter(channels[j])
+        breakdown = tuple(tuple(zip(omegas, values)) for omegas in bins)
+        out.append(SteadyReport(
+            spec=spec, approach=approach, rho=rho[j], populations=tuple(populations[j]),
+            fluxes=tuple(sum(q for _, q in reservoir) for reservoir in breakdown),
+            residual=residuals[j], channel_fluxes=breakdown,
+            rcond=rconds[j], unknowns=unknowns.size, structure=structure,
+        ))
+    return out

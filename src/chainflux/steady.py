@@ -16,6 +16,8 @@ from .lindblad import Unknowns, full_unknowns, unvectorize, vectorize
 
 RESIDUAL_TOL = 1e-10
 
+_EPS = float(np.finfo(float).eps)
+
 
 def check_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
     """Raise ValueError unless rho is Hermitian, unit-trace and near-positive."""
@@ -36,83 +38,131 @@ class SteadySolution:
 
     ``asymmetry`` is the Hermiticity defect of the raw solution before
     symmetrization; a large value points at a construction bug rather than
-    solver noise.
+    solver noise.  ``rcond`` is the 1-norm reciprocal condition number of
+    the constrained system (:func:`checked_inverse`) and ``unknowns`` the
+    number of entries of rho solved for.  For a stack of generators every
+    field but ``unknowns`` has the stack's leading axis.
     """
 
     rho: np.ndarray
     residual: float
     asymmetry: float
     replaced_row: int
+    rcond: float
+    unknowns: int
 
 
-def checked_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse of a constrained steady-state system, or DegenerateKernel.
+def uniqueness_error(rcond: float, m: int):
+    """The DegenerateKernel of a system of m unknowns with this rcond_1, or None if it is unique.
 
-    One LU factorization, ``np.linalg.solve`` against the identity, gives
-    the inverse.  The system is rejected when the LU meets an exactly zero
-    pivot or when rcond_1 = 1 / (|M|_1 |M^-1|_1) <= m^2 eps.  Since
-    |X|_2 <= sqrt(m) |X|_1, rcond_1 <= m rcond_2, so every system that
-    ``np.linalg.matrix_rank`` calls rank deficient (rcond_2 <= m eps) is
-    rejected as well.
+    A system is rejected when rcond_1 <= m^2 eps, or when its LU met an
+    exactly zero pivot (rcond 0).
     """
-    m = M.shape[0]
+    if rcond > m * m * _EPS:
+        return None
+    if rcond == 0:
+        return DegenerateKernel(
+            "constrained system is singular: the steady state is not unique", rcond=0.0)
+    return DegenerateKernel(
+        f"constrained system has rcond {rcond:.3e} <= m^2 eps for m = {m}: "
+        "the steady state is not unique", rcond=float(rcond))
+
+
+def checked_inverse(M: np.ndarray) -> tuple:
+    """Inverse and rcond_1 of each constrained steady-state system of a (k, m, m) stack.
+
+    One stacked ``np.linalg.solve`` against the identity gives every
+    inverse, one LU factorization per system.  A system whose LU meets an
+    exactly zero pivot makes numpy reject the whole stack; the stack is then
+    solved system by system, and only such a system gets a zero inverse and
+    rcond 0.  rcond_1 = 1 / (|M|_1 |M^-1|_1); :func:`uniqueness_error`
+    rejects a system when it is <= m^2 eps.  Since |X|_2 <= sqrt(m) |X|_1,
+    rcond_1 <= m rcond_2, so every system that ``np.linalg.matrix_rank``
+    calls rank deficient (rcond_2 <= m eps) is rejected as well.
+    """
+    m = M.shape[-1]
+    identity = np.eye(m, dtype=M.dtype)
+    singular = np.zeros(len(M), dtype=bool)
     try:
-        inverse = np.linalg.solve(M, np.eye(m, dtype=M.dtype))
+        inverse = np.linalg.solve(M, identity)
     except np.linalg.LinAlgError:
-        raise DegenerateKernel(
-            "constrained system is singular: the steady state is not unique", rcond=0.0
-        ) from None
-    rcond = 1.0 / (np.abs(M).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
-    if not rcond > m * m * np.finfo(float).eps:
-        raise DegenerateKernel(
-            f"constrained system has rcond {rcond:.3e} <= m^2 eps for m = {m}: "
-            "the steady state is not unique", rcond=float(rcond))
-    return inverse
+        inverse = np.zeros_like(M)
+        for i, system in enumerate(M):
+            try:
+                inverse[i] = np.linalg.solve(system, identity)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    norms = np.abs(M).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
+    rcond = np.zeros(len(M))
+    np.divide(1.0, norms, out=rcond, where=~singular)
+    return inverse, rcond
 
 
 def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     """Solve L v = 0 with the trace constraint replacing one row.
 
-    ``unknowns`` names the entries of rho that v holds; by default all of
+    ``L`` is one m x m generator or a (k, m, m) stack of them, all on the
+    same ``unknowns``: the entries of rho that v holds, by default all of
     them, with L the dense d^2 x d^2 generator.  Entries outside the set are
     zero in the returned state, which is exact when L keeps the set
     invariant, as for ``LindbladModel.block``; the uniqueness check
     (:func:`checked_inverse`), which always runs, then covers that set only.
+    One generator whose steady state is not unique raises DegenerateKernel;
+    in a stack, such a row gets a zero rho and its ``rcond`` tells it apart
+    (:func:`uniqueness_error`).  A residual above RESIDUAL_TOL * |L| raises
+    NoConvergence.  The whole stack is solved by one stacked LAPACK call, so
+    callers keep stacks small (the sweep's hold at most ``_GRID_ELEMENTS``
+    block elements).
 
-    The replaced row is chosen among the rows belonging to diagonal matrix
-    elements: trace preservation makes those rows sum to zero, so dropping
-    the one with the largest diagonal magnitude never removes an independent
-    equation.
+    The replaced row is chosen per generator among the rows belonging to
+    diagonal matrix elements: trace preservation makes those rows sum to
+    zero, so dropping the one with the largest diagonal magnitude never
+    removes an independent equation.
     """
+    single = L.ndim == 2
+    stack = L[None] if single else L
     if unknowns is None:
-        d2 = L.shape[0]
+        d2 = stack.shape[-1]
         d = int(round(np.sqrt(d2)))
-        if d * d != d2 or L.shape != (d2, d2):
+        if d * d != d2:
             raise DimensionMismatch(f"generator shape {L.shape} is not a square over d^2")
         unknowns = full_unknowns(d)
     m = unknowns.size
-    if L.shape != (m, m):
+    if stack.shape[1:] != (m, m):
         raise DimensionMismatch(f"generator shape {L.shape} does not match {m} unknowns")
 
+    k = len(stack)
+    rows = np.arange(k)
     diag = unknowns.diagonal
-    replaced = int(diag[np.abs(L[diag, diag]).argmax()])
+    replaced = diag[np.abs(stack[:, diag, diag]).argmax(axis=1)]
 
-    M = L.copy()
-    M[replaced, :] = 0.0
-    M[replaced, diag] = 1.0
-    raw = unknowns.scatter(checked_inverse(M)[:, replaced])
-    asymmetry = float(np.abs(raw - raw.conj().T).max())
-    rho = 0.5 * (raw + raw.conj().T)
+    M = stack.copy()
+    M[rows, replaced] = 0.0
+    M[rows[:, None], replaced[:, None], diag] = 1.0
+    inverse, rcond = checked_inverse(M)
+    unique = np.array([uniqueness_error(r, m) is None for r in rcond.tolist()])
+    raw = np.zeros((k, unknowns.dim, unknowns.dim), dtype=complex)
+    raw[:, unknowns.rows, unknowns.cols] = np.where(unique[:, None], inverse[rows, :, replaced], 0)
+    adjoint = raw.conj().swapaxes(1, 2)
+    asymmetry = np.abs(raw - adjoint).max(axis=(1, 2))
+    rho = 0.5 * (raw + adjoint)
 
-    scale = max(np.linalg.norm(L), 1.0)
-    residual = float(np.linalg.norm(L @ unknowns.gather(rho)))
-    if residual > RESIDUAL_TOL * scale:
+    scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
+    residual = np.linalg.norm(stack @ rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
+    worst = int((residual / scale).argmax())
+    if residual[worst] > RESIDUAL_TOL * scale[worst]:
         raise NoConvergence(
-            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
+            f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
         )
-    replaced_row = int(unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced])
-    return SteadySolution(rho=rho, residual=residual, asymmetry=asymmetry,
-                          replaced_row=replaced_row)
+    replaced_row = unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced]
+    if not single:
+        return SteadySolution(rho=rho, residual=residual, asymmetry=asymmetry,
+                              replaced_row=replaced_row, rcond=rcond, unknowns=m)
+    error = uniqueness_error(rcond[0], m)
+    if error is not None:
+        raise error
+    return SteadySolution(rho=rho[0], residual=float(residual[0]), asymmetry=float(asymmetry[0]),
+                          replaced_row=int(replaced_row[0]), rcond=float(rcond[0]), unknowns=m)
 
 
 @dataclass(frozen=True)

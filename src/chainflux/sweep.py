@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,8 @@ from .errors import (
     SpecInvalid,
     UnknownKey,
 )
-from .lindblad import assemble
-from .model import ChainSpec, chain, conventions_fingerprint, validate_spec
-from .observables import steady_report
+from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
+from .observables import SteadyReport, steady_reports
 
 AXES = ("t1", "t2", "k", "eps")
 APPROACHES = ("global", "local")
@@ -71,19 +70,17 @@ class SweepTable:
 
 def apply_axis(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
     """Copy of ``spec`` with the swept parameter replaced, then revalidated."""
-    if axis == "t1":
-        baths = (replace(spec.baths[0], temperature=value), spec.baths[1])
-        spec = replace(spec, baths=baths)
-    elif axis == "t2":
-        baths = (spec.baths[0], replace(spec.baths[1], temperature=value))
-        spec = replace(spec, baths=baths)
+    epsilons, couplings, baths = spec.epsilons, spec.couplings, list(spec.baths)
+    if axis in ("t1", "t2"):
+        j = int(axis == "t2")
+        baths[j] = BathSpec(value, baths[j].gamma, baths[j].attached_site)
     elif axis == "k":
-        spec = replace(spec, couplings=(value,) * len(spec.couplings))
+        couplings = (value,) * len(couplings)
     elif axis == "eps":
-        spec = replace(spec, epsilons=(value,) * spec.n_qubits)
+        epsilons = (value,) * spec.n_qubits
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    return validate_spec(spec)
+    return validate_spec(ChainSpec(spec.n_qubits, epsilons, couplings, tuple(baths)))
 
 
 def _parse_floats(text: str, line: int) -> list:
@@ -268,52 +265,72 @@ def format_config(request: SweepRequest) -> str:
 
 
 def _row_task(args):
-    request, value, approach = args
-    try:
-        spec = apply_axis(request.base, request.axis, value)
-        model = assemble(spec, approach)
-        report = steady_report(spec, approach, model=model)
-    except DegenerateTransition as err:
-        return SkippedRow(axis_value=value, approach=approach,
-                          reason=f"degenerate-transition (omega = {err.omega:.3e})")
-    except DegenerateKernel as err:
-        return SkippedRow(axis_value=value, approach=approach,
-                          reason=f"degenerate-kernel (rcond = {err.rcond:.3e})")
-    diagonals = ()
-    if "rho_diagonals" in request.outputs:
-        es = model.structure.spectrum
-        rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
-        diagonals = tuple(float(x) for x in np.real(np.diag(rho_eig)))
-    return SweepRow(
-        axis_value=value,
-        approach=approach,
-        populations=report.populations if "populations" in request.outputs else (),
-        fluxes=report.fluxes if "heat_flux" in request.outputs else (),
-        diagonals=diagonals,
-        residual=report.residual,
-    )
+    """Rows and skips of one chunk of (grid value, spec) points under one approach.
+
+    The chunk's specs are solved together (:func:`steady_reports`); a point
+    whose eigenbasis degenerates or whose steady state is not unique becomes
+    an annotated skip.
+    """
+    request, points, approach = args
+    reports = steady_reports([spec for _, spec in points], approach)
+    solved = [report for report in reports if isinstance(report, SteadyReport)]
+    diagonals = iter(())
+    if "rho_diagonals" in request.outputs and solved:
+        # the eigenbasis populations of each state, one stacked product
+        vectors = np.array([r.structure.spectrum.vectors for r in solved])
+        rho = vectors.conj().swapaxes(1, 2) @ np.array([r.rho for r in solved]) @ vectors
+        diagonals = iter(np.diagonal(rho, axis1=1, axis2=2).real.tolist())
+    out = []
+    for (value, _), report in zip(points, reports):
+        if isinstance(report, DegenerateTransition):
+            out.append(SkippedRow(axis_value=value, approach=approach,
+                                  reason=f"degenerate-transition (omega = {report.omega:.3e})"))
+        elif isinstance(report, DegenerateKernel):
+            out.append(SkippedRow(axis_value=value, approach=approach,
+                                  reason=f"degenerate-kernel (rcond = {report.rcond:.3e})"))
+        else:
+            out.append(SweepRow(
+                axis_value=value,
+                approach=approach,
+                populations=report.populations if "populations" in request.outputs else (),
+                fluxes=report.fluxes if "heat_flux" in request.outputs else (),
+                diagonals=tuple(next(diagonals, ())),
+                residual=report.residual,
+            ))
+    return out
 
 
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     """Run the full numeric pipeline at every (grid point, approach).
 
-    Rows come out sorted by (approach, axis value) and are identical for any
-    worker count; points where the eigenbasis construction degenerates or
-    the steady state is not unique are recorded as annotated skips instead
-    of aborting the run.  A row residual above ROW_RESIDUAL_LIMIT raises
-    NoConvergence naming the worst row.  Each worker process keeps its own
-    chain structures (:func:`chainflux.lindblad.chain_structure`); tasks
-    are listed approach by approach and sent in chunks of 16 consecutive
-    grid points, so a temperature sweep reuses one structure per chunk.
+    Every grid point is validated once (:func:`apply_axis`), which raises
+    SpecError on an invalid one.  Rows come out sorted by (approach, axis
+    value) and are identical for any worker count; points where the
+    eigenbasis construction degenerates or the steady state is not unique
+    are recorded as annotated skips instead of aborting the run.  A row
+    residual above ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst
+    row.
+
+    Each approach's points go in one task, or with ``workers`` > 1 in
+    2 * workers contiguous chunks shared by a process pool whose workers
+    keep their own chain structures
+    (:func:`chainflux.lindblad.chain_structure`).  A task solves the points
+    of one chain together: a temperature sweep's chunk is one stacked solve
+    per set of zero rates, while each point of a K or eps sweep is a chain
+    of its own and a stack of one.
     """
-    tasks = [(request, value, approach)
+    points = [(value, apply_axis(request.base, request.axis, value)) for value in request.grid]
+    pieces = 2 * workers if workers > 1 else 1
+    size = max(1, -(-len(points) // pieces))
+    tasks = [(request, tuple(points[i:i + size]), approach)
              for approach in request.approaches
-             for value in request.grid]
+             for i in range(0, len(points), size)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_row_task, tasks, chunksize=16))
+            chunks = list(pool.map(_row_task, tasks))
     else:
-        results = [_row_task(t) for t in tasks]
+        chunks = [_row_task(t) for t in tasks]
+    results = [result for chunk in chunks for result in chunk]
 
     rows = tuple(r for r in results if isinstance(r, SweepRow))
     skipped = tuple(r for r in results if isinstance(r, SkippedRow))

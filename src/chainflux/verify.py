@@ -48,7 +48,7 @@ def _monomer_block(rng, n_samples=200):
         g = assemble(spec, "global")
         l = assemble(spec, "local")
         dev_matrix = max(dev_matrix, np.abs(g.liouvillian - l.liouvillian).max())
-        report = steady_report(spec, "global", model=g)
+        report = steady_report(spec, "global")
         dev_pop = max(dev_pop, abs(report.populations[0]
                                    - monomer_population_analytic(eps, t1, t2)))
         dev_flux = max(dev_flux, abs(report.fluxes[0]
@@ -65,9 +65,8 @@ def _dimer_population_blocks(t1_grid):
     dev_diag = dev_coh = dev_n = dev_loc = 0.0
     for t1 in t1_grid:
         spec = dimer(eps, eps, coupling, t1, 0.0)
-        model = assemble(spec, "global")
-        report = steady_report(spec, "global", model=model)
-        es = model.eigensystem
+        report = steady_report(spec, "global")
+        es = report.structure.eigensystem
         rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
         ana = dimer_global_populations_analytic(eps, coupling, t1, 0.0)
         diff = np.abs(np.real(np.diag(rho_eig)) - np.array(ana.diagonals_by_energy()))

@@ -130,7 +130,7 @@ def test_criterion_03_dimer_global_steady_state():
         diag = np.real(np.diag(rho_eig))
         dev_diag = max(dev_diag, np.abs(diag - np.array(ana.diagonals_by_energy())).max())
         dev_coh = max(dev_coh, abs(rho_eig[2, 1]))
-        report = steady_report(spec, "global", model=model)
+        report = steady_report(spec, "global")
         target = 0.25 * (ana.e1 + ana.e2)
         dev_pop = max(dev_pop, abs(report.populations[0] - target),
                       abs(report.populations[1] - target))
@@ -331,7 +331,7 @@ def test_criterion_08_thermodynamic_sanity():
         g1, g2 = rng.uniform(0.0, 2.0, 2)
         spec = dimer(eps, eps, k, t1, t2, g1 or 1.0, g2 or 1.0)
         model = assemble(spec, "global")
-        q1, q2 = steady_report(spec, "global", model=model).fluxes
+        q1, q2 = steady_report(spec, "global").fluxes
         dev_balance = max(dev_balance, abs(q1 + q2))
         if q1 < 0:
             positive = False

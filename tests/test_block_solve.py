@@ -34,7 +34,8 @@ CASES += list(random_cases(45, 5, 2))  # one global and one local point
 def test_block_solve_matches_dense_oracle(spec, approach):
     model = assemble(spec, approach)
     assert model.unknowns.size < spec.dim**2
-    report = steady_report(spec, approach, model=model)
+    report = steady_report(spec, approach)
+    assert report.unknowns == model.unknowns.size and 0 < report.rcond <= 1
     # the dense uniqueness check passes wherever the block's does
     dense = solve_steady(model.liouvillian).rho
     assert np.abs(report.rho - dense).max() <= 1e-12
@@ -70,7 +71,8 @@ def test_frame_generator_holds_no_entry_between_coupled_set_and_rest(approach):
     for spec, _ in CASES:
         model = assemble(spec, approach)
         d = spec.dim
-        dense = superoperator(model.frame_hamiltonian, model.frame_terms(), full_unknowns(d))
+        dense = superoperator(model.frame_hamiltonian, model.structure.operators, model.rates,
+                              full_unknowns(d))
         inside = np.zeros(d * d, dtype=bool)
         inside[model.unknowns.cols * d + model.unknowns.rows] = True
         assert np.all(inside[np.arange(d) * (d + 1)])  # every diagonal entry
@@ -123,7 +125,7 @@ def test_bin_joining_raising_and_lowering_jumps_solves_beyond_the_excitation_blo
     spec = chain([1.5] * 4, [3.0] * 3, 1.0, 0.5)
     model = assemble(spec, "global")
     assert model.unknowns.size < spec.dim**2
-    rho = steady_report(spec, "global", model=model).rho
+    rho = steady_report(spec, "global").rho
     exc = excitation_numbers(4)
     assert np.abs(rho[exc[:, None] != exc[None, :]]).max() > 1e-3
     assert np.abs(rho - solve_steady(model.liouvillian).rho).max() <= 1e-12

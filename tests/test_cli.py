@@ -52,6 +52,15 @@ def test_steady_dimer_prints_channels(capsys):
     assert "omega = 2.5" in out
 
 
+def test_steady_prints_solver_diagnostics(capsys):
+    assert cli_main(["steady", "--epsilons", "1.5,1.5", "--couplings", "1",
+                     "--t1", "2", "--t2", "0"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "solver residual" in l]
+    assert len(lines) == 2
+    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", lines[0])
+    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 6 unknowns\)$", lines[1])
+
+
 def test_sweep_command_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

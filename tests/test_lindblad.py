@@ -244,7 +244,7 @@ def test_local_dimer_equal_temperatures_population():
 
 def test_unitary_generator_has_imaginary_spectrum():
     H = np.diag([0.75, -0.75]).astype(complex)
-    L = superoperator(H, (), full_unknowns(2))
+    L = superoperator(H, (), (), full_unknowns(2))
     assert np.abs(np.linalg.eigvals(L).real).max() <= 1e-12
 
 

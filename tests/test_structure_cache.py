@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainflux import (
+    DegenerateKernel,
     DegenerateTransition,
     apply_axis,
     assemble,
@@ -17,7 +18,9 @@ from chainflux import (
     solve_steady,
     steady_report,
 )
-from chainflux.lindblad import _chain_structure
+from chainflux.lindblad import _chain_structure, chain_structure
+from chainflux.observables import steady_reports
+from chainflux.steady import uniqueness_error
 from chainflux.sweep import SweepRequest
 
 
@@ -34,12 +37,14 @@ def cold_report(spec, approach):
 
 
 def assert_rows_match_cold_reports(table, request):
+    # a row solved in a stack is the stack of one steady_report solves, bit for bit
     assert not table.skipped
     for row in table.rows:
         report = cold_report(apply_axis(request.base, request.axis, row.axis_value),
                              row.approach)
-        assert np.abs(np.subtract(row.populations, report.populations)).max() <= 1e-12
-        assert np.abs(np.subtract(row.fluxes, report.fluxes)).max() <= 1e-12
+        assert row.populations == report.populations
+        assert row.fluxes == report.fluxes
+        assert row.residual == report.residual
 
 
 # T = 0 and T1 = 0.01 at eps = 10 give nbar = 0 exactly: the zero absorption
@@ -47,7 +52,7 @@ def assert_rows_match_cold_reports(table, request):
 GRID = (0.0, 0.01, 0.3, 1.0, 4.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("axis", ["t1", "t2"])
 def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, cold_cache):
     assert bose_occupation(10.0, 0.01) == 0.0
@@ -59,8 +64,48 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, cold_cach
         _chain_structure.cache_clear()
         table = run_sweep(request)
         info = _chain_structure.cache_info()
-        assert (info.misses, info.hits) == (2, 2 * (len(GRID) - 1))
+        # one structure per approach, looked up once for the whole grid
+        assert (info.misses, info.hits) == (2, 0)
+        for approach in request.approaches:
+            # T = 0 rows and nbar > 0 rows: several stacks in one sweep
+            assert len(chain_structure(base, approach).patterns) >= 2
         assert_rows_match_cold_reports(table, request)
+
+
+def test_splitting_a_grid_into_stacks_gives_identical_reports(cold_cache):
+    base = chain([1.2, 0.9, 1.4], [0.7, 0.5], 0.7, 0.2, 0.8, 1.3)
+    specs = [apply_axis(base, "t1", t1) for t1 in (0.0, 0.05, 0.3, 0.8, 1.5, 3.0, 7.0)]
+    for approach in ("global", "local"):
+        whole = steady_reports(specs, approach)
+        for size in (1, 2, 3, 5):
+            pieces = [report for i in range(0, len(specs), size)
+                      for report in steady_reports(specs[i:i + size], approach)]
+            for a, b in zip(whole, pieces):
+                assert np.array_equal(a.rho, b.rho)
+                assert (a.populations, a.fluxes, a.channel_fluxes, a.residual, a.rcond) == \
+                    (b.populations, b.fluxes, b.channel_fluxes, b.residual, b.rcond)
+
+
+def test_stack_flags_only_its_singular_and_ill_conditioned_members():
+    model = assemble(dimer(1.5, 1.1, 0.8, 2.0, 0.4), "global")
+    other = assemble(dimer(1.5, 1.1, 0.8, 0.7, 0.1), "global")
+    unknowns, m = model.unknowns, model.unknowns.size
+    assert other.unknowns is unknowns
+    singular = np.zeros_like(model.block)  # the trace row alone: an exact zero pivot
+    weak = 1e-20 * model.block  # LU succeeds, rcond ~ 1e-20
+    for stack in ([model.block, singular, weak, other.block], [model.block, weak, other.block]):
+        sol = solve_steady(np.array(stack), unknowns)
+        errors = [uniqueness_error(rcond, m) for rcond in sol.rcond]
+        flagged = [i for i, error in enumerate(errors) if error is not None]
+        assert flagged == [i for i, L in enumerate(stack) if L is singular or L is weak]
+        for i in flagged:
+            assert isinstance(errors[i], DegenerateKernel)
+            assert (errors[i].rcond == 0) == (stack[i] is singular)
+            assert not sol.rho[i].any()
+        for i, L in ((0, model.block), (len(stack) - 1, other.block)):
+            single = solve_steady(L, unknowns)
+            assert np.array_equal(sol.rho[i], single.rho)
+            assert (sol.residual[i], sol.rcond[i]) == (single.residual, single.rcond)
 
 
 def test_structure_is_shared_across_temperatures_and_rates(cold_cache):

@@ -7,6 +7,7 @@ import pytest
 from chainflux import (
     ConfigSyntaxError,
     NoConvergence,
+    SpecError,
     SpecInvalid,
     UnknownKey,
     apply_axis,
@@ -173,6 +174,39 @@ def test_non_unique_steady_state_is_skipped_not_fatal(tmp_path):
     metadata, _, _ = read_csv_table(path)
     assert any(line.startswith("# skipped: degenerate-kernel") and "k=3 " in line
                for line in metadata)
+
+
+def test_non_unique_temperature_sweep_skips_every_global_row():
+    # eps = 1.5, K = 3 keeps the global N = 5 steady state non-unique at every
+    # temperature: each row of the stack is its own skip, the local rows solve
+    grid = (0.3, 1.0, 2.5)
+    req = SweepRequest(base=chain([1.5] * 5, [3.0] * 4, 1.0, 0.5), axis="t1", grid=grid,
+                       approaches=("global", "local"), outputs=("heat_flux",))
+    table = run_sweep(req)
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [(t, "global") for t in grid]
+    assert all(s.reason.startswith("degenerate-kernel (rcond = ") for s in table.skipped)
+    assert [(r.axis_value, r.approach) for r in table.rows] == [(t, "local") for t in grid]
+
+
+def test_invalid_grid_point_raises_without_parse_config():
+    # a request built by hand is validated by run_sweep itself
+    for axis, grid in (("t1", (0.5, -1.0)), ("eps", (1.0, 0.0)), ("k", (1.0, math.nan))):
+        with pytest.raises(SpecError):
+            run_sweep(small_request(axis=axis, grid=grid))
+
+
+def test_each_grid_point_is_validated_once(monkeypatch):
+    import chainflux.sweep
+
+    calls = []
+
+    def counting(spec, _real=chainflux.sweep.validate_spec):
+        calls.append(spec)
+        return _real(spec)
+
+    monkeypatch.setattr(chainflux.sweep, "validate_spec", counting)
+    run_sweep(small_request(grid=(0.5, 1.0, 2.0, 4.0)))
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
