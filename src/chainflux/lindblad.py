@@ -19,10 +19,11 @@ generator couples to the diagonal for the steady solve, every entry for the
 dense site-basis generator kept for tests and time evolution.
 
 Temperatures and bath rates enter only through the rates of the channels.
-Everything else, H, its eigensystem, the binned operators and each bin's
-flux functionals, is built once per (gaps, couplings, approach) and cached
-(:func:`chain_structure`), so the rows of a temperature sweep only
-evaluate occupations and solve.
+Everything else is built once and cached (:func:`chain_structure`): H, its
+eigensystem and the site operators once per chain (gaps, couplings,
+attachments) for both approaches, the binned operators and each bin's flux
+functionals once per chain and approach, so the rows of a temperature sweep
+only evaluate occupations and solve.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def global_jump_operators(es: EigenSystem, coupling: np.ndarray) -> np.ndarray:
             omega=float(gaps[p, q]),
         )
     # degenerate pairs with a coupling element are unresolvable as well
-    degenerate = np.triu(coupled & (np.abs(gaps) <= OMEGA_MIN), 1)
+    degenerate = coupled & (np.abs(gaps) <= OMEGA_MIN)
+    np.fill_diagonal(degenerate, False)
     if degenerate.any():
-        p, q = np.argwhere(degenerate)[0]
+        p, q = np.argwhere(np.triu(degenerate, 1))[0]
         raise DegenerateTransition(
             f"coupling element across degenerate eigenstates {p}, {q}",
             omega=float(abs(gaps[p, q])),
@@ -223,31 +225,43 @@ def coupled_unknowns(H: np.ndarray, operators) -> Unknowns:
     is exact.  Listed in column-stacked order and cached by pattern, which a
     sweep's rows share.
     """
-    patterns = np.stack([H != 0] + [A != 0 for A in operators])
+    operators = np.asarray(operators).reshape((-1,) + H.shape)
+    patterns = np.concatenate([(H != 0)[None], operators != 0])
     return _coupled_unknowns(H.shape[0], len(patterns), np.packbits(patterns).tobytes())
 
 
 @lru_cache(maxsize=64)
 def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
     bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
-    hamiltonian, *operators = bits.reshape(count, dim, dim).astype(float)
-    damping = hamiltonian + sum(A.T @ A for A in operators)
+    bits = bits.reshape(count, dim, dim).astype(float)
+    ops, eye = bits[1:], np.eye(dim)
+    transposed = ops.swapaxes(1, 2)
+    damping = bits[0] + (transposed @ ops).sum(axis=0)
     damping = damping + damping.T
-    reached = np.eye(dim)  # reached[r, c]: entry (r, c) is in the set
+    # one step takes the reached entries R to R + D R + R D + sum_t A_t R A_t^T
+    # + A_t^T R A_t, i.e. to sum_t X_t R Y_t^T over the pairs (X_t, Y_t):
+    # [X_1 .. X_n] times the column of the R Y_t^T, two products per step
+    outer = np.concatenate([[eye, damping, eye], ops, transposed]).swapaxes(0, 1)
+    outer = outer.reshape(dim, -1)
+    inner = np.concatenate([[eye, eye, damping], transposed, ops])
+    reached = eye  # reached[r, c]: entry (r, c) is in the set
     while True:
-        grown = reached + damping @ reached + reached @ damping
-        for A in operators:
-            grown += A @ reached @ A.T + A.T @ reached @ A
-        grown = (grown > 0).astype(float)
-        if np.array_equal(grown, reached):
+        grown = (outer @ (reached @ inner).reshape(-1, dim) > 0).astype(float)
+        if grown.sum() == reached.sum():  # it only grows
             return _unknowns(dim, np.flatnonzero(reached.T))
         reached = grown
 
 
 # Most elements of the per-term Kronecker grids held at once: the terms are
 # gathered in stacks of up to this size, one stack for small blocks.  The
-# steady solves go in stacks of at most this many block elements as well.
-_GRID_ELEMENTS = 1 << 16
+# steady solves go in stacks of at most this many block elements as well
+# (256 KB per complex array): stacks of more than about eight m = 70
+# systems solved slower per row than single ones, and larger stacks raise
+# the peak memory of every sweep process.
+_GRID_ELEMENTS = 1 << 14
+
+# The complex zero whose sum with any x is x bit for bit (-0 + -0 = -0).
+_NOTHING = complex(-0.0, -0.0)
 
 
 def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
@@ -259,40 +273,60 @@ def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
     unknowns is X[c_i, c_j] * Y[r_i, r_j]; only those entries are formed.
 
     ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
-    of k blocks that share the T operators.  Their rate-free parts, A^dag A
-    and the gathered grids, are formed once per stack; each block is then
-    summed term by term in the same order whatever the stack, so it does not
-    depend on the stack it is built in.  ``H`` may be None for a dissipator
-    alone; terms whose rate is zero in every row are skipped.
+    of k blocks.  ``H`` (d, d) and ``operators`` (T, d, d) are shared by the
+    stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each block its
+    own, as for the rows of different chains, and a leading axis of one is
+    broadcast.  A^dag A and the gathered grid of A are formed once per
+    operator set, and blocks of one shared set that all have the same rates
+    share their dissipative part.  Each block is summed term by term in the
+    same order whatever the stack, and a term whose rate is zero is skipped
+    in that block, so a block does not depend on the stack it is built in.
+    ``H`` may be None for a dissipator alone.
     """
     d, m = unknowns.dim, unknowns.size
     rates = np.asarray(rates, dtype=float)
     single = rates.ndim == 1
     rates = np.atleast_2d(rates)
-    used = np.flatnonzero((rates != 0).any(axis=0))
-    rates = rates[:, used]
-    ops = np.asarray(operators, dtype=complex).reshape(-1, d, d)[used]
     k = len(rates)
-    J = np.zeros((d, d), dtype=complex) if H is None else -1j * H
-    J = np.broadcast_to(J, (k, d, d))
-    decay = ops.conj().swapaxes(1, 2) @ ops
-    for t in range(len(used)):  # term by term
-        J = J - (0.5 * rates[:, t])[:, None, None] * decay[t]
-    L = np.zeros((k, m, m), dtype=complex)
-    ops = ops.reshape(len(used), d * d)
-    step = max(1, min(len(used), _GRID_ELEMENTS // (k * m * m)))
-    left = np.empty((step, k, m, m), dtype=complex)
-    right = np.empty((step, 1, m, m), dtype=complex)
+    ops = np.asarray(operators, dtype=complex)
+    if ops.ndim < 4:
+        ops = ops.reshape((1,) + rates.shape[1:] + (d, d))
+    used = np.flatnonzero((rates != 0).any(axis=0))
+    rates, ops = rates[:, used], ops[:, used]
+    absent = rates == 0  # term t of block i is skipped where True
+    # J - r_1 A_1^dag A_1 / 2 - r_2 A_2^dag A_2 / 2 - ... in that order: a
+    # reduction over a leading axis runs term by term, and subtracting +0
+    # (an absent term) leaves every value, -0 included, as it was
+    J = np.zeros((1, d, d), dtype=complex) if H is None else -1j * np.asarray(H).reshape(-1, d, d)
+    terms = (0.5 * rates)[:, :, None, None] * (ops.conj().swapaxes(-1, -2) @ ops)
+    if absent.any():
+        terms[absent] = 0.0
+    J = np.subtract.reduce(np.concatenate([np.broadcast_to(J[:, None], (k, 1, d, d)), terms],
+                                          axis=1), axis=1)
+    # blocks with one operator set and the same rates (the local rows of a
+    # K scan) share the dissipative part
+    shared = k > 1 and len(ops) == 1 and (rates == rates[0]).all()
+    distinct = rates[:1] if shared else rates
+    absent = absent[:len(distinct)]
+    L = np.zeros((len(distinct), m, m), dtype=complex)
+    ops = ops.reshape(len(ops), len(used), d * d).swapaxes(0, 1)
+    step = max(1, min(len(used), _GRID_ELEMENTS // (len(L) * m * m)))
+    left = np.empty((step,) + L.shape, dtype=complex)
+    right = np.empty((step, ops.shape[1], m, m), dtype=complex)
     for i in range(0, len(used), step):
         n = min(step, len(used) - i)
         # the grids are in range; mode="clip" lets take fill ``out``
         # directly instead of through a bounds-checked copy
-        np.take(rates[:, i:i + n].T[:, :, None] * ops[i:i + n, None].conj(),
+        np.take(distinct[:, i:i + n].T[:, :, None] * ops[i:i + n].conj(),
                 unknowns.col_pairs, axis=2, out=left[:n], mode="clip")
-        np.take(ops[i:i + n, None], unknowns.row_pairs, axis=2, out=right[:n], mode="clip")
+        np.take(ops[i:i + n], unknowns.row_pairs, axis=2, out=right[:n], mode="clip")
         left[:n] *= right[:n]
-        for piece in left[:n]:
+        # adding -0 (an absent term) leaves every value as it was
+        left[:n][absent[:, i:i + n].T] = _NOTHING
+        for piece in left[:n]:  # term by term
             L += piece
+    if shared:
+        L = np.repeat(L, k, axis=0)
     flat = L.reshape(k, m * m)
     J = J.reshape(k, d * d)
     at, pairs = unknowns.same_col
@@ -387,6 +421,12 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
 # the figure presets, which sweep temperature at a few fixed chains.
 _STRUCTURES = 8
 
+# Chains whose approach-independent operators are kept per process.  A sweep
+# task over a K or eps scan, where every grid point is a chain of its own,
+# takes at most this many points, so both approaches of a task find each
+# chain's operators still cached.
+_CHAINS = 16
+
 
 def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
     """D[A]^dag(H) = A^dag H A - {A^dag A, H} / 2, so Tr{H D[A](rho)} = Tr{D[A]^dag(H) rho}.
@@ -403,14 +443,38 @@ def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class ChainOperators:
+    """The approach-independent operators of one chain, in the site basis.
+
+    H, each qubit's number operator and each reservoir's coupling
+    sigma^+ + sigma^- at its attached qubit, fixed by the gaps, couplings
+    and attachments; the sector ``eigensystem`` of H is computed on first
+    use.  Both approaches' structures of a chain are built from one
+    (:func:`chain_structure`), so H is built and diagonalized once per
+    chain.  Every array is read-only.
+    """
+
+    hamiltonian: np.ndarray
+    numbers: np.ndarray
+    couplings: tuple
+
+    @cached_property
+    def eigensystem(self) -> EigenSystem:
+        es = diagonalize(self.hamiltonian)
+        _read_only(es.energies, es.vectors)
+        return es
+
+
+@dataclass(frozen=True, eq=False)
 class ChainStructure:
     """The rate-free part of one chain's generator under one approach.
 
     Temperatures and bath rates enter the generator only through the rates
     gamma (nbar + 1) and gamma nbar of each channel, so everything here is
     fixed by the gaps, couplings and approach, and one structure serves
-    every row of a temperature sweep: H, its ``eigensystem`` (global
-    approach; None for the local one), H in the solve frame, each
+    every row of a temperature sweep: the chain's :class:`ChainOperators`
+    (``chain``), shared with the other approach, the ``eigensystem`` of the
+    global frame (None for the local approach), H in the solve frame, each
     reservoir's (omega, A) ``bins`` in that frame, the jump ``operators``
     A and A^dag of every bin in that order, reservoir by reservoir (the
     terms :meth:`rates` gives rates for), and two sets of linear
@@ -422,7 +486,7 @@ class ChainStructure:
     read-only.
     """
 
-    hamiltonian: np.ndarray
+    chain: ChainOperators
     eigensystem: EigenSystem
     frame_hamiltonian: np.ndarray
     bins: tuple
@@ -430,6 +494,16 @@ class ChainStructure:
     flux_functionals: np.ndarray
     population_functionals: np.ndarray
     patterns: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H in the site basis."""
+        return self.chain.hamiltonian
+
+    @property
+    def spectrum(self) -> EigenSystem:
+        """The chain's eigensystem of H, for either approach."""
+        return self.chain.eigensystem
 
     def rates(self, baths) -> list:
         """Rate of each of :attr:`operators` with ``baths`` attached."""
@@ -460,23 +534,17 @@ class ChainStructure:
         frame = self.eigensystem.frame
         return frame @ rho @ frame.conj().T
 
-    @cached_property
-    def spectrum(self) -> EigenSystem:
-        """Eigensystem of H: ``eigensystem``, or for the local approach H diagonalized once."""
-        if self.eigensystem is not None:
-            return self.eigensystem
-        es = diagonalize(self.hamiltonian)
-        _read_only(es.energies, es.vectors)
-        return es
-
 
 def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
     """The cached rate-free structure of ``spec`` under ``approach``.
 
     The key is the spec with each bath reduced to its attachment site, so
     specs that differ only in temperatures or rates share one structure.
-    Building one that raises (DegenerateTransition) caches nothing, so the
-    error is raised again on every call.
+    Both approaches' structures of a chain are built from one cached
+    :class:`ChainOperators` (the last ``_CHAINS`` chains are kept), so they
+    share H and its eigensystem.  Building one that raises
+    (DegenerateTransition) caches no structure, so the error is raised
+    again on every call.
     """
     if approach not in ("global", "local"):
         raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
@@ -485,32 +553,57 @@ def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
     return _chain_structure(shape, approach)
 
 
+@lru_cache(maxsize=None)
+def _number_operators(n_qubits: int) -> np.ndarray:
+    numbers = np.array([number_operator(n_qubits, q) for q in range(n_qubits)])
+    _read_only(numbers)
+    return numbers
+
+
+@lru_cache(maxsize=_CHAINS)
+def _chain_operators(shape: ChainSpec) -> ChainOperators:
+    n = shape.n_qubits
+    H = build_chain_hamiltonian(shape)
+    couplings = tuple(site_operator(n, bath.attached_site, "raise")
+                      + site_operator(n, bath.attached_site, "lower") for bath in shape.baths)
+    _read_only(H, *couplings)
+    return ChainOperators(hamiltonian=H, numbers=_number_operators(n), couplings=couplings)
+
+
+def _with_adjoints(emitted) -> np.ndarray:
+    """A and A^dag of each of the ``emitted`` operators A, in that order, stacked."""
+    emitted = np.array(emitted)
+    pairs = np.stack([emitted, emitted.conj().swapaxes(-1, -2)], axis=1)
+    return pairs.reshape((-1,) + emitted.shape[1:])
+
+
+@lru_cache(maxsize=None)
+def _local_operators(n_qubits: int, sites: tuple) -> np.ndarray:
+    """The local structure's operators, one array for every chain of these attachments."""
+    operators = _with_adjoints([site_operator(n_qubits, site, "lower") for site in sites])
+    _read_only(operators)
+    return operators
+
+
 @lru_cache(maxsize=_STRUCTURES)
 def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
-    H = build_chain_hamiltonian(shape)
+    chain = _chain_operators(shape)
+    H = chain.hamiltonian
     if approach == "local":
-        es, frame_H = None, H
+        es, frame_H, numbers = None, H, chain.numbers
         bins = tuple(local_bins(shape, bath) for bath in shape.baths)
+        operators = _local_operators(shape.n_qubits, tuple(b.attached_site for b in shape.baths))
     else:
-        es = diagonalize(H)
+        es = chain.eigensystem
         frame_H = np.diag(es.energies[es.frame_order])
-        n = shape.n_qubits
-        bins = []
-        for bath in shape.baths:
-            site = bath.attached_site
-            coupling = site_operator(n, site, "raise") + site_operator(n, site, "lower")
-            bins.append(global_bins(es, global_jump_operators(es, coupling)))
-        bins = tuple(bins)
-        _read_only(es.energies, es.vectors, *(A for reservoir in bins for _, A in reservoir))
-    emitted = np.array([A for reservoir in bins for _, A in reservoir]).reshape((-1,) + H.shape)
-    jumps = np.stack([emitted, emitted.conj().swapaxes(-1, -2)], axis=1)  # A, A^dag
-    functionals = adjoint_dissipator(jumps, frame_H)
-    numbers = np.array([number_operator(shape.n_qubits, q) for q in range(shape.n_qubits)])
-    if es is not None:
-        numbers = es.frame.conj().T @ numbers @ es.frame
-    operators = jumps.reshape((-1,) + H.shape)
-    _read_only(H, frame_H, operators, functionals, numbers)
-    return ChainStructure(hamiltonian=H, eigensystem=es, frame_hamiltonian=frame_H, bins=bins,
+        bins = tuple(global_bins(es, global_jump_operators(es, coupling))
+                     for coupling in chain.couplings)
+        _read_only(*(A for reservoir in bins for _, A in reservoir))
+        numbers = es.frame.conj().T @ chain.numbers @ es.frame
+        operators = _with_adjoints([A for reservoir in bins for _, A in reservoir])
+    functionals = adjoint_dissipator(operators.reshape((-1, 2) + H.shape), frame_H)
+    _read_only(frame_H, operators, functionals, numbers)
+    return ChainStructure(chain=chain, eigensystem=es, frame_hamiltonian=frame_H, bins=bins,
                           operators=operators, flux_functionals=functionals,
                           population_functionals=numbers)
 

@@ -275,41 +275,59 @@ def steady_reports(specs, approach: str) -> list:
     """The SteadyReport of each spec under ``approach``, or the error that stopped it.
 
     Specs of one chain (the same gaps, couplings and attachments, as along a
-    temperature sweep) share one structure, and those with the same zero
-    rates share one set of unknowns.  Such rows are solved in stacks of at
-    most ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a
-    dimer sweep is one stack per set and an N = 5 local block (252^2
-    elements) goes alone.  Every spec of a chain whose eigenbasis route
-    degenerates gets that DegenerateTransition, and a spec whose steady
-    state is not unique gets its own DegenerateKernel.  Each report is the
-    one :func:`steady_report` gives, bit for bit.
+    temperature sweep) share one structure, looked up once per call; the
+    structures of both approaches of a chain share its H and eigensystem
+    through the per-chain cache (:func:`chain_structure`).  Rows are then
+    grouped by their set of unknowns (and number of jump terms), across
+    chains: the rows of a temperature sweep with the same zero rates, the
+    local rows of a K or eps scan, and the global rows of chains whose
+    frame generators couple the same entries.  Rows with different sets
+    never share a stack.  Each group is solved in stacks of at most
+    ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a dimer
+    sweep is one stack per set and an N = 5 local block (252^2 elements)
+    goes alone.  Every spec of a chain whose eigenbasis route degenerates
+    gets that DegenerateTransition (the other chains of the call are
+    solved as usual), and a spec whose steady state is not unique gets its
+    own DegenerateKernel.  Each report is the one :func:`steady_report`
+    gives, bit for bit.
     """
-    chains = {}
-    for i, spec in enumerate(specs):
-        key = (spec.epsilons, spec.couplings, spec.baths[0].attached_site,
-               spec.baths[-1].attached_site)
-        chains.setdefault(key, []).append(i)
+    structures = {}
+    sets = {}  # (chain, zero rates) -> key of the set of unknowns
+    groups = {}
     results = [None] * len(specs)
-    for rows in chains.values():
-        try:
-            structure = chain_structure(specs[rows[0]], approach)
-        except DegenerateTransition as err:
-            for i in rows:
-                results[i] = err
+    for i, spec in enumerate(specs):
+        chain = (spec.epsilons, spec.couplings, spec.baths[0].attached_site,
+                 spec.baths[-1].attached_site)
+        structure = structures.get(chain)
+        if structure is None:
+            try:
+                structure = chain_structure(spec, approach)
+            except DegenerateTransition as err:
+                # kept without its traceback, whose frames would hold this
+                # call's locals in a reference cycle
+                structure = err.with_traceback(None)
+            structures[chain] = structure
+        if isinstance(structure, DegenerateTransition):
+            results[i] = structure
             continue
-        stacks = {}
-        for i in rows:
-            rates = structure.rates(specs[i].baths)
-            stacks.setdefault(tuple(r == 0 for r in rates), []).append((i, rates))
-        for zero, members in stacks.items():
+        rates = structure.rates(spec.baths)
+        zero = tuple(r == 0 for r in rates)
+        group = sets.get((chain, zero))
+        if group is None:
             unknowns = structure.unknowns(zero)
-            step = max(1, _GRID_ELEMENTS // unknowns.size**2)
-            for start in range(0, len(members), step):
-                part = members[start:start + step]
-                reports = _stack_reports(structure, [specs[i] for i, _ in part], approach,
-                                         np.array([rates for _, rates in part]), unknowns)
-                for (i, _), report in zip(part, reports):
-                    results[i] = report
+            group = sets[chain, zero] = (unknowns.dim, unknowns.rows.tobytes(),
+                                         unknowns.cols.tobytes(), len(rates))
+            groups.setdefault(group, (unknowns, []))
+        groups[group][1].append((i, structure, rates))
+    for unknowns, members in groups.values():
+        step = max(1, _GRID_ELEMENTS // unknowns.size**2)
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            reports = _stack_reports([structure for _, structure, _ in part],
+                                     [specs[i] for i, _, _ in part], approach,
+                                     np.array([rates for _, _, rates in part]), unknowns)
+            for (i, _, _), report in zip(part, reports):
+                results[i] = report
     return results
 
 
@@ -320,35 +338,53 @@ def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _stack_reports(structure, specs, approach, rates, unknowns) -> list:
-    """Reports of one stack of rows that share ``structure`` and ``unknowns``.
+def _per_row(owners, name: str) -> np.ndarray:
+    """Each row's array ``name``, stacked; one with a leading axis of one if all rows share it."""
+    arrays = [getattr(owner, name) for owner in owners]
+    if all(a is arrays[0] for a in arrays):
+        return arrays[0][None]
+    return np.array(arrays)
 
-    The blocks are built at once (:func:`superoperator`) and solved by one
-    stacked call (:func:`solve_steady`).  Tr{H D(rho)} is linear in rho:
+
+def _stack_reports(structures, specs, approach, rates, unknowns) -> list:
+    """Reports of one stack of rows that share ``unknowns``; row j is on ``structures[j]``.
+
+    The blocks are built at once (:func:`superoperator`), each on its own
+    row's H and jump operators, and solved by one stacked call
+    (:func:`solve_steady`).  Tr{H D(rho)} is linear in rho:
     gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
-    functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) the chain's
+    functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) each row's
     structure keeps, so one product with each rho gives every channel's
     traces; the populations are read off the number operators in the frame
     the same way.  Each reservoir's flux is the sum of its channel fluxes.
     """
-    sol = solve_steady(superoperator(structure.frame_hamiltonian, structure.operators, rates,
-                                     unknowns), unknowns)
-    k, d = len(specs), structure.hamiltonian.shape[0]
+    k, d = len(specs), unknowns.dim
+    sol = solve_steady(superoperator(_per_row(structures, "frame_hamiltonian"),
+                                     _per_row(structures, "operators"), rates, unknowns),
+                       unknowns)
     flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{F rho} = F . rho^T
-    traces = structure.flux_functionals.reshape(-1, d * d) @ flat
+    functionals = _per_row(structures, "flux_functionals")
+    traces = functionals.reshape(len(functionals), -1, d * d) @ flat
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
     channels = _imaginary_residue(channels, "heat flux").tolist()
-    populations = structure.population_functionals.reshape(-1, d * d) @ flat
+    numbers = _per_row(structures, "population_functionals")
+    populations = numbers.reshape(len(numbers), -1, d * d) @ flat
     populations = _imaginary_residue(populations[..., 0], "population").tolist()
-    rho = structure.to_site(sol.rho)
-    bins = [[omega for omega, _ in reservoir] for reservoir in structure.bins]
+    rho = sol.rho
+    if approach == "global":
+        frames = _per_row([structure.eigensystem for structure in structures], "frame")
+        rho = frames @ rho @ frames.conj().swapaxes(1, 2)
     residuals, rconds = sol.residual.tolist(), sol.rcond.tolist()
     out = []
-    for j, spec in enumerate(specs):
+    last = None
+    for j, (structure, spec) in enumerate(zip(structures, specs)):
         error = uniqueness_error(rconds[j], unknowns.size)
         if error is not None:
             out.append(error)
             continue
+        if structure is not last:
+            last = structure
+            bins = [[omega for omega, _ in reservoir] for reservoir in structure.bins]
         values = iter(channels[j])
         breakdown = tuple(tuple(zip(omegas, values)) for omegas in bins)
         out.append(SteadyReport(

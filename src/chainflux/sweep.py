@@ -17,6 +17,7 @@ from .errors import (
     SpecInvalid,
     UnknownKey,
 )
+from .lindblad import _CHAINS
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import SteadyReport, steady_reports
 
@@ -265,13 +266,19 @@ def format_config(request: SweepRequest) -> str:
 
 
 def _row_task(args):
-    """Rows and skips of one chunk of (grid value, spec) points under one approach.
+    """Rows and skips of one chunk of (grid value, spec) points, per approach of the request.
 
-    The chunk's specs are solved together (:func:`steady_reports`); a point
-    whose eigenbasis degenerates or whose steady state is not unique becomes
-    an annotated skip.
+    For each approach the chunk's specs are solved together
+    (:func:`steady_reports`); a point whose eigenbasis degenerates or whose
+    steady state is not unique becomes an annotated skip.  Both approaches
+    run in the same task, so they share each chain's operators and
+    eigensystem (:func:`chainflux.lindblad.chain_structure`).
     """
-    request, points, approach = args
+    request, points = args
+    return tuple(_approach_rows(request, points, approach) for approach in request.approaches)
+
+
+def _approach_rows(request, points, approach) -> list:
     reports = steady_reports([spec for _, spec in points], approach)
     solved = [report for report in reports if isinstance(report, SteadyReport)]
     diagonals = iter(())
@@ -311,26 +318,33 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     residual above ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst
     row.
 
-    Each approach's points go in one task, or with ``workers`` > 1 in
-    2 * workers contiguous chunks shared by a process pool whose workers
-    keep their own chain structures
-    (:func:`chainflux.lindblad.chain_structure`).  A task solves the points
-    of one chain together: a temperature sweep's chunk is one stacked solve
-    per set of zero rates, while each point of a K or eps sweep is a chain
-    of its own and a stack of one.
+    The grid goes in contiguous chunks, each one task that solves its points
+    under every approach of the request (:func:`_row_task`), so both
+    approaches of a chain share its H, eigensystem and site operators: one
+    chunk with ``workers`` = 1, or 2 * ``workers`` chunks for a process
+    pool whose workers keep their own caches.  On a K or eps axis, where
+    every point is a chain of its own, a chunk holds at most ``_CHAINS``
+    points, the number of chains the per-process cache of chain operators
+    keeps (:func:`chainflux.lindblad.chain_structure`), so a task never
+    evicts a chain it still needs.  A task solves each approach's rows in
+    stacks grouped by set of unknowns, across chains
+    (:func:`steady_reports`): a temperature sweep's chunk is one stacked
+    solve per set of zero rates, and the chains of a K or eps scan that
+    couple the same entries are solved together.
     """
     points = [(value, apply_axis(request.base, request.axis, value)) for value in request.grid]
     pieces = 2 * workers if workers > 1 else 1
     size = max(1, -(-len(points) // pieces))
-    tasks = [(request, tuple(points[i:i + size]), approach)
-             for approach in request.approaches
-             for i in range(0, len(points), size)]
+    if request.axis in ("k", "eps"):
+        size = min(size, _CHAINS)
+    tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_row_task, tasks))
     else:
         chunks = [_row_task(t) for t in tasks]
-    results = [result for chunk in chunks for result in chunk]
+    results = [result for a in range(len(request.approaches))
+               for chunk in chunks for result in chunk[a]]
 
     rows = tuple(r for r in results if isinstance(r, SweepRow))
     skipped = tuple(r for r in results if isinstance(r, SkippedRow))
@@ -359,12 +373,12 @@ def _columns(table: SweepTable) -> list:
     return cols
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def emit_csv(table: SweepTable, path) -> None:
-    """Write the table as CSV with '#' metadata lines, LF endings, 17 digits."""
+    """Write the table as CSV with '#' metadata lines, LF endings, 17 digits.
+
+    Each row is one printf-style format over the table's columns; "%.17g"
+    gives the same bytes as ``f"{x:.17g}"``.
+    """
     lines = []
     for key, value in table.metadata:
         lines.append(f"# {key}: {value}")
@@ -373,17 +387,14 @@ def emit_csv(table: SweepTable, path) -> None:
     for skip in table.skipped:
         lines.append(
             f"# skipped: {skip.reason} "
-            f"{table.request.axis}={_format_float(skip.axis_value)} "
+            f"{table.request.axis}={skip.axis_value:.17g} "
             f"approach={skip.approach}"
         )
-    lines.append(",".join(_columns(table)))
-    for row in table.rows:
-        fields = [_format_float(row.axis_value), row.approach]
-        fields += [_format_float(x) for x in row.populations]
-        fields += [_format_float(x) for x in row.fluxes]
-        fields += [_format_float(x) for x in row.diagonals]
-        fields.append(_format_float(row.residual))
-        lines.append(",".join(fields))
+    columns = _columns(table)
+    lines.append(",".join(columns))
+    row_format = ",".join("%s" if name == "approach" else "%.17g" for name in columns)
+    lines += [row_format % (row.axis_value, row.approach, *row.populations, *row.fluxes,
+                            *row.diagonals, row.residual) for row in table.rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,21 +18,26 @@ from chainflux import (
     solve_steady,
     steady_report,
 )
-from chainflux.lindblad import _chain_structure, chain_structure
+from chainflux.lindblad import _chain_operators, _chain_structure, chain_structure
 from chainflux.observables import steady_reports
 from chainflux.steady import uniqueness_error
 from chainflux.sweep import SweepRequest
 
 
+def clear_caches():
+    _chain_structure.cache_clear()
+    _chain_operators.cache_clear()
+
+
 @pytest.fixture
 def cold_cache():
-    _chain_structure.cache_clear()
+    clear_caches()
     yield
-    _chain_structure.cache_clear()
+    clear_caches()
 
 
 def cold_report(spec, approach):
-    _chain_structure.cache_clear()
+    clear_caches()
     return steady_report(spec, approach)
 
 
@@ -61,7 +66,7 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, cold_cach
         request = SweepRequest(base=base, axis=axis, grid=GRID,
                                approaches=("global", "local"),
                                outputs=("populations", "heat_flux"))
-        _chain_structure.cache_clear()
+        clear_caches()
         table = run_sweep(request)
         info = _chain_structure.cache_info()
         # one structure per approach, looked up once for the whole grid

@@ -228,9 +228,10 @@ def test_only_true_zero_modes_are_skipped(n):
 
 
 def test_global_rows_diagonalize_once(monkeypatch):
-    # a temperature sweep reuses its chain's structure: H is diagonalized
-    # once per approach, for the eigenbasis frame (global) and for the
-    # rho_diagonals columns (local), not once per row
+    # a temperature sweep reuses its chain's structure, and both approaches
+    # share the chain's eigensystem: H is diagonalized once, for the
+    # eigenbasis frame (global) and the rho_diagonals columns (local), not
+    # once per row or per approach
     import chainflux.lindblad
 
     calls = []
@@ -241,9 +242,10 @@ def test_global_rows_diagonalize_once(monkeypatch):
 
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     chainflux.lindblad._chain_structure.cache_clear()
+    chainflux.lindblad._chain_operators.cache_clear()
     req = small_request(outputs=("rho_diagonals",), grid=(0.5, 1.0, 2.0))
     run_sweep(req)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
