@@ -28,6 +28,7 @@ only evaluate occupations and solve.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -260,10 +261,6 @@ def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
 # the peak memory of every sweep process.
 _GRID_ELEMENTS = 1 << 14
 
-# The complex zero whose sum with any x is x bit for bit (-0 + -0 = -0).
-_NOTHING = complex(-0.0, -0.0)
-
-
 def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
     """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
 
@@ -277,11 +274,10 @@ def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
     stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each block its
     own, as for the rows of different chains, and a leading axis of one is
     broadcast.  A^dag A and the gathered grid of A are formed once per
-    operator set, and blocks of one shared set that all have the same rates
-    share their dissipative part.  Each block is summed term by term in the
-    same order whatever the stack, and a term whose rate is zero is skipped
-    in that block, so a block does not depend on the stack it is built in.
-    ``H`` may be None for a dissipator alone.
+    operator set; each block is then summed term by term in the same order
+    whatever the stack, so it does not depend on the stack it is built in.
+    ``H`` may be None for a dissipator alone; terms whose rate is zero in
+    every row are skipped.
     """
     d, m = unknowns.dim, unknowns.size
     rates = np.asarray(rates, dtype=float)
@@ -293,40 +289,26 @@ def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
         ops = ops.reshape((1,) + rates.shape[1:] + (d, d))
     used = np.flatnonzero((rates != 0).any(axis=0))
     rates, ops = rates[:, used], ops[:, used]
-    absent = rates == 0  # term t of block i is skipped where True
-    # J - r_1 A_1^dag A_1 / 2 - r_2 A_2^dag A_2 / 2 - ... in that order: a
-    # reduction over a leading axis runs term by term, and subtracting +0
-    # (an absent term) leaves every value, -0 included, as it was
-    J = np.zeros((1, d, d), dtype=complex) if H is None else -1j * np.asarray(H).reshape(-1, d, d)
-    terms = (0.5 * rates)[:, :, None, None] * (ops.conj().swapaxes(-1, -2) @ ops)
-    if absent.any():
-        terms[absent] = 0.0
-    J = np.subtract.reduce(np.concatenate([np.broadcast_to(J[:, None], (k, 1, d, d)), terms],
-                                          axis=1), axis=1)
-    # blocks with one operator set and the same rates (the local rows of a
-    # K scan) share the dissipative part
-    shared = k > 1 and len(ops) == 1 and (rates == rates[0]).all()
-    distinct = rates[:1] if shared else rates
-    absent = absent[:len(distinct)]
-    L = np.zeros((len(distinct), m, m), dtype=complex)
+    J = np.zeros((d, d), dtype=complex) if H is None else -1j * H
+    J = np.broadcast_to(J, (k, d, d))
+    decay = ops.conj().swapaxes(-1, -2) @ ops
+    for t in range(len(used)):  # term by term
+        J = J - (0.5 * rates[:, t])[:, None, None] * decay[:, t]
+    L = np.zeros((k, m, m), dtype=complex)
     ops = ops.reshape(len(ops), len(used), d * d).swapaxes(0, 1)
-    step = max(1, min(len(used), _GRID_ELEMENTS // (len(L) * m * m)))
-    left = np.empty((step,) + L.shape, dtype=complex)
+    step = max(1, min(len(used), _GRID_ELEMENTS // (k * m * m)))
+    left = np.empty((step, k, m, m), dtype=complex)
     right = np.empty((step, ops.shape[1], m, m), dtype=complex)
     for i in range(0, len(used), step):
         n = min(step, len(used) - i)
         # the grids are in range; mode="clip" lets take fill ``out``
         # directly instead of through a bounds-checked copy
-        np.take(distinct[:, i:i + n].T[:, :, None] * ops[i:i + n].conj(),
+        np.take(rates[:, i:i + n].T[:, :, None] * ops[i:i + n].conj(),
                 unknowns.col_pairs, axis=2, out=left[:n], mode="clip")
         np.take(ops[i:i + n], unknowns.row_pairs, axis=2, out=right[:n], mode="clip")
         left[:n] *= right[:n]
-        # adding -0 (an absent term) leaves every value as it was
-        left[:n][absent[:, i:i + n].T] = _NOTHING
-        for piece in left[:n]:  # term by term
+        for piece in left[:n]:
             L += piece
-    if shared:
-        L = np.repeat(L, k, axis=0)
     flat = L.reshape(k, m * m)
     J = J.reshape(k, d * d)
     at, pairs = unknowns.same_col
@@ -421,11 +403,10 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
 # the figure presets, which sweep temperature at a few fixed chains.
 _STRUCTURES = 8
 
-# Chains whose approach-independent operators are kept per process.  A sweep
-# task over a K or eps scan, where every grid point is a chain of its own,
-# takes at most this many points, so both approaches of a task find each
-# chain's operators still cached.
-_CHAINS = 16
+# Each chain's approach-independent operators, kept while something holds
+# them (a structure, a report or a sweep task), so both approaches'
+# structures of a chain find the same entry however many chains a call holds.
+_CHAIN_ENTRIES = weakref.WeakValueDictionary()
 
 
 def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -450,7 +431,7 @@ class ChainOperators:
     sigma^+ + sigma^- at its attached qubit, fixed by the gaps, couplings
     and attachments; the sector ``eigensystem`` of H is computed on first
     use.  Both approaches' structures of a chain are built from one
-    (:func:`chain_structure`), so H is built and diagonalized once per
+    (:func:`chain_operators`), so H is built and diagonalized once per
     chain.  Every array is read-only.
     """
 
@@ -540,11 +521,10 @@ def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
 
     The key is the spec with each bath reduced to its attachment site, so
     specs that differ only in temperatures or rates share one structure.
-    Both approaches' structures of a chain are built from one cached
-    :class:`ChainOperators` (the last ``_CHAINS`` chains are kept), so they
-    share H and its eigensystem.  Building one that raises
-    (DegenerateTransition) caches no structure, so the error is raised
-    again on every call.
+    Both approaches' structures of a chain are built from its
+    :func:`chain_operators`, so they share H and its eigensystem.  Building
+    one that raises (DegenerateTransition) caches no structure, so the
+    error is raised again on every call.
     """
     if approach not in ("global", "local"):
         raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
@@ -553,21 +533,36 @@ def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
     return _chain_structure(shape, approach)
 
 
+def chain_key(spec: ChainSpec) -> tuple:
+    """What fixes a chain's rate-free structure: its gaps, couplings and attachment sites."""
+    return spec.epsilons, spec.couplings, spec.baths[0].attached_site, spec.baths[-1].attached_site
+
+
+def chain_operators(spec: ChainSpec) -> ChainOperators:
+    """The approach-independent operators of ``spec``'s chain.
+
+    One object per chain for as long as anything holds it: a structure of
+    the chain, a report on one, or a caller that keeps it while it builds
+    both approaches' structures, so that they share one diagonalization.
+    """
+    key = chain_key(spec)
+    entry = _CHAIN_ENTRIES.get(key)
+    if entry is None:
+        n = spec.n_qubits
+        H = build_chain_hamiltonian(spec)
+        couplings = tuple(site_operator(n, bath.attached_site, "raise")
+                          + site_operator(n, bath.attached_site, "lower") for bath in spec.baths)
+        _read_only(H, *couplings)
+        entry = _CHAIN_ENTRIES[key] = ChainOperators(
+            hamiltonian=H, numbers=_number_operators(n), couplings=couplings)
+    return entry
+
+
 @lru_cache(maxsize=None)
 def _number_operators(n_qubits: int) -> np.ndarray:
     numbers = np.array([number_operator(n_qubits, q) for q in range(n_qubits)])
     _read_only(numbers)
     return numbers
-
-
-@lru_cache(maxsize=_CHAINS)
-def _chain_operators(shape: ChainSpec) -> ChainOperators:
-    n = shape.n_qubits
-    H = build_chain_hamiltonian(shape)
-    couplings = tuple(site_operator(n, bath.attached_site, "raise")
-                      + site_operator(n, bath.attached_site, "lower") for bath in shape.baths)
-    _read_only(H, *couplings)
-    return ChainOperators(hamiltonian=H, numbers=_number_operators(n), couplings=couplings)
 
 
 def _with_adjoints(emitted) -> np.ndarray:
@@ -587,7 +582,7 @@ def _local_operators(n_qubits: int, sites: tuple) -> np.ndarray:
 
 @lru_cache(maxsize=_STRUCTURES)
 def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
-    chain = _chain_operators(shape)
+    chain = chain_operators(shape)
     H = chain.hamiltonian
     if approach == "local":
         es, frame_H, numbers = None, H, chain.numbers

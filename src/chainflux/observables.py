@@ -25,6 +25,7 @@ from .lindblad import (
     OMEGA_MIN,
     ChainStructure,
     bose_occupation,
+    chain_key,
     chain_structure,
     superoperator,
     unvectorize,
@@ -277,12 +278,13 @@ def steady_reports(specs, approach: str) -> list:
     Specs of one chain (the same gaps, couplings and attachments, as along a
     temperature sweep) share one structure, looked up once per call; the
     structures of both approaches of a chain share its H and eigensystem
-    through the per-chain cache (:func:`chain_structure`).  Rows are then
-    grouped by their set of unknowns (and number of jump terms), across
-    chains: the rows of a temperature sweep with the same zero rates, the
-    local rows of a K or eps scan, and the global rows of chains whose
-    frame generators couple the same entries.  Rows with different sets
-    never share a stack.  Each group is solved in stacks of at most
+    through the chain's entry (:func:`chainflux.lindblad.chain_operators`),
+    kept while a report on the chain is alive.  Rows are then grouped by
+    their set of unknowns and pattern of zero rates, across chains: the
+    rows of a temperature sweep with the same zero rates, the local rows of
+    a K or eps scan, and the global rows of chains whose frame generators
+    couple the same entries.  Every row of a stack thus skips the same
+    zero-rate terms.  Each group is solved in stacks of at most
     ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a dimer
     sweep is one stack per set and an N = 5 local block (252^2 elements)
     goes alone.  Every spec of a chain whose eigenbasis route degenerates
@@ -292,12 +294,11 @@ def steady_reports(specs, approach: str) -> list:
     gives, bit for bit.
     """
     structures = {}
-    sets = {}  # (chain, zero rates) -> key of the set of unknowns
+    sets = {}  # (chain, zero rates) -> key of the group
     groups = {}
     results = [None] * len(specs)
     for i, spec in enumerate(specs):
-        chain = (spec.epsilons, spec.couplings, spec.baths[0].attached_site,
-                 spec.baths[-1].attached_site)
+        chain = chain_key(spec)
         structure = structures.get(chain)
         if structure is None:
             try:
@@ -316,7 +317,7 @@ def steady_reports(specs, approach: str) -> list:
         if group is None:
             unknowns = structure.unknowns(zero)
             group = sets[chain, zero] = (unknowns.dim, unknowns.rows.tobytes(),
-                                         unknowns.cols.tobytes(), len(rates))
+                                         unknowns.cols.tobytes(), zero)
             groups.setdefault(group, (unknowns, []))
         groups[group][1].append((i, structure, rates))
     for unknowns, members in groups.values():

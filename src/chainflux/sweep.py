@@ -17,7 +17,7 @@ from .errors import (
     SpecInvalid,
     UnknownKey,
 )
-from .lindblad import _CHAINS
+from .lindblad import chain_operators
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import SteadyReport, steady_reports
 
@@ -271,11 +271,17 @@ def _row_task(args):
     For each approach the chunk's specs are solved together
     (:func:`steady_reports`); a point whose eigenbasis degenerates or whose
     steady state is not unique becomes an annotated skip.  Both approaches
-    run in the same task, so they share each chain's operators and
-    eigensystem (:func:`chainflux.lindblad.chain_structure`).
+    run in the same task, which holds each chain's operators and
+    eigensystem (:func:`chain_operators`) until both are done, so they
+    share them, even for a chain whose eigenbasis route degenerates.
     """
     request, points = args
-    return tuple(_approach_rows(request, points, approach) for approach in request.approaches)
+    # held until every approach is done: a chain whose global route
+    # degenerates leaves no structure that would hold its operators
+    chains = [chain_operators(spec) for _, spec in points]
+    rows = tuple(_approach_rows(request, points, approach) for approach in request.approaches)
+    del chains
+    return rows
 
 
 def _approach_rows(request, points, approach) -> list:
@@ -320,14 +326,11 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
 
     The grid goes in contiguous chunks, each one task that solves its points
     under every approach of the request (:func:`_row_task`), so both
-    approaches of a chain share its H, eigensystem and site operators: one
-    chunk with ``workers`` = 1, or 2 * ``workers`` chunks for a process
-    pool whose workers keep their own caches.  On a K or eps axis, where
-    every point is a chain of its own, a chunk holds at most ``_CHAINS``
-    points, the number of chains the per-process cache of chain operators
-    keeps (:func:`chainflux.lindblad.chain_structure`), so a task never
-    evicts a chain it still needs.  A task solves each approach's rows in
-    stacks grouped by set of unknowns, across chains
+    approaches of a chain share its H, eigensystem and site operators
+    (:func:`chainflux.lindblad.chain_structure`): one chunk with
+    ``workers`` = 1, or 2 * ``workers`` chunks for a process pool whose
+    workers keep their own caches.  A task solves each approach's rows in
+    stacks grouped by set of unknowns and zero rates, across chains
     (:func:`steady_reports`): a temperature sweep's chunk is one stacked
     solve per set of zero rates, and the chains of a K or eps scan that
     couple the same entries are solved together.
@@ -335,8 +338,6 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     points = [(value, apply_axis(request.base, request.axis, value)) for value in request.grid]
     pieces = 2 * workers if workers > 1 else 1
     size = max(1, -(-len(points) // pieces))
-    if request.axis in ("k", "eps"):
-        size = min(size, _CHAINS)
     tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -319,9 +319,10 @@ def test_figure_clauses_reject_the_excluded_curves():
 
 
 def test_criterion_08_thermodynamic_sanity():
-    # the draws run through one steady_reports call, the path sweeps take;
-    # the first 200 are also measured with the dense dissipators on the
-    # dense solve
+    # the draws run through steady_reports, the path sweeps take, 1000 at a
+    # time so that only one chunk's reports and structures are held; the
+    # first 200 are also measured with the dense dissipators on the dense
+    # solve
     rng = np.random.default_rng(808)
     specs = []
     for _ in range(10_000):
@@ -333,7 +334,9 @@ def test_criterion_08_thermodynamic_sanity():
         specs.append(dimer(eps, eps, k, t1, t2, g1 or 1.0, g2 or 1.0))
     dev_balance = dev_dense = 0.0
     positive = True
-    for draw, (spec, report) in enumerate(zip(specs, steady_reports(specs, "global"))):
+    reports = (report for start in range(0, len(specs), 1000)
+               for report in steady_reports(specs[start:start + 1000], "global"))
+    for draw, (spec, report) in enumerate(zip(specs, reports)):
         if isinstance(report, Exception):
             raise report
         q1, q2 = report.fluxes

@@ -16,7 +16,7 @@ from chainflux import (
     steady_report,
 )
 from chainflux.lindblad import (
-    _chain_operators,
+    _CHAIN_ENTRIES,
     _chain_structure,
     chain_structure,
     coupled_unknowns,
@@ -29,7 +29,7 @@ from test_block_solve import CASES
 
 def clear_caches():
     _chain_structure.cache_clear()
-    _chain_operators.cache_clear()
+    _CHAIN_ENTRIES.clear()
 
 
 @pytest.fixture
@@ -204,8 +204,8 @@ def test_both_approaches_share_one_eigensystem(cold_cache):
 
 
 def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch, cold_cache):
-    # both approaches of a task share each chain's eigensystem; a K scan
-    # longer than the chain cache is cut into tasks that fit it
+    # both approaches of a task share each chain's eigensystem, however many
+    # chains the task holds, the zero mode's chain too
     import chainflux.lindblad
 
     calls = []
@@ -215,23 +215,24 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch, cold_cache):
         return _real(H)
 
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
-    grid = tuple(np.linspace(0.3, 0.8, chainflux.lindblad._CHAINS + 5))
+    zero_mode = 1.5 / (2 * math.cos(math.pi / 4))
+    grid = tuple(np.linspace(0.3, 0.8, 40)) + (zero_mode,)
     request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k", grid=grid,
                            approaches=("global", "local"), outputs=("rho_diagonals",))
     table = run_sweep(request)
-    assert len(table.rows) == 2 * len(grid)
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
+    assert len(table.rows) == 2 * len(grid) - 1
     assert len(calls) == len(grid)
 
 
-def test_rows_with_different_zero_rates_share_a_stack_bit_for_bit(monkeypatch, cold_cache):
-    # T = 0 switches a reservoir's absorption terms off; where the coupled
-    # set stays the same, such rows are stacked with rows that keep them
-    mixed = []
+def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch, cold_cache):
+    # T = 0 switches a reservoir's absorption terms off; every row of a stack
+    # has the same zero rates, and each row is its cold report bit for bit
+    stacks = []
     real = chainflux.observables._stack_reports
 
     def recording(structures, specs, approach, rates, unknowns):
-        if ((rates == 0).any(axis=0) & (rates != 0).any(axis=0)).any():
-            mixed.append(len(specs))
+        stacks.append(rates)
         return real(structures, specs, approach, rates, unknowns)
 
     monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
@@ -242,4 +243,6 @@ def test_rows_with_different_zero_rates_share_a_stack_bit_for_bit(monkeypatch, c
             whole = steady_reports(specs, approach)
             for spec, report in zip(specs, whole):
                 assert_same_report(report, cold_report(spec, approach))
-    assert mixed
+    assert all((rates == 0).all(axis=0).tolist() == (rates == 0).any(axis=0).tolist()
+               for rates in stacks)
+    assert any(len(rates) > 1 for rates in stacks)

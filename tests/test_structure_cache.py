@@ -18,7 +18,7 @@ from chainflux import (
     solve_steady,
     steady_report,
 )
-from chainflux.lindblad import _chain_operators, _chain_structure, chain_structure
+from chainflux.lindblad import _CHAIN_ENTRIES, _chain_structure, chain_structure
 from chainflux.observables import steady_reports
 from chainflux.steady import uniqueness_error
 from chainflux.sweep import SweepRequest
@@ -26,7 +26,7 @@ from chainflux.sweep import SweepRequest
 
 def clear_caches():
     _chain_structure.cache_clear()
-    _chain_operators.cache_clear()
+    _CHAIN_ENTRIES.clear()
 
 
 @pytest.fixture

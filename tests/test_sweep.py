@@ -242,7 +242,7 @@ def test_global_rows_diagonalize_once(monkeypatch):
 
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     chainflux.lindblad._chain_structure.cache_clear()
-    chainflux.lindblad._chain_operators.cache_clear()
+    chainflux.lindblad._CHAIN_ENTRIES.clear()
     req = small_request(outputs=("rho_diagonals",), grid=(0.5, 1.0, 2.0))
     run_sweep(req)
     assert len(calls) == 1
