@@ -52,7 +52,6 @@ from .operators import (
 )
 from .lindblad import (
     OMEGA_MIN,
-    Channel,
     LindbladModel,
     assemble,
     bose_occupation,
@@ -108,7 +107,7 @@ __all__ = [
     "EigenSystem", "EigenSystemDimer", "build_chain_hamiltonian", "diagonalize",
     "dimer_analytic_eigensystem", "number_operator", "site_operator",
     "total_excitation",
-    "OMEGA_MIN", "Channel", "LindbladModel", "assemble", "bose_occupation",
+    "OMEGA_MIN", "LindbladModel", "assemble", "bose_occupation",
     "thermal_dissipator", "unvectorize", "vectorize",
     "SteadySolution", "Trajectory", "check_density_matrix", "evolve_rk4",
     "solve_steady", "trace_distance",

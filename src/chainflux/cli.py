@@ -107,6 +107,9 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "workers", 1) < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     handlers = {
         "steady": cmd_steady,
         "sweep": cmd_sweep,

@@ -1,4 +1,4 @@
-"""Jump operators, dissipative channels and the generator in vectorized form.
+"""Jump operators, frequency bins and the generator in vectorized form.
 
 Two routes to the dissipators are built here.  The eigenbasis ("global")
 route decomposes each endpoint coupling operator into lowering components
@@ -10,26 +10,27 @@ at its own gap, ignoring the interqubit coupling in the rates.
 All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
 
-Both routes end in the same operator form: per reservoir, a list of
-channels (omega, A, gamma, nbar), with A held in the frame the steady state
-is solved in (the eigenbasis for the global route, the site basis for the
-local one).  Every superoperator is built from that form by one function,
-:func:`superoperator`, on a chosen set of unknowns: the entries the
-generator couples to the diagonal for the steady solve, every entry for the
-dense site-basis generator kept for tests and time evolution.
+Both routes end in the same operator form: per reservoir, a list of bins
+(omega, A), with A held in the frame the steady state is solved in (the
+eigenbasis for the global route, the site basis for the local one).  Every
+superoperator is built from that form by one function, :func:`superoperator`,
+on a chosen set of unknowns: the entries the generator couples to the
+diagonal for the steady solve, every entry for the dense site-basis
+generator kept for tests and time evolution.
 
-Temperatures and bath rates enter only through the rates of the channels.
-Everything else is built once and cached (:func:`chain_structure`): H, its
-eigensystem and the site operators once per chain (gaps, couplings,
-attachments) for both approaches, the binned operators and each bin's flux
-functionals once per chain and approach, so the rows of a temperature sweep
-only evaluate occupations and solve.
+Temperatures and bath rates enter only through the rates gamma (nbar + 1)
+and gamma nbar of the bins.  Everything else is rate-free and is built here,
+not kept: H, its eigensystem and the site operators of a chain (gaps,
+couplings, attachments) in :func:`chain_operators`, the binned operators
+and each bin's flux functionals of a chain and approach in
+:func:`chain_structure`.  The caller that owns a request
+(:func:`chainflux.observables.steady_reports`) builds each once per chain
+and shares them between the rows and both approaches.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -323,22 +324,6 @@ def thermal_rates(gamma: float, nbar: float) -> tuple:
     return gamma * (nbar + 1.0), gamma * nbar
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One dissipative channel of a reservoir, in operator form.
-
-    Emission through ``operator`` at rate gamma (nbar + 1) and absorption
-    through its adjoint at rate gamma nbar.  ``omega`` is the Bohr frequency
-    of the channel (its bin for the global approach, the site gap for the
-    local one).  The operator is given in the basis of the caller's choice.
-    """
-
-    omega: float
-    operator: np.ndarray
-    gamma: float
-    nbar: float
-
-
 def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
     """Dense emission at gamma (nbar + 1) through A plus absorption at gamma nbar through A^dag."""
     return superoperator(None, (A, A.conj().T), thermal_rates(gamma, nbar),
@@ -370,12 +355,6 @@ def local_bins(spec: ChainSpec, bath: BathSpec) -> tuple:
     return ((spec.epsilons[site], site_operator(spec.n_qubits, site, "lower")),)
 
 
-def thermal_channels(bins, bath: BathSpec) -> tuple:
-    """The channel of each (omega, A) bin at the rate and temperature of ``bath``."""
-    return tuple(Channel(omega, A, bath.gamma, bose_occupation(omega, bath.temperature))
-                 for omega, A in bins)
-
-
 # Dense site-basis builders outside the sweep path; perfbench/tracing.py
 # times them by these names.
 def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
@@ -397,16 +376,6 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     if any(D.shape != L.shape for D in dissipators):
         raise DimensionMismatch(f"a dissipator's shape differs from the generator's {L.shape}")
     return sum(dissipators, L)
-
-
-# Rate-free structures kept per process: enough (chain, approach) pairs for
-# the figure presets, which sweep temperature at a few fixed chains.
-_STRUCTURES = 8
-
-# Each chain's approach-independent operators, kept while something holds
-# them (a structure, a report or a sweep task), so both approaches'
-# structures of a chain find the same entry however many chains a call holds.
-_CHAIN_ENTRIES = weakref.WeakValueDictionary()
 
 
 def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -431,7 +400,7 @@ class ChainOperators:
     sigma^+ + sigma^- at its attached qubit, fixed by the gaps, couplings
     and attachments; the sector ``eigensystem`` of H is computed on first
     use.  Both approaches' structures of a chain are built from one
-    (:func:`chain_operators`), so H is built and diagonalized once per
+    (:func:`chain_structure`), so H is built and diagonalized once per
     chain.  Every array is read-only.
     """
 
@@ -474,17 +443,6 @@ class ChainStructure:
     operators: np.ndarray
     flux_functionals: np.ndarray
     population_functionals: np.ndarray
-    patterns: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """H in the site basis."""
-        return self.chain.hamiltonian
-
-    @property
-    def spectrum(self) -> EigenSystem:
-        """The chain's eigensystem of H, for either approach."""
-        return self.chain.eigensystem
 
     def rates(self, baths) -> list:
         """Rate of each of :attr:`operators` with ``baths`` attached."""
@@ -499,14 +457,9 @@ class ChainStructure:
 
         ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0 or
         omega / T > 700); the operators are fixed, so the set changes only
-        with these flags and is kept for each choice of them.
+        with these flags.
         """
-        zero = tuple(bool(z) for z in zero)
-        found = self.patterns.get(zero)
-        if found is None:
-            found = self.patterns[zero] = coupled_unknowns(
-                self.frame_hamiltonian, self.operators[~np.array(zero)])
-        return found
+        return coupled_unknowns(self.frame_hamiltonian, self.operators[~np.asarray(zero)])
 
     def to_site(self, rho: np.ndarray) -> np.ndarray:
         """Matrices given in the solve frame (one, or a stack), in the site basis."""
@@ -516,46 +469,19 @@ class ChainStructure:
         return frame @ rho @ frame.conj().T
 
 
-def chain_structure(spec: ChainSpec, approach: str) -> ChainStructure:
-    """The cached rate-free structure of ``spec`` under ``approach``.
-
-    The key is the spec with each bath reduced to its attachment site, so
-    specs that differ only in temperatures or rates share one structure.
-    Both approaches' structures of a chain are built from its
-    :func:`chain_operators`, so they share H and its eigensystem.  Building
-    one that raises (DegenerateTransition) caches no structure, so the
-    error is raised again on every call.
-    """
-    if approach not in ("global", "local"):
-        raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    baths = tuple(BathSpec(0.0, attached_site=bath.attached_site) for bath in spec.baths)
-    shape = ChainSpec(spec.n_qubits, tuple(spec.epsilons), tuple(spec.couplings), baths)
-    return _chain_structure(shape, approach)
-
-
 def chain_key(spec: ChainSpec) -> tuple:
     """What fixes a chain's rate-free structure: its gaps, couplings and attachment sites."""
     return spec.epsilons, spec.couplings, spec.baths[0].attached_site, spec.baths[-1].attached_site
 
 
 def chain_operators(spec: ChainSpec) -> ChainOperators:
-    """The approach-independent operators of ``spec``'s chain.
-
-    One object per chain for as long as anything holds it: a structure of
-    the chain, a report on one, or a caller that keeps it while it builds
-    both approaches' structures, so that they share one diagonalization.
-    """
-    key = chain_key(spec)
-    entry = _CHAIN_ENTRIES.get(key)
-    if entry is None:
-        n = spec.n_qubits
-        H = build_chain_hamiltonian(spec)
-        couplings = tuple(site_operator(n, bath.attached_site, "raise")
-                          + site_operator(n, bath.attached_site, "lower") for bath in spec.baths)
-        _read_only(H, *couplings)
-        entry = _CHAIN_ENTRIES[key] = ChainOperators(
-            hamiltonian=H, numbers=_number_operators(n), couplings=couplings)
-    return entry
+    """The approach-independent operators of ``spec``'s chain, newly built."""
+    n = spec.n_qubits
+    H = build_chain_hamiltonian(spec)
+    couplings = tuple(site_operator(n, bath.attached_site, "raise")
+                      + site_operator(n, bath.attached_site, "lower") for bath in spec.baths)
+    _read_only(H, *couplings)
+    return ChainOperators(hamiltonian=H, numbers=_number_operators(n), couplings=couplings)
 
 
 @lru_cache(maxsize=None)
@@ -580,14 +506,21 @@ def _local_operators(n_qubits: int, sites: tuple) -> np.ndarray:
     return operators
 
 
-@lru_cache(maxsize=_STRUCTURES)
-def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
-    chain = chain_operators(shape)
+def chain_structure(chain: ChainOperators, spec: ChainSpec, approach: str) -> ChainStructure:
+    """The rate-free structure of ``spec``'s chain under ``approach``, newly built.
+
+    ``chain`` is the chain's :func:`chain_operators`; building both
+    approaches' structures from one shares H and its eigensystem.  Only the
+    gaps, couplings and attachments of ``spec`` are read.  Raises
+    DegenerateTransition where the eigenbasis route degenerates.
+    """
+    if approach not in ("global", "local"):
+        raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
     H = chain.hamiltonian
     if approach == "local":
         es, frame_H, numbers = None, H, chain.numbers
-        bins = tuple(local_bins(shape, bath) for bath in shape.baths)
-        operators = _local_operators(shape.n_qubits, tuple(b.attached_site for b in shape.baths))
+        bins = tuple(local_bins(spec, bath) for bath in spec.baths)
+        operators = _local_operators(spec.n_qubits, tuple(b.attached_site for b in spec.baths))
     else:
         es = chain.eigensystem
         frame_H = np.diag(es.energies[es.frame_order])
@@ -607,28 +540,24 @@ def _chain_structure(shape: ChainSpec, approach: str) -> ChainStructure:
 class LindbladModel:
     """Generator of one chain under one approach at one set of bath rates.
 
-    ``structure`` is the chain's rate-free part (:func:`chain_structure`),
-    shared by every model of the same gaps, couplings and approach.  The
-    steady state is solved in a frame: the eigenbasis
-    ``eigensystem.frame`` for the global approach, where H is diagonal, and
-    the site basis for the local one (``eigensystem`` is None there).
-    ``frame_channels[j]`` lists reservoir j's channels in that frame at this
-    model's rates: one per frequency bin for the global approach, a single
-    one at the site gap for the local.  Everything else is derived on first
-    use: ``block`` in the frame on the unknowns the steady state occupies,
-    and in the site basis ``channels``, the dense ``liouvillian`` and the
+    ``structure`` is the chain's rate-free part (:func:`chain_structure`);
+    the rates of its jump operators come from ``spec``'s baths.  The steady
+    state is solved in a frame: the eigenbasis ``eigensystem.frame`` for the
+    global approach, where H is diagonal, and the site basis for the local
+    one (``eigensystem`` is None there).  Everything else is derived on
+    first use: ``block`` in the frame on the unknowns the steady state
+    occupies, and in the site basis the dense ``liouvillian`` and the
     per-reservoir ``dissipators``.
     """
 
     spec: ChainSpec
     approach: str
     structure: ChainStructure
-    frame_channels: tuple
 
     @property
     def hamiltonian(self) -> np.ndarray:
         """H in the site basis."""
-        return self.structure.hamiltonian
+        return self.structure.chain.hamiltonian
 
     @property
     def eigensystem(self) -> EigenSystem:
@@ -639,12 +568,6 @@ class LindbladModel:
     def frame_hamiltonian(self) -> np.ndarray:
         """H in the solve frame."""
         return self.structure.frame_hamiltonian
-
-    @cached_property
-    def channels(self) -> tuple:
-        """``frame_channels`` in the site basis."""
-        return tuple(tuple(replace(ch, operator=self.to_site(ch.operator)) for ch in reservoir)
-                     for reservoir in self.frame_channels)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -683,9 +606,6 @@ class LindbladModel:
 
 
 def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
-    """The chain's rate-free structure with each channel's rates at ``spec``'s baths."""
-    structure = chain_structure(spec, approach)
-    channels = tuple(thermal_channels(bins, bath)
-                     for bins, bath in zip(structure.bins, spec.baths))
-    return LindbladModel(spec=spec, approach=approach, structure=structure,
-                         frame_channels=channels)
+    """The generator of ``spec`` under ``approach``, on a newly built structure."""
+    structure = chain_structure(chain_operators(spec), spec, approach)
+    return LindbladModel(spec=spec, approach=approach, structure=structure)

@@ -23,9 +23,10 @@ from .errors import (
 from .lindblad import (
     _GRID_ELEMENTS,
     OMEGA_MIN,
-    ChainStructure,
+    ChainOperators,
     bose_occupation,
     chain_key,
+    chain_operators,
     chain_structure,
     superoperator,
     unvectorize,
@@ -244,8 +245,9 @@ class SteadyReport:
     """Full numeric pipeline output for one chain under one approach.
 
     ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal condition
-    number and the number of entries of rho it solved for; ``structure`` is
-    the chain's rate-free structure the state was solved on.
+    number and the number of entries of rho it solved for; ``chain`` holds
+    the chain's H in the site basis and its eigensystem, computed on first
+    use and shared by the reports of both approaches on the chain.
     """
 
     spec: ChainSpec
@@ -257,7 +259,7 @@ class SteadyReport:
     channel_fluxes: tuple  # per reservoir: ((omega, flux), ...)
     rcond: float
     unknowns: int
-    structure: ChainStructure = field(repr=False, compare=False)
+    chain: ChainOperators = field(repr=False, compare=False)
 
 
 def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
@@ -266,25 +268,27 @@ def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
     A stack of one of :func:`steady_reports`; raises the DegenerateTransition
     or DegenerateKernel that function would return.
     """
-    (report,) = steady_reports([spec], approach)
+    ((report,),) = steady_reports([spec], (approach,))
     if isinstance(report, Exception):
         raise report
     return report
 
 
-def steady_reports(specs, approach: str) -> list:
-    """The SteadyReport of each spec under ``approach``, or the error that stopped it.
+def steady_reports(specs, approaches) -> list:
+    """Per approach, the SteadyReport of each spec, or the error that stopped it.
 
-    Specs of one chain (the same gaps, couplings and attachments, as along a
-    temperature sweep) share one structure, looked up once per call; the
-    structures of both approaches of a chain share its H and eigensystem
-    through the chain's entry (:func:`chainflux.lindblad.chain_operators`),
-    kept while a report on the chain is alive.  Rows are then grouped by
-    their set of unknowns and pattern of zero rates, across chains: the
-    rows of a temperature sweep with the same zero rates, the local rows of
-    a K or eps scan, and the global rows of chains whose frame generators
-    couple the same entries.  Every row of a stack thus skips the same
-    zero-rate terms.  Each group is solved in stacks of at most
+    The call owns every chain's rate-free data and drops it when it
+    returns: one :class:`ChainOperators` per chain (the same gaps, couplings
+    and attachments, as along a temperature sweep), so H is built and
+    diagonalized once per chain for every approach, and one
+    :class:`~chainflux.lindblad.ChainStructure` per chain and approach.
+    The approaches are solved one after the other, so one approach's
+    structures are let go before the next one's are built.  Within an
+    approach, rows are grouped by their set of unknowns and pattern of zero
+    rates, across chains: the rows of a temperature sweep with the same
+    zero rates, the local rows of a K or eps scan, and the global rows of
+    chains whose frame generators couple the same entries.  Every row of a
+    stack thus skips the same zero-rate terms.  Each group is solved in stacks of at most
     ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a dimer
     sweep is one stack per set and an N = 5 local block (252^2 elements)
     goes alone.  Every spec of a chain whose eigenbasis route degenerates
@@ -293,31 +297,41 @@ def steady_reports(specs, approach: str) -> list:
     own DegenerateKernel.  Each report is the one :func:`steady_report`
     gives, bit for bit.
     """
+    chains = {}
+    for spec in specs:
+        key = chain_key(spec)
+        if key not in chains:
+            chains[key] = chain_operators(spec)
+    return [_approach_reports(specs, chains, approach) for approach in approaches]
+
+
+def _approach_reports(specs, chains, approach) -> list:
+    """:func:`steady_reports` under one approach, on the call's ``chains``."""
     structures = {}
     sets = {}  # (chain, zero rates) -> key of the group
     groups = {}
     results = [None] * len(specs)
     for i, spec in enumerate(specs):
-        chain = chain_key(spec)
-        structure = structures.get(chain)
+        key = chain_key(spec)
+        structure = structures.get(key)
         if structure is None:
             try:
-                structure = chain_structure(spec, approach)
+                structure = chain_structure(chains[key], spec, approach)
             except DegenerateTransition as err:
                 # kept without its traceback, whose frames would hold this
                 # call's locals in a reference cycle
                 structure = err.with_traceback(None)
-            structures[chain] = structure
+            structures[key] = structure
         if isinstance(structure, DegenerateTransition):
             results[i] = structure
             continue
         rates = structure.rates(spec.baths)
         zero = tuple(r == 0 for r in rates)
-        group = sets.get((chain, zero))
+        group = sets.get((key, zero))
         if group is None:
             unknowns = structure.unknowns(zero)
-            group = sets[chain, zero] = (unknowns.dim, unknowns.rows.tobytes(),
-                                         unknowns.cols.tobytes(), zero)
+            group = sets[key, zero] = (unknowns.dim, unknowns.rows.tobytes(),
+                                       unknowns.cols.tobytes(), zero)
             groups.setdefault(group, (unknowns, []))
         groups[group][1].append((i, structure, rates))
     for unknowns, members in groups.values():
@@ -392,6 +406,6 @@ def _stack_reports(structures, specs, approach, rates, unknowns) -> list:
             spec=spec, approach=approach, rho=rho[j], populations=tuple(populations[j]),
             fluxes=tuple(sum(q for _, q in reservoir) for reservoir in breakdown),
             residual=residuals[j], channel_fluxes=breakdown,
-            rcond=rconds[j], unknowns=unknowns.size, structure=structure,
+            rcond=rconds[j], unknowns=unknowns.size, chain=structure.chain,
         ))
     return out

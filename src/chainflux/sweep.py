@@ -17,7 +17,6 @@ from .errors import (
     SpecInvalid,
     UnknownKey,
 )
-from .lindblad import chain_operators
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import SteadyReport, steady_reports
 
@@ -268,29 +267,24 @@ def format_config(request: SweepRequest) -> str:
 def _row_task(args):
     """Rows and skips of one chunk of (grid value, spec) points, per approach of the request.
 
-    For each approach the chunk's specs are solved together
-    (:func:`steady_reports`); a point whose eigenbasis degenerates or whose
-    steady state is not unique becomes an annotated skip.  Both approaches
-    run in the same task, which holds each chain's operators and
-    eigensystem (:func:`chain_operators`) until both are done, so they
-    share them, even for a chain whose eigenbasis route degenerates.
+    The chunk's specs are solved under every approach in one call
+    (:func:`steady_reports`), which builds each chain's H and eigensystem
+    once for both approaches, even for a chain whose eigenbasis route
+    degenerates; a point whose eigenbasis degenerates or whose steady
+    state is not unique becomes an annotated skip.
     """
     request, points = args
-    # held until every approach is done: a chain whose global route
-    # degenerates leaves no structure that would hold its operators
-    chains = [chain_operators(spec) for _, spec in points]
-    rows = tuple(_approach_rows(request, points, approach) for approach in request.approaches)
-    del chains
-    return rows
+    reports = steady_reports([spec for _, spec in points], request.approaches)
+    return tuple(_approach_rows(request, points, approach, approach_reports)
+                 for approach, approach_reports in zip(request.approaches, reports))
 
 
-def _approach_rows(request, points, approach) -> list:
-    reports = steady_reports([spec for _, spec in points], approach)
+def _approach_rows(request, points, approach, reports) -> list:
     solved = [report for report in reports if isinstance(report, SteadyReport)]
     diagonals = iter(())
     if "rho_diagonals" in request.outputs and solved:
         # the eigenbasis populations of each state, one stacked product
-        vectors = np.array([r.structure.spectrum.vectors for r in solved])
+        vectors = np.array([r.chain.eigensystem.vectors for r in solved])
         rho = vectors.conj().swapaxes(1, 2) @ np.array([r.rho for r in solved]) @ vectors
         diagonals = iter(np.diagonal(rho, axis1=1, axis2=2).real.tolist())
     out = []
@@ -325,22 +319,24 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     row.
 
     The grid goes in contiguous chunks, each one task that solves its points
-    under every approach of the request (:func:`_row_task`), so both
-    approaches of a chain share its H, eigensystem and site operators
-    (:func:`chainflux.lindblad.chain_structure`): one chunk with
-    ``workers`` = 1, or 2 * ``workers`` chunks for a process pool whose
-    workers keep their own caches.  A task solves each approach's rows in
-    stacks grouped by set of unknowns and zero rates, across chains
-    (:func:`steady_reports`): a temperature sweep's chunk is one stacked
-    solve per set of zero rates, and the chains of a K or eps scan that
-    couple the same entries are solved together.
+    under every approach of the request in one :func:`steady_reports` call
+    (:func:`_row_task`), so both approaches of a chain share its H,
+    eigensystem and site operators, built in that call and dropped after
+    it: one chunk with ``workers`` = 1, or 2 * ``workers`` chunks over a
+    process pool of at most one process per chunk (none for a single
+    chunk).  A task solves each
+    approach's rows in stacks grouped by set of unknowns and zero rates,
+    across chains: a temperature sweep's chunk is one stacked solve per set
+    of zero rates, and the chains of a K or eps scan that couple the same
+    entries are solved together.
     """
     points = [(value, apply_axis(request.base, request.axis, value)) for value in request.grid]
     pieces = 2 * workers if workers > 1 else 1
     size = max(1, -(-len(points) // pieces))
     tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and len(tasks) > 1:
+        # a fork pool starts all its processes at the first submit
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_row_task, tasks))
     else:
         chunks = [_row_task(t) for t in tasks]

@@ -66,7 +66,7 @@ def _dimer_population_blocks(t1_grid):
     for t1 in t1_grid:
         spec = dimer(eps, eps, coupling, t1, 0.0)
         report = steady_report(spec, "global")
-        es = report.structure.eigensystem
+        es = report.chain.eigensystem
         rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
         ana = dimer_global_populations_analytic(eps, coupling, t1, 0.0)
         diff = np.abs(np.real(np.diag(rho_eig)) - np.array(ana.diagonals_by_energy()))

@@ -320,7 +320,7 @@ def test_figure_clauses_reject_the_excluded_curves():
 
 def test_criterion_08_thermodynamic_sanity():
     # the draws run through steady_reports, the path sweeps take, 1000 at a
-    # time so that only one chunk's reports and structures are held; the
+    # time: a call holds every structure it builds until it returns; the
     # first 200 are also measured with the dense dissipators on the dense
     # solve
     rng = np.random.default_rng(808)
@@ -335,7 +335,7 @@ def test_criterion_08_thermodynamic_sanity():
     dev_balance = dev_dense = 0.0
     positive = True
     reports = (report for start in range(0, len(specs), 1000)
-               for report in steady_reports(specs[start:start + 1000], "global"))
+               for report in steady_reports(specs[start:start + 1000], ("global",))[0])
     for draw, (spec, report) in enumerate(zip(specs, reports)):
         if isinstance(report, Exception):
             raise report

@@ -5,6 +5,7 @@ import pytest
 
 from chainflux import (
     assemble,
+    bose_occupation,
     chain,
     heat_flux,
     qubit_population,
@@ -12,7 +13,7 @@ from chainflux import (
     steady_report,
     thermal_dissipator,
 )
-from chainflux.lindblad import chain_structure, full_unknowns, superoperator
+from chainflux.lindblad import full_unknowns, superoperator
 from chainflux.operators import excitation_numbers, site_operator
 
 
@@ -43,10 +44,12 @@ def test_block_solve_matches_dense_oracle(spec, approach):
     for q in range(spec.n_qubits):
         assert report.populations[q] == pytest.approx(qubit_population(dense, q), abs=1e-12)
     H = model.hamiltonian
-    for j, reservoir in enumerate(model.channels):
-        oracles = [heat_flux(H, thermal_dissipator(ch.operator, ch.gamma, ch.nbar), dense)
-                   for ch in reservoir]
-        assert [omega for omega, _ in report.channel_fluxes[j]] == [ch.omega for ch in reservoir]
+    for j, (bins, bath) in enumerate(zip(model.structure.bins, spec.baths)):
+        oracles = [heat_flux(H, thermal_dissipator(model.to_site(A), bath.gamma,
+                                                   bose_occupation(omega, bath.temperature)),
+                             dense)
+                   for omega, A in bins]
+        assert [omega for omega, _ in report.channel_fluxes[j]] == [omega for omega, _ in bins]
         assert [q for _, q in report.channel_fluxes[j]] == pytest.approx(oracles, abs=1e-10)
         assert report.fluxes[j] == pytest.approx(sum(oracles), abs=1e-10)
     assert abs(report.fluxes[0] + report.fluxes[1]) <= 1e-9
@@ -56,7 +59,7 @@ def test_global_bins_sum_to_the_frame_coupling():
     # sum_b (A_b + A_b^dag) = F^dag sigma^x F: the binning drops and
     # double-counts no jump
     for spec, _ in CASES:
-        structure = chain_structure(spec, "global")
+        structure = assemble(spec, "global").structure
         frame = structure.eigensystem.frame
         for bins, bath in zip(structure.bins, spec.baths):
             site = bath.attached_site

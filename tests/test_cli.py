@@ -1,8 +1,11 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from chainflux.cli import cli_main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_usage_error_exits_2(capsys):
@@ -15,6 +18,18 @@ def test_missing_config_exits_2(tmp_path, capsys):
     code = cli_main(["sweep", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "figures"])
+def test_workers_below_one_exits_2(command, tmp_path, capsys):
+    # such a count used to run the sweep serially without a word
+    args = ["--config", str(REPO / "configs" / "kscan4.cfg"), "--out", str(tmp_path / "k.csv")]
+    if command == "figures":
+        args = ["--outdir", str(tmp_path)]
+    for workers in ("0", "-2"):
+        assert cli_main([command, *args, "--workers", workers]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

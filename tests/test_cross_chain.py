@@ -15,32 +15,14 @@ from chainflux import (
     run_sweep,
     steady_report,
 )
-from chainflux.lindblad import (
-    _CHAIN_ENTRIES,
-    _chain_structure,
-    chain_structure,
-    coupled_unknowns,
-)
+from chainflux.lindblad import chain_operators, chain_structure, coupled_unknowns
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
 
 from test_block_solve import CASES
 
 
-def clear_caches():
-    _chain_structure.cache_clear()
-    _CHAIN_ENTRIES.clear()
-
-
-@pytest.fixture
-def cold_cache():
-    clear_caches()
-    yield
-    clear_caches()
-
-
 def cold_report(spec, approach):
-    clear_caches()
     try:
         return steady_report(spec, approach)
     except (DegenerateTransition, DegenerateKernel) as err:
@@ -81,7 +63,7 @@ SCANS = list(scans())
 
 @pytest.mark.parametrize("base, axis, grid", SCANS,
                          ids=[f"N{b.n_qubits}-{axis}" for b, axis, _ in SCANS])
-def test_scan_rows_match_cold_reports_for_any_stack_split(base, axis, grid, cold_cache):
+def test_scan_rows_match_cold_reports_for_any_stack_split(base, axis, grid):
     specs = [apply_axis(base, axis, value) for value in grid]
     for approach in ("global", "local"):
         cold = [cold_report(spec, approach) for spec in specs]
@@ -92,16 +74,14 @@ def test_scan_rows_match_cold_reports_for_any_stack_split(base, axis, grid, cold
         else:
             assert all(isinstance(r, SteadyReport) for r in cold)
         for size in (1, 2, 3, len(specs)):
-            clear_caches()
             pieces = [report for i in range(0, len(specs), size)
-                      for report in steady_reports(specs[i:i + size], approach)]
+                      for report in steady_reports(specs[i:i + size], (approach,))[0]]
             for report, expected in zip(pieces, cold):
                 assert_same_report(report, expected)
 
     request = SweepRequest(base=base, axis=axis, grid=grid, approaches=("global", "local"),
                            outputs=("populations", "heat_flux"))
     for workers in (1, 2):
-        clear_caches()
         table = run_sweep(request, workers=workers)
         skipped = {(s.axis_value, s.approach) for s in table.skipped}
         expected_skips = {(grid[2], "global")} if base.n_qubits > 1 else set()
@@ -117,7 +97,7 @@ def unknowns_key(unknowns):
     return unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes()
 
 
-def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch, cold_cache):
+def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
     stacks = []
     real = chainflux.observables._stack_reports
 
@@ -129,8 +109,7 @@ def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch, cold_cache):
     base = chain([1.5] * 4, [1.0] * 3, 2.0, 0.5)
     specs = [apply_axis(base, "k", k) for k in np.linspace(0.5, 3.0, 15)]
     sets = set()
-    for approach in ("global", "local"):
-        reports = steady_reports(specs, approach)
+    for reports in steady_reports(specs, ("global", "local")):
         assert all(isinstance(r, SteadyReport) for r in reports)
     for structures, rates, unknowns in stacks:
         for structure, row in zip(structures, rates):
@@ -178,8 +157,9 @@ def zero_rate_patterns(structure):
 def test_stacked_closure_matches_the_loop_over_cases_and_zero_rate_patterns():
     checked = 0
     for spec, _ in CASES:
+        chain_ops = chain_operators(spec)
         for approach in ("global", "local"):
-            structure = chain_structure(spec, approach)
+            structure = chain_structure(chain_ops, spec, approach)
             for zero in zero_rate_patterns(structure):
                 H, operators = structure.frame_hamiltonian, structure.operators[~zero]
                 unknowns = coupled_unknowns(H, operators)
@@ -189,21 +169,81 @@ def test_stacked_closure_matches_the_loop_over_cases_and_zero_rate_patterns():
     assert checked > 4 * len(CASES)
 
 
-def test_both_approaches_share_one_eigensystem(cold_cache):
+def test_both_approaches_share_one_eigensystem():
     spec = chain([1.2, 1.5, 0.9], [0.5, 0.7], 1.0, 0.2)
-    glob = chain_structure(spec, "global")
-    local = chain_structure(spec, "local")
-    assert glob.chain is local.chain
-    assert local.spectrum is glob.eigensystem
-    assert glob.hamiltonian is local.hamiltonian
-    # the local structure built first diagonalizes on demand, once
-    clear_caches()
-    local = chain_structure(spec, "local")
-    assert "eigensystem" not in vars(local.chain)
-    assert chain_structure(spec, "global").eigensystem is local.spectrum
+    chain_ops = chain_operators(spec)
+    # the local structure diagonalizes nothing; the global one on demand, once
+    local = chain_structure(chain_ops, spec, "local")
+    assert "eigensystem" not in vars(chain_ops)
+    glob = chain_structure(chain_ops, spec, "global")
+    assert glob.chain is local.chain is chain_ops
+    assert glob.eigensystem is chain_ops.eigensystem
+    glob_report, local_report = (r for (r,) in steady_reports([spec], ("global", "local")))
+    assert glob_report.chain is local_report.chain
+    assert glob_report.chain is not chain_ops  # each call builds its own
 
 
-def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch, cold_cache):
+def count_calls(monkeypatch, module, name):
+    """Arguments of every call of ``module.name``, recorded as it runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def k_scan_with_a_zero_mode():
+    zero_mode = 1.5 / (2 * math.cos(math.pi / 4))
+    base = chain([1.5] * 3, [1.0] * 2, 1.0, 0.2)
+    return [apply_axis(base, "k", k) for k in (0.4, 0.9, zero_mode, 1.4)], 2
+
+
+def temperature_sweep():
+    base = chain([1.2, 0.9, 1.4], [0.7, 0.5], 0.7, 0.2, 0.8, 1.3)
+    return [apply_axis(base, "t1", t1) for t1 in (0.0, 0.3, 1.5, 7.0)], None
+
+
+@pytest.mark.parametrize("specs, zero_mode", [temperature_sweep(), k_scan_with_a_zero_mode()],
+                         ids=["t1-sweep", "k-scan"])
+def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_mode,
+                                                                  monkeypatch):
+    import chainflux.lindblad
+
+    diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
+    built = count_calls(monkeypatch, chainflux.observables, "chain_structure")
+    glob, local = steady_reports(specs, ("global", "local"))
+    chains = {spec.couplings for spec in specs}
+    assert len(diagonalized) == len(chains)
+    assert sorted((spec.couplings, approach) for _, spec, approach in built) == \
+        sorted((k, approach) for k in chains for approach in ("global", "local"))
+    for i, report in enumerate(glob):
+        assert isinstance(report, DegenerateTransition) == (i == zero_mode)
+    # the local reports' eigensystems, rho_diagonals' basis, are the ones the
+    # global route diagonalized, the zero mode's chain too
+    assert all(report.chain.eigensystem is not None for report in local)
+    assert len(diagonalized) == len(chains)
+    for g, l in zip(glob, local):
+        assert isinstance(g, DegenerateTransition) or g.chain is l.chain
+
+
+def test_a_repeated_call_gives_bit_identical_reports():
+    specs, _ = k_scan_with_a_zero_mode()
+    specs += temperature_sweep()[0]
+    first = steady_reports(specs, ("global", "local"))
+    for n in (1, 2, 4):  # unrelated chains, sets of unknowns and stacks in between
+        base = chain(np.linspace(0.8, 1.6, n), [0.9] * (n - 1), 2.0, 0.0)
+        steady_reports([apply_axis(base, "t1", t) for t in (0.1, 0.5, 3.0)], ("local", "global"))
+    again = steady_reports(specs, ("global", "local"))
+    for a, b in zip(first, again):
+        for report, expected in zip(a, b):
+            assert_same_report(report, expected)
+
+
+def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     # both approaches of a task share each chain's eigensystem, however many
     # chains the task holds, the zero mode's chain too
     import chainflux.lindblad
@@ -225,7 +265,7 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch, cold_cache):
     assert len(calls) == len(grid)
 
 
-def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch, cold_cache):
+def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch):
     # T = 0 switches a reservoir's absorption terms off; every row of a stack
     # has the same zero rates, and each row is its cold report bit for bit
     stacks = []
@@ -239,8 +279,8 @@ def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch, cold_ca
     for n in (1, 2, 3, 4):
         base = chain(np.linspace(0.9, 1.7, n), np.linspace(0.6, 1.1, n - 1), 0.7, 0.0, 0.8, 1.3)
         specs = [apply_axis(base, "t1", t1) for t1 in (0.0, 0.3, 0.0, 1.0, 4.0)]
-        for approach in ("global", "local"):
-            whole = steady_reports(specs, approach)
+        for approach, whole in zip(("global", "local"),
+                                   steady_reports(specs, ("global", "local"))):
             for spec, report in zip(specs, whole):
                 assert_same_report(report, cold_report(spec, approach))
     assert all((rates == 0).all(axis=0).tolist() == (rates == 0).any(axis=0).tolist()

@@ -148,7 +148,7 @@ def test_near_degenerate_chain_assembles():
     model = assemble(spec, "global")
     jumps = global_jump_operators(model.eigensystem, coupling_op(5, 0))
     assert len(jumps) == 98
-    assert [len(reservoir) for reservoir in model.channels] == [5, 5]
+    assert [len(reservoir) for reservoir in model.structure.bins] == [5, 5]
 
 
 # ----------------------------------------------------------- dissipators

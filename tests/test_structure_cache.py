@@ -1,4 +1,4 @@
-"""The rate-free chain structure is built once and reused exactly across rows."""
+"""The rate-free chain structure is built once per call and reused exactly across rows."""
 
 import numpy as np
 import pytest
@@ -18,35 +18,30 @@ from chainflux import (
     solve_steady,
     steady_report,
 )
-from chainflux.lindblad import _CHAIN_ENTRIES, _chain_structure, chain_structure
+import chainflux.observables
 from chainflux.observables import steady_reports
 from chainflux.steady import uniqueness_error
 from chainflux.sweep import SweepRequest
 
 
-def clear_caches():
-    _chain_structure.cache_clear()
-    _CHAIN_ENTRIES.clear()
+def record_builds(monkeypatch):
+    """Approach of every structure the reports build, in order."""
+    built = []
 
+    def recording(chain, spec, approach, _real=chainflux.observables.chain_structure):
+        built.append(approach)
+        return _real(chain, spec, approach)
 
-@pytest.fixture
-def cold_cache():
-    clear_caches()
-    yield
-    clear_caches()
-
-
-def cold_report(spec, approach):
-    clear_caches()
-    return steady_report(spec, approach)
+    monkeypatch.setattr(chainflux.observables, "chain_structure", recording)
+    return built
 
 
 def assert_rows_match_cold_reports(table, request):
     # a row solved in a stack is the stack of one steady_report solves, bit for bit
     assert not table.skipped
     for row in table.rows:
-        report = cold_report(apply_axis(request.base, request.axis, row.axis_value),
-                             row.approach)
+        report = steady_report(apply_axis(request.base, request.axis, row.axis_value),
+                               row.approach)
         assert row.populations == report.populations
         assert row.fluxes == report.fluxes
         assert row.residual == report.residual
@@ -59,32 +54,40 @@ GRID = (0.0, 0.01, 0.3, 1.0, 4.0)
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("axis", ["t1", "t2"])
-def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, cold_cache):
+def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypatch):
     assert bose_occupation(10.0, 0.01) == 0.0
+    stacks = []
+    real = chainflux.observables._stack_reports
+
+    def recording(structures, specs, approach, rates, unknowns):
+        stacks.append(approach)
+        return real(structures, specs, approach, rates, unknowns)
+
     for epsilons in ([10.0] * n, np.linspace(0.9, 1.7, n)):
         base = chain(epsilons, np.linspace(0.6, 1.1, n - 1), 0.7, 0.2, 0.8, 1.3)
         request = SweepRequest(base=base, axis=axis, grid=GRID,
                                approaches=("global", "local"),
                                outputs=("populations", "heat_flux"))
-        clear_caches()
-        table = run_sweep(request)
-        info = _chain_structure.cache_info()
-        # one structure per approach, looked up once for the whole grid
-        assert (info.misses, info.hits) == (2, 0)
-        for approach in request.approaches:
-            # T = 0 rows and nbar > 0 rows: several stacks in one sweep
-            assert len(chain_structure(base, approach).patterns) >= 2
+        with monkeypatch.context() as patch:
+            built = record_builds(patch)
+            patch.setattr(chainflux.observables, "_stack_reports", recording)
+            table = run_sweep(request)
+        # one structure per approach for the whole grid
+        assert built == ["global", "local"]
+        # T = 0 rows and nbar > 0 rows: several stacks per approach
+        assert stacks.count("global") >= 2 and stacks.count("local") >= 2
+        stacks.clear()
         assert_rows_match_cold_reports(table, request)
 
 
-def test_splitting_a_grid_into_stacks_gives_identical_reports(cold_cache):
+def test_splitting_a_grid_into_stacks_gives_identical_reports():
     base = chain([1.2, 0.9, 1.4], [0.7, 0.5], 0.7, 0.2, 0.8, 1.3)
     specs = [apply_axis(base, "t1", t1) for t1 in (0.0, 0.05, 0.3, 0.8, 1.5, 3.0, 7.0)]
     for approach in ("global", "local"):
-        whole = steady_reports(specs, approach)
+        (whole,) = steady_reports(specs, (approach,))
         for size in (1, 2, 3, 5):
             pieces = [report for i in range(0, len(specs), size)
-                      for report in steady_reports(specs[i:i + size], approach)]
+                      for report in steady_reports(specs[i:i + size], (approach,))[0]]
             for a, b in zip(whole, pieces):
                 assert np.array_equal(a.rho, b.rho)
                 assert (a.populations, a.fluxes, a.channel_fluxes, a.residual, a.rcond) == \
@@ -113,15 +116,19 @@ def test_stack_flags_only_its_singular_and_ill_conditioned_members():
             assert (sol.residual[i], sol.rcond[i]) == (single.residual, single.rcond)
 
 
-def test_structure_is_shared_across_temperatures_and_rates(cold_cache):
-    a = assemble(dimer(1.5, 1.5, 1.0, 0.4, 0.0, 1.0, 1.0), "global")
-    b = assemble(dimer(1.5, 1.5, 1.0, 3.0, 0.7, 0.3, 2.0), "global")
-    assert a.structure is b.structure
-    assert assemble(dimer(1.5, 1.5, 1.1, 0.4, 0.0), "global").structure is not a.structure
-    assert assemble(dimer(1.5, 1.5, 1.0, 0.4, 0.0), "local").structure is not a.structure
+def test_structure_is_shared_across_temperatures_and_rates(monkeypatch):
+    # within one call: temperatures and rates share a chain's structure, a
+    # new coupling is a new chain
+    built = record_builds(monkeypatch)
+    specs = [dimer(1.5, 1.5, 1.0, 0.4, 0.0, 1.0, 1.0), dimer(1.5, 1.5, 1.0, 3.0, 0.7, 0.3, 2.0),
+             dimer(1.5, 1.5, 1.1, 0.4, 0.0)]
+    glob, local = steady_reports(specs, ("global", "local"))
+    assert built == ["global", "global", "local", "local"]
+    assert glob[0].chain is glob[1].chain is local[0].chain is local[1].chain
+    assert glob[2].chain is local[2].chain is not glob[0].chain
 
 
-def test_equal_gaps_with_different_rates_give_their_own_fluxes(cold_cache):
+def test_equal_gaps_with_different_rates_give_their_own_fluxes():
     eps, k, t1, t2 = 2.5, 1.0, 3.0, 0.4
     fluxes = {}
     for g1, g2 in ((1.0, 1.0), (0.3, 1.7), (2.0, 0.5)):
@@ -133,47 +140,44 @@ def test_equal_gaps_with_different_rates_give_their_own_fluxes(cold_cache):
         assert loc == pytest.approx(
             dimer_local_heat_flux_analytic(eps, k, t1, t2, g1, g2), abs=1e-10)
         fluxes[g1, g2] = (glob, loc)
-    assert _chain_structure.cache_info().misses == 2
     values = list(fluxes.values())
     assert all(abs(a[0] - b[0]) > 1e-3 and abs(a[1] - b[1]) > 1e-3
                for i, a in enumerate(values) for b in values[i + 1:])
 
 
-def test_degenerate_transition_raises_on_every_call(cold_cache):
+def test_degenerate_transition_raises_on_every_call():
     spec = dimer(1.0, 1.0, 1.0, 0.5, 0.0)  # |eps - K| = 0
     for _ in range(3):
         with pytest.raises(DegenerateTransition):
             assemble(spec, "global")
-    assert _chain_structure.cache_info().currsize == 0
+        with pytest.raises(DegenerateTransition):
+            steady_report(spec, "global")
     assemble(spec, "local")
 
 
-def test_cached_arrays_are_read_only(cold_cache):
+def test_cached_arrays_are_read_only():
     spec = chain([1.2, 1.5, 0.9], [0.5, 0.7], 1.0, 0.2)
     for approach in ("global", "local"):
         model = assemble(spec, approach)
         structure = model.structure
         arrays = [model.hamiltonian, model.frame_hamiltonian, structure.flux_functionals,
-                  structure.spectrum.energies, structure.spectrum.vectors]
-        arrays += [ch.operator for reservoir in model.frame_channels for ch in reservoir]
+                  structure.population_functionals, structure.operators,
+                  structure.chain.eigensystem.energies, structure.chain.eigensystem.vectors]
         arrays += [A for reservoir in structure.bins for _, A in reservoir]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0, ...] = 1.0
-        assert assemble(spec, approach).structure is structure
 
 
-def test_k_sweep_rows_are_unchanged_by_the_cache(cold_cache):
+def test_k_sweep_rows_are_unchanged_by_the_cache():
     # every row of a K scan is a new structure; a second pass over the same
-    # grid finds all of them cached and must give identical rows, and each
-    # row matches the dense solve with the dense dissipators
+    # grid builds them again and must give identical rows, and each row
+    # matches the dense solve with the dense dissipators
     request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 2.0, 0.5), axis="k",
                            grid=(0.4, 0.8, 1.3, 2.2), approaches=("global", "local"),
                            outputs=("populations", "heat_flux", "rho_diagonals"))
     cold = run_sweep(request)
     warm = run_sweep(request)
-    info = _chain_structure.cache_info()
-    assert (info.misses, info.hits) == (8, 8)
     assert cold.rows == warm.rows
     for row in cold.rows:
         spec = chain([1.5] * 3, [row.axis_value] * 2, 2.0, 0.5)

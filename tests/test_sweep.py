@@ -241,11 +241,41 @@ def test_global_rows_diagonalize_once(monkeypatch):
         return _real(H)
 
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
-    chainflux.lindblad._chain_structure.cache_clear()
-    chainflux.lindblad._CHAIN_ENTRIES.clear()
     req = small_request(outputs=("rho_diagonals",), grid=(0.5, 1.0, 2.0))
     run_sweep(req)
     assert len(calls) == 1
+
+
+def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
+    # a fork pool starts max_workers processes at its first submit, so the
+    # pool is sized by the tasks; a fake executor records the size and runs
+    # the tasks in this process
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    grid = tuple(np.linspace(0.5, 3.0, 14))
+    serial = run_sweep(small_request(grid=grid))
+    for workers, points, size in ((64, grid[:3], 3), (64, grid, 14), (2, grid, 2),
+                                  (2, grid[:1], None)):
+        table = run_sweep(small_request(grid=points), workers=workers)
+        assert sizes == ([] if size is None else [size])  # no pool for one task
+        sizes.clear()
+        assert table.rows == tuple(row for row in serial.rows if row.axis_value in points)
 
 
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
