@@ -444,13 +444,38 @@ class ChainStructure:
     flux_functionals: np.ndarray
     population_functionals: np.ndarray
 
-    def rates(self, baths) -> list:
-        """Rate of each of :attr:`operators` with ``baths`` attached."""
-        out = []
-        for reservoir, bath in zip(self.bins, baths):
-            for omega, _ in reservoir:
-                out += thermal_rates(bath.gamma, bose_occupation(omega, bath.temperature))
-        return out
+    @cached_property
+    def channels(self) -> tuple:
+        """Bohr frequency of each bin as an array, and the slice each reservoir's bins take of it.
+
+        Bin c owns operators 2c (A) and 2c + 1 (A^dag).  Raises
+        NonPositiveFrequency for a bin at omega <= 0.
+        """
+        omegas = np.array([omega for reservoir in self.bins for omega, _ in reservoir])
+        if (omegas <= 0).any():
+            raise NonPositiveFrequency(f"omega must be > 0, got {omegas[omegas <= 0][0]}")
+        bounds = np.cumsum([0] + [len(reservoir) for reservoir in self.bins]).tolist()
+        return omegas, tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+
+    def rates(self, baths) -> np.ndarray:
+        """Rates of :attr:`operators` for each row's ``baths``, as a (rows, operators) array.
+
+        ``baths`` holds one pair of BathSpecs per row.  The Bose occupations
+        of every row and bin come from one divide and one ``expm1``, each
+        value bit for bit the :func:`bose_occupation` of its bin, and the
+        rates are :func:`thermal_rates` of it.
+        """
+        omegas, slices = self.channels
+        baths = np.array([[(bath.temperature, bath.gamma) for bath in row] for row in baths])
+        reservoir = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
+        temperature, gamma = baths[:, reservoir, 0], baths[:, reservoir, 1]
+        with np.errstate(divide="ignore", over="ignore"):
+            x = omegas / temperature
+            nbar = np.where((temperature == 0) | (x > _EXP_ARG_MAX), 0.0, 1.0 / np.expm1(x))
+        out = np.empty(nbar.shape + (2,))
+        out[..., 0] = gamma * (nbar + 1.0)
+        out[..., 1] = gamma * nbar
+        return out.reshape(len(baths), -1)
 
     def unknowns(self, zero) -> Unknowns:
         """:func:`coupled_unknowns` of the frame H and the :attr:`operators` not flagged in ``zero``.
@@ -572,7 +597,7 @@ class LindbladModel:
     @cached_property
     def rates(self) -> np.ndarray:
         """Rate of each of the structure's jump operators at this model's baths."""
-        return np.array(self.structure.rates(self.spec.baths))
+        return self.structure.rates([self.spec.baths])[0]
 
     def to_site(self, rho: np.ndarray) -> np.ndarray:
         """A matrix given in the solve frame, in the site basis."""

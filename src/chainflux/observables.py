@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .lindblad import (
 )
 from .model import ChainSpec
 from .operators import number_operator
-from .steady import solve_steady, uniqueness_error
+from .steady import solve_steady, unique, uniqueness_error
 
 _FORM_TOL = 1e-12
 
@@ -297,51 +298,54 @@ def steady_reports(specs, approaches) -> list:
     own DegenerateKernel.  Each report is the one :func:`steady_report`
     gives, bit for bit.
     """
-    chains = {}
-    for spec in specs:
+    chains = {}  # chain key -> (ChainOperators, indices of the chain's specs)
+    for i, spec in enumerate(specs):
         key = chain_key(spec)
-        if key not in chains:
-            chains[key] = chain_operators(spec)
-    return [_approach_reports(specs, chains, approach) for approach in approaches]
+        entry = chains.get(key)
+        if entry is None:
+            entry = chains[key] = (chain_operators(spec), [])
+        entry[1].append(i)
+    return [_approach_reports(specs, chains.values(), approach) for approach in approaches]
 
 
 def _approach_reports(specs, chains, approach) -> list:
-    """:func:`steady_reports` under one approach, on the call's ``chains``."""
-    structures = {}
-    sets = {}  # (chain, zero rates) -> key of the group
-    groups = {}
+    """:func:`steady_reports` under one approach, on the call's ``chains``.
+
+    Each chain's rates are one array (:meth:`ChainStructure.rates`), and its
+    rows are split by the bytes of each row's zero-rate pattern.
+    """
+    groups = {}  # (set of unknowns, zero rates) -> (unknowns, rows, structures, rates)
     results = [None] * len(specs)
-    for i, spec in enumerate(specs):
-        key = chain_key(spec)
-        structure = structures.get(key)
-        if structure is None:
-            try:
-                structure = chain_structure(chains[key], spec, approach)
-            except DegenerateTransition as err:
-                # kept without its traceback, whose frames would hold this
-                # call's locals in a reference cycle
-                structure = err.with_traceback(None)
-            structures[key] = structure
-        if isinstance(structure, DegenerateTransition):
-            results[i] = structure
+    for operators, rows in chains:
+        try:
+            structure = chain_structure(operators, specs[rows[0]], approach)
+        except DegenerateTransition as err:
+            # kept without its traceback, whose frames would hold this
+            # call's locals in a reference cycle
+            err = err.with_traceback(None)
+            for i in rows:
+                results[i] = err
             continue
-        rates = structure.rates(spec.baths)
-        zero = tuple(r == 0 for r in rates)
-        group = sets.get((key, zero))
-        if group is None:
-            unknowns = structure.unknowns(zero)
-            group = sets[key, zero] = (unknowns.dim, unknowns.rows.tobytes(),
-                                       unknowns.cols.tobytes(), zero)
-            groups.setdefault(group, (unknowns, []))
-        groups[group][1].append((i, structure, rates))
-    for unknowns, members in groups.values():
+        rates = structure.rates([specs[i].baths for i in rows])
+        zero = rates == 0
+        patterns = {}
+        for j, pattern in enumerate(zero):
+            patterns.setdefault(pattern.tobytes(), []).append(j)
+        for pattern, members in patterns.items():
+            unknowns = structure.unknowns(zero[members[0]])
+            key = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), pattern)
+            group = groups.setdefault(key, (unknowns, [], [], []))
+            group[1].extend(rows[j] for j in members)
+            group[2].extend([structure] * len(members))
+            group[3].append(rates[members])
+    for unknowns, rows, structures, rates in groups.values():
+        rates = np.concatenate(rates)
         step = max(1, _GRID_ELEMENTS // unknowns.size**2)
-        for start in range(0, len(members), step):
-            part = members[start:start + step]
-            reports = _stack_reports([structure for _, structure, _ in part],
-                                     [specs[i] for i, _, _ in part], approach,
-                                     np.array([rates for _, _, rates in part]), unknowns)
-            for (i, _, _), report in zip(part, reports):
+        for start in range(0, len(rows), step):
+            stack = rows[start:start + step]
+            reports = _stack_reports(structures[start:start + step], [specs[i] for i in stack],
+                                     approach, rates[start:start + step], unknowns)
+            for i, report in zip(stack, reports):
                 results[i] = report
     return results
 
@@ -353,12 +357,12 @@ def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _per_row(owners, name: str) -> np.ndarray:
-    """Each row's array ``name``, stacked; one with a leading axis of one if all rows share it."""
-    arrays = [getattr(owner, name) for owner in owners]
+def _per_row(runs, name: str) -> np.ndarray:
+    """Array ``name`` of each (owner, rows) run, per row; a leading axis of one if all share it."""
+    arrays = [getattr(owner, name) for owner, _ in runs]
     if all(a is arrays[0] for a in arrays):
         return arrays[0][None]
-    return np.array(arrays)
+    return np.repeat(np.array(arrays), [count for _, count in runs], axis=0)
 
 
 def _stack_reports(structures, specs, approach, rates, unknowns) -> list:
@@ -371,41 +375,50 @@ def _stack_reports(structures, specs, approach, rates, unknowns) -> list:
     functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) each row's
     structure keeps, so one product with each rho gives every channel's
     traces; the populations are read off the number operators in the frame
-    the same way.  Each reservoir's flux is the sum of its channel fluxes.
+    the same way.  Consecutive rows on one structure are read together:
+    each reservoir's flux is the sum of its channel fluxes in channel
+    order, one column at a time.  A row whose system is not :func:`unique`
+    gets its DegenerateKernel.
     """
-    k, d = len(specs), unknowns.dim
-    sol = solve_steady(superoperator(_per_row(structures, "frame_hamiltonian"),
-                                     _per_row(structures, "operators"), rates, unknowns),
+    runs = [(structure, len(tuple(rows))) for structure, rows in groupby(structures)]
+    k, d, m = len(specs), unknowns.dim, unknowns.size
+    sol = solve_steady(superoperator(_per_row(runs, "frame_hamiltonian"),
+                                     _per_row(runs, "operators"), rates, unknowns),
                        unknowns)
     flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{F rho} = F . rho^T
-    functionals = _per_row(structures, "flux_functionals")
+    functionals = _per_row(runs, "flux_functionals")
     traces = functionals.reshape(len(functionals), -1, d * d) @ flat
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
-    channels = _imaginary_residue(channels, "heat flux").tolist()
-    numbers = _per_row(structures, "population_functionals")
+    channels = _imaginary_residue(channels, "heat flux")
+    numbers = _per_row(runs, "population_functionals")
     populations = numbers.reshape(len(numbers), -1, d * d) @ flat
     populations = _imaginary_residue(populations[..., 0], "population").tolist()
     rho = sol.rho
     if approach == "global":
-        frames = _per_row([structure.eigensystem for structure in structures], "frame")
+        frames = _per_row([(s.eigensystem, count) for s, count in runs], "frame")
         rho = frames @ rho @ frames.conj().swapaxes(1, 2)
+    solved = unique(sol.rcond, m).tolist()
     residuals, rconds = sol.residual.tolist(), sol.rcond.tolist()
     out = []
-    last = None
-    for j, (structure, spec) in enumerate(zip(structures, specs)):
-        error = uniqueness_error(rconds[j], unknowns.size)
-        if error is not None:
-            out.append(error)
-            continue
-        if structure is not last:
-            last = structure
-            bins = [[omega for omega, _ in reservoir] for reservoir in structure.bins]
-        values = iter(channels[j])
-        breakdown = tuple(tuple(zip(omegas, values)) for omegas in bins)
-        out.append(SteadyReport(
-            spec=spec, approach=approach, rho=rho[j], populations=tuple(populations[j]),
-            fluxes=tuple(sum(q for _, q in reservoir) for reservoir in breakdown),
-            residual=residuals[j], channel_fluxes=breakdown,
-            rcond=rconds[j], unknowns=unknowns.size, chain=structure.chain,
-        ))
+    for structure, count in runs:
+        j = len(out)
+        omegas, slices = structure.channels
+        fluxes, breakdowns = [], []
+        for piece in slices:
+            run = channels[j:j + count, piece]
+            total = np.zeros(count)
+            for column in run.T:  # as sum(): 0 + q_1 + q_2 + ...
+                total += column
+            fluxes.append(total.tolist())
+            freqs = omegas[piece].tolist()
+            breakdowns.append([tuple(zip(freqs, values)) for values in run.tolist()])
+        for j, flux, breakdown in zip(range(j, j + count), zip(*fluxes), zip(*breakdowns)):
+            if not solved[j]:
+                out.append(uniqueness_error(rconds[j], m))
+                continue
+            out.append(SteadyReport(
+                spec=specs[j], approach=approach, rho=rho[j], populations=tuple(populations[j]),
+                fluxes=flux, residual=residuals[j], channel_fluxes=breakdown,
+                rcond=rconds[j], unknowns=m, chain=structure.chain,
+            ))
     return out

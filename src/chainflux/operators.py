@@ -107,12 +107,20 @@ class EigenSystem:
 
     @cached_property
     def frame_order(self) -> np.ndarray:
-        """Eigenvector positions sorted by the site index of each one's leading entry.
+        """Eigenvector position at each frame position: each excitation sector at its own sites.
 
-        The leading entry is the one the phase gauge makes real and positive.
-        The sort is stable, so a diagonal operator's frame is the identity.
+        An eigenvector's sector is that of the site holding its leading
+        entry, the one the phase gauge makes real and positive.  Each
+        sector's eigenvectors, in ascending energy, take that sector's
+        site indices in ascending order, so chains of one qubit count put
+        the same sectors at the same frame positions whatever their
+        couplings, and a single qubit's frame is the identity.  Defined for
+        the operators of a qubit register.
         """
-        order = np.argsort(np.abs(self.vectors).argmax(axis=0), kind="stable")
+        labels = excitation_numbers(self.dim.bit_length() - 1)
+        lead = np.abs(self.vectors).argmax(axis=0)
+        order = np.empty(self.dim, dtype=np.intp)
+        order[np.argsort(labels, kind="stable")] = np.argsort(labels[lead], kind="stable")
         order.setflags(write=False)
         return order
 

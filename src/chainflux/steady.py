@@ -52,13 +52,18 @@ class SteadySolution:
     unknowns: int
 
 
-def uniqueness_error(rcond: float, m: int):
-    """The DegenerateKernel of a system of m unknowns with this rcond_1, or None if it is unique.
+def unique(rcond, m: int):
+    """Whether each system of m unknowns with this rcond_1 has a unique steady state.
 
     A system is rejected when rcond_1 <= m^2 eps, or when its LU met an
-    exactly zero pivot (rcond 0).
+    exactly zero pivot (rcond 0).  ``rcond`` may be a scalar or an array.
     """
-    if rcond > m * m * _EPS:
+    return rcond > m * m * _EPS
+
+
+def uniqueness_error(rcond: float, m: int):
+    """The DegenerateKernel of a system of m unknowns with this rcond_1, or None if it is :func:`unique`."""
+    if unique(rcond, m):
         return None
     if rcond == 0:
         return DegenerateKernel(
@@ -140,9 +145,9 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     M[rows, replaced] = 0.0
     M[rows[:, None], replaced[:, None], diag] = 1.0
     inverse, rcond = checked_inverse(M)
-    unique = np.array([uniqueness_error(r, m) is None for r in rcond.tolist()])
     raw = np.zeros((k, unknowns.dim, unknowns.dim), dtype=complex)
-    raw[:, unknowns.rows, unknowns.cols] = np.where(unique[:, None], inverse[rows, :, replaced], 0)
+    raw[:, unknowns.rows, unknowns.cols] = np.where(unique(rcond, m)[:, None],
+                                                    inverse[rows, :, replaced], 0)
     adjoint = raw.conj().swapaxes(1, 2)
     asymmetry = np.abs(raw - adjoint).max(axis=(1, 2))
     rho = 0.5 * (raw + adjoint)

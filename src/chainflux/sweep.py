@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +70,30 @@ class SweepTable:
 
 
 def apply_axis(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
-    """Copy of ``spec`` with the swept parameter replaced, then revalidated."""
+    """Copy of the validated ``spec`` with the swept field set to ``value``.
+
+    Only the new value is checked, against its own field's rule:
+    temperatures finite and >= 0, gaps finite and > 0, couplings finite
+    (an N = 1 chain has none, so any K is accepted).  A value that breaks
+    it sends the copy through :func:`validate_spec`, which raises its
+    error, so an invalid point fails exactly as a validated spec would.
+    """
+    value = float(value)
     epsilons, couplings, baths = spec.epsilons, spec.couplings, list(spec.baths)
     if axis in ("t1", "t2"):
         j = int(axis == "t2")
         baths[j] = BathSpec(value, baths[j].gamma, baths[j].attached_site)
+        valid = math.isfinite(value) and value >= 0
     elif axis == "k":
         couplings = (value,) * len(couplings)
+        valid = math.isfinite(value) or not couplings
     elif axis == "eps":
         epsilons = (value,) * spec.n_qubits
+        valid = math.isfinite(value) and value > 0
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    return validate_spec(ChainSpec(spec.n_qubits, epsilons, couplings, tuple(baths)))
+    out = ChainSpec(spec.n_qubits, epsilons, couplings, tuple(baths))
+    return out if valid else validate_spec(out)
 
 
 def _parse_floats(text: str, line: int) -> list:
@@ -310,13 +323,15 @@ def _approach_rows(request, points, approach, reports) -> list:
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     """Run the full numeric pipeline at every (grid point, approach).
 
-    Every grid point is validated once (:func:`apply_axis`), which raises
-    SpecError on an invalid one.  Rows come out sorted by (approach, axis
-    value) and are identical for any worker count; points where the
-    eigenbasis construction degenerates or the steady state is not unique
-    are recorded as annotated skips instead of aborting the run.  A row
-    residual above ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst
-    row.
+    The first grid point's spec is validated in full, once per sweep
+    (:func:`validate_spec`); every grid value is checked once, against its
+    own field's rule (:func:`apply_axis`), and an invalid one raises the
+    SpecError :func:`validate_spec` raises on its spec.  Rows come out
+    sorted by (approach, axis value) and are identical for any worker
+    count; points where the eigenbasis construction degenerates or the
+    steady state is not unique are recorded as annotated skips instead of
+    aborting the run.  A row residual above ROW_RESIDUAL_LIMIT raises
+    NoConvergence naming the worst row.
 
     The grid goes in contiguous chunks, each one task that solves its points
     under every approach of the request in one :func:`steady_reports` call
@@ -330,7 +345,13 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     of zero rates, and the chains of a K or eps scan that couple the same
     entries are solved together.
     """
-    points = [(value, apply_axis(request.base, request.axis, value)) for value in request.grid]
+    points = []
+    base = request.base
+    for value in request.grid:
+        spec = apply_axis(base, request.axis, value)
+        if not points:  # the fields no point changes, validated once
+            base = spec = validate_spec(spec)
+        points.append((value, spec))
     pieces = 2 * workers if workers > 1 else 1
     size = max(1, -(-len(points) // pieces))
     tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]

@@ -21,7 +21,7 @@ from .observables import (
     dimer_local_populations_analytic,
     monomer_heat_flux_analytic,
     monomer_population_analytic,
-    steady_report,
+    steady_reports,
 )
 
 SEED = 1738
@@ -38,8 +38,17 @@ class Check:
         return self.deviation <= self.tolerance
 
 
+def _solved(reports):
+    """The reports of one approach, raising the first error among them."""
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+    return reports
+
+
 def _monomer_block(rng, n_samples=200):
     dev_matrix = dev_pop = dev_flux = 0.0
+    points = []
     for _ in range(n_samples):
         eps = rng.uniform(0.0, 5.0) or 1.0
         t1, t2 = rng.uniform(0.0, 10.0, size=2)
@@ -48,7 +57,9 @@ def _monomer_block(rng, n_samples=200):
         g = assemble(spec, "global")
         l = assemble(spec, "local")
         dev_matrix = max(dev_matrix, np.abs(g.liouvillian - l.liouvillian).max())
-        report = steady_report(spec, "global")
+        points.append((spec, eps, t1, t2, gamma))
+    (reports,) = steady_reports([spec for spec, *_ in points], ("global",))
+    for (_, eps, t1, t2, gamma), report in zip(points, _solved(reports)):
         dev_pop = max(dev_pop, abs(report.populations[0]
                                    - monomer_population_analytic(eps, t1, t2)))
         dev_flux = max(dev_flux, abs(report.fluxes[0]
@@ -63,9 +74,9 @@ def _monomer_block(rng, n_samples=200):
 def _dimer_population_blocks(t1_grid):
     eps, coupling = 1.5, 1.0
     dev_diag = dev_coh = dev_n = dev_loc = 0.0
-    for t1 in t1_grid:
-        spec = dimer(eps, eps, coupling, t1, 0.0)
-        report = steady_report(spec, "global")
+    specs = [dimer(eps, eps, coupling, t1, 0.0) for t1 in t1_grid]
+    glob, local = map(_solved, steady_reports(specs, ("global", "local")))
+    for t1, report, loc in zip(t1_grid, glob, local):
         es = report.chain.eigensystem
         rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
         ana = dimer_global_populations_analytic(eps, coupling, t1, 0.0)
@@ -75,7 +86,6 @@ def _dimer_population_blocks(t1_grid):
         dev_coh = max(dev_coh, abs(rho_eig[2, 1]))
         dev_n = max(dev_n, abs(report.populations[0] - ana.n1),
                     abs(report.populations[1] - ana.n2))
-        loc = steady_report(spec, "local")
         n1_ana, n2_ana = dimer_local_populations_analytic(eps, coupling, t1, 0.0)
         dev_loc = max(dev_loc, abs(loc.populations[0] - n1_ana),
                       abs(loc.populations[1] - n2_ana))
@@ -89,15 +99,14 @@ def _dimer_population_blocks(t1_grid):
 
 def _dimer_flux_block(t1_grid):
     dev_glob = dev_loc = 0.0
-    for eps in (1.001, 2.5, 10.0):
-        for t1 in t1_grid:
-            spec = dimer(eps, eps, 1.0, t1, 0.0)
-            glob = steady_report(spec, "global")
-            ana = dimer_global_heat_flux_analytic(eps, 1.0, t1, 0.0)
-            dev_glob = max(dev_glob, abs(glob.fluxes[0] - ana.total))
-            loc = steady_report(spec, "local")
-            dev_loc = max(dev_loc, abs(loc.fluxes[0]
-                                       - dimer_local_heat_flux_analytic(eps, 1.0, t1, 0.0)))
+    points = [(eps, t1) for eps in (1.001, 2.5, 10.0) for t1 in t1_grid]
+    specs = [dimer(eps, eps, 1.0, t1, 0.0) for eps, t1 in points]
+    glob, local = map(_solved, steady_reports(specs, ("global", "local")))
+    for (eps, t1), g, loc in zip(points, glob, local):
+        ana = dimer_global_heat_flux_analytic(eps, 1.0, t1, 0.0)
+        dev_glob = max(dev_glob, abs(g.fluxes[0] - ana.total))
+        dev_loc = max(dev_loc, abs(loc.fluxes[0]
+                                   - dimer_local_heat_flux_analytic(eps, 1.0, t1, 0.0)))
     return [
         Check("dimer global flux vs channel sum", dev_glob, 1e-9),
         Check("dimer local flux vs weighted monomer form", dev_loc, 1e-9),
@@ -107,22 +116,24 @@ def _dimer_flux_block(t1_grid):
 def _field_grid_block():
     eps = 1.5
     dev = 0.0
-    for t1 in np.linspace(0.0, 10.0, 20):
-        for coupling in np.linspace(0.15, 3.0, 20):
-            spec = dimer(eps, eps, coupling, t1, 0.0)
-            loc = steady_report(spec, "local")
-            n1_ana, n2_ana = dimer_local_populations_analytic(eps, coupling, t1, 0.0)
-            dev = max(dev, abs(loc.populations[0] - n1_ana),
-                      abs(loc.populations[1] - n2_ana),
-                      abs(loc.fluxes[0]
-                          - dimer_local_heat_flux_analytic(eps, coupling, t1, 0.0)))
-            if abs(eps - coupling) <= OMEGA_MIN:
-                continue
-            glob = steady_report(spec, "global")
-            ana_pop = dimer_global_populations_analytic(eps, coupling, t1, 0.0)
-            ana_flux = dimer_global_heat_flux_analytic(eps, coupling, t1, 0.0)
-            dev = max(dev, abs(glob.populations[0] - ana_pop.n1),
-                      abs(glob.fluxes[0] - ana_flux.total))
+    points = [(t1, coupling) for t1 in np.linspace(0.0, 10.0, 20)
+              for coupling in np.linspace(0.15, 3.0, 20)]
+    specs = [dimer(eps, eps, coupling, t1, 0.0) for t1, coupling in points]
+    glob, local = steady_reports(specs, ("global", "local"))
+    for (t1, coupling), g, loc in zip(points, glob, _solved(local)):
+        n1_ana, n2_ana = dimer_local_populations_analytic(eps, coupling, t1, 0.0)
+        dev = max(dev, abs(loc.populations[0] - n1_ana),
+                  abs(loc.populations[1] - n2_ana),
+                  abs(loc.fluxes[0]
+                      - dimer_local_heat_flux_analytic(eps, coupling, t1, 0.0)))
+        if abs(eps - coupling) <= OMEGA_MIN:
+            continue
+        if isinstance(g, Exception):
+            raise g
+        ana_pop = dimer_global_populations_analytic(eps, coupling, t1, 0.0)
+        ana_flux = dimer_global_heat_flux_analytic(eps, coupling, t1, 0.0)
+        dev = max(dev, abs(g.populations[0] - ana_pop.n1),
+                  abs(g.fluxes[0] - ana_flux.total))
     return [Check("analytic vs numeric over (T1, K) grid", dev, 1e-8)]
 
 

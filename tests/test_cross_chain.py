@@ -38,6 +38,9 @@ def assert_same_report(a, b):
     assert a.rho.tobytes() == b.rho.tobytes()
     assert repr((a.populations, a.fluxes, a.channel_fluxes, a.residual, a.rcond, a.unknowns)) == \
         repr((b.populations, b.fluxes, b.channel_fluxes, b.residual, b.rcond, b.unknowns))
+    # each reservoir's flux is its channel fluxes added in channel order
+    assert repr(a.fluxes) == repr(tuple(sum(q for _, q in reservoir)
+                                        for reservoir in a.channel_fluxes))
 
 
 def zero_mode_grid(value, low, high):
@@ -119,6 +122,33 @@ def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
     assert len(sets) > 2  # the global frames couple different entries
     assert any(len({id(s) for s in structures}) > 1 for structures, _, _ in stacks)
     assert len(stacks) < 2 * len(specs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_global_rows_of_a_uniform_k_scan_share_one_stack(n, monkeypatch):
+    # each chain's frame puts every excitation sector at that sector's own
+    # sites, so the chains of a K scan couple the same entries of the frame
+    # state; the grid stays clear of the zero modes and of K = 3, where a
+    # bin joins two sectors
+    stacks = []
+    real = chainflux.observables._stack_reports
+
+    def recording(structures, specs, approach, rates, unknowns):
+        stacks.append((len(specs), unknowns_key(unknowns)))
+        return real(structures, specs, approach, rates, unknowns)
+
+    monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
+    base = chain([1.5] * n, [1.0] * (n - 1), 2.0, 0.5)
+    zeros = [1.5 / (2 * math.cos(k * math.pi / (n + 1))) for k in range(1, (n + 1) // 2 + 1)
+             if math.cos(k * math.pi / (n + 1)) > 1e-12]
+    grid = [k for k in np.linspace(0.2, 2.8, 14) if min(abs(k - z) for z in zeros) > 0.05]
+    (reports,) = steady_reports([apply_axis(base, "k", k) for k in grid], ("global",))
+    assert all(isinstance(r, SteadyReport) for r in reports)
+    # one set of unknowns, cut only by the stack size
+    assert len({key for _, key in stacks}) == 1
+    step = chainflux.observables._GRID_ELEMENTS // reports[0].unknowns**2
+    assert [size for size, _ in stacks] == [min(step, len(grid) - i)
+                                            for i in range(0, len(grid), step)]
 
 
 def loop_closure(H, operators):

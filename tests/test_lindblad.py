@@ -3,9 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from chainflux import (
+    BathSpec,
+    ChainSpec,
     DegenerateTransition,
     DimensionMismatch,
     NonPositiveFrequency,
+    apply_axis,
     assemble,
     bose_occupation,
     build_chain_hamiltonian,
@@ -23,11 +26,14 @@ from chainflux import (
 from chainflux.lindblad import (
     build_liouvillian,
     build_local_dissipator,
+    chain_operators,
+    chain_structure,
     full_unknowns,
     global_bins,
     global_dissipator_bins,
     global_jump_operators,
     superoperator,
+    thermal_rates,
 )
 
 
@@ -60,6 +66,56 @@ def test_bose_occupation_rejects_nonpositive_frequency():
         bose_occupation(0.0, 1.0)
     with pytest.raises(NonPositiveFrequency):
         bose_occupation(-1.0, 1.0)
+
+
+def scalar_rates(structure, baths):
+    """Each operator's rate from one bose_occupation per bin, as the rates were first built."""
+    out = []
+    for reservoir, bath in zip(structure.bins, baths):
+        for omega, _ in reservoir:
+            out += thermal_rates(bath.gamma, bose_occupation(omega, bath.temperature))
+    return out
+
+
+# T = 0 (and -0.0), omega / T > 700 (T1 = 0.01 at eps = 10) and a log grid
+# over omega / T from about 1e-3 to 1e3
+TEMPERATURES = (0.0, -0.0, 0.01, 0.0137, *np.logspace(-2.0, 3.0, 31).tolist())
+
+
+@pytest.mark.parametrize("approach", ["global", "local"])
+@pytest.mark.parametrize("spec", [
+    chain([10.0, 10.0], [1.0], 0.01, 0.0),
+    chain([1.2, 0.9, 1.4], [0.7, 0.5], 0.7, 0.2, 0.8, 1.3),  # gamma != 1
+    monomer(2.5, 1.0, 0.0, 0.3, 1.7),
+], ids=["eps10", "gamma", "monomer"])
+def test_array_rates_equal_the_scalar_rates_bit_for_bit(spec, approach):
+    structure = chain_structure(chain_operators(spec), spec, approach)
+    (g1, s1), (g2, s2) = ((b.gamma, b.attached_site) for b in spec.baths)
+    baths = [(BathSpec(t1, g1, s1), BathSpec(t2, g2, s2))
+             for t1 in TEMPERATURES for t2 in (0.0, 0.01, 0.5)]
+    rates = structure.rates(baths)
+    assert rates.shape == (len(baths), len(structure.operators))
+    for row, pair in zip(rates.tolist(), baths):
+        assert row == scalar_rates(structure, pair)
+    model = assemble(spec, approach)
+    assert model.rates.tolist() == scalar_rates(model.structure, spec.baths)
+
+
+def test_array_rates_of_a_k_scan_with_one_row_per_chain():
+    base = chain([1.5] * 4, [1.0] * 3, 0.01, 0.3, 1.4, 0.6)
+    for k in np.linspace(0.2, 2.9, 12):
+        spec = apply_axis(base, "k", k)
+        for approach in ("global", "local"):
+            structure = chain_structure(chain_operators(spec), spec, approach)
+            assert structure.rates([spec.baths]).tolist() == [scalar_rates(structure, spec.baths)]
+
+
+def test_array_rates_reject_a_nonpositive_frequency():
+    # a gap of zero gives the local bin omega = 0; validate_spec would refuse it
+    spec = ChainSpec(2, (0.0, 1.0), (1.0,), (BathSpec(1.0, 1.0, 0), BathSpec(0.5, 1.0, 1)))
+    structure = chain_structure(chain_operators(spec), spec, "local")
+    with pytest.raises(NonPositiveFrequency):
+        structure.rates([spec.baths])
 
 
 def test_detailed_balance_ratio():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from chainflux import (
     read_csv_table,
     run_sweep,
 )
+from chainflux.model import BathSpec, validate_spec
 from chainflux.sweep import SweepRequest, SweepTable
 
 REPO = Path(__file__).resolve().parent.parent
@@ -196,17 +198,74 @@ def test_invalid_grid_point_raises_without_parse_config():
 
 
 def test_each_grid_point_is_validated_once(monkeypatch):
+    # the fields no grid point changes are validated once per sweep, and each
+    # grid value once, against its own field's rule
     import chainflux.sweep
 
-    calls = []
+    checked, validated = [], []
 
-    def counting(spec, _real=chainflux.sweep.validate_spec):
-        calls.append(spec)
+    def checking(spec, axis, value, _real=chainflux.sweep.apply_axis):
+        checked.append(value)
+        return _real(spec, axis, value)
+
+    def validating(spec, _real=chainflux.sweep.validate_spec):
+        validated.append(spec)
         return _real(spec)
 
-    monkeypatch.setattr(chainflux.sweep, "validate_spec", counting)
-    run_sweep(small_request(grid=(0.5, 1.0, 2.0, 4.0)))
-    assert len(calls) == 4
+    monkeypatch.setattr(chainflux.sweep, "apply_axis", checking)
+    monkeypatch.setattr(chainflux.sweep, "validate_spec", validating)
+    grid = (0.5, 1.0, 2.0, 4.0)
+    run_sweep(small_request(grid=grid))
+    assert checked == list(grid)
+    assert len(validated) == 1
+
+
+def point_spec(base, axis, value):
+    """``base`` with the swept field set to ``value``, not validated."""
+    if axis in ("t1", "t2"):
+        baths = list(base.baths)
+        j = int(axis == "t2")
+        baths[j] = BathSpec(value, baths[j].gamma, baths[j].attached_site)
+        return replace(base, baths=tuple(baths))
+    if axis == "k":
+        return replace(base, couplings=(value,) * len(base.couplings))
+    return replace(base, epsilons=(value,) * base.n_qubits)
+
+
+def raised(call, *args):
+    with pytest.raises(SpecError) as info:
+        call(*args)
+    return type(info.value), str(info.value), info.value.violations
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("axis, bad", [("t1", -1.0), ("t1", math.nan), ("t2", math.inf),
+                                       ("eps", 0.0), ("eps", -math.inf), ("k", math.nan)])
+def test_an_invalid_grid_value_fails_as_validate_spec_on_its_spec(axis, bad, position):
+    base = chain([1.5] * 3, [1.0] * 2, 1.0, 0.5)
+    grid = [0.5, 1.0, 1.5, 2.0]
+    grid.insert(position, bad)
+    request = SweepRequest(base=base, axis=axis, grid=tuple(grid), approaches=("local",),
+                           outputs=("populations",))
+    assert raised(run_sweep, request) == raised(validate_spec, point_spec(base, axis, bad))
+
+
+def test_an_invalid_base_fails_as_validate_spec_on_its_first_point():
+    base = replace(chain([1.5] * 2, [1.0], 1.0, 0.5), couplings=(math.inf,))
+    request = SweepRequest(base=base, axis="t1", grid=(-1.0, 2.0), approaches=("local",),
+                           outputs=("populations",))
+    expected = raised(validate_spec, point_spec(base, "t1", -1.0))
+    assert expected[0] is SpecError and len(expected[2]) == 2
+    assert raised(run_sweep, request) == expected
+
+
+def test_a_single_qubit_k_scan_accepts_any_coupling():
+    # one qubit has no couplings, so validate_spec accepts any K
+    base = chain([1.5], [], 1.0, 0.5)
+    assert validate_spec(point_spec(base, "k", math.nan)) == base
+    table = run_sweep(SweepRequest(base=base, axis="k", grid=(math.nan, 1.0),
+                                   approaches=("global",), outputs=("populations",)))
+    assert len(table.rows) == 2 and not table.skipped
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
