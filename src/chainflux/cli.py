@@ -15,7 +15,10 @@ from .verify import run_verification
 
 
 def _parse_list(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,9 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     steady = sub.add_parser("steady", help="solve one chain and print a report")
-    steady.add_argument("--epsilons", required=True,
+    steady.add_argument("--epsilons", type=_parse_list, required=True,
                         help="comma list of qubit gaps, e.g. '1.5,1.5'")
-    steady.add_argument("--couplings", default="",
+    steady.add_argument("--couplings", type=_parse_list, default="",
                         help="comma list of hopping amplitudes (empty for one qubit)")
     steady.add_argument("--t1", type=float, required=True, help="temperature of reservoir 1")
     steady.add_argument("--t2", type=float, required=True, help="temperature of reservoir 2")
@@ -66,8 +69,7 @@ def _print_report(report) -> None:
 
 
 def cmd_steady(args) -> int:
-    spec = chain(_parse_list(args.epsilons), _parse_list(args.couplings),
-                 args.t1, args.t2, args.gamma1, args.gamma2)
+    spec = chain(args.epsilons, args.couplings, args.t1, args.t2, args.gamma1, args.gamma2)
     approaches = ("global", "local") if args.approach == "both" else (args.approach,)
     for approach in approaches:
         _print_report(steady_report(spec, approach))

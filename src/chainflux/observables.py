@@ -11,6 +11,7 @@ exponentiated.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -245,6 +246,7 @@ def dimer_local_heat_flux_analytic(eps, coupling, t1, t2,
 class SteadyReport:
     """Full numeric pipeline output for one chain under one approach.
 
+    A view of one row of a :class:`SteadyColumns`, built when asked for.
     ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal condition
     number and the number of entries of rho it solved for; ``chain`` holds
     the chain's H in the site basis and its eigensystem, computed on first
@@ -263,6 +265,62 @@ class SteadyReport:
     chain: ChainOperators = field(repr=False, compare=False)
 
 
+@dataclass(frozen=True, eq=False)
+class SteadyColumns(Sequence):
+    """One approach's results for the specs of a :func:`steady_reports` call, one row per spec.
+
+    ``populations`` (rows, N), ``fluxes`` (rows, 2), ``residual``, ``rcond``
+    and ``unknowns`` are columns; ``errors`` maps each row not solved to its
+    DegenerateTransition (with its omega) or DegenerateKernel (with its
+    rcond), and such a row's entries are no result.  ``rho`` holds the
+    states in their solve frame, ``channels`` the channel fluxes in
+    structure order, zero-padded, and ``structures`` each row's structure.
+    ``columns[i]`` builds row i's :class:`SteadyReport`, or gives its error.
+    """
+
+    specs: list
+    approach: str
+    populations: np.ndarray
+    fluxes: np.ndarray
+    residual: np.ndarray
+    rcond: np.ndarray
+    unknowns: np.ndarray
+    errors: dict
+    rho: np.ndarray
+    channels: np.ndarray
+    structures: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if i in self.errors:
+            return self.errors[i]
+        structure = self.structures[i]
+        omegas, slices = structure.channels
+        omegas, values = omegas.tolist(), self.channels[i].tolist()
+        return SteadyReport(
+            spec=self.specs[i], approach=self.approach, rho=structure.to_site(self.rho[i]),
+            populations=tuple(self.populations[i].tolist()),
+            fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
+            channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in slices),
+            rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]), chain=structure.chain)
+
+    def rho_diagonals(self, rows) -> np.ndarray:
+        """The populations of the states of ``rows`` in their chain's eigenbasis, (rows, d)."""
+        runs = [(s, len(tuple(run))) for s, run in groupby(self.structures[rows])]
+        rho = self.rho[rows]
+        if not runs:
+            return np.zeros((0, rho.shape[-1]))
+        if self.approach == "global":  # in the site basis
+            frames = _per_row([(s.eigensystem, count) for s, count in runs], "frame")
+            rho = frames @ rho @ frames.conj().swapaxes(1, 2)
+        vectors = _per_row([(s.chain.eigensystem, count) for s, count in runs], "vectors")
+        rho = vectors.conj().swapaxes(1, 2) @ rho @ vectors
+        return np.diagonal(rho, axis1=1, axis2=2).real
+
+
 def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
     """Assemble, solve and measure one chain; the one-stop numeric pipeline.
 
@@ -276,56 +334,57 @@ def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
 
 
 def steady_reports(specs, approaches) -> list:
-    """Per approach, the SteadyReport of each spec, or the error that stopped it.
+    """Per approach, the :class:`SteadyColumns` of the specs, which all have one number of qubits.
 
-    The call owns every chain's rate-free data and drops it when it
-    returns: one :class:`ChainOperators` per chain (the same gaps, couplings
-    and attachments, as along a temperature sweep), so H is built and
-    diagonalized once per chain for every approach, and one
-    :class:`~chainflux.lindblad.ChainStructure` per chain and approach.
-    The approaches are solved one after the other, so one approach's
-    structures are let go before the next one's are built.  Within an
-    approach, rows are grouped by their set of unknowns and pattern of zero
-    rates, across chains: the rows of a temperature sweep with the same
-    zero rates, the local rows of a K or eps scan, and the global rows of
-    chains whose frame generators couple the same entries.  Every row of a
-    stack thus skips the same zero-rate terms.  Each group is solved in stacks of at most
-    ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a dimer
-    sweep is one stack per set and an N = 5 local block (252^2 elements)
-    goes alone.  Every spec of a chain whose eigenbasis route degenerates
-    gets that DegenerateTransition (the other chains of the call are
-    solved as usual), and a spec whose steady state is not unique gets its
-    own DegenerateKernel.  Each report is the one :func:`steady_report`
-    gives, bit for bit.
+    The call owns every chain's rate-free data: one :class:`ChainOperators`
+    per chain (the same gaps, couplings and attachments, as along a
+    temperature sweep), so H is built and diagonalized once per chain for
+    every approach, and one :class:`~chainflux.lindblad.ChainStructure` per
+    chain and approach, kept by that approach's columns for their views.
+    Within an approach, rows are grouped by their set of unknowns and
+    pattern of zero rates, across chains: the rows of a temperature sweep
+    with the same zero rates, the local rows of a K or eps scan, and the
+    global rows of chains whose frame generators couple the same entries.
+    Every row of a stack thus skips the same zero-rate terms.  Each group
+    is solved in stacks of at most ``_GRID_ELEMENTS`` block elements
+    (:func:`_stack_reports`), so a dimer sweep is one stack per set and an
+    N = 5 local block (252^2 elements) goes alone.  Every spec of a chain
+    whose eigenbasis route degenerates gets that DegenerateTransition (the
+    other chains of the call are solved as usual), and a spec whose steady
+    state is not unique gets its own DegenerateKernel.  Each row is the one
+    :func:`steady_report` gives, bit for bit.
     """
+    n = specs[0].n_qubits if specs else 0
     chains = {}  # chain key -> (ChainOperators, indices of the chain's specs)
     for i, spec in enumerate(specs):
         key = chain_key(spec)
         entry = chains.get(key)
         if entry is None:
+            if len(key[0]) != n:
+                raise DimensionMismatch(f"chains of {n} and {len(key[0])} qubits in one call")
             entry = chains[key] = (chain_operators(spec), [])
         entry[1].append(i)
-    return [_approach_reports(specs, chains.values(), approach) for approach in approaches]
+    return [_approach_reports(specs, n, chains.values(), approach) for approach in approaches]
 
 
-def _approach_reports(specs, chains, approach) -> list:
-    """:func:`steady_reports` under one approach, on the call's ``chains``.
+def _approach_reports(specs, n, chains, approach) -> SteadyColumns:
+    """:func:`steady_reports` under one approach, on the call's ``chains`` of ``n`` qubits.
 
     Each chain's rates are one array (:meth:`ChainStructure.rates`), and its
     rows are split by the bytes of each row's zero-rate pattern.
     """
-    groups = {}  # (set of unknowns, zero rates) -> (unknowns, rows, structures, rates)
-    results = [None] * len(specs)
+    groups = {}  # (set of unknowns, zero rates) -> (unknowns, rows, rates)
+    errors, structures, width = {}, np.full(len(specs), None), 0
     for operators, rows in chains:
         try:
             structure = chain_structure(operators, specs[rows[0]], approach)
         except DegenerateTransition as err:
             # kept without its traceback, whose frames would hold this
             # call's locals in a reference cycle
-            err = err.with_traceback(None)
-            for i in rows:
-                results[i] = err
+            errors.update(dict.fromkeys(rows, err.with_traceback(None)))
             continue
+        structures[rows] = structure
+        width = max(width, len(structure.operators) // 2)
         rates = structure.rates([specs[i].baths for i in rows])
         zero = rates == 0
         patterns = {}
@@ -334,20 +393,28 @@ def _approach_reports(specs, chains, approach) -> list:
         for pattern, members in patterns.items():
             unknowns = structure.unknowns(zero[members[0]])
             key = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), pattern)
-            group = groups.setdefault(key, (unknowns, [], [], []))
+            group = groups.setdefault(key, (unknowns, [], []))
             group[1].extend(rows[j] for j in members)
-            group[2].extend([structure] * len(members))
-            group[3].append(rates[members])
-    for unknowns, rows, structures, rates in groups.values():
-        rates = np.concatenate(rates)
-        step = max(1, _GRID_ELEMENTS // unknowns.size**2)
+            group[2].append(rates[members])
+    k, d = len(specs), 2**n
+    out = SteadyColumns(
+        specs=specs, approach=approach, populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)),
+        residual=np.zeros(k), rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
+        rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, width)),
+        structures=structures)
+    for unknowns, rows, rates in groups.values():
+        rates, m = np.concatenate(rates), unknowns.size
+        step = max(1, _GRID_ELEMENTS // m**2)
         for start in range(0, len(rows), step):
             stack = rows[start:start + step]
-            reports = _stack_reports(structures[start:start + step], [specs[i] for i in stack],
-                                     approach, rates[start:start + step], unknowns)
-            for i, report in zip(stack, reports):
-                results[i] = report
-    return results
+            out.populations[stack], out.fluxes[stack], channels, sol = _stack_reports(
+                structures[stack], [specs[i] for i in stack], approach, rates[start:start + step],
+                unknowns)
+            out.channels[stack, :channels.shape[1]], out.rho[stack] = channels, sol.rho
+            out.residual[stack], out.rcond[stack], out.unknowns[stack] = sol.residual, sol.rcond, m
+            for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
+                errors[stack[j]] = uniqueness_error(sol.rcond[j], m)
+    return out
 
 
 def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
@@ -365,23 +432,22 @@ def _per_row(runs, name: str) -> np.ndarray:
     return np.repeat(np.array(arrays), [count for _, count in runs], axis=0)
 
 
-def _stack_reports(structures, specs, approach, rates, unknowns) -> list:
-    """Reports of one stack of rows that share ``unknowns``; row j is on ``structures[j]``.
+def _stack_reports(structures, specs, approach, rates, unknowns) -> tuple:
+    """Populations, fluxes, channel fluxes and solution of a stack of rows sharing ``unknowns``.
 
-    The blocks are built at once (:func:`superoperator`), each on its own
-    row's H and jump operators, and solved by one stacked call
-    (:func:`solve_steady`).  Tr{H D(rho)} is linear in rho:
-    gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
-    functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) each row's
-    structure keeps, so one product with each rho gives every channel's
-    traces; the populations are read off the number operators in the frame
-    the same way.  Consecutive rows on one structure are read together:
-    each reservoir's flux is the sum of its channel fluxes in channel
-    order, one column at a time.  A row whose system is not :func:`unique`
-    gets its DegenerateKernel.
+    Row j is on ``structures[j]``.  The blocks are built at once
+    (:func:`superoperator`), each on its own row's H and jump operators,
+    and solved by one stacked call (:func:`solve_steady`).  Tr{H D(rho)} is
+    linear in rho: gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho}
+    with the flux functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H)
+    each row's structure keeps, so one product with each rho gives every
+    channel's flux; the populations are read off the number operators in
+    the frame the same way.  Consecutive rows on one structure are read
+    together: each reservoir's flux is the sum of its channel fluxes in
+    channel order, one column at a time.
     """
     runs = [(structure, len(tuple(rows))) for structure, rows in groupby(structures)]
-    k, d, m = len(specs), unknowns.dim, unknowns.size
+    k, d = len(specs), unknowns.dim
     sol = solve_steady(superoperator(_per_row(runs, "frame_hamiltonian"),
                                      _per_row(runs, "operators"), rates, unknowns),
                        unknowns)
@@ -392,33 +458,12 @@ def _stack_reports(structures, specs, approach, rates, unknowns) -> list:
     channels = _imaginary_residue(channels, "heat flux")
     numbers = _per_row(runs, "population_functionals")
     populations = numbers.reshape(len(numbers), -1, d * d) @ flat
-    populations = _imaginary_residue(populations[..., 0], "population").tolist()
-    rho = sol.rho
-    if approach == "global":
-        frames = _per_row([(s.eigensystem, count) for s, count in runs], "frame")
-        rho = frames @ rho @ frames.conj().swapaxes(1, 2)
-    solved = unique(sol.rcond, m).tolist()
-    residuals, rconds = sol.residual.tolist(), sol.rcond.tolist()
-    out = []
+    populations = _imaginary_residue(populations[..., 0], "population")
+    fluxes = np.zeros((k, 2))
+    start = 0
     for structure, count in runs:
-        j = len(out)
-        omegas, slices = structure.channels
-        fluxes, breakdowns = [], []
-        for piece in slices:
-            run = channels[j:j + count, piece]
-            total = np.zeros(count)
-            for column in run.T:  # as sum(): 0 + q_1 + q_2 + ...
-                total += column
-            fluxes.append(total.tolist())
-            freqs = omegas[piece].tolist()
-            breakdowns.append([tuple(zip(freqs, values)) for values in run.tolist()])
-        for j, flux, breakdown in zip(range(j, j + count), zip(*fluxes), zip(*breakdowns)):
-            if not solved[j]:
-                out.append(uniqueness_error(rconds[j], m))
-                continue
-            out.append(SteadyReport(
-                spec=specs[j], approach=approach, rho=rho[j], populations=tuple(populations[j]),
-                fluxes=flux, residual=residuals[j], channel_fluxes=breakdown,
-                rcond=rconds[j], unknowns=m, chain=structure.chain,
-            ))
-    return out
+        for reservoir, piece in enumerate(structure.channels[1]):
+            for column in channels[start:start + count, piece].T:  # as sum(): 0 + q_1 + ...
+                fluxes[start:start + count, reservoir] += column
+        start += count
+    return populations, fluxes, channels, sol

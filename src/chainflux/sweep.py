@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .errors import (
     UnknownKey,
 )
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
-from .observables import SteadyReport, steady_reports
+from .observables import steady_reports
 
 AXES = ("t1", "t2", "k", "eps")
 APPROACHES = ("global", "local")
@@ -45,28 +47,54 @@ class SweepRequest:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
-    approach: str
-    populations: tuple
-    fluxes: tuple
-    diagonals: tuple
-    residual: float
-
-
-@dataclass(frozen=True)
 class SkippedRow:
     axis_value: float
     approach: str
     reason: str
 
 
+@dataclass(frozen=True, eq=False)
+class SweepColumns(Sequence):
+    """The solved rows of a sweep as columns, one entry per row.
+
+    ``populations``, ``fluxes`` and ``diagonals`` (of ``rho_diagonals``)
+    have one column per CSV column, none where the request does not output
+    them.  ``columns[i]`` builds row i as a namespace of the field names,
+    and a slice gives a tuple of such rows.
+    """
+
+    axis_value: np.ndarray
+    approach: np.ndarray
+    populations: np.ndarray
+    fluxes: np.ndarray
+    diagonals: np.ndarray
+    residual: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.residual)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        return SimpleNamespace(
+            axis_value=self.axis_value[i].item(), approach=str(self.approach[i]),
+            populations=tuple(self.populations[i].tolist()), fluxes=tuple(self.fluxes[i].tolist()),
+            diagonals=tuple(self.diagonals[i].tolist()), residual=self.residual[i].item())
+
+
 @dataclass(frozen=True)
 class SweepTable:
+    """A sweep's ``rows`` as :class:`SweepColumns`, its ``skipped`` points and its metadata."""
+
     request: SweepRequest
-    rows: tuple
+    rows: SweepColumns
     skipped: tuple
     metadata: tuple  # ordered (key, value) pairs
+
+    def __post_init__(self):
+        if not isinstance(self.rows, SweepColumns):  # rows given one by one, as by hand
+            columns = [[getattr(row, f.name) for row in self.rows] for f in fields(SweepColumns)]
+            object.__setattr__(self, "rows", SweepColumns(*map(np.array, columns)))
 
 
 def apply_axis(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
@@ -277,47 +305,41 @@ def format_config(request: SweepRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SKIP_REASONS = {
+    DegenerateTransition: "degenerate-transition (omega = {0.omega:.3e})",
+    DegenerateKernel: "degenerate-kernel (rcond = {0.rcond:.3e})",
+}
+
+
 def _row_task(args):
-    """Rows and skips of one chunk of (grid value, spec) points, per approach of the request.
+    """Columns and skips of one chunk of (grid value, spec) points, per approach of the request.
 
     The chunk's specs are solved under every approach in one call
     (:func:`steady_reports`), which builds each chain's H and eigensystem
     once for both approaches, even for a chain whose eigenbasis route
     degenerates; a point whose eigenbasis degenerates or whose steady
-    state is not unique becomes an annotated skip.
+    state is not unique becomes an annotated skip.  The rows leave as arrays.
     """
     request, points = args
-    reports = steady_reports([spec for _, spec in points], request.approaches)
-    return tuple(_approach_rows(request, points, approach, approach_reports)
-                 for approach, approach_reports in zip(request.approaches, reports))
-
-
-def _approach_rows(request, points, approach, reports) -> list:
-    solved = [report for report in reports if isinstance(report, SteadyReport)]
-    diagonals = iter(())
-    if "rho_diagonals" in request.outputs and solved:
-        # the eigenbasis populations of each state, one stacked product
-        vectors = np.array([r.chain.eigensystem.vectors for r in solved])
-        rho = vectors.conj().swapaxes(1, 2) @ np.array([r.rho for r in solved]) @ vectors
-        diagonals = iter(np.diagonal(rho, axis1=1, axis2=2).real.tolist())
+    values = np.array([value for value, _ in points])
     out = []
-    for (value, _), report in zip(points, reports):
-        if isinstance(report, DegenerateTransition):
-            out.append(SkippedRow(axis_value=value, approach=approach,
-                                  reason=f"degenerate-transition (omega = {report.omega:.3e})"))
-        elif isinstance(report, DegenerateKernel):
-            out.append(SkippedRow(axis_value=value, approach=approach,
-                                  reason=f"degenerate-kernel (rcond = {report.rcond:.3e})"))
-        else:
-            out.append(SweepRow(
-                axis_value=value,
-                approach=approach,
-                populations=report.populations if "populations" in request.outputs else (),
-                fluxes=report.fluxes if "heat_flux" in request.outputs else (),
-                diagonals=tuple(next(diagonals, ())),
-                residual=report.residual,
-            ))
-    return out
+    for approach, results in zip(request.approaches,
+                                 steady_reports([spec for _, spec in points], request.approaches)):
+        rows = np.flatnonzero(~np.isin(np.arange(len(points)), list(results.errors)))
+        empty = np.zeros((len(rows), 0))
+        columns = SweepColumns(
+            axis_value=values[rows], approach=np.full(len(rows), approach, dtype=object),
+            populations=results.populations[rows] if "populations" in request.outputs else empty,
+            fluxes=results.fluxes[rows] if "heat_flux" in request.outputs else empty,
+            diagonals=(results.rho_diagonals(rows) if "rho_diagonals" in request.outputs
+                       else empty),
+            residual=results.residual[rows],
+        )
+        skips = tuple(SkippedRow(axis_value=points[i][0], approach=approach,
+                                 reason=_SKIP_REASONS[type(error)].format(error))
+                      for i, error in sorted(results.errors.items()))
+        out.append((columns, skips))
+    return tuple(out)
 
 
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
@@ -326,12 +348,13 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     The first grid point's spec is validated in full, once per sweep
     (:func:`validate_spec`); every grid value is checked once, against its
     own field's rule (:func:`apply_axis`), and an invalid one raises the
-    SpecError :func:`validate_spec` raises on its spec.  Rows come out
-    sorted by (approach, axis value) and are identical for any worker
-    count; points where the eigenbasis construction degenerates or the
-    steady state is not unique are recorded as annotated skips instead of
-    aborting the run.  A row residual above ROW_RESIDUAL_LIMIT raises
-    NoConvergence naming the worst row.
+    SpecError :func:`validate_spec` raises on its spec.  The solved rows
+    are joined as columns in (approach, axis value) order and are identical
+    for any worker count; points where the eigenbasis construction
+    degenerates or the steady state is not unique are recorded as
+    annotated skips instead of aborting the run.  A row residual above
+    ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst row, the first
+    of the largest.
 
     The grid goes in contiguous chunks, each one task that solves its points
     under every approach of the request in one :func:`steady_reports` call
@@ -339,11 +362,11 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     eigensystem and site operators, built in that call and dropped after
     it: one chunk with ``workers`` = 1, or 2 * ``workers`` chunks over a
     process pool of at most one process per chunk (none for a single
-    chunk).  A task solves each
-    approach's rows in stacks grouped by set of unknowns and zero rates,
-    across chains: a temperature sweep's chunk is one stacked solve per set
-    of zero rates, and the chains of a K or eps scan that couple the same
-    entries are solved together.
+    chunk), which sends back columns.  A task solves each approach's rows
+    in stacks grouped by set of unknowns and zero rates, across chains: a
+    temperature sweep's chunk is one stacked solve per set of zero rates,
+    and the chains of a K or eps scan that couple the same entries are
+    solved together.
     """
     points = []
     base = request.base
@@ -361,13 +384,12 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
             chunks = list(pool.map(_row_task, tasks))
     else:
         chunks = [_row_task(t) for t in tasks]
-    results = [result for a in range(len(request.approaches))
-               for chunk in chunks for result in chunk[a]]
-
-    rows = tuple(r for r in results if isinstance(r, SweepRow))
-    skipped = tuple(r for r in results if isinstance(r, SkippedRow))
-    worst = max(rows, key=lambda r: r.residual, default=None)
-    if worst is not None and worst.residual > ROW_RESIDUAL_LIMIT:
+    blocks = [chunk[a] for a in range(len(request.approaches)) for chunk in chunks]
+    rows = SweepColumns(*(np.concatenate([getattr(columns, f.name) for columns, _ in blocks])
+                          for f in fields(SweepColumns)))
+    skipped = tuple(skip for _, skips in blocks for skip in skips)
+    if len(rows) and rows.residual.max() > ROW_RESIDUAL_LIMIT:
+        worst = rows[int(rows.residual.argmax())]
         raise NoConvergence(
             f"row residual {worst.residual:.3e} exceeds {ROW_RESIDUAL_LIMIT:.1e} at "
             f"{request.axis} = {worst.axis_value!r}, approach {worst.approach}"
@@ -394,8 +416,8 @@ def _columns(table: SweepTable) -> list:
 def emit_csv(table: SweepTable, path) -> None:
     """Write the table as CSV with '#' metadata lines, LF endings, 17 digits.
 
-    Each row is one printf-style format over the table's columns; "%.17g"
-    gives the same bytes as ``f"{x:.17g}"``.
+    Each row is one printf-style format over ``zip`` of the table's columns
+    as Python lists; "%.17g" gives the same bytes as ``f"{x:.17g}"``.
     """
     lines = []
     for key, value in table.metadata:
@@ -411,8 +433,10 @@ def emit_csv(table: SweepTable, path) -> None:
     columns = _columns(table)
     lines.append(",".join(columns))
     row_format = ",".join("%s" if name == "approach" else "%.17g" for name in columns)
-    lines += [row_format % (row.axis_value, row.approach, *row.populations, *row.fluxes,
-                            *row.diagonals, row.residual) for row in table.rows]
+    rows = table.rows
+    values = [rows.axis_value.tolist(), rows.approach.tolist(), *rows.populations.T.tolist(),
+              *rows.fluxes.T.tolist(), *rows.diagonals.T.tolist(), rows.residual.tolist()]
+    lines += [row_format % row for row in zip(*values)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

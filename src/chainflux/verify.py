@@ -39,10 +39,9 @@ class Check:
 
 
 def _solved(reports):
-    """The reports of one approach, raising the first error among them."""
-    for report in reports:
-        if isinstance(report, Exception):
-            raise report
+    """The columns of one approach, raising the error of its first unsolved row."""
+    if reports.errors:
+        raise reports.errors[min(reports.errors)]
     return reports
 
 

@@ -47,6 +47,16 @@ def test_steady_rejects_non_finite_input(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["--epsilons", "1.5,abc"],
+                                  ["--epsilons", "1.5,1.5", "--couplings", "x"]])
+def test_steady_rejects_non_numeric_list_entries(args, capsys):
+    # such an entry used to end in a ValueError traceback and exit code 1
+    assert cli_main(["steady", *args, "--t1", "1", "--t2", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "not a comma list of numbers" in err
+    assert "Traceback" not in err
+
+
 def test_steady_monomer_reports_identical_approaches(capsys):
     code = cli_main(["steady", "--epsilons", "1.0", "--t1", "1", "--t2", "0",
                      "--approach", "both"])

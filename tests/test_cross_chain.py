@@ -9,6 +9,7 @@ import chainflux.observables
 from chainflux import (
     DegenerateKernel,
     DegenerateTransition,
+    DimensionMismatch,
     SteadyReport,
     apply_axis,
     chain,
@@ -316,3 +317,10 @@ def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch):
     assert all((rates == 0).all(axis=0).tolist() == (rates == 0).any(axis=0).tolist()
                for rates in stacks)
     assert any(len(rates) > 1 for rates in stacks)
+
+
+def test_one_call_takes_chains_of_one_length():
+    # the columns hold (rows, N) populations and (rows, d, d) states
+    specs = [chain([1.5] * 2, [1.0], 1.0, 0.2), chain([1.5] * 3, [1.0] * 2, 1.0, 0.2)]
+    with pytest.raises(DimensionMismatch, match="2 and 3 qubits"):
+        steady_reports(specs, ("local",))

@@ -178,7 +178,7 @@ def test_k_sweep_rows_are_unchanged_by_the_cache():
                            outputs=("populations", "heat_flux", "rho_diagonals"))
     cold = run_sweep(request)
     warm = run_sweep(request)
-    assert cold.rows == warm.rows
+    assert tuple(cold.rows) == tuple(warm.rows)
     for row in cold.rows:
         spec = chain([1.5] * 3, [row.axis_value] * 2, 2.0, 0.5)
         model = assemble(spec, row.approach)

@@ -7,6 +7,8 @@ import pytest
 
 from chainflux import (
     ConfigSyntaxError,
+    DegenerateKernel,
+    DegenerateTransition,
     NoConvergence,
     SpecError,
     SpecInvalid,
@@ -20,8 +22,11 @@ from chainflux import (
     parse_config,
     read_csv_table,
     run_sweep,
+    steady_report,
 )
-from chainflux.model import BathSpec, validate_spec
+from chainflux._version import __version__
+from chainflux.cli import cli_main
+from chainflux.model import BathSpec, conventions_fingerprint, validate_spec
 from chainflux.sweep import SweepRequest, SweepTable
 
 REPO = Path(__file__).resolve().parent.parent
@@ -334,7 +339,7 @@ def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
         table = run_sweep(small_request(grid=points), workers=workers)
         assert sizes == ([] if size is None else [size])  # no pool for one task
         sizes.clear()
-        assert table.rows == tuple(row for row in serial.rows if row.axis_value in points)
+        assert tuple(table.rows) == tuple(row for row in serial.rows if row.axis_value in points)
 
 
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
@@ -393,13 +398,98 @@ def test_csv_skipped_rows_are_annotated(tmp_path):
 
 
 def test_csv_header_only_for_empty_table(tmp_path):
+    # a table built by hand from no rows holds empty columns
     table = SweepTable(request=small_request(), rows=(), skipped=(),
                        metadata=(("tool", "chainflux test"),))
+    assert len(table.rows) == 0 and tuple(table.rows) == ()
     path = tmp_path / "empty.csv"
     emit_csv(table, path)
     metadata, header, rows = read_csv_table(path)
     assert rows == []
     assert header[:2] == ["T1", "approach"]
+
+
+def test_an_all_skipped_sweep_writes_a_header_only_csv(tmp_path, capsys):
+    # K = eps: the global dimer degenerates at every temperature, so every
+    # task's columns are empty
+    cfg = tmp_path / "skips.cfg"
+    cfg.write_text("n_qubits = 2\nepsilon = 1.0\ncoupling = 1.0\nt1 = 0.5\nt2 = 0.0\n"
+                   "axis = t1\ngrid = 0.5, 2.0\napproaches = global\noutputs = rho_diagonals\n")
+    texts = []
+    for workers in (1, 2):
+        path = tmp_path / f"w{workers}.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(path),
+                         "--workers", str(workers)]) == 0
+        assert f"wrote {path} (0 rows, 2 skipped)" in capsys.readouterr().out
+        table = run_sweep(parse_config(cfg.read_text()), workers=workers)
+        assert len(table.rows) == 0 and tuple(table.rows) == ()
+        assert [(s.axis_value, s.approach) for s in table.skipped] == \
+            [(0.5, "global"), (2.0, "global")]
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert [line for line in lines if not line.startswith("#")] == \
+        ["T1,approach,rho_1,rho_2,rho_3,rho_4,residual"]
+    skips = [line for line in lines if line.startswith("# skipped: ")]
+    assert len(skips) == 2
+    assert all(line.startswith("# skipped: degenerate-transition (omega = ") for line in skips)
+
+
+def oracle_csv(request) -> str:
+    """The CSV of ``request`` built row by row from cold steady_report calls."""
+    label = {"t1": "T1", "t2": "T2", "k": "K", "eps": "eps"}[request.axis]
+    header = [label, "approach"]
+    if "populations" in request.outputs:
+        header += [f"n{q + 1}" for q in range(request.base.n_qubits)]
+    if "heat_flux" in request.outputs:
+        header += ["Q1", "Q2"]
+    if "rho_diagonals" in request.outputs:
+        header += [f"rho_{i + 1}" for i in range(request.base.dim)]
+    header.append("residual")
+    lines = [f"# tool: chainflux {__version__}", f"# conventions: {conventions_fingerprint()}"]
+    lines += [f"# config: {line}" for line in format_config(request).splitlines()]
+    rows = []
+    for approach in request.approaches:
+        for value in request.grid:
+            where = f"{request.axis}={value:.17g} approach={approach}"
+            try:
+                report = steady_report(apply_axis(request.base, request.axis, value), approach)
+            except DegenerateTransition as err:
+                lines.append(f"# skipped: degenerate-transition (omega = {err.omega:.3e}) {where}")
+                continue
+            except DegenerateKernel as err:
+                lines.append(f"# skipped: degenerate-kernel (rcond = {err.rcond:.3e}) {where}")
+                continue
+            fields = []
+            if "populations" in request.outputs:
+                fields += report.populations
+            if "heat_flux" in request.outputs:
+                fields += report.fluxes
+            if "rho_diagonals" in request.outputs:
+                vectors = report.chain.eigensystem.vectors
+                fields += np.diag(vectors.conj().T @ report.rho @ vectors).real.tolist()
+            fields.append(report.residual)
+            rows.append(f"{value:.17g},{approach}," + ",".join(f"{x:.17g}" for x in fields))
+    return "\n".join(lines + [",".join(header)] + rows) + "\n"
+
+
+def test_csv_matches_an_oracle_built_from_cold_reports(tmp_path):
+    # at workers = 2 each K point is its own task, so the zero mode's task
+    # has no global rows
+    zero_mode = 1.5 / (2 * math.cos(math.pi / 4))  # N = 3: eps = 2 K cos(pi / 4)
+    requests = [
+        small_request(grid=tuple(np.logspace(-2.0, 2.0, 9))),
+        SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 2.0, 0.5), axis="k",
+                     grid=(0.4, zero_mode, 1.4, 2.2), approaches=("global", "local"),
+                     outputs=("populations", "heat_flux", "rho_diagonals")),
+    ]
+    for request in requests:
+        expected = oracle_csv(request)
+        assert ("# skipped: " in expected) == (request.axis == "k")
+        for workers in (1, 2):
+            path = tmp_path / f"{request.axis}-{workers}.csv"
+            emit_csv(run_sweep(request, workers=workers), path)
+            assert path.read_bytes() == expected.encode()
 
 
 def test_csv_diagonal_columns(tmp_path):
