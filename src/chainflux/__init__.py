@@ -30,6 +30,7 @@ from .errors import (
     SpecInvalid,
     StepTooLarge,
     UnknownKey,
+    WorkerFailed,
 )
 from .model import (
     BathSpec,
@@ -101,7 +102,7 @@ __all__ = [
     "DegenerateTransition", "DimensionMismatch", "IndexOutOfRange", "LengthMismatch",
     "NegativeTemperature", "NoConvergence", "NonPositiveFrequency", "NonPositiveGap",
     "NonPositiveRate", "NotHermitian", "NTooLarge", "SpecError", "SpecInvalid",
-    "StepTooLarge", "UnknownKey",
+    "StepTooLarge", "UnknownKey", "WorkerFailed",
     "BathSpec", "ChainSpec", "chain", "conventions_fingerprint", "dimer", "monomer",
     "validate_spec",
     "EigenSystem", "EigenSystemDimer", "build_chain_hamiltonian", "diagonalize",

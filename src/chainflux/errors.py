@@ -89,6 +89,18 @@ class NoConvergence(ChainfluxError, RuntimeError):
     """A numerical step did not converge or left the finite range."""
 
 
+class WorkerFailed(ChainfluxError, RuntimeError):
+    """A sweep worker process ended without sending its results back.
+
+    ``status`` is its exit status, or minus the number of the signal that
+    ended it.
+    """
+
+    def __init__(self, message, status=None):
+        super().__init__(message)
+        self.status = status
+
+
 class StepTooLarge(ChainfluxError, ValueError):
     pass
 

@@ -19,12 +19,13 @@ diagonal for the steady solve, every entry for the dense site-basis
 generator kept for tests and time evolution.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
-and gamma nbar of the bins.  Everything else is rate-free and is built here,
-not kept: H, its eigensystem and the site operators of a chain (gaps,
-couplings, attachments) in :func:`chain_operators`, the binned operators
-and each bin's flux functionals of a chain and approach in
-:func:`chain_structure`.  The caller that owns a request
-(:func:`chainflux.observables.steady_reports`) builds each once per chain
+and gamma nbar of the bins.  Everything else is rate-free and is built here
+as stacks over the chains of one qubit count, not kept: H, its eigensystem
+and the site operators of the chains (gaps, couplings, attachments) in
+:func:`chain_operators`, the binned operators and each bin's flux
+functionals of the chains under one approach in :func:`chain_structure`.
+The caller that owns a request
+(:func:`chainflux.observables.steady_reports`) builds each once per call
 and shares them between the rows and both approaches.
 """
 
@@ -86,63 +87,104 @@ def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-# One entry per lowering jump: its bin's Bohr frequency, the eigenstates
-# p = lower and q = upper it joins and its matrix element <p|coupling|q>.
-JUMP_DTYPE = np.dtype([("omega", float), ("lower", np.intp), ("upper", np.intp), ("weight", complex)])
+# One entry per lowering jump: the chain and reservoir it belongs to, its
+# bin's Bohr frequency, the eigenstates p = lower and q = upper it joins and
+# its matrix element <p|coupling|q>.
+JUMP_DTYPE = np.dtype([("chain", np.intp), ("reservoir", np.intp), ("omega", float),
+                       ("lower", np.intp), ("upper", np.intp), ("weight", complex)])
+
+# Bins of at most this many jumps have their mean frequency summed column by
+# column; ndarray.sum adds fewer than eight values left to right as well.
+_SEQUENTIAL_SUM = 8
 
 
-def global_jump_operators(es: EigenSystem, coupling: np.ndarray) -> np.ndarray:
-    """Decompose a coupling operator into binned lowering eigenoperators.
+def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
+                          errors: dict = None) -> np.ndarray:
+    """Decompose coupling operators into binned lowering eigenoperators.
 
     For every ordered eigenpair (p, q) with E_q - E_p above the frequency
     cutoff, the matrix element <p|coupling|q> becomes the weight of one jump
     weight * |p><q|, so [H, jump] = -omega * jump.  Frequencies closer than
-    ``SECULAR_TOL`` (relative to the energy scale) to the lowest of their bin
-    are merged into that bin, and each jump's ``omega`` is its bin's mean.
-    Zero matrix elements are dropped; a nonzero element across a sub-cutoff
-    gap raises DegenerateTransition.  The jumps come as a :data:`JUMP_DTYPE`
-    array sorted by (omega, p, q).
-    """
-    energies = es.energies
-    elements = es.vectors.conj().T @ coupling @ es.vectors
-    gaps = energies[None, :] - energies[:, None]  # gaps[p, q] = E_q - E_p
-    coupled = np.abs(elements) > ELEMENT_TOL
-    lowering = coupled & (gaps > 0)  # the raising partner of (p, q) is (q, p)
-    below = lowering & (gaps <= OMEGA_MIN)
-    if below.any():
-        p, q = np.argwhere(below)[0]
-        raise DegenerateTransition(
-            f"transition at omega = {gaps[p, q]:.3e} below cutoff {OMEGA_MIN:.1e} "
-            f"between eigenstates {p} and {q}",
-            omega=float(gaps[p, q]),
-        )
-    # degenerate pairs with a coupling element are unresolvable as well
-    degenerate = coupled & (np.abs(gaps) <= OMEGA_MIN)
-    np.fill_diagonal(degenerate, False)
-    if degenerate.any():
-        p, q = np.argwhere(np.triu(degenerate, 1))[0]
-        raise DegenerateTransition(
-            f"coupling element across degenerate eigenstates {p}, {q}",
-            omega=float(abs(gaps[p, q])),
-        )
+    ``SECULAR_TOL`` (relative to the chain's energy scale) to the lowest of
+    their bin are merged into that bin, and each jump's ``omega`` is its
+    bin's mean.  Zero matrix elements are dropped.
 
-    lower, upper = np.nonzero(lowering)
-    order = np.lexsort((upper, lower, gaps[lower, upper]))
-    lower, upper = lower[order], upper[order]
-    omegas = gaps[lower, upper]
-    weights = elements[lower, upper]
+    ``es`` is one eigensystem and ``couplings`` one operator (d, d), or
+    ``es`` a stack of k and ``couplings`` (k, R, d, d), R reservoirs per
+    chain.  The jumps of every chain and reservoir come as one
+    :data:`JUMP_DTYPE` array sorted by (chain, reservoir, omega, p, q).  A
+    nonzero element across a sub-cutoff gap degenerates its chain: the
+    chain gets no jumps, and its DegenerateTransition, for the first
+    reservoir where one is found, goes into ``errors`` under the chain's
+    index, or is raised when ``errors`` is None.
+    """
+    d = es.dim
+    energies, vectors = es.energies.reshape(-1, d), es.vectors.reshape(-1, d, d)
+    couplings = np.asarray(couplings).reshape(len(energies), -1, d, d)
+    elements = vectors.conj().swapaxes(1, 2)[:, None] @ couplings @ vectors[:, None]
+    gaps = energies[:, None, :] - energies[:, :, None]  # gaps[c, p, q] = E_q - E_p
+    coupled = np.abs(elements) > ELEMENT_TOL
+    lowering = coupled & (gaps > 0)[:, None]  # the raising partner of (p, q) is (q, p)
+    below = lowering & (gaps <= OMEGA_MIN)[:, None]
+    # degenerate pairs with a coupling element are unresolvable as well
+    degenerate = coupled & (np.abs(gaps) <= OMEGA_MIN)[:, None]
+    degenerate[..., np.arange(d), np.arange(d)] = False
+    failed = {}
+    for c in np.flatnonzero((below | degenerate).any(axis=(1, 2, 3))).tolist():
+        for below_r, degenerate_r in zip(below[c], degenerate[c]):
+            if below_r.any():
+                p, q = np.argwhere(below_r)[0]
+                failed[c] = DegenerateTransition(
+                    f"transition at omega = {gaps[c, p, q]:.3e} below cutoff {OMEGA_MIN:.1e} "
+                    f"between eigenstates {p} and {q}", omega=float(gaps[c, p, q]))
+                break
+            if degenerate_r.any():
+                p, q = np.argwhere(np.triu(degenerate_r, 1))[0]
+                failed[c] = DegenerateTransition(
+                    f"coupling element across degenerate eigenstates {p}, {q}",
+                    omega=float(abs(gaps[c, p, q])))
+                break
+    if failed and errors is None:
+        raise failed[min(failed)]
+    if failed:
+        errors.update(failed)
+        lowering[list(failed)] = False
+
+    chain, reservoir, lower, upper = np.nonzero(lowering)
+    omegas = gaps[chain, lower, upper]
+    order = np.lexsort((upper, lower, omegas, reservoir, chain))
+    chain, reservoir, lower, upper = chain[order], reservoir[order], lower[order], upper[order]
+    omegas = omegas[order]
+    weights = elements[chain, reservoir, lower, upper]
     real = np.abs(weights.imag) <= 1e-10 * np.maximum(1.0, np.abs(weights))
-    tol = SECULAR_TOL * max(1.0, np.abs(energies).max())
-    values = omegas.tolist()
-    starts = []
-    for i, omega in enumerate(values):
-        if not starts or omega - values[starts[-1]] > tol:
-            starts.append(i)
-    jumps = np.empty(len(values), dtype=JUMP_DTYPE)
+    # a new bin where the chain or reservoir changes or omega leaves the
+    # lowest of its bin by more than tol; consecutive steps above tol
+    # start one for certain, and only a run that spans more than tol needs
+    # the walk from its lowest
+    tol = SECULAR_TOL * np.maximum(1.0, np.abs(energies).max(axis=1))[chain]
+    new = np.ones(len(omegas), dtype=bool)
+    new[1:] = (np.diff(omegas) > tol[1:]) | (np.diff(chain) != 0) | (np.diff(reservoir) != 0)
+    starts = np.flatnonzero(new)
+    stops = np.append(starts, len(omegas))[1:]
+    wide = omegas[stops - 1] - omegas[starts] > tol[starts]
+    for start, stop in zip(starts[wide].tolist(), stops[wide].tolist()):
+        values = omegas[start:stop].tolist()
+        for i in range(1, stop - start):
+            if values[i] - values[0] > tol[start]:
+                new[start + i] = True
+                values[0] = values[i]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(omegas)))
+    sums = np.zeros(len(starts))
+    for j in range(min(_SEQUENTIAL_SUM - 1, counts.max(initial=0))):  # as ndarray.sum
+        sums[counts > j] += omegas[starts[counts > j] + j]
+    for b in np.flatnonzero(counts >= _SEQUENTIAL_SUM).tolist():
+        sums[b] = omegas[starts[b]:starts[b] + counts[b]].sum()
+    jumps = np.empty(len(omegas), dtype=JUMP_DTYPE)
+    jumps["chain"], jumps["reservoir"] = chain, reservoir
     jumps["lower"], jumps["upper"] = lower, upper
     jumps["weight"] = np.where(real, weights.real, weights)
-    for start, stop in zip(starts, starts[1:] + [len(values)]):
-        jumps["omega"][start:stop] = omegas[start:stop].sum() / (stop - start)  # as np.mean
+    jumps["omega"] = np.repeat(sums / counts, counts)  # as np.mean
     return jumps
 
 
@@ -331,43 +373,46 @@ def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
 
 
 def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
-    """(omega, A) of each frequency bin of one reservoir's :data:`JUMP_DTYPE` array, in the frame.
+    """The frequency bins of a :data:`JUMP_DTYPE` array, and each bin's operators in the frame.
 
-    Jumps sharing a bin are summed before the Lindblad form is applied, so
-    equal-frequency cross terms survive while cross terms between different
-    bins are dropped.  Each bin's operator is given in the basis
-    ``es.frame``: it holds the weights at the frame positions of (p, q) and
-    is exactly zero elsewhere.
+    A bin is a run of jumps of one chain and reservoir at one ``omega``;
+    ``first[b]`` is the index of bin b's first jump.  Jumps sharing a bin
+    are summed before the Lindblad form is applied, so equal-frequency cross
+    terms survive while cross terms between different bins are dropped.
+    ``ops[b]`` holds bin b's operator A and its adjoint A^dag, in the basis
+    of its chain's ``es.frame``: A holds the weights at the frame positions
+    of (p, q) and is exactly zero elsewhere.  ``es`` is the stack the
+    jumps' chains index, or the one eigensystem of chain 0.
     """
-    omegas, which = np.unique(jumps["omega"], return_inverse=True)
-    position = np.argsort(es.frame_order)
-    ops = np.zeros((len(omegas), es.dim, es.dim), dtype=complex)
-    ops[which, position[jumps["lower"]], position[jumps["upper"]]] = jumps["weight"]
-    return tuple(zip(omegas.tolist(), ops))
-
-
-def local_bins(spec: ChainSpec, bath: BathSpec) -> tuple:
-    """(omega, A) of the bare jump of the attached qubit, in the site basis.
-
-    Its frequency is the qubit's own gap, ignoring the interqubit coupling.
-    """
-    site = bath.attached_site
-    return ((spec.epsilons[site], site_operator(spec.n_qubits, site, "lower")),)
+    new = np.zeros(len(jumps), dtype=bool)
+    new[:1] = True
+    for name in ("chain", "reservoir", "omega"):
+        new[1:] |= np.diff(jumps[name]) != 0
+    d = es.dim
+    position = np.argsort(es.frame_order, axis=-1).reshape(-1, d)
+    chain = jumps["chain"]
+    ops = np.zeros((np.count_nonzero(new), 2, d, d), dtype=complex)
+    ops[np.cumsum(new) - 1, 0, position[chain, jumps["lower"]],
+        position[chain, jumps["upper"]]] = jumps["weight"]
+    ops[:, 1] = ops[:, 0].conj().swapaxes(-1, -2)
+    return np.flatnonzero(new), ops
 
 
 # Dense site-basis builders outside the sweep path; perfbench/tracing.py
 # times them by these names.
 def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
-    """Dense (omega, dissipator) pair of each frequency bin of one reservoir."""
+    """Dense (omega, dissipator) pair of each frequency bin of one chain's reservoir."""
+    first, ops = global_bins(es, jumps)
     return [(omega, thermal_dissipator(es.frame @ A @ es.frame.conj().T, bath.gamma,
                                        bose_occupation(omega, bath.temperature)))
-            for omega, A in global_bins(es, jumps)]
+            for omega, A in zip(jumps["omega"][first].tolist(), ops[:, 0])]
 
 
 def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
-    """Dense site-basis dissipator of one reservoir."""
-    ((omega, A),) = local_bins(spec, bath)
-    return thermal_dissipator(A, bath.gamma, bose_occupation(omega, bath.temperature))
+    """Dense site-basis dissipator of one reservoir: its qubit's bare jump at the qubit's gap."""
+    site = bath.attached_site
+    return thermal_dissipator(site_operator(spec.n_qubits, site, "lower"), bath.gamma,
+                              bose_occupation(spec.epsilons[site], bath.temperature))
 
 
 def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
@@ -381,32 +426,76 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
 def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
     """D[A]^dag(H) = A^dag H A - {A^dag A, H} / 2, so Tr{H D[A](rho)} = Tr{D[A]^dag(H) rho}.
 
-    ``A`` may be a stack of operators; the result is stacked the same way.
-    A diagonal H (the eigenbasis frame) acts by elementwise products.
+    ``A`` (m, 2, d, d) holds pairs of operators and ``H`` (m, d, d) the
+    operator each pair acts on; the result is shaped as ``A``.  A diagonal
+    H (the eigenbasis frame) acts by elementwise products, any other H by
+    matrix products, each pair by the form of its own H.  A long stack goes
+    in pieces of ``_GRID_ELEMENTS`` matrix elements per operator, which
+    stay in cache.
     """
+    h = np.diagonal(H, axis1=1, axis2=2)
+    diagonal = np.count_nonzero(H, axis=(1, 2)) == np.count_nonzero(h, axis=1)
+    out = np.empty(A.shape, dtype=complex)
+    step = max(1, _GRID_ELEMENTS // A.shape[-1] ** 2)
+    for i in range(0, len(A), step):
+        piece = slice(i, i + step)
+        if diagonal[piece].all():
+            out[piece] = _adjoint_diagonal(A[piece], h[piece, None])
+        elif not diagonal[piece].any():
+            out[piece] = _adjoint_dense(A[piece], H[piece, None])
+        else:
+            for j in range(i, min(i + step, len(A))):
+                out[j] = (_adjoint_diagonal(A[j], h[j]) if diagonal[j]
+                          else _adjoint_dense(A[j], H[j]))
+    return out
+
+
+def _adjoint_diagonal(A, h):
+    Ad = A.conj().swapaxes(-1, -2)
+    return (Ad * h[..., None, :]) @ A - 0.5 * (Ad @ A) * (h[..., :, None] + h[..., None, :])
+
+
+def _adjoint_dense(A, H):
     Ad = A.conj().swapaxes(-1, -2)
     AdA = Ad @ A
-    h = np.diagonal(H)
-    if np.count_nonzero(H) == np.count_nonzero(h):
-        return (Ad * h) @ A - 0.5 * AdA * (h[:, None] + h)
     return Ad @ H @ A - 0.5 * (AdA @ H + H @ AdA)
 
 
 @dataclass(frozen=True, eq=False)
 class ChainOperators:
-    """The approach-independent operators of one chain, in the site basis.
+    """The approach-independent operators of a stack of chains of one qubit count, site basis.
 
-    H, each qubit's number operator and each reservoir's coupling
-    sigma^+ + sigma^- at its attached qubit, fixed by the gaps, couplings
-    and attachments; the sector ``eigensystem`` of H is computed on first
-    use.  Both approaches' structures of a chain are built from one
-    (:func:`chain_structure`), so H is built and diagonalized once per
-    chain.  Every array is read-only.
+    Chain c has the Hamiltonian ``hamiltonian[c]`` (k, d, d), the gaps
+    ``epsilons[c]`` and its reservoirs attached at the qubits ``sites[c]``,
+    where each couples through sigma^+ + sigma^- (``couplings[c]``, one
+    per reservoir); ``numbers`` holds each qubit's number operator.  The
+    stacked sector ``eigensystem`` of the Hamiltonians is computed on
+    first use.  Both approaches' structures are built from one stack
+    (:func:`chain_structure`), so each H is built and diagonalized once.
+    Item c of the stack is chain c's :class:`Chain`, the same object on
+    every access.  Every array is read-only.
     """
 
     hamiltonian: np.ndarray
+    epsilons: np.ndarray
+    sites: np.ndarray
     numbers: np.ndarray
-    couplings: tuple
+
+    def __len__(self) -> int:
+        return len(self.hamiltonian)
+
+    def __getitem__(self, c) -> Chain:
+        return self._views[c]
+
+    @cached_property
+    def _views(self) -> tuple:
+        return tuple(Chain(self, c) for c in range(len(self)))
+
+    @cached_property
+    def couplings(self) -> np.ndarray:
+        couplings = _site_couplings(self.epsilons.shape[1])[self.sites]
+        _read_only(couplings)
+        return couplings
 
     @cached_property
     def eigensystem(self) -> EigenSystem:
@@ -416,82 +505,104 @@ class ChainOperators:
 
 
 @dataclass(frozen=True, eq=False)
+class Chain:
+    """Chain ``index`` of a :class:`ChainOperators` stack: its site-basis H and its eigensystem."""
+
+    stack: ChainOperators
+    index: int
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self.stack.hamiltonian[self.index]
+
+    @property
+    def eigensystem(self) -> EigenSystem:
+        """A view of the stack's eigensystem, which is computed on first use."""
+        return self.stack.eigensystem[self.index]
+
+
+@dataclass(frozen=True, eq=False)
 class ChainStructure:
-    """The rate-free part of one chain's generator under one approach.
+    """The rate-free part of the generators of a :class:`ChainOperators` stack under one approach.
 
     Temperatures and bath rates enter the generator only through the rates
-    gamma (nbar + 1) and gamma nbar of each channel, so everything here is
-    fixed by the gaps, couplings and approach, and one structure serves
-    every row of a temperature sweep: the chain's :class:`ChainOperators`
-    (``chain``), shared with the other approach, the ``eigensystem`` of the
-    global frame (None for the local approach), H in the solve frame, each
-    reservoir's (omega, A) ``bins`` in that frame, the jump ``operators``
-    A and A^dag of every bin in that order, reservoir by reservoir (the
-    terms :meth:`rates` gives rates for), and two sets of linear
-    functionals of the frame state: ``flux_functionals`` holds
-    D[A]^dag(H) and D[A^dag]^dag(H) for every bin, so that a channel's heat
-    current is gamma (nbar + 1) Tr{F[c, 0] rho} + gamma nbar Tr{F[c, 1] rho}
-    (Alicki's form), and ``population_functionals`` holds each qubit's
-    number operator in the frame, so n_q = Tr{P[q] rho}.  Every array is
-    read-only.
+    gamma (nbar + 1) and gamma nbar of each channel (frequency bin), so
+    everything here is fixed by the gaps, couplings and approach, and one
+    structure serves every row of every chain of the stack:
+
+    - ``chains``, and ``eigensystem``, their stacked eigensystem, whose
+      ``frame`` is each chain's solve frame for the global approach (None
+      for the local one, solved in the site basis);
+    - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
+    - the bins of every chain, chain by chain and reservoir by reservoir:
+      their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
+      at reservoir r are ``edges[2c + r]:edges[2c + r + 1]``;
+    - the jump ``operators`` A and A^dag of each bin in that order, chain
+      c's from ``start[c]`` on (the local approach's are one set per pair
+      of attachment sites, shared by the chains with those sites);
+    - ``flux_functionals`` (bins, 2, d, d), D[A]^dag(H) and D[A^dag]^dag(H)
+      of every bin, so that a channel's heat current is
+      gamma (nbar + 1) Tr{F[b, 0] rho} + gamma nbar Tr{F[b, 1] rho}
+      (Alicki's form), and ``population_functionals``, each qubit's
+      number operator in each chain's frame (k, N, d, d), or one set for
+      every chain (1, N, d, d), so n_q = Tr{P[q] rho};
+    - ``errors``, the DegenerateTransition of each chain, by index, whose
+      eigenbasis route degenerates; such a chain has no bins.
+
+    Every array is read-only.
     """
 
-    chain: ChainOperators
+    chains: ChainOperators
     eigensystem: EigenSystem
     frame_hamiltonian: np.ndarray
-    bins: tuple
+    omegas: np.ndarray
+    reservoirs: np.ndarray
+    edges: np.ndarray
     operators: np.ndarray
+    start: np.ndarray
     flux_functionals: np.ndarray
     population_functionals: np.ndarray
+    errors: dict
 
-    @cached_property
-    def channels(self) -> tuple:
-        """Bohr frequency of each bin as an array, and the slice each reservoir's bins take of it.
+    def rates(self, chain, baths) -> tuple:
+        """Rates of the :attr:`operators` of each row's chain at the row's baths, row after row.
 
-        Bin c owns operators 2c (A) and 2c + 1 (A^dag).  Raises
-        NonPositiveFrequency for a bin at omega <= 0.
+        Row i is on chain ``chain[i]`` at ``baths[i]``, the (temperature,
+        gamma) of each reservoir, (rows, 2, 2).  Returns the (pairs, 2)
+        emission and absorption rates of every row's bins, thermal_rates
+        gamma (nbar + 1) and gamma nbar, with row i's bins at
+        ``offsets[i]:offsets[i + 1]``.  The Bose occupations come from one
+        divide and one ``expm1``, each value bit for bit the
+        :func:`bose_occupation` of its bin.  Raises NonPositiveFrequency for
+        a bin at omega <= 0.
         """
-        omegas = np.array([omega for reservoir in self.bins for omega, _ in reservoir])
+        low, high = self.edges[2 * chain], self.edges[2 * chain + 2]
+        offsets = np.zeros(len(chain) + 1, dtype=int)
+        np.cumsum(high - low, out=offsets[1:])
+        bins = np.arange(offsets[-1]) + np.repeat(low - offsets[:-1], high - low)
+        omegas = self.omegas[bins]
         if (omegas <= 0).any():
             raise NonPositiveFrequency(f"omega must be > 0, got {omegas[omegas <= 0][0]}")
-        bounds = np.cumsum([0] + [len(reservoir) for reservoir in self.bins]).tolist()
-        return omegas, tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
-
-    def rates(self, baths) -> np.ndarray:
-        """Rates of :attr:`operators` for each row's ``baths``, as a (rows, operators) array.
-
-        ``baths`` holds one pair of BathSpecs per row.  The Bose occupations
-        of every row and bin come from one divide and one ``expm1``, each
-        value bit for bit the :func:`bose_occupation` of its bin, and the
-        rates are :func:`thermal_rates` of it.
-        """
-        omegas, slices = self.channels
-        baths = np.array([[(bath.temperature, bath.gamma) for bath in row] for row in baths])
-        reservoir = np.repeat(np.arange(len(slices)), [s.stop - s.start for s in slices])
-        temperature, gamma = baths[:, reservoir, 0], baths[:, reservoir, 1]
+        rows, reservoirs = np.repeat(np.arange(len(chain)), high - low), self.reservoirs[bins]
+        temperature, gamma = baths[rows, reservoirs, 0], baths[rows, reservoirs, 1]
         with np.errstate(divide="ignore", over="ignore"):
             x = omegas / temperature
             nbar = np.where((temperature == 0) | (x > _EXP_ARG_MAX), 0.0, 1.0 / np.expm1(x))
-        out = np.empty(nbar.shape + (2,))
-        out[..., 0] = gamma * (nbar + 1.0)
-        out[..., 1] = gamma * nbar
-        return out.reshape(len(baths), -1)
+        rates = np.empty((len(bins), 2))
+        rates[:, 0] = gamma * (nbar + 1.0)
+        rates[:, 1] = gamma * nbar
+        return rates, offsets
 
-    def unknowns(self, zero) -> Unknowns:
-        """:func:`coupled_unknowns` of the frame H and the :attr:`operators` not flagged in ``zero``.
+    def unknowns(self, c: int, zero) -> Unknowns:
+        """:func:`coupled_unknowns` of chain c's frame H and its operators not flagged in ``zero``.
 
         ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0 or
         omega / T > 700); the operators are fixed, so the set changes only
         with these flags.
         """
-        return coupled_unknowns(self.frame_hamiltonian, self.operators[~np.asarray(zero)])
-
-    def to_site(self, rho: np.ndarray) -> np.ndarray:
-        """Matrices given in the solve frame (one, or a stack), in the site basis."""
-        if self.eigensystem is None:
-            return rho
-        frame = self.eigensystem.frame
-        return frame @ rho @ frame.conj().T
+        zero = np.asarray(zero)
+        operators = self.operators[self.start[c]:self.start[c] + len(zero)]
+        return coupled_unknowns(self.frame_hamiltonian[c], operators[~zero])
 
 
 def chain_key(spec: ChainSpec) -> tuple:
@@ -499,14 +610,19 @@ def chain_key(spec: ChainSpec) -> tuple:
     return spec.epsilons, spec.couplings, spec.baths[0].attached_site, spec.baths[-1].attached_site
 
 
-def chain_operators(spec: ChainSpec) -> ChainOperators:
-    """The approach-independent operators of ``spec``'s chain, newly built."""
-    n = spec.n_qubits
-    H = build_chain_hamiltonian(spec)
-    couplings = tuple(site_operator(n, bath.attached_site, "raise")
-                      + site_operator(n, bath.attached_site, "lower") for bath in spec.baths)
-    _read_only(H, *couplings)
-    return ChainOperators(hamiltonian=H, numbers=_number_operators(n), couplings=couplings)
+def chain_operators(specs) -> ChainOperators:
+    """The approach-independent operators of the chains of ``specs``, newly built as one stack.
+
+    One ChainSpec per chain, all of one qubit count; only their gaps,
+    couplings and attachments are read.
+    """
+    n = specs[0].n_qubits
+    H = build_chain_hamiltonian(specs)
+    epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(len(specs), n)
+    sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs])
+    _read_only(H, epsilons, sites)
+    return ChainOperators(hamiltonian=H, epsilons=epsilons, sites=sites,
+                          numbers=_number_operators(n))
 
 
 @lru_cache(maxsize=None)
@@ -516,63 +632,86 @@ def _number_operators(n_qubits: int) -> np.ndarray:
     return numbers
 
 
-def _with_adjoints(emitted) -> np.ndarray:
-    """A and A^dag of each of the ``emitted`` operators A, in that order, stacked."""
-    emitted = np.array(emitted)
-    pairs = np.stack([emitted, emitted.conj().swapaxes(-1, -2)], axis=1)
-    return pairs.reshape((-1,) + emitted.shape[1:])
+@lru_cache(maxsize=None)
+def _site_couplings(n_qubits: int) -> np.ndarray:
+    """sigma^+ + sigma^- of each qubit, (n, d, d)."""
+    couplings = np.array([site_operator(n_qubits, q, "raise") + site_operator(n_qubits, q, "lower")
+                          for q in range(n_qubits)])
+    _read_only(couplings)
+    return couplings
 
 
 @lru_cache(maxsize=None)
 def _local_operators(n_qubits: int, sites: tuple) -> np.ndarray:
-    """The local structure's operators, one array for every chain of these attachments."""
-    operators = _with_adjoints([site_operator(n_qubits, site, "lower") for site in sites])
+    """The local structure's operators, one array for every chain of these attachments.
+
+    Each attached qubit's sigma^- and its adjoint, in that order.
+    """
+    lowering = [site_operator(n_qubits, site, "lower") for site in sites]
+    operators = np.array([op for A in lowering for op in (A, A.conj().T)])
     _read_only(operators)
     return operators
 
 
-def chain_structure(chain: ChainOperators, spec: ChainSpec, approach: str) -> ChainStructure:
-    """The rate-free structure of ``spec``'s chain under ``approach``, newly built.
+def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
+    """The rate-free structure of the ``chains`` stack under ``approach``, newly built as one stack.
 
-    ``chain`` is the chain's :func:`chain_operators`; building both
-    approaches' structures from one shares H and its eigensystem.  Only the
-    gaps, couplings and attachments of ``spec`` are read.  Raises
-    DegenerateTransition where the eigenbasis route degenerates.
+    The global route is one transition scan over every chain and reservoir
+    (:func:`global_jump_operators`) on the stacked eigensystem, whose bins
+    (:func:`global_bins`), functionals and frame number operators are
+    stacked products; a chain whose route degenerates keeps its
+    DegenerateTransition in ``errors`` and the others are built as usual.
+    The local route attaches the bare jump of each reservoir's qubit at
+    that qubit's gap.
     """
     if approach not in ("global", "local"):
         raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    H = chain.hamiltonian
+    H, k, d = chains.hamiltonian, len(chains), chains.hamiltonian.shape[-1]
+    errors = {}
     if approach == "local":
-        es, frame_H, numbers = None, H, chain.numbers
-        bins = tuple(local_bins(spec, bath) for bath in spec.baths)
-        operators = _local_operators(spec.n_qubits, tuple(b.attached_site for b in spec.baths))
+        es, frame_H, numbers = None, H, chains.numbers[None]
+        pairs, which = np.unique(chains.sites, axis=0, return_inverse=True)
+        operators = np.concatenate([_local_operators(chains.epsilons.shape[1], tuple(pair))
+                                    for pair in pairs.tolist()])
+        start = 4 * which.reshape(-1)
+        omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1).reshape(-1)
+        reservoirs = np.tile([0, 1], k)
+        edges = np.arange(2 * k + 1)
+        emitted = operators[(start[:, None] + np.arange(4)).reshape(-1)].reshape(-1, 2, d, d)
+        functionals = adjoint_dissipator(emitted, np.repeat(H, 2, axis=0))
     else:
-        es = chain.eigensystem
-        frame_H = np.diag(es.energies[es.frame_order])
-        bins = tuple(global_bins(es, global_jump_operators(es, coupling))
-                     for coupling in chain.couplings)
-        _read_only(*(A for reservoir in bins for _, A in reservoir))
-        numbers = es.frame.conj().T @ chain.numbers @ es.frame
-        operators = _with_adjoints([A for reservoir in bins for _, A in reservoir])
-    functionals = adjoint_dissipator(operators.reshape((-1, 2) + H.shape), frame_H)
-    _read_only(frame_H, operators, functionals, numbers)
-    return ChainStructure(chain=chain, eigensystem=es, frame_hamiltonian=frame_H, bins=bins,
-                          operators=operators, flux_functionals=functionals,
-                          population_functionals=numbers)
+        es = chains.eigensystem
+        jumps = global_jump_operators(es, chains.couplings, errors)
+        first, operators = global_bins(es, jumps)
+        omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
+        edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
+        frame_H = np.zeros((k, d, d))
+        frame_H[:, np.arange(d), np.arange(d)] = np.take_along_axis(es.energies, es.frame_order,
+                                                                    axis=1)
+        frame = es.frame
+        numbers = frame.conj().swapaxes(1, 2)[:, None] @ chains.numbers @ frame[:, None]
+        functionals = adjoint_dissipator(operators, frame_H[owner])
+        operators = operators.reshape(-1, d, d)
+        start = edges[:-1:2] * 2
+    _read_only(frame_H, omegas, reservoirs, edges, operators, start, functionals, numbers)
+    return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
+                          reservoirs=reservoirs, edges=edges, operators=operators, start=start,
+                          flux_functionals=functionals, population_functionals=numbers,
+                          errors=errors)
 
 
 @dataclass(frozen=True)
 class LindbladModel:
     """Generator of one chain under one approach at one set of bath rates.
 
-    ``structure`` is the chain's rate-free part (:func:`chain_structure`);
-    the rates of its jump operators come from ``spec``'s baths.  The steady
-    state is solved in a frame: the eigenbasis ``eigensystem.frame`` for the
-    global approach, where H is diagonal, and the site basis for the local
-    one (``eigensystem`` is None there).  Everything else is derived on
-    first use: ``block`` in the frame on the unknowns the steady state
-    occupies, and in the site basis the dense ``liouvillian`` and the
-    per-reservoir ``dissipators``.
+    ``structure`` is the rate-free part of a stack of this one chain
+    (:func:`chain_structure`); the rates of its jump operators come from
+    ``spec``'s baths.  The steady state is solved in a frame: the
+    eigenbasis ``eigensystem.frame`` for the global approach, where H is
+    diagonal, and the site basis for the local one (``eigensystem`` is None
+    there).  Everything else is derived on first use: ``block`` in the
+    frame on the unknowns the steady state occupies, and in the site basis
+    the dense ``liouvillian`` and the per-reservoir ``dissipators``.
     """
 
     spec: ChainSpec
@@ -582,55 +721,77 @@ class LindbladModel:
     @property
     def hamiltonian(self) -> np.ndarray:
         """H in the site basis."""
-        return self.structure.chain.hamiltonian
+        return self.structure.chains.hamiltonian[0]
 
     @property
     def eigensystem(self) -> EigenSystem:
         """The global frame's eigensystem; None for the local approach."""
-        return self.structure.eigensystem
+        es = self.structure.eigensystem
+        return None if es is None else es[0]
 
     @property
     def frame_hamiltonian(self) -> np.ndarray:
         """H in the solve frame."""
-        return self.structure.frame_hamiltonian
+        return self.structure.frame_hamiltonian[0]
+
+    @property
+    def operators(self) -> np.ndarray:
+        """The jump operators A and A^dag of every bin, reservoir by reservoir."""
+        structure = self.structure
+        return structure.operators[structure.start[0]:structure.start[0] + 2 * structure.edges[-1]]
+
+    @cached_property
+    def bins(self) -> tuple:
+        """Each reservoir's (omega, A) bins in the frame."""
+        edges, emitted = self.structure.edges.tolist(), self.operators[::2]
+        return tuple(tuple(zip(self.structure.omegas[a:b].tolist(), emitted[a:b]))
+                     for a, b in zip(edges, edges[1:]))
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """Rate of each of the structure's jump operators at this model's baths."""
-        return self.structure.rates([self.spec.baths])[0]
+        """Rate of each of the :attr:`operators` at this model's baths."""
+        baths = np.array([[(bath.temperature, bath.gamma) for bath in self.spec.baths]])
+        return self.structure.rates(np.zeros(1, dtype=int), baths)[0].reshape(-1)
 
     def to_site(self, rho: np.ndarray) -> np.ndarray:
-        """A matrix given in the solve frame, in the site basis."""
-        return self.structure.to_site(rho)
+        """Matrices given in the solve frame (one, or a stack), in the site basis."""
+        if self.eigensystem is None:
+            return rho
+        frame = self.eigensystem.frame
+        return frame @ rho @ frame.conj().T
 
     @cached_property
     def unknowns(self) -> Unknowns:
         """Entries the frame generator joins to the diagonal (:func:`coupled_unknowns`)."""
-        return self.structure.unknowns(self.rates == 0)
+        return self.structure.unknowns(0, self.rates == 0)
 
     @cached_property
     def block(self) -> np.ndarray:
         """Frame generator restricted to :attr:`unknowns`."""
-        return superoperator(self.frame_hamiltonian, self.structure.operators, self.rates,
-                             self.unknowns)
+        return superoperator(self.frame_hamiltonian, self.operators, self.rates, self.unknowns)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
         """Dense d^2 x d^2 site-basis generator, the oracle for :attr:`block`."""
-        return superoperator(self.hamiltonian, self.to_site(self.structure.operators),
+        return superoperator(self.hamiltonian, self.to_site(self.operators),
                              self.rates, full_unknowns(self.spec.dim))
 
     @cached_property
     def dissipators(self) -> tuple:
         """Dense site-basis superoperator of each reservoir."""
         full = full_unknowns(self.spec.dim)
-        operators = self.to_site(self.structure.operators)
-        bounds = np.cumsum([0] + [2 * len(reservoir) for reservoir in self.structure.bins])
+        operators = self.to_site(self.operators)
+        bounds = (2 * self.structure.edges).tolist()
         return tuple(superoperator(None, operators[a:b], self.rates[a:b], full)
                      for a, b in zip(bounds, bounds[1:]))
 
 
 def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
-    """The generator of ``spec`` under ``approach``, on a newly built structure."""
-    structure = chain_structure(chain_operators(spec), spec, approach)
+    """The generator of ``spec`` under ``approach``, on a newly built structure of its chain alone.
+
+    Raises DegenerateTransition where the eigenbasis route degenerates.
+    """
+    structure = chain_structure(chain_operators([spec]), approach)
+    if structure.errors:
+        raise structure.errors[0]
     return LindbladModel(spec=spec, approach=approach, structure=structure)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import (
 from .lindblad import (
     _GRID_ELEMENTS,
     OMEGA_MIN,
+    Chain,
     ChainOperators,
     bose_occupation,
     chain_key,
@@ -262,7 +262,7 @@ class SteadyReport:
     channel_fluxes: tuple  # per reservoir: ((omega, flux), ...)
     rcond: float
     unknowns: int
-    chain: ChainOperators = field(repr=False, compare=False)
+    chain: Chain = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,9 +273,13 @@ class SteadyColumns(Sequence):
     and ``unknowns`` are columns; ``errors`` maps each row not solved to its
     DegenerateTransition (with its omega) or DegenerateKernel (with its
     rcond), and such a row's entries are no result.  ``rho`` holds the
-    states in their solve frame, ``channels`` the channel fluxes in
-    structure order, zero-padded, and ``structures`` each row's structure.
-    ``columns[i]`` builds row i's :class:`SteadyReport`, or gives its error.
+    states in their solve frame and ``channels`` the channel fluxes in bin
+    order, zero-padded.  Row i is on chain ``chain[i]`` of the call's
+    ``chains``, whose eigensystem gives the global frame, and its channels
+    are the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by
+    reservoir (:class:`~chainflux.lindblad.ChainStructure`); nothing else
+    of the approach's structure is kept.  ``columns[i]`` builds row i's
+    :class:`SteadyReport`, or gives its error.
     """
 
     specs: list
@@ -288,7 +292,10 @@ class SteadyColumns(Sequence):
     errors: dict
     rho: np.ndarray
     channels: np.ndarray
-    structures: np.ndarray
+    chains: ChainOperators
+    chain: np.ndarray
+    omegas: np.ndarray
+    edges: np.ndarray
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -297,26 +304,31 @@ class SteadyColumns(Sequence):
         i = range(len(self))[i]
         if i in self.errors:
             return self.errors[i]
-        structure = self.structures[i]
-        omegas, slices = structure.channels
-        omegas, values = omegas.tolist(), self.channels[i].tolist()
+        c = int(self.chain[i])
+        low, split, high = self.edges[2 * c:2 * c + 3].tolist()
+        omegas, values = self.omegas[low:high].tolist(), self.channels[i].tolist()
+        pieces = (slice(0, split - low), slice(split - low, high - low))
+        rho = self.rho[i]
+        if self.approach == "global":
+            frame = self.chains.eigensystem.frame[c]
+            rho = frame @ rho @ frame.conj().T
         return SteadyReport(
-            spec=self.specs[i], approach=self.approach, rho=structure.to_site(self.rho[i]),
+            spec=self.specs[i], approach=self.approach, rho=rho,
             populations=tuple(self.populations[i].tolist()),
             fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
-            channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in slices),
-            rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]), chain=structure.chain)
+            channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in pieces),
+            rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]), chain=self.chains[c])
 
     def rho_diagonals(self, rows) -> np.ndarray:
         """The populations of the states of ``rows`` in their chain's eigenbasis, (rows, d)."""
-        runs = [(s, len(tuple(run))) for s, run in groupby(self.structures[rows])]
-        rho = self.rho[rows]
-        if not runs:
+        rho, chain = self.rho[rows], self.chain[rows]
+        if not len(chain):
             return np.zeros((0, rho.shape[-1]))
+        es = self.chains.eigensystem
         if self.approach == "global":  # in the site basis
-            frames = _per_row([(s.eigensystem, count) for s, count in runs], "frame")
+            frames = _gather(es.frame, chain)
             rho = frames @ rho @ frames.conj().swapaxes(1, 2)
-        vectors = _per_row([(s.chain.eigensystem, count) for s, count in runs], "vectors")
+        vectors = _gather(es.vectors, chain)
         rho = vectors.conj().swapaxes(1, 2) @ rho @ vectors
         return np.diagonal(rho, axis1=1, axis2=2).real
 
@@ -336,84 +348,100 @@ def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
 def steady_reports(specs, approaches) -> list:
     """Per approach, the :class:`SteadyColumns` of the specs, which all have one number of qubits.
 
-    The call owns every chain's rate-free data: one :class:`ChainOperators`
-    per chain (the same gaps, couplings and attachments, as along a
-    temperature sweep), so H is built and diagonalized once per chain for
-    every approach, and one :class:`~chainflux.lindblad.ChainStructure` per
-    chain and approach, kept by that approach's columns for their views.
-    Within an approach, rows are grouped by their set of unknowns and
-    pattern of zero rates, across chains: the rows of a temperature sweep
-    with the same zero rates, the local rows of a K or eps scan, and the
-    global rows of chains whose frame generators couple the same entries.
-    Every row of a stack thus skips the same zero-rate terms.  Each group
-    is solved in stacks of at most ``_GRID_ELEMENTS`` block elements
-    (:func:`_stack_reports`), so a dimer sweep is one stack per set and an
-    N = 5 local block (252^2 elements) goes alone.  Every spec of a chain
-    whose eigenbasis route degenerates gets that DegenerateTransition (the
-    other chains of the call are solved as usual), and a spec whose steady
-    state is not unique gets its own DegenerateKernel.  Each row is the one
+    The call owns every chain's rate-free data, built as stacks over its
+    distinct chains (the same gaps, couplings and attachments, as along a
+    temperature sweep, are one chain): one :class:`ChainOperators` stack,
+    so every H is built and diagonalized once for every approach, and one
+    :class:`~chainflux.lindblad.ChainStructure` stack per approach, dropped
+    once that approach's rows are solved.  Within an approach, rows are
+    grouped by their set of unknowns and pattern of zero rates, across
+    chains: the rows of a temperature sweep with the same zero rates, the
+    local rows of a K or eps scan, and the global rows of chains whose
+    frame generators couple the same entries.  Every row of a stack thus
+    skips the same zero-rate terms.  Each group is solved in stacks of at
+    most ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a
+    dimer sweep is one stack per set and an N = 5 local block (252^2
+    elements) goes alone.  Every spec of a chain whose eigenbasis route
+    degenerates gets that DegenerateTransition (the other chains of the
+    call are solved as usual), and a spec whose steady state is not unique
+    gets its own DegenerateKernel.  Each row is the one
     :func:`steady_report` gives, bit for bit.
     """
-    n = specs[0].n_qubits if specs else 0
-    chains = {}  # chain key -> (ChainOperators, indices of the chain's specs)
-    for i, spec in enumerate(specs):
+    index, chain, first = {}, [], []  # chain key -> chain; each spec's chain; each chain's spec
+    for spec in specs:
         key = chain_key(spec)
-        entry = chains.get(key)
-        if entry is None:
-            if len(key[0]) != n:
-                raise DimensionMismatch(f"chains of {n} and {len(key[0])} qubits in one call")
-            entry = chains[key] = (chain_operators(spec), [])
-        entry[1].append(i)
-    return [_approach_reports(specs, n, chains.values(), approach) for approach in approaches]
+        c = index.get(key)
+        if c is None:
+            if first and len(key[0]) != first[0].n_qubits:
+                raise DimensionMismatch(
+                    f"chains of {first[0].n_qubits} and {len(key[0])} qubits in one call")
+            c = index[key] = len(first)
+            first.append(spec)
+        chain.append(c)
+    if not specs:
+        return [_no_reports(approach) for approach in approaches]
+    chains, chain = chain_operators(first), np.array(chain)
+    baths = np.array([(bath.temperature, bath.gamma) for spec in specs for bath in spec.baths])
+    baths = baths.reshape(len(specs), 2, 2)
+    return [_approach_reports(specs, approach, chain_structure(chains, approach), chain, baths)
+            for approach in approaches]
 
 
-def _approach_reports(specs, n, chains, approach) -> SteadyColumns:
-    """:func:`steady_reports` under one approach, on the call's ``chains`` of ``n`` qubits.
+def _no_reports(approach) -> SteadyColumns:
+    empty = np.zeros(0)
+    return SteadyColumns(
+        specs=[], approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
+        residual=empty, rcond=empty, unknowns=np.zeros(0, dtype=int), errors={},
+        rho=np.zeros((0, 1, 1), dtype=complex), channels=np.zeros((0, 0)), chains=None,
+        chain=np.zeros(0, dtype=int), omegas=empty, edges=np.zeros(1, dtype=int))
 
-    Each chain's rates are one array (:meth:`ChainStructure.rates`), and its
-    rows are split by the bytes of each row's zero-rate pattern.
+
+def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns:
+    """:func:`steady_reports` under one approach, on the call's ``structure`` stack.
+
+    Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
+    reservoir in ``baths[i]``.  The rates of every row and bin are one
+    array (:meth:`~chainflux.lindblad.ChainStructure.rates`), and the rows
+    are split by their chain and the bytes of their zero-rate pattern.
     """
-    groups = {}  # (set of unknowns, zero rates) -> (unknowns, rows, rates)
-    errors, structures, width = {}, np.full(len(specs), None), 0
-    for operators, rows in chains:
-        try:
-            structure = chain_structure(operators, specs[rows[0]], approach)
-        except DegenerateTransition as err:
-            # kept without its traceback, whose frames would hold this
-            # call's locals in a reference cycle
-            errors.update(dict.fromkeys(rows, err.with_traceback(None)))
-            continue
-        structures[rows] = structure
-        width = max(width, len(structure.operators) // 2)
-        rates = structure.rates([specs[i].baths for i in rows])
-        zero = rates == 0
-        patterns = {}
-        for j, pattern in enumerate(zero):
-            patterns.setdefault(pattern.tobytes(), []).append(j)
-        for pattern, members in patterns.items():
-            unknowns = structure.unknowns(zero[members[0]])
-            key = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), pattern)
-            group = groups.setdefault(key, (unknowns, [], []))
-            group[1].extend(rows[j] for j in members)
-            group[2].append(rates[members])
-    k, d = len(specs), 2**n
+    failed = np.isin(chain, list(structure.errors))
+    errors = {i: structure.errors[chain[i]] for i in np.flatnonzero(failed).tolist()}
+    rows = np.flatnonzero(~failed)
+    rates, offsets = structure.rates(chain[rows], baths[rows])
+    zero = (rates == 0).reshape(-1)
+    flags, bounds = zero.tobytes(), (2 * offsets).tolist()
+    # (set of unknowns, zero rates) -> (unknowns, rows); (chain, zero rates) -> those rows
+    groups, members = {}, {}
+    for j, c in enumerate(chain[rows].tolist()):
+        key = (c, flags[bounds[j]:bounds[j + 1]])
+        group = members.get(key)
+        if group is None:
+            unknowns = structure.unknowns(c, zero[bounds[j]:bounds[j + 1]])
+            content = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), key[1])
+            group = members[key] = groups.setdefault(content, (unknowns, []))[1]
+        group.append(j)
+    k, d, n = len(specs), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
+    width = int(np.diff(structure.edges[::2]).max(initial=0))
     out = SteadyColumns(
-        specs=specs, approach=approach, populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)),
-        residual=np.zeros(k), rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
+        specs=specs, approach=approach,
+        populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
+        rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
         rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, width)),
-        structures=structures)
-    for unknowns, rows, rates in groups.values():
-        rates, m = np.concatenate(rates), unknowns.size
+        chains=structure.chains, chain=chain, omegas=structure.omegas, edges=structure.edges)
+    for unknowns, group in groups.values():
+        group, m = np.array(group), unknowns.size
         step = max(1, _GRID_ELEMENTS // m**2)
-        for start in range(0, len(rows), step):
-            stack = rows[start:start + step]
-            out.populations[stack], out.fluxes[stack], channels, sol = _stack_reports(
-                structures[stack], [specs[i] for i in stack], approach, rates[start:start + step],
-                unknowns)
-            out.channels[stack, :channels.shape[1]], out.rho[stack] = channels, sol.rho
-            out.residual[stack], out.rcond[stack], out.unknowns[stack] = sol.residual, sol.rcond, m
+        for start in range(0, len(group), step):
+            stack = group[start:start + step]
+            count = offsets[stack[0] + 1] - offsets[stack[0]]
+            row_rates = rates[offsets[stack][:, None] + np.arange(count)].reshape(len(stack), -1)
+            at = rows[stack]
+            out.populations[at], out.fluxes[at], channels, sol = _stack_reports(
+                structure, chain[at], row_rates, unknowns)
+            out.channels[at, :channels.shape[1]], out.rho[at] = channels, sol.rho
+            out.residual[at], out.rcond[at], out.unknowns[at] = sol.residual, sol.rcond, m
             for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
-                errors[stack[j]] = uniqueness_error(sol.rcond[j], m)
+                errors[int(at[j])] = uniqueness_error(sol.rcond[j], m)
     return out
 
 
@@ -424,46 +452,50 @@ def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _per_row(runs, name: str) -> np.ndarray:
-    """Array ``name`` of each (owner, rows) run, per row; a leading axis of one if all share it."""
-    arrays = [getattr(owner, name) for owner, _ in runs]
-    if all(a is arrays[0] for a in arrays):
-        return arrays[0][None]
-    return np.repeat(np.array(arrays), [count for _, count in runs], axis=0)
+def _gather(array: np.ndarray, first: np.ndarray, count: int = None) -> np.ndarray:
+    """Item ``first[j]`` of ``array``, or its ``count`` items from there, for each row j.
+
+    Where every row reads the same items they are one view with a leading
+    axis of one, which the stacked products broadcast.
+    """
+    if count is None:
+        return array[first[0]:first[0] + 1] if (first == first[0]).all() else array[first]
+    if (first == first[0]).all():
+        return array[first[0]:first[0] + count][None]
+    return array[first[:, None] + np.arange(count)]
 
 
-def _stack_reports(structures, specs, approach, rates, unknowns) -> tuple:
+def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     """Populations, fluxes, channel fluxes and solution of a stack of rows sharing ``unknowns``.
 
-    Row j is on ``structures[j]``.  The blocks are built at once
-    (:func:`superoperator`), each on its own row's H and jump operators,
-    and solved by one stacked call (:func:`solve_steady`).  Tr{H D(rho)} is
-    linear in rho: gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho}
-    with the flux functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H)
-    each row's structure keeps, so one product with each rho gives every
-    channel's flux; the populations are read off the number operators in
-    the frame the same way.  Consecutive rows on one structure are read
-    together: each reservoir's flux is the sum of its channel fluxes in
-    channel order, one column at a time.
+    Row j is on chain ``chain[j]`` of ``structure``, at ``rates[j]``.  The
+    blocks are built at once (:func:`superoperator`), each on its own
+    chain's H and jump operators, and solved by one stacked call
+    (:func:`solve_steady`).  Tr{H D(rho)} is linear in rho:
+    gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
+    functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) of each bin,
+    so one product with each rho gives every channel's flux; the
+    populations are read off the number operators in the frame the same
+    way.  Each reservoir's flux is the sum of its channel fluxes in
+    channel order, one channel at a time.
     """
-    runs = [(structure, len(tuple(rows))) for structure, rows in groupby(structures)]
-    k, d = len(specs), unknowns.dim
-    sol = solve_steady(superoperator(_per_row(runs, "frame_hamiltonian"),
-                                     _per_row(runs, "operators"), rates, unknowns),
-                       unknowns)
+    k, d = len(chain), unknowns.dim
+    bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
+    operators = _gather(structure.operators, structure.start[chain], 2 * bins)
+    sol = solve_steady(superoperator(_gather(structure.frame_hamiltonian, chain), operators,
+                                     rates, unknowns), unknowns)
     flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{F rho} = F . rho^T
-    functionals = _per_row(runs, "flux_functionals")
+    functionals = _gather(structure.flux_functionals, first, bins)
     traces = functionals.reshape(len(functionals), -1, d * d) @ flat
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
     channels = _imaginary_residue(channels, "heat flux")
-    numbers = _per_row(runs, "population_functionals")
+    numbers = structure.population_functionals
+    if len(numbers) > 1:
+        numbers = _gather(numbers, chain)
     populations = numbers.reshape(len(numbers), -1, d * d) @ flat
     populations = _imaginary_residue(populations[..., 0], "population")
     fluxes = np.zeros((k, 2))
-    start = 0
-    for structure, count in runs:
-        for reservoir, piece in enumerate(structure.channels[1]):
-            for column in channels[start:start + count, piece].T:  # as sum(): 0 + q_1 + ...
-                fluxes[start:start + count, reservoir] += column
-        start += count
+    every, reservoirs = np.arange(k), structure.reservoirs[first[:, None] + np.arange(bins)]
+    for j in range(bins):  # as sum(): 0 + q_1 + ...
+        fluxes[every, reservoirs[:, j]] += channels[:, j]
     return populations, fluxes, channels, sol

@@ -63,29 +63,56 @@ def total_excitation(n_qubits: int) -> np.ndarray:
     return sum(number_operator(n_qubits, q) for q in range(n_qubits))
 
 
-def build_chain_hamiltonian(spec: ChainSpec) -> np.ndarray:
+def build_chain_hamiltonian(spec) -> np.ndarray:
     """Chain Hamiltonian: split terms plus excitation-conserving hopping.
 
     H = sum_q (eps_q / 2) sigma_q^z
         + sum_i K_i (sigma_i^+ sigma_{i+1}^- + sigma_i^- sigma_{i+1}^+)
+
+    ``spec`` is one ChainSpec, giving H (d, d), or a sequence of ChainSpecs
+    of one qubit count, giving their (k, d, d) stack.  The diagonal is
+    summed qubit by qubit from zero and each hopping entry is K_i itself,
+    so every chain's H is the same whatever stack it is built in.
     """
-    n = spec.n_qubits
-    H = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for q, eps in enumerate(spec.epsilons):
-        H += 0.5 * eps * site_operator(n, q, "z")
-    for i, k in enumerate(spec.couplings):
-        hop = site_operator(n, i, "raise") @ site_operator(n, i + 1, "lower")
-        H += k * (hop + hop.conj().T)
-    assert_hermitian(H)
-    return H
+    single = isinstance(spec, ChainSpec)
+    specs = [spec] if single else spec
+    n = specs[0].n_qubits
+    signs, hops = _hamiltonian_layout(n)
+    epsilons = np.array([s.epsilons for s in specs], dtype=float).reshape(len(specs), n)
+    couplings = np.array([s.couplings for s in specs], dtype=float).reshape(len(specs), n - 1)
+    diagonal = np.zeros((len(specs), 2**n))
+    for q in range(n):
+        diagonal += (0.5 * epsilons[:, q])[:, None] * signs[q]
+    H = np.zeros((len(specs), 2**n, 2**n), dtype=complex)
+    H[:, np.arange(2**n), np.arange(2**n)] = diagonal
+    for i, (rows, cols) in enumerate(hops):
+        H[:, rows, cols] = couplings[:, i, None]
+    return H[0] if single else H
+
+
+@lru_cache(maxsize=None)
+def _hamiltonian_layout(n_qubits: int) -> tuple:
+    """Each qubit's sigma^z diagonal (n, d), and the entries of each hopping term.
+
+    Hopping term i is sigma_i^+ sigma_{i+1}^- + h.c.
+    """
+    signs = np.array([site_operator(n_qubits, q, "z").diagonal().real for q in range(n_qubits)])
+    hops = []
+    for i in range(n_qubits - 1):
+        hop = site_operator(n_qubits, i, "raise") @ site_operator(n_qubits, i + 1, "lower")
+        hops.append(np.nonzero(hop + hop.T))
+    return signs.reshape(n_qubits, 2**n_qubits), tuple(hops)
 
 
 def assert_hermitian(A: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise NotHermitian unless A equals its adjoint within tolerance."""
-    scale = max(1.0, np.abs(A).max())
-    dev = np.abs(A - A.conj().T).max()
-    if dev > tol * scale:
-        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} exceeds {tol:.1e} * {scale:.3e}")
+    """Raise NotHermitian unless A, or each matrix of a stack, equals its adjoint within tol."""
+    scale = np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+    dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(dev > tol * scale)
+    if bad.size:
+        i = bad[0]
+        raise NotHermitian(f"max |A - A^dag| = {dev.flat[i]:.3e} exceeds {tol:.1e} * "
+                           f"{scale.flat[i]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +122,8 @@ class EigenSystem:
     Column p of ``vectors`` is the eigenvector of ``energies[p]``.  Each
     column is rotated so its largest-magnitude entry is real and positive
     (ties broken by the lowest index), which makes jump operators built from
-    it reproducible.
+    it reproducible.  A stack of eigensystems has energies (k, d) and
+    vectors (k, d, d), and ``es[c]`` is the eigensystem of matrix c.
     """
 
     energies: np.ndarray
@@ -103,7 +131,10 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return len(self.energies)
+        return self.energies.shape[-1]
+
+    def __getitem__(self, c) -> EigenSystem:
+        return EigenSystem(energies=self.energies[c], vectors=self.vectors[c])
 
     @cached_property
     def frame_order(self) -> np.ndarray:
@@ -118,16 +149,17 @@ class EigenSystem:
         the operators of a qubit register.
         """
         labels = excitation_numbers(self.dim.bit_length() - 1)
-        lead = np.abs(self.vectors).argmax(axis=0)
-        order = np.empty(self.dim, dtype=np.intp)
-        order[np.argsort(labels, kind="stable")] = np.argsort(labels[lead], kind="stable")
+        lead = np.abs(self.vectors).argmax(axis=-2)
+        order = np.empty(lead.shape, dtype=np.intp)
+        order[..., np.argsort(labels, kind="stable")] = np.argsort(labels[lead], axis=-1,
+                                                                   kind="stable")
         order.setflags(write=False)
         return order
 
     @cached_property
     def frame(self) -> np.ndarray:
         """The eigenvectors as columns in :attr:`frame_order`."""
-        frame = self.vectors[:, self.frame_order]
+        frame = np.take_along_axis(self.vectors, self.frame_order[..., None, :], axis=-1)
         frame.setflags(write=False)
         return frame
 
@@ -158,16 +190,17 @@ def _sector_layout(n_qubits: int) -> tuple:
 
 
 def _excitation_sectors(H: np.ndarray) -> tuple:
-    """Basis indices of each excitation sector of a qubit-register operator.
+    """Basis indices of each excitation sector of a stack of qubit-register operators.
 
     Falls back to one block holding every index when H is not a register
-    operator or has an element between different excitation numbers.
+    operator or one of the stack has an element between different
+    excitation numbers.
     """
-    d = H.shape[0]
+    d = H.shape[-1]
     n = d.bit_length() - 1
     if d == 2**n:
         across, sectors = _sector_layout(n)
-        if not np.any(H[across]):
+        if not np.any(H[:, across]):
             return sectors
     return (np.arange(d),)
 
@@ -178,34 +211,43 @@ def diagonalize(H: np.ndarray) -> EigenSystem:
     An excitation-conserving H is diagonalized block by block, so every
     eigenvector lies exactly in one excitation sector; near-degenerate levels
     of different sectors cannot mix.  Energies are then stable-sorted
-    ascending.
+    ascending.  A (k, d, d) stack gives a stack of eigensystems: each
+    sector is one stacked ``eigh`` call, which gives every matrix the
+    eigenpairs a call on it alone gives, bit for bit.
     """
+    single = H.ndim == 2
+    H = H[None] if single else H
     assert_hermitian(H)
-    d = H.shape[0]
-    energies = np.empty(d)
-    vectors = np.zeros((d, d), dtype=complex)
+    k, d = H.shape[:2]
+    energies = np.empty((k, d))
+    vectors = np.zeros((k, d, d), dtype=complex)
     start = 0
     for idx in _excitation_sectors(H):
         stop = start + len(idx)
         if len(idx) == 1:  # a basis state: its own eigenvector
-            energies[start], vectors[idx[0], start] = H[idx[0], idx[0]].real, 1.0
+            energies[:, start], vectors[:, idx[0], start] = H[:, idx[0], idx[0]].real, 1.0
         else:
-            energies[start:stop], vectors[idx, start:stop] = np.linalg.eigh(H[np.ix_(idx, idx)])
+            energies[:, start:stop], vectors[:, idx, start:stop] = np.linalg.eigh(
+                H[:, idx[:, None], idx])
         start = stop
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    vectors = vectors[:, order]
-    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(d)]
+    order = np.argsort(energies, axis=1, kind="stable")
+    energies = np.take_along_axis(energies, order, axis=1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    lead = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=1)[:, None, :], axis=1)[:, 0]
     mag = np.abs(lead)
-    vectors *= np.divide(lead.conj(), mag, out=np.ones(d, dtype=complex), where=mag > 0)
-    scale = max(1.0, np.abs(H).max())
-    resid = np.abs(H @ vectors - vectors * energies).max()
-    ortho = np.abs(vectors.conj().T @ vectors - np.eye(d)).max()
-    if resid > 1e-10 * scale or ortho > 1e-10:
+    vectors *= np.divide(lead.conj(), mag, out=np.ones((k, d), dtype=complex),
+                         where=mag > 0)[:, None, :]
+    scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
+    resid = np.abs(H @ vectors - vectors * energies[:, None, :]).max(axis=(1, 2))
+    ortho = np.abs(vectors.conj().swapaxes(1, 2) @ vectors - np.eye(d)).max(axis=(1, 2))
+    bad = np.flatnonzero((resid > 1e-10 * scale) | (ortho > 1e-10))
+    if bad.size:
         raise NoConvergence(
-            f"eigendecomposition residual {resid:.3e}, orthonormality {ortho:.3e}"
+            f"eigendecomposition residual {resid[bad[0]]:.3e}, "
+            f"orthonormality {ortho[bad[0]]:.3e}"
         )
-    return EigenSystem(energies=energies, vectors=vectors)
+    es = EigenSystem(energies=energies, vectors=vectors)
+    return es[0] if single else es
 
 
 @dataclass(frozen=True)

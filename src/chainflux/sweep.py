@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+import os
+import pickle
+import signal
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -19,6 +22,7 @@ from .errors import (
     SpecError,
     SpecInvalid,
     UnknownKey,
+    WorkerFailed,
 )
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import steady_reports
@@ -342,6 +346,87 @@ def _row_task(args):
     return tuple(out)
 
 
+def _worker(tasks, pipe) -> None:
+    """Run ``tasks`` in a forked sweep worker and write their results to ``pipe``; never returns.
+
+    ``pipe`` is the (read, write) pair of file descriptors of the worker's
+    pipe; the worker closes the read end.  The results go as one pickled
+    list: each task's :func:`_row_task` result, or the exception the first
+    failing task raised, which ends the list.  The worker ends with
+    ``os._exit``, so it flushes none of the stdio buffers it shares with its
+    parent and runs no ``atexit`` handler; it exits 0 once its results are
+    written and 1 otherwise.
+    """
+    status = 1
+    try:
+        os.close(pipe[0])
+        results = []
+        for task in tasks:
+            try:
+                results.append(_row_task(task))
+            except Exception as err:  # sent back, and raised by the parent
+                results.append(err)
+                break
+        with open(pipe[1], "wb") as out:
+            pickle.dump(results, out, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
+def _fork_join(tasks, workers: int) -> list:
+    """The :func:`_row_task` result of each task, from ``workers`` forked processes, in task order.
+
+    Worker w runs tasks w, w + workers, ... and sends them back through its
+    own pipe (:func:`_worker`); this process only forks, reads the pipes
+    one after the other and reaps each worker.  A worker computes all of
+    its tasks before it writes, so reading one pipe to its end never holds
+    up another worker's computation.  The exception of the first failing
+    task, in task order, is raised as it was raised in the worker; a worker
+    that ends without its results raises WorkerFailed with its exit
+    status.  On every path out, including an interrupt, the workers not
+    yet reaped are killed and reaped.
+    """
+    workers = min(workers, len(tasks))
+    children = []  # (pid, read end of its pipe) of every worker not yet reaped
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(tasks[w::workers], (read, write))
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [None] * len(tasks)
+        for w in range(workers):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0 or not payload:
+                raise WorkerFailed(f"sweep worker {pid} exited with status {status} "
+                                   "without sending its results", status=status)
+            for i, result in zip(range(w, len(tasks), workers), pickle.loads(payload)):
+                results[i] = result
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for result in results:  # a worker stops at its first failing task
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     """Run the full numeric pipeline at every (grid point, approach).
 
@@ -360,13 +445,14 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     under every approach of the request in one :func:`steady_reports` call
     (:func:`_row_task`), so both approaches of a chain share its H,
     eigensystem and site operators, built in that call and dropped after
-    it: one chunk with ``workers`` = 1, or 2 * ``workers`` chunks over a
-    process pool of at most one process per chunk (none for a single
-    chunk), which sends back columns.  A task solves each approach's rows
-    in stacks grouped by set of unknowns and zero rates, across chains: a
-    temperature sweep's chunk is one stacked solve per set of zero rates,
-    and the chains of a K or eps scan that couple the same entries are
-    solved together.
+    it: one chunk with ``workers`` = 1, or 2 * ``workers`` chunks over at
+    most ``workers`` forked processes, none for a single chunk
+    (:func:`_fork_join`), which send back columns.  Where ``os.fork`` does
+    not exist the sweep runs as with ``workers`` = 1.  A task solves each
+    approach's rows in stacks grouped by set of unknowns and zero rates,
+    across chains: a temperature sweep's chunk is one stacked solve per set
+    of zero rates, and the chains of a K or eps scan that couple the same
+    entries are solved together.
     """
     points = []
     base = request.base
@@ -375,13 +461,13 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
         if not points:  # the fields no point changes, validated once
             base = spec = validate_spec(spec)
         points.append((value, spec))
+    if not hasattr(os, "fork"):
+        workers = 1
     pieces = 2 * workers if workers > 1 else 1
     size = max(1, -(-len(points) // pieces))
     tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]
     if workers > 1 and len(tasks) > 1:
-        # a fork pool starts all its processes at the first submit
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            chunks = list(pool.map(_row_task, tasks))
+        chunks = _fork_join(tasks, workers)
     else:
         chunks = [_row_task(t) for t in tasks]
     blocks = [chunk[a] for a in range(len(request.approaches)) for chunk in chunks]

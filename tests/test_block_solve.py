@@ -44,7 +44,7 @@ def test_block_solve_matches_dense_oracle(spec, approach):
     for q in range(spec.n_qubits):
         assert report.populations[q] == pytest.approx(qubit_population(dense, q), abs=1e-12)
     H = model.hamiltonian
-    for j, (bins, bath) in enumerate(zip(model.structure.bins, spec.baths)):
+    for j, (bins, bath) in enumerate(zip(model.bins, spec.baths)):
         oracles = [heat_flux(H, thermal_dissipator(model.to_site(A), bath.gamma,
                                                    bose_occupation(omega, bath.temperature)),
                              dense)
@@ -59,9 +59,9 @@ def test_global_bins_sum_to_the_frame_coupling():
     # sum_b (A_b + A_b^dag) = F^dag sigma^x F: the binning drops and
     # double-counts no jump
     for spec, _ in CASES:
-        structure = assemble(spec, "global").structure
-        frame = structure.eigensystem.frame
-        for bins, bath in zip(structure.bins, spec.baths):
+        model = assemble(spec, "global")
+        frame = model.eigensystem.frame
+        for bins, bath in zip(model.bins, spec.baths):
             site = bath.attached_site
             coupling = (site_operator(spec.n_qubits, site, "raise")
                         + site_operator(spec.n_qubits, site, "lower"))
@@ -74,7 +74,7 @@ def test_frame_generator_holds_no_entry_between_coupled_set_and_rest(approach):
     for spec, _ in CASES:
         model = assemble(spec, approach)
         d = spec.dim
-        dense = superoperator(model.frame_hamiltonian, model.structure.operators, model.rates,
+        dense = superoperator(model.frame_hamiltonian, model.operators, model.rates,
                               full_unknowns(d))
         inside = np.zeros(d * d, dtype=bool)
         inside[model.unknowns.cols * d + model.unknowns.rows] = True

@@ -128,3 +128,29 @@ def test_package_exports_every_name_tests_and_cli_import():
     assert sorted(imported - set(chainflux.__all__)) == []
     assert len(set(chainflux.__all__)) == len(chainflux.__all__)
     assert all(hasattr(chainflux, name) for name in chainflux.__all__)
+
+
+def test_import_loads_no_process_pool_or_logging():
+    # the sweep forks its workers itself: importing the package loads
+    # neither executor module, nor the logging they import, and no module
+    # of the package imports them later
+    import ast
+    import os
+    import subprocess
+    import sys
+
+    import chainflux
+
+    banned = ("concurrent.futures", "multiprocessing", "logging")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, chainflux; print(chainflux.__file__); "
+                               f"print([m for m in {banned!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout.splitlines()
+    assert loaded == [chainflux.__file__, "[]"]
+    for path in Path(chainflux.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not [n for n in names if n.split(".")[0] in ("concurrent", "multiprocessing")]

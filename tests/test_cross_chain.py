@@ -12,6 +12,8 @@ from chainflux import (
     DimensionMismatch,
     SteadyReport,
     apply_axis,
+    assemble,
+    build_chain_hamiltonian,
     chain,
     run_sweep,
     steady_report,
@@ -105,9 +107,9 @@ def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
     stacks = []
     real = chainflux.observables._stack_reports
 
-    def recording(structures, specs, approach, rates, unknowns):
-        stacks.append((structures, rates, unknowns))
-        return real(structures, specs, approach, rates, unknowns)
+    def recording(structure, rows_chain, rates, unknowns):
+        stacks.append((structure, rows_chain, rates, unknowns))
+        return real(structure, rows_chain, rates, unknowns)
 
     monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
     base = chain([1.5] * 4, [1.0] * 3, 2.0, 0.5)
@@ -115,13 +117,13 @@ def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
     sets = set()
     for reports in steady_reports(specs, ("global", "local")):
         assert all(isinstance(r, SteadyReport) for r in reports)
-    for structures, rates, unknowns in stacks:
-        for structure, row in zip(structures, rates):
-            key = unknowns_key(structure.unknowns(row == 0))
+    for structure, rows_chain, rates, unknowns in stacks:
+        for c, row in zip(rows_chain.tolist(), rates):
+            key = unknowns_key(structure.unknowns(c, row == 0))
             assert key == unknowns_key(unknowns)
             sets.add(key)
     assert len(sets) > 2  # the global frames couple different entries
-    assert any(len({id(s) for s in structures}) > 1 for structures, _, _ in stacks)
+    assert any(len(set(rows_chain.tolist())) > 1 for _, rows_chain, _, _ in stacks)
     assert len(stacks) < 2 * len(specs)
 
 
@@ -134,9 +136,9 @@ def test_the_global_rows_of_a_uniform_k_scan_share_one_stack(n, monkeypatch):
     stacks = []
     real = chainflux.observables._stack_reports
 
-    def recording(structures, specs, approach, rates, unknowns):
-        stacks.append((len(specs), unknowns_key(unknowns)))
-        return real(structures, specs, approach, rates, unknowns)
+    def recording(structure, rows_chain, rates, unknowns):
+        stacks.append((len(rows_chain), unknowns_key(unknowns)))
+        return real(structure, rows_chain, rates, unknowns)
 
     monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
     base = chain([1.5] * n, [1.0] * (n - 1), 2.0, 0.5)
@@ -169,12 +171,12 @@ def loop_closure(H, operators):
         reached = grown
 
 
-def zero_rate_patterns(structure):
+def zero_rate_patterns(model):
     # emission rates gamma (nbar + 1) never vanish; a reservoir's absorption
     # rates vanish for all its bins at T = 0, or for the bins above a
     # frequency where omega / T > 700: every suffix of its bins
     per_reservoir = []
-    for reservoir in structure.bins:
+    for reservoir in model.bins:
         count = len(reservoir)
         per_reservoir.append([[False] * cut + [True] * (count - cut) for cut in range(count + 1)])
     for choice in np.ndindex(*(len(p) for p in per_reservoir)):
@@ -188,11 +190,10 @@ def zero_rate_patterns(structure):
 def test_stacked_closure_matches_the_loop_over_cases_and_zero_rate_patterns():
     checked = 0
     for spec, _ in CASES:
-        chain_ops = chain_operators(spec)
         for approach in ("global", "local"):
-            structure = chain_structure(chain_ops, spec, approach)
-            for zero in zero_rate_patterns(structure):
-                H, operators = structure.frame_hamiltonian, structure.operators[~zero]
+            model = assemble(spec, approach)
+            for zero in zero_rate_patterns(model):
+                H, operators = model.frame_hamiltonian, model.operators[~zero]
                 unknowns = coupled_unknowns(H, operators)
                 flat = unknowns.cols * unknowns.dim + unknowns.rows
                 assert np.array_equal(flat, loop_closure(H, operators))
@@ -202,16 +203,17 @@ def test_stacked_closure_matches_the_loop_over_cases_and_zero_rate_patterns():
 
 def test_both_approaches_share_one_eigensystem():
     spec = chain([1.2, 1.5, 0.9], [0.5, 0.7], 1.0, 0.2)
-    chain_ops = chain_operators(spec)
-    # the local structure diagonalizes nothing; the global one on demand, once
-    local = chain_structure(chain_ops, spec, "local")
-    assert "eigensystem" not in vars(chain_ops)
-    glob = chain_structure(chain_ops, spec, "global")
-    assert glob.chain is local.chain is chain_ops
-    assert glob.eigensystem is chain_ops.eigensystem
+    chains = chain_operators([spec, apply_axis(spec, "k", 0.8)])
+    # the local structures diagonalize nothing; the global ones the whole
+    # stack on demand, once
+    local = chain_structure(chains, "local")
+    assert "eigensystem" not in vars(chains)
+    glob = chain_structure(chains, "global")
+    assert glob.chains is local.chains is chains
+    assert glob.eigensystem is chains.eigensystem
     glob_report, local_report = (r for (r,) in steady_reports([spec], ("global", "local")))
     assert glob_report.chain is local_report.chain
-    assert glob_report.chain is not chain_ops  # each call builds its own
+    assert glob_report.chain.stack is not chains  # each call builds its own
 
 
 def count_calls(monkeypatch, module, name):
@@ -247,16 +249,20 @@ def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_m
     diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
     built = count_calls(monkeypatch, chainflux.observables, "chain_structure")
     glob, local = steady_reports(specs, ("global", "local"))
-    chains = {spec.couplings for spec in specs}
-    assert len(diagonalized) == len(chains)
-    assert sorted((spec.couplings, approach) for _, spec, approach in built) == \
-        sorted((k, approach) for k in chains for approach in ("global", "local"))
+    chains = {build_chain_hamiltonian(spec).tobytes() for spec in specs}
+    # one stack holding every chain once, diagonalized by one call and
+    # built once per approach
+    ((stack,),) = diagonalized
+    assert sorted(H.tobytes() for H in stack) == sorted(chains)
+    assert [approach for _, approach in built] == ["global", "local"]
+    assert all(chains_arg.hamiltonian is built[0][0].hamiltonian for chains_arg, _ in built)
+    assert len(built[0][0]) == len(chains)
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
     # the local reports' eigensystems, rho_diagonals' basis, are the ones the
     # global route diagonalized, the zero mode's chain too
     assert all(report.chain.eigensystem is not None for report in local)
-    assert len(diagonalized) == len(chains)
+    assert len(diagonalized) == 1
     for g, l in zip(glob, local):
         assert isinstance(g, DegenerateTransition) or g.chain is l.chain
 
@@ -276,7 +282,8 @@ def test_a_repeated_call_gives_bit_identical_reports():
 
 def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     # both approaches of a task share each chain's eigensystem, however many
-    # chains the task holds, the zero mode's chain too
+    # chains the task holds, the zero mode's chain too: one stacked call
+    # holds every chain of the task once
     import chainflux.lindblad
 
     calls = []
@@ -293,7 +300,7 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
-    assert len(calls) == len(grid)
+    assert calls == [(len(grid), 8, 8)]
 
 
 def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch):
@@ -302,9 +309,9 @@ def test_rows_with_different_zero_rates_get_separate_stacks(monkeypatch):
     stacks = []
     real = chainflux.observables._stack_reports
 
-    def recording(structures, specs, approach, rates, unknowns):
+    def recording(structure, rows_chain, rates, unknowns):
         stacks.append(rates)
-        return real(structures, specs, approach, rates, unknowns)
+        return real(structure, rows_chain, rates, unknowns)
 
     monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
     for n in (1, 2, 3, 4):
@@ -324,3 +331,68 @@ def test_one_call_takes_chains_of_one_length():
     specs = [chain([1.5] * 2, [1.0], 1.0, 0.2), chain([1.5] * 3, [1.0] * 2, 1.0, 0.2)]
     with pytest.raises(DimensionMismatch, match="2 and 3 qubits"):
         steady_reports(specs, ("local",))
+
+
+def mixed_chains(n):
+    """Chains of n qubits whose global routes bin differently.
+
+    A uniform chain (degenerate levels, bins of many jumps), a random one,
+    one at a zero mode (the global route degenerates), one at K = 3 (at
+    N = 4 a bin joins two sectors; at N = 5 the steady state is not unique)
+    and an uncoupled one (H diagonal); one qubit has only its gap.
+    """
+    rng = np.random.default_rng(40 + n)
+    base = chain([1.5] * n, [1.0] * (n - 1), 1.7, 0.3, 0.8, 1.3)
+    other = chain(rng.uniform(0.5, 2.5, n), rng.uniform(-1.5, 1.5, n - 1), 1.7, 0.3, 0.8, 1.3)
+    if n == 1:
+        return [base, other, apply_axis(base, "eps", 0.9)]
+    zero_mode = 1.5 / (2 * math.cos(math.pi / (n + 1)))
+    return [base, other] + [apply_axis(base, "k", k) for k in (zero_mode, 3.0, 0.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_call_over_chains_of_mixed_degeneracies_gives_the_cold_rows(n):
+    chains = mixed_chains(n)
+    specs = [apply_axis(spec, "t1", t1) for t1 in (0.0, 2.5) for spec in chains]
+    for approach, reports in zip(("global", "local"), steady_reports(specs, ("global", "local"))):
+        for spec, report in zip(specs, reports):
+            assert_same_report(report, cold_report(spec, approach))
+    bins = set()
+    for spec in chains:
+        try:
+            bins.add(tuple(len(reservoir) for reservoir in assemble(spec, "global").bins))
+        except DegenerateTransition:
+            bins.add(None)
+    assert n == 1 or len(bins) > 2  # one qubit has one bin per reservoir
+
+
+def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
+    # the stacked structure of each chain is the one it gets alone, bit for
+    # bit, whatever its neighbours; the zero mode's chain gets its error and
+    # no bins
+    base = chain([1.5] * 4, [1.0] * 3, 1.0, 0.2)
+    zero_mode = 1.5 / (2 * math.cos(math.pi / 5))
+    specs = [apply_axis(base, "k", k) for k in (0.4, 0.9, zero_mode, 1.4, 3.0)]
+    for approach in ("global", "local"):
+        stack = chain_structure(chain_operators(specs), approach)
+        assert list(stack.errors) == ([2] if approach == "global" else [])
+        for c, spec in enumerate(specs):
+            alone = chain_structure(chain_operators([spec]), approach)
+            if c in stack.errors:
+                assert str(stack.errors[c]) == str(alone.errors[0])
+                assert stack.edges[2 * c] == stack.edges[2 * c + 2]
+                continue
+            low, high = stack.edges[2 * c], stack.edges[2 * c + 2]
+            start = stack.start[c]
+            for a, b in ((stack.frame_hamiltonian[c], alone.frame_hamiltonian[0]),
+                         (stack.omegas[low:high], alone.omegas),
+                         (stack.reservoirs[low:high], alone.reservoirs),
+                         (stack.operators[start:start + 2 * (high - low)], alone.operators),
+                         (stack.flux_functionals[low:high], alone.flux_functionals),
+                         (stack.population_functionals[c % len(stack.population_functionals)],
+                          alone.population_functionals[0])):
+                assert a.tobytes() == b.tobytes()
+    (glob,) = steady_reports(specs, ("global",))
+    assert isinstance(glob[2], DegenerateTransition)
+    for i in (0, 1, 3, 4):
+        assert_same_report(glob[i], cold_report(specs[i], "global"))

@@ -7,6 +7,7 @@ from chainflux import (
     ChainSpec,
     DegenerateTransition,
     DimensionMismatch,
+    EigenSystem,
     NonPositiveFrequency,
     apply_axis,
     assemble,
@@ -68,13 +69,18 @@ def test_bose_occupation_rejects_nonpositive_frequency():
         bose_occupation(-1.0, 1.0)
 
 
-def scalar_rates(structure, baths):
+def scalar_rates(model, baths):
     """Each operator's rate from one bose_occupation per bin, as the rates were first built."""
     out = []
-    for reservoir, bath in zip(structure.bins, baths):
+    for reservoir, bath in zip(model.bins, baths):
         for omega, _ in reservoir:
             out += thermal_rates(bath.gamma, bose_occupation(omega, bath.temperature))
     return out
+
+
+def bath_table(baths):
+    """(temperature, gamma) of each reservoir of each pair of baths, (rows, 2, 2)."""
+    return np.array([[(bath.temperature, bath.gamma) for bath in pair] for pair in baths])
 
 
 # T = 0 (and -0.0), omega / T > 700 (T1 = 0.01 at eps = 10) and a log grid
@@ -89,33 +95,38 @@ TEMPERATURES = (0.0, -0.0, 0.01, 0.0137, *np.logspace(-2.0, 3.0, 31).tolist())
     monomer(2.5, 1.0, 0.0, 0.3, 1.7),
 ], ids=["eps10", "gamma", "monomer"])
 def test_array_rates_equal_the_scalar_rates_bit_for_bit(spec, approach):
-    structure = chain_structure(chain_operators(spec), spec, approach)
+    model = assemble(spec, approach)
     (g1, s1), (g2, s2) = ((b.gamma, b.attached_site) for b in spec.baths)
     baths = [(BathSpec(t1, g1, s1), BathSpec(t2, g2, s2))
              for t1 in TEMPERATURES for t2 in (0.0, 0.01, 0.5)]
-    rates = structure.rates(baths)
-    assert rates.shape == (len(baths), len(structure.operators))
+    rates, _ = model.structure.rates(np.zeros(len(baths), dtype=int), bath_table(baths))
+    rates = rates.reshape(len(baths), -1)
+    assert rates.shape == (len(baths), len(model.operators))
     for row, pair in zip(rates.tolist(), baths):
-        assert row == scalar_rates(structure, pair)
-    model = assemble(spec, approach)
-    assert model.rates.tolist() == scalar_rates(model.structure, spec.baths)
+        assert row == scalar_rates(model, pair)
+    assert model.rates.tolist() == scalar_rates(model, spec.baths)
 
 
 def test_array_rates_of_a_k_scan_with_one_row_per_chain():
+    # one stack of twelve chains: each row's rates are its own chain's,
+    # bit for bit the scalar rates of the chain built alone
     base = chain([1.5] * 4, [1.0] * 3, 0.01, 0.3, 1.4, 0.6)
-    for k in np.linspace(0.2, 2.9, 12):
-        spec = apply_axis(base, "k", k)
-        for approach in ("global", "local"):
-            structure = chain_structure(chain_operators(spec), spec, approach)
-            assert structure.rates([spec.baths]).tolist() == [scalar_rates(structure, spec.baths)]
+    specs = [apply_axis(base, "k", k) for k in np.linspace(0.2, 2.9, 12)]
+    for approach in ("global", "local"):
+        structure = chain_structure(chain_operators(specs), approach)
+        rates, offsets = structure.rates(np.arange(len(specs)), bath_table(
+            [spec.baths for spec in specs]))
+        for i, spec in enumerate(specs):
+            row = rates[offsets[i]:offsets[i + 1]].reshape(-1).tolist()
+            assert row == scalar_rates(assemble(spec, approach), spec.baths)
 
 
 def test_array_rates_reject_a_nonpositive_frequency():
     # a gap of zero gives the local bin omega = 0; validate_spec would refuse it
     spec = ChainSpec(2, (0.0, 1.0), (1.0,), (BathSpec(1.0, 1.0, 0), BathSpec(0.5, 1.0, 1)))
-    structure = chain_structure(chain_operators(spec), spec, "local")
+    structure = chain_structure(chain_operators([spec]), "local")
     with pytest.raises(NonPositiveFrequency):
-        structure.rates([spec.baths])
+        structure.rates(np.zeros(1, dtype=int), bath_table([spec.baths]))
 
 
 def test_detailed_balance_ratio():
@@ -134,8 +145,9 @@ def test_monomer_single_jump_operator():
     assert len(jumps) == 1
     assert jumps["omega"][0] == pytest.approx(1.5)
     assert jumps["weight"][0] == pytest.approx(1.0)
-    ((omega, A),) = global_bins(es, jumps)
-    assert omega == jumps["omega"][0]
+    first, ops = global_bins(es, jumps)
+    assert first.tolist() == [0]
+    omega, A = jumps["omega"][0], ops[0, 0]
     assert np.allclose(es.frame @ A @ es.frame.conj().T, site_operator(1, 0, "lower"))
 
 
@@ -156,9 +168,10 @@ def test_jump_operators_lower_energy_by_omega():
     es = diagonalize(H)
     frame_H = np.diag(es.energies[es.frame_order])
     scale = np.abs(H).max()
-    bins = global_bins(es, global_jump_operators(es, coupling_op(3, 0)))
-    assert bins
-    for omega, A in bins:
+    jumps = global_jump_operators(es, coupling_op(3, 0))
+    first, ops = global_bins(es, jumps)
+    assert len(first)
+    for omega, A in zip(jumps["omega"][first], ops[:, 0]):
         comm = frame_H @ A - A @ frame_H
         assert np.abs(comm + omega * A).max() <= 1e-10 * scale
 
@@ -184,8 +197,9 @@ def test_asymmetric_dimer_weights_match_analytic_amplitudes():
     for reservoir, site in ((0, 0), (1, 1)):
         jumps = global_jump_operators(es, coupling_op(2, site))
         assert len(jumps) == 4
-        bins = dict(global_bins(es, jumps))
-        for omega, p, q, weight in jumps.tolist():
+        first, ops = global_bins(es, jumps)
+        bins = dict(zip(jumps["omega"][first].tolist(), ops[:, 0]))
+        for _, _, omega, p, q, weight in jumps.tolist():
             assert weight == pytest.approx(expected[reservoir][(p, q)], abs=1e-10)
             assert bins[omega][position[p], position[q]] == weight
 
@@ -204,7 +218,51 @@ def test_near_degenerate_chain_assembles():
     model = assemble(spec, "global")
     jumps = global_jump_operators(model.eigensystem, coupling_op(5, 0))
     assert len(jumps) == 98
-    assert [len(reservoir) for reservoir in model.structure.bins] == [5, 5]
+    assert [len(reservoir) for reservoir in model.bins] == [5, 5]
+
+
+def reference_omegas(es, coupling):
+    """Each jump's bin frequency as first computed: the bins walked one jump at a time."""
+    energies = es.energies
+    elements = es.vectors.conj().T @ coupling @ es.vectors
+    gaps = energies[None, :] - energies[:, None]
+    lower, upper = np.nonzero((np.abs(elements) > 1e-14) & (gaps > 0))
+    omegas = gaps[lower, upper][np.lexsort((upper, lower, gaps[lower, upper]))]
+    tol = 1e-9 * max(1.0, np.abs(energies).max())
+    values, starts = omegas.tolist(), []
+    for i, omega in enumerate(values):
+        if not starts or omega - values[starts[-1]] > tol:
+            starts.append(i)
+    out = np.empty(len(values))
+    for start, stop in zip(starts, starts[1:] + [len(values)]):
+        out[start:stop] = omegas[start:stop].sum() / (stop - start)
+    return out
+
+
+def test_stacked_bins_match_the_jump_by_jump_walk():
+    # steps of 2e-9 below the tolerance 3e-9 span 4e-9 above it: the bin
+    # is cut where the walk from its lowest frequency cuts it, not at a step
+    es = EigenSystem(energies=np.array([0.0, 1.0, 2.0 + 2e-9, 3.0 + 6e-9]),
+                     vectors=np.eye(4, dtype=complex))
+    coupling = np.ones((4, 4)) - np.eye(4)
+    omegas = global_jump_operators(es, coupling)["omega"]
+    assert len(set(omegas.tolist())) == 5
+    assert omegas.tobytes() == reference_omegas(es, coupling).tobytes()
+    # a stack of chains of every size, the N = 5 uniform chain's bins of
+    # twenty jumps and more among them
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        specs = [chain([1.5] * n, [1.0] * (n - 1), 1.0, 0.0)]
+        specs += [chain(rng.uniform(0.5, 2.5, n), rng.uniform(0.2, 1.5, n - 1), 1.0, 0.0)
+                  for _ in range(3)]
+        chains = chain_operators(specs)
+        jumps = global_jump_operators(chains.eigensystem, chains.couplings)
+        for c, spec in enumerate(specs):
+            for r, bath in enumerate(spec.baths):
+                mine = jumps[(jumps["chain"] == c) & (jumps["reservoir"] == r)]["omega"]
+                expected = reference_omegas(chains.eigensystem[c],
+                                            coupling_op(n, bath.attached_site))
+                assert mine.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------- dissipators

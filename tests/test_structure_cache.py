@@ -25,12 +25,12 @@ from chainflux.sweep import SweepRequest
 
 
 def record_builds(monkeypatch):
-    """Approach of every structure the reports build, in order."""
+    """Approach and number of chains of every structure stack the reports build, in order."""
     built = []
 
-    def recording(chain, spec, approach, _real=chainflux.observables.chain_structure):
-        built.append(approach)
-        return _real(chain, spec, approach)
+    def recording(chains, approach, _real=chainflux.observables.chain_structure):
+        built.append((approach, len(chains)))
+        return _real(chains, approach)
 
     monkeypatch.setattr(chainflux.observables, "chain_structure", recording)
     return built
@@ -59,9 +59,9 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
     stacks = []
     real = chainflux.observables._stack_reports
 
-    def recording(structures, specs, approach, rates, unknowns):
-        stacks.append(approach)
-        return real(structures, specs, approach, rates, unknowns)
+    def recording(structure, chain, rates, unknowns):
+        stacks.append("local" if structure.eigensystem is None else "global")
+        return real(structure, chain, rates, unknowns)
 
     for epsilons in ([10.0] * n, np.linspace(0.9, 1.7, n)):
         base = chain(epsilons, np.linspace(0.6, 1.1, n - 1), 0.7, 0.2, 0.8, 1.3)
@@ -72,8 +72,8 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
             built = record_builds(patch)
             patch.setattr(chainflux.observables, "_stack_reports", recording)
             table = run_sweep(request)
-        # one structure per approach for the whole grid
-        assert built == ["global", "local"]
+        # one structure per approach for the whole grid, of its one chain
+        assert built == [("global", 1), ("local", 1)]
         # T = 0 rows and nbar > 0 rows: several stacks per approach
         assert stacks.count("global") >= 2 and stacks.count("local") >= 2
         stacks.clear()
@@ -118,12 +118,13 @@ def test_stack_flags_only_its_singular_and_ill_conditioned_members():
 
 def test_structure_is_shared_across_temperatures_and_rates(monkeypatch):
     # within one call: temperatures and rates share a chain's structure, a
-    # new coupling is a new chain
+    # new coupling is a new chain, and each approach builds one stack of
+    # the two chains
     built = record_builds(monkeypatch)
     specs = [dimer(1.5, 1.5, 1.0, 0.4, 0.0, 1.0, 1.0), dimer(1.5, 1.5, 1.0, 3.0, 0.7, 0.3, 2.0),
              dimer(1.5, 1.5, 1.1, 0.4, 0.0)]
     glob, local = steady_reports(specs, ("global", "local"))
-    assert built == ["global", "global", "local", "local"]
+    assert built == [("global", 2), ("local", 2)]
     assert glob[0].chain is glob[1].chain is local[0].chain is local[1].chain
     assert glob[2].chain is local[2].chain is not glob[0].chain
 
@@ -162,8 +163,8 @@ def test_cached_arrays_are_read_only():
         structure = model.structure
         arrays = [model.hamiltonian, model.frame_hamiltonian, structure.flux_functionals,
                   structure.population_functionals, structure.operators,
-                  structure.chain.eigensystem.energies, structure.chain.eigensystem.vectors]
-        arrays += [A for reservoir in structure.bins for _, A in reservoir]
+                  structure.chains.eigensystem.energies, structure.chains.eigensystem.vectors]
+        arrays += [A for reservoir in model.bins for _, A in reservoir]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0, ...] = 1.0

@@ -13,6 +13,7 @@ from chainflux import (
     SpecError,
     SpecInvalid,
     UnknownKey,
+    WorkerFailed,
     apply_axis,
     chain,
     dimer,
@@ -293,9 +294,9 @@ def test_only_true_zero_modes_are_skipped(n):
 
 def test_global_rows_diagonalize_once(monkeypatch):
     # a temperature sweep reuses its chain's structure, and both approaches
-    # share the chain's eigensystem: H is diagonalized once, for the
-    # eigenbasis frame (global) and the rho_diagonals columns (local), not
-    # once per row or per approach
+    # share the chain's eigensystem: H is diagonalized once, in one stacked
+    # call holding the one chain, for the eigenbasis frame (global) and the
+    # rho_diagonals columns (local), not once per row or per approach
     import chainflux.lindblad
 
     calls = []
@@ -307,39 +308,117 @@ def test_global_rows_diagonalize_once(monkeypatch):
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     req = small_request(outputs=("rho_diagonals",), grid=(0.5, 1.0, 2.0))
     run_sweep(req)
-    assert len(calls) == 1
+    assert calls == [(1, 4, 4)]
 
 
 def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
-    # a fork pool starts max_workers processes at its first submit, so the
-    # pool is sized by the tasks; a fake executor records the size and runs
-    # the tasks in this process
-    import concurrent.futures
+    # the sweep forks one worker per task at most; the rows are those of
+    # the serial sweep at any worker count
+    import os
 
-    sizes = []
+    forks = []
 
-    class Recording:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording(_real=os.fork):
+        pid = _real()
+        if pid:
+            forks.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "fork", recording)
     grid = tuple(np.linspace(0.5, 3.0, 14))
     serial = run_sweep(small_request(grid=grid))
+    assert forks == []
     for workers, points, size in ((64, grid[:3], 3), (64, grid, 14), (2, grid, 2),
-                                  (2, grid[:1], None)):
+                                  (2, grid[:1], 0)):
         table = run_sweep(small_request(grid=points), workers=workers)
-        assert sizes == ([] if size is None else [size])  # no pool for one task
-        sizes.clear()
+        assert len(forks) == size  # no worker for one task
+        forks.clear()
         assert tuple(table.rows) == tuple(row for row in serial.rows if row.axis_value in points)
+
+
+def test_without_fork_the_sweep_runs_serially(monkeypatch):
+    # where os.fork does not exist, workers = 2 is the workers = 1 sweep
+    import os
+
+    request = small_request(grid=tuple(np.linspace(0.5, 3.0, 6)))
+    serial = run_sweep(request)
+    monkeypatch.delattr(os, "fork")
+    assert tuple(run_sweep(request, workers=2).rows) == tuple(serial.rows)
+
+
+def test_a_task_error_is_raised_as_at_one_worker(monkeypatch):
+    # a task's exception crosses the worker's pipe with its type and
+    # message, and the first failing task in grid order is the one raised
+    import chainflux.sweep
+
+    real = chainflux.sweep._row_task
+
+    def failing(args):
+        # at workers = 2 each point is a task, and the points 2.0 and 3.0
+        # fail in different workers
+        for value, _ in args[1]:
+            if value >= 2.0:
+                raise NoConvergence(f"no steady state at t1 = {value!r}")
+        return real(args)
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", failing)
+    request = small_request(grid=(0.5, 1.0, 2.0, 3.0))
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(NoConvergence) as info:
+            run_sweep(request, workers=workers)
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(NoConvergence, "no steady state at t1 = 2.0")] * 2
+
+
+def test_a_worker_that_dies_raises_worker_failed(monkeypatch):
+    # a worker that exits without its results names its exit status, and
+    # every worker is reaped
+    import os
+
+    import chainflux.sweep
+
+    real, parent = chainflux.sweep._row_task, os.getpid()
+
+    def dying(args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(args)
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", dying)
+    with pytest.raises(WorkerFailed, match="status 3") as info:
+        run_sweep(small_request(grid=(0.5, 1.0, 2.0, 3.0)), workers=2)
+    assert info.value.status == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupt_in_the_parent_kills_and_reaps_every_worker(monkeypatch):
+    # the second worker is still busy when the parent is interrupted while
+    # it reads the first one's results: it is killed, not waited for
+    import os
+    import time
+
+    import chainflux.sweep
+
+    real, parent = chainflux.sweep._row_task, os.getpid()
+
+    def slow(args):
+        if os.getpid() != parent and args[1][0][0] in (1.0, 3.0):  # the second worker
+            time.sleep(60)
+        return real(args)
+
+    def interrupted(payload):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", slow)
+    monkeypatch.setattr(chainflux.sweep.pickle, "loads", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(small_request(grid=(0.5, 1.0, 2.0, 3.0)), workers=2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
