@@ -13,10 +13,13 @@ through exp(beta * omega), so zero temperature and large beta are exact.
 Both routes end in the same operator form: per reservoir, a list of bins
 (omega, A), with A held in the frame the steady state is solved in (the
 eigenbasis for the global route, the site basis for the local one).  Every
-superoperator is built from that form by one function, :func:`superoperator`,
-on a chosen set of unknowns: the entries the generator couples to the
-diagonal for the steady solve, every entry for the dense site-basis
-generator kept for tests and time evolution.
+superoperator is scattered from that form on a chosen set of unknowns,
+from one enumeration of the generator's nonzero entries
+(:func:`kron_entries`): as a real block in the coordinates of a Hermitian
+rho on the entries the generator couples to the diagonal
+(:func:`real_superoperator`, the steady solve), or as a complex block
+(:func:`superoperator`) on every entry for the dense site-basis generator
+kept for tests and time evolution.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
@@ -193,22 +196,22 @@ class Unknowns:
     """Density-matrix entries rho[rows[i], cols[i]] a generator acts on.
 
     Entries are listed in column-stacked order, so the full set reproduces
-    :func:`vectorize`.  ``row_pairs[i, j]`` is the flat index
-    rows[i] * dim + rows[j] and ``col_pairs`` the same over cols, so a
-    d x d matrix X read on a grid is X.ravel()[col_pairs][i, j] =
-    X[cols[i], cols[j]].  ``same_col`` holds the flat positions i * size + j
-    with cols[i] == cols[j] and ``row_pairs`` there (``same_row`` likewise),
-    the only entries of I (x) Y and X (x) I.  ``diagonal`` lists the
-    positions with rows == cols.
+    :func:`vectorize`.  ``index[r, c]`` is the position of entry (r, c),
+    -1 outside the set, and ``diagonal`` lists the positions with rows ==
+    cols.  The set holds the transpose of each of its entries, at
+    ``partner[i]``, so a Hermitian rho on it has m real coordinates, one
+    at each position: rho[r, r] at a diagonal entry, and for r < c,
+    sqrt(2) Re rho[r, c] at (r, c) and sqrt(2) Im rho[r, c] at (c, r).
+    They are orthonormal: with v = U x the entries of rho from its
+    coordinates x, U is unitary, and a generator that keeps rho Hermitian
+    is the real block U^dag L U there (:meth:`hermitian`).
     """
 
     dim: int
     rows: np.ndarray
     cols: np.ndarray
-    row_pairs: np.ndarray
-    col_pairs: np.ndarray
-    same_col: tuple
-    same_row: tuple
+    index: np.ndarray
+    partner: np.ndarray
     diagonal: np.ndarray
 
     @property
@@ -219,11 +222,38 @@ class Unknowns:
         """The listed entries of a d x d matrix, as a vector."""
         return rho[self.rows, self.cols]
 
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        """d x d matrix holding v at the listed entries and zero elsewhere."""
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[self.rows, self.cols] = v
+    def hermitian(self, L: np.ndarray) -> np.ndarray:
+        """Re(U^dag L U) of a block or a stack of blocks on these unknowns, in real coordinates.
+
+        It is the whole of U^dag L U where L keeps rho Hermitian.
+        """
+        return _times_u(_times_u(L, self).conj().swapaxes(-1, -2), self).real.swapaxes(-1, -2)
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian d x d matrices of real coordinates x (..., m), zero off the set."""
+        rows, cols, upper = self.rows, self.cols, self.rows < self.cols
+        r, c, low = rows[upper], cols[upper], self.partner[upper]
+        rho = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        diag = self.diagonal
+        rho.real[..., rows[diag], rows[diag]] = x[..., diag]
+        rho.real[..., r, c] = rho.real[..., c, r] = _HALF_SQRT2 * x[..., upper]
+        rho.imag[..., r, c] = _HALF_SQRT2 * x[..., low]
+        rho.imag[..., c, r] = -rho.imag[..., r, c]
         return rho
+
+
+_HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _times_u(X: np.ndarray, unknowns: Unknowns) -> np.ndarray:
+    """X U on the last axis: columns of entries into columns of real coordinates."""
+    upper = np.flatnonzero(unknowns.rows < unknowns.cols)
+    lower = unknowns.partner[upper]
+    out = X.astype(complex)
+    a, b = X[..., upper], X[..., lower]
+    out[..., upper] = _HALF_SQRT2 * (a + b)
+    out[..., lower] = 1j * _HALF_SQRT2 * (a - b)
+    return out
 
 
 def _read_only(*arrays) -> None:
@@ -234,17 +264,11 @@ def _read_only(*arrays) -> None:
 def _unknowns(dim: int, flat: np.ndarray) -> Unknowns:
     """Unknowns at the given column-stacked positions c * dim + r, read-only."""
     rows, cols = flat % dim, flat // dim
-    row_pairs = rows[:, None] * dim + rows[None, :]
-    col_pairs = cols[:, None] * dim + cols[None, :]
-    same_col = np.flatnonzero(cols[:, None] == cols[None, :])
-    same_row = np.flatnonzero(rows[:, None] == rows[None, :])
-    out = Unknowns(
-        dim=dim, rows=rows, cols=cols, row_pairs=row_pairs, col_pairs=col_pairs,
-        same_col=(same_col, row_pairs.ravel()[same_col]),
-        same_row=(same_row, col_pairs.ravel()[same_row]),
-        diagonal=np.flatnonzero(rows == cols),
-    )
-    _read_only(rows, cols, row_pairs, col_pairs, *out.same_col, *out.same_row, out.diagonal)
+    index = np.full((dim, dim), -1, dtype=np.intp)
+    index[rows, cols] = np.arange(len(flat))
+    out = Unknowns(dim=dim, rows=rows, cols=cols, index=index, partner=index[cols, rows],
+                   diagonal=np.flatnonzero(rows == cols))
+    _read_only(rows, cols, index, out.partner, out.diagonal)
     return out
 
 
@@ -296,36 +320,50 @@ def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
         reached = grown
 
 
-# Most elements of the per-term Kronecker grids held at once: the terms are
-# gathered in stacks of up to this size, one stack for small blocks.  The
-# steady solves go in stacks of at most this many block elements as well
-# (256 KB per complex array): stacks of more than about eight m = 70
-# systems solved slower per row than single ones, and larger stacks raise
-# the peak memory of every sweep process.
+# The steady solves go in stacks of at most this many block elements
+# (128 KB per real array): stacks of more than about eight m = 70 systems
+# solved slower per row than single ones, and larger stacks raise the peak
+# memory of every sweep process.  Long stacks of flux functionals are built
+# in pieces of this many matrix elements per operator.
 _GRID_ELEMENTS = 1 << 14
 
-def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
-    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
 
-    D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
-    generator is I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
-    J = -iH - sum rate * A^dag A / 2, and entry (i, j) of X (x) Y on the
-    unknowns is X[c_i, c_j] * Y[r_i, r_j]; only those entries are formed.
+def kron_entries(left, right, unknowns: Unknowns, upper: bool = False) -> tuple:
+    """The entries of sum_t conj(X_t) (x) Y_t on ``unknowns``, from the nonzeros of X_t and Y_t.
 
-    ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
-    of k blocks.  ``H`` (d, d) and ``operators`` (T, d, d) are shared by the
-    stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each block its
-    own, as for the rows of different chains, and a leading axis of one is
-    broadcast.  A^dag A and the gathered grid of A are formed once per
-    operator set; each block is then summed term by term in the same order
-    whatever the stack, so it does not depend on the stack it is built in.
-    ``H`` may be None for a dissipator alone; terms whose rate is zero in
-    every row are skipped.
+    ``left`` and ``right`` (T, d, d) are the patterns of the X_t and Y_t.
+    In column stacking, entry (i, j) of conj(X) (x) Y on the unknowns is
+    conj(X[c_i, c_j]) * Y[r_i, r_j], so it exists only where both factors
+    are nonzero: each pair of a nonzero of X_t and a nonzero of Y_t gives
+    one entry, kept if it joins two unknowns.  Returns (term, i, j, a, b)
+    with a = c_i d + c_j and b = r_i d + r_j, the flat positions of the
+    two factors, ordered by term, then by b, then by a, so one term never
+    lists an (i, j) twice.  With ``upper``, only rows i with r_i <= c_i.
     """
-    d, m = unknowns.dim, unknowns.size
-    rates = np.asarray(rates, dtype=float)
-    single = rates.ndim == 1
-    rates = np.atleast_2d(rates)
+    d, index = unknowns.dim, unknowns.index
+    tx, xr, xc = np.nonzero(left)
+    ty, yr, yc = np.nonzero(right)
+    nx = np.bincount(tx, minlength=len(left))
+    reps = nx[ty]  # each nonzero of Y_t pairs with every nonzero of X_t
+    q = np.repeat(np.arange(len(ty)), reps)
+    first = np.cumsum(nx) - nx
+    p = np.arange(len(q)) + np.repeat(first[ty] - (np.cumsum(reps) - reps), reps)
+    ri, rj, ci, cj = yr[q], yc[q], xr[p], xc[p]
+    i, j = index[ri, ci], index[rj, cj]
+    keep = (i >= 0) & (j >= 0)
+    if upper:
+        keep &= ri <= ci
+    return tx[p][keep], i[keep], j[keep], (ci * d + cj)[keep], (ri * d + rj)[keep]
+
+
+def _generator_terms(H, operators, rates, d: int) -> tuple:
+    """The rates, operators and J = -iH - sum rate * A^dag A / 2 of each row, and their pattern.
+
+    Terms whose rate is zero in every row are dropped.  ``pattern``
+    (T + 1, d, d) is nonzero where the operator t, or J last, is nonzero
+    in any row.
+    """
+    rates = np.atleast_2d(np.asarray(rates, dtype=float))
     k = len(rates)
     ops = np.asarray(operators, dtype=complex)
     if ops.ndim < 4:
@@ -337,28 +375,125 @@ def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
     decay = ops.conj().swapaxes(-1, -2) @ ops
     for t in range(len(used)):  # term by term
         J = J - (0.5 * rates[:, t])[:, None, None] * decay[:, t]
-    L = np.zeros((k, m, m), dtype=complex)
-    ops = ops.reshape(len(ops), len(used), d * d).swapaxes(0, 1)
-    step = max(1, min(len(used), _GRID_ELEMENTS // (k * m * m)))
-    left = np.empty((step, k, m, m), dtype=complex)
-    right = np.empty((step, ops.shape[1], m, m), dtype=complex)
-    for i in range(0, len(used), step):
-        n = min(step, len(used) - i)
-        # the grids are in range; mode="clip" lets take fill ``out``
-        # directly instead of through a bounds-checked copy
-        np.take(rates[:, i:i + n].T[:, :, None] * ops[i:i + n].conj(),
-                unknowns.col_pairs, axis=2, out=left[:n], mode="clip")
-        np.take(ops[i:i + n], unknowns.row_pairs, axis=2, out=right[:n], mode="clip")
-        left[:n] *= right[:n]
-        for piece in left[:n]:
-            L += piece
-    flat = L.reshape(k, m * m)
-    J = J.reshape(k, d * d)
-    at, pairs = unknowns.same_col
-    flat[:, at] += J[:, pairs]
-    at, pairs = unknowns.same_row
-    flat[:, at] += J.conj()[:, pairs]
+    pattern = np.concatenate([(ops != 0).any(axis=0), (J != 0).any(axis=0)[None]])
+    return rates, ops.reshape(len(ops), len(used), d * d), J.reshape(k, d * d), pattern
+
+
+def _kron_terms(pattern: np.ndarray) -> tuple:
+    """The (left, right) patterns of conj(A_t) (x) A_t, I (x) J and conj(J) (x) I, in order."""
+    eye, ops, J = np.eye(pattern.shape[-1], dtype=bool)[None], pattern[:-1], pattern[-1:]
+    return np.concatenate([ops, eye, J]), np.concatenate([ops, J, eye])
+
+
+def _entry_values(rates, ops, J, term, a, b) -> np.ndarray:
+    """The values of the entries (term, a, b) of :func:`kron_entries` in each row, (k, entries)."""
+    T = rates.shape[1]
+    split = np.searchsorted(term, [T, T + 1])
+    t, a_t, b_t = term[:split[0]], a[:split[0]], b[:split[0]]
+    dissipators = (rates[:, t] * ops[:, t, a_t].conj()) * ops[:, t, b_t]
+    return np.concatenate([dissipators, J[:, b[split[0]:split[1]]], J[:, a[split[1]:]].conj()],
+                          axis=1)
+
+
+def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
+    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
+
+    D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
+    generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
+    J = -iH - sum rate * A^dag A / 2; its entries are those of
+    :func:`kron_entries`, added term by term in that order.
+
+    ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
+    of k blocks.  ``H`` (d, d) and ``operators`` (T, d, d) are shared by the
+    stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each block its
+    own, as for the rows of different chains, and a leading axis of one is
+    broadcast.  ``H`` may be None for a dissipator alone; terms whose rate
+    is zero in every row are skipped.  This complex form serves the dense
+    oracles; the steady solves use :func:`real_superoperator`.
+    """
+    d, m = unknowns.dim, unknowns.size
+    single = np.ndim(rates) == 1
+    rates, ops, J, pattern = _generator_terms(H, operators, rates, d)
+    left, right = _kron_terms(pattern)
+    L = np.zeros((len(rates), m, m), dtype=complex)
+    for t in range(len(left)):  # a term lists each (i, j) once
+        term, i, j, a, b = kron_entries(left[t:t + 1], right[t:t + 1], unknowns)
+        L[:, i, j] += _entry_values(rates, ops, J, term + t, a, b)
     return L[0] if single else L
+
+
+# Entry (i, j), with r_i <= c_i, lands in the real block in four slots:
+# (Re row, Re column) from its real part, (Re row, Im column) and (Im row,
+# Re column) from its imaginary part, (Im row, Im column) from its real
+# part.  (LU)[i, :] holds the entry at a diagonal column j, and entry /
+# sqrt(2) at the Re column and s i entry / sqrt(2) at the Im column of an
+# off-diagonal j (s = 1 for r_j < c_j, -1 otherwise); row i of U^dag L U
+# is Re (LU)[i, :] for a diagonal i, and sqrt(2) Re, sqrt(2) Im of it for
+# r_i < c_i.  So each slot is scaled by _SCALE[i off diagonal, j off
+# diagonal] times the sign below, and the Im row or column of a diagonal
+# entry does not exist.
+_SCALE = np.array([[1.0, _HALF_SQRT2], [np.sqrt(2.0), 1.0]])
+
+
+def _real_targets(i, j, unknowns: Unknowns) -> tuple:
+    """Flat targets in the real block, source and coefficient of each slot of the entries (i, j).
+
+    ``source`` is 2 e for the real part of entry e, 2 e + 1 for its
+    imaginary part, its place in the entries' values viewed as floats.
+    """
+    m, n = unknowns.size, len(i)
+    rows, cols, partner = unknowns.rows, unknowns.cols, unknowns.partner
+    i_off, j_off, lower = rows[i] != cols[i], rows[j] != cols[j], rows[j] > cols[j]
+    re_col, im_col = np.where(lower, partner[j], j), np.where(lower, j, partner[j])
+    sign = np.where(lower, 1.0, -1.0)
+    targets = np.stack([i * m + re_col, i * m + im_col,
+                        partner[i] * m + re_col, partner[i] * m + im_col], axis=1)
+    source = 2 * np.arange(n)[:, None] + [0, 1, 1, 0]
+    coef = _SCALE[i_off.astype(int), j_off.astype(int)][:, None] * np.stack(
+        [np.ones(n), sign * j_off, 1.0 * i_off, -sign * (i_off & j_off)], axis=1)
+    keep = coef != 0
+    return targets[keep], source[keep], coef[keep]
+
+
+@lru_cache(maxsize=64)
+def _real_layout(unknowns: Unknowns, count: int, key: bytes) -> tuple:
+    """Where :func:`real_superoperator` reads and scatters: (term, a, b), (targets, source, coef).
+
+    The entries (:func:`kron_entries`, rows r_i <= c_i) and their slots
+    (:func:`_real_targets`) for the ``count`` term patterns packed in
+    ``key``; cached by pattern, which the stacks of a sweep share.
+    """
+    d = unknowns.dim
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * d * d)
+    term, i, j, a, b = kron_entries(*_kron_terms(bits.reshape(count, d, d).astype(bool)),
+                                    unknowns, upper=True)
+    layout = (term, a, b) + _real_targets(i, j, unknowns)
+    _read_only(*layout)
+    return layout
+
+
+def real_superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
+    """:func:`superoperator` as U^dag L U, in the real coordinates of a Hermitian rho.
+
+    Only the entries of rows i with r_i <= c_i are formed; for a generator
+    that keeps rho Hermitian the others are their conjugates.  Each is
+    scattered into the real block at up to four places, and the block is
+    summed in the fixed order of :func:`kron_entries` by one
+    ``np.bincount`` per stack, so a row's block does not depend on the
+    stack it is built in.  Same arguments; the block is real, (m, m) or
+    (k, m, m).
+    """
+    d, m = unknowns.dim, unknowns.size
+    single = np.ndim(rates) == 1
+    rates, ops, J, pattern = _generator_terms(H, operators, rates, d)
+    k = len(rates)
+    term, a, b, targets, source, coef = _real_layout(unknowns, len(pattern),
+                                                     np.packbits(pattern).tobytes())
+    values = _entry_values(rates, ops, J, term, a, b)
+    weights = np.ascontiguousarray(values).view(float)[:, source] * coef
+    flat = (np.arange(k)[:, None] * (m * m) + targets).reshape(-1)
+    R = np.bincount(flat, weights.reshape(-1), minlength=k * m * m).reshape(k, m, m)
+    return R[0] if single else R
 
 
 def thermal_rates(gamma: float, nbar: float) -> tuple:

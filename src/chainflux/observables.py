@@ -30,13 +30,13 @@ from .lindblad import (
     chain_key,
     chain_operators,
     chain_structure,
-    superoperator,
+    real_superoperator,
     unvectorize,
     vectorize,
 )
 from .model import ChainSpec
 from .operators import number_operator
-from .steady import solve_steady, unique, uniqueness_error
+from .steady import solve_hermitian, unique, uniqueness_error
 
 _FORM_TOL = 1e-12
 
@@ -469,9 +469,10 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     """Populations, fluxes, channel fluxes and solution of a stack of rows sharing ``unknowns``.
 
     Row j is on chain ``chain[j]`` of ``structure``, at ``rates[j]``.  The
-    blocks are built at once (:func:`superoperator`), each on its own
+    blocks are built at once in the real coordinates of a Hermitian rho
+    (:func:`~chainflux.lindblad.real_superoperator`), each on its own
     chain's H and jump operators, and solved by one stacked call
-    (:func:`solve_steady`).  Tr{H D(rho)} is linear in rho:
+    (:func:`~chainflux.steady.solve_hermitian`).  Tr{H D(rho)} is linear in rho:
     gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
     functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) of each bin,
     so one product with each rho gives every channel's flux; the
@@ -482,8 +483,8 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     k, d = len(chain), unknowns.dim
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
     operators = _gather(structure.operators, structure.start[chain], 2 * bins)
-    sol = solve_steady(superoperator(_gather(structure.frame_hamiltonian, chain), operators,
-                                     rates, unknowns), unknowns)
+    sol = solve_hermitian(real_superoperator(_gather(structure.frame_hamiltonian, chain),
+                                             operators, rates, unknowns), unknowns)
     flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{F rho} = F . rho^T
     functionals = _gather(structure.flux_functionals, first, bins)
     traces = functionals.reshape(len(functionals), -1, d * d) @ flat

@@ -17,22 +17,26 @@ from .errors import (
 )
 from .model import MAX_QUBITS, ChainSpec
 
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-
-_KINDS = {"raise": SIGMA_PLUS, "lower": SIGMA_MINUS, "z": SIGMA_Z}
+_KINDS = ("raise", "lower", "z")
 
 HERMITICITY_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
 def _site_operator_cached(n_qubits: int, site: int, kind: str) -> np.ndarray:
-    sigma = _KINDS[kind]
-    out = np.eye(1, dtype=complex)
-    for q in range(n_qubits):
-        out = np.kron(out, sigma if q == site else IDENTITY2)
+    # qubit s is bit n - 1 - s of a basis index, so the first qubit is the
+    # leading factor of the Kronecker product; bit value 0 is the excited
+    # state, which sigma^+ = |0><1| reaches from the one with the bit set
+    index = np.arange(2**n_qubits)
+    bit = 1 << (n_qubits - 1 - site)
+    clear = index[(index & bit) == 0]
+    out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    if kind == "raise":
+        out[clear, clear | bit] = 1.0
+    elif kind == "lower":
+        out[clear | bit, clear] = 1.0
+    else:
+        out[index, index] = np.where(index & bit, -1.0, 1.0)
     out.setflags(write=False)
     return out
 

@@ -36,17 +36,20 @@ def check_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10, eig_f
 class SteadySolution:
     """Steady state with solver diagnostics.
 
-    ``asymmetry`` is the Hermiticity defect of the raw solution before
-    symmetrization; a large value points at a construction bug rather than
-    solver noise.  ``rcond`` is the 1-norm reciprocal condition number of
-    the constrained system (:func:`checked_inverse`) and ``unknowns`` the
-    number of entries of rho solved for.  For a stack of generators every
-    field but ``unknowns`` has the stack's leading axis.
+    ``rho`` is Hermitian by construction: it is solved for in the real
+    coordinates of a Hermitian matrix on the unknowns
+    (:class:`~chainflux.lindblad.Unknowns`).  ``residual`` is |L v| for
+    the generator the solve was given, in entries (:func:`solve_steady`)
+    or in real coordinates (:func:`solve_hermitian`), which have the same
+    norm.  ``rcond`` is the 1-norm reciprocal condition number of the
+    constrained real system (:func:`checked_inverse`) and ``unknowns`` the
+    number of entries of rho solved for, which is also the number of real
+    coordinates.  For a stack of generators every field but ``unknowns``
+    has the stack's leading axis.
     """
 
     rho: np.ndarray
     residual: float
-    asymmetry: float
     replaced_row: int
     rcond: float
     unknowns: int
@@ -77,7 +80,10 @@ def checked_inverse(M: np.ndarray) -> tuple:
     """Inverse and rcond_1 of each constrained steady-state system of a (k, m, m) stack.
 
     One stacked ``np.linalg.solve`` against the identity gives every
-    inverse, one LU factorization per system.  A system whose LU meets an
+    inverse, one LU factorization per system; the solves pass real
+    systems, in the coordinates of a Hermitian rho, and any dtype works.
+    numpy gives no access to the LU factors, so |M^-1|_1 is read off the
+    explicit inverse rather than estimated.  A system whose LU meets an
     exactly zero pivot makes numpy reject the whole stack; the stack is then
     solved system by system, and only such a system gets a zero inverse and
     rcond 0.  rcond_1 = 1 / (|M|_1 |M^-1|_1); :func:`uniqueness_error`
@@ -103,6 +109,49 @@ def checked_inverse(M: np.ndarray) -> tuple:
     return inverse, rcond
 
 
+def solve_hermitian(R: np.ndarray, unknowns: Unknowns, L: np.ndarray = None) -> SteadySolution:
+    """Steady states of a (k, m, m) stack of real blocks in the coordinates of a Hermitian rho.
+
+    ``R`` is U^dag L U on ``unknowns`` (:class:`~chainflux.lindblad.Unknowns`),
+    as :func:`~chainflux.lindblad.real_superoperator` builds it.  The trace
+    constraint replaces one row per block, chosen among the rows of
+    diagonal entries: trace preservation makes those rows sum to zero, so
+    dropping the one with the largest diagonal magnitude never removes an
+    independent equation.  One stacked real ``np.linalg.solve`` gives every
+    state and rcond_1 (:func:`checked_inverse`), and rho is rebuilt
+    Hermitian from its coordinates x.  A row whose steady state is not
+    unique gets a zero rho and its ``rcond`` tells it apart
+    (:func:`uniqueness_error`).  The residual is |R x| against |R|, which
+    are |L v| and |L| since U is unitary, or, given the complex blocks
+    ``L`` themselves, |L v| against |L|; one above RESIDUAL_TOL times its
+    scale raises NoConvergence.
+    """
+    k, m, diag = len(R), unknowns.size, unknowns.diagonal
+    rows = np.arange(k)
+    replaced = diag[np.abs(R[:, diag, diag]).argmax(axis=1)]
+    M = R.copy()
+    M[rows, replaced] = 0.0
+    M[rows[:, None], replaced[:, None], diag] = 1.0
+    inverse, rcond = checked_inverse(M)
+    x = np.where(unique(rcond, m)[:, None], inverse[rows, :, replaced], 0.0)
+    rho = unknowns.state(x)
+    if L is None:
+        residual = np.linalg.norm(R @ x[..., None], axis=(1, 2))
+        scale = np.linalg.norm(R, axis=(1, 2))
+    else:
+        residual = np.linalg.norm(L @ rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
+        scale = np.linalg.norm(L, axis=(1, 2))
+    scale = np.maximum(scale, 1.0)
+    worst = int((residual / scale).argmax())
+    if residual[worst] > RESIDUAL_TOL * scale[worst]:
+        raise NoConvergence(
+            f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
+        )
+    replaced_row = unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced]
+    return SteadySolution(rho=rho, residual=residual, replaced_row=replaced_row, rcond=rcond,
+                          unknowns=m)
+
+
 def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     """Solve L v = 0 with the trace constraint replacing one row.
 
@@ -112,17 +161,16 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     zero in the returned state, which is exact when L keeps the set
     invariant, as for ``LindbladModel.block``; the uniqueness check
     (:func:`checked_inverse`), which always runs, then covers that set only.
+    L is mapped to the real coordinates of a Hermitian rho
+    (``unknowns.hermitian``) and solved there by :func:`solve_hermitian`,
+    with the residual taken against the complex L itself, so a generator
+    that does not keep rho Hermitian leaves a residual and is not solved.
     One generator whose steady state is not unique raises DegenerateKernel;
     in a stack, such a row gets a zero rho and its ``rcond`` tells it apart
     (:func:`uniqueness_error`).  A residual above RESIDUAL_TOL * |L| raises
     NoConvergence.  The whole stack is solved by one stacked LAPACK call, so
     callers keep stacks small (the sweep's hold at most ``_GRID_ELEMENTS``
     block elements).
-
-    The replaced row is chosen per generator among the rows belonging to
-    diagonal matrix elements: trace preservation makes those rows sum to
-    zero, so dropping the one with the largest diagonal magnitude never
-    removes an independent equation.
     """
     single = L.ndim == 2
     stack = L[None] if single else L
@@ -136,38 +184,15 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     if stack.shape[1:] != (m, m):
         raise DimensionMismatch(f"generator shape {L.shape} does not match {m} unknowns")
 
-    k = len(stack)
-    rows = np.arange(k)
-    diag = unknowns.diagonal
-    replaced = diag[np.abs(stack[:, diag, diag]).argmax(axis=1)]
-
-    M = stack.copy()
-    M[rows, replaced] = 0.0
-    M[rows[:, None], replaced[:, None], diag] = 1.0
-    inverse, rcond = checked_inverse(M)
-    raw = np.zeros((k, unknowns.dim, unknowns.dim), dtype=complex)
-    raw[:, unknowns.rows, unknowns.cols] = np.where(unique(rcond, m)[:, None],
-                                                    inverse[rows, :, replaced], 0)
-    adjoint = raw.conj().swapaxes(1, 2)
-    asymmetry = np.abs(raw - adjoint).max(axis=(1, 2))
-    rho = 0.5 * (raw + adjoint)
-
-    scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1.0)
-    residual = np.linalg.norm(stack @ rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
-    worst = int((residual / scale).argmax())
-    if residual[worst] > RESIDUAL_TOL * scale[worst]:
-        raise NoConvergence(
-            f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
-        )
-    replaced_row = unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced]
+    sol = solve_hermitian(unknowns.hermitian(stack), unknowns, stack)
     if not single:
-        return SteadySolution(rho=rho, residual=residual, asymmetry=asymmetry,
-                              replaced_row=replaced_row, rcond=rcond, unknowns=m)
-    error = uniqueness_error(rcond[0], m)
+        return sol
+    error = uniqueness_error(sol.rcond[0], m)
     if error is not None:
         raise error
-    return SteadySolution(rho=rho[0], residual=float(residual[0]), asymmetry=float(asymmetry[0]),
-                          replaced_row=int(replaced_row[0]), rcond=float(rcond[0]), unknowns=m)
+    return SteadySolution(rho=sol.rho[0], residual=float(sol.residual[0]),
+                          replaced_row=int(sol.replaced_row[0]), rcond=float(sol.rcond[0]),
+                          unknowns=m)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,25 @@ def test_two_qubit_raise_is_tensor_product():
     assert set(op[op != 0]) == {1.0 + 0j}
 
 
+def kron_site_operator(n_qubits, site, kind):
+    """I x ... x sigma x ... x I as a chain of Kronecker products, the reference."""
+    sigma = {"raise": [[0.0, 1.0], [0.0, 0.0]], "lower": [[0.0, 0.0], [1.0, 0.0]],
+             "z": [[1.0, 0.0], [0.0, -1.0]]}[kind]
+    out = np.eye(1, dtype=complex)
+    for q in range(n_qubits):
+        out = np.kron(out, np.array(sigma, dtype=complex) if q == site else np.eye(2))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["raise", "lower", "z"])
+def test_index_built_site_operators_equal_the_kronecker_chain(kind):
+    for n in range(1, 6):
+        for site in range(n):
+            op = site_operator(n, site, kind)
+            assert op.dtype == complex and not op.flags.writeable
+            assert np.array_equal(op, kron_site_operator(n, site, kind))
+
+
 def test_commutator_on_one_site_gives_sigma_z():
     for n, site in [(1, 0), (3, 1)]:
         sp = site_operator(n, site, "raise")

@@ -41,7 +41,21 @@ def test_steady_state_is_a_density_matrix_with_small_residual():
         sol = solve_steady(model.liouvillian)
         check_density_matrix(sol.rho)
         assert sol.residual <= 1e-10 * max(1.0, np.linalg.norm(model.liouvillian))
-        assert sol.asymmetry <= 1e-10
+        assert np.array_equal(sol.rho, sol.rho.conj().T)  # Hermitian by construction
+
+
+def test_generator_that_breaks_hermiticity_raises_no_convergence():
+    # d rho_01 / dt gains eps * rho_00 and d rho_10 / dt does not: trace is
+    # still preserved, but the kernel is no longer Hermitian, so the
+    # Hermitian solve leaves a residual against the complex L
+    L = assemble(dimer(1.5, 1.1, 0.8, 2.0, 0.4), "local").liouvillian
+    assert solve_steady(L).residual <= 1e-14
+    broken = L.copy()
+    broken[1 * 4 + 0, 0] += 1e-3
+    with pytest.raises(NoConvergence):
+        solve_steady(broken)
+    with pytest.raises(NoConvergence):
+        solve_steady(np.array([L, broken]))
 
 
 def test_monomer_population_equals_analytic():
