@@ -51,14 +51,13 @@ from .operators import (
     site_operator,
     total_excitation,
 )
+from .generator import unvectorize, vectorize
 from .lindblad import (
     OMEGA_MIN,
     LindbladModel,
     assemble,
     bose_occupation,
     thermal_dissipator,
-    unvectorize,
-    vectorize,
 )
 from .steady import (
     SteadySolution,

@@ -1,0 +1,545 @@
+"""Lindblad generators in vectorized form, on a chosen set of unknowns.
+
+A generator -i[H, .] + sum_t rate_t D[A_t] acts on the column-stacked density
+matrix (:func:`vectorize`).  Its jump operators are held as their nonzero
+entries (:class:`Entries`), and each block is scattered from one enumeration
+of the generator's nonzero entries (:func:`kron_entries`) on a set of
+density-matrix entries (:class:`Unknowns`): as a real block in the
+coordinates of a Hermitian rho on the entries the generator couples to the
+diagonal (:func:`coupled_sets`, :func:`real_superoperator`; the steady
+solve), or as a complex block (:func:`superoperator`) on every entry for the
+dense oracles.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
+
+
+def vectorize(rho: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix."""
+    return rho.reshape(-1, order="F")
+
+
+def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vectorize`."""
+    return v.reshape((dim, dim), order="F")
+
+
+@dataclass(frozen=True, eq=False)
+class Unknowns:
+    """Density-matrix entries rho[rows[i], cols[i]] a generator acts on.
+
+    Entries are listed in column-stacked order, so the full set reproduces
+    :func:`vectorize`.  ``index[r, c]`` is the position of entry (r, c),
+    -1 outside the set, and ``diagonal`` lists the positions with rows ==
+    cols.  The set holds the transpose of each of its entries, at
+    ``partner[i]``, so a Hermitian rho on it has m real coordinates, one
+    at each position: rho[r, r] at a diagonal entry, and for r < c,
+    sqrt(2) Re rho[r, c] at (r, c) and sqrt(2) Im rho[r, c] at (c, r).
+    They are orthonormal: with v = U x the entries of rho from its
+    coordinates x, U is unitary, and a generator that keeps rho Hermitian
+    is the real block U^dag L U there (:meth:`hermitian`).
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    index: np.ndarray
+    partner: np.ndarray
+    diagonal: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def gather(self, rho: np.ndarray) -> np.ndarray:
+        """The listed entries of a d x d matrix, as a vector."""
+        return rho[self.rows, self.cols]
+
+    def hermitian(self, L: np.ndarray) -> np.ndarray:
+        """Re(U^dag L U) of a block or a stack of blocks on these unknowns, in real coordinates.
+
+        It is the whole of U^dag L U where L keeps rho Hermitian.
+        """
+        return _times_u(_times_u(L, self).conj().swapaxes(-1, -2), self).real.swapaxes(-1, -2)
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian d x d matrices of real coordinates x (..., m), zero off the set."""
+        rows, cols, upper = self.rows, self.cols, self.rows < self.cols
+        r, c, low = rows[upper], cols[upper], self.partner[upper]
+        rho = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        diag = self.diagonal
+        rho.real[..., rows[diag], rows[diag]] = x[..., diag]
+        rho.real[..., r, c] = rho.real[..., c, r] = _HALF_SQRT2 * x[..., upper]
+        rho.imag[..., r, c] = _HALF_SQRT2 * x[..., low]
+        rho.imag[..., c, r] = -rho.imag[..., r, c]
+        return rho
+
+
+_HALF_SQRT2 = np.sqrt(0.5)
+
+
+def _times_u(X: np.ndarray, unknowns: Unknowns) -> np.ndarray:
+    """X U on the last axis: columns of entries into columns of real coordinates."""
+    upper = np.flatnonzero(unknowns.rows < unknowns.cols)
+    lower = unknowns.partner[upper]
+    out = X.astype(complex)
+    a, b = X[..., upper], X[..., lower]
+    out[..., upper] = _HALF_SQRT2 * (a + b)
+    out[..., lower] = 1j * _HALF_SQRT2 * (a - b)
+    return out
+
+
+def read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _unknowns(dim: int, flat: np.ndarray) -> Unknowns:
+    """Unknowns at the given column-stacked positions c * dim + r, read-only."""
+    rows, cols = flat % dim, flat // dim
+    index = np.full((dim, dim), -1, dtype=np.intp)
+    index[rows, cols] = np.arange(len(flat))
+    out = Unknowns(dim=dim, rows=rows, cols=cols, index=index, partner=index[cols, rows],
+                   diagonal=np.flatnonzero(rows == cols))
+    read_only(rows, cols, index, out.partner, out.diagonal)
+    return out
+
+
+@lru_cache(maxsize=None)
+def full_unknowns(dim: int) -> Unknowns:
+    """Every entry of a dim x dim matrix: the dense generator's index."""
+    return _unknowns(dim, np.arange(dim * dim))
+
+
+@dataclass(frozen=True, eq=False)
+class Entries:
+    """A list of sparse d x d matrices, each held as its nonzero entries.
+
+    Item t is the sum of values[e] |rows[e]><cols[e]| over the entries e
+    in ``edges[t]:edges[t + 1]``; two entries of an item may share a
+    position.  The jump operators of a structure, their products A^dag A
+    (:attr:`decay`) and their flux functionals are held this way, and the
+    generator blocks and the flux readout are built from the entries.
+    Every array is read-only.
+    """
+
+    dim: int
+    edges: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        read_only(self.edges, self.rows, self.cols, self.values)
+
+    def __len__(self) -> int:
+        return len(self.edges) - 1
+
+    @classmethod
+    def from_dense(cls, matrices) -> Entries:
+        """The nonzero entries of a (n, d, d) stack, item by item, row-major within an item."""
+        matrices = np.asarray(matrices)
+        t, r, c = np.nonzero(matrices)
+        edges = np.searchsorted(t, np.arange(len(matrices) + 1))
+        return cls(matrices.shape[-1], edges, r, c, matrices[t, r, c].astype(complex))
+
+    def dense(self, items: slice = slice(None)) -> np.ndarray:
+        """The items of a contiguous slice as a complex (n, d, d) stack: the oracles' form."""
+        start, stop, _ = items.indices(len(self))
+        at = slice(self.edges[start], self.edges[stop])
+        out = np.zeros((stop - start, self.dim, self.dim), dtype=complex)
+        item = np.repeat(np.arange(stop - start), np.diff(self.edges[start:stop + 1]))
+        np.add.at(out, (item, self.rows[at], self.cols[at]), self.values[at])
+        return out
+
+    def take(self, first, count) -> tuple:
+        """The entries of items first[j] .. first[j] + count[j] - 1 of each row j, row by row.
+
+        ``count`` is one count for every row or one per row.  Returns (j,
+        item - first[j], index of the entry) for each of them.
+        """
+        first, count = np.asarray(first), np.asarray(count)
+        if len(first) == 1:  # one contiguous run of entries
+            f = int(first[0])
+            low, high = self.edges[[f, f + int(count.flat[0])]].tolist()
+            return np.zeros(high - low, dtype=int), self.items[low:high] - f, np.arange(low, high)
+        low, high = self.edges[first], self.edges[first + count]
+        sizes = high - low
+        row = np.repeat(np.arange(len(first)), sizes)
+        index = np.arange(len(row)) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)
+        return row, self.items[index] - first[row], index
+
+    def traces(self, first: np.ndarray, count: int, rho: np.ndarray) -> np.ndarray:
+        """Tr{F rho[j]} of the items F first[j] .. first[j] + count - 1 of each row j, (k, count).
+
+        Tr{F rho} is the sum of F[r, c] rho[c, r] over the entries of F,
+        added to zero one at a time in entry order (``np.add.at``), so a
+        row's traces do not depend on its stack.
+        """
+        k, shared = len(first), bool((first == first[0]).all())
+        row, t, e = self.take(first[:1] if shared else first, count)
+        at = self.cols[e] * self.dim + self.rows[e]
+        if shared:  # every row reads these entries
+            row = np.arange(k)[:, None]
+            terms = self.values[e] * rho.reshape(k, -1)[:, at]
+        else:
+            terms = self.values[e] * rho.reshape(k, -1)[row, at]
+        traces = np.zeros(k * count, dtype=complex)
+        np.add.at(traces, (row * count + t).reshape(-1), terms.reshape(-1))
+        return traces.reshape(k, count)
+
+    @cached_property
+    def items(self) -> np.ndarray:
+        """The item of each entry."""
+        items = np.repeat(np.arange(len(self)), np.diff(self.edges))
+        read_only(items)
+        return items
+
+    @cached_property
+    def row_pairs(self) -> tuple:
+        """(j, k, edges): every ordered pair of entries of one item in one row, item by item.
+
+        Item t's pairs are ``j[edges[t]:edges[t + 1]]`` and the same of k.
+        """
+        key = self.items * self.dim + self.rows
+        order = np.argsort(key, kind="stable")
+        j, k = equal_pairs(key[order])
+        j, k = order[j], order[k]
+        edges = np.searchsorted(self.items[j], np.arange(len(self) + 1))
+        read_only(j, k, edges)
+        return j, k, edges
+
+    @cached_property
+    def decay(self) -> Entries:
+        """A^dag A of each item A: conj(v_j) v_k at (y_j, y_k) for entries at (x, y_j), (x, y_k)."""
+        j, k, edges = self.row_pairs
+        return Entries(self.dim, edges, self.cols[j], self.cols[k],
+                       self.values[j].conj() * self.values[k])
+
+
+def equal_pairs(keys: np.ndarray) -> tuple:
+    """Every ordered pair (j, k) of places of ``keys`` holding the same key, by j, then k.
+
+    Equal keys must be adjacent.
+    """
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(keys)))
+    size = np.repeat(sizes, sizes)  # the size of each place's run
+    j = np.repeat(np.arange(len(keys)), size)
+    k = np.arange(len(j)) + np.repeat(np.repeat(starts, sizes) - (np.cumsum(size) - size), size)
+    return j, k
+
+
+def coupled_unknowns(H: np.ndarray, operators) -> Unknowns:
+    """Entries of rho that the generator of H and the jump ``operators`` joins to the diagonal.
+
+    The generator I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
+    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
+    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
+    A[r', r] and A[c', c] are both nonzero.  The set is every entry reached
+    from a diagonal one over these links taken in both directions, read off
+    the structural nonzero pattern of H and of the operators (dense, (T, d,
+    d)), which are the ones at a nonzero rate.  No link leaves it, so the
+    generator maps it into itself and the rest into the rest; it holds every
+    diagonal entry, so it carries the trace and the steady state, and
+    restricting the solve to it is exact.  Listed in column-stacked order
+    and cached by pattern, which a sweep's rows share.
+    """
+    operators = np.asarray(operators).reshape((-1,) + H.shape)
+    return coupled_sets(H[None], Entries.from_dense(operators), [0], [len(operators)],
+                        np.zeros(len(operators), dtype=bool))[0]
+
+
+def coupled_sets(H: np.ndarray, operators: Entries, first, count, zero) -> list:
+    """:func:`coupled_unknowns` of each H[j] (k, d, d) and its operators, all at once.
+
+    Row j's operators are the items first[j] .. first[j] + count[j] - 1 of
+    ``operators`` (both arrays) not flagged in ``zero``, which holds every
+    row's flags in turn (the operators at a zero rate).
+    """
+    d, zero, count = operators.dim, np.asarray(zero, dtype=bool), np.asarray(count)
+    flags = np.cumsum(count) - count  # where each row's flags start
+    before = np.zeros(len(zero) + 1, dtype=int)  # flags not set before each place
+    np.cumsum(~zero, out=before[1:])
+    j, t, e = operators.take(first, count)
+    flag = flags[j] + t
+    keep = ~zero[flag]
+    j, flag, e = j[keep], flag[keep], e[keep]
+    terms = 1 + before[flags + count] - before[flags]
+    patterns = np.zeros((len(H), terms.max(initial=1), d, d), dtype=bool)
+    patterns[:, 0] = H != 0
+    patterns[j, 1 + before[flag] - before[flags[j]], operators.rows[e], operators.cols[e]] = True
+    return [_coupled_unknowns(d, n, np.packbits(pattern[:n]).tobytes())
+            for n, pattern in zip(terms.tolist(), patterns)]
+
+
+@lru_cache(maxsize=64)
+def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
+    bits = bits.reshape(count, dim, dim).astype(float)
+    ops, eye = bits[1:], np.eye(dim)
+    transposed = ops.swapaxes(1, 2)
+    damping = bits[0] + (transposed @ ops).sum(axis=0)
+    damping = damping + damping.T
+    # one step takes the reached entries R to R + D R + R D + sum_t A_t R A_t^T
+    # + A_t^T R A_t, i.e. to sum_t X_t R Y_t^T over the pairs (X_t, Y_t):
+    # [X_1 .. X_n] times the column of the R Y_t^T, two products per step
+    outer = np.concatenate([[eye, damping, eye], ops, transposed]).swapaxes(0, 1)
+    outer = outer.reshape(dim, -1)
+    inner = np.concatenate([[eye, eye, damping], transposed, ops])
+    reached = eye  # reached[r, c]: entry (r, c) is in the set
+    while True:
+        grown = (outer @ (reached @ inner).reshape(-1, dim) > 0).astype(float)
+        if grown.sum() == reached.sum():  # it only grows
+            return _unknowns(dim, np.flatnonzero(reached.T))
+        reached = grown
+
+
+def kron_entries(left, right, unknowns: Unknowns, upper: bool = False) -> tuple:
+    """The entries of sum_t conj(X_t) (x) Y_t on ``unknowns``, from the nonzeros of X_t and Y_t.
+
+    ``left`` and ``right`` (T, d, d) are the patterns of the X_t and Y_t.
+    In column stacking, entry (i, j) of conj(X) (x) Y on the unknowns is
+    conj(X[c_i, c_j]) * Y[r_i, r_j], so it exists only where both factors
+    are nonzero: each pair of a nonzero of X_t and a nonzero of Y_t gives
+    one entry, kept if it joins two unknowns.  Returns (term, i, j, a, b)
+    with a = c_i d + c_j and b = r_i d + r_j, the flat positions of the
+    two factors, ordered by term, then by b, then by a, so one term never
+    lists an (i, j) twice.  With ``upper``, only rows i with r_i <= c_i.
+    """
+    d, index = unknowns.dim, unknowns.index
+    tx, xr, xc = np.nonzero(left)
+    ty, yr, yc = np.nonzero(right)
+    nx = np.bincount(tx, minlength=len(left))
+    reps = nx[ty]  # each nonzero of Y_t pairs with every nonzero of X_t
+    q = np.repeat(np.arange(len(ty)), reps)
+    first = np.cumsum(nx) - nx
+    p = np.arange(len(q)) + np.repeat(first[ty] - (np.cumsum(reps) - reps), reps)
+    ri, rj, ci, cj = yr[q], yc[q], xr[p], xc[p]
+    i, j = index[ri, ci], index[rj, cj]
+    keep = (i >= 0) & (j >= 0)
+    if upper:
+        keep &= ri <= ci
+    return tx[p][keep], i[keep], j[keep], (ci * d + cj)[keep], (ri * d + rj)[keep]
+
+
+def _operator_rows(operators, rates: np.ndarray, first, d: int) -> tuple:
+    """``operators`` as :class:`Entries`, and the first of them each row of ``rates`` reads."""
+    k, T = rates.shape
+    if isinstance(operators, Entries):
+        return operators, np.zeros(k, dtype=int) if first is None else np.asarray(first)
+    dense = np.asarray(operators).reshape(-1, d, d)
+    return Entries.from_dense(dense), np.arange(k) * T if len(dense) > T else np.zeros(k, dtype=int)
+
+
+def _slots(pattern: np.ndarray) -> np.ndarray:
+    """Places of the entries of a (U + 1, d^2) term pattern in the operators' values, J's last.
+
+    The U operators' positions are numbered together, term by term, and
+    J's apart; -1 off the pattern.
+    """
+    slots = np.full(pattern.shape, -1, dtype=np.intp)
+    slots[:-1][pattern[:-1]] = np.arange(np.count_nonzero(pattern[:-1]))
+    slots[-1][pattern[-1]] = np.arange(np.count_nonzero(pattern[-1]))
+    return slots
+
+
+def _generator_terms(H, operators, rates, first, d: int) -> tuple:
+    """The used rates, operator values and J of a stack of generators, and their pattern.
+
+    Row j of ``rates`` ((k, T), or (T,) for one row) has the operators
+    first[j] .. first[j] + T - 1 of ``operators`` (:class:`Entries`, every
+    row from 0 when ``first`` is None; or dense, (T, d, d) for every row or
+    (k, T, d, d) one set per row) and the Hamiltonian H[j] (H (k, d, d),
+    (d, d) for every row, or None).  Terms whose rate is zero in every row
+    are dropped.  ``pattern`` (U + 1, d^2) is nonzero where a used operator,
+    or J = -iH - sum rate * A^dag A / 2 last, has an entry in any row; the
+    values are laid out on its :func:`_slots`: the operators' in one array
+    for every row when the rows read the same operators (the rows of a
+    temperature sweep, the local rows of a scan), else in one array per
+    row, and J row by row, its A^dag A part (:attr:`Entries.decay`) added
+    one entry at a time, term by term (``np.add.at``), so a row's values
+    do not depend on its stack.
+    """
+    rates = np.atleast_2d(np.asarray(rates, dtype=float))
+    operators, first = _operator_rows(operators, rates, first, d)
+    k, T = rates.shape
+    used = rates.any(axis=0)
+    count = int(np.count_nonzero(used))
+    shared = len(first) == 0 or bool((first == first[0]).all())
+    first = first[:1] if shared else first
+    row, t, e = operators.take(first, T)
+    decay = operators.decay
+    d_row, d_t, d_e = decay.take(first, T)
+    if count < T:
+        rank = np.cumsum(used) - 1
+        row, t, e = row[used[t]], rank[t[used[t]]], e[used[t]]
+        d_row, d_t, d_e = d_row[used[d_t]], rank[d_t[used[d_t]]], d_e[used[d_t]]
+        rates = rates[:, used]
+    flat = operators.rows[e] * d + operators.cols[e]
+    d_flat = decay.rows[d_e] * d + decay.cols[d_e]
+    if shared:  # every row of the stack reads these entries
+        d_row, d_rates = np.arange(k)[:, None], rates[:, d_t]
+    else:
+        d_rates = rates[d_row, d_t]
+    pattern = np.zeros((count + 1, d * d), dtype=bool)
+    pattern[t, flat] = True
+    pattern[count, d_flat] = True
+    if H is not None:
+        H = np.asarray(H).reshape(-1, d * d)
+        h_flat = np.flatnonzero(H.any(axis=0))
+        pattern[count, h_flat] = True
+    slots = _slots(pattern)
+    ops = np.zeros((1 if shared else k, np.count_nonzero(pattern[:-1])), dtype=complex)
+    ops[row, slots[t, flat]] = operators.values[e]
+    size = np.count_nonzero(pattern[-1])
+    J = np.zeros((k, size), dtype=complex)  # -J: iH, then rate A^dag A / 2 term by term
+    if H is not None:
+        J[:, slots[count, h_flat]] = 1j * H[:, h_flat]
+    terms = (0.5 * d_rates) * decay.values[d_e]
+    np.add.at(J.reshape(-1), (d_row * size + slots[count, d_flat]).reshape(-1), terms.reshape(-1))
+    return rates, ops, -J, pattern.reshape(count + 1, d, d)
+
+
+def _kron_terms(pattern: np.ndarray) -> tuple:
+    """The (left, right) patterns of conj(A_t) (x) A_t, I (x) J and conj(J) (x) I, in order."""
+    eye, ops, J = np.eye(pattern.shape[-1], dtype=bool)[None], pattern[:-1], pattern[-1:]
+    return np.concatenate([ops, eye, J]), np.concatenate([ops, J, eye])
+
+
+def _compact(slots: np.ndarray, term, a, b) -> tuple:
+    """The factors a, b of the entries (term, a, b) of :func:`kron_entries` as places in the values.
+
+    Operator t's entries are read from the operators' values and J's from
+    J's (:func:`_slots`); the identity factor of I (x) J and conj(J) (x) I
+    is never read.
+    """
+    at = np.minimum(term, len(slots) - 1)
+    return slots[at, a], slots[at, b]
+
+
+def _entry_values(rates, ops, J, term, a, b) -> np.ndarray:
+    """The values of the entries (term, a, b) of :func:`kron_entries` in each row, (k, entries).
+
+    ``a`` and ``b`` are places in the values (:func:`_compact`).
+    """
+    T = rates.shape[1]
+    split = np.searchsorted(term, [T, T + 1])
+    t, a_t, b_t = term[:split[0]], a[:split[0]], b[:split[0]]
+    dissipators = (rates[:, t] * ops[:, a_t].conj()) * ops[:, b_t]
+    return np.concatenate([dissipators, J[:, b[split[0]:split[1]]], J[:, a[split[1]:]].conj()],
+                          axis=1)
+
+
+def superoperator(H, operators, rates, unknowns: Unknowns, first=None) -> np.ndarray:
+    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
+
+    D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
+    generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
+    J = -iH - sum rate * A^dag A / 2; its entries are those of
+    :func:`kron_entries`, added term by term in that order.
+
+    ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
+    of k blocks.  ``H`` (d, d) and dense ``operators`` (T, d, d) are shared
+    by the stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each
+    block its own, as for the rows of different chains, and a leading axis
+    of one is broadcast.  ``operators`` may also be :class:`Entries`, row j
+    reading the T from ``first[j]`` on (:func:`_generator_terms`).  ``H``
+    may be None for a dissipator alone; terms whose rate is zero in every
+    row are skipped.  This complex form serves the dense oracles; the
+    steady solves use :func:`real_superoperator`.
+    """
+    d, m = unknowns.dim, unknowns.size
+    single = np.ndim(rates) == 1
+    rates, ops, J, pattern = _generator_terms(H, operators, rates, first, d)
+    left, right = _kron_terms(pattern)
+    slots = _slots(pattern.reshape(len(pattern), -1))
+    L = np.zeros((len(rates), m, m), dtype=complex)
+    for t in range(len(left)):  # a term lists each (i, j) once
+        term, i, j, a, b = kron_entries(left[t:t + 1], right[t:t + 1], unknowns)
+        L[:, i, j] += _entry_values(rates, ops, J, term + t, *_compact(slots, term + t, a, b))
+    return L[0] if single else L
+
+
+# Entry (i, j), with r_i <= c_i, lands in the real block in four slots:
+# (Re row, Re column) from its real part, (Re row, Im column) and (Im row,
+# Re column) from its imaginary part, (Im row, Im column) from its real
+# part.  (LU)[i, :] holds the entry at a diagonal column j, and entry /
+# sqrt(2) at the Re column and s i entry / sqrt(2) at the Im column of an
+# off-diagonal j (s = 1 for r_j < c_j, -1 otherwise); row i of U^dag L U
+# is Re (LU)[i, :] for a diagonal i, and sqrt(2) Re, sqrt(2) Im of it for
+# r_i < c_i.  So each slot is scaled by _SCALE[i off diagonal, j off
+# diagonal] times the sign below, and the Im row or column of a diagonal
+# entry does not exist.
+_SCALE = np.array([[1.0, _HALF_SQRT2], [np.sqrt(2.0), 1.0]])
+
+
+def _real_targets(i, j, unknowns: Unknowns) -> tuple:
+    """Flat targets in the real block, source and coefficient of each slot of the entries (i, j).
+
+    ``source`` is 2 e for the real part of entry e, 2 e + 1 for its
+    imaginary part, its place in the entries' values viewed as floats.
+    """
+    m, n = unknowns.size, len(i)
+    rows, cols, partner = unknowns.rows, unknowns.cols, unknowns.partner
+    i_off, j_off, lower = rows[i] != cols[i], rows[j] != cols[j], rows[j] > cols[j]
+    re_col, im_col = np.where(lower, partner[j], j), np.where(lower, j, partner[j])
+    sign = np.where(lower, 1.0, -1.0)
+    targets = np.stack([i * m + re_col, i * m + im_col,
+                        partner[i] * m + re_col, partner[i] * m + im_col], axis=1)
+    source = 2 * np.arange(n)[:, None] + [0, 1, 1, 0]
+    coef = _SCALE[i_off.astype(int), j_off.astype(int)][:, None] * np.stack(
+        [np.ones(n), sign * j_off, 1.0 * i_off, -sign * (i_off & j_off)], axis=1)
+    keep = coef != 0
+    return targets[keep], source[keep], coef[keep]
+
+
+@lru_cache(maxsize=64)
+def _real_layout(unknowns: Unknowns, count: int, key: bytes) -> tuple:
+    """Where :func:`real_superoperator` reads and scatters: (term, a, b), (targets, source, coef).
+
+    The entries (:func:`kron_entries`, rows r_i <= c_i) for the ``count``
+    term patterns packed in ``key``, with both factors of each as places
+    in the values (:func:`_compact`), and their slots in the real block
+    (:func:`_real_targets`); cached by pattern, which the stacks of a
+    sweep share.
+    """
+    d = unknowns.dim
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * d * d)
+    pattern = bits.reshape(count, d * d).astype(bool)
+    term, i, j, a, b = kron_entries(*_kron_terms(pattern.reshape(count, d, d)), unknowns,
+                                    upper=True)
+    layout = (term,) + _compact(_slots(pattern), term, a, b) + _real_targets(i, j, unknowns)
+    read_only(*layout)
+    return layout
+
+
+def real_superoperator(H, operators, rates, unknowns: Unknowns, first=None) -> np.ndarray:
+    """:func:`superoperator` as U^dag L U, in the real coordinates of a Hermitian rho.
+
+    Only the entries of rows i with r_i <= c_i are formed; for a generator
+    that keeps rho Hermitian the others are their conjugates.  Each is
+    scattered into the real block at up to four places, and the block is
+    summed in the fixed order of :func:`kron_entries` by one
+    ``np.bincount`` per stack, so a row's block does not depend on the
+    stack it is built in.  Same arguments; the block is real, (m, m) or
+    (k, m, m).
+    """
+    d, m = unknowns.dim, unknowns.size
+    single = np.ndim(rates) == 1
+    rates, ops, J, pattern = _generator_terms(H, operators, rates, first, d)
+    k = len(rates)
+    term, a, b, targets, source, coef = _real_layout(unknowns, len(pattern),
+                                                     np.packbits(pattern).tobytes())
+    values = _entry_values(rates, ops, J, term, a, b)
+    weights = np.ascontiguousarray(values).view(float)[:, source] * coef
+    flat = (np.arange(k)[:, None] * (m * m) + targets).reshape(-1)
+    R = np.bincount(flat, weights.reshape(-1), minlength=k * m * m).reshape(k, m, m)
+    return R[0] if single else R

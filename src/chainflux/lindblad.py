@@ -1,4 +1,4 @@
-"""Jump operators, frequency bins and the generator in vectorized form.
+"""Jump operators, frequency bins and the rate-free structures of the generators.
 
 Two routes to the dissipators are built here.  The eigenbasis ("global")
 route decomposes each endpoint coupling operator into lowering components
@@ -11,22 +11,21 @@ All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
 
 Both routes end in the same operator form: per reservoir, a list of bins
-(omega, A), with A held in the frame the steady state is solved in (the
-eigenbasis for the global route, the site basis for the local one).  Every
-superoperator is scattered from that form on a chosen set of unknowns,
-from one enumeration of the generator's nonzero entries
-(:func:`kron_entries`): as a real block in the coordinates of a Hermitian
-rho on the entries the generator couples to the diagonal
-(:func:`real_superoperator`, the steady solve), or as a complex block
-(:func:`superoperator`) on every entry for the dense site-basis generator
-kept for tests and time evolution.
+with their Bohr frequencies and their operators A and A^dag, held as
+nonzero entries (:class:`~chainflux.generator.Entries`) in the frame the
+steady state is solved in (the eigenbasis for the global route, where each
+entry is one jump, and the site basis for the local one, where they are
+those of sigma^-).  The generators are built from those entries
+(:mod:`chainflux.generator`); dense operators are formed only for the
+oracles kept for tests and time evolution.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
 as stacks over the chains of one qubit count, not kept: H, its eigensystem
 and the site operators of the chains (gaps, couplings, attachments) in
-:func:`chain_operators`, the binned operators and each bin's flux
-functionals of the chains under one approach in :func:`chain_structure`.
+:func:`chain_operators`, the binned operators, their products A^dag A and
+each bin's flux functionals of the chains under one approach, as entries,
+in :func:`chain_structure`.
 The caller that owns a request
 (:func:`chainflux.observables.steady_reports`) builds each once per call
 and shares them between the rows and both approaches.
@@ -43,6 +42,15 @@ from .errors import (
     DegenerateTransition,
     DimensionMismatch,
     NonPositiveFrequency,
+)
+from .generator import (
+    Entries,
+    Unknowns,
+    coupled_sets,
+    equal_pairs,
+    full_unknowns,
+    read_only,
+    superoperator,
 )
 from .model import BathSpec, ChainSpec
 from .operators import (
@@ -80,25 +88,47 @@ def bose_occupation(omega: float, temperature: float) -> float:
     return 1.0 / np.expm1(x)
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix."""
-    return rho.reshape(-1, order="F")
-
-
-def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    return v.reshape((dim, dim), order="F")
-
-
 # One entry per lowering jump: the chain and reservoir it belongs to, its
 # bin's Bohr frequency, the eigenstates p = lower and q = upper it joins and
 # its matrix element <p|coupling|q>.
 JUMP_DTYPE = np.dtype([("chain", np.intp), ("reservoir", np.intp), ("omega", float),
                        ("lower", np.intp), ("upper", np.intp), ("weight", complex)])
 
-# Bins of at most this many jumps have their mean frequency summed column by
-# column; ndarray.sum adds fewer than eight values left to right as well.
-_SEQUENTIAL_SUM = 8
+# numpy adds a contiguous float array of more than this many values by
+# splitting it in halves (its pairwise summation block).
+_PAIRWISE_BLOCK = 128
+
+
+def run_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values[s:s + n].sum()`` of each run s, n of ``starts`` and ``counts``, bit for bit.
+
+    numpy sums a contiguous float array pairwise from 0.0: fewer than eight
+    values left to right; up to 128 values in eight accumulators over the
+    first n - n % 8 of them, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
+    r5) + (r6 + r7)), and then the rest left to right; more than 128 in
+    halves.  Runs of up to 128 values are summed that way, all at once, and
+    longer runs by ``ndarray.sum`` itself.
+    """
+    sums = np.zeros(len(starts))
+    short = counts <= _PAIRWISE_BLOCK
+    main = np.where(short, counts - counts % 8, 0)
+    blocked = np.flatnonzero(main)
+    if len(blocked):
+        columns = np.arange(main.max())
+        inside = columns < main[blocked, None]
+        padded = np.where(inside, values[np.where(inside, starts[blocked, None] + columns, 0)], 0.0)
+        r = padded[:, :8].copy()
+        for i in range(8, padded.shape[1], 8):
+            r += padded[:, i:i + 8]
+        sums[blocked] = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + (
+            (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    rest = np.where(short, counts - main, 0)
+    for j in range(rest.max(initial=0)):  # left to right
+        at = rest > j
+        sums[at] += values[starts[at] + main[at] + j]
+    for b in np.flatnonzero(~short).tolist():
+        sums[b] = values[starts[b]:starts[b] + counts[b]].sum()
+    return sums
 
 
 def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
@@ -155,7 +185,8 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
 
     chain, reservoir, lower, upper = np.nonzero(lowering)
     omegas = gaps[chain, lower, upper]
-    order = np.lexsort((upper, lower, omegas, reservoir, chain))
+    # np.nonzero lists (p, q) in order and lexsort is stable: (chain, reservoir, omega, p, q)
+    order = np.lexsort((omegas, reservoir, chain))
     chain, reservoir, lower, upper = chain[order], reservoir[order], lower[order], upper[order]
     omegas = omegas[order]
     weights = elements[chain, reservoir, lower, upper]
@@ -178,322 +209,12 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
                 values[0] = values[i]
     starts = np.flatnonzero(new)
     counts = np.diff(np.append(starts, len(omegas)))
-    sums = np.zeros(len(starts))
-    for j in range(min(_SEQUENTIAL_SUM - 1, counts.max(initial=0))):  # as ndarray.sum
-        sums[counts > j] += omegas[starts[counts > j] + j]
-    for b in np.flatnonzero(counts >= _SEQUENTIAL_SUM).tolist():
-        sums[b] = omegas[starts[b]:starts[b] + counts[b]].sum()
     jumps = np.empty(len(omegas), dtype=JUMP_DTYPE)
     jumps["chain"], jumps["reservoir"] = chain, reservoir
     jumps["lower"], jumps["upper"] = lower, upper
     jumps["weight"] = np.where(real, weights.real, weights)
-    jumps["omega"] = np.repeat(sums / counts, counts)  # as np.mean
+    jumps["omega"] = np.repeat(run_sums(omegas, starts, counts) / counts, counts)  # as np.mean
     return jumps
-
-
-@dataclass(frozen=True, eq=False)
-class Unknowns:
-    """Density-matrix entries rho[rows[i], cols[i]] a generator acts on.
-
-    Entries are listed in column-stacked order, so the full set reproduces
-    :func:`vectorize`.  ``index[r, c]`` is the position of entry (r, c),
-    -1 outside the set, and ``diagonal`` lists the positions with rows ==
-    cols.  The set holds the transpose of each of its entries, at
-    ``partner[i]``, so a Hermitian rho on it has m real coordinates, one
-    at each position: rho[r, r] at a diagonal entry, and for r < c,
-    sqrt(2) Re rho[r, c] at (r, c) and sqrt(2) Im rho[r, c] at (c, r).
-    They are orthonormal: with v = U x the entries of rho from its
-    coordinates x, U is unitary, and a generator that keeps rho Hermitian
-    is the real block U^dag L U there (:meth:`hermitian`).
-    """
-
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    index: np.ndarray
-    partner: np.ndarray
-    diagonal: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def gather(self, rho: np.ndarray) -> np.ndarray:
-        """The listed entries of a d x d matrix, as a vector."""
-        return rho[self.rows, self.cols]
-
-    def hermitian(self, L: np.ndarray) -> np.ndarray:
-        """Re(U^dag L U) of a block or a stack of blocks on these unknowns, in real coordinates.
-
-        It is the whole of U^dag L U where L keeps rho Hermitian.
-        """
-        return _times_u(_times_u(L, self).conj().swapaxes(-1, -2), self).real.swapaxes(-1, -2)
-
-    def state(self, x: np.ndarray) -> np.ndarray:
-        """The Hermitian d x d matrices of real coordinates x (..., m), zero off the set."""
-        rows, cols, upper = self.rows, self.cols, self.rows < self.cols
-        r, c, low = rows[upper], cols[upper], self.partner[upper]
-        rho = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        diag = self.diagonal
-        rho.real[..., rows[diag], rows[diag]] = x[..., diag]
-        rho.real[..., r, c] = rho.real[..., c, r] = _HALF_SQRT2 * x[..., upper]
-        rho.imag[..., r, c] = _HALF_SQRT2 * x[..., low]
-        rho.imag[..., c, r] = -rho.imag[..., r, c]
-        return rho
-
-
-_HALF_SQRT2 = np.sqrt(0.5)
-
-
-def _times_u(X: np.ndarray, unknowns: Unknowns) -> np.ndarray:
-    """X U on the last axis: columns of entries into columns of real coordinates."""
-    upper = np.flatnonzero(unknowns.rows < unknowns.cols)
-    lower = unknowns.partner[upper]
-    out = X.astype(complex)
-    a, b = X[..., upper], X[..., lower]
-    out[..., upper] = _HALF_SQRT2 * (a + b)
-    out[..., lower] = 1j * _HALF_SQRT2 * (a - b)
-    return out
-
-
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
-def _unknowns(dim: int, flat: np.ndarray) -> Unknowns:
-    """Unknowns at the given column-stacked positions c * dim + r, read-only."""
-    rows, cols = flat % dim, flat // dim
-    index = np.full((dim, dim), -1, dtype=np.intp)
-    index[rows, cols] = np.arange(len(flat))
-    out = Unknowns(dim=dim, rows=rows, cols=cols, index=index, partner=index[cols, rows],
-                   diagonal=np.flatnonzero(rows == cols))
-    _read_only(rows, cols, index, out.partner, out.diagonal)
-    return out
-
-
-@lru_cache(maxsize=None)
-def full_unknowns(dim: int) -> Unknowns:
-    """Every entry of a dim x dim matrix: the dense generator's index."""
-    return _unknowns(dim, np.arange(dim * dim))
-
-
-def coupled_unknowns(H: np.ndarray, operators) -> Unknowns:
-    """Entries of rho that the generator of H and the jump ``operators`` joins to the diagonal.
-
-    The generator I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
-    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
-    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
-    A[r', r] and A[c', c] are both nonzero.  The set is every entry reached
-    from a diagonal one over these links taken in both directions, read off
-    the structural nonzero pattern of H and of the operators, which are the
-    ones at a nonzero rate.  No link leaves it, so the generator maps it into
-    itself and the rest into the rest; it holds every diagonal entry, so it
-    carries the trace and the steady state, and restricting the solve to it
-    is exact.  Listed in column-stacked order and cached by pattern, which a
-    sweep's rows share.
-    """
-    operators = np.asarray(operators).reshape((-1,) + H.shape)
-    patterns = np.concatenate([(H != 0)[None], operators != 0])
-    return _coupled_unknowns(H.shape[0], len(patterns), np.packbits(patterns).tobytes())
-
-
-@lru_cache(maxsize=64)
-def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
-    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
-    bits = bits.reshape(count, dim, dim).astype(float)
-    ops, eye = bits[1:], np.eye(dim)
-    transposed = ops.swapaxes(1, 2)
-    damping = bits[0] + (transposed @ ops).sum(axis=0)
-    damping = damping + damping.T
-    # one step takes the reached entries R to R + D R + R D + sum_t A_t R A_t^T
-    # + A_t^T R A_t, i.e. to sum_t X_t R Y_t^T over the pairs (X_t, Y_t):
-    # [X_1 .. X_n] times the column of the R Y_t^T, two products per step
-    outer = np.concatenate([[eye, damping, eye], ops, transposed]).swapaxes(0, 1)
-    outer = outer.reshape(dim, -1)
-    inner = np.concatenate([[eye, eye, damping], transposed, ops])
-    reached = eye  # reached[r, c]: entry (r, c) is in the set
-    while True:
-        grown = (outer @ (reached @ inner).reshape(-1, dim) > 0).astype(float)
-        if grown.sum() == reached.sum():  # it only grows
-            return _unknowns(dim, np.flatnonzero(reached.T))
-        reached = grown
-
-
-# The steady solves go in stacks of at most this many block elements
-# (128 KB per real array): stacks of more than about eight m = 70 systems
-# solved slower per row than single ones, and larger stacks raise the peak
-# memory of every sweep process.  Long stacks of flux functionals are built
-# in pieces of this many matrix elements per operator.
-_GRID_ELEMENTS = 1 << 14
-
-
-def kron_entries(left, right, unknowns: Unknowns, upper: bool = False) -> tuple:
-    """The entries of sum_t conj(X_t) (x) Y_t on ``unknowns``, from the nonzeros of X_t and Y_t.
-
-    ``left`` and ``right`` (T, d, d) are the patterns of the X_t and Y_t.
-    In column stacking, entry (i, j) of conj(X) (x) Y on the unknowns is
-    conj(X[c_i, c_j]) * Y[r_i, r_j], so it exists only where both factors
-    are nonzero: each pair of a nonzero of X_t and a nonzero of Y_t gives
-    one entry, kept if it joins two unknowns.  Returns (term, i, j, a, b)
-    with a = c_i d + c_j and b = r_i d + r_j, the flat positions of the
-    two factors, ordered by term, then by b, then by a, so one term never
-    lists an (i, j) twice.  With ``upper``, only rows i with r_i <= c_i.
-    """
-    d, index = unknowns.dim, unknowns.index
-    tx, xr, xc = np.nonzero(left)
-    ty, yr, yc = np.nonzero(right)
-    nx = np.bincount(tx, minlength=len(left))
-    reps = nx[ty]  # each nonzero of Y_t pairs with every nonzero of X_t
-    q = np.repeat(np.arange(len(ty)), reps)
-    first = np.cumsum(nx) - nx
-    p = np.arange(len(q)) + np.repeat(first[ty] - (np.cumsum(reps) - reps), reps)
-    ri, rj, ci, cj = yr[q], yc[q], xr[p], xc[p]
-    i, j = index[ri, ci], index[rj, cj]
-    keep = (i >= 0) & (j >= 0)
-    if upper:
-        keep &= ri <= ci
-    return tx[p][keep], i[keep], j[keep], (ci * d + cj)[keep], (ri * d + rj)[keep]
-
-
-def _generator_terms(H, operators, rates, d: int) -> tuple:
-    """The rates, operators and J = -iH - sum rate * A^dag A / 2 of each row, and their pattern.
-
-    Terms whose rate is zero in every row are dropped.  ``pattern``
-    (T + 1, d, d) is nonzero where the operator t, or J last, is nonzero
-    in any row.
-    """
-    rates = np.atleast_2d(np.asarray(rates, dtype=float))
-    k = len(rates)
-    ops = np.asarray(operators, dtype=complex)
-    if ops.ndim < 4:
-        ops = ops.reshape((1,) + rates.shape[1:] + (d, d))
-    used = np.flatnonzero((rates != 0).any(axis=0))
-    rates, ops = rates[:, used], ops[:, used]
-    J = np.zeros((d, d), dtype=complex) if H is None else -1j * H
-    J = np.broadcast_to(J, (k, d, d))
-    decay = ops.conj().swapaxes(-1, -2) @ ops
-    for t in range(len(used)):  # term by term
-        J = J - (0.5 * rates[:, t])[:, None, None] * decay[:, t]
-    pattern = np.concatenate([(ops != 0).any(axis=0), (J != 0).any(axis=0)[None]])
-    return rates, ops.reshape(len(ops), len(used), d * d), J.reshape(k, d * d), pattern
-
-
-def _kron_terms(pattern: np.ndarray) -> tuple:
-    """The (left, right) patterns of conj(A_t) (x) A_t, I (x) J and conj(J) (x) I, in order."""
-    eye, ops, J = np.eye(pattern.shape[-1], dtype=bool)[None], pattern[:-1], pattern[-1:]
-    return np.concatenate([ops, eye, J]), np.concatenate([ops, J, eye])
-
-
-def _entry_values(rates, ops, J, term, a, b) -> np.ndarray:
-    """The values of the entries (term, a, b) of :func:`kron_entries` in each row, (k, entries)."""
-    T = rates.shape[1]
-    split = np.searchsorted(term, [T, T + 1])
-    t, a_t, b_t = term[:split[0]], a[:split[0]], b[:split[0]]
-    dissipators = (rates[:, t] * ops[:, t, a_t].conj()) * ops[:, t, b_t]
-    return np.concatenate([dissipators, J[:, b[split[0]:split[1]]], J[:, a[split[1]:]].conj()],
-                          axis=1)
-
-
-def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
-    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
-
-    D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
-    generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
-    J = -iH - sum rate * A^dag A / 2; its entries are those of
-    :func:`kron_entries`, added term by term in that order.
-
-    ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
-    of k blocks.  ``H`` (d, d) and ``operators`` (T, d, d) are shared by the
-    stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each block its
-    own, as for the rows of different chains, and a leading axis of one is
-    broadcast.  ``H`` may be None for a dissipator alone; terms whose rate
-    is zero in every row are skipped.  This complex form serves the dense
-    oracles; the steady solves use :func:`real_superoperator`.
-    """
-    d, m = unknowns.dim, unknowns.size
-    single = np.ndim(rates) == 1
-    rates, ops, J, pattern = _generator_terms(H, operators, rates, d)
-    left, right = _kron_terms(pattern)
-    L = np.zeros((len(rates), m, m), dtype=complex)
-    for t in range(len(left)):  # a term lists each (i, j) once
-        term, i, j, a, b = kron_entries(left[t:t + 1], right[t:t + 1], unknowns)
-        L[:, i, j] += _entry_values(rates, ops, J, term + t, a, b)
-    return L[0] if single else L
-
-
-# Entry (i, j), with r_i <= c_i, lands in the real block in four slots:
-# (Re row, Re column) from its real part, (Re row, Im column) and (Im row,
-# Re column) from its imaginary part, (Im row, Im column) from its real
-# part.  (LU)[i, :] holds the entry at a diagonal column j, and entry /
-# sqrt(2) at the Re column and s i entry / sqrt(2) at the Im column of an
-# off-diagonal j (s = 1 for r_j < c_j, -1 otherwise); row i of U^dag L U
-# is Re (LU)[i, :] for a diagonal i, and sqrt(2) Re, sqrt(2) Im of it for
-# r_i < c_i.  So each slot is scaled by _SCALE[i off diagonal, j off
-# diagonal] times the sign below, and the Im row or column of a diagonal
-# entry does not exist.
-_SCALE = np.array([[1.0, _HALF_SQRT2], [np.sqrt(2.0), 1.0]])
-
-
-def _real_targets(i, j, unknowns: Unknowns) -> tuple:
-    """Flat targets in the real block, source and coefficient of each slot of the entries (i, j).
-
-    ``source`` is 2 e for the real part of entry e, 2 e + 1 for its
-    imaginary part, its place in the entries' values viewed as floats.
-    """
-    m, n = unknowns.size, len(i)
-    rows, cols, partner = unknowns.rows, unknowns.cols, unknowns.partner
-    i_off, j_off, lower = rows[i] != cols[i], rows[j] != cols[j], rows[j] > cols[j]
-    re_col, im_col = np.where(lower, partner[j], j), np.where(lower, j, partner[j])
-    sign = np.where(lower, 1.0, -1.0)
-    targets = np.stack([i * m + re_col, i * m + im_col,
-                        partner[i] * m + re_col, partner[i] * m + im_col], axis=1)
-    source = 2 * np.arange(n)[:, None] + [0, 1, 1, 0]
-    coef = _SCALE[i_off.astype(int), j_off.astype(int)][:, None] * np.stack(
-        [np.ones(n), sign * j_off, 1.0 * i_off, -sign * (i_off & j_off)], axis=1)
-    keep = coef != 0
-    return targets[keep], source[keep], coef[keep]
-
-
-@lru_cache(maxsize=64)
-def _real_layout(unknowns: Unknowns, count: int, key: bytes) -> tuple:
-    """Where :func:`real_superoperator` reads and scatters: (term, a, b), (targets, source, coef).
-
-    The entries (:func:`kron_entries`, rows r_i <= c_i) and their slots
-    (:func:`_real_targets`) for the ``count`` term patterns packed in
-    ``key``; cached by pattern, which the stacks of a sweep share.
-    """
-    d = unknowns.dim
-    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * d * d)
-    term, i, j, a, b = kron_entries(*_kron_terms(bits.reshape(count, d, d).astype(bool)),
-                                    unknowns, upper=True)
-    layout = (term, a, b) + _real_targets(i, j, unknowns)
-    _read_only(*layout)
-    return layout
-
-
-def real_superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
-    """:func:`superoperator` as U^dag L U, in the real coordinates of a Hermitian rho.
-
-    Only the entries of rows i with r_i <= c_i are formed; for a generator
-    that keeps rho Hermitian the others are their conjugates.  Each is
-    scattered into the real block at up to four places, and the block is
-    summed in the fixed order of :func:`kron_entries` by one
-    ``np.bincount`` per stack, so a row's block does not depend on the
-    stack it is built in.  Same arguments; the block is real, (m, m) or
-    (k, m, m).
-    """
-    d, m = unknowns.dim, unknowns.size
-    single = np.ndim(rates) == 1
-    rates, ops, J, pattern = _generator_terms(H, operators, rates, d)
-    k = len(rates)
-    term, a, b, targets, source, coef = _real_layout(unknowns, len(pattern),
-                                                     np.packbits(pattern).tobytes())
-    values = _entry_values(rates, ops, J, term, a, b)
-    weights = np.ascontiguousarray(values).view(float)[:, source] * coef
-    flat = (np.arange(k)[:, None] * (m * m) + targets).reshape(-1)
-    R = np.bincount(flat, weights.reshape(-1), minlength=k * m * m).reshape(k, m, m)
-    return R[0] if single else R
 
 
 def thermal_rates(gamma: float, nbar: float) -> tuple:
@@ -514,10 +235,12 @@ def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
     ``first[b]`` is the index of bin b's first jump.  Jumps sharing a bin
     are summed before the Lindblad form is applied, so equal-frequency cross
     terms survive while cross terms between different bins are dropped.
-    ``ops[b]`` holds bin b's operator A and its adjoint A^dag, in the basis
-    of its chain's ``es.frame``: A holds the weights at the frame positions
-    of (p, q) and is exactly zero elsewhere.  ``es`` is the stack the
-    jumps' chains index, or the one eigensystem of chain 0.
+    ``operators`` (:class:`Entries`) holds bin b's operator A at item 2 b
+    and its adjoint A^dag at item 2 b + 1, in the basis of its chain's
+    ``es.frame``: each jump of the bin is one entry of A, its weight at
+    the frame positions of (p, q), and of A^dag, the conjugate weight at
+    (q, p).  ``es`` is the stack the jumps' chains index, or the one
+    eigensystem of chain 0.
     """
     new = np.zeros(len(jumps), dtype=bool)
     new[:1] = True
@@ -525,22 +248,25 @@ def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
         new[1:] |= np.diff(jumps[name]) != 0
     d = es.dim
     position = np.argsort(es.frame_order, axis=-1).reshape(-1, d)
-    chain = jumps["chain"]
-    ops = np.zeros((np.count_nonzero(new), 2, d, d), dtype=complex)
-    ops[np.cumsum(new) - 1, 0, position[chain, jumps["lower"]],
-        position[chain, jumps["upper"]]] = jumps["weight"]
-    ops[:, 1] = ops[:, 0].conj().swapaxes(-1, -2)
-    return np.flatnonzero(new), ops
+    lower = position[jumps["chain"], jumps["lower"]]
+    upper = position[jumps["chain"], jumps["upper"]]
+    item = 2 * (np.cumsum(new) - 1)  # A's; A^dag's is the next
+    item = np.concatenate([item, item + 1])
+    order = np.argsort(item, kind="stable")
+    edges = np.searchsorted(item[order], np.arange(2 * np.count_nonzero(new) + 1))
+    values = np.concatenate([jumps["weight"], jumps["weight"].conj()])[order]
+    return np.flatnonzero(new), Entries(d, edges, np.concatenate([lower, upper])[order],
+                                         np.concatenate([upper, lower])[order], values)
 
 
 # Dense site-basis builders outside the sweep path; perfbench/tracing.py
 # times them by these names.
 def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
     """Dense (omega, dissipator) pair of each frequency bin of one chain's reservoir."""
-    first, ops = global_bins(es, jumps)
+    first, operators = global_bins(es, jumps)
     return [(omega, thermal_dissipator(es.frame @ A @ es.frame.conj().T, bath.gamma,
                                        bose_occupation(omega, bath.temperature)))
-            for omega, A in zip(jumps["omega"][first].tolist(), ops[:, 0])]
+            for omega, A in zip(jumps["omega"][first].tolist(), operators.dense()[::2])]
 
 
 def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
@@ -556,44 +282,6 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
     if any(D.shape != L.shape for D in dissipators):
         raise DimensionMismatch(f"a dissipator's shape differs from the generator's {L.shape}")
     return sum(dissipators, L)
-
-
-def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """D[A]^dag(H) = A^dag H A - {A^dag A, H} / 2, so Tr{H D[A](rho)} = Tr{D[A]^dag(H) rho}.
-
-    ``A`` (m, 2, d, d) holds pairs of operators and ``H`` (m, d, d) the
-    operator each pair acts on; the result is shaped as ``A``.  A diagonal
-    H (the eigenbasis frame) acts by elementwise products, any other H by
-    matrix products, each pair by the form of its own H.  A long stack goes
-    in pieces of ``_GRID_ELEMENTS`` matrix elements per operator, which
-    stay in cache.
-    """
-    h = np.diagonal(H, axis1=1, axis2=2)
-    diagonal = np.count_nonzero(H, axis=(1, 2)) == np.count_nonzero(h, axis=1)
-    out = np.empty(A.shape, dtype=complex)
-    step = max(1, _GRID_ELEMENTS // A.shape[-1] ** 2)
-    for i in range(0, len(A), step):
-        piece = slice(i, i + step)
-        if diagonal[piece].all():
-            out[piece] = _adjoint_diagonal(A[piece], h[piece, None])
-        elif not diagonal[piece].any():
-            out[piece] = _adjoint_dense(A[piece], H[piece, None])
-        else:
-            for j in range(i, min(i + step, len(A))):
-                out[j] = (_adjoint_diagonal(A[j], h[j]) if diagonal[j]
-                          else _adjoint_dense(A[j], H[j]))
-    return out
-
-
-def _adjoint_diagonal(A, h):
-    Ad = A.conj().swapaxes(-1, -2)
-    return (Ad * h[..., None, :]) @ A - 0.5 * (Ad @ A) * (h[..., :, None] + h[..., None, :])
-
-
-def _adjoint_dense(A, H):
-    Ad = A.conj().swapaxes(-1, -2)
-    AdA = Ad @ A
-    return Ad @ H @ A - 0.5 * (AdA @ H + H @ AdA)
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,13 +317,13 @@ class ChainOperators:
     @cached_property
     def couplings(self) -> np.ndarray:
         couplings = _site_couplings(self.epsilons.shape[1])[self.sites]
-        _read_only(couplings)
+        read_only(couplings)
         return couplings
 
     @cached_property
     def eigensystem(self) -> EigenSystem:
         es = diagonalize(self.hamiltonian)
-        _read_only(es.energies, es.vectors)
+        read_only(es.energies, es.vectors)
         return es
 
 
@@ -672,15 +360,18 @@ class ChainStructure:
     - the bins of every chain, chain by chain and reservoir by reservoir:
       their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
       at reservoir r are ``edges[2c + r]:edges[2c + r + 1]``;
-    - the jump ``operators`` A and A^dag of each bin in that order, chain
-      c's from ``start[c]`` on (the local approach's are one set per pair
-      of attachment sites, shared by the chains with those sites);
-    - ``flux_functionals`` (bins, 2, d, d), D[A]^dag(H) and D[A^dag]^dag(H)
-      of every bin, so that a channel's heat current is
-      gamma (nbar + 1) Tr{F[b, 0] rho} + gamma nbar Tr{F[b, 1] rho}
-      (Alicki's form), and ``population_functionals``, each qubit's
-      number operator in each chain's frame (k, N, d, d), or one set for
-      every chain (1, N, d, d), so n_q = Tr{P[q] rho};
+    - the jump ``operators`` A and A^dag of each bin in that order, as
+      :class:`Entries` (with their products A^dag A, ``operators.decay``),
+      chain c's from item ``start[c]`` on (the local approach's are one
+      set per pair of attachment sites, shared by the chains with those
+      sites);
+    - ``flux_functionals``, as :class:`Entries`, D[A]^dag(H) and
+      D[A^dag]^dag(H) of every bin b at items 2 b and 2 b + 1, so that a
+      channel's heat current is gamma (nbar + 1) Tr{F[2 b] rho} + gamma
+      nbar Tr{F[2 b + 1] rho} (Alicki's form), and
+      ``population_functionals``, each qubit's number operator in each
+      chain's frame (k, N, d, d), or one set for every chain (1, N, d, d),
+      so n_q = Tr{P[q] rho};
     - ``errors``, the DegenerateTransition of each chain, by index, whose
       eigenbasis route degenerates; such a chain has no bins.
 
@@ -693,9 +384,9 @@ class ChainStructure:
     omegas: np.ndarray
     reservoirs: np.ndarray
     edges: np.ndarray
-    operators: np.ndarray
+    operators: Entries
     start: np.ndarray
-    flux_functionals: np.ndarray
+    flux_functionals: Entries
     population_functionals: np.ndarray
     errors: dict
 
@@ -729,15 +420,25 @@ class ChainStructure:
         return rates, offsets
 
     def unknowns(self, c: int, zero) -> Unknowns:
-        """:func:`coupled_unknowns` of chain c's frame H and its operators not flagged in ``zero``.
+        """The coupled set of chain c's frame H and its operators not flagged in ``zero``.
 
-        ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0 or
-        omega / T > 700); the operators are fixed, so the set changes only
-        with these flags.
+        It is :func:`~chainflux.generator.coupled_unknowns` of them.
+        ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0
+        or omega / T > 700); the operators are fixed, so the set changes
+        only with these flags.
         """
-        zero = np.asarray(zero)
-        operators = self.operators[self.start[c]:self.start[c] + len(zero)]
-        return coupled_unknowns(self.frame_hamiltonian[c], operators[~zero])
+        return self.unknown_sets([c], zero)[0]
+
+    def unknown_sets(self, chain, zero) -> list:
+        """The :meth:`unknowns` of each chain of ``chain`` at its own flags, built at once.
+
+        ``zero`` holds the flags of the operators of every chain of
+        ``chain`` in turn (:func:`~chainflux.generator.coupled_sets`).
+        """
+        chain = np.asarray(chain, dtype=int)
+        count = 2 * (self.edges[2 * chain + 2] - self.edges[2 * chain])
+        return coupled_sets(self.frame_hamiltonian[chain], self.operators, self.start[chain],
+                            count, zero)
 
 
 def chain_key(spec: ChainSpec) -> tuple:
@@ -755,7 +456,7 @@ def chain_operators(specs) -> ChainOperators:
     H = build_chain_hamiltonian(specs)
     epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(len(specs), n)
     sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs])
-    _read_only(H, epsilons, sites)
+    read_only(H, epsilons, sites)
     return ChainOperators(hamiltonian=H, epsilons=epsilons, sites=sites,
                           numbers=_number_operators(n))
 
@@ -763,7 +464,7 @@ def chain_operators(specs) -> ChainOperators:
 @lru_cache(maxsize=None)
 def _number_operators(n_qubits: int) -> np.ndarray:
     numbers = np.array([number_operator(n_qubits, q) for q in range(n_qubits)])
-    _read_only(numbers)
+    read_only(numbers)
     return numbers
 
 
@@ -772,32 +473,84 @@ def _site_couplings(n_qubits: int) -> np.ndarray:
     """sigma^+ + sigma^- of each qubit, (n, d, d)."""
     couplings = np.array([site_operator(n_qubits, q, "raise") + site_operator(n_qubits, q, "lower")
                           for q in range(n_qubits)])
-    _read_only(couplings)
+    read_only(couplings)
     return couplings
 
 
 @lru_cache(maxsize=None)
-def _local_operators(n_qubits: int, sites: tuple) -> np.ndarray:
-    """The local structure's operators, one array for every chain of these attachments.
+def _local_operators(n_qubits: int, pairs: tuple) -> Entries:
+    """The local structure's operators, for every chain attached at one of these ``pairs``.
 
-    Each attached qubit's sigma^- and its adjoint, in that order.
+    Pair s n + s' holds sigma^- of qubit s and its adjoint, then the same
+    of qubit s', as entries.
     """
-    lowering = [site_operator(n_qubits, site, "lower") for site in sites]
-    operators = np.array([op for A in lowering for op in (A, A.conj().T)])
-    _read_only(operators)
-    return operators
+    lowering = [site_operator(n_qubits, site, "lower")
+                for pair in pairs for site in divmod(pair, n_qubits)]
+    return Entries.from_dense([op for A in lowering for op in (A, A.conj().T)])
+
+
+def _diagonal_functionals(operators: Entries, h: np.ndarray, chain: np.ndarray) -> Entries:
+    """D[A]^dag(H) = A^dag H A - {A^dag A, H} / 2 of every item A, for H = diag(h[chain[A]]).
+
+    With H diagonal, every pair of entries v_j, v_k of A in one row p, at
+    the columns q_j and q_k, gives the entry conj(v_j) v_k (h_p - (h_{q_j}
+    + h_{q_k}) / 2) at (q_j, q_k): the pairs of its A^dag A
+    (:attr:`Entries.row_pairs`).
+    """
+    j, k, edges = operators.row_pairs
+    c = np.repeat(chain, np.diff(edges))
+    p, q_j, q_k = operators.rows[j], operators.cols[j], operators.cols[k]
+    return Entries(operators.dim, edges, q_j, q_k,
+                   operators.decay.values * (h[c, p] - 0.5 * (h[c, q_j] + h[c, q_k])))
+
+
+def _local_functionals(operators: Entries, start: np.ndarray, H: np.ndarray) -> Entries:
+    """D[A]^dag(H_c) of the four operators A of each chain c, items start[c] to start[c] + 3.
+
+    Each A holds at most one nonzero per row and per column, as sigma^-
+    and sigma^+ do.  So A^dag H A has the entry conj(v_j) H[p_j, p_k] v_k
+    at (q_j, q_k) for every two entries v_j at (p_j, q_j) and v_k at (p_k,
+    q_k), and A^dag A is diag(n) with n_q = |v|^2 at each column q; the
+    functional is these entries followed by -(n_i H[i, l] + H[i, l] n_l)
+    / 2 at each entry (i, l) of H with n_i or n_l nonzero.  Chain c's are
+    items 4 c to 4 c + 3.
+    """
+    k, d = len(H), H.shape[-1]
+    chain, t, e = operators.take(start, 4)
+    group = 4 * chain + t
+    a, b = equal_pairs(group)  # every two entries of one operator
+    h = H[chain[a], operators.rows[e[a]], operators.rows[e[b]]]
+    nonzero = h != 0
+    a, b, h = a[nonzero], b[nonzero], h[nonzero]
+    first = (group[a], operators.cols[e[a]], operators.cols[e[b]],
+             (operators.values[e[a]].conj() * h) * operators.values[e[b]])
+    n = np.zeros((4 * k, d))
+    n[group, operators.cols[e]] = np.abs(operators.values[e]) ** 2
+    c, row, col = np.nonzero(H)
+    group = 4 * c[:, None] + np.arange(4)
+    h = H[c, row, col][:, None]
+    n_row, n_col = n[group, row[:, None]], n[group, col[:, None]]
+    keep = (n_row != 0) | (n_col != 0)
+    at = np.nonzero(keep)[0]
+    second = (group[keep], row[at], col[at], (-0.5 * (n_row * h + h * n_col))[keep])
+    group, rows, cols, values = (np.concatenate(pair) for pair in zip(first, second))
+    order = np.argsort(group, kind="stable")
+    return Entries(d, np.searchsorted(group[order], np.arange(4 * k + 1)), rows[order],
+                   cols[order], values[order].astype(complex))
 
 
 def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
     """The rate-free structure of the ``chains`` stack under ``approach``, newly built as one stack.
 
     The global route is one transition scan over every chain and reservoir
-    (:func:`global_jump_operators`) on the stacked eigensystem, whose bins
-    (:func:`global_bins`), functionals and frame number operators are
-    stacked products; a chain whose route degenerates keeps its
-    DegenerateTransition in ``errors`` and the others are built as usual.
-    The local route attaches the bare jump of each reservoir's qubit at
-    that qubit's gap.
+    (:func:`global_jump_operators`) on the stacked eigensystem, whose jumps
+    are the entries of the bins' operators (:func:`global_bins`); their
+    functionals come from pairs of jumps (:func:`_diagonal_functionals`)
+    and the frame number operators are stacked products.  A chain whose
+    route degenerates keeps its DegenerateTransition in ``errors`` and the
+    others are built as usual.  The local route attaches the bare jump of
+    each reservoir's qubit at that qubit's gap
+    (:func:`_local_functionals`).
     """
     if approach not in ("global", "local"):
         raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
@@ -805,30 +558,28 @@ def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
     errors = {}
     if approach == "local":
         es, frame_H, numbers = None, H, chains.numbers[None]
-        pairs, which = np.unique(chains.sites, axis=0, return_inverse=True)
-        operators = np.concatenate([_local_operators(chains.epsilons.shape[1], tuple(pair))
-                                    for pair in pairs.tolist()])
+        n = chains.epsilons.shape[1]
+        pairs, which = np.unique(chains.sites @ [n, 1], return_inverse=True)
+        operators = _local_operators(n, tuple(pairs.tolist()))
         start = 4 * which.reshape(-1)
         omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1).reshape(-1)
         reservoirs = np.tile([0, 1], k)
         edges = np.arange(2 * k + 1)
-        emitted = operators[(start[:, None] + np.arange(4)).reshape(-1)].reshape(-1, 2, d, d)
-        functionals = adjoint_dissipator(emitted, np.repeat(H, 2, axis=0))
+        functionals = _local_functionals(operators, start, H)
     else:
         es = chains.eigensystem
         jumps = global_jump_operators(es, chains.couplings, errors)
         first, operators = global_bins(es, jumps)
         omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
         edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
+        h = np.take_along_axis(es.energies, es.frame_order, axis=1)
         frame_H = np.zeros((k, d, d))
-        frame_H[:, np.arange(d), np.arange(d)] = np.take_along_axis(es.energies, es.frame_order,
-                                                                    axis=1)
+        frame_H[:, np.arange(d), np.arange(d)] = h
         frame = es.frame
         numbers = frame.conj().swapaxes(1, 2)[:, None] @ chains.numbers @ frame[:, None]
-        functionals = adjoint_dissipator(operators, frame_H[owner])
-        operators = operators.reshape(-1, d, d)
+        functionals = _diagonal_functionals(operators, h, np.repeat(owner, 2))
         start = edges[:-1:2] * 2
-    _read_only(frame_H, omegas, reservoirs, edges, operators, start, functionals, numbers)
+    read_only(frame_H, omegas, reservoirs, edges, start, numbers)
     return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
                           reservoirs=reservoirs, edges=edges, operators=operators, start=start,
                           flux_functionals=functionals, population_functionals=numbers,
@@ -869,11 +620,14 @@ class LindbladModel:
         """H in the solve frame."""
         return self.structure.frame_hamiltonian[0]
 
-    @property
+    @cached_property
     def operators(self) -> np.ndarray:
-        """The jump operators A and A^dag of every bin, reservoir by reservoir."""
-        structure = self.structure
-        return structure.operators[structure.start[0]:structure.start[0] + 2 * structure.edges[-1]]
+        """The jump operators A and A^dag of every bin, reservoir by reservoir, dense (T, d, d)."""
+        start = self.structure.start[0]
+        count = 2 * self.structure.edges[-1]
+        operators = self.structure.operators.dense(slice(start, start + count))
+        read_only(operators)
+        return operators
 
     @cached_property
     def bins(self) -> tuple:
@@ -897,13 +651,14 @@ class LindbladModel:
 
     @cached_property
     def unknowns(self) -> Unknowns:
-        """Entries the frame generator joins to the diagonal (:func:`coupled_unknowns`)."""
+        """Entries the frame generator joins to the diagonal (:meth:`ChainStructure.unknowns`)."""
         return self.structure.unknowns(0, self.rates == 0)
 
     @cached_property
     def block(self) -> np.ndarray:
         """Frame generator restricted to :attr:`unknowns`."""
-        return superoperator(self.frame_hamiltonian, self.operators, self.rates, self.unknowns)
+        return superoperator(self.frame_hamiltonian, self.structure.operators, self.rates,
+                             self.unknowns, self.structure.start[:1])
 
     @cached_property
     def liouvillian(self) -> np.ndarray:

@@ -21,8 +21,8 @@ from .errors import (
     DegenerateTransition,
     DimensionMismatch,
 )
+from .generator import real_superoperator, unvectorize, vectorize
 from .lindblad import (
-    _GRID_ELEMENTS,
     OMEGA_MIN,
     Chain,
     ChainOperators,
@@ -30,15 +30,18 @@ from .lindblad import (
     chain_key,
     chain_operators,
     chain_structure,
-    real_superoperator,
-    unvectorize,
-    vectorize,
 )
 from .model import ChainSpec
 from .operators import number_operator
 from .steady import solve_hermitian, unique, uniqueness_error
 
 _FORM_TOL = 1e-12
+
+# The steady solves go in stacks of at most this many block elements
+# (128 KB per real array): stacks of more than about eight m = 70 systems
+# solved slower per row than single ones, and larger stacks raise the peak
+# memory of every sweep process.
+_GRID_ELEMENTS = 1 << 14
 
 
 def qubit_population(rho: np.ndarray, site: int) -> float:
@@ -410,16 +413,19 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
     rates, offsets = structure.rates(chain[rows], baths[rows])
     zero = (rates == 0).reshape(-1)
     flags, bounds = zero.tobytes(), (2 * offsets).tolist()
-    # (set of unknowns, zero rates) -> (unknowns, rows); (chain, zero rates) -> those rows
-    groups, members = {}, {}
+    members = {}  # (chain, zero rates) -> its rows
     for j, c in enumerate(chain[rows].tolist()):
         key = (c, flags[bounds[j]:bounds[j + 1]])
         group = members.get(key)
         if group is None:
-            unknowns = structure.unknowns(c, zero[bounds[j]:bounds[j + 1]])
-            content = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), key[1])
-            group = members[key] = groups.setdefault(content, (unknowns, []))[1]
+            group = members[key] = []
         group.append(j)
+    sets = structure.unknown_sets([c for c, _ in members],
+                                  np.frombuffer(b"".join(flag for _, flag in members), dtype=bool))
+    groups = {}  # (set of unknowns, zero rates) -> (unknowns, rows)
+    for unknowns, ((_, flag), group) in zip(sets, members.items()):
+        content = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), flag)
+        groups.setdefault(content, (unknowns, []))[1].extend(group)
     k, d, n = len(specs), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
     width = int(np.diff(structure.edges[::2]).max(initial=0))
     out = SteadyColumns(
@@ -429,7 +435,7 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
         rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, width)),
         chains=structure.chains, chain=chain, omegas=structure.omegas, edges=structure.edges)
     for unknowns, group in groups.values():
-        group, m = np.array(group), unknowns.size
+        group, m = np.sort(group), unknowns.size
         step = max(1, _GRID_ELEMENTS // m**2)
         for start in range(0, len(group), step):
             stack = group[start:start + step]
@@ -452,17 +458,13 @@ def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
     return values.real
 
 
-def _gather(array: np.ndarray, first: np.ndarray, count: int = None) -> np.ndarray:
-    """Item ``first[j]`` of ``array``, or its ``count`` items from there, for each row j.
+def _gather(array: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Item ``index[j]`` of ``array`` for each row j.
 
-    Where every row reads the same items they are one view with a leading
-    axis of one, which the stacked products broadcast.
+    Where every row reads the same item it is one view with a leading axis
+    of one, which the stacked products broadcast.
     """
-    if count is None:
-        return array[first[0]:first[0] + 1] if (first == first[0]).all() else array[first]
-    if (first == first[0]).all():
-        return array[first[0]:first[0] + count][None]
-    return array[first[:, None] + np.arange(count)]
+    return array[index[0]:index[0] + 1] if (index == index[0]).all() else array[index]
 
 
 def _stack_reports(structure, chain, rates, unknowns) -> tuple:
@@ -470,29 +472,29 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
 
     Row j is on chain ``chain[j]`` of ``structure``, at ``rates[j]``.  The
     blocks are built at once in the real coordinates of a Hermitian rho
-    (:func:`~chainflux.lindblad.real_superoperator`), each on its own
+    (:func:`~chainflux.generator.real_superoperator`), each on its own
     chain's H and jump operators, and solved by one stacked call
     (:func:`~chainflux.steady.solve_hermitian`).  Tr{H D(rho)} is linear in rho:
     gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
     functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) of each bin,
-    so one product with each rho gives every channel's flux; the
-    populations are read off the number operators in the frame the same
-    way.  Each reservoir's flux is the sum of its channel fluxes in
-    channel order, one channel at a time.
+    so a gather of each rho at the functionals' entries gives every
+    channel's flux (:meth:`~chainflux.generator.Entries.traces`); the
+    populations are read off the number operators in the frame by one
+    product with each rho.  Each reservoir's flux is the sum of its channel
+    fluxes in channel order, one channel at a time.
     """
     k, d = len(chain), unknowns.dim
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
-    operators = _gather(structure.operators, structure.start[chain], 2 * bins)
-    sol = solve_hermitian(real_superoperator(_gather(structure.frame_hamiltonian, chain),
-                                             operators, rates, unknowns), unknowns)
-    flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{F rho} = F . rho^T
-    functionals = _gather(structure.flux_functionals, first, bins)
-    traces = functionals.reshape(len(functionals), -1, d * d) @ flat
+    R = real_superoperator(_gather(structure.frame_hamiltonian, chain), structure.operators,
+                           rates, unknowns, structure.start[chain])
+    sol = solve_hermitian(R, unknowns)
+    traces = structure.flux_functionals.traces(2 * first, 2 * bins, sol.rho)
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
     channels = _imaginary_residue(channels, "heat flux")
     numbers = structure.population_functionals
     if len(numbers) > 1:
         numbers = _gather(numbers, chain)
+    flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{P rho} = P . rho^T
     populations = numbers.reshape(len(numbers), -1, d * d) @ flat
     populations = _imaginary_residue(populations[..., 0], "population")
     fluxes = np.zeros((k, 2))

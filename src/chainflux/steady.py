@@ -12,7 +12,7 @@ from .errors import (
     NoConvergence,
     StepTooLarge,
 )
-from .lindblad import Unknowns, full_unknowns, unvectorize, vectorize
+from .generator import Unknowns, full_unknowns, unvectorize, vectorize
 
 RESIDUAL_TOL = 1e-10
 
@@ -38,7 +38,7 @@ class SteadySolution:
 
     ``rho`` is Hermitian by construction: it is solved for in the real
     coordinates of a Hermitian matrix on the unknowns
-    (:class:`~chainflux.lindblad.Unknowns`).  ``residual`` is |L v| for
+    (:class:`~chainflux.generator.Unknowns`).  ``residual`` is |L v| for
     the generator the solve was given, in entries (:func:`solve_steady`)
     or in real coordinates (:func:`solve_hermitian`), which have the same
     norm.  ``rcond`` is the 1-norm reciprocal condition number of the
@@ -112,8 +112,8 @@ def checked_inverse(M: np.ndarray) -> tuple:
 def solve_hermitian(R: np.ndarray, unknowns: Unknowns, L: np.ndarray = None) -> SteadySolution:
     """Steady states of a (k, m, m) stack of real blocks in the coordinates of a Hermitian rho.
 
-    ``R`` is U^dag L U on ``unknowns`` (:class:`~chainflux.lindblad.Unknowns`),
-    as :func:`~chainflux.lindblad.real_superoperator` builds it.  The trace
+    ``R`` is U^dag L U on ``unknowns`` (:class:`~chainflux.generator.Unknowns`),
+    as :func:`~chainflux.generator.real_superoperator` builds it.  The trace
     constraint replaces one row per block, chosen among the rows of
     diagonal entries: trace preservation makes those rows sum to zero, so
     dropping the one with the largest diagonal magnitude never removes an

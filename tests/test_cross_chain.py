@@ -18,7 +18,8 @@ from chainflux import (
     run_sweep,
     steady_report,
 )
-from chainflux.lindblad import chain_operators, chain_structure, coupled_unknowns
+from chainflux.generator import coupled_unknowns
+from chainflux.lindblad import chain_operators, chain_structure
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
 
@@ -366,6 +367,13 @@ def test_one_call_over_chains_of_mixed_degeneracies_gives_the_cold_rows(n):
     assert n == 1 or len(bins) > 2  # one qubit has one bin per reservoir
 
 
+def item_arrays(entries, start, stop):
+    """The edges (from zero), rows, columns and values of items start .. stop - 1 of entries."""
+    at = slice(entries.edges[start], entries.edges[stop])
+    return (entries.edges[start:stop + 1] - entries.edges[start], entries.rows[at],
+            entries.cols[at], entries.values[at])
+
+
 def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
     # the stacked structure of each chain is the one it gets alone, bit for
     # bit, whatever its neighbours; the zero mode's chain gets its error and
@@ -383,14 +391,17 @@ def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
                 assert stack.edges[2 * c] == stack.edges[2 * c + 2]
                 continue
             low, high = stack.edges[2 * c], stack.edges[2 * c + 2]
-            start = stack.start[c]
-            for a, b in ((stack.frame_hamiltonian[c], alone.frame_hamiltonian[0]),
-                         (stack.omegas[low:high], alone.omegas),
-                         (stack.reservoirs[low:high], alone.reservoirs),
-                         (stack.operators[start:start + 2 * (high - low)], alone.operators),
-                         (stack.flux_functionals[low:high], alone.flux_functionals),
-                         (stack.population_functionals[c % len(stack.population_functionals)],
-                          alone.population_functionals[0])):
+            start, count = stack.start[c], 2 * (high - low)
+            pairs = [(stack.frame_hamiltonian[c], alone.frame_hamiltonian[0]),
+                     (stack.omegas[low:high], alone.omegas),
+                     (stack.reservoirs[low:high], alone.reservoirs),
+                     (stack.population_functionals[c % len(stack.population_functionals)],
+                      alone.population_functionals[0])]
+            for a, b, first in ((stack.operators, alone.operators, start),
+                                (stack.operators.decay, alone.operators.decay, start),
+                                (stack.flux_functionals, alone.flux_functionals, 2 * low)):
+                pairs += zip(item_arrays(a, first, first + count), item_arrays(b, 0, count))
+            for a, b in pairs:
                 assert a.tobytes() == b.tobytes()
     (glob,) = steady_reports(specs, ("global",))
     assert isinstance(glob[2], DegenerateTransition)

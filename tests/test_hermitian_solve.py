@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chainflux import DegenerateTransition, apply_axis, assemble, chain, solve_steady
-from chainflux.lindblad import real_superoperator
+from chainflux.generator import real_superoperator
 from chainflux.observables import steady_reports
 from chainflux.steady import checked_inverse, unique
 

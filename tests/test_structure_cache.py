@@ -161,9 +161,12 @@ def test_cached_arrays_are_read_only():
     for approach in ("global", "local"):
         model = assemble(spec, approach)
         structure = model.structure
-        arrays = [model.hamiltonian, model.frame_hamiltonian, structure.flux_functionals,
-                  structure.population_functionals, structure.operators,
+        arrays = [model.hamiltonian, model.frame_hamiltonian, structure.population_functionals,
                   structure.chains.eigensystem.energies, structure.chains.eigensystem.vectors]
+        for entries in (structure.operators, structure.operators.decay,
+                        structure.flux_functionals):
+            arrays += [entries.edges, entries.rows, entries.cols, entries.values]
+        arrays += structure.operators.row_pairs
         arrays += [A for reservoir in model.bins for _, A in reservoir]
         for a in arrays:
             with pytest.raises(ValueError):
