@@ -1,14 +1,14 @@
 """Lindblad generators in vectorized form, on a chosen set of unknowns.
 
 A generator -i[H, .] + sum_t rate_t D[A_t] acts on the column-stacked density
-matrix (:func:`vectorize`).  Its jump operators are held as their nonzero
-entries (:class:`Entries`), and each block is scattered from one enumeration
-of the generator's nonzero entries (:func:`kron_entries`) on a set of
-density-matrix entries (:class:`Unknowns`): as a real block in the
-coordinates of a Hermitian rho on the entries the generator couples to the
-diagonal (:func:`coupled_sets`, :func:`real_superoperator`; the steady
-solve), or as a complex block (:func:`superoperator`) on every entry for the
-dense oracles.
+matrix (:func:`vectorize`).  The steady solves build it one way: from the
+nonzero entries of its jump operators (:class:`Entries`), one enumeration of
+the generator's nonzero entries (:func:`kron_entries`) is scattered into a
+real block in the coordinates of a Hermitian rho on the entries the
+generator couples to the diagonal (:func:`coupled_sets`,
+:func:`real_superoperator`).  The dense oracles the tests compare it with
+(:func:`superoperator`) gather the same Kronecker products from dense
+operators and share no code with it.
 """
 
 from __future__ import annotations
@@ -237,32 +237,23 @@ def equal_pairs(keys: np.ndarray) -> tuple:
     return j, k
 
 
-def coupled_unknowns(H: np.ndarray, operators) -> Unknowns:
-    """Entries of rho that the generator of H and the jump ``operators`` joins to the diagonal.
-
-    The generator I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
-    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
-    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
-    A[r', r] and A[c', c] are both nonzero.  The set is every entry reached
-    from a diagonal one over these links taken in both directions, read off
-    the structural nonzero pattern of H and of the operators (dense, (T, d,
-    d)), which are the ones at a nonzero rate.  No link leaves it, so the
-    generator maps it into itself and the rest into the rest; it holds every
-    diagonal entry, so it carries the trace and the steady state, and
-    restricting the solve to it is exact.  Listed in column-stacked order
-    and cached by pattern, which a sweep's rows share.
-    """
-    operators = np.asarray(operators).reshape((-1,) + H.shape)
-    return coupled_sets(H[None], Entries.from_dense(operators), [0], [len(operators)],
-                        np.zeros(len(operators), dtype=bool))[0]
-
-
 def coupled_sets(H: np.ndarray, operators: Entries, first, count, zero) -> list:
-    """:func:`coupled_unknowns` of each H[j] (k, d, d) and its operators, all at once.
+    """The entries of rho that the generator of each H[j] (k, d, d) joins to the diagonal.
 
     Row j's operators are the items first[j] .. first[j] + count[j] - 1 of
     ``operators`` (both arrays) not flagged in ``zero``, which holds every
-    row's flags in turn (the operators at a zero rate).
+    row's flags in turn (the operators at a zero rate).  The generator
+    I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
+    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
+    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
+    A[r', r] and A[c', c] are both nonzero.  A row's set is every entry
+    reached from a diagonal one over these links taken in both directions,
+    read off the structural nonzero pattern of H and of the operators.  No
+    link leaves it, so the generator maps it into itself and the rest into
+    the rest; it holds every diagonal entry, so it carries the trace and
+    the steady state, and restricting the solve to it is exact.  Each set
+    is listed in column-stacked order and cached by pattern, which a
+    sweep's rows share.
     """
     d, zero, count = operators.dim, np.asarray(zero, dtype=bool), np.asarray(count)
     flags = np.cumsum(count) - count  # where each row's flags start
@@ -302,17 +293,17 @@ def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
         reached = grown
 
 
-def kron_entries(left, right, unknowns: Unknowns, upper: bool = False) -> tuple:
-    """The entries of sum_t conj(X_t) (x) Y_t on ``unknowns``, from the nonzeros of X_t and Y_t.
+def kron_entries(left, right, unknowns: Unknowns) -> tuple:
+    """The entries of sum_t conj(X_t) (x) Y_t in rows r_i <= c_i of ``unknowns``.
 
     ``left`` and ``right`` (T, d, d) are the patterns of the X_t and Y_t.
     In column stacking, entry (i, j) of conj(X) (x) Y on the unknowns is
     conj(X[c_i, c_j]) * Y[r_i, r_j], so it exists only where both factors
     are nonzero: each pair of a nonzero of X_t and a nonzero of Y_t gives
-    one entry, kept if it joins two unknowns.  Returns (term, i, j, a, b)
-    with a = c_i d + c_j and b = r_i d + r_j, the flat positions of the
-    two factors, ordered by term, then by b, then by a, so one term never
-    lists an (i, j) twice.  With ``upper``, only rows i with r_i <= c_i.
+    one entry, kept if it joins two unknowns and r_i <= c_i.  Returns
+    (term, i, j, a, b) with a = c_i d + c_j and b = r_i d + r_j, the flat
+    positions of the two factors, ordered by term, then by b, then by a,
+    so one term never lists an (i, j) twice.
     """
     d, index = unknowns.dim, unknowns.index
     tx, xr, xc = np.nonzero(left)
@@ -324,19 +315,8 @@ def kron_entries(left, right, unknowns: Unknowns, upper: bool = False) -> tuple:
     p = np.arange(len(q)) + np.repeat(first[ty] - (np.cumsum(reps) - reps), reps)
     ri, rj, ci, cj = yr[q], yc[q], xr[p], xc[p]
     i, j = index[ri, ci], index[rj, cj]
-    keep = (i >= 0) & (j >= 0)
-    if upper:
-        keep &= ri <= ci
+    keep = (i >= 0) & (j >= 0) & (ri <= ci)
     return tx[p][keep], i[keep], j[keep], (ci * d + cj)[keep], (ri * d + rj)[keep]
-
-
-def _operator_rows(operators, rates: np.ndarray, first, d: int) -> tuple:
-    """``operators`` as :class:`Entries`, and the first of them each row of ``rates`` reads."""
-    k, T = rates.shape
-    if isinstance(operators, Entries):
-        return operators, np.zeros(k, dtype=int) if first is None else np.asarray(first)
-    dense = np.asarray(operators).reshape(-1, d, d)
-    return Entries.from_dense(dense), np.arange(k) * T if len(dense) > T else np.zeros(k, dtype=int)
 
 
 def _slots(pattern: np.ndarray) -> np.ndarray:
@@ -351,16 +331,14 @@ def _slots(pattern: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _generator_terms(H, operators, rates, first, d: int) -> tuple:
+def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first) -> tuple:
     """The used rates, operator values and J of a stack of generators, and their pattern.
 
-    Row j of ``rates`` ((k, T), or (T,) for one row) has the operators
-    first[j] .. first[j] + T - 1 of ``operators`` (:class:`Entries`, every
-    row from 0 when ``first`` is None; or dense, (T, d, d) for every row or
-    (k, T, d, d) one set per row) and the Hamiltonian H[j] (H (k, d, d),
-    (d, d) for every row, or None).  Terms whose rate is zero in every row
-    are dropped.  ``pattern`` (U + 1, d^2) is nonzero where a used operator,
-    or J = -iH - sum rate * A^dag A / 2 last, has an entry in any row; the
+    Row j of ``rates`` (k, T) has the operators first[j] .. first[j] + T - 1
+    of ``operators`` and the Hamiltonian H[j] (H (k, d, d), or (1, d, d)
+    for every row).  Terms whose rate is zero in every row are dropped.
+    ``pattern`` (U + 1, d^2) is nonzero where a used operator, or
+    J = -iH - sum rate * A^dag A / 2 last, has an entry in any row; the
     values are laid out on its :func:`_slots`: the operators' in one array
     for every row when the rows read the same operators (the rows of a
     temperature sweep, the local rows of a scan), else in one array per
@@ -368,12 +346,10 @@ def _generator_terms(H, operators, rates, first, d: int) -> tuple:
     one entry at a time, term by term (``np.add.at``), so a row's values
     do not depend on its stack.
     """
-    rates = np.atleast_2d(np.asarray(rates, dtype=float))
-    operators, first = _operator_rows(operators, rates, first, d)
-    k, T = rates.shape
+    d, (k, T) = operators.dim, rates.shape
     used = rates.any(axis=0)
     count = int(np.count_nonzero(used))
-    shared = len(first) == 0 or bool((first == first[0]).all())
+    shared = bool((first == first[0]).all())
     first = first[:1] if shared else first
     row, t, e = operators.take(first, T)
     decay = operators.decay
@@ -389,83 +365,48 @@ def _generator_terms(H, operators, rates, first, d: int) -> tuple:
         d_row, d_rates = np.arange(k)[:, None], rates[:, d_t]
     else:
         d_rates = rates[d_row, d_t]
+    H = H.reshape(-1, d * d)
+    h_flat = np.flatnonzero(H.any(axis=0))
     pattern = np.zeros((count + 1, d * d), dtype=bool)
     pattern[t, flat] = True
     pattern[count, d_flat] = True
-    if H is not None:
-        H = np.asarray(H).reshape(-1, d * d)
-        h_flat = np.flatnonzero(H.any(axis=0))
-        pattern[count, h_flat] = True
+    pattern[count, h_flat] = True
     slots = _slots(pattern)
     ops = np.zeros((1 if shared else k, np.count_nonzero(pattern[:-1])), dtype=complex)
     ops[row, slots[t, flat]] = operators.values[e]
     size = np.count_nonzero(pattern[-1])
     J = np.zeros((k, size), dtype=complex)  # -J: iH, then rate A^dag A / 2 term by term
-    if H is not None:
-        J[:, slots[count, h_flat]] = 1j * H[:, h_flat]
+    J[:, slots[count, h_flat]] = 1j * H[:, h_flat]
     terms = (0.5 * d_rates) * decay.values[d_e]
     np.add.at(J.reshape(-1), (d_row * size + slots[count, d_flat]).reshape(-1), terms.reshape(-1))
     return rates, ops, -J, pattern.reshape(count + 1, d, d)
 
 
-def _kron_terms(pattern: np.ndarray) -> tuple:
-    """The (left, right) patterns of conj(A_t) (x) A_t, I (x) J and conj(J) (x) I, in order."""
-    eye, ops, J = np.eye(pattern.shape[-1], dtype=bool)[None], pattern[:-1], pattern[-1:]
-    return np.concatenate([ops, eye, J]), np.concatenate([ops, J, eye])
-
-
-def _compact(slots: np.ndarray, term, a, b) -> tuple:
-    """The factors a, b of the entries (term, a, b) of :func:`kron_entries` as places in the values.
-
-    Operator t's entries are read from the operators' values and J's from
-    J's (:func:`_slots`); the identity factor of I (x) J and conj(J) (x) I
-    is never read.
-    """
-    at = np.minimum(term, len(slots) - 1)
-    return slots[at, a], slots[at, b]
-
-
-def _entry_values(rates, ops, J, term, a, b) -> np.ndarray:
-    """The values of the entries (term, a, b) of :func:`kron_entries` in each row, (k, entries).
-
-    ``a`` and ``b`` are places in the values (:func:`_compact`).
-    """
-    T = rates.shape[1]
-    split = np.searchsorted(term, [T, T + 1])
-    t, a_t, b_t = term[:split[0]], a[:split[0]], b[:split[0]]
-    dissipators = (rates[:, t] * ops[:, a_t].conj()) * ops[:, b_t]
-    return np.concatenate([dissipators, J[:, b[split[0]:split[1]]], J[:, a[split[1]:]].conj()],
-                          axis=1)
-
-
-def superoperator(H, operators, rates, unknowns: Unknowns, first=None) -> np.ndarray:
-    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``, one block per row of ``rates``.
+def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
+    """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``: the dense oracle.
 
     D[A] rho = A rho A^dag - {A^dag A, rho} / 2.  In column stacking the
-    generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
-    J = -iH - sum rate * A^dag A / 2; its entries are those of
-    :func:`kron_entries`, added term by term in that order.
-
-    ``rates`` of shape (T,) gives one m x m block, of shape (k, T) a stack
-    of k blocks.  ``H`` (d, d) and dense ``operators`` (T, d, d) are shared
-    by the stack; ``H`` (k, d, d) and ``operators`` (k, T, d, d) give each
-    block its own, as for the rows of different chains, and a leading axis
-    of one is broadcast.  ``operators`` may also be :class:`Entries`, row j
-    reading the T from ``first[j]`` on (:func:`_generator_terms`).  ``H``
-    may be None for a dissipator alone; terms whose rate is zero in every
-    row are skipped.  This complex form serves the dense oracles; the
-    steady solves use :func:`real_superoperator`.
+    generator is I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
+    J = -iH - sum rate * A^dag A / 2, and entry (i, j) of conj(X) (x) Y on
+    the unknowns is conj(X[c_i, c_j]) * Y[r_i, r_j]: the two J terms are
+    products of gathered m x m grids, and the dissipative sum is entry
+    (c_i d + c_j, r_i d + r_j) of sum rate * vec(conj(A)) vec(A)^T (row-major
+    vecs), one matrix product.  ``operators`` are dense (T, d, d), ``rates``
+    (T,), and ``H`` (d, d) may be None for a dissipator alone.  Built from
+    dense products alone, it shares no code with :func:`real_superoperator`,
+    the steady solves' builder it checks.
     """
-    d, m = unknowns.dim, unknowns.size
-    single = np.ndim(rates) == 1
-    rates, ops, J, pattern = _generator_terms(H, operators, rates, first, d)
-    left, right = _kron_terms(pattern)
-    slots = _slots(pattern.reshape(len(pattern), -1))
-    L = np.zeros((len(rates), m, m), dtype=complex)
-    for t in range(len(left)):  # a term lists each (i, j) once
-        term, i, j, a, b = kron_entries(left[t:t + 1], right[t:t + 1], unknowns)
-        L[:, i, j] += _entry_values(rates, ops, J, term + t, *_compact(slots, term + t, a, b))
-    return L[0] if single else L
+    d, rows, cols = unknowns.dim, unknowns.rows, unknowns.cols
+    A = np.asarray(operators, dtype=complex).reshape(-1, d, d)
+    rates = np.asarray(rates, dtype=float)
+    J = -0.5 * np.tensordot(rates, A.conj().swapaxes(1, 2) @ A, axes=1)
+    if H is not None:
+        J = J - 1j * np.asarray(H)
+    vecs = A.reshape(len(A), d * d)
+    jumps = (vecs.conj().T * rates) @ vecs
+    r, c, eye = np.ix_(rows, rows), np.ix_(cols, cols), np.eye(d)
+    return (eye[c] * J[r] + J.conj()[c] * eye[r]
+            + jumps[cols[:, None] * d + cols, rows[:, None] * d + rows])
 
 
 # Entry (i, j), with r_i <= c_i, lands in the real block in four slots:
@@ -503,43 +444,56 @@ def _real_targets(i, j, unknowns: Unknowns) -> tuple:
 
 @lru_cache(maxsize=64)
 def _real_layout(unknowns: Unknowns, count: int, key: bytes) -> tuple:
-    """Where :func:`real_superoperator` reads and scatters: (term, a, b), (targets, source, coef).
+    """Where :func:`real_superoperator` reads and scatters the entries of a generator.
 
-    The entries (:func:`kron_entries`, rows r_i <= c_i) for the ``count``
-    term patterns packed in ``key``, with both factors of each as places
-    in the values (:func:`_compact`), and their slots in the real block
-    (:func:`_real_targets`); cached by pattern, which the stacks of a
+    The entries (:func:`kron_entries`) of conj(A_t) (x) A_t, I (x) J and
+    conj(J) (x) I, in that order, for the ``count`` term patterns packed in
+    ``key`` (J's last): the term t of each operator entry and the places
+    of its two factors in the operators' values, the places in J's values
+    of the J factors of the other two terms (:func:`_slots`; the identity
+    factor is never read), then the slots of every entry in the real block
+    (:func:`_real_targets`).  Cached by pattern, which the stacks of a
     sweep share.
     """
     d = unknowns.dim
     bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * d * d)
-    pattern = bits.reshape(count, d * d).astype(bool)
-    term, i, j, a, b = kron_entries(*_kron_terms(pattern.reshape(count, d, d)), unknowns,
-                                    upper=True)
-    layout = (term,) + _compact(_slots(pattern), term, a, b) + _real_targets(i, j, unknowns)
+    pattern = bits.reshape(count, d, d).astype(bool)
+    eye, ops, J = np.eye(d, dtype=bool)[None], pattern[:-1], pattern[-1:]
+    term, i, j, a, b = kron_entries(np.concatenate([ops, eye, J]), np.concatenate([ops, J, eye]),
+                                    unknowns)
+    slots = _slots(pattern.reshape(count, -1))
+    s, e = np.searchsorted(term, [count - 1, count]).tolist()
+    t = term[:s]
+    layout = ((t, slots[t, a[:s]], slots[t, b[:s]], slots[-1, b[s:e]], slots[-1, a[e:]])
+              + _real_targets(i, j, unknowns))
     read_only(*layout)
     return layout
 
 
-def real_superoperator(H, operators, rates, unknowns: Unknowns, first=None) -> np.ndarray:
-    """:func:`superoperator` as U^dag L U, in the real coordinates of a Hermitian rho.
+def real_superoperator(H: np.ndarray, operators: Entries, rates: np.ndarray,
+                       unknowns: Unknowns, first: np.ndarray) -> np.ndarray:
+    """A stack of generators on ``unknowns`` as U^dag L U, in real Hermitian coordinates.
 
-    Only the entries of rows i with r_i <= c_i are formed; for a generator
-    that keeps rho Hermitian the others are their conjugates.  Each is
-    scattered into the real block at up to four places, and the block is
-    summed in the fixed order of :func:`kron_entries` by one
-    ``np.bincount`` per stack, so a row's block does not depend on the
-    stack it is built in.  Same arguments; the block is real, (m, m) or
-    (k, m, m).
+    Row j is -i[H[j], .] + sum_t rates[j, t] D[A_t] over the operators A_t
+    first[j] .. first[j] + T - 1 of ``operators``, with ``rates`` (k, T)
+    and H (k, d, d), or (1, d, d) for every row (:func:`_generator_terms`).
+    D[A] rho = A rho A^dag - {A^dag A, rho} / 2; in column stacking the
+    generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
+    J = -iH - sum rate * A^dag A / 2.  Only the entries of rows i with
+    r_i <= c_i are formed (:func:`kron_entries`); for a generator that
+    keeps rho Hermitian the others are their conjugates.  Each is scattered
+    into the real block at up to four places, and the block is summed in
+    the fixed order of :func:`kron_entries` by one ``np.bincount`` per
+    stack, so a row's block does not depend on the stack it is built in.
+    Returns the real (k, m, m) stack.
     """
-    d, m = unknowns.dim, unknowns.size
-    single = np.ndim(rates) == 1
-    rates, ops, J, pattern = _generator_terms(H, operators, rates, first, d)
+    m = unknowns.size
+    rates, ops, J, pattern = _generator_terms(H, operators, rates, first)
     k = len(rates)
-    term, a, b, targets, source, coef = _real_layout(unknowns, len(pattern),
-                                                     np.packbits(pattern).tobytes())
-    values = _entry_values(rates, ops, J, term, a, b)
+    t, a, b, right, left, targets, source, coef = _real_layout(unknowns, len(pattern),
+                                                               np.packbits(pattern).tobytes())
+    values = np.concatenate([(rates[:, t] * ops[:, a].conj()) * ops[:, b], J[:, right],
+                             J[:, left].conj()], axis=1)
     weights = np.ascontiguousarray(values).view(float)[:, source] * coef
     flat = (np.arange(k)[:, None] * (m * m) + targets).reshape(-1)
-    R = np.bincount(flat, weights.reshape(-1), minlength=k * m * m).reshape(k, m, m)
-    return R[0] if single else R
+    return np.bincount(flat, weights.reshape(-1), minlength=k * m * m).reshape(k, m, m)

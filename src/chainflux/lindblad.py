@@ -422,10 +422,9 @@ class ChainStructure:
     def unknowns(self, c: int, zero) -> Unknowns:
         """The coupled set of chain c's frame H and its operators not flagged in ``zero``.
 
-        It is :func:`~chainflux.generator.coupled_unknowns` of them.
         ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0
         or omega / T > 700); the operators are fixed, so the set changes
-        only with these flags.
+        only with these flags (:func:`~chainflux.generator.coupled_sets`).
         """
         return self.unknown_sets([c], zero)[0]
 
@@ -656,9 +655,8 @@ class LindbladModel:
 
     @cached_property
     def block(self) -> np.ndarray:
-        """Frame generator restricted to :attr:`unknowns`."""
-        return superoperator(self.frame_hamiltonian, self.structure.operators, self.rates,
-                             self.unknowns, self.structure.start[:1])
+        """Frame generator restricted to :attr:`unknowns`, from the dense :attr:`operators`."""
+        return superoperator(self.frame_hamiltonian, self.operators, self.rates, self.unknowns)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,7 +109,17 @@ def checked_inverse(M: np.ndarray) -> tuple:
     return inverse, rcond
 
 
-def solve_hermitian(R: np.ndarray, unknowns: Unknowns, L: np.ndarray = None) -> SteadySolution:
+def _check_residual(residual: np.ndarray, scale: np.ndarray) -> None:
+    """Raise NoConvergence where a residual exceeds RESIDUAL_TOL times max(scale, 1)."""
+    scale = np.maximum(scale, 1.0)
+    worst = int((residual / scale).argmax())
+    if residual[worst] > RESIDUAL_TOL * scale[worst]:
+        raise NoConvergence(
+            f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
+        )
+
+
+def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
     """Steady states of a (k, m, m) stack of real blocks in the coordinates of a Hermitian rho.
 
     ``R`` is U^dag L U on ``unknowns`` (:class:`~chainflux.generator.Unknowns`),
@@ -122,8 +132,7 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns, L: np.ndarray = None) -> 
     Hermitian from its coordinates x.  A row whose steady state is not
     unique gets a zero rho and its ``rcond`` tells it apart
     (:func:`uniqueness_error`).  The residual is |R x| against |R|, which
-    are |L v| and |L| since U is unitary, or, given the complex blocks
-    ``L`` themselves, |L v| against |L|; one above RESIDUAL_TOL times its
+    are |L v| and |L| since U is unitary; one above RESIDUAL_TOL times its
     scale raises NoConvergence.
     """
     k, m, diag = len(R), unknowns.size, unknowns.diagonal
@@ -135,18 +144,8 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns, L: np.ndarray = None) -> 
     inverse, rcond = checked_inverse(M)
     x = np.where(unique(rcond, m)[:, None], inverse[rows, :, replaced], 0.0)
     rho = unknowns.state(x)
-    if L is None:
-        residual = np.linalg.norm(R @ x[..., None], axis=(1, 2))
-        scale = np.linalg.norm(R, axis=(1, 2))
-    else:
-        residual = np.linalg.norm(L @ rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
-        scale = np.linalg.norm(L, axis=(1, 2))
-    scale = np.maximum(scale, 1.0)
-    worst = int((residual / scale).argmax())
-    if residual[worst] > RESIDUAL_TOL * scale[worst]:
-        raise NoConvergence(
-            f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
-        )
+    residual = np.linalg.norm(R @ x[..., None], axis=(1, 2))
+    _check_residual(residual, np.linalg.norm(R, axis=(1, 2)))
     replaced_row = unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced]
     return SteadySolution(rho=rho, residual=residual, replaced_row=replaced_row, rcond=rcond,
                           unknowns=m)
@@ -184,13 +183,15 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     if stack.shape[1:] != (m, m):
         raise DimensionMismatch(f"generator shape {L.shape} does not match {m} unknowns")
 
-    sol = solve_hermitian(unknowns.hermitian(stack), unknowns, stack)
+    sol = solve_hermitian(unknowns.hermitian(stack), unknowns)
+    residual = np.linalg.norm(stack @ sol.rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
+    _check_residual(residual, np.linalg.norm(stack, axis=(1, 2)))
     if not single:
-        return sol
+        return replace(sol, residual=residual)
     error = uniqueness_error(sol.rcond[0], m)
     if error is not None:
         raise error
-    return SteadySolution(rho=sol.rho[0], residual=float(sol.residual[0]),
+    return SteadySolution(rho=sol.rho[0], residual=float(residual[0]),
                           replaced_row=int(sol.replaced_row[0]), rcond=float(sol.rcond[0]),
                           unknowns=m)
 

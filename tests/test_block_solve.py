@@ -81,6 +81,7 @@ def test_frame_generator_holds_no_entry_between_coupled_set_and_rest(approach):
         assert np.all(inside[np.arange(d) * (d + 1)])  # every diagonal entry
         assert not np.any(dense[np.ix_(inside, ~inside)])
         assert not np.any(dense[np.ix_(~inside, inside)])
+        assert np.array_equal(model.block, dense[np.ix_(inside, inside)])
 
 
 def test_block_holds_no_entry_between_excitation_numbers():

@@ -18,7 +18,6 @@ from chainflux import (
     run_sweep,
     steady_report,
 )
-from chainflux.generator import coupled_unknowns
 from chainflux.lindblad import chain_operators, chain_structure
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
@@ -195,7 +194,7 @@ def test_stacked_closure_matches_the_loop_over_cases_and_zero_rate_patterns():
             model = assemble(spec, approach)
             for zero in zero_rate_patterns(model):
                 H, operators = model.frame_hamiltonian, model.operators[~zero]
-                unknowns = coupled_unknowns(H, operators)
+                unknowns = model.structure.unknowns(0, zero)
                 flat = unknowns.cols * unknowns.dim + unknowns.rows
                 assert np.array_equal(flat, loop_closure(H, operators))
                 checked += 1

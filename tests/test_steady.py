@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -148,6 +149,16 @@ def test_rk4_trace_drift_raises_under_python_O():
     result = subprocess.run([sys.executable, "-O", "-c", check], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips assert statements: every check must raise a typed error
+    found = []
+    for path in sorted(Path(chainflux.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements in chainflux: {', '.join(found)}"
 
 
 def test_rk4_reproduces_two_level_decay():
