@@ -25,8 +25,9 @@ as stacks over the chains of one qubit count, not kept: H, its eigensystem
 and the site operators of the chains (gaps, couplings, attachments) in
 :func:`chain_operators`, the binned operators, their products A^dag A and
 each bin's flux functionals of the chains under one approach, as entries,
-in :func:`chain_structure`.
-The caller that owns a request
+in :func:`chain_structure`.  No population operator is built: the solved
+states are taken to the site basis and read off their diagonals
+(:mod:`chainflux.observables`).  The caller that owns a request
 (:func:`chainflux.observables.steady_reports`) builds each once per call
 and shares them between the rows and both approaches.
 """
@@ -57,7 +58,6 @@ from .operators import (
     EigenSystem,
     build_chain_hamiltonian,
     diagonalize,
-    number_operator,
     site_operator,
 )
 
@@ -93,43 +93,6 @@ def bose_occupation(omega: float, temperature: float) -> float:
 # its matrix element <p|coupling|q>.
 JUMP_DTYPE = np.dtype([("chain", np.intp), ("reservoir", np.intp), ("omega", float),
                        ("lower", np.intp), ("upper", np.intp), ("weight", complex)])
-
-# numpy adds a contiguous float array of more than this many values by
-# splitting it in halves (its pairwise summation block).
-_PAIRWISE_BLOCK = 128
-
-
-def run_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``values[s:s + n].sum()`` of each run s, n of ``starts`` and ``counts``, bit for bit.
-
-    numpy sums a contiguous float array pairwise from 0.0: fewer than eight
-    values left to right; up to 128 values in eight accumulators over the
-    first n - n % 8 of them, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
-    r5) + (r6 + r7)), and then the rest left to right; more than 128 in
-    halves.  Runs of up to 128 values are summed that way, all at once, and
-    longer runs by ``ndarray.sum`` itself.
-    """
-    sums = np.zeros(len(starts))
-    short = counts <= _PAIRWISE_BLOCK
-    main = np.where(short, counts - counts % 8, 0)
-    blocked = np.flatnonzero(main)
-    if len(blocked):
-        columns = np.arange(main.max())
-        inside = columns < main[blocked, None]
-        padded = np.where(inside, values[np.where(inside, starts[blocked, None] + columns, 0)], 0.0)
-        r = padded[:, :8].copy()
-        for i in range(8, padded.shape[1], 8):
-            r += padded[:, i:i + 8]
-        sums[blocked] = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + (
-            (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    rest = np.where(short, counts - main, 0)
-    for j in range(rest.max(initial=0)):  # left to right
-        at = rest > j
-        sums[at] += values[starts[at] + main[at] + j]
-    for b in np.flatnonzero(~short).tolist():
-        sums[b] = values[starts[b]:starts[b] + counts[b]].sum()
-    return sums
-
 
 def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
                           errors: dict = None) -> np.ndarray:
@@ -213,7 +176,7 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
     jumps["chain"], jumps["reservoir"] = chain, reservoir
     jumps["lower"], jumps["upper"] = lower, upper
     jumps["weight"] = np.where(real, weights.real, weights)
-    jumps["omega"] = np.repeat(run_sums(omegas, starts, counts) / counts, counts)  # as np.mean
+    jumps["omega"] = np.repeat(np.add.reduceat(omegas, starts) / counts, counts)
     return jumps
 
 
@@ -291,18 +254,17 @@ class ChainOperators:
     Chain c has the Hamiltonian ``hamiltonian[c]`` (k, d, d), the gaps
     ``epsilons[c]`` and its reservoirs attached at the qubits ``sites[c]``,
     where each couples through sigma^+ + sigma^- (``couplings[c]``, one
-    per reservoir); ``numbers`` holds each qubit's number operator.  The
-    stacked sector ``eigensystem`` of the Hamiltonians is computed on
-    first use.  Both approaches' structures are built from one stack
-    (:func:`chain_structure`), so each H is built and diagonalized once.
-    Item c of the stack is chain c's :class:`Chain`, the same object on
-    every access.  Every array is read-only.
+    per reservoir).  The stacked sector ``eigensystem`` of the
+    Hamiltonians is computed on first use.  Both approaches' structures
+    are built from one stack (:func:`chain_structure`), so each H is built
+    and diagonalized once.  Item c of the stack is chain c's
+    :class:`Chain`, the same object on every access.  Every array is
+    read-only.
     """
 
     hamiltonian: np.ndarray
     epsilons: np.ndarray
     sites: np.ndarray
-    numbers: np.ndarray
 
     def __len__(self) -> int:
         return len(self.hamiltonian)
@@ -329,14 +291,10 @@ class ChainOperators:
 
 @dataclass(frozen=True, eq=False)
 class Chain:
-    """Chain ``index`` of a :class:`ChainOperators` stack: its site-basis H and its eigensystem."""
+    """Chain ``index`` of a :class:`ChainOperators` stack, giving its eigensystem."""
 
     stack: ChainOperators
     index: int
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        return self.stack.hamiltonian[self.index]
 
     @property
     def eigensystem(self) -> EigenSystem:
@@ -368,10 +326,7 @@ class ChainStructure:
     - ``flux_functionals``, as :class:`Entries`, D[A]^dag(H) and
       D[A^dag]^dag(H) of every bin b at items 2 b and 2 b + 1, so that a
       channel's heat current is gamma (nbar + 1) Tr{F[2 b] rho} + gamma
-      nbar Tr{F[2 b + 1] rho} (Alicki's form), and
-      ``population_functionals``, each qubit's number operator in each
-      chain's frame (k, N, d, d), or one set for every chain (1, N, d, d),
-      so n_q = Tr{P[q] rho};
+      nbar Tr{F[2 b + 1] rho} (Alicki's form), rho in the frame;
     - ``errors``, the DegenerateTransition of each chain, by index, whose
       eigenbasis route degenerates; such a chain has no bins.
 
@@ -387,7 +342,6 @@ class ChainStructure:
     operators: Entries
     start: np.ndarray
     flux_functionals: Entries
-    population_functionals: np.ndarray
     errors: dict
 
     def rates(self, chain, baths) -> tuple:
@@ -456,15 +410,7 @@ def chain_operators(specs) -> ChainOperators:
     epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(len(specs), n)
     sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs])
     read_only(H, epsilons, sites)
-    return ChainOperators(hamiltonian=H, epsilons=epsilons, sites=sites,
-                          numbers=_number_operators(n))
-
-
-@lru_cache(maxsize=None)
-def _number_operators(n_qubits: int) -> np.ndarray:
-    numbers = np.array([number_operator(n_qubits, q) for q in range(n_qubits)])
-    read_only(numbers)
-    return numbers
+    return ChainOperators(hamiltonian=H, epsilons=epsilons, sites=sites)
 
 
 @lru_cache(maxsize=None)
@@ -544,11 +490,10 @@ def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
     The global route is one transition scan over every chain and reservoir
     (:func:`global_jump_operators`) on the stacked eigensystem, whose jumps
     are the entries of the bins' operators (:func:`global_bins`); their
-    functionals come from pairs of jumps (:func:`_diagonal_functionals`)
-    and the frame number operators are stacked products.  A chain whose
-    route degenerates keeps its DegenerateTransition in ``errors`` and the
-    others are built as usual.  The local route attaches the bare jump of
-    each reservoir's qubit at that qubit's gap
+    functionals come from pairs of jumps (:func:`_diagonal_functionals`).
+    A chain whose route degenerates keeps its DegenerateTransition in
+    ``errors`` and the others are built as usual.  The local route
+    attaches the bare jump of each reservoir's qubit at that qubit's gap
     (:func:`_local_functionals`).
     """
     if approach not in ("global", "local"):
@@ -556,7 +501,7 @@ def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
     H, k, d = chains.hamiltonian, len(chains), chains.hamiltonian.shape[-1]
     errors = {}
     if approach == "local":
-        es, frame_H, numbers = None, H, chains.numbers[None]
+        es, frame_H = None, H
         n = chains.epsilons.shape[1]
         pairs, which = np.unique(chains.sites @ [n, 1], return_inverse=True)
         operators = _local_operators(n, tuple(pairs.tolist()))
@@ -574,15 +519,12 @@ def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
         h = np.take_along_axis(es.energies, es.frame_order, axis=1)
         frame_H = np.zeros((k, d, d))
         frame_H[:, np.arange(d), np.arange(d)] = h
-        frame = es.frame
-        numbers = frame.conj().swapaxes(1, 2)[:, None] @ chains.numbers @ frame[:, None]
         functionals = _diagonal_functionals(operators, h, np.repeat(owner, 2))
         start = edges[:-1:2] * 2
-    read_only(frame_H, omegas, reservoirs, edges, start, numbers)
+    read_only(frame_H, omegas, reservoirs, edges, start)
     return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
                           reservoirs=reservoirs, edges=edges, operators=operators, start=start,
-                          flux_functionals=functionals, population_functionals=numbers,
-                          errors=errors)
+                          flux_functionals=functionals, errors=errors)
 
 
 @dataclass(frozen=True)

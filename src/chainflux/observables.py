@@ -32,7 +32,7 @@ from .lindblad import (
     chain_structure,
 )
 from .model import ChainSpec
-from .operators import number_operator
+from .operators import excited_qubits, number_operator
 from .steady import solve_hermitian, unique, uniqueness_error
 
 _FORM_TOL = 1e-12
@@ -251,9 +251,9 @@ class SteadyReport:
 
     A view of one row of a :class:`SteadyColumns`, built when asked for.
     ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal condition
-    number and the number of entries of rho it solved for; ``chain`` holds
-    the chain's H in the site basis and its eigensystem, computed on first
-    use and shared by the reports of both approaches on the chain.
+    number and the number of entries of rho it solved for; ``chain`` gives
+    the chain's eigensystem, computed on first use and shared by the
+    reports of both approaches on the chain.
     """
 
     spec: ChainSpec
@@ -276,9 +276,9 @@ class SteadyColumns(Sequence):
     and ``unknowns`` are columns; ``errors`` maps each row not solved to its
     DegenerateTransition (with its omega) or DegenerateKernel (with its
     rcond), and such a row's entries are no result.  ``rho`` holds the
-    states in their solve frame and ``channels`` the channel fluxes in bin
-    order, zero-padded.  Row i is on chain ``chain[i]`` of the call's
-    ``chains``, whose eigensystem gives the global frame, and its channels
+    states in the site basis, the ones the row views give, and
+    ``channels`` the channel fluxes in bin order, zero-padded.  Row i is
+    on chain ``chain[i]`` of the call's ``chains``, and its channels
     are the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by
     reservoir (:class:`~chainflux.lindblad.ChainStructure`); nothing else
     of the approach's structure is kept.  ``columns[i]`` builds row i's
@@ -311,12 +311,8 @@ class SteadyColumns(Sequence):
         low, split, high = self.edges[2 * c:2 * c + 3].tolist()
         omegas, values = self.omegas[low:high].tolist(), self.channels[i].tolist()
         pieces = (slice(0, split - low), slice(split - low, high - low))
-        rho = self.rho[i]
-        if self.approach == "global":
-            frame = self.chains.eigensystem.frame[c]
-            rho = frame @ rho @ frame.conj().T
         return SteadyReport(
-            spec=self.specs[i], approach=self.approach, rho=rho,
+            spec=self.specs[i], approach=self.approach, rho=self.rho[i],
             populations=tuple(self.populations[i].tolist()),
             fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
             channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in pieces),
@@ -327,11 +323,7 @@ class SteadyColumns(Sequence):
         rho, chain = self.rho[rows], self.chain[rows]
         if not len(chain):
             return np.zeros((0, rho.shape[-1]))
-        es = self.chains.eigensystem
-        if self.approach == "global":  # in the site basis
-            frames = _gather(es.frame, chain)
-            rho = frames @ rho @ frames.conj().swapaxes(1, 2)
-        vectors = _gather(es.vectors, chain)
+        vectors = _gather(self.chains.eigensystem.vectors, chain)
         rho = vectors.conj().swapaxes(1, 2) @ rho @ vectors
         return np.diagonal(rho, axis1=1, axis2=2).real
 
@@ -442,9 +434,9 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
             count = offsets[stack[0] + 1] - offsets[stack[0]]
             row_rates = rates[offsets[stack][:, None] + np.arange(count)].reshape(len(stack), -1)
             at = rows[stack]
-            out.populations[at], out.fluxes[at], channels, sol = _stack_reports(
+            out.populations[at], out.fluxes[at], channels, out.rho[at], sol = _stack_reports(
                 structure, chain[at], row_rates, unknowns)
-            out.channels[at, :channels.shape[1]], out.rho[at] = channels, sol.rho
+            out.channels[at, :channels.shape[1]] = channels
             out.residual[at], out.rcond[at], out.unknowns[at] = sol.residual, sol.rcond, m
             for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
                 errors[int(at[j])] = uniqueness_error(sol.rcond[j], m)
@@ -468,22 +460,23 @@ def _gather(array: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _stack_reports(structure, chain, rates, unknowns) -> tuple:
-    """Populations, fluxes, channel fluxes and solution of a stack of rows sharing ``unknowns``.
+    """Populations, fluxes, channel fluxes, site-basis states and solution of a stack of rows.
 
-    Row j is on chain ``chain[j]`` of ``structure``, at ``rates[j]``.  The
-    blocks are built at once in the real coordinates of a Hermitian rho
+    The rows share ``unknowns``; row j is on chain ``chain[j]`` of
+    ``structure``, at ``rates[j]``.  The blocks are built at once in the
+    real coordinates of a Hermitian rho
     (:func:`~chainflux.generator.real_superoperator`), each on its own
     chain's H and jump operators, and solved by one stacked call
     (:func:`~chainflux.steady.solve_hermitian`).  Tr{H D(rho)} is linear in rho:
     gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
     functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) of each bin,
-    so a gather of each rho at the functionals' entries gives every
-    channel's flux (:meth:`~chainflux.generator.Entries.traces`); the
-    populations are read off the number operators in the frame by one
-    product with each rho.  Each reservoir's flux is the sum of its channel
-    fluxes in channel order, one channel at a time.
+    so a gather of each frame rho at the functionals' entries gives every
+    channel's flux (:meth:`~chainflux.generator.Entries.traces`), and each
+    reservoir's flux is the sum of its channel fluxes in channel order.
+    Each rho is then taken to the site basis, once, and each row's
+    populations are summed off its own diagonal, whatever its stack.
     """
-    k, d = len(chain), unknowns.dim
+    k = len(chain)
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
     R = real_superoperator(_gather(structure.frame_hamiltonian, chain), structure.operators,
                            rates, unknowns, structure.start[chain])
@@ -491,14 +484,14 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     traces = structure.flux_functionals.traces(2 * first, 2 * bins, sol.rho)
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
     channels = _imaginary_residue(channels, "heat flux")
-    numbers = structure.population_functionals
-    if len(numbers) > 1:
-        numbers = _gather(numbers, chain)
-    flat = sol.rho.swapaxes(1, 2).reshape(k, d * d, 1)  # rho^T: Tr{P rho} = P . rho^T
-    populations = numbers.reshape(len(numbers), -1, d * d) @ flat
-    populations = _imaginary_residue(populations[..., 0], "population")
     fluxes = np.zeros((k, 2))
-    every, reservoirs = np.arange(k), structure.reservoirs[first[:, None] + np.arange(bins)]
-    for j in range(bins):  # as sum(): 0 + q_1 + ...
-        fluxes[every, reservoirs[:, j]] += channels[:, j]
-    return populations, fluxes, channels, sol
+    reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
+    np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
+    rho = sol.rho
+    if structure.eigensystem is not None:  # from the eigenbasis frame
+        frames = _gather(structure.eigensystem.frame, chain)
+        rho = frames @ rho @ frames.conj().swapaxes(1, 2)
+    diagonal = _imaginary_residue(np.diagonal(rho, axis1=1, axis2=2), "population")
+    occupations = excited_qubits(structure.chains.epsilons.shape[1])
+    populations = (diagonal[:, None] * occupations).sum(axis=2)
+    return populations, fluxes, channels, rho, sol

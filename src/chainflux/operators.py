@@ -183,6 +183,15 @@ def excitation_numbers(n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def excited_qubits(n_qubits: int) -> np.ndarray:
+    """Occupations of an n-qubit register, (n, 2^n): 1 where basis state i excites qubit q."""
+    signs, _ = _hamiltonian_layout(n_qubits)
+    out = 0.5 * (1.0 + signs)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _sector_layout(n_qubits: int) -> tuple:
     """Mask of the elements between different excitation numbers, and each sector's indices."""
     labels = excitation_numbers(n_qubits)

@@ -439,7 +439,8 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     degenerates or the steady state is not unique are recorded as
     annotated skips instead of aborting the run.  A row residual above
     ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst row, the first
-    of the largest.
+    of the largest.  An empty grid or no approach raises the
+    ConfigSyntaxError :func:`parse_config` raises on such a request.
 
     The grid goes in contiguous chunks, each one task that solves its points
     under every approach of the request in one :func:`steady_reports` call
@@ -454,6 +455,10 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     of zero rates, and the chains of a K or eps scan that couple the same
     entries are solved together.
     """
+    if not request.grid:
+        raise ConfigSyntaxError("grid is empty")
+    if not request.approaches:
+        raise ConfigSyntaxError("no approach")
     points = []
     base = request.base
     for value in request.grid:

@@ -393,9 +393,7 @@ def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
             start, count = stack.start[c], 2 * (high - low)
             pairs = [(stack.frame_hamiltonian[c], alone.frame_hamiltonian[0]),
                      (stack.omegas[low:high], alone.omegas),
-                     (stack.reservoirs[low:high], alone.reservoirs),
-                     (stack.population_functionals[c % len(stack.population_functionals)],
-                      alone.population_functionals[0])]
+                     (stack.reservoirs[low:high], alone.reservoirs)]
             for a, b, first in ((stack.operators, alone.operators, start),
                                 (stack.operators.decay, alone.operators.decay, start),
                                 (stack.flux_functionals, alone.flux_functionals, 2 * low)):

@@ -7,22 +7,10 @@ import numpy as np
 import pytest
 
 from chainflux import chain
-from chainflux.lindblad import chain_operators, chain_structure, run_sums
+from chainflux.lindblad import chain_operators, chain_structure
 from chainflux.observables import steady_reports
 
 from oracles import adjoint_dissipator
-
-
-def test_run_sums_match_ndarray_sum_bit_for_bit():
-    # numpy's pairwise order changes at 8 and at 128 values; a numpy that
-    # sums in another order fails here rather than moving the bin means
-    rng = np.random.default_rng(7)
-    counts = np.tile(np.arange(1, 301), 3)
-    values = rng.uniform(0.1, 3.0, counts.sum()) * 10.0 ** rng.uniform(-3, 3, counts.sum())
-    starts = np.cumsum(counts) - counts
-    sums = run_sums(values, starts, counts)
-    expected = [values[s:s + n].sum() for s, n in zip(starts.tolist(), counts.tolist())]
-    assert sums.tolist() == expected
 
 
 def functional_chains():

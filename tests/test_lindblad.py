@@ -235,7 +235,7 @@ def reference_omegas(es, coupling):
             starts.append(i)
     out = np.empty(len(values))
     for start, stop in zip(starts, starts[1:] + [len(values)]):
-        out[start:stop] = omegas[start:stop].sum() / (stop - start)
+        out[start:stop] = np.add.reduceat(omegas[start:stop], [0])[0] / (stop - start)
     return out
 
 

@@ -9,6 +9,7 @@ from chainflux import (
     DegenerateTransition,
     build_chain_hamiltonian,
     chain,
+    qubit_population,
     steady_report,
 )
 
@@ -49,6 +50,8 @@ def test_steady_state_is_a_density_matrix_that_balances_energy(spec, approach):
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    for q, population in enumerate(report.populations):  # the dense number operators
+        assert abs(population - qubit_population(rho, q)) <= 1e-12
     q1, q2 = report.fluxes
     assert abs(q1 + q2) <= 1e-9
     if approach == "global":  # the second law

@@ -20,6 +20,7 @@ from chainflux import (
 )
 import chainflux.observables
 from chainflux.observables import steady_reports
+from chainflux.operators import excited_qubits
 from chainflux.steady import uniqueness_error
 from chainflux.sweep import SweepRequest
 
@@ -161,7 +162,7 @@ def test_cached_arrays_are_read_only():
     for approach in ("global", "local"):
         model = assemble(spec, approach)
         structure = model.structure
-        arrays = [model.hamiltonian, model.frame_hamiltonian, structure.population_functionals,
+        arrays = [model.hamiltonian, model.frame_hamiltonian, excited_qubits(3),
                   structure.chains.eigensystem.energies, structure.chains.eigensystem.vectors]
         for entries in (structure.operators, structure.operators.decay,
                         structure.flux_functionals):

@@ -130,6 +130,13 @@ def test_config_round_trip_is_bit_exact():
 # -------------------------------------------------------------- running
 
 
+@pytest.mark.parametrize("field, message", [("grid", "grid is empty"),
+                                            ("approaches", "no approach")])
+def test_an_empty_hand_built_request_raises_a_config_error(field, message):
+    with pytest.raises(ConfigSyntaxError, match=message):
+        run_sweep(small_request(**{field: ()}))
+
+
 def test_apply_axis_each_parameter():
     spec = dimer(1.5, 1.5, 1.0, 2.0, 0.5)
     assert apply_axis(spec, "t1", 4.0).baths[0].temperature == 4.0
