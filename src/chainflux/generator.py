@@ -237,38 +237,31 @@ def equal_pairs(keys: np.ndarray) -> tuple:
     return j, k
 
 
-def coupled_sets(H: np.ndarray, operators: Entries, first, count, zero) -> list:
+def coupled_sets(H: np.ndarray, operators: Entries, first, count) -> list:
     """The entries of rho that the generator of each H[j] (k, d, d) joins to the diagonal.
 
     Row j's operators are the items first[j] .. first[j] + count[j] - 1 of
-    ``operators`` (both arrays) not flagged in ``zero``, which holds every
-    row's flags in turn (the operators at a zero rate).  The generator
-    I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
-    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
-    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
-    A[r', r] and A[c', c] are both nonzero.  A row's set is every entry
-    reached from a diagonal one over these links taken in both directions,
-    read off the structural nonzero pattern of H and of the operators.  No
-    link leaves it, so the generator maps it into itself and the rest into
-    the rest; it holds every diagonal entry, so it carries the trace and
-    the steady state, and restricting the solve to it is exact.  Each set
-    is listed in column-stacked order and cached by pattern, which a
-    sweep's rows share.
+    ``operators``.  The generator I (x) J + conj(J) (x) I + sum rate *
+    conj(A) (x) A with J = -iH - sum rate * A^dag A / 2 links entry (r, c)
+    to (r', c) where J[r', r] != 0, to (r, c') where J[c', c] != 0, and to
+    (r', c') where A[r', r] and A[c', c] are both nonzero.  A row's set is
+    every entry reached from a diagonal one over these links taken in both
+    directions, read off the structural nonzero pattern of H and of every
+    operator.  No link leaves it, at any rates: a zero rate only removes
+    links (emission rates gamma (nbar + 1) never vanish; absorption rates
+    gamma nbar do), so one set serves every row of a chain.  It holds every
+    diagonal entry, so it carries the trace and the steady state, and
+    restricting the solve to it is exact; the solve's rank check decides
+    whether that state is unique.  Each set is listed in column-stacked
+    order and cached by pattern, which a sweep's rows share.
     """
-    d, zero, count = operators.dim, np.asarray(zero, dtype=bool), np.asarray(count)
-    flags = np.cumsum(count) - count  # where each row's flags start
-    before = np.zeros(len(zero) + 1, dtype=int)  # flags not set before each place
-    np.cumsum(~zero, out=before[1:])
+    d, count = operators.dim, np.asarray(count)
     j, t, e = operators.take(first, count)
-    flag = flags[j] + t
-    keep = ~zero[flag]
-    j, flag, e = j[keep], flag[keep], e[keep]
-    terms = 1 + before[flags + count] - before[flags]
-    patterns = np.zeros((len(H), terms.max(initial=1), d, d), dtype=bool)
+    patterns = np.zeros((len(H), 1 + count.max(initial=0), d, d), dtype=bool)
     patterns[:, 0] = H != 0
-    patterns[j, 1 + before[flag] - before[flags[j]], operators.rows[e], operators.cols[e]] = True
-    return [_coupled_unknowns(d, n, np.packbits(pattern[:n]).tobytes())
-            for n, pattern in zip(terms.tolist(), patterns)]
+    patterns[j, 1 + t, operators.rows[e], operators.cols[e]] = True
+    return [_coupled_unknowns(d, 1 + n, np.packbits(pattern[:1 + n]).tobytes())
+            for n, pattern in zip(count.tolist(), patterns)]
 
 
 @lru_cache(maxsize=64)
@@ -336,15 +329,16 @@ def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first
 
     Row j of ``rates`` (k, T) has the operators first[j] .. first[j] + T - 1
     of ``operators`` and the Hamiltonian H[j] (H (k, d, d), or (1, d, d)
-    for every row).  Terms whose rate is zero in every row are dropped.
-    ``pattern`` (U + 1, d^2) is nonzero where a used operator, or
-    J = -iH - sum rate * A^dag A / 2 last, has an entry in any row; the
-    values are laid out on its :func:`_slots`: the operators' in one array
-    for every row when the rows read the same operators (the rows of a
-    temperature sweep, the local rows of a scan), else in one array per
-    row, and J row by row, its A^dag A part (:attr:`Entries.decay`) added
-    one entry at a time, term by term (``np.add.at``), so a row's values
-    do not depend on its stack.
+    for every row).  Terms whose rate is zero in every row are dropped; one
+    at a zero rate in some rows adds exact zeros to theirs.  ``pattern``
+    (U + 1, d^2) is nonzero where a used operator, or J = -iH - sum rate *
+    A^dag A / 2 last, has an entry in any row; the values are laid out on
+    its :func:`_slots`: the operators' in one array for every row when the
+    rows read the same operators (the rows of a temperature sweep, the
+    local rows of a scan), else in one array per row, and J row by row,
+    its A^dag A part (:attr:`Entries.decay`) added one entry at a time,
+    term by term (``np.add.at``), so a row's values do not depend on its
+    stack.
     """
     d, (k, T) = operators.dim, rates.shape
     used = rates.any(axis=0)

@@ -330,6 +330,7 @@ class ChainStructure:
     - ``errors``, the DegenerateTransition of each chain, by index, whose
       eigenbasis route degenerates; such a chain has no bins.
 
+    Each chain's set of unknowns is rate-free too (:meth:`unknown_sets`).
     Every array is read-only.
     """
 
@@ -373,25 +374,15 @@ class ChainStructure:
         rates[:, 1] = gamma * nbar
         return rates, offsets
 
-    def unknowns(self, c: int, zero) -> Unknowns:
-        """The coupled set of chain c's frame H and its operators not flagged in ``zero``.
+    def unknown_sets(self, chain) -> list:
+        """The coupled set of each chain of ``chain``: one for every rate, its rows share it.
 
-        ``zero`` flags the operators whose rate is zero (nbar = 0 at T = 0
-        or omega / T > 700); the operators are fixed, so the set changes
-        only with these flags (:func:`~chainflux.generator.coupled_sets`).
-        """
-        return self.unknown_sets([c], zero)[0]
-
-    def unknown_sets(self, chain, zero) -> list:
-        """The :meth:`unknowns` of each chain of ``chain`` at its own flags, built at once.
-
-        ``zero`` holds the flags of the operators of every chain of
-        ``chain`` in turn (:func:`~chainflux.generator.coupled_sets`).
+        It closes over the chain's frame H and all of its operators
+        (:func:`~chainflux.generator.coupled_sets`).
         """
         chain = np.asarray(chain, dtype=int)
         count = 2 * (self.edges[2 * chain + 2] - self.edges[2 * chain])
-        return coupled_sets(self.frame_hamiltonian[chain], self.operators, self.start[chain],
-                            count, zero)
+        return coupled_sets(self.frame_hamiltonian[chain], self.operators, self.start[chain], count)
 
 
 def chain_key(spec: ChainSpec) -> tuple:
@@ -592,8 +583,8 @@ class LindbladModel:
 
     @cached_property
     def unknowns(self) -> Unknowns:
-        """Entries the frame generator joins to the diagonal (:meth:`ChainStructure.unknowns`)."""
-        return self.structure.unknowns(0, self.rates == 0)
+        """Entries the frame generator joins to the diagonal, at any rates (its chain's set)."""
+        return self.structure.unknown_sets([0])[0]
 
     @cached_property
     def block(self) -> np.ndarray:

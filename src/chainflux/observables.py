@@ -349,18 +349,17 @@ def steady_reports(specs, approaches) -> list:
     so every H is built and diagonalized once for every approach, and one
     :class:`~chainflux.lindblad.ChainStructure` stack per approach, dropped
     once that approach's rows are solved.  Within an approach, rows are
-    grouped by their set of unknowns and pattern of zero rates, across
-    chains: the rows of a temperature sweep with the same zero rates, the
-    local rows of a K or eps scan, and the global rows of chains whose
-    frame generators couple the same entries.  Every row of a stack thus
-    skips the same zero-rate terms.  Each group is solved in stacks of at
-    most ``_GRID_ELEMENTS`` block elements (:func:`_stack_reports`), so a
-    dimer sweep is one stack per set and an N = 5 local block (252^2
-    elements) goes alone.  Every spec of a chain whose eigenbasis route
-    degenerates gets that DegenerateTransition (the other chains of the
-    call are solved as usual), and a spec whose steady state is not unique
-    gets its own DegenerateKernel.  Each row is the one
-    :func:`steady_report` gives, bit for bit.
+    grouped by their chain's set of unknowns, one per chain whatever its
+    rates, across chains: every row of a temperature sweep, at T = 0 or
+    not, the local rows of a K or eps scan, and the global rows of chains
+    whose frame generators couple the same entries.  Each group is solved
+    in stacks of at most ``_GRID_ELEMENTS`` block elements
+    (:func:`_stack_reports`), so a dimer sweep is one stack per set and an
+    N = 5 local block (252^2 elements) goes alone.  Every spec of a chain
+    whose eigenbasis route degenerates gets that DegenerateTransition (the
+    other chains of the call are solved as usual), and a spec whose steady
+    state is not unique gets its own DegenerateKernel.  Each row is the
+    one :func:`steady_report` gives, bit for bit.
     """
     index, chain, first = {}, [], []  # chain key -> chain; each spec's chain; each chain's spec
     for spec in specs:
@@ -397,27 +396,18 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir in ``baths[i]``.  The rates of every row and bin are one
     array (:meth:`~chainflux.lindblad.ChainStructure.rates`), and the rows
-    are split by their chain and the bytes of their zero-rate pattern.
+    are grouped by their chain's bin count and set of unknowns, one set per
+    chain whatever its rates.
     """
     failed = np.isin(chain, list(structure.errors))
     errors = {i: structure.errors[chain[i]] for i in np.flatnonzero(failed).tolist()}
     rows = np.flatnonzero(~failed)
     rates, offsets = structure.rates(chain[rows], baths[rows])
-    zero = (rates == 0).reshape(-1)
-    flags, bounds = zero.tobytes(), (2 * offsets).tolist()
-    members = {}  # (chain, zero rates) -> its rows
-    for j, c in enumerate(chain[rows].tolist()):
-        key = (c, flags[bounds[j]:bounds[j + 1]])
-        group = members.get(key)
-        if group is None:
-            group = members[key] = []
-        group.append(j)
-    sets = structure.unknown_sets([c for c, _ in members],
-                                  np.frombuffer(b"".join(flag for _, flag in members), dtype=bool))
-    groups = {}  # (set of unknowns, zero rates) -> (unknowns, rows)
-    for unknowns, ((_, flag), group) in zip(sets, members.items()):
-        content = (unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes(), flag)
-        groups.setdefault(content, (unknowns, []))[1].extend(group)
+    chains, which = np.unique(chain[rows], return_inverse=True)
+    sets, bins = structure.unknown_sets(chains), np.diff(structure.edges[::2])[chains].tolist()
+    keys = {}  # (bin count, set of unknowns) -> its group
+    group = np.array([keys.setdefault((b, u.dim, u.rows.tobytes(), u.cols.tobytes()), len(keys))
+                      for b, u in zip(bins, sets)], dtype=int)
     k, d, n = len(specs), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
     width = int(np.diff(structure.edges[::2]).max(initial=0))
     out = SteadyColumns(
@@ -426,13 +416,13 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
         rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
         rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, width)),
         chains=structure.chains, chain=chain, omegas=structure.omegas, edges=structure.edges)
-    for unknowns, group in groups.values():
-        group, m = np.sort(group), unknowns.size
+    for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
+        unknowns, members = sets[i], np.flatnonzero(group[which] == g)
+        m = unknowns.size
         step = max(1, _GRID_ELEMENTS // m**2)
-        for start in range(0, len(group), step):
-            stack = group[start:start + step]
-            count = offsets[stack[0] + 1] - offsets[stack[0]]
-            row_rates = rates[offsets[stack][:, None] + np.arange(count)].reshape(len(stack), -1)
+        for start in range(0, len(members), step):
+            stack = members[start:start + step]
+            row_rates = rates[offsets[stack][:, None] + np.arange(bins[i])].reshape(len(stack), -1)
             at = rows[stack]
             out.populations[at], out.fluxes[at], channels, out.rho[at], sol = _stack_reports(
                 structure, chain[at], row_rates, unknowns)

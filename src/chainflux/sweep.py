@@ -171,6 +171,12 @@ def _parse_grid(text: str, line: int) -> tuple:
     return grid
 
 
+def _check_known(names, known, what, line=None) -> None:
+    bad = [name for name in names if name not in known]
+    if bad:
+        raise ConfigSyntaxError(f"unknown {what} {bad[0]!r}", line=line)
+
+
 def parse_config(text: str) -> SweepRequest:
     """Parse the flat ``key = value`` sweep description.
 
@@ -250,15 +256,10 @@ def parse_config(text: str) -> SweepRequest:
         approaches = APPROACHES
     else:
         approaches = tuple(sorted({a.strip() for a in approaches_text.split(",")}))
-        bad = [a for a in approaches if a not in APPROACHES]
-        if bad:
-            raise ConfigSyntaxError(f"unknown approach {bad[0]!r}",
-                                    line=lines.get("approaches"))
+        _check_known(approaches, APPROACHES, "approach", lines.get("approaches"))
     outputs_text = values.get("outputs", "populations, heat_flux").lower()
     outputs = tuple(o.strip() for o in outputs_text.split(","))
-    bad = [o for o in outputs if o not in OUTPUTS]
-    if bad:
-        raise ConfigSyntaxError(f"unknown output {bad[0]!r}", line=lines.get("outputs"))
+    _check_known(outputs, OUTPUTS, "output", lines.get("outputs"))
     outputs = tuple(o for o in OUTPUTS if o in outputs)
 
     try:
@@ -267,20 +268,12 @@ def parse_config(text: str) -> SweepRequest:
     except SpecError as err:
         raise SpecInvalid(str(err)) from err
 
-    request = SweepRequest(base=base, axis=axis, grid=grid,
-                           approaches=approaches, outputs=outputs)
-    _validate_grid_points(request)
-    return request
-
-
-def _validate_grid_points(request: SweepRequest) -> None:
-    for value in request.grid:
+    for value in grid:
         try:
-            apply_axis(request.base, request.axis, value)
+            apply_axis(base, axis, value)
         except SpecError as err:
-            raise SpecInvalid(
-                f"grid point {request.axis} = {value!r}: {err}"
-            ) from err
+            raise SpecInvalid(f"grid point {axis} = {value!r}: {err}") from err
+    return SweepRequest(base=base, axis=axis, grid=grid, approaches=approaches, outputs=outputs)
 
 
 def format_config(request: SweepRequest) -> str:
@@ -439,8 +432,9 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     degenerates or the steady state is not unique are recorded as
     annotated skips instead of aborting the run.  A row residual above
     ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst row, the first
-    of the largest.  An empty grid or no approach raises the
-    ConfigSyntaxError :func:`parse_config` raises on such a request.
+    of the largest.  A request :func:`parse_config` would refuse, one that
+    repeats an approach and ``workers`` < 1 raise ConfigSyntaxError before
+    any row is solved; the grid's order is checked after its values.
 
     The grid goes in contiguous chunks, each one task that solves its points
     under every approach of the request in one :func:`steady_reports` call
@@ -450,15 +444,23 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     most ``workers`` forked processes, none for a single chunk
     (:func:`_fork_join`), which send back columns.  Where ``os.fork`` does
     not exist the sweep runs as with ``workers`` = 1.  A task solves each
-    approach's rows in stacks grouped by set of unknowns and zero rates,
-    across chains: a temperature sweep's chunk is one stacked solve per set
-    of zero rates, and the chains of a K or eps scan that couple the same
+    approach's rows in stacks grouped by set of unknowns, across chains:
+    a temperature sweep's chunk is one stacked solve, its rows at T = 0
+    included, and the chains of a K or eps scan that couple the same
     entries are solved together.
     """
     if not request.grid:
         raise ConfigSyntaxError("grid is empty")
+    if request.axis not in AXES:
+        raise ConfigSyntaxError(f"axis must be one of {AXES}, got {request.axis!r}")
     if not request.approaches:
         raise ConfigSyntaxError("no approach")
+    _check_known(request.approaches, APPROACHES, "approach")
+    if len(set(request.approaches)) < len(request.approaches):
+        raise ConfigSyntaxError(f"approaches repeat: {request.approaches}")
+    _check_known(request.outputs, OUTPUTS, "output")
+    if workers < 1:
+        raise ConfigSyntaxError(f"workers must be at least 1, got {workers}")
     points = []
     base = request.base
     for value in request.grid:
@@ -466,6 +468,8 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
         if not points:  # the fields no point changes, validated once
             base = spec = validate_spec(spec)
         points.append((value, spec))
+    if any(b <= a for a, b in zip(request.grid, request.grid[1:])):
+        raise ConfigSyntaxError("grid must be strictly increasing")
     if not hasattr(os, "fork"):
         workers = 1
     pieces = 2 * workers if workers > 1 else 1

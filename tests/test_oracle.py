@@ -53,8 +53,7 @@ def test_oracle_on_a_coupled_set_is_the_submatrix_of_the_dense_generator():
                 for _ in range(int(rng.integers(1, 3))):
                     A[rng.integers(d), rng.integers(d)] = rng.normal() + 1j * rng.normal()
             rates = rng.uniform(0.1, 2.0, count)
-            (unknowns,) = coupled_sets(H[None], Entries.from_dense(operators), [0], [count],
-                                       np.zeros(count, dtype=bool))
+            (unknowns,) = coupled_sets(H[None], Entries.from_dense(operators), [0], [count])
             flat = unknowns.cols * d + unknowns.rows
             L = superoperator(H, operators, rates, full_unknowns(d))
             assert np.array_equal(superoperator(H, operators, rates, unknowns),

@@ -61,7 +61,8 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
     real = chainflux.observables._stack_reports
 
     def recording(structure, chain, rates, unknowns):
-        stacks.append("local" if structure.eigensystem is None else "global")
+        stacks.append(("local" if structure.eigensystem is None else "global", rates,
+                       unknowns.size))
         return real(structure, chain, rates, unknowns)
 
     for epsilons in ([10.0] * n, np.linspace(0.9, 1.7, n)):
@@ -75,8 +76,16 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
             table = run_sweep(request)
         # one structure per approach for the whole grid, of its one chain
         assert built == [("global", 1), ("local", 1)]
-        # T = 0 rows and nbar > 0 rows: several stacks per approach
-        assert stacks.count("global") >= 2 and stacks.count("local") >= 2
+        # T = 0 rows and nbar > 0 rows share a stack within each approach:
+        # its rows are one group, cut only by the stack size
+        for approach in ("global", "local"):
+            mine = [(rates, m) for a, rates, m in stacks if a == approach]
+            step = max(1, chainflux.observables._GRID_ELEMENTS // mine[0][1] ** 2)
+            assert [len(rates) for rates, _ in mine] == [min(step, len(GRID) - i)
+                                                         for i in range(0, len(GRID), step)]
+            first = mine[0][0]  # from the T = 0 row on
+            assert (first[0] == 0).any()
+            assert len(first) == 1 or (first != 0).all(axis=1).any()
         stacks.clear()
         assert_rows_match_cold_reports(table, request)
 

@@ -137,6 +137,29 @@ def test_an_empty_hand_built_request_raises_a_config_error(field, message):
         run_sweep(small_request(**{field: ()}))
 
 
+@pytest.mark.parametrize("overrides, workers, message", [
+    (dict(axis="T1"), 2, "axis must be one of"),
+    (dict(approaches=("Global",)), 2, "unknown approach 'Global'"),
+    (dict(outputs=("population",)), 2, "unknown output 'population'"),
+    (dict(approaches=("global", "global")), 2, "approaches repeat"),
+    (dict(), 0, "workers must be at least 1, got 0"),
+    (dict(grid=(0.5, 2.0, 1.0)), 2, "grid must be strictly increasing"),
+    (dict(grid=(0.5, 0.5)), 1, "grid must be strictly increasing"),
+], ids=["axis", "approach", "output", "repeated-approach", "workers", "grid-order", "grid-tie"])
+def test_a_malformed_hand_built_request_raises_a_config_error_before_any_row(
+        overrides, workers, message, monkeypatch):
+    # requests parse_config would refuse, and a worker count the CLI refuses
+    import chainflux.sweep
+
+    def no_rows(*args):
+        raise AssertionError("rows solved for a malformed request")
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", no_rows)
+    monkeypatch.setattr(chainflux.sweep, "_fork_join", no_rows)
+    with pytest.raises(ConfigSyntaxError, match=message):
+        run_sweep(small_request(**overrides), workers=workers)
+
+
 def test_apply_axis_each_parameter():
     spec = dimer(1.5, 1.5, 1.0, 2.0, 0.5)
     assert apply_axis(spec, "t1", 4.0).baths[0].temperature == 4.0
