@@ -140,14 +140,6 @@ class Entries:
     def __len__(self) -> int:
         return len(self.edges) - 1
 
-    @classmethod
-    def from_dense(cls, matrices) -> Entries:
-        """The nonzero entries of a (n, d, d) stack, item by item, row-major within an item."""
-        matrices = np.asarray(matrices)
-        t, r, c = np.nonzero(matrices)
-        edges = np.searchsorted(t, np.arange(len(matrices) + 1))
-        return cls(matrices.shape[-1], edges, r, c, matrices[t, r, c].astype(complex))
-
     def dense(self, items: slice = slice(None)) -> np.ndarray:
         """The items of a contiguous slice as a complex (n, d, d) stack: the oracles' form."""
         start, stop, _ = items.indices(len(self))
@@ -241,13 +233,15 @@ def coupled_sets(H: np.ndarray, operators: Entries, first, count) -> list:
     """The entries of rho that the generator of each H[j] (k, d, d) joins to the diagonal.
 
     Row j's operators are the items first[j] .. first[j] + count[j] - 1 of
-    ``operators``.  The generator I (x) J + conj(J) (x) I + sum rate *
-    conj(A) (x) A with J = -iH - sum rate * A^dag A / 2 links entry (r, c)
-    to (r', c) where J[r', r] != 0, to (r, c') where J[c', c] != 0, and to
-    (r', c') where A[r', r] and A[c', c] are both nonzero.  A row's set is
-    every entry reached from a diagonal one over these links taken in both
-    directions, read off the structural nonzero pattern of H and of every
-    operator.  No link leaves it, at any rates: a zero rate only removes
+    ``operators``, in pairs A, A^dag (count[j] even).  The generator I (x)
+    J + conj(J) (x) I + sum rate * conj(A) (x) A with J = -iH - sum rate *
+    A^dag A / 2 links entry (r, c) to (r', c) where J[r', r] != 0, to (r,
+    c') where J[c', c] != 0, and to (r', c') where A[r', r] and A[c', c]
+    are both nonzero.  A row's set is every entry reached from a diagonal
+    one over these links taken in both directions, read off the structural
+    nonzero pattern of H and of each pair's A: the links of A^dag are
+    those of A taken backwards, and J holds both A^dag A and A A^dag.  No
+    link leaves it, at any rates: a zero rate only removes
     links (emission rates gamma (nbar + 1) never vanish; absorption rates
     gamma nbar do), so one set serves every row of a chain.  It holds every
     diagonal entry, so it carries the trace and the steady state, and
@@ -255,22 +249,25 @@ def coupled_sets(H: np.ndarray, operators: Entries, first, count) -> list:
     whether that state is unique.  Each set is listed in column-stacked
     order and cached by pattern, which a sweep's rows share.
     """
-    d, count = operators.dim, np.asarray(count)
-    j, t, e = operators.take(first, count)
-    patterns = np.zeros((len(H), 1 + count.max(initial=0), d, d), dtype=bool)
+    d, pairs = operators.dim, np.asarray(count) // 2
+    j, t, e = operators.take(first, 2 * pairs)
+    emitted = t % 2 == 0
+    j, t, e = j[emitted], t[emitted] // 2, e[emitted]
+    patterns = np.zeros((len(H), 1 + pairs.max(initial=0), d, d), dtype=bool)
     patterns[:, 0] = H != 0
     patterns[j, 1 + t, operators.rows[e], operators.cols[e]] = True
     return [_coupled_unknowns(d, 1 + n, np.packbits(pattern[:1 + n]).tobytes())
-            for n, pattern in zip(count.tolist(), patterns)]
+            for n, pattern in zip(pairs.tolist(), patterns)]
 
 
 @lru_cache(maxsize=64)
 def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
+    """The closure of :func:`coupled_sets` over H's pattern and those of the A's after it."""
     bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
     bits = bits.reshape(count, dim, dim).astype(float)
     ops, eye = bits[1:], np.eye(dim)
     transposed = ops.swapaxes(1, 2)
-    damping = bits[0] + (transposed @ ops).sum(axis=0)
+    damping = bits[0] + (transposed @ ops).sum(axis=0) + (ops @ transposed).sum(axis=0)
     damping = damping + damping.T
     # one step takes the reached entries R to R + D R + R D + sum_t A_t R A_t^T
     # + A_t^T R A_t, i.e. to sum_t X_t R Y_t^T over the pairs (X_t, Y_t):
@@ -334,8 +331,8 @@ def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first
     (U + 1, d^2) is nonzero where a used operator, or J = -iH - sum rate *
     A^dag A / 2 last, has an entry in any row; the values are laid out on
     its :func:`_slots`: the operators' in one array for every row when the
-    rows read the same operators (the rows of a temperature sweep, the
-    local rows of a scan), else in one array per row, and J row by row,
+    rows read the same operators (the rows of a temperature sweep), else
+    in one array per row, and J row by row,
     its A^dag A part (:attr:`Entries.decay`) added one entry at a time,
     term by term (``np.add.at``), so a row's values do not depend on its
     stack.

@@ -1,35 +1,37 @@
-"""Jump operators, frequency bins and the rate-free structures of the generators.
+"""Jump operators, frequency bins and the rate-free structures of the eigenbasis generators.
 
-Two routes to the dissipators are built here.  The eigenbasis ("global")
-route decomposes each endpoint coupling operator into lowering components
-between energy eigenstates, groups them into Bohr-frequency bins and keeps
-cross terms only within a bin (full secular approximation).  The site-basis
-("local") route attaches thermal raising/lowering of the bare endpoint qubit
-at its own gap, ignoring the interqubit coupling in the rates.
+Two master equations describe a chain.  The eigenbasis ("global") route,
+built here, decomposes each endpoint coupling operator into lowering
+components between energy eigenstates, groups them into Bohr-frequency bins
+and keeps cross terms only within a bin (full secular approximation).  The
+site-basis ("local") route attaches thermal raising/lowering of the bare
+endpoint qubit at its own gap, ignoring the interqubit coupling in the
+rates; its generator is quadratic in Jordan-Wigner fermions and is solved
+through the N x N correlation matrix (:mod:`chainflux.correlations`), from
+the chain operators built here.
 
 All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
 
-Both routes end in the same operator form: per reservoir, a list of bins
+The global route ends in one operator form: per reservoir, a list of bins
 with their Bohr frequencies and their operators A and A^dag, held as
-nonzero entries (:class:`~chainflux.generator.Entries`) in the frame the
-steady state is solved in (the eigenbasis for the global route, where each
-entry is one jump, and the site basis for the local one, where they are
-those of sigma^-).  The generators are built from those entries
-(:mod:`chainflux.generator`); dense operators are formed only for the
-oracles kept for tests and time evolution.
+nonzero entries (:class:`~chainflux.generator.Entries`) in the eigenbasis
+frame the steady state is solved in, where each entry is one jump.  The
+generators are built from those entries (:mod:`chainflux.generator`);
+dense operators are formed only for the oracles kept for tests and time
+evolution.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
 as stacks over the chains of one qubit count, not kept: H, its eigensystem
 and the site operators of the chains (gaps, couplings, attachments) in
 :func:`chain_operators`, the binned operators, their products A^dag A and
-each bin's flux functionals of the chains under one approach, as entries,
-in :func:`chain_structure`.  No population operator is built: the solved
+each bin's flux functionals of the chains, as entries, in
+:func:`chain_structure`.  No population operator is built: the solved
 states are taken to the site basis and read off their diagonals
 (:mod:`chainflux.observables`).  The caller that owns a request
 (:func:`chainflux.observables.steady_reports`) builds each once per call
-and shares them between the rows and both approaches.
+and shares the chain operators between the rows and both approaches.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .generator import (
     Entries,
     Unknowns,
     coupled_sets,
-    equal_pairs,
     full_unknowns,
     read_only,
     superoperator,
@@ -252,18 +253,21 @@ class ChainOperators:
     """The approach-independent operators of a stack of chains of one qubit count, site basis.
 
     Chain c has the Hamiltonian ``hamiltonian[c]`` (k, d, d), the gaps
-    ``epsilons[c]`` and its reservoirs attached at the qubits ``sites[c]``,
-    where each couples through sigma^+ + sigma^- (``couplings[c]``, one
-    per reservoir).  The stacked sector ``eigensystem`` of the
-    Hamiltonians is computed on first use.  Both approaches' structures
-    are built from one stack (:func:`chain_structure`), so each H is built
-    and diagonalized once.  Item c of the stack is chain c's
-    :class:`Chain`, the same object on every access.  Every array is
+    ``epsilons[c]``, the couplings ``hoppings[c]`` and its reservoirs
+    attached at the qubits ``sites[c]``, where each couples through
+    sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The stacked
+    sector ``eigensystem`` of the Hamiltonians, their diagonals
+    ``site_energies`` and the single-particle matrices h are computed on
+    first use.  Both approaches are solved from one stack
+    (:func:`chain_structure`, :mod:`chainflux.correlations`), so each H is
+    built and diagonalized once.  Item c of the stack is chain
+    c's :class:`Chain`, the same object on every access.  Every array is
     read-only.
     """
 
     hamiltonian: np.ndarray
     epsilons: np.ndarray
+    hoppings: np.ndarray
     sites: np.ndarray
 
     def __len__(self) -> int:
@@ -288,6 +292,28 @@ class ChainOperators:
         read_only(es.energies, es.vectors)
         return es
 
+    @cached_property
+    def site_energies(self) -> np.ndarray:
+        """The diagonal of each H, (k, d): the energies of the site basis states."""
+        energies = np.diagonal(self.hamiltonian, axis1=1, axis2=2).real.copy()
+        read_only(energies)
+        return energies
+
+    @cached_property
+    def single_particle(self) -> np.ndarray:
+        """h = diag(eps) with the couplings K on its off-diagonals, (k, n, n).
+
+        H is sum_ab h_ab c_a^dag c_b plus a constant in the Jordan-Wigner
+        fermions of the chain.
+        """
+        k, n = self.epsilons.shape
+        h = np.zeros((k, n, n))
+        h[:, np.arange(n), np.arange(n)] = self.epsilons
+        h[:, np.arange(n - 1), np.arange(1, n)] = self.hoppings
+        h[:, np.arange(1, n), np.arange(n - 1)] = self.hoppings
+        read_only(h)
+        return h
+
 
 @dataclass(frozen=True, eq=False)
 class Chain:
@@ -304,7 +330,7 @@ class Chain:
 
 @dataclass(frozen=True, eq=False)
 class ChainStructure:
-    """The rate-free part of the generators of a :class:`ChainOperators` stack under one approach.
+    """The rate-free part of the frame generators of a :class:`ChainOperators` stack.
 
     Temperatures and bath rates enter the generator only through the rates
     gamma (nbar + 1) and gamma nbar of each channel (frequency bin), so
@@ -312,17 +338,15 @@ class ChainStructure:
     structure serves every row of every chain of the stack:
 
     - ``chains``, and ``eigensystem``, their stacked eigensystem, whose
-      ``frame`` is each chain's solve frame for the global approach (None
-      for the local one, solved in the site basis);
+      ``frame`` is each chain's solve frame (None for a structure solved in
+      the site basis);
     - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
     - the bins of every chain, chain by chain and reservoir by reservoir:
       their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
       at reservoir r are ``edges[2c + r]:edges[2c + r + 1]``;
     - the jump ``operators`` A and A^dag of each bin in that order, as
       :class:`Entries` (with their products A^dag A, ``operators.decay``),
-      chain c's from item ``start[c]`` on (the local approach's are one
-      set per pair of attachment sites, shared by the chains with those
-      sites);
+      chain c's from item ``start[c]`` on;
     - ``flux_functionals``, as :class:`Entries`, D[A]^dag(H) and
       D[A^dag]^dag(H) of every bin b at items 2 b and 2 b + 1, so that a
       channel's heat current is gamma (nbar + 1) Tr{F[2 b] rho} + gamma
@@ -365,14 +389,7 @@ class ChainStructure:
         if (omegas <= 0).any():
             raise NonPositiveFrequency(f"omega must be > 0, got {omegas[omegas <= 0][0]}")
         rows, reservoirs = np.repeat(np.arange(len(chain)), high - low), self.reservoirs[bins]
-        temperature, gamma = baths[rows, reservoirs, 0], baths[rows, reservoirs, 1]
-        with np.errstate(divide="ignore", over="ignore"):
-            x = omegas / temperature
-            nbar = np.where((temperature == 0) | (x > _EXP_ARG_MAX), 0.0, 1.0 / np.expm1(x))
-        rates = np.empty((len(bins), 2))
-        rates[:, 0] = gamma * (nbar + 1.0)
-        rates[:, 1] = gamma * nbar
-        return rates, offsets
+        return bath_rates(omegas, baths[rows, reservoirs]), offsets
 
     def unknown_sets(self, chain) -> list:
         """The coupled set of each chain of ``chain``: one for every rate, its rows share it.
@@ -383,6 +400,23 @@ class ChainStructure:
         chain = np.asarray(chain, dtype=int)
         count = 2 * (self.edges[2 * chain + 2] - self.edges[2 * chain])
         return coupled_sets(self.frame_hamiltonian[chain], self.operators, self.start[chain], count)
+
+
+def bath_rates(omegas: np.ndarray, baths: np.ndarray) -> np.ndarray:
+    """Emission and absorption rates gamma (nbar + 1), gamma nbar at each omega, (..., 2).
+
+    ``baths`` holds the (temperature, gamma) of each omega, (..., 2).  The
+    Bose occupations come from one divide and one ``expm1``, each value
+    bit for bit the :func:`bose_occupation` of its omega, which must be > 0.
+    """
+    temperature, gamma = baths[..., 0], baths[..., 1]
+    with np.errstate(divide="ignore", over="ignore"):
+        x = omegas / temperature
+        nbar = np.where((temperature == 0) | (x > _EXP_ARG_MAX), 0.0, 1.0 / np.expm1(x))
+    rates = np.empty(np.shape(omegas) + (2,))
+    rates[..., 0] = gamma * (nbar + 1.0)
+    rates[..., 1] = gamma * nbar
+    return rates
 
 
 def chain_key(spec: ChainSpec) -> tuple:
@@ -399,9 +433,10 @@ def chain_operators(specs) -> ChainOperators:
     n = specs[0].n_qubits
     H = build_chain_hamiltonian(specs)
     epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(len(specs), n)
+    hoppings = np.array([spec.couplings for spec in specs], dtype=float).reshape(len(specs), n - 1)
     sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs])
-    read_only(H, epsilons, sites)
-    return ChainOperators(hamiltonian=H, epsilons=epsilons, sites=sites)
+    read_only(H, epsilons, hoppings, sites)
+    return ChainOperators(hamiltonian=H, epsilons=epsilons, hoppings=hoppings, sites=sites)
 
 
 @lru_cache(maxsize=None)
@@ -411,18 +446,6 @@ def _site_couplings(n_qubits: int) -> np.ndarray:
                           for q in range(n_qubits)])
     read_only(couplings)
     return couplings
-
-
-@lru_cache(maxsize=None)
-def _local_operators(n_qubits: int, pairs: tuple) -> Entries:
-    """The local structure's operators, for every chain attached at one of these ``pairs``.
-
-    Pair s n + s' holds sigma^- of qubit s and its adjoint, then the same
-    of qubit s', as entries.
-    """
-    lowering = [site_operator(n_qubits, site, "lower")
-                for pair in pairs for site in divmod(pair, n_qubits)]
-    return Entries.from_dense([op for A in lowering for op in (A, A.conj().T)])
 
 
 def _diagonal_functionals(operators: Entries, h: np.ndarray, chain: np.ndarray) -> Entries:
@@ -440,78 +463,28 @@ def _diagonal_functionals(operators: Entries, h: np.ndarray, chain: np.ndarray) 
                    operators.decay.values * (h[c, p] - 0.5 * (h[c, q_j] + h[c, q_k])))
 
 
-def _local_functionals(operators: Entries, start: np.ndarray, H: np.ndarray) -> Entries:
-    """D[A]^dag(H_c) of the four operators A of each chain c, items start[c] to start[c] + 3.
+def chain_structure(chains: ChainOperators) -> ChainStructure:
+    """The rate-free eigenbasis structure of the ``chains`` stack, newly built as one stack.
 
-    Each A holds at most one nonzero per row and per column, as sigma^-
-    and sigma^+ do.  So A^dag H A has the entry conj(v_j) H[p_j, p_k] v_k
-    at (q_j, q_k) for every two entries v_j at (p_j, q_j) and v_k at (p_k,
-    q_k), and A^dag A is diag(n) with n_q = |v|^2 at each column q; the
-    functional is these entries followed by -(n_i H[i, l] + H[i, l] n_l)
-    / 2 at each entry (i, l) of H with n_i or n_l nonzero.  Chain c's are
-    items 4 c to 4 c + 3.
-    """
-    k, d = len(H), H.shape[-1]
-    chain, t, e = operators.take(start, 4)
-    group = 4 * chain + t
-    a, b = equal_pairs(group)  # every two entries of one operator
-    h = H[chain[a], operators.rows[e[a]], operators.rows[e[b]]]
-    nonzero = h != 0
-    a, b, h = a[nonzero], b[nonzero], h[nonzero]
-    first = (group[a], operators.cols[e[a]], operators.cols[e[b]],
-             (operators.values[e[a]].conj() * h) * operators.values[e[b]])
-    n = np.zeros((4 * k, d))
-    n[group, operators.cols[e]] = np.abs(operators.values[e]) ** 2
-    c, row, col = np.nonzero(H)
-    group = 4 * c[:, None] + np.arange(4)
-    h = H[c, row, col][:, None]
-    n_row, n_col = n[group, row[:, None]], n[group, col[:, None]]
-    keep = (n_row != 0) | (n_col != 0)
-    at = np.nonzero(keep)[0]
-    second = (group[keep], row[at], col[at], (-0.5 * (n_row * h + h * n_col))[keep])
-    group, rows, cols, values = (np.concatenate(pair) for pair in zip(first, second))
-    order = np.argsort(group, kind="stable")
-    return Entries(d, np.searchsorted(group[order], np.arange(4 * k + 1)), rows[order],
-                   cols[order], values[order].astype(complex))
-
-
-def chain_structure(chains: ChainOperators, approach: str) -> ChainStructure:
-    """The rate-free structure of the ``chains`` stack under ``approach``, newly built as one stack.
-
-    The global route is one transition scan over every chain and reservoir
+    One transition scan over every chain and reservoir
     (:func:`global_jump_operators`) on the stacked eigensystem, whose jumps
     are the entries of the bins' operators (:func:`global_bins`); their
     functionals come from pairs of jumps (:func:`_diagonal_functionals`).
     A chain whose route degenerates keeps its DegenerateTransition in
-    ``errors`` and the others are built as usual.  The local route
-    attaches the bare jump of each reservoir's qubit at that qubit's gap
-    (:func:`_local_functionals`).
+    ``errors`` and the others are built as usual.
     """
-    if approach not in ("global", "local"):
-        raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    H, k, d = chains.hamiltonian, len(chains), chains.hamiltonian.shape[-1]
+    k, d = len(chains), chains.hamiltonian.shape[-1]
     errors = {}
-    if approach == "local":
-        es, frame_H = None, H
-        n = chains.epsilons.shape[1]
-        pairs, which = np.unique(chains.sites @ [n, 1], return_inverse=True)
-        operators = _local_operators(n, tuple(pairs.tolist()))
-        start = 4 * which.reshape(-1)
-        omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1).reshape(-1)
-        reservoirs = np.tile([0, 1], k)
-        edges = np.arange(2 * k + 1)
-        functionals = _local_functionals(operators, start, H)
-    else:
-        es = chains.eigensystem
-        jumps = global_jump_operators(es, chains.couplings, errors)
-        first, operators = global_bins(es, jumps)
-        omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
-        edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
-        h = np.take_along_axis(es.energies, es.frame_order, axis=1)
-        frame_H = np.zeros((k, d, d))
-        frame_H[:, np.arange(d), np.arange(d)] = h
-        functionals = _diagonal_functionals(operators, h, np.repeat(owner, 2))
-        start = edges[:-1:2] * 2
+    es = chains.eigensystem
+    jumps = global_jump_operators(es, chains.couplings, errors)
+    first, operators = global_bins(es, jumps)
+    omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
+    edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
+    h = np.take_along_axis(es.energies, es.frame_order, axis=1)
+    frame_H = np.zeros((k, d, d))
+    frame_H[:, np.arange(d), np.arange(d)] = h
+    functionals = _diagonal_functionals(operators, h, np.repeat(owner, 2))
+    start = edges[:-1:2] * 2
     read_only(frame_H, omegas, reservoirs, edges, start)
     return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
                           reservoirs=reservoirs, edges=edges, operators=operators, start=start,
@@ -523,11 +496,11 @@ class LindbladModel:
     """Generator of one chain under one approach at one set of bath rates.
 
     ``structure`` is the rate-free part of a stack of this one chain
-    (:func:`chain_structure`); the rates of its jump operators come from
-    ``spec``'s baths.  The steady state is solved in a frame: the
-    eigenbasis ``eigensystem.frame`` for the global approach, where H is
-    diagonal, and the site basis for the local one (``eigensystem`` is None
-    there).  Everything else is derived on first use: ``block`` in the
+    (:func:`chain_structure` for the global approach); the rates of its
+    jump operators come from ``spec``'s baths.  The steady state is solved
+    in a frame: the eigenbasis ``eigensystem.frame`` for the global
+    approach, where H is diagonal, or the site basis for a structure whose
+    ``eigensystem`` is None.  Everything else is derived on first use: ``block`` in the
     frame on the unknowns the steady state occupies, and in the site basis
     the dense ``liouvillian`` and the per-reservoir ``dissipators``.
     """
@@ -543,7 +516,7 @@ class LindbladModel:
 
     @property
     def eigensystem(self) -> EigenSystem:
-        """The global frame's eigensystem; None for the local approach."""
+        """The global frame's eigensystem; None for a structure in the site basis."""
         es = self.structure.eigensystem
         return None if es is None else es[0]
 
@@ -608,11 +581,16 @@ class LindbladModel:
 
 
 def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
-    """The generator of ``spec`` under ``approach``, on a newly built structure of its chain alone.
+    """The generator of ``spec`` under the global ``approach``, on a new structure of its chain alone.
 
     Raises DegenerateTransition where the eigenbasis route degenerates.
+    The local approach has no frame structure here: it is solved through
+    its correlation matrix (:mod:`chainflux.correlations`), and its dense
+    generator is :func:`build_liouvillian` of :func:`build_local_dissipator`.
     """
-    structure = chain_structure(chain_operators([spec]), approach)
+    if approach != "global":
+        raise ValueError(f"only the global approach is assembled, got {approach!r}")
+    structure = chain_structure(chain_operators([spec]))
     if structure.errors:
         raise structure.errors[0]
     return LindbladModel(spec=spec, approach=approach, structure=structure)

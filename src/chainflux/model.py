@@ -33,9 +33,10 @@ from .errors import (
 )
 
 # 2^5 qubits give a 1024 x 1024 dense generator, the largest test oracle this
-# package builds.  The steady solve runs only on the entries the generator
-# couples to the diagonal: C(10, 5) = 252 for the local approach, 36 for the
-# uniform global chain in its eigenbasis.
+# package builds.  The global steady solve runs only on the entries the
+# generator couples to the diagonal, 36 for the uniform chain in its
+# eigenbasis; the local one on the 25 real coordinates of the correlation
+# matrix.
 MAX_QUBITS = 5
 
 _CONVENTIONS_TEXT = (

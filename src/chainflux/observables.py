@@ -21,11 +21,13 @@ from .errors import (
     DegenerateTransition,
     DimensionMismatch,
 )
+from .correlations import local_steady_states
 from .generator import real_superoperator, unvectorize, vectorize
 from .lindblad import (
     OMEGA_MIN,
     Chain,
     ChainOperators,
+    bath_rates,
     bose_occupation,
     chain_key,
     chain_operators,
@@ -40,7 +42,8 @@ _FORM_TOL = 1e-12
 # The steady solves go in stacks of at most this many block elements
 # (128 KB per real array): stacks of more than about eight m = 70 systems
 # solved slower per row than single ones, and larger stacks raise the peak
-# memory of every sweep process.
+# memory of every sweep process.  The local stacks count the larger of
+# their N^2 x N^2 system and their d x d states.
 _GRID_ELEMENTS = 1 << 14
 
 
@@ -346,21 +349,29 @@ def steady_reports(specs, approaches) -> list:
     The call owns every chain's rate-free data, built as stacks over its
     distinct chains (the same gaps, couplings and attachments, as along a
     temperature sweep, are one chain): one :class:`ChainOperators` stack,
-    so every H is built and diagonalized once for every approach, and one
-    :class:`~chainflux.lindblad.ChainStructure` stack per approach, dropped
-    once that approach's rows are solved.  Within an approach, rows are
-    grouped by their chain's set of unknowns, one per chain whatever its
-    rates, across chains: every row of a temperature sweep, at T = 0 or
-    not, the local rows of a K or eps scan, and the global rows of chains
-    whose frame generators couple the same entries.  Each group is solved
-    in stacks of at most ``_GRID_ELEMENTS`` block elements
-    (:func:`_stack_reports`), so a dimer sweep is one stack per set and an
-    N = 5 local block (252^2 elements) goes alone.  Every spec of a chain
-    whose eigenbasis route degenerates gets that DegenerateTransition (the
-    other chains of the call are solved as usual), and a spec whose steady
-    state is not unique gets its own DegenerateKernel.  Each row is the
-    one :func:`steady_report` gives, bit for bit.
+    so every H is built and diagonalized once for every approach.
+
+    The global rows use one :class:`~chainflux.lindblad.ChainStructure`
+    stack, dropped once they are solved.  They are grouped by their
+    chain's set of unknowns, one per chain whatever its rates, across
+    chains: every row of a temperature sweep, at T = 0 or not, and the
+    rows of chains whose frame generators couple the same entries.  Each
+    group is solved in stacks of at most ``_GRID_ELEMENTS`` block elements
+    (:func:`_stack_reports`).  Every spec of a chain whose eigenbasis route
+    degenerates gets that DegenerateTransition (the other chains of the
+    call are solved as usual).
+
+    The local rows are solved through their N x N correlation matrices
+    (:func:`~chainflux.correlations.local_steady_states`), every row of
+    the call in stacks of at most ``_GRID_ELEMENTS`` elements of the larger
+    of its N^2 x N^2 system and its state (:func:`_local_reports`).
+
+    A spec whose steady state is not unique gets its own DegenerateKernel.
+    Each row is the one :func:`steady_report` gives, bit for bit.
     """
+    for approach in approaches:
+        if approach not in ("global", "local"):
+            raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
     index, chain, first = {}, [], []  # chain key -> chain; each spec's chain; each chain's spec
     for spec in specs:
         key = chain_key(spec)
@@ -377,7 +388,8 @@ def steady_reports(specs, approaches) -> list:
     chains, chain = chain_operators(first), np.array(chain)
     baths = np.array([(bath.temperature, bath.gamma) for spec in specs for bath in spec.baths])
     baths = baths.reshape(len(specs), 2, 2)
-    return [_approach_reports(specs, approach, chain_structure(chains, approach), chain, baths)
+    return [_local_reports(specs, chains, chain, baths) if approach == "local" else
+            _approach_reports(specs, approach, chain_structure(chains), chain, baths)
             for approach in approaches]
 
 
@@ -430,6 +442,36 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
             out.residual[at], out.rcond[at], out.unknowns[at] = sol.residual, sol.rcond, m
             for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
                 errors[int(at[j])] = uniqueness_error(sol.rcond[j], m)
+    return out
+
+
+def _local_reports(specs, chains, chain, baths) -> SteadyColumns:
+    """:func:`steady_reports` under the local approach, on the call's ``chains`` stack.
+
+    Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
+    reservoir in ``baths[i]``.  Each reservoir has one channel, the bare
+    jump of its qubit at that qubit's gap.
+    """
+    k, (c, n), d = len(specs), chains.epsilons.shape, chains.hamiltonian.shape[-1]
+    omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)
+    out = SteadyColumns(
+        specs=specs, approach="local",
+        populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
+        rcond=np.zeros(k), unknowns=np.full(k, n * n), errors={},
+        rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, 2)),
+        chains=chains, chain=chain, omegas=omegas.reshape(-1), edges=np.arange(2 * c + 1))
+    step = max(1, _GRID_ELEMENTS // max(n**4, d * d))
+    for start in range(0, k, step):
+        at = slice(start, start + step)
+        rows = chain[at]
+        rates = bath_rates(omegas[rows], baths[at])
+        out.populations[at], out.fluxes[at], out.rho[at], out.residual[at], out.rcond[at] = \
+            local_steady_states(_gather(chains.site_energies, rows),
+                                _gather(chains.single_particle, rows),
+                                _gather(chains.sites, rows), rates)
+    out.channels[:] = out.fluxes
+    for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():
+        out.errors[i] = uniqueness_error(out.rcond[i], n * n)
     return out
 
 

@@ -109,7 +109,7 @@ def checked_inverse(M: np.ndarray) -> tuple:
     return inverse, rcond
 
 
-def _check_residual(residual: np.ndarray, scale: np.ndarray) -> None:
+def check_residual(residual: np.ndarray, scale: np.ndarray) -> None:
     """Raise NoConvergence where a residual exceeds RESIDUAL_TOL times max(scale, 1)."""
     scale = np.maximum(scale, 1.0)
     worst = int((residual / scale).argmax())
@@ -145,7 +145,7 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
     x = np.where(unique(rcond, m)[:, None], inverse[rows, :, replaced], 0.0)
     rho = unknowns.state(x)
     residual = np.linalg.norm(R @ x[..., None], axis=(1, 2))
-    _check_residual(residual, np.linalg.norm(R, axis=(1, 2)))
+    check_residual(residual, np.linalg.norm(R, axis=(1, 2)))
     replaced_row = unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced]
     return SteadySolution(rho=rho, residual=residual, replaced_row=replaced_row, rcond=rcond,
                           unknowns=m)
@@ -185,7 +185,7 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
 
     sol = solve_hermitian(unknowns.hermitian(stack), unknowns)
     residual = np.linalg.norm(stack @ sol.rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
-    _check_residual(residual, np.linalg.norm(stack, axis=(1, 2)))
+    check_residual(residual, np.linalg.norm(stack, axis=(1, 2)))
     if not single:
         return replace(sol, residual=residual)
     error = uniqueness_error(sol.rcond[0], m)

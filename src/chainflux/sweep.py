@@ -182,7 +182,9 @@ def parse_config(text: str) -> SweepRequest:
 
     Unknown keys and malformed lines are hard errors carrying the line
     number; the assembled spec and every grid point are validated before the
-    request is returned.
+    request is returned.  Listed approaches keep their written order, in
+    which the sweep writes their rows, and may not repeat; ``both`` is
+    global, then local.
     """
     values = {}
     lines = {}
@@ -255,8 +257,10 @@ def parse_config(text: str) -> SweepRequest:
     if approaches_text == "both":
         approaches = APPROACHES
     else:
-        approaches = tuple(sorted({a.strip() for a in approaches_text.split(",")}))
+        approaches = tuple(a.strip() for a in approaches_text.split(","))
         _check_known(approaches, APPROACHES, "approach", lines.get("approaches"))
+        if len(set(approaches)) < len(approaches):
+            raise ConfigSyntaxError(f"approaches repeat: {approaches}", line=lines["approaches"])
     outputs_text = values.get("outputs", "populations, heat_flux").lower()
     outputs = tuple(o.strip() for o in outputs_text.split(","))
     _check_known(outputs, OUTPUTS, "output", lines.get("outputs"))

@@ -64,7 +64,11 @@ def test_steady_monomer_reports_identical_approaches(capsys):
     out = capsys.readouterr().out
     blocks = re.split(r"approach: \w+\n", out)
     assert len(blocks) == 3
-    assert blocks[1] == blocks[2]
+    # the same populations and fluxes; the solver lines describe different
+    # systems (the frame block and the local correlation matrix)
+    results = [[line for line in block.splitlines() if "solver residual" not in line]
+               for block in blocks[1:]]
+    assert results[0] == results[1] and len(results[0]) == 2
 
 
 def test_steady_dimer_prints_channels(capsys):
@@ -83,7 +87,8 @@ def test_steady_prints_solver_diagnostics(capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if "solver residual" in l]
     assert len(lines) == 2
     assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", lines[0])
-    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 6 unknowns\)$", lines[1])
+    # the local dimer solves the N^2 = 4 coordinates of its correlation matrix
+    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", lines[1])
 
 
 def test_sweep_command_writes_csv(tmp_path, capsys):

@@ -1,0 +1,213 @@
+"""The local rows through the N x N correlation matrix, against the real block and their limits.
+
+Also the global free-fermion form, the one oracle of the eigenbasis route
+that shares no layer with it.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chainflux.correlations
+from chainflux import (
+    DegenerateKernel,
+    DegenerateTransition,
+    apply_axis,
+    build_chain_hamiltonian,
+    chain,
+    figure_requests,
+    parse_config,
+    run_sweep,
+    steady_report,
+)
+from chainflux.lindblad import chain_operators
+from chainflux.observables import steady_reports
+from chainflux.operators import site_operator
+
+from oracles import assemble, free_fermion_form, global_free_fermion, local_block_reports
+from test_hermitian_solve import load_workloads
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def seeded_chains(seed, n, count):
+    """Random non-uniform chains of n qubits, T2 = 0 in every third."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield chain(rng.uniform(0.3, 3.0, n), rng.uniform(0.1, 1.5, n - 1) * rng.choice([-1, 1]),
+                    rng.uniform(0.0, 5.0), 0.0 if i % 3 == 0 else rng.uniform(0.0, 5.0),
+                    rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+
+
+def grid_specs(request):
+    return [apply_axis(request.base, request.axis, value) for value in request.grid]
+
+
+def local_grids():
+    for name, request in figure_requests().items():
+        yield name, grid_specs(request)
+    yield "kscan4.cfg", grid_specs(parse_config((REPO / "configs" / "kscan4.cfg").read_text()))
+    workloads = load_workloads()
+    for seed in (1, 2, 3):
+        ((_, request),) = workloads.build_requests("kscan4_par", seed)
+        yield f"kscan4_par-{seed}", grid_specs(request)
+    for n, count in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 4)):
+        yield f"seeded-N{n}", list(seeded_chains(700 + n, n, count))
+
+
+LOCAL_GRIDS = list(local_grids())
+
+
+@pytest.mark.parametrize("specs", [specs for _, specs in LOCAL_GRIDS],
+                         ids=[name for name, _ in LOCAL_GRIDS])
+def test_local_rows_match_the_real_block_oracle(specs):
+    (rows,) = steady_reports(specs, ("local",))
+    block = local_block_reports(specs)
+    assert not rows.errors and not block.errors
+    assert np.abs(rows.populations - block.populations).max() <= 1e-12
+    assert np.abs(rows.fluxes - block.fluxes).max() <= 1e-12
+    assert np.abs(rows.rho - block.rho).max() <= 1e-12
+    for row, expected in zip(rows, block):
+        assert len(row.channel_fluxes) == len(expected.channel_fluxes) == 2
+        for ours, theirs in zip(row.channel_fluxes, expected.channel_fluxes):
+            assert [omega for omega, _ in ours] == [omega for omega, _ in theirs]
+            assert np.abs(np.subtract([q for _, q in ours], [q for _, q in theirs])).max() <= 1e-12
+        assert row.unknowns == row.spec.n_qubits**2 and row.residual <= 1e-12
+
+
+def test_the_residual_is_the_dense_generator_on_the_rebuilt_state():
+    # |L(rho)| and |L| of the 2^N generator, applied by gathers and scalings
+    # and in closed form, against the dense local generator
+    for n in range(1, 6):
+        spec = next(seeded_chains(720 + n, n, 1))
+        model = assemble(spec, "local")
+        L = model.liouvillian
+        report = steady_report(spec, "local")
+        rho = report.rho
+        dense = np.linalg.norm(L @ rho.reshape(-1, order="F"))
+        assert report.residual == pytest.approx(dense, rel=1e-6, abs=1e-15)
+        x = np.random.default_rng(n).normal(size=(spec.dim, spec.dim))
+        chains = chain_operators([spec])
+        energies, hoppings = chains.site_energies, np.array([spec.couplings])
+        site_rates = np.zeros((1, n, 2))
+        for bath, pair in zip(spec.baths, model.rates.reshape(2, 2)):
+            site_rates[0, bath.attached_site] += pair
+        applied = chainflux.correlations._site_generator(energies, hoppings,
+                                                         x[None].astype(complex), site_rates)
+        assert np.abs(applied[0] - (L @ x.reshape(-1, order="F")).reshape(
+            spec.dim, spec.dim, order="F")).max() <= 1e-12 * np.abs(L).max()
+        norm = chainflux.correlations._generator_norms(energies, hoppings, site_rates)[0]
+        assert norm == pytest.approx(np.linalg.norm(L), rel=1e-12)
+
+
+def test_the_pair_tables_are_products_of_jordan_wigner_fermions():
+    # c_i^dag c_j is the adjoint of c_j^dag c_i, c_i^dag c_i is the qubit's
+    # sigma^+ sigma^-, and H is sum_ab h_ab c_a^dag c_b minus sum eps / 2
+    for n in range(1, 6):
+        d = 2**n
+        tables = chainflux.correlations._pair_tables(n).reshape(n, n, d, d)
+        assert np.array_equal(tables, tables.transpose(1, 0, 3, 2))
+        for i in range(n):
+            lower = site_operator(n, i, "lower").real
+            assert np.array_equal(tables[i, i], lower.T @ lower)
+        eye = np.eye(d)
+        spec = next(seeded_chains(740 + n, n, 1))
+        h = chain_operators([spec]).single_particle[0]
+        H = np.einsum("ab,abxy->xy", h, tables) - 0.5 * sum(spec.epsilons) * eye
+        assert np.abs(H - build_chain_hamiltonian(spec)).max() <= 1e-14
+
+
+# ------------------------------------------------------------- uniqueness
+
+# an undamped island: the middle qubit of N = 3 at K = (0, 0), and the pair
+# of qubits 2, 3 of N = 5 at K = (1, 0, 1, 0), touch neither reservoir
+ISLANDS = [chain([1.5, 1.2, 0.9], [0.0, 0.0], 1.0, 0.3),
+           chain([1.5, 1.2, 0.9, 1.1, 1.3], [1.0, 0.0, 1.0, 0.0], 1.0, 0.3)]
+
+
+@pytest.mark.parametrize("spec", ISLANDS, ids=["N3", "N5"])
+def test_an_undamped_island_has_no_unique_local_state(spec):
+    with pytest.raises(DegenerateKernel) as err:
+        steady_report(spec, "local")
+    assert err.value.rcond <= spec.n_qubits**4 * np.finfo(float).eps
+    request = parse_config("\n".join([
+        f"n_qubits = {spec.n_qubits}",
+        f"epsilons = {', '.join(map(repr, spec.epsilons))}",
+        f"couplings = {', '.join(map(repr, spec.couplings))}",
+        "t1 = 1.0", "t2 = 0.3", "axis = t1", "grid = 0.5, 1.0, 2.0", "approaches = local"]))
+    table = run_sweep(request)
+    assert len(table.rows) == 0
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [
+        (t, "local") for t in (0.5, 1.0, 2.0)]
+    assert all(s.reason.startswith("degenerate-kernel") for s in table.skipped)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(n=st.integers(1, 5), data=st.data())
+def test_no_local_chain_with_every_coupling_nonzero_is_rejected(n, data):
+    # a Jacobi matrix's eigenvectors have nonzero end entries, so every mode
+    # is damped by both reservoirs and X = i h - Lambda / 2 is Hurwitz
+    gaps = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    size = st.floats(0.05, 5.0)
+    couplings = data.draw(st.lists(st.tuples(size, st.sampled_from([-1.0, 1.0])),
+                                   min_size=n - 1, max_size=n - 1))
+    spec = chain(gaps, [k * sign for k, sign in couplings], data.draw(st.floats(0.0, 20.0)),
+                 data.draw(st.floats(0.0, 20.0)), data.draw(st.floats(0.05, 5.0)),
+                 data.draw(st.floats(0.05, 5.0)))
+    report = steady_report(spec, "local")
+    assert report.rcond > n**4 * np.finfo(float).eps
+
+
+# --------------------------------------------------- global free fermions
+
+
+def non_uniform_chains(count):
+    """Random non-uniform chains whose modes all have |omega_k| >= 0.05.
+
+    Nearer a zero mode the Bose occupations T / |omega| scale the solve's
+    round-off past 1e-12 (1.5e-12 in Q1 at omega = -1e-3, T = 5).
+    """
+    rng = np.random.default_rng(800)
+    i = 0
+    while i < count:
+        n = 1 + i % 5
+        spec = chain(rng.uniform(0.3, 3.0, n), rng.uniform(0.1, 1.5, n - 1) * rng.choice([-1, 1]),
+                     rng.uniform(0.0, 5.0), 0.0 if i % 4 == 0 else rng.uniform(0.0, 5.0),
+                     rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+        h = chain_operators([spec]).single_particle[0]
+        if np.abs(np.linalg.eigvalsh(h)).min() >= 0.05:
+            yield spec
+            i += 1
+
+
+def test_global_reports_match_the_free_fermion_form():
+    checked = 0
+    for spec in non_uniform_chains(40):
+        report = steady_report(spec, "global")
+        occ, populations, q1 = global_free_fermion(spec)
+        assert np.all((0 <= occ) & (occ <= 1))
+        assert np.abs(np.subtract(report.populations, populations)).max() <= 1e-12
+        assert abs(report.fluxes[0] - q1) <= 1e-12
+        checked += 1
+    assert checked == 40
+
+
+def test_the_mixed_bin_chain_trips_the_guard_which_it_needs():
+    # two modes of eps = 1.5, K = 3 share |omega| = 3.354: one frequency bin
+    # holds both, and its cross terms move the state off the product form
+    spec = chain([1.5] * 4, [3.0] * 3, 1.0, 0.5)
+    with pytest.raises(DegenerateTransition, match="share"):
+        global_free_fermion(spec)
+    _, populations, q1 = free_fermion_form(spec)
+    report = steady_report(spec, "global")
+    assert np.abs(np.subtract(report.populations, populations)).max() > 1e-5
+    assert abs(report.fluxes[0] - q1) > 1e-3
+
+
+def test_a_zero_mode_trips_the_guard():
+    spec = chain([1.5] * 2, [1.5], 1.0, 0.5)  # eps - K = 0
+    with pytest.raises(DegenerateTransition, match="below the cutoff"):
+        global_free_fermion(spec)

@@ -12,16 +12,16 @@ from chainflux import (
     DimensionMismatch,
     SteadyReport,
     apply_axis,
-    assemble,
     build_chain_hamiltonian,
     chain,
     run_sweep,
     steady_report,
 )
-from chainflux.lindblad import chain_operators, chain_structure
+from chainflux.lindblad import chain_operators
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
 
+from oracles import assemble, chain_structure
 from test_block_solve import CASES
 
 
@@ -122,7 +122,7 @@ def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
             key = unknowns_key(structure.unknown_sets([c])[0])
             assert key == unknowns_key(unknowns)
             sets.add(key)
-    assert len(sets) > 2  # the global frames couple different entries
+    assert len(sets) > 1  # the global frames couple different entries
     assert any(len(set(rows_chain.tolist())) > 1 for _, rows_chain, _, _ in stacks)
     assert len(stacks) < 2 * len(specs)
 
@@ -169,6 +169,45 @@ def loop_closure(H, operators):
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached.T)
         reached = grown
+
+
+def closure_over_every_item(H, operators):
+    """The coupled set as closed over each operator A and its A^dag alike, before the pairs."""
+    dim = H.shape[0]
+    bits = np.concatenate([[H != 0], operators != 0]).astype(float)
+    ops, eye = bits[1:], np.eye(dim)
+    transposed = ops.swapaxes(1, 2)
+    damping = bits[0] + (transposed @ ops).sum(axis=0)
+    damping = damping + damping.T
+    outer = np.concatenate([[eye, damping, eye], ops, transposed]).swapaxes(0, 1)
+    outer = outer.reshape(dim, -1)
+    inner = np.concatenate([[eye, eye, damping], transposed, ops])
+    reached = eye
+    while True:
+        grown = (outer @ (reached @ inner).reshape(-1, dim) > 0).astype(float)
+        if grown.sum() == reached.sum():
+            return np.flatnonzero(reached.T)
+        reached = grown
+
+
+def seeded_global_chains():
+    for n in range(1, 6):
+        rng = np.random.default_rng(300 + n)
+        yield [chain(rng.uniform(0.3, 3.0, n), rng.uniform(0.1, 1.5, n - 1), 1.0, 0.5)
+               for _ in range(3)]
+    yield [chain([1.5] * 4, [3.0] * 3, 1.0, 0.5)]  # a bin joins two excitation sectors
+
+
+@pytest.mark.parametrize("specs", list(seeded_global_chains()),
+                         ids=[f"N{n}" for n in range(1, 6)] + ["mixed-bin"])
+def test_closure_over_the_a_items_is_the_closure_over_every_item(specs):
+    # A^dag links what A links, backwards: the pairs' A's close to the same set
+    structure = chain_structure(chain_operators(specs), "global")
+    for c, unknowns in enumerate(structure.unknown_sets(np.arange(len(specs)))):
+        start, count = structure.start[c], 2 * (structure.edges[2 * c + 2] - structure.edges[2 * c])
+        operators = structure.operators.dense(slice(start, start + count))
+        expected = closure_over_every_item(structure.frame_hamiltonian[c], operators)
+        assert np.array_equal(unknowns.cols * unknowns.dim + unknowns.rows, expected)
 
 
 def zero_rate_patterns(model):
@@ -259,13 +298,13 @@ def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_m
     built = count_calls(monkeypatch, chainflux.observables, "chain_structure")
     glob, local = steady_reports(specs, ("global", "local"))
     chains = {build_chain_hamiltonian(spec).tobytes() for spec in specs}
-    # one stack holding every chain once, diagonalized by one call and
-    # built once per approach
+    # one stack holding every chain once, diagonalized by one call, built
+    # into one global structure and read by the local rows as it is
     ((stack,),) = diagonalized
     assert sorted(H.tobytes() for H in stack) == sorted(chains)
-    assert [approach for _, approach in built] == ["global", "local"]
-    assert all(chains_arg.hamiltonian is built[0][0].hamiltonian for chains_arg, _ in built)
-    assert len(built[0][0]) == len(chains)
+    ((chains_arg,),) = built
+    assert local.chains is glob.chains is chains_arg
+    assert len(chains_arg) == len(chains)
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
     # the local reports' eigensystems, rho_diagonals' basis, are the ones the

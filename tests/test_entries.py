@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from chainflux import chain
-from chainflux.lindblad import chain_operators, chain_structure
+from chainflux.lindblad import chain_operators
 from chainflux.observables import steady_reports
 
-from oracles import adjoint_dissipator
+from oracles import adjoint_dissipator, chain_structure
 
 
 def functional_chains():

@@ -10,7 +10,6 @@ from chainflux import (
     EigenSystem,
     NonPositiveFrequency,
     apply_axis,
-    assemble,
     bose_occupation,
     build_chain_hamiltonian,
     chain,
@@ -28,7 +27,6 @@ from chainflux.lindblad import (
     build_liouvillian,
     build_local_dissipator,
     chain_operators,
-    chain_structure,
     full_unknowns,
     global_bins,
     global_dissipator_bins,
@@ -36,6 +34,8 @@ from chainflux.lindblad import (
     superoperator,
     thermal_rates,
 )
+
+from oracles import assemble, chain_structure
 
 
 def coupling_op(n, site):

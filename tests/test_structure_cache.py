@@ -7,7 +7,6 @@ from chainflux import (
     DegenerateKernel,
     DegenerateTransition,
     apply_axis,
-    assemble,
     bose_occupation,
     chain,
     dimer,
@@ -24,14 +23,16 @@ from chainflux.operators import excited_qubits
 from chainflux.steady import uniqueness_error
 from chainflux.sweep import SweepRequest
 
+from oracles import assemble
+
 
 def record_builds(monkeypatch):
-    """Approach and number of chains of every structure stack the reports build, in order."""
+    """Number of chains of every global structure stack the reports build, in order."""
     built = []
 
-    def recording(chains, approach, _real=chainflux.observables.chain_structure):
-        built.append((approach, len(chains)))
-        return _real(chains, approach)
+    def recording(chains, _real=chainflux.observables.chain_structure):
+        built.append(len(chains))
+        return _real(chains)
 
     monkeypatch.setattr(chainflux.observables, "chain_structure", recording)
     return built
@@ -59,11 +60,16 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
     assert bose_occupation(10.0, 0.01) == 0.0
     stacks = []
     real = chainflux.observables._stack_reports
+    real_local = chainflux.observables.local_steady_states
 
     def recording(structure, chain, rates, unknowns):
-        stacks.append(("local" if structure.eigensystem is None else "global", rates,
-                       unknowns.size))
+        stacks.append(("global", rates, unknowns.size**2))
         return real(structure, chain, rates, unknowns)
+
+    def recording_local(H, h, sites, rates):
+        # the larger of the N^2 x N^2 system and the d x d state
+        stacks.append(("local", rates.reshape(len(rates), -1), max(n**4, 4**n)))
+        return real_local(H, h, sites, rates)
 
     for epsilons in ([10.0] * n, np.linspace(0.9, 1.7, n)):
         base = chain(epsilons, np.linspace(0.6, 1.1, n - 1), 0.7, 0.2, 0.8, 1.3)
@@ -73,14 +79,15 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
         with monkeypatch.context() as patch:
             built = record_builds(patch)
             patch.setattr(chainflux.observables, "_stack_reports", recording)
+            patch.setattr(chainflux.observables, "local_steady_states", recording_local)
             table = run_sweep(request)
-        # one structure per approach for the whole grid, of its one chain
-        assert built == [("global", 1), ("local", 1)]
+        # one global structure for the whole grid, of its one chain
+        assert built == [1]
         # T = 0 rows and nbar > 0 rows share a stack within each approach:
         # its rows are one group, cut only by the stack size
         for approach in ("global", "local"):
-            mine = [(rates, m) for a, rates, m in stacks if a == approach]
-            step = max(1, chainflux.observables._GRID_ELEMENTS // mine[0][1] ** 2)
+            mine = [(rates, size) for a, rates, size in stacks if a == approach]
+            step = max(1, chainflux.observables._GRID_ELEMENTS // mine[0][1])
             assert [len(rates) for rates, _ in mine] == [min(step, len(GRID) - i)
                                                          for i in range(0, len(GRID), step)]
             first = mine[0][0]  # from the T = 0 row on
@@ -134,7 +141,7 @@ def test_structure_is_shared_across_temperatures_and_rates(monkeypatch):
     specs = [dimer(1.5, 1.5, 1.0, 0.4, 0.0, 1.0, 1.0), dimer(1.5, 1.5, 1.0, 3.0, 0.7, 0.3, 2.0),
              dimer(1.5, 1.5, 1.1, 0.4, 0.0)]
     glob, local = steady_reports(specs, ("global", "local"))
-    assert built == [("global", 2), ("local", 2)]
+    assert built == [2] and local.chains is glob.chains
     assert glob[0].chain is glob[1].chain is local[0].chain is local[1].chain
     assert glob[2].chain is local[2].chain is not glob[0].chain
 

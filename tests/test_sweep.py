@@ -127,6 +127,31 @@ def test_config_round_trip_is_bit_exact():
     assert again == req
 
 
+@pytest.mark.parametrize("approaches", [("global", "local"), ("local", "global"), ("local",),
+                                        ("global",)])
+def test_config_round_trip_keeps_the_order_of_the_approaches(approaches):
+    req = small_request(approaches=approaches)
+    text = format_config(req)
+    assert f"approaches = {', '.join(approaches)}\n" in text
+    assert parse_config(text) == req
+    # the rows come in the written order, approach by approach
+    table = run_sweep(parse_config(text))
+    assert list(dict.fromkeys(table.rows.approach.tolist())) == list(approaches)
+
+
+def test_a_config_that_repeats_an_approach_is_refused():
+    text = format_config(small_request()).replace("approaches = global, local",
+                                                  "approaches = local, global, local")
+    with pytest.raises(ConfigSyntaxError, match="approaches repeat") as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index("approaches = local, global, local") + 1
+
+
+def test_a_config_that_says_both_solves_global_then_local():
+    text = format_config(small_request()).replace("approaches = global, local", "approaches = both")
+    assert parse_config(text) == small_request()
+
+
 # -------------------------------------------------------------- running
 
 
