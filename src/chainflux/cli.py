@@ -14,6 +14,11 @@ from .sweep import emit_csv, figure_requests, parse_config, run_sweep
 from .verify import run_verification
 
 
+_WORKERS_HELP = ("at most this many forked worker processes (default 1); a sweep forks "
+                "only when its estimated serial work outweighs the cost of forking, "
+                "and its CSV is the same for any count")
+
+
 def _parse_list(text: str) -> list:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -45,11 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a sweep from a config file and write CSV")
     sweep.add_argument("--config", required=True, help="path to a key = value sweep config")
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     figures = sub.add_parser("figures", help="emit the preset figure datasets")
     figures.add_argument("--outdir", default=".", help="directory for the CSV files")
-    figures.add_argument("--workers", type=int, default=1)
+    figures.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     sub.add_parser("verify", help="check closed-form results against the numeric pipeline")
     return parser

@@ -108,8 +108,9 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
 
     ``es`` is one eigensystem and ``couplings`` one operator (d, d), or
     ``es`` a stack of k and ``couplings`` (k, R, d, d), R reservoirs per
-    chain.  The jumps of every chain and reservoir come as one
-    :data:`JUMP_DTYPE` array sorted by (chain, reservoir, omega, p, q).  A
+    chain, or (1, R, d, d) for every chain.  The jumps of every chain and
+    reservoir come as one :data:`JUMP_DTYPE` array sorted by (chain,
+    reservoir, omega, p, q).  A
     nonzero element across a sub-cutoff gap degenerates its chain: the
     chain gets no jumps, and its DegenerateTransition, for the first
     reservoir where one is found, goes into ``errors`` under the chain's
@@ -117,7 +118,9 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
     """
     d = es.dim
     energies, vectors = es.energies.reshape(-1, d), es.vectors.reshape(-1, d, d)
-    couplings = np.asarray(couplings).reshape(len(energies), -1, d, d)
+    couplings = np.asarray(couplings)
+    if couplings.ndim < 4:
+        couplings = couplings.reshape(len(energies), -1, d, d)
     elements = vectors.conj().swapaxes(1, 2)[:, None] @ couplings @ vectors[:, None]
     gaps = energies[:, None, :] - energies[:, :, None]  # gaps[c, p, q] = E_q - E_p
     coupled = np.abs(elements) > ELEMENT_TOL
@@ -255,7 +258,8 @@ class ChainOperators:
     Chain c has the Hamiltonian ``hamiltonian[c]`` (k, d, d), the gaps
     ``epsilons[c]``, the couplings ``hoppings[c]`` and its reservoirs
     attached at the qubits ``sites[c]``, where each couples through
-    sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The stacked
+    sigma^+ + sigma^- (``couplings[c]``, one per reservoir; one item for
+    every chain where all are attached at the same sites).  The stacked
     sector ``eigensystem`` of the Hamiltonians, their diagonals
     ``site_energies`` and the single-particle matrices h are computed on
     first use.  Both approaches are solved from one stack
@@ -282,7 +286,8 @@ class ChainOperators:
 
     @cached_property
     def couplings(self) -> np.ndarray:
-        couplings = _site_couplings(self.epsilons.shape[1])[self.sites]
+        sites = self.sites[:1] if (self.sites == self.sites[0]).all() else self.sites
+        couplings = _site_couplings(self.epsilons.shape[1])[sites]
         read_only(couplings)
         return couplings
 
@@ -338,8 +343,7 @@ class ChainStructure:
     structure serves every row of every chain of the stack:
 
     - ``chains``, and ``eigensystem``, their stacked eigensystem, whose
-      ``frame`` is each chain's solve frame (None for a structure solved in
-      the site basis);
+      ``frame`` is each chain's solve frame;
     - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
     - the bins of every chain, chain by chain and reservoir by reservoir:
       their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
@@ -498,11 +502,11 @@ class LindbladModel:
     ``structure`` is the rate-free part of a stack of this one chain
     (:func:`chain_structure` for the global approach); the rates of its
     jump operators come from ``spec``'s baths.  The steady state is solved
-    in a frame: the eigenbasis ``eigensystem.frame`` for the global
-    approach, where H is diagonal, or the site basis for a structure whose
-    ``eigensystem`` is None.  Everything else is derived on first use: ``block`` in the
-    frame on the unknowns the steady state occupies, and in the site basis
-    the dense ``liouvillian`` and the per-reservoir ``dissipators``.
+    in the frame ``eigensystem.frame``, the eigenbasis for the global
+    approach, where H is diagonal.  Everything else is derived on first
+    use: ``block`` in the frame on the unknowns the steady state occupies,
+    and in the site basis the dense ``liouvillian`` and the per-reservoir
+    ``dissipators``.
     """
 
     spec: ChainSpec
@@ -516,9 +520,8 @@ class LindbladModel:
 
     @property
     def eigensystem(self) -> EigenSystem:
-        """The global frame's eigensystem; None for a structure in the site basis."""
-        es = self.structure.eigensystem
-        return None if es is None else es[0]
+        """The eigensystem of the solve frame."""
+        return self.structure.eigensystem[0]
 
     @property
     def frame_hamiltonian(self) -> np.ndarray:
@@ -549,8 +552,6 @@ class LindbladModel:
 
     def to_site(self, rho: np.ndarray) -> np.ndarray:
         """Matrices given in the solve frame (one, or a stack), in the site basis."""
-        if self.eigensystem is None:
-            return rho
         frame = self.eigensystem.frame
         return frame @ rho @ frame.conj().T
 

@@ -519,10 +519,8 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     fluxes = np.zeros((k, 2))
     reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
     np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
-    rho = sol.rho
-    if structure.eigensystem is not None:  # from the eigenbasis frame
-        frames = _gather(structure.eigensystem.frame, chain)
-        rho = frames @ rho @ frames.conj().swapaxes(1, 2)
+    frames = _gather(structure.eigensystem.frame, chain)
+    rho = frames @ sol.rho @ frames.conj().swapaxes(1, 2)
     diagonal = _imaginary_residue(np.diagonal(rho, axis1=1, axis2=2), "population")
     occupations = excited_qubits(structure.chains.epsilons.shape[1])
     populations = (diagonal[:, None] * occupations).sum(axis=2)

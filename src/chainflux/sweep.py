@@ -306,6 +306,36 @@ def format_config(request: SweepRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The axes that give every grid point its own chain; t1 and t2 keep one
+# chain for the whole grid.
+_CHAIN_AXES = ("k", "eps")
+# Marginal serial cost in ms of one row (a grid point under one approach),
+# by approach, by whether the axis is one of _CHAIN_AXES and by qubit count
+# N = 1..5: the slope of warm serial sweeps of 48 to 240 points (24 to 96 at
+# N = 5), one BLAS thread, on a 2-core x86-64 host.
+_ROW_MS = {
+    ("global", True): (0.062, 0.13, 0.13, 0.35, 0.87),
+    ("global", False): (0.008, 0.013, 0.020, 0.069, 0.19),
+    ("local", True): (0.033, 0.058, 0.080, 0.16, 0.53),
+    ("local", False): (0.007, 0.012, 0.043, 0.12, 0.35),
+}
+# A sweep forks only when its estimated serial work (:func:`_serial_ms`)
+# exceeds this many ms: on that host a cold sweep forked at workers = 2
+# took about 25 ms more than half of its serial time, so forking pays from
+# about 50 ms of serial work.
+_FORK_MS = 50.0
+# At most this many distinct chains go into one steady_reports call, which
+# bounds the rate-free structures and stacks a call holds at once.
+_CALL_CHAINS = 32
+
+
+def _serial_ms(request: SweepRequest) -> float:
+    """Estimated serial cost in ms of the rows of ``request``, read off :data:`_ROW_MS`."""
+    own_chains, n = request.axis in _CHAIN_AXES, request.base.n_qubits
+    return len(request.grid) * sum(_ROW_MS[approach, own_chains][n - 1]
+                                   for approach in request.approaches)
+
+
 _SKIP_REASONS = {
     DegenerateTransition: "degenerate-transition (omega = {0.omega:.3e})",
     DegenerateKernel: "degenerate-kernel (rcond = {0.rcond:.3e})",
@@ -444,14 +474,20 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     under every approach of the request in one :func:`steady_reports` call
     (:func:`_row_task`), so both approaches of a chain share its H,
     eigensystem and site operators, built in that call and dropped after
-    it: one chunk with ``workers`` = 1, or 2 * ``workers`` chunks over at
-    most ``workers`` forked processes, none for a single chunk
-    (:func:`_fork_join`), which send back columns.  Where ``os.fork`` does
-    not exist the sweep runs as with ``workers`` = 1.  A task solves each
-    approach's rows in stacks grouped by set of unknowns, across chains:
-    a temperature sweep's chunk is one stacked solve, its rows at T = 0
-    included, and the chains of a K or eps scan that couple the same
-    entries are solved together.
+    it; no chunk holds more than ``_CALL_CHAINS`` distinct chains, which
+    bounds the memory of a call (a K or eps scan gives each point its own
+    chain, a temperature sweep one chain to all).  ``workers`` is an upper
+    bound: the sweep forks only where ``os.fork`` exists and the estimated
+    serial cost of its rows (:func:`_serial_ms`, from the qubit count, the
+    grid points times approaches and the axis) exceeds ``_FORK_MS``, the
+    work a fork must save to pay for itself.  Then 2 * ``workers`` chunks
+    (more where the chain bound asks, as many for each worker) go to at
+    most ``workers`` forked processes (:func:`_fork_join`), which send back
+    columns; otherwise the chunks run one after the other in this process.
+    A task solves each approach's rows in stacks grouped by set of
+    unknowns, across chains: a temperature sweep's chunk is one stacked
+    solve, its rows at T = 0 included, and the chains of a K or eps scan
+    that couple the same entries are solved together.
     """
     if not request.grid:
         raise ConfigSyntaxError("grid is empty")
@@ -474,10 +510,11 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
         points.append((value, spec))
     if any(b <= a for a, b in zip(request.grid, request.grid[1:])):
         raise ConfigSyntaxError("grid must be strictly increasing")
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or _serial_ms(request) <= _FORK_MS:
         workers = 1
-    pieces = 2 * workers if workers > 1 else 1
-    size = max(1, -(-len(points) // pieces))
+    chains = len(points) if request.axis in _CHAIN_AXES else 1
+    pieces = max(2 * workers if workers > 1 else 1, -(-chains // _CALL_CHAINS))
+    size = -(-len(points) // (-(-pieces // workers) * workers))  # as many chunks per worker
     tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]
     if workers > 1 and len(tasks) > 1:
         chunks = _fork_join(tasks, workers)

@@ -25,7 +25,7 @@ from chainflux.lindblad import (
     chain_operators,
 )
 from chainflux.observables import _two_bath_flux
-from chainflux.operators import site_operator
+from chainflux.operators import EigenSystem, site_operator
 
 
 def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -118,9 +118,13 @@ def local_structure(chains) -> ChainStructure:
     The bare jump of each reservoir's qubit at that qubit's gap: one set of
     operators per pair of attachment sites, shared by the chains with those
     sites (:func:`_local_operators`), and their functionals
-    (:func:`_local_functionals`).
+    (:func:`_local_functionals`).  Its frame is the site basis: an
+    eigensystem of identity vectors, at the diagonals of the Hamiltonians.
     """
     k, n = chains.epsilons.shape
+    d = chains.hamiltonian.shape[-1]
+    identity = EigenSystem(energies=chains.site_energies,
+                           vectors=np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)))
     pairs, which = np.unique(chains.sites @ [n, 1], return_inverse=True)
     operators = _local_operators(n, tuple(pairs.tolist()))
     start = 4 * which.reshape(-1)
@@ -129,7 +133,7 @@ def local_structure(chains) -> ChainStructure:
     edges = np.arange(2 * k + 1)
     functionals = _local_functionals(operators, start, chains.hamiltonian)
     read_only(omegas, reservoirs, edges, start)
-    return ChainStructure(chains=chains, eigensystem=None, frame_hamiltonian=chains.hamiltonian,
+    return ChainStructure(chains=chains, eigensystem=identity, frame_hamiltonian=chains.hamiltonian,
                           omegas=omegas, reservoirs=reservoirs, edges=edges, operators=operators,
                           start=start, flux_functionals=functionals, errors={})
 

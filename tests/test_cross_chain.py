@@ -331,9 +331,12 @@ def test_a_repeated_call_gives_bit_identical_reports():
 def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     # both approaches of a task share each chain's eigensystem, however many
     # chains the task holds, the zero mode's chain too: one stacked call
-    # holds every chain of the task once
+    # holds every chain of the task once (the bound on a task's chains is
+    # lifted, so the grid is one task)
     import chainflux.lindblad
+    import chainflux.sweep
 
+    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 64)
     calls = []
 
     def counting(H, _real=chainflux.lindblad.diagonalize):
@@ -349,6 +352,32 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
     assert calls == [(len(grid), 8, 8)]
+
+
+def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
+    # a 41-point K scan at workers = 1 goes to steady_reports in two calls of
+    # 21 and 20 chains, each chain diagonalized once in its call, and its
+    # rows are those of one call over every chain
+    import chainflux.lindblad
+    import chainflux.sweep
+
+    calls = []
+
+    def counting(H, _real=chainflux.lindblad.diagonalize):
+        calls.append(H.shape)
+        return _real(H)
+
+    grid = tuple(np.linspace(0.3, 0.8, 40)) + (1.5 / (2 * math.cos(math.pi / 4)),)
+    request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k", grid=grid,
+                           approaches=("global", "local"), outputs=("rho_diagonals",))
+    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 64)
+    whole = run_sweep(request)
+    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 32)
+    monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
+    table = run_sweep(request)
+    assert calls == [(21, 8, 8), (20, 8, 8)]
+    assert tuple(table.rows) == tuple(whole.rows)
+    assert table.skipped == whole.skipped
 
 
 def test_rows_with_different_zero_rates_share_a_stack(monkeypatch):

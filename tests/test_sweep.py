@@ -33,6 +33,30 @@ from chainflux.sweep import SweepRequest, SweepTable
 REPO = Path(__file__).resolve().parent.parent
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Sweeps with workers > 1 fork whatever their estimated work."""
+    import chainflux.sweep
+
+    monkeypatch.setattr(chainflux.sweep, "_FORK_MS", -1.0)
+
+
+def recorded_forks(monkeypatch) -> list:
+    """The pids ``os.fork`` gives the parent from now on, as they come."""
+    import os
+
+    forks = []
+
+    def recording(_real=os.fork):
+        pid = _real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
+
+
 def small_request(**overrides):
     base = dimer(1.5, 1.5, 1.0, 0.01, 0.0)
     defaults = dict(base=base, axis="t1", grid=(0.5, 1.0, 2.0),
@@ -366,20 +390,10 @@ def test_global_rows_diagonalize_once(monkeypatch):
     assert calls == [(1, 4, 4)]
 
 
-def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
+def test_pool_starts_no_more_processes_than_tasks(monkeypatch, forking):
     # the sweep forks one worker per task at most; the rows are those of
     # the serial sweep at any worker count
-    import os
-
-    forks = []
-
-    def recording(_real=os.fork):
-        pid = _real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
+    forks = recorded_forks(monkeypatch)
     grid = tuple(np.linspace(0.5, 3.0, 14))
     serial = run_sweep(small_request(grid=grid))
     assert forks == []
@@ -391,8 +405,9 @@ def test_pool_starts_no_more_processes_than_tasks(monkeypatch):
         assert tuple(table.rows) == tuple(row for row in serial.rows if row.axis_value in points)
 
 
-def test_without_fork_the_sweep_runs_serially(monkeypatch):
-    # where os.fork does not exist, workers = 2 is the workers = 1 sweep
+def test_without_fork_the_sweep_runs_serially(monkeypatch, forking):
+    # where os.fork does not exist, workers = 2 is the workers = 1 sweep,
+    # even above the estimate
     import os
 
     request = small_request(grid=tuple(np.linspace(0.5, 3.0, 6)))
@@ -401,7 +416,38 @@ def test_without_fork_the_sweep_runs_serially(monkeypatch):
     assert tuple(run_sweep(request, workers=2).rows) == tuple(serial.rows)
 
 
-def test_a_task_error_is_raised_as_at_one_worker(monkeypatch):
+def test_a_request_below_the_estimate_runs_in_process(monkeypatch):
+    # a small dimer sweep at workers = 2 costs less than a fork saves: it
+    # forks nothing and gives the workers = 1 rows
+    import chainflux.sweep
+
+    request = small_request(grid=tuple(np.linspace(0.5, 3.0, 14)))
+    assert chainflux.sweep._serial_ms(request) <= chainflux.sweep._FORK_MS
+    forks = recorded_forks(monkeypatch)
+    table = run_sweep(request, workers=2)
+    assert forks == []
+    assert tuple(table.rows) == tuple(run_sweep(request).rows)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_request_above_the_estimate_forks_a_worker_per_task(monkeypatch, workers):
+    # a 120-point N = 4 K scan, one chain per point, is above the estimate:
+    # its chunks go to min(workers, chunks) = workers forked workers
+    import chainflux.sweep
+
+    request = SweepRequest(base=chain([1.5] * 4, [1.0] * 3, 2.0, 0.5), axis="k",
+                           grid=tuple(np.linspace(0.5, 3.0, 120)), approaches=("global", "local"),
+                           outputs=("populations", "heat_flux"))
+    assert chainflux.sweep._serial_ms(request) > chainflux.sweep._FORK_MS
+    serial = run_sweep(request)
+    forks = recorded_forks(monkeypatch)
+    table = run_sweep(request, workers=workers)
+    assert len(forks) == workers
+    assert tuple(table.rows) == tuple(serial.rows)
+    assert table.skipped == serial.skipped
+
+
+def test_a_task_error_is_raised_as_at_one_worker(monkeypatch, forking):
     # a task's exception crosses the worker's pipe with its type and
     # message, and the first failing task in grid order is the one raised
     import chainflux.sweep
@@ -426,7 +472,7 @@ def test_a_task_error_is_raised_as_at_one_worker(monkeypatch):
     assert raised == [(NoConvergence, "no steady state at t1 = 2.0")] * 2
 
 
-def test_a_worker_that_dies_raises_worker_failed(monkeypatch):
+def test_a_worker_that_dies_raises_worker_failed(monkeypatch, forking):
     # a worker that exits without its results names its exit status, and
     # every worker is reaped
     import os
@@ -448,7 +494,7 @@ def test_a_worker_that_dies_raises_worker_failed(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_an_interrupt_in_the_parent_kills_and_reaps_every_worker(monkeypatch):
+def test_an_interrupt_in_the_parent_kills_and_reaps_every_worker(monkeypatch, forking):
     # the second worker is still busy when the parent is interrupted while
     # it reads the first one's results: it is killed, not waited for
     import os
@@ -543,7 +589,7 @@ def test_csv_header_only_for_empty_table(tmp_path):
     assert header[:2] == ["T1", "approach"]
 
 
-def test_an_all_skipped_sweep_writes_a_header_only_csv(tmp_path, capsys):
+def test_an_all_skipped_sweep_writes_a_header_only_csv(tmp_path, capsys, forking):
     # K = eps: the global dimer degenerates at every temperature, so every
     # task's columns are empty
     cfg = tmp_path / "skips.cfg"
@@ -607,7 +653,7 @@ def oracle_csv(request) -> str:
     return "\n".join(lines + [",".join(header)] + rows) + "\n"
 
 
-def test_csv_matches_an_oracle_built_from_cold_reports(tmp_path):
+def test_csv_matches_an_oracle_built_from_cold_reports(tmp_path, forking):
     # at workers = 2 each K point is its own task, so the zero mode's task
     # has no global rows
     zero_mode = 1.5 / (2 * math.cos(math.pi / 4))  # N = 3: eps = 2 K cos(pi / 4)
@@ -636,7 +682,7 @@ def test_csv_diagonal_columns(tmp_path):
     assert sum(rows[0][2:6]) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_is_deterministic_across_runs_and_workers(tmp_path):
+def test_sweep_is_deterministic_across_runs_and_workers(tmp_path, forking):
     req = small_request(grid=tuple(np.linspace(0.5, 3.0, 6)))
     paths = []
     for name, workers in (("a.csv", 1), ("b.csv", 1), ("c.csv", 2)):
@@ -646,6 +692,34 @@ def test_sweep_is_deterministic_across_runs_and_workers(tmp_path):
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
     assert paths[0] == paths[2]
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in (REPO / "configs").glob("*.cfg"))
+                         + sorted(figure_requests()))
+def test_forked_csvs_are_the_serial_bytes(tmp_path, forking, name):
+    # every shipped config and figure preset, forked at workers = 2, writes
+    # the bytes of its workers = 1 CSV
+    if name in figure_requests():
+        request = figure_requests()[name]
+    else:
+        request = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
+    texts = []
+    for workers in (1, 2):
+        path = tmp_path / f"{name}-w{workers}.csv"
+        emit_csv(run_sweep(request, workers=workers), path)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+
+
+def test_the_shipped_n5_k_scan_forks_at_two_workers():
+    # CI's workers-1-versus-2 step compares a forked sweep with a serial one
+    # only through this config, whose global zero-mode rows are skipped
+    import chainflux.sweep
+
+    request = parse_config((REPO / "configs" / "kscan5.cfg").read_text())
+    assert len(request.grid) >= 100
+    assert {0.8660254037844386, 1.4999999999999998} <= set(request.grid)
+    assert chainflux.sweep._serial_ms(request) > chainflux.sweep._FORK_MS
 
 
 def test_figure_presets_encode_the_right_parameters():
