@@ -108,9 +108,8 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
 
     ``es`` is one eigensystem and ``couplings`` one operator (d, d), or
     ``es`` a stack of k and ``couplings`` (k, R, d, d), R reservoirs per
-    chain, or (1, R, d, d) for every chain.  The jumps of every chain and
-    reservoir come as one :data:`JUMP_DTYPE` array sorted by (chain,
-    reservoir, omega, p, q).  A
+    chain.  The jumps of every chain and reservoir come as one
+    :data:`JUMP_DTYPE` array sorted by (chain, reservoir, omega, p, q).  A
     nonzero element across a sub-cutoff gap degenerates its chain: the
     chain gets no jumps, and its DegenerateTransition, for the first
     reservoir where one is found, goes into ``errors`` under the chain's
@@ -118,9 +117,7 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
     """
     d = es.dim
     energies, vectors = es.energies.reshape(-1, d), es.vectors.reshape(-1, d, d)
-    couplings = np.asarray(couplings)
-    if couplings.ndim < 4:
-        couplings = couplings.reshape(len(energies), -1, d, d)
+    couplings = np.asarray(couplings).reshape(len(energies), -1, d, d)
     elements = vectors.conj().swapaxes(1, 2)[:, None] @ couplings @ vectors[:, None]
     gaps = energies[:, None, :] - energies[:, :, None]  # gaps[c, p, q] = E_q - E_p
     coupled = np.abs(elements) > ELEMENT_TOL
@@ -258,8 +255,7 @@ class ChainOperators:
     Chain c has the Hamiltonian ``hamiltonian[c]`` (k, d, d), the gaps
     ``epsilons[c]``, the couplings ``hoppings[c]`` and its reservoirs
     attached at the qubits ``sites[c]``, where each couples through
-    sigma^+ + sigma^- (``couplings[c]``, one per reservoir; one item for
-    every chain where all are attached at the same sites).  The stacked
+    sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The stacked
     sector ``eigensystem`` of the Hamiltonians, their diagonals
     ``site_energies`` and the single-particle matrices h are computed on
     first use.  Both approaches are solved from one stack
@@ -286,8 +282,7 @@ class ChainOperators:
 
     @cached_property
     def couplings(self) -> np.ndarray:
-        sites = self.sites[:1] if (self.sites == self.sites[0]).all() else self.sites
-        couplings = _site_couplings(self.epsilons.shape[1])[sites]
+        couplings = _site_couplings(self.epsilons.shape[1])[self.sites]
         read_only(couplings)
         return couplings
 

@@ -309,16 +309,14 @@ def format_config(request: SweepRequest) -> str:
 # The axes that give every grid point its own chain; t1 and t2 keep one
 # chain for the whole grid.
 _CHAIN_AXES = ("k", "eps")
-# Marginal serial cost in ms of one row (a grid point under one approach),
-# by approach, by whether the axis is one of _CHAIN_AXES and by qubit count
-# N = 1..5: the slope of warm serial sweeps of 48 to 240 points (24 to 96 at
-# N = 5), one BLAS thread, on a 2-core x86-64 host.
-_ROW_MS = {
-    ("global", True): (0.062, 0.13, 0.13, 0.35, 0.87),
-    ("global", False): (0.008, 0.013, 0.020, 0.069, 0.19),
-    ("local", True): (0.033, 0.058, 0.080, 0.16, 0.53),
-    ("local", False): (0.007, 0.012, 0.043, 0.12, 0.35),
-}
+# Serial cost in ms of one row (a grid point under one approach) of an
+# N = 5 chain, by whether the axis is one of _CHAIN_AXES; each qubit fewer
+# divides it by _ROW_GROWTH.  Fitted to the slopes of warm serial sweeps of
+# 48 to 240 points (24 to 96 at N = 5), averaged over the two approaches,
+# one BLAS thread, on a 2-core x86-64 host.  It reads up to 5x low for K
+# and eps scans at N <= 2, so those fork only from about 1000 points.
+_ROW_MS = {True: 0.70, False: 0.27}
+_ROW_GROWTH = 3.0
 # A sweep forks only when its estimated serial work (:func:`_serial_ms`)
 # exceeds this many ms: on that host a cold sweep forked at workers = 2
 # took about 25 ms more than half of its serial time, so forking pays from
@@ -330,10 +328,9 @@ _CALL_CHAINS = 32
 
 
 def _serial_ms(request: SweepRequest) -> float:
-    """Estimated serial cost in ms of the rows of ``request``, read off :data:`_ROW_MS`."""
-    own_chains, n = request.axis in _CHAIN_AXES, request.base.n_qubits
-    return len(request.grid) * sum(_ROW_MS[approach, own_chains][n - 1]
-                                   for approach in request.approaches)
+    """Estimated serial cost in ms of the rows of ``request``, from :data:`_ROW_MS`."""
+    row_ms = _ROW_MS[request.axis in _CHAIN_AXES] / _ROW_GROWTH ** (5 - request.base.n_qubits)
+    return len(request.grid) * len(request.approaches) * row_ms
 
 
 _SKIP_REASONS = {

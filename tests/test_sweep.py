@@ -447,6 +447,30 @@ def test_a_request_above_the_estimate_forks_a_worker_per_task(monkeypatch, worke
     assert table.skipped == serial.skipped
 
 
+# Sweeps of both approaches whose cold wall times at workers 1 and forked
+# at workers 2 were measured (README, "Workers"; medians of 5-7 fresh
+# processes on a 2-core x86-64 host, one BLAS thread), by qubit count, axis,
+# grid points and the path the estimate takes: forked where forking was
+# faster by 20-40% in every run, in process where it was slower or within
+# noise.  Shapes whose faster path changed from run to run are left out.
+MEASURED_SHAPES = [
+    (2, "k", 200, False), (3, "k", 200, False), (4, "k", 48, False), (4, "k", 96, False),
+    (5, "k", 30, False), (2, "t1", 200, False), (4, "t1", 200, False), (5, "t1", 12, False),
+    (5, "t1", 50, False),
+    (5, "k", 80, True), (5, "k", 102, True), (5, "t1", 200, True), (5, "t1", 2000, True),
+]
+
+
+@pytest.mark.parametrize("n, axis, points, forks", MEASURED_SHAPES)
+def test_the_estimate_sends_each_measured_shape_to_its_path(n, axis, points, forks):
+    import chainflux.sweep
+
+    request = SweepRequest(base=chain([1.5] * n, [1.0] * (n - 1), 2.0, 0.5), axis=axis,
+                           grid=tuple(np.linspace(0.5, 3.0, points)), approaches=("global", "local"),
+                           outputs=("populations", "heat_flux"))
+    assert (chainflux.sweep._serial_ms(request) > chainflux.sweep._FORK_MS) == forks
+
+
 def test_a_task_error_is_raised_as_at_one_worker(monkeypatch, forking):
     # a task's exception crosses the worker's pipe with its type and
     # message, and the first failing task in grid order is the one raised
