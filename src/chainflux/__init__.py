@@ -43,10 +43,8 @@ from .model import (
 )
 from .operators import (
     EigenSystem,
-    EigenSystemDimer,
     build_chain_hamiltonian,
     diagonalize,
-    dimer_analytic_eigensystem,
     number_operator,
     site_operator,
     total_excitation,
@@ -104,9 +102,8 @@ __all__ = [
     "StepTooLarge", "UnknownKey", "WorkerFailed",
     "BathSpec", "ChainSpec", "chain", "conventions_fingerprint", "dimer", "monomer",
     "validate_spec",
-    "EigenSystem", "EigenSystemDimer", "build_chain_hamiltonian", "diagonalize",
-    "dimer_analytic_eigensystem", "number_operator", "site_operator",
-    "total_excitation",
+    "EigenSystem", "build_chain_hamiltonian", "diagonalize", "number_operator",
+    "site_operator", "total_excitation",
     "OMEGA_MIN", "LindbladModel", "assemble", "bose_occupation",
     "thermal_dissipator", "unvectorize", "vectorize",
     "SteadySolution", "Trajectory", "check_density_matrix", "evolve_rk4",

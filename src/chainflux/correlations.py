@@ -36,20 +36,25 @@ from functools import lru_cache
 import numpy as np
 
 from .generator import full_unknowns, read_only
-from .operators import excited_qubits, site_operator
+from .operators import excited_qubits
 from .steady import check_residual, checked_inverse, unique
 
 
 @lru_cache(maxsize=None)
 def _pair_tables(n_qubits: int) -> np.ndarray:
-    """c_i^dag c_j of every (i, j), as complex (n^2, d^2) rows: i n + j holds its d x d matrix."""
+    """c_i^dag c_j of every (i, j), as complex (n^2, d^2) rows: i n + j holds its d x d matrix.
+
+    c_j lowers qubit j of b, then c_i^dag raises qubit i; each multiplies
+    by (-1)^(excited qubits before its site) of the state it acts on.
+    """
     d = 2**n_qubits
-    string = np.eye(d)
-    modes = []
-    for i in range(n_qubits):
-        modes.append(string @ site_operator(n_qubits, i, "lower").real)
-        string = string @ -site_operator(n_qubits, i, "z").real  # 1 - 2 n_i = -sigma^z_i
-    tables = np.array([a.T @ b for a in modes for b in modes], dtype=complex)
+    excited = excited_qubits(n_qubits).astype(bool)
+    bits = 1 << (n_qubits - 1 - np.arange(n_qubits))
+    sign = 1 - 2 * ((np.cumsum(excited, axis=0) - excited) % 2)  # sign[q, b]
+    lowered = np.arange(d) | bits[:, None]  # [j, b]: b with qubit j lowered
+    i, j, b = np.nonzero(excited & ~excited[:, lowered])  # j excited in b, i not in lowered[j, b]
+    tables = np.zeros((n_qubits, n_qubits, d, d), dtype=complex)
+    tables[i, j, lowered[j, b] & ~bits[i], b] = sign[j, b] * sign[i, lowered[j, b]]
     tables = tables.reshape(n_qubits**2, d * d)
     read_only(tables)
     return tables
@@ -60,18 +65,19 @@ def _correlation_basis(n_qubits: int) -> np.ndarray:
     """The real N^2 x N^2 system of C -> X C + C X^dag for each coefficient of X, (n + n^2, n^4).
 
     X = i h - Lambda / 2: item q < n is the system of Lambda_qq = 1, item n
-    + a n + b that of h_ab = 1.  In column stacking the map is I (x) X +
-    conj(X) (x) I, taken to the real coordinates of a Hermitian C
-    (:meth:`~chainflux.generator.Unknowns.hermitian`).
+    + a n + b that of h_ab = 1.  In column stacking the map is L = I (x) X
+    + conj(X) (x) I, taken to the real coordinates x of a Hermitian C, v =
+    U x (:class:`~chainflux.generator.Unknowns`), as Re(U^dag L U).
     """
     n = n_qubits
-    X = np.zeros((n + n * n, n, n), dtype=complex)
-    X[np.arange(n), np.arange(n), np.arange(n)] = -0.5
-    X[n:] = 1j * np.eye(n * n).reshape(n * n, n, n)
-    eye = np.eye(n)
-    L = (eye[None, :, None, :, None] * X[:, None, :, None, :]
-         + X.conj()[:, :, None, :, None] * eye[None, None, :, None, :])
-    basis = full_unknowns(n).hermitian(L.reshape(-1, n * n, n * n)).reshape(len(X), -1)
+    E = np.eye(n * n).reshape(-1, n, n)  # E_ab at item a n + b
+    X = np.concatenate([-0.5 * E[::n + 1], 1j * E])
+    L = np.zeros((len(X), n, n, n, n), dtype=complex)  # [., a, i, b, j] at (a n + i, b n + j)
+    for a in range(n):  # I (x) X, then conj(X) (x) I; no entry takes more than two terms
+        L[:, a, :, a, :] += X
+        L[:, :, a, :, a] += X.conj()
+    U = full_unknowns(n).state(np.eye(n * n)).swapaxes(1, 2).reshape(n * n, -1).T
+    basis = (U.conj().T @ L.reshape(len(X), n * n, n * n) @ U).real.reshape(len(X), -1)
     read_only(basis)
     return basis
 

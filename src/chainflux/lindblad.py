@@ -58,6 +58,7 @@ from .model import BathSpec, ChainSpec
 from .operators import (
     EigenSystem,
     build_chain_hamiltonian,
+    chain_arrays,
     diagonalize,
     site_operator,
 )
@@ -418,24 +419,19 @@ def bath_rates(omegas: np.ndarray, baths: np.ndarray) -> np.ndarray:
     return rates
 
 
-def chain_key(spec: ChainSpec) -> tuple:
-    """What fixes a chain's rate-free structure: its gaps, couplings and attachment sites."""
-    return spec.epsilons, spec.couplings, spec.baths[0].attached_site, spec.baths[-1].attached_site
+def chain_operators(epsilons, couplings=None, sites=None) -> ChainOperators:
+    """The approach-independent operators of a stack of chains of one qubit count, newly built.
 
-
-def chain_operators(specs) -> ChainOperators:
-    """The approach-independent operators of the chains of ``specs``, newly built as one stack.
-
-    One ChainSpec per chain, all of one qubit count; only their gaps,
-    couplings and attachments are read.
+    The chains are the rows of the gaps ``epsilons`` (k, n), ``couplings``
+    (k, n - 1) and attachment ``sites`` (k, 2), which become read-only; or
+    ``epsilons`` is a sequence of ChainSpecs, one per chain, of which only
+    the gaps, couplings and attachments are read.
     """
-    n = specs[0].n_qubits
-    H = build_chain_hamiltonian(specs)
-    epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(len(specs), n)
-    hoppings = np.array([spec.couplings for spec in specs], dtype=float).reshape(len(specs), n - 1)
-    sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs])
-    read_only(H, epsilons, hoppings, sites)
-    return ChainOperators(hamiltonian=H, epsilons=epsilons, hoppings=hoppings, sites=sites)
+    if couplings is None:
+        epsilons, couplings, sites = chain_arrays(epsilons)
+    H = build_chain_hamiltonian(epsilons, couplings)
+    read_only(H, epsilons, couplings, sites)
+    return ChainOperators(hamiltonian=H, epsilons=epsilons, hoppings=couplings, sites=sites)
 
 
 @lru_cache(maxsize=None)

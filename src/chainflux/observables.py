@@ -29,11 +29,10 @@ from .lindblad import (
     ChainOperators,
     bath_rates,
     bose_occupation,
-    chain_key,
     chain_operators,
     chain_structure,
 )
-from .model import ChainSpec
+from .model import BathSpec, ChainSpec
 from .operators import excited_qubits, number_operator
 from .steady import solve_hermitian, unique, uniqueness_error
 
@@ -273,7 +272,7 @@ class SteadyReport:
 
 @dataclass(frozen=True, eq=False)
 class SteadyColumns(Sequence):
-    """One approach's results for the specs of a :func:`steady_reports` call, one row per spec.
+    """One approach's results for the rows of a :func:`chain_reports` call.
 
     ``populations`` (rows, N), ``fluxes`` (rows, 2), ``residual``, ``rcond``
     and ``unknowns`` are columns; ``errors`` maps each row not solved to its
@@ -284,11 +283,12 @@ class SteadyColumns(Sequence):
     on chain ``chain[i]`` of the call's ``chains``, and its channels
     are the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by
     reservoir (:class:`~chainflux.lindblad.ChainStructure`); nothing else
-    of the approach's structure is kept.  ``columns[i]`` builds row i's
-    :class:`SteadyReport`, or gives its error.
+    of the approach's structure is kept.  ``baths[i]`` holds the
+    (temperature, gamma) of each reservoir of row i.  ``columns[i]`` builds
+    row i's :class:`SteadyReport`, with the spec of its chain and baths, or
+    gives its error.
     """
 
-    specs: list
     approach: str
     populations: np.ndarray
     fluxes: np.ndarray
@@ -300,11 +300,12 @@ class SteadyColumns(Sequence):
     channels: np.ndarray
     chains: ChainOperators
     chain: np.ndarray
+    baths: np.ndarray
     omegas: np.ndarray
     edges: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return len(self.residual)
 
     def __getitem__(self, i):
         i = range(len(self))[i]
@@ -314,8 +315,12 @@ class SteadyColumns(Sequence):
         low, split, high = self.edges[2 * c:2 * c + 3].tolist()
         omegas, values = self.omegas[low:high].tolist(), self.channels[i].tolist()
         pieces = (slice(0, split - low), slice(split - low, high - low))
+        chains, (t, gamma) = self.chains, self.baths[i].T.tolist()
+        baths = tuple(map(BathSpec, t, gamma, self.chains.sites[c].tolist()))
+        spec = ChainSpec(chains.epsilons.shape[1], tuple(chains.epsilons[c].tolist()),
+                         tuple(chains.hoppings[c].tolist()), baths)
         return SteadyReport(
-            spec=self.specs[i], approach=self.approach, rho=self.rho[i],
+            spec=spec, approach=self.approach, rho=self.rho[i],
             populations=tuple(self.populations[i].tolist()),
             fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
             channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in pieces),
@@ -346,35 +351,13 @@ def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
 def steady_reports(specs, approaches) -> list:
     """Per approach, the :class:`SteadyColumns` of the specs, which all have one number of qubits.
 
-    The call owns every chain's rate-free data, built as stacks over its
-    distinct chains (the same gaps, couplings and attachments, as along a
-    temperature sweep, are one chain): one :class:`ChainOperators` stack,
-    so every H is built and diagonalized once for every approach.
-
-    The global rows use one :class:`~chainflux.lindblad.ChainStructure`
-    stack, dropped once they are solved.  They are grouped by their
-    chain's set of unknowns, one per chain whatever its rates, across
-    chains: every row of a temperature sweep, at T = 0 or not, and the
-    rows of chains whose frame generators couple the same entries.  Each
-    group is solved in stacks of at most ``_GRID_ELEMENTS`` block elements
-    (:func:`_stack_reports`).  Every spec of a chain whose eigenbasis route
-    degenerates gets that DegenerateTransition (the other chains of the
-    call are solved as usual).
-
-    The local rows are solved through their N x N correlation matrices
-    (:func:`~chainflux.correlations.local_steady_states`), every row of
-    the call in stacks of at most ``_GRID_ELEMENTS`` elements of the larger
-    of its N^2 x N^2 system and its state (:func:`_local_reports`).
-
-    A spec whose steady state is not unique gets its own DegenerateKernel.
-    Each row is the one :func:`steady_report` gives, bit for bit.
+    Specs with the same gaps, couplings and attachments, as along a
+    temperature sweep, are one chain of the stack :func:`chain_reports`
+    solves.  Each row is the one :func:`steady_report` gives, bit for bit.
     """
-    for approach in approaches:
-        if approach not in ("global", "local"):
-            raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
     index, chain, first = {}, [], []  # chain key -> chain; each spec's chain; each chain's spec
     for spec in specs:
-        key = chain_key(spec)
+        key = spec.epsilons, spec.couplings, tuple(bath.attached_site for bath in spec.baths)
         c = index.get(key)
         if c is None:
             if first and len(key[0]) != first[0].n_qubits:
@@ -383,27 +366,59 @@ def steady_reports(specs, approaches) -> list:
             c = index[key] = len(first)
             first.append(spec)
         chain.append(c)
-    if not specs:
+    baths = np.array([(b.temperature, b.gamma) for s in specs for b in s.baths]).reshape(-1, 2, 2)
+    return chain_reports(chain_operators(first) if first else None, np.array(chain, dtype=int),
+                         baths, approaches)
+
+
+def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
+                  approaches) -> list:
+    """Per approach, the :class:`SteadyColumns` of rows on the ``chains`` stack.
+
+    Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
+    reservoir at ``baths[i]`` (rows, 2, 2).  The call owns every chain's
+    rate-free data, built as stacks over its chains: one
+    :class:`ChainOperators` stack, so every H is built and diagonalized
+    once for every approach.
+
+    The global rows use one :class:`~chainflux.lindblad.ChainStructure`
+    stack, dropped once they are solved.  They are grouped by their
+    chain's set of unknowns, one per chain whatever its rates, across
+    chains: every row of a temperature sweep, at T = 0 or not, and the
+    rows of chains whose frame generators couple the same entries.  Each
+    group is solved in stacks of at most ``_GRID_ELEMENTS`` block elements
+    (:func:`_stack_reports`).  Every row of a chain whose eigenbasis route
+    degenerates gets that DegenerateTransition (the other chains of the
+    call are solved as usual).
+
+    The local rows are solved through their N x N correlation matrices
+    (:func:`~chainflux.correlations.local_steady_states`), every row of
+    the call in stacks of at most ``_GRID_ELEMENTS`` elements of the larger
+    of its N^2 x N^2 system and its state (:func:`_local_reports`).
+
+    A row whose steady state is not unique gets its own DegenerateKernel.
+    """
+    for approach in approaches:
+        if approach not in ("global", "local"):
+            raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
+    if not len(chain):
         return [_no_reports(approach) for approach in approaches]
-    chains, chain = chain_operators(first), np.array(chain)
-    baths = np.array([(bath.temperature, bath.gamma) for spec in specs for bath in spec.baths])
-    baths = baths.reshape(len(specs), 2, 2)
-    return [_local_reports(specs, chains, chain, baths) if approach == "local" else
-            _approach_reports(specs, approach, chain_structure(chains), chain, baths)
+    return [_local_reports(chains, chain, baths) if approach == "local" else
+            _approach_reports(approach, chain_structure(chains), chain, baths)
             for approach in approaches]
 
 
 def _no_reports(approach) -> SteadyColumns:
-    empty = np.zeros(0)
+    empty, none = np.zeros(0), np.zeros(0, dtype=int)
     return SteadyColumns(
-        specs=[], approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
-        residual=empty, rcond=empty, unknowns=np.zeros(0, dtype=int), errors={},
+        approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
+        residual=empty, rcond=empty, unknowns=none, errors={},
         rho=np.zeros((0, 1, 1), dtype=complex), channels=np.zeros((0, 0)), chains=None,
-        chain=np.zeros(0, dtype=int), omegas=empty, edges=np.zeros(1, dtype=int))
+        chain=none, baths=np.zeros((0, 2, 2)), omegas=empty, edges=np.zeros(1, dtype=int))
 
 
-def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns:
-    """:func:`steady_reports` under one approach, on the call's ``structure`` stack.
+def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
+    """:func:`chain_reports` under one approach, on the call's ``structure`` stack.
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir in ``baths[i]``.  The rates of every row and bin are one
@@ -420,14 +435,15 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
     keys = {}  # (bin count, set of unknowns) -> its group
     group = np.array([keys.setdefault((b, u.dim, u.rows.tobytes(), u.cols.tobytes()), len(keys))
                       for b, u in zip(bins, sets)], dtype=int)
-    k, d, n = len(specs), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
+    k, d, n = len(chain), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
     width = int(np.diff(structure.edges[::2]).max(initial=0))
     out = SteadyColumns(
-        specs=specs, approach=approach,
+        approach=approach,
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
         rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, width)),
-        chains=structure.chains, chain=chain, omegas=structure.omegas, edges=structure.edges)
+        chains=structure.chains, chain=chain, baths=baths, omegas=structure.omegas,
+        edges=structure.edges)
     for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
         unknowns, members = sets[i], np.flatnonzero(group[which] == g)
         m = unknowns.size
@@ -445,21 +461,22 @@ def _approach_reports(specs, approach, structure, chain, baths) -> SteadyColumns
     return out
 
 
-def _local_reports(specs, chains, chain, baths) -> SteadyColumns:
-    """:func:`steady_reports` under the local approach, on the call's ``chains`` stack.
+def _local_reports(chains, chain, baths) -> SteadyColumns:
+    """:func:`chain_reports` under the local approach, on the call's ``chains`` stack.
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir in ``baths[i]``.  Each reservoir has one channel, the bare
     jump of its qubit at that qubit's gap.
     """
-    k, (c, n), d = len(specs), chains.epsilons.shape, chains.hamiltonian.shape[-1]
+    k, (c, n), d = len(chain), chains.epsilons.shape, chains.hamiltonian.shape[-1]
     omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)
     out = SteadyColumns(
-        specs=specs, approach="local",
+        approach="local",
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.full(k, n * n), errors={},
         rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, 2)),
-        chains=chains, chain=chain, omegas=omegas.reshape(-1), edges=np.arange(2 * c + 1))
+        chains=chains, chain=chain, baths=baths, omegas=omegas.reshape(-1),
+        edges=np.arange(2 * c + 1))
     step = max(1, _GRID_ELEMENTS // max(n**4, d * d))
     for start in range(0, k, step):
         at = slice(start, start + step)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (
-    DegenerateDenominator,
     IndexOutOfRange,
     NoConvergence,
     NotHermitian,
@@ -67,27 +65,36 @@ def total_excitation(n_qubits: int) -> np.ndarray:
     return sum(number_operator(n_qubits, q) for q in range(n_qubits))
 
 
-def build_chain_hamiltonian(spec) -> np.ndarray:
+def chain_arrays(specs) -> tuple:
+    """The gaps (k, n), couplings (k, n - 1) and attachment sites (k, 2) of ChainSpecs of one N."""
+    k, n = len(specs), specs[0].n_qubits
+    epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(k, n)
+    couplings = np.array([spec.couplings for spec in specs], dtype=float).reshape(k, n - 1)
+    sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs]).reshape(k, 2)
+    return epsilons, couplings, sites
+
+
+def build_chain_hamiltonian(spec, couplings=None) -> np.ndarray:
     """Chain Hamiltonian: split terms plus excitation-conserving hopping.
 
     H = sum_q (eps_q / 2) sigma_q^z
         + sum_i K_i (sigma_i^+ sigma_{i+1}^- + sigma_i^- sigma_{i+1}^+)
 
     ``spec`` is one ChainSpec, giving H (d, d), or a sequence of ChainSpecs
-    of one qubit count, giving their (k, d, d) stack.  The diagonal is
+    of one qubit count, giving their (k, d, d) stack; or the stack's gaps
+    (k, n) as an array, with its ``couplings`` (k, n - 1).  The diagonal is
     summed qubit by qubit from zero and each hopping entry is K_i itself,
     so every chain's H is the same whatever stack it is built in.
     """
-    single = isinstance(spec, ChainSpec)
-    specs = [spec] if single else spec
-    n = specs[0].n_qubits
+    single, epsilons = isinstance(spec, ChainSpec), spec
+    if couplings is None:
+        epsilons, couplings, _ = chain_arrays([spec] if single else spec)
+    k, n = epsilons.shape
     signs, hops = _hamiltonian_layout(n)
-    epsilons = np.array([s.epsilons for s in specs], dtype=float).reshape(len(specs), n)
-    couplings = np.array([s.couplings for s in specs], dtype=float).reshape(len(specs), n - 1)
-    diagonal = np.zeros((len(specs), 2**n))
+    diagonal = np.zeros((k, 2**n))
     for q in range(n):
         diagonal += (0.5 * epsilons[:, q])[:, None] * signs[q]
-    H = np.zeros((len(specs), 2**n, 2**n), dtype=complex)
+    H = np.zeros((k, 2**n, 2**n), dtype=complex)
     H[:, np.arange(2**n), np.arange(2**n)] = diagonal
     for i, (rows, cols) in enumerate(hops):
         H[:, rows, cols] = couplings[:, i, None]
@@ -261,48 +268,3 @@ def diagonalize(H: np.ndarray) -> EigenSystem:
         )
     es = EigenSystem(energies=energies, vectors=vectors)
     return es[0] if single else es
-
-
-@dataclass(frozen=True)
-class EigenSystemDimer:
-    """Closed-form eigensystem of the two-qubit chain.
-
-    Amplitudes c_pq expand the one-excitation eigenstates in the site basis:
-    |s3> = c31 |10> + c32 |01> at energy +alpha and |s4> = c41 |10> + c42 |01>
-    at energy -alpha, with |s1> = |00> and |s2> = |11>.
-    """
-
-    c31: float
-    c32: float
-    c41: float
-    c42: float
-    alpha: float
-    delta_eps: float
-    energies: tuple  # (E1, E2, E3, E4)
-
-
-def dimer_analytic_eigensystem(eps1: float, eps2: float, coupling: float) -> EigenSystemDimer:
-    """Exact dimer amplitudes and energies.
-
-    Singular only when the one-excitation block is already diagonal with a
-    vanishing coupling, in which case callers should fall back to the
-    trivial product eigenstates.
-    """
-    delta = eps1 - eps2
-    alpha = math.sqrt(coupling**2 + 0.25 * delta**2)
-    den3 = 2.0 * alpha**2 - alpha * delta
-    den4 = 2.0 * alpha**2 + alpha * delta
-    if den3 <= 0 or den4 <= 0:
-        raise DegenerateDenominator(
-            f"amplitude denominators vanish for eps=({eps1}, {eps2}), K={coupling}"
-        )
-    c31 = coupling / math.sqrt(den3)
-    c32 = (alpha - 0.5 * delta) / math.sqrt(den3)
-    c41 = coupling / math.sqrt(den4)
-    c42 = -(alpha + 0.5 * delta) / math.sqrt(den4)
-    e_sum = 0.5 * (eps1 + eps2)
-    return EigenSystemDimer(
-        c31=c31, c32=c32, c41=c41, c42=c42,
-        alpha=alpha, delta_eps=delta,
-        energies=(-e_sum, e_sum, alpha, -alpha),
-    )

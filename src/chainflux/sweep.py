@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import signal
@@ -24,8 +23,10 @@ from .errors import (
     UnknownKey,
     WorkerFailed,
 )
+from .lindblad import chain_operators
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
-from .observables import steady_reports
+from .observables import chain_reports
+from .operators import chain_arrays
 
 AXES = ("t1", "t2", "k", "eps")
 APPROACHES = ("global", "local")
@@ -101,29 +102,37 @@ class SweepTable:
             object.__setattr__(self, "rows", SweepColumns(*map(np.array, columns)))
 
 
+def _valid_values(spec: ChainSpec, axis: str, values: np.ndarray) -> np.ndarray:
+    """Whether each float of ``values`` meets the rule of the field ``axis`` sets in ``spec``.
+
+    Temperatures finite and >= 0, gaps finite and > 0, couplings finite
+    (an N = 1 chain has none, so any K is accepted).
+    """
+    if axis not in AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis == "k":
+        return np.isfinite(values) | (not spec.couplings)
+    return np.isfinite(values) & (values > 0 if axis == "eps" else values >= 0)
+
+
 def apply_axis(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
     """Copy of the validated ``spec`` with the swept field set to ``value``.
 
-    Only the new value is checked, against its own field's rule:
-    temperatures finite and >= 0, gaps finite and > 0, couplings finite
-    (an N = 1 chain has none, so any K is accepted).  A value that breaks
-    it sends the copy through :func:`validate_spec`, which raises its
-    error, so an invalid point fails exactly as a validated spec would.
+    Only the new value is checked, against its own field's rule
+    (:func:`_valid_values`).  A value that breaks it sends the copy
+    through :func:`validate_spec`, which raises its error, so an invalid
+    point fails exactly as a validated spec would.
     """
     value = float(value)
+    valid = _valid_values(spec, axis, np.array(value))
     epsilons, couplings, baths = spec.epsilons, spec.couplings, list(spec.baths)
     if axis in ("t1", "t2"):
         j = int(axis == "t2")
         baths[j] = BathSpec(value, baths[j].gamma, baths[j].attached_site)
-        valid = math.isfinite(value) and value >= 0
     elif axis == "k":
         couplings = (value,) * len(couplings)
-        valid = math.isfinite(value) or not couplings
-    elif axis == "eps":
-        epsilons = (value,) * spec.n_qubits
-        valid = math.isfinite(value) and value > 0
     else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        epsilons = (value,) * spec.n_qubits
     out = ChainSpec(spec.n_qubits, epsilons, couplings, tuple(baths))
     return out if valid else validate_spec(out)
 
@@ -272,11 +281,11 @@ def parse_config(text: str) -> SweepRequest:
     except SpecError as err:
         raise SpecInvalid(str(err)) from err
 
-    for value in grid:
+    for i in np.flatnonzero(~_valid_values(base, axis, np.array(grid)))[:1].tolist():
         try:
-            apply_axis(base, axis, value)
+            apply_axis(base, axis, grid[i])
         except SpecError as err:
-            raise SpecInvalid(f"grid point {axis} = {value!r}: {err}") from err
+            raise SpecInvalid(f"grid point {axis} = {grid[i]!r}: {err}") from err
     return SweepRequest(base=base, axis=axis, grid=grid, approaches=approaches, outputs=outputs)
 
 
@@ -299,7 +308,7 @@ def format_config(request: SweepRequest) -> str:
         f"gamma1 = {fmt(base.baths[0].gamma)}",
         f"gamma2 = {fmt(base.baths[1].gamma)}",
         f"axis = {request.axis}",
-        f"grid = {', '.join(fmt(v) for v in request.grid)}",
+        f"grid = {', '.join(map(repr, map(float, request.grid)))}",
         f"approaches = {', '.join(request.approaches)}",
         f"outputs = {', '.join(request.outputs)}",
     ]
@@ -340,20 +349,31 @@ _SKIP_REASONS = {
 
 
 def _row_task(args):
-    """Columns and skips of one chunk of (grid value, spec) points, per approach of the request.
+    """Columns and skips of one chunk of grid values (a float array), per approach of the request.
 
-    The chunk's specs are solved under every approach in one call
-    (:func:`steady_reports`), which builds each chain's H and eigensystem
-    once for both approaches, even for a chain whose eigenbasis route
-    degenerates; a point whose eigenbasis degenerates or whose steady
-    state is not unique becomes an annotated skip.  The rows leave as arrays.
+    The chunk's chains are one stack built from arrays: one chain for a
+    temperature sweep or a K scan of one qubit, else one per point.  Its
+    points are solved under every approach in one :func:`chain_reports`
+    call, which builds each H and eigensystem once for both approaches; a
+    point whose eigenbasis degenerates or whose steady state is not unique
+    becomes an annotated skip.  The rows leave as arrays.
     """
-    request, points = args
-    values = np.array([value for value, _ in points])
+    request, values = args
+    base, k = request.base, len(values)
+    epsilons, couplings, sites = chain_arrays([base])
+    baths = np.array([[(b.temperature, b.gamma) for b in base.baths]], dtype=float).repeat(k, 0)
+    chain = np.zeros(k, dtype=int)
+    if request.axis in ("t1", "t2"):
+        baths[:, AXES.index(request.axis), 0] = values
+    elif request.axis == "eps" or couplings.size:  # a chain per point
+        epsilons, couplings, sites = (a.repeat(k, 0) for a in (epsilons, couplings, sites))
+        (epsilons if request.axis == "eps" else couplings)[:] = values[:, None]
+        chain = np.arange(k)
+    reports = chain_reports(chain_operators(epsilons, couplings, sites), chain, baths,
+                            request.approaches)
     out = []
-    for approach, results in zip(request.approaches,
-                                 steady_reports([spec for _, spec in points], request.approaches)):
-        rows = np.flatnonzero(~np.isin(np.arange(len(points)), list(results.errors)))
+    for approach, results in zip(request.approaches, reports):
+        rows = np.flatnonzero(~np.isin(np.arange(k), list(results.errors)))
         empty = np.zeros((len(rows), 0))
         columns = SweepColumns(
             axis_value=values[rows], approach=np.full(len(rows), approach, dtype=object),
@@ -363,7 +383,7 @@ def _row_task(args):
                        else empty),
             residual=results.residual[rows],
         )
-        skips = tuple(SkippedRow(axis_value=points[i][0], approach=approach,
+        skips = tuple(SkippedRow(axis_value=values[i].item(), approach=approach,
                                  reason=_SKIP_REASONS[type(error)].format(error))
                       for i, error in sorted(results.errors.items()))
         out.append((columns, skips))
@@ -454,21 +474,22 @@ def _fork_join(tasks, workers: int) -> list:
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     """Run the full numeric pipeline at every (grid point, approach).
 
-    The first grid point's spec is validated in full, once per sweep
-    (:func:`validate_spec`); every grid value is checked once, against its
-    own field's rule (:func:`apply_axis`), and an invalid one raises the
-    SpecError :func:`validate_spec` raises on its spec.  The solved rows
-    are joined as columns in (approach, axis value) order and are identical
-    for any worker count; points where the eigenbasis construction
-    degenerates or the steady state is not unique are recorded as
-    annotated skips instead of aborting the run.  A row residual above
+    The grid becomes one float array.  The first grid point's spec is
+    validated in full, once per sweep (:func:`validate_spec`); the whole
+    array is checked against the swept field's rule at once, and the first
+    invalid value in grid order raises the SpecError :func:`validate_spec`
+    raises on its spec (:func:`apply_axis`).  No spec is built for the
+    other points.  The solved rows are joined as columns in (approach,
+    axis value) order and are identical for any worker count; points where
+    the eigenbasis construction degenerates or the steady state is not
+    unique are recorded as annotated skips instead of aborting the run.  A row residual above
     ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst row, the first
     of the largest.  A request :func:`parse_config` would refuse, one that
     repeats an approach and ``workers`` < 1 raise ConfigSyntaxError before
     any row is solved; the grid's order is checked after its values.
 
-    The grid goes in contiguous chunks, each one task that solves its points
-    under every approach of the request in one :func:`steady_reports` call
+    The grid goes in contiguous slices, each one task that solves its points
+    under every approach of the request in one :func:`chain_reports` call
     (:func:`_row_task`), so both approaches of a chain share its H,
     eigensystem and site operators, built in that call and dropped after
     it; no chunk holds more than ``_CALL_CHAINS`` distinct chains, which
@@ -498,21 +519,19 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     _check_known(request.outputs, OUTPUTS, "output")
     if workers < 1:
         raise ConfigSyntaxError(f"workers must be at least 1, got {workers}")
-    points = []
-    base = request.base
-    for value in request.grid:
-        spec = apply_axis(base, request.axis, value)
-        if not points:  # the fields no point changes, validated once
-            base = spec = validate_spec(spec)
-        points.append((value, spec))
-    if any(b <= a for a, b in zip(request.grid, request.grid[1:])):
+    values = np.array(request.grid, dtype=float)
+    # the fields no point changes, validated once, then every value at once
+    base = validate_spec(apply_axis(request.base, request.axis, values[0]))
+    for i in np.flatnonzero(~_valid_values(base, request.axis, values))[:1].tolist():
+        apply_axis(base, request.axis, values[i])
+    if (values[1:] <= values[:-1]).any():
         raise ConfigSyntaxError("grid must be strictly increasing")
     if not hasattr(os, "fork") or _serial_ms(request) <= _FORK_MS:
         workers = 1
-    chains = len(points) if request.axis in _CHAIN_AXES else 1
+    chains = len(values) if request.axis in _CHAIN_AXES else 1
     pieces = max(2 * workers if workers > 1 else 1, -(-chains // _CALL_CHAINS))
-    size = -(-len(points) // (-(-pieces // workers) * workers))  # as many chunks per worker
-    tasks = [(request, tuple(points[i:i + size])) for i in range(0, len(points), size)]
+    size = -(-len(values) // (-(-pieces // workers) * workers))  # as many chunks per worker
+    tasks = [(request, values[i:i + size]) for i in range(0, len(values), size)]
     if workers > 1 and len(tasks) > 1:
         chunks = _fork_join(tasks, workers)
     else:
@@ -550,7 +569,8 @@ def emit_csv(table: SweepTable, path) -> None:
     """Write the table as CSV with '#' metadata lines, LF endings, 17 digits.
 
     Each row is one printf-style format over ``zip`` of the table's columns
-    as Python lists; "%.17g" gives the same bytes as ``f"{x:.17g}"``.
+    as Python lists; "%.17g" gives the same bytes as ``f"{x:.17g}"``.  Each
+    grid value is formatted once, and its string serves every approach.
     """
     lines = []
     for key, value in table.metadata:
@@ -565,9 +585,11 @@ def emit_csv(table: SweepTable, path) -> None:
         )
     columns = _columns(table)
     lines.append(",".join(columns))
-    row_format = ",".join("%s" if name == "approach" else "%.17g" for name in columns)
+    row_format = ",".join("%s" if i < 2 else "%.17g" for i in range(len(columns)))
     rows = table.rows
-    values = [rows.axis_value.tolist(), rows.approach.tolist(), *rows.populations.T.tolist(),
+    grid, at = np.unique(rows.axis_value, return_inverse=True)
+    grid = ["%.17g" % value for value in grid.tolist()]
+    values = [[grid[i] for i in at.tolist()], rows.approach.tolist(), *rows.populations.T.tolist(),
               *rows.fluxes.T.tolist(), *rows.diagonals.T.tolist(), rows.residual.tolist()]
     lines += [row_format % row for row in zip(*values)]
     with open(path, "w", newline="") as fh:

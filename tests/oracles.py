@@ -1,22 +1,27 @@
 """Reference forms the package no longer builds, kept for the tests to compare against.
 
-The dense adjoint dissipator; the local approach's real block: its
-structure of sigma^+- entries in the site basis (:func:`local_structure`),
-solved on its coupled set of C(2N, N) unknowns by the same stacked block
-solve as the global rows (:func:`local_block_reports`), where the package
-solves the local rows through their N x N correlation matrices; and the
-global approach's free-fermion form (:func:`global_free_fermion`), which
-shares no layer with the package's eigenbasis route.
+The dimer's closed-form eigensystem (:func:`dimer_analytic_eigensystem`);
+the dense adjoint dissipator; the correlation route's tables from dense
+operators (:func:`pair_tables`, :func:`correlation_basis`); the local
+approach's real block: its structure of sigma^+- entries in the site
+basis (:func:`local_structure`), solved on its coupled set of C(2N, N)
+unknowns by the same stacked block solve as the global rows
+(:func:`local_block_reports`), where the package solves the local rows
+through their N x N correlation matrices; and the global approach's
+free-fermion form (:func:`global_free_fermion`), which shares no layer
+with the package's eigenbasis route.
 """
 
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 import chainflux.lindblad
 import chainflux.observables
-from chainflux import DegenerateTransition, bose_occupation
-from chainflux.generator import Entries, equal_pairs, read_only
+from chainflux import DegenerateDenominator, DegenerateTransition, bose_occupation
+from chainflux.generator import Entries, equal_pairs, full_unknowns, read_only
 from chainflux.lindblad import (
     OMEGA_MIN,
     SECULAR_TOL,
@@ -26,6 +31,51 @@ from chainflux.lindblad import (
 )
 from chainflux.observables import _two_bath_flux
 from chainflux.operators import EigenSystem, site_operator
+
+
+@dataclass(frozen=True)
+class EigenSystemDimer:
+    """Closed-form eigensystem of the two-qubit chain.
+
+    Amplitudes c_pq expand the one-excitation eigenstates in the site basis:
+    |s3> = c31 |10> + c32 |01> at energy +alpha and |s4> = c41 |10> + c42 |01>
+    at energy -alpha, with |s1> = |00> and |s2> = |11>.
+    """
+
+    c31: float
+    c32: float
+    c41: float
+    c42: float
+    alpha: float
+    delta_eps: float
+    energies: tuple  # (E1, E2, E3, E4)
+
+
+def dimer_analytic_eigensystem(eps1: float, eps2: float, coupling: float) -> EigenSystemDimer:
+    """Exact dimer amplitudes and energies.
+
+    Singular only when the one-excitation block is already diagonal with a
+    vanishing coupling, in which case callers should fall back to the
+    trivial product eigenstates.
+    """
+    delta = eps1 - eps2
+    alpha = math.sqrt(coupling**2 + 0.25 * delta**2)
+    den3 = 2.0 * alpha**2 - alpha * delta
+    den4 = 2.0 * alpha**2 + alpha * delta
+    if den3 <= 0 or den4 <= 0:
+        raise DegenerateDenominator(
+            f"amplitude denominators vanish for eps=({eps1}, {eps2}), K={coupling}"
+        )
+    c31 = coupling / math.sqrt(den3)
+    c32 = (alpha - 0.5 * delta) / math.sqrt(den3)
+    c41 = coupling / math.sqrt(den4)
+    c42 = -(alpha + 0.5 * delta) / math.sqrt(den4)
+    e_sum = 0.5 * (eps1 + eps2)
+    return EigenSystemDimer(
+        c31=c31, c32=c32, c41=c41, c42=c42,
+        alpha=alpha, delta_eps=delta,
+        energies=(-e_sum, e_sum, alpha, -alpha),
+    )
 
 
 def adjoint_dissipator(A: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -53,6 +103,34 @@ def _adjoint_dense(A, H):
     Ad = A.conj().swapaxes(-1, -2)
     AdA = Ad @ A
     return Ad @ H @ A - 0.5 * (AdA @ H + H @ AdA)
+
+
+def pair_tables(n_qubits: int) -> np.ndarray:
+    """c_i^dag c_j of every (i, j) from dense Jordan-Wigner strings, as complex (n^2, d^2) rows."""
+    d = 2**n_qubits
+    string = np.eye(d)
+    modes = []
+    for i in range(n_qubits):
+        modes.append(string @ site_operator(n_qubits, i, "lower").real)
+        string = string @ -site_operator(n_qubits, i, "z").real  # 1 - 2 n_i = -sigma^z_i
+    tables = np.array([a.T @ b for a in modes for b in modes], dtype=complex)
+    return tables.reshape(n_qubits**2, d * d)
+
+
+def correlation_basis(n_qubits: int) -> np.ndarray:
+    """The real system of C -> X C + C X^dag per coefficient of X, through ``Unknowns.hermitian``.
+
+    The map I (x) X + conj(X) (x) I of every coefficient is one complex
+    (n + n^2, n, n, n, n) broadcast.
+    """
+    n = n_qubits
+    X = np.zeros((n + n * n, n, n), dtype=complex)
+    X[np.arange(n), np.arange(n), np.arange(n)] = -0.5
+    X[n:] = 1j * np.eye(n * n).reshape(n * n, n, n)
+    eye = np.eye(n)
+    L = (eye[None, :, None, :, None] * X[:, None, :, None, :]
+         + X.conj()[:, :, None, :, None] * eye[None, None, :, None, :])
+    return full_unknowns(n).hermitian(L.reshape(-1, n * n, n * n)).reshape(len(X), -1)
 
 
 def entries_from_dense(matrices) -> Entries:
@@ -161,13 +239,14 @@ def local_block_reports(specs):
     distinct chains.
     """
     keys = {}
-    chain = np.array([keys.setdefault(chainflux.lindblad.chain_key(spec), len(keys))
+    chain = np.array([keys.setdefault((spec.epsilons, spec.couplings,
+                                       tuple(bath.attached_site for bath in spec.baths)), len(keys))
                       for spec in specs])
     first = {c: spec for spec, c in zip(specs, chain.tolist())}
     chains = chain_operators([first[c] for c in range(len(keys))])
     baths = np.array([[(b.temperature, b.gamma) for b in spec.baths] for spec in specs])
-    return chainflux.observables._approach_reports(specs, "local", local_structure(chains),
-                                                   chain, baths.reshape(len(specs), 2, 2))
+    return chainflux.observables._approach_reports("local", local_structure(chains), chain,
+                                                   baths.reshape(len(specs), 2, 2))
 
 
 def free_fermion_form(spec) -> tuple:

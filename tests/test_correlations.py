@@ -27,7 +27,14 @@ from chainflux.lindblad import chain_operators
 from chainflux.observables import steady_reports
 from chainflux.operators import site_operator
 
-from oracles import assemble, free_fermion_form, global_free_fermion, local_block_reports
+from oracles import (
+    assemble,
+    correlation_basis,
+    free_fermion_form,
+    global_free_fermion,
+    local_block_reports,
+    pair_tables,
+)
 from test_hermitian_solve import load_workloads
 
 REPO = Path(__file__).resolve().parent.parent
@@ -101,6 +108,15 @@ def test_the_residual_is_the_dense_generator_on_the_rebuilt_state():
             spec.dim, spec.dim, order="F")).max() <= 1e-12 * np.abs(L).max()
         norm = chainflux.correlations._generator_norms(energies, hoppings, site_rates)[0]
         assert norm == pytest.approx(np.linalg.norm(L), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_cached_tables_equal_their_dense_builders(n):
+    # the pair tables by index arithmetic and the correlation system by two
+    # dense products are bit for bit the dense Jordan-Wigner strings and the
+    # Unknowns.hermitian form of the broadcast map
+    assert np.array_equal(chainflux.correlations._pair_tables(n), pair_tables(n))
+    assert np.array_equal(chainflux.correlations._correlation_basis(n), correlation_basis(n))
 
 
 def test_the_pair_tables_are_products_of_jordan_wigner_fermions():

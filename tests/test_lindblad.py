@@ -15,7 +15,6 @@ from chainflux import (
     chain,
     diagonalize,
     dimer,
-    dimer_analytic_eigensystem,
     monomer,
     site_operator,
     solve_steady,
@@ -35,7 +34,7 @@ from chainflux.lindblad import (
     thermal_rates,
 )
 
-from oracles import assemble, chain_structure
+from oracles import assemble, chain_structure, dimer_analytic_eigensystem
 
 
 def coupling_op(n, site):

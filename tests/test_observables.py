@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from chainflux import (
     dimer_local_heat_flux_analytic,
     dimer_local_populations_analytic,
     bose_occupation,
+    figure_requests,
     heat_flux,
     monomer,
     monomer_heat_flux_analytic,
     monomer_population_analytic,
     qubit_population,
+    run_sweep,
     solve_steady,
     steady_report,
     universal_e,
@@ -23,7 +27,7 @@ from chainflux import (
 
 LOG_GRID = np.logspace(-2, 2, 60)
 
-from oracles import assemble
+from oracles import assemble, free_fermion_form
 
 
 def test_qubit_population_basic_states():
@@ -273,3 +277,42 @@ def test_local_population_never_exceeds_global_on_cold_side():
                 f"local n2 = {n2_local} exceeds global n2 = {n2_global} "
                 f"at eps = {eps}, T1 = {t1}"
             )
+
+
+def decimal_global_flux(eps, coupling, t1, digits=40):
+    """Global Q1 of the symmetric dimer against T2 = 0 at unit rates, in ``digits``-digit decimals.
+
+    The float inputs are taken exactly.  Each channel omega in {|eps - K|,
+    eps + K} carries omega g1 g2 n1 / (g1 (2 n1 + 1) + g2) with g1 = g2 = 1/2,
+    that is omega n1 / (4 (n1 + 1)).
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        eps, coupling, t1 = Decimal(eps), Decimal(coupling), Decimal(t1)
+        total = Decimal(0)
+        for omega in (abs(eps - coupling), eps + coupling):
+            n1 = 1 / ((omega / t1).exp() - 1)
+            total += omega * n1 / (4 * (n1 + 1))
+        return total
+
+
+def test_near_a_zero_mode_the_block_loses_digits_the_closed_forms_keep():
+    # figure3a sits at omega = |eps - K| = 1e-3: against a 40-digit decimal
+    # reference the closed form and the free-fermion form keep their last
+    # digits (8.4e-17 and 1.9e-16 at most), while the block rows of the sweep
+    # lose about five (6.3e-12 at T1 = 95.5)
+    request = figure_requests()["figure3a"]
+    eps, coupling = request.base.epsilons[0], request.base.couplings[0]
+    rows = [row for row in run_sweep(request).rows if row.approach == "global"]
+    assert len(rows) == len(request.grid)
+    errors = []
+    for row in rows:
+        t1 = row.axis_value
+        exact = decimal_global_flux(eps, coupling, t1)
+        values = (dimer_global_heat_flux_analytic(eps, coupling, t1, 0.0).total,
+                  free_fermion_form(chain([eps, eps], [coupling], t1, 0.0))[2], row.fluxes[0])
+        errors.append([abs(float(Decimal(value) - exact)) for value in values])
+    closed, modes, block = np.max(errors, axis=0)
+    assert closed <= 1e-15 and modes <= 1e-15
+    assert block <= 1e-11
+    assert block > 100 * max(closed, modes)  # the block is the less accurate side

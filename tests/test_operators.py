@@ -10,10 +10,11 @@ from chainflux import (
     chain,
     diagonalize,
     dimer,
-    dimer_analytic_eigensystem,
     site_operator,
     total_excitation,
 )
+
+from oracles import dimer_analytic_eigensystem
 
 
 def test_single_qubit_sigma_z():

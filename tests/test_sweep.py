@@ -283,25 +283,26 @@ def test_invalid_grid_point_raises_without_parse_config():
 
 
 def test_each_grid_point_is_validated_once(monkeypatch):
-    # the fields no grid point changes are validated once per sweep, and each
-    # grid value once, against its own field's rule
+    # the fields no grid point changes are validated once per sweep, on the
+    # first point's spec, and the grid values at once, as one array,
+    # against their own field's rule
     import chainflux.sweep
 
     checked, validated = [], []
 
-    def checking(spec, axis, value, _real=chainflux.sweep.apply_axis):
-        checked.append(value)
-        return _real(spec, axis, value)
+    def checking(spec, axis, values, _real=chainflux.sweep._valid_values):
+        checked.append(np.array(values).tolist())
+        return _real(spec, axis, values)
 
     def validating(spec, _real=chainflux.sweep.validate_spec):
         validated.append(spec)
         return _real(spec)
 
-    monkeypatch.setattr(chainflux.sweep, "apply_axis", checking)
+    monkeypatch.setattr(chainflux.sweep, "_valid_values", checking)
     monkeypatch.setattr(chainflux.sweep, "validate_spec", validating)
     grid = (0.5, 1.0, 2.0, 4.0)
     run_sweep(small_request(grid=grid))
-    assert checked == list(grid)
+    assert checked == [grid[0], list(grid)]  # the first point's spec, then the array
     assert len(validated) == 1
 
 
@@ -481,7 +482,7 @@ def test_a_task_error_is_raised_as_at_one_worker(monkeypatch, forking):
     def failing(args):
         # at workers = 2 each point is a task, and the points 2.0 and 3.0
         # fail in different workers
-        for value, _ in args[1]:
+        for value in args[1].tolist():
             if value >= 2.0:
                 raise NoConvergence(f"no steady state at t1 = {value!r}")
         return real(args)
