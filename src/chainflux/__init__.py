@@ -13,7 +13,6 @@ from .errors import (
     BadBathAttachment,
     ChainfluxError,
     ConfigSyntaxError,
-    DegenerateDenominator,
     DegenerateKernel,
     DegenerateTransition,
     DimensionMismatch,
@@ -28,7 +27,6 @@ from .errors import (
     NTooLarge,
     SpecError,
     SpecInvalid,
-    StepTooLarge,
     UnknownKey,
     WorkerFailed,
 )
@@ -47,24 +45,9 @@ from .operators import (
     diagonalize,
     number_operator,
     site_operator,
-    total_excitation,
 )
-from .generator import unvectorize, vectorize
-from .lindblad import (
-    OMEGA_MIN,
-    LindbladModel,
-    assemble,
-    bose_occupation,
-    thermal_dissipator,
-)
-from .steady import (
-    SteadySolution,
-    Trajectory,
-    check_density_matrix,
-    evolve_rk4,
-    solve_steady,
-    trace_distance,
-)
+from .lindblad import OMEGA_MIN, bose_occupation
+from .steady import SteadySolution
 from .observables import (
     DimerGlobalFlux,
     DimerGlobalSteadyState,
@@ -73,10 +56,8 @@ from .observables import (
     dimer_global_populations_analytic,
     dimer_local_heat_flux_analytic,
     dimer_local_populations_analytic,
-    heat_flux,
     monomer_heat_flux_analytic,
     monomer_population_analytic,
-    qubit_population,
     steady_report,
     universal_e,
 )
@@ -94,25 +75,21 @@ from .sweep import (
 from .verify import run_verification
 
 __all__ = [
-    "AnalyticFormMismatch", "BadBathAttachment", "ChainfluxError",
-    "ConfigSyntaxError", "DegenerateDenominator", "DegenerateKernel",
-    "DegenerateTransition", "DimensionMismatch", "IndexOutOfRange", "LengthMismatch",
-    "NegativeTemperature", "NoConvergence", "NonPositiveFrequency", "NonPositiveGap",
-    "NonPositiveRate", "NotHermitian", "NTooLarge", "SpecError", "SpecInvalid",
-    "StepTooLarge", "UnknownKey", "WorkerFailed",
+    "AnalyticFormMismatch", "BadBathAttachment", "ChainfluxError", "ConfigSyntaxError",
+    "DegenerateKernel", "DegenerateTransition", "DimensionMismatch", "IndexOutOfRange",
+    "LengthMismatch", "NegativeTemperature", "NoConvergence", "NonPositiveFrequency",
+    "NonPositiveGap", "NonPositiveRate", "NotHermitian", "NTooLarge", "SpecError",
+    "SpecInvalid", "UnknownKey", "WorkerFailed",
     "BathSpec", "ChainSpec", "chain", "conventions_fingerprint", "dimer", "monomer",
     "validate_spec",
     "EigenSystem", "build_chain_hamiltonian", "diagonalize", "number_operator",
-    "site_operator", "total_excitation",
-    "OMEGA_MIN", "LindbladModel", "assemble", "bose_occupation",
-    "thermal_dissipator", "unvectorize", "vectorize",
-    "SteadySolution", "Trajectory", "check_density_matrix", "evolve_rk4",
-    "solve_steady", "trace_distance",
+    "site_operator",
+    "OMEGA_MIN", "bose_occupation", "SteadySolution",
     "DimerGlobalFlux", "DimerGlobalSteadyState", "SteadyReport",
     "dimer_global_heat_flux_analytic", "dimer_global_populations_analytic",
     "dimer_local_heat_flux_analytic", "dimer_local_populations_analytic",
-    "heat_flux", "monomer_heat_flux_analytic", "monomer_population_analytic",
-    "qubit_population", "steady_report", "universal_e",
+    "monomer_heat_flux_analytic", "monomer_population_analytic",
+    "steady_report", "universal_e",
     "SweepRequest", "SweepTable", "apply_axis", "emit_csv", "figure_requests",
     "format_config", "parse_config", "read_csv_table", "run_sweep",
     "run_verification",

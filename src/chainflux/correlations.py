@@ -67,7 +67,7 @@ def _correlation_basis(n_qubits: int) -> np.ndarray:
     X = i h - Lambda / 2: item q < n is the system of Lambda_qq = 1, item n
     + a n + b that of h_ab = 1.  In column stacking the map is L = I (x) X
     + conj(X) (x) I, taken to the real coordinates x of a Hermitian C, v =
-    U x (:class:`~chainflux.generator.Unknowns`), as Re(U^dag L U).
+    U x, as Re(U^dag L U) (:meth:`~chainflux.generator.Unknowns.hermitian`).
     """
     n = n_qubits
     E = np.eye(n * n).reshape(-1, n, n)  # E_ab at item a n + b
@@ -76,8 +76,7 @@ def _correlation_basis(n_qubits: int) -> np.ndarray:
     for a in range(n):  # I (x) X, then conj(X) (x) I; no entry takes more than two terms
         L[:, a, :, a, :] += X
         L[:, :, a, :, a] += X.conj()
-    U = full_unknowns(n).state(np.eye(n * n)).swapaxes(1, 2).reshape(n * n, -1).T
-    basis = (U.conj().T @ L.reshape(len(X), n * n, n * n) @ U).real.reshape(len(X), -1)
+    basis = full_unknowns(n).hermitian(L.reshape(len(X), n * n, n * n)).reshape(len(X), -1)
     read_only(basis)
     return basis
 
@@ -204,10 +203,9 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     (:attr:`~chainflux.lindblad.ChainOperators.single_particle`), its
     reservoirs attached at the qubits sites[j] (k, 2), and each
     reservoir's emission and absorption rates gamma (nbar + 1) and gamma
-    nbar in rates[j] (k, 2, 2).  energies, h and sites may instead be (1,
-    ...) for every row.  Returns the populations (k, n), fluxes (k, 2),
-    site-basis states (k, d, d), residuals |L(rho)| and the rcond_1 of
-    each N^2 system, one stacked real solve
+    nbar in rates[j] (k, 2, 2).  Returns the populations (k, n), fluxes
+    (k, 2), site-basis states (k, d, d), residuals |L(rho)| and the
+    rcond_1 of each N^2 system, one stacked real solve
     (:func:`~chainflux.steady.checked_inverse`).  A row whose C is not
     unique (:func:`~chainflux.steady.unique`) gets zero populations, fluxes
     and state.  A residual above RESIDUAL_TOL times |L| raises
@@ -216,8 +214,6 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     """
     k, n = len(rates), h.shape[-1]
     rows = np.arange(k)[:, None]
-    h = np.broadcast_to(h, (k, n, n))
-    sites = np.broadcast_to(sites, (k, 2))
     site_rates = np.zeros((k, n, 2))
     np.add.at(site_rates, (rows, sites), rates)
     decay = site_rates[:, :, 0] + site_rates[:, :, 1]  # Lambda: sum of gamma (2 nbar + 1)
@@ -237,7 +233,6 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     fluxes = h_rows[rows, np.arange(2), sites] * rates[:, :, 1] - lam * current
     rho = _gaussian_states(C)
     rho *= solved[:, None, None]
-    energies = np.broadcast_to(energies, (k, rho.shape[-1]))
     hoppings = h[:, np.arange(n - 1), np.arange(1, n)]
     residual = np.linalg.norm(_site_generator(energies, hoppings, rho, site_rates), axis=(1, 2))
     check_residual(residual, _generator_norms(energies, hoppings, site_rates))

@@ -49,10 +49,6 @@ class NotHermitian(ChainfluxError, ValueError):
     pass
 
 
-class DegenerateDenominator(ChainfluxError, ZeroDivisionError):
-    """Closed-form dimer amplitudes are singular (only happens at K = 0)."""
-
-
 class NonPositiveFrequency(ChainfluxError, ValueError):
     pass
 
@@ -99,10 +95,6 @@ class WorkerFailed(ChainfluxError, RuntimeError):
     def __init__(self, message, status=None):
         super().__init__(message)
         self.status = status
-
-
-class StepTooLarge(ChainfluxError, ValueError):
-    pass
 
 
 class AnalyticFormMismatch(ChainfluxError, RuntimeError):

@@ -56,10 +56,6 @@ class Unknowns:
     def size(self) -> int:
         return len(self.rows)
 
-    def gather(self, rho: np.ndarray) -> np.ndarray:
-        """The listed entries of a d x d matrix, as a vector."""
-        return rho[self.rows, self.cols]
-
     def hermitian(self, L: np.ndarray) -> np.ndarray:
         """Re(U^dag L U) of a block or a stack of blocks on these unknowns, in real coordinates.
 
@@ -156,10 +152,6 @@ class Entries:
         item - first[j], index of the entry) for each of them.
         """
         first, count = np.asarray(first), np.asarray(count)
-        if len(first) == 1:  # one contiguous run of entries
-            f = int(first[0])
-            low, high = self.edges[[f, f + int(count.flat[0])]].tolist()
-            return np.zeros(high - low, dtype=int), self.items[low:high] - f, np.arange(low, high)
         low, high = self.edges[first], self.edges[first + count]
         sizes = high - low
         row = np.repeat(np.arange(len(first)), sizes)
@@ -173,16 +165,11 @@ class Entries:
         added to zero one at a time in entry order (``np.add.at``), so a
         row's traces do not depend on its stack.
         """
-        k, shared = len(first), bool((first == first[0]).all())
-        row, t, e = self.take(first[:1] if shared else first, count)
-        at = self.cols[e] * self.dim + self.rows[e]
-        if shared:  # every row reads these entries
-            row = np.arange(k)[:, None]
-            terms = self.values[e] * rho.reshape(k, -1)[:, at]
-        else:
-            terms = self.values[e] * rho.reshape(k, -1)[row, at]
+        k = len(first)
+        row, t, e = self.take(first, count)
+        terms = self.values[e] * rho.reshape(k, -1)[row, self.cols[e] * self.dim + self.rows[e]]
         traces = np.zeros(k * count, dtype=complex)
-        np.add.at(traces, (row * count + t).reshape(-1), terms.reshape(-1))
+        np.add.at(traces, row * count + t, terms)
         return traces.reshape(k, count)
 
     @cached_property
@@ -325,37 +312,30 @@ def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first
     """The used rates, operator values and J of a stack of generators, and their pattern.
 
     Row j of ``rates`` (k, T) has the operators first[j] .. first[j] + T - 1
-    of ``operators`` and the Hamiltonian H[j] (H (k, d, d), or (1, d, d)
-    for every row).  Terms whose rate is zero in every row are dropped; one
-    at a zero rate in some rows adds exact zeros to theirs.  ``pattern``
-    (U + 1, d^2) is nonzero where a used operator, or J = -iH - sum rate *
-    A^dag A / 2 last, has an entry in any row; the values are laid out on
-    its :func:`_slots`: the operators' in one array for every row when the
-    rows read the same operators (the rows of a temperature sweep), else
-    in one array per row, and J row by row,
-    its A^dag A part (:attr:`Entries.decay`) added one entry at a time,
-    term by term (``np.add.at``), so a row's values do not depend on its
-    stack.
+    of ``operators`` and the Hamiltonian H[j] (H (k, d, d)).  Terms whose
+    rate is zero in every row are dropped; one at a zero rate in some rows
+    adds exact zeros to theirs.  ``pattern`` (U + 1, d^2) is nonzero where
+    a used operator, or J = -iH - sum rate * A^dag A / 2 last, has an
+    entry in any row; the values are laid out on its :func:`_slots`, the
+    operators' and J's row by row, J's A^dag A part
+    (:attr:`Entries.decay`) added one entry at a time, term by term
+    (``np.add.at``), so a row's values do not depend on its stack.
     """
     d, (k, T) = operators.dim, rates.shape
     used = rates.any(axis=0)
     count = int(np.count_nonzero(used))
-    shared = bool((first == first[0]).all())
-    first = first[:1] if shared else first
     row, t, e = operators.take(first, T)
     decay = operators.decay
     d_row, d_t, d_e = decay.take(first, T)
     if count < T:
         rank = np.cumsum(used) - 1
-        row, t, e = row[used[t]], rank[t[used[t]]], e[used[t]]
-        d_row, d_t, d_e = d_row[used[d_t]], rank[d_t[used[d_t]]], d_e[used[d_t]]
+        keep, d_keep = np.flatnonzero(used[t]), np.flatnonzero(used[d_t])
+        row, t, e = row[keep], rank[t[keep]], e[keep]
+        d_row, d_t, d_e = d_row[d_keep], rank[d_t[d_keep]], d_e[d_keep]
         rates = rates[:, used]
     flat = operators.rows[e] * d + operators.cols[e]
     d_flat = decay.rows[d_e] * d + decay.cols[d_e]
-    if shared:  # every row of the stack reads these entries
-        d_row, d_rates = np.arange(k)[:, None], rates[:, d_t]
-    else:
-        d_rates = rates[d_row, d_t]
+    d_rates = rates[d_row, d_t]
     H = H.reshape(-1, d * d)
     h_flat = np.flatnonzero(H.any(axis=0))
     pattern = np.zeros((count + 1, d * d), dtype=bool)
@@ -363,13 +343,13 @@ def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first
     pattern[count, d_flat] = True
     pattern[count, h_flat] = True
     slots = _slots(pattern)
-    ops = np.zeros((1 if shared else k, np.count_nonzero(pattern[:-1])), dtype=complex)
+    ops = np.zeros((k, np.count_nonzero(pattern[:-1])), dtype=complex)
     ops[row, slots[t, flat]] = operators.values[e]
     size = np.count_nonzero(pattern[-1])
     J = np.zeros((k, size), dtype=complex)  # -J: iH, then rate A^dag A / 2 term by term
     J[:, slots[count, h_flat]] = 1j * H[:, h_flat]
     terms = (0.5 * d_rates) * decay.values[d_e]
-    np.add.at(J.reshape(-1), (d_row * size + slots[count, d_flat]).reshape(-1), terms.reshape(-1))
+    np.add.at(J.reshape(-1), d_row * size + slots[count, d_flat], terms)
     return rates, ops, -J, pattern.reshape(count + 1, d, d)
 
 
@@ -467,7 +447,7 @@ def real_superoperator(H: np.ndarray, operators: Entries, rates: np.ndarray,
 
     Row j is -i[H[j], .] + sum_t rates[j, t] D[A_t] over the operators A_t
     first[j] .. first[j] + T - 1 of ``operators``, with ``rates`` (k, T)
-    and H (k, d, d), or (1, d, d) for every row (:func:`_generator_terms`).
+    and H (k, d, d) (:func:`_generator_terms`).
     D[A] rho = A rho A^dag - {A^dag A, rho} / 2; in column stacking the
     generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
     J = -iH - sum rate * A^dag A / 2.  Only the entries of rows i with

@@ -17,9 +17,13 @@ The global route ends in one operator form: per reservoir, a list of bins
 with their Bohr frequencies and their operators A and A^dag, held as
 nonzero entries (:class:`~chainflux.generator.Entries`) in the eigenbasis
 frame the steady state is solved in, where each entry is one jump.  The
-generators are built from those entries (:mod:`chainflux.generator`);
-dense operators are formed only for the oracles kept for tests and time
-evolution.
+generators are built from those entries (:mod:`chainflux.generator`).
+The dense site-basis builders (:func:`global_dissipator_bins`,
+:func:`build_local_dissipator`, :func:`build_liouvillian`,
+:func:`assemble`) are on no solve path: the benchmark harness
+(``perfbench/tracing.py``) binds them by name, and ``verify`` compares
+the two monomer generators with them.  The dense model the tests compare
+against is in ``tests/oracles.py``.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
@@ -48,7 +52,6 @@ from .errors import (
 )
 from .generator import (
     Entries,
-    Unknowns,
     coupled_sets,
     full_unknowns,
     read_only,
@@ -225,7 +228,7 @@ def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
 
 
 # Dense site-basis builders outside the sweep path; perfbench/tracing.py
-# times them by these names.
+# binds them by these names.
 def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
     """Dense (omega, dissipator) pair of each frequency bin of one chain's reservoir."""
     first, operators = global_bins(es, jumps)
@@ -486,98 +489,12 @@ def chain_structure(chains: ChainOperators) -> ChainStructure:
                           flux_functionals=functionals, errors=errors)
 
 
-@dataclass(frozen=True)
-class LindbladModel:
-    """Generator of one chain under one approach at one set of bath rates.
-
-    ``structure`` is the rate-free part of a stack of this one chain
-    (:func:`chain_structure` for the global approach); the rates of its
-    jump operators come from ``spec``'s baths.  The steady state is solved
-    in the frame ``eigensystem.frame``, the eigenbasis for the global
-    approach, where H is diagonal.  Everything else is derived on first
-    use: ``block`` in the frame on the unknowns the steady state occupies,
-    and in the site basis the dense ``liouvillian`` and the per-reservoir
-    ``dissipators``.
-    """
-
-    spec: ChainSpec
-    approach: str
-    structure: ChainStructure
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """H in the site basis."""
-        return self.structure.chains.hamiltonian[0]
-
-    @property
-    def eigensystem(self) -> EigenSystem:
-        """The eigensystem of the solve frame."""
-        return self.structure.eigensystem[0]
-
-    @property
-    def frame_hamiltonian(self) -> np.ndarray:
-        """H in the solve frame."""
-        return self.structure.frame_hamiltonian[0]
-
-    @cached_property
-    def operators(self) -> np.ndarray:
-        """The jump operators A and A^dag of every bin, reservoir by reservoir, dense (T, d, d)."""
-        start = self.structure.start[0]
-        count = 2 * self.structure.edges[-1]
-        operators = self.structure.operators.dense(slice(start, start + count))
-        read_only(operators)
-        return operators
-
-    @cached_property
-    def bins(self) -> tuple:
-        """Each reservoir's (omega, A) bins in the frame."""
-        edges, emitted = self.structure.edges.tolist(), self.operators[::2]
-        return tuple(tuple(zip(self.structure.omegas[a:b].tolist(), emitted[a:b]))
-                     for a, b in zip(edges, edges[1:]))
-
-    @cached_property
-    def rates(self) -> np.ndarray:
-        """Rate of each of the :attr:`operators` at this model's baths."""
-        baths = np.array([[(bath.temperature, bath.gamma) for bath in self.spec.baths]])
-        return self.structure.rates(np.zeros(1, dtype=int), baths)[0].reshape(-1)
-
-    def to_site(self, rho: np.ndarray) -> np.ndarray:
-        """Matrices given in the solve frame (one, or a stack), in the site basis."""
-        frame = self.eigensystem.frame
-        return frame @ rho @ frame.conj().T
-
-    @cached_property
-    def unknowns(self) -> Unknowns:
-        """Entries the frame generator joins to the diagonal, at any rates (its chain's set)."""
-        return self.structure.unknown_sets([0])[0]
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        """Frame generator restricted to :attr:`unknowns`, from the dense :attr:`operators`."""
-        return superoperator(self.frame_hamiltonian, self.operators, self.rates, self.unknowns)
-
-    @cached_property
-    def liouvillian(self) -> np.ndarray:
-        """Dense d^2 x d^2 site-basis generator, the oracle for :attr:`block`."""
-        return superoperator(self.hamiltonian, self.to_site(self.operators),
-                             self.rates, full_unknowns(self.spec.dim))
-
-    @cached_property
-    def dissipators(self) -> tuple:
-        """Dense site-basis superoperator of each reservoir."""
-        full = full_unknowns(self.spec.dim)
-        operators = self.to_site(self.operators)
-        bounds = (2 * self.structure.edges).tolist()
-        return tuple(superoperator(None, operators[a:b], self.rates[a:b], full)
-                     for a, b in zip(bounds, bounds[1:]))
-
-
-def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
-    """The generator of ``spec`` under the global ``approach``, on a new structure of its chain alone.
+def assemble(spec: ChainSpec, approach: str) -> ChainStructure:
+    """The global structure of ``spec``'s chain alone, newly built (:func:`chain_structure`).
 
     Raises DegenerateTransition where the eigenbasis route degenerates.
-    The local approach has no frame structure here: it is solved through
-    its correlation matrix (:mod:`chainflux.correlations`), and its dense
+    The local approach has no frame structure: it is solved through its
+    correlation matrix (:mod:`chainflux.correlations`), and its dense
     generator is :func:`build_liouvillian` of :func:`build_local_dissipator`.
     """
     if approach != "global":
@@ -585,4 +502,4 @@ def assemble(spec: ChainSpec, approach: str) -> LindbladModel:
     structure = chain_structure(chain_operators([spec]))
     if structure.errors:
         raise structure.errors[0]
-    return LindbladModel(spec=spec, approach=approach, structure=structure)
+    return structure

@@ -331,7 +331,7 @@ class SteadyColumns(Sequence):
         rho, chain = self.rho[rows], self.chain[rows]
         if not len(chain):
             return np.zeros((0, rho.shape[-1]))
-        vectors = _gather(self.chains.eigensystem.vectors, chain)
+        vectors = self.chains.eigensystem.vectors[chain]
         rho = vectors.conj().swapaxes(1, 2) @ rho @ vectors
         return np.diagonal(rho, axis1=1, axis2=2).real
 
@@ -483,9 +483,8 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
         rows = chain[at]
         rates = bath_rates(omegas[rows], baths[at])
         out.populations[at], out.fluxes[at], out.rho[at], out.residual[at], out.rcond[at] = \
-            local_steady_states(_gather(chains.site_energies, rows),
-                                _gather(chains.single_particle, rows),
-                                _gather(chains.sites, rows), rates)
+            local_steady_states(chains.site_energies[rows], chains.single_particle[rows],
+                                chains.sites[rows], rates)
     out.channels[:] = out.fluxes
     for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():
         out.errors[i] = uniqueness_error(out.rcond[i], n * n)
@@ -497,15 +496,6 @@ def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
     if worst > 1e-10:
         raise ValueError(f"{what} has imaginary residue {worst:.3e}")
     return values.real
-
-
-def _gather(array: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Item ``index[j]`` of ``array`` for each row j.
-
-    Where every row reads the same item it is one view with a leading axis
-    of one, which the stacked products broadcast.
-    """
-    return array[index[0]:index[0] + 1] if (index == index[0]).all() else array[index]
 
 
 def _stack_reports(structure, chain, rates, unknowns) -> tuple:
@@ -527,8 +517,8 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     """
     k = len(chain)
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
-    R = real_superoperator(_gather(structure.frame_hamiltonian, chain), structure.operators,
-                           rates, unknowns, structure.start[chain])
+    R = real_superoperator(structure.frame_hamiltonian[chain], structure.operators, rates,
+                           unknowns, structure.start[chain])
     sol = solve_hermitian(R, unknowns)
     traces = structure.flux_functionals.traces(2 * first, 2 * bins, sol.rho)
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
@@ -536,7 +526,7 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     fluxes = np.zeros((k, 2))
     reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
     np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
-    frames = _gather(structure.eigensystem.frame, chain)
+    frames = structure.eigensystem.frame[chain]
     rho = frames @ sol.rho @ frames.conj().swapaxes(1, 2)
     diagonal = _imaginary_residue(np.diagonal(rho, axis1=1, axis2=2), "population")
     occupations = excited_qubits(structure.chains.epsilons.shape[1])

@@ -60,11 +60,6 @@ def number_operator(n_qubits: int, site: int) -> np.ndarray:
     return site_operator(n_qubits, site, "raise") @ site_operator(n_qubits, site, "lower")
 
 
-def total_excitation(n_qubits: int) -> np.ndarray:
-    """Sum of the excitation numbers of all qubits."""
-    return sum(number_operator(n_qubits, q) for q in range(n_qubits))
-
-
 def chain_arrays(specs) -> tuple:
     """The gaps (k, n), couplings (k, n - 1) and attachment sites (k, 2) of ChainSpecs of one N."""
     k, n = len(specs), specs[0].n_qubits

@@ -1,4 +1,10 @@
-"""Steady states by constrained linear solve, plus a time-evolution oracle."""
+"""Steady states by constrained linear solve in the real coordinates of a Hermitian rho.
+
+The sweep solves stacks of real blocks (:func:`solve_hermitian`);
+:func:`solve_steady` takes a complex generator instead, for the dense
+oracles of the tests, and stays here because the benchmark harness
+(``perfbench/tracing.py``) binds it by name.
+"""
 
 from __future__ import annotations
 
@@ -6,30 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateKernel,
-    DimensionMismatch,
-    NoConvergence,
-    StepTooLarge,
-)
-from .generator import Unknowns, full_unknowns, unvectorize, vectorize
+from .errors import DegenerateKernel, DimensionMismatch, NoConvergence
+from .generator import Unknowns, full_unknowns
 
 RESIDUAL_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
-
-
-def check_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
-    """Raise ValueError unless rho is Hermitian, unit-trace and near-positive."""
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} differs from 1")
-    lo = np.linalg.eigvalsh(rho).min()
-    if lo < eig_floor:
-        raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +146,9 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     same ``unknowns``: the entries of rho that v holds, by default all of
     them, with L the dense d^2 x d^2 generator.  Entries outside the set are
     zero in the returned state, which is exact when L keeps the set
-    invariant, as for ``LindbladModel.block``; the uniqueness check
-    (:func:`checked_inverse`), which always runs, then covers that set only.
+    invariant, as a frame generator keeps its chain's coupled set; the
+    uniqueness check (:func:`checked_inverse`), which always runs, then
+    covers that set only.
     L is mapped to the real coordinates of a Hermitian rho
     (``unknowns.hermitian``) and solved there by :func:`solve_hermitian`,
     with the residual taken against the complex L itself, so a generator
@@ -194,82 +183,3 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     return SteadySolution(rho=sol.rho[0], residual=float(residual[0]),
                           replaced_row=int(sol.replaced_row[0]), rcond=float(sol.rcond[0]),
                           unknowns=m)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: tuple
-    converged: bool
-    final_residual: float
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def evolve_rk4(
-    L: np.ndarray,
-    rho0: np.ndarray,
-    dt: float,
-    t_end: float,
-    residual_stop: float = 0.0,
-    record_every: int = 0,
-) -> Trajectory:
-    """Classical fixed-step RK4 on vec(rho), independent of the linear solver.
-
-    Stops early once |L vec(rho)| falls below ``residual_stop``.  Stored
-    states are trace-renormalized; an accumulated trace drift above 1e-9 per
-    unit time raises NoConvergence rather than being silently absorbed.
-    """
-    if dt <= 0:
-        raise StepTooLarge("dt must be positive")
-    lmax = np.abs(L).max()
-    if lmax > 0 and dt > 0.1 / lmax:
-        raise StepTooLarge(f"dt = {dt} exceeds stability guard {0.1 / lmax:.3e}")
-
-    d = rho0.shape[0]
-    n_steps = int(np.ceil(t_end / dt))
-    if record_every <= 0:
-        record_every = max(1, n_steps // 256)
-
-    def store(vec):
-        rho = unvectorize(vec, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        return rho / np.trace(rho).real
-
-    v = vectorize(np.asarray(rho0, dtype=complex))
-    times = [0.0]
-    states = [store(v)]
-    converged = False
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = L @ v
-        k2 = L @ (v + 0.5 * dt * k1)
-        k3 = L @ (v + 0.5 * dt * k2)
-        k4 = L @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = step * dt
-        if step % record_every == 0 or step == n_steps:
-            if not np.all(np.isfinite(v)):
-                raise NoConvergence(f"state left the finite range at t = {t:.6g}")
-            drift = abs(np.trace(unvectorize(v, d)) - 1.0)
-            if not drift <= 1e-9 * max(t, 1.0):
-                raise NoConvergence(
-                    f"trace drift {drift:.3e} at t = {t:.6g} exceeds 1e-9 per unit time"
-                )
-            times.append(t)
-            states.append(store(v))
-            if residual_stop > 0 and np.abs(L @ v).max() <= residual_stop:
-                converged = True
-                break
-    final_residual = float(np.linalg.norm(L @ vectorize(states[-1])))
-    return Trajectory(times=np.array(times), states=tuple(states),
-                      converged=converged, final_residual=final_residual)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the nuclear norm of a - b; a metric on density matrices."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())

@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import OMEGA_MIN, assemble, build_local_dissipator
+from .lindblad import (
+    OMEGA_MIN,
+    build_local_dissipator,
+    global_dissipator_bins,
+    global_jump_operators,
+)
 from .model import dimer, monomer
 from .observables import (
     dimer_global_heat_flux_analytic,
@@ -23,6 +28,7 @@ from .observables import (
     monomer_population_analytic,
     steady_reports,
 )
+from .operators import build_chain_hamiltonian, diagonalize, site_operator
 
 SEED = 1738
 
@@ -47,15 +53,19 @@ def _solved(reports):
 
 def _monomer_block(rng, n_samples=200):
     dev_matrix = dev_pop = dev_flux = 0.0
+    coupling = site_operator(1, 0, "raise") + site_operator(1, 0, "lower")
     points = []
     for _ in range(n_samples):
         eps = rng.uniform(0.0, 5.0) or 1.0
         t1, t2 = rng.uniform(0.0, 10.0, size=2)
         gamma = rng.uniform(0.0, 2.0) or 1.0
         spec = monomer(eps, t1, t2, gamma, gamma)
-        # both generators share H: their dissipators, reservoir by reservoir
-        g = assemble(spec, "global")
-        for D, bath in zip(g.dissipators, spec.baths):
+        # both generators share H: per reservoir, the sum of its global bins'
+        # dissipators against its local dissipator
+        es = diagonalize(build_chain_hamiltonian(spec))
+        jumps = global_jump_operators(es, coupling)
+        for bath in spec.baths:
+            D = sum(piece for _, piece in global_dissipator_bins(es, jumps, bath))
             dev_matrix = max(dev_matrix, np.abs(D - build_local_dissipator(spec, bath)).max())
         points.append((spec, eps, t1, t2, gamma))
     (reports,) = steady_reports([spec for spec, *_ in points], ("global",))

@@ -1,10 +1,16 @@
 """Reference forms the package no longer builds, kept for the tests to compare against.
 
-The dimer's closed-form eigensystem (:func:`dimer_analytic_eigensystem`);
-the dense adjoint dissipator; the correlation route's tables from dense
-operators (:func:`pair_tables`, :func:`correlation_basis`); the local
-approach's real block: its structure of sigma^+- entries in the site
-basis (:func:`local_structure`), solved on its coupled set of C(2N, N)
+The dense model of one chain under one approach (:class:`LindbladModel`,
+built by :func:`assemble`): its d^2 x d^2 site-basis generator, its
+per-reservoir dissipators and its frame block, from the package's
+Kronecker oracle (``chainflux.generator.superoperator``); RK4 time
+evolution (:func:`evolve_rk4`), the trace distance and the
+density-matrix check.  The dimer's closed-form eigensystem
+(:func:`dimer_analytic_eigensystem`); the dense adjoint dissipator; the
+correlation route's tables from dense operators (:func:`pair_tables`,
+:func:`correlation_basis`); the local approach's real block: its
+structure of sigma^+- entries in the site basis
+(:func:`local_structure`), solved on its coupled set of C(2N, N)
 unknowns by the same stacked block solve as the global rows
 (:func:`local_block_reports`), where the package solves the local rows
 through their N x N correlation matrices; and the global approach's
@@ -14,23 +20,230 @@ with the package's eigenbasis route.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 import chainflux.lindblad
 import chainflux.observables
-from chainflux import DegenerateDenominator, DegenerateTransition, bose_occupation
-from chainflux.generator import Entries, equal_pairs, full_unknowns, read_only
-from chainflux.lindblad import (
-    OMEGA_MIN,
-    SECULAR_TOL,
-    ChainStructure,
-    LindbladModel,
-    chain_operators,
+from chainflux import (
+    ChainfluxError,
+    ChainSpec,
+    DegenerateTransition,
+    DimensionMismatch,
+    NoConvergence,
+    bose_occupation,
 )
+from chainflux.generator import (
+    Entries,
+    Unknowns,
+    equal_pairs,
+    full_unknowns,
+    read_only,
+    superoperator,
+    unvectorize,
+    vectorize,
+)
+from chainflux.lindblad import OMEGA_MIN, SECULAR_TOL, ChainStructure, chain_operators
 from chainflux.observables import _two_bath_flux
-from chainflux.operators import EigenSystem, site_operator
+from chainflux.operators import EigenSystem, number_operator, site_operator
+
+
+class DegenerateDenominator(ChainfluxError, ZeroDivisionError):
+    """Closed-form dimer amplitudes are singular (only happens at K = 0)."""
+
+
+class StepTooLarge(ChainfluxError, ValueError):
+    """The RK4 step is not positive or exceeds the stability guard."""
+
+
+def total_excitation(n_qubits: int) -> np.ndarray:
+    """Sum of the excitation numbers of all qubits."""
+    return sum(number_operator(n_qubits, q) for q in range(n_qubits))
+
+
+def gather(unknowns: Unknowns, rho: np.ndarray) -> np.ndarray:
+    """The entries of a d x d matrix that ``unknowns`` lists, as a vector."""
+    return rho[unknowns.rows, unknowns.cols]
+
+
+@dataclass(frozen=True)
+class LindbladModel:
+    """Generator of one chain under one approach at one set of bath rates.
+
+    ``structure`` is the rate-free part of a stack of this one chain
+    (the package's eigenbasis structure for the global approach,
+    :func:`local_structure` for the local one); the rates of its jump
+    operators come from ``spec``'s baths.  The steady state is solved in
+    the frame ``eigensystem.frame``, the eigenbasis for the global
+    approach, where H is diagonal.  Everything else is derived on first
+    use: ``block`` in the frame on the unknowns the steady state occupies,
+    and in the site basis the dense ``liouvillian`` and the per-reservoir
+    ``dissipators``.
+    """
+
+    spec: ChainSpec
+    approach: str
+    structure: ChainStructure
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H in the site basis."""
+        return self.structure.chains.hamiltonian[0]
+
+    @property
+    def eigensystem(self) -> EigenSystem:
+        """The eigensystem of the solve frame."""
+        return self.structure.eigensystem[0]
+
+    @property
+    def frame_hamiltonian(self) -> np.ndarray:
+        """H in the solve frame."""
+        return self.structure.frame_hamiltonian[0]
+
+    @cached_property
+    def operators(self) -> np.ndarray:
+        """The jump operators A and A^dag of every bin, reservoir by reservoir, dense (T, d, d)."""
+        start = self.structure.start[0]
+        count = 2 * self.structure.edges[-1]
+        operators = self.structure.operators.dense(slice(start, start + count))
+        read_only(operators)
+        return operators
+
+    @cached_property
+    def bins(self) -> tuple:
+        """Each reservoir's (omega, A) bins in the frame."""
+        edges, emitted = self.structure.edges.tolist(), self.operators[::2]
+        return tuple(tuple(zip(self.structure.omegas[a:b].tolist(), emitted[a:b]))
+                     for a, b in zip(edges, edges[1:]))
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Rate of each of the :attr:`operators` at this model's baths."""
+        baths = np.array([[(bath.temperature, bath.gamma) for bath in self.spec.baths]])
+        return self.structure.rates(np.zeros(1, dtype=int), baths)[0].reshape(-1)
+
+    def to_site(self, rho: np.ndarray) -> np.ndarray:
+        """Matrices given in the solve frame (one, or a stack), in the site basis."""
+        frame = self.eigensystem.frame
+        return frame @ rho @ frame.conj().T
+
+    @cached_property
+    def unknowns(self) -> Unknowns:
+        """Entries the frame generator joins to the diagonal, at any rates (its chain's set)."""
+        return self.structure.unknown_sets([0])[0]
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """Frame generator restricted to :attr:`unknowns`, from the dense :attr:`operators`."""
+        return superoperator(self.frame_hamiltonian, self.operators, self.rates, self.unknowns)
+
+    @cached_property
+    def liouvillian(self) -> np.ndarray:
+        """Dense d^2 x d^2 site-basis generator, the oracle for :attr:`block`."""
+        return superoperator(self.hamiltonian, self.to_site(self.operators),
+                             self.rates, full_unknowns(self.spec.dim))
+
+    @cached_property
+    def dissipators(self) -> tuple:
+        """Dense site-basis superoperator of each reservoir."""
+        full = full_unknowns(self.spec.dim)
+        operators = self.to_site(self.operators)
+        bounds = (2 * self.structure.edges).tolist()
+        return tuple(superoperator(None, operators[a:b], self.rates[a:b], full)
+                     for a, b in zip(bounds, bounds[1:]))
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    times: np.ndarray
+    states: tuple
+    converged: bool
+    final_residual: float
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.states[-1]
+
+
+def evolve_rk4(
+    L: np.ndarray,
+    rho0: np.ndarray,
+    dt: float,
+    t_end: float,
+    residual_stop: float = 0.0,
+    record_every: int = 0,
+) -> Trajectory:
+    """Classical fixed-step RK4 on vec(rho), independent of the linear solver.
+
+    Stops early once |L vec(rho)| falls below ``residual_stop``.  Stored
+    states are trace-renormalized; an accumulated trace drift above 1e-9 per
+    unit time raises NoConvergence rather than being silently absorbed.
+    """
+    if dt <= 0:
+        raise StepTooLarge("dt must be positive")
+    lmax = np.abs(L).max()
+    if lmax > 0 and dt > 0.1 / lmax:
+        raise StepTooLarge(f"dt = {dt} exceeds stability guard {0.1 / lmax:.3e}")
+
+    d = rho0.shape[0]
+    n_steps = int(np.ceil(t_end / dt))
+    if record_every <= 0:
+        record_every = max(1, n_steps // 256)
+
+    def store(vec):
+        rho = unvectorize(vec, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        return rho / np.trace(rho).real
+
+    v = vectorize(np.asarray(rho0, dtype=complex))
+    times = [0.0]
+    states = [store(v)]
+    converged = False
+    t = 0.0
+    for step in range(1, n_steps + 1):
+        k1 = L @ v
+        k2 = L @ (v + 0.5 * dt * k1)
+        k3 = L @ (v + 0.5 * dt * k2)
+        k4 = L @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = step * dt
+        if step % record_every == 0 or step == n_steps:
+            if not np.all(np.isfinite(v)):
+                raise NoConvergence(f"state left the finite range at t = {t:.6g}")
+            drift = abs(np.trace(unvectorize(v, d)) - 1.0)
+            if not drift <= 1e-9 * max(t, 1.0):
+                raise NoConvergence(
+                    f"trace drift {drift:.3e} at t = {t:.6g} exceeds 1e-9 per unit time"
+                )
+            times.append(t)
+            states.append(store(v))
+            if residual_stop > 0 and np.abs(L @ v).max() <= residual_stop:
+                converged = True
+                break
+    final_residual = float(np.linalg.norm(L @ vectorize(states[-1])))
+    return Trajectory(times=np.array(times), states=tuple(states),
+                      converged=converged, final_residual=final_residual)
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the nuclear norm of a - b; a metric on density matrices."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+    return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
+
+
+def check_density_matrix(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
+    """Raise ValueError unless rho is Hermitian, unit-trace and near-positive."""
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > herm_tol:
+        raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > trace_tol:
+        raise ValueError(f"trace {tr} differs from 1")
+    lo = np.linalg.eigvalsh(rho).min()
+    if lo < eig_floor:
+        raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
 @dataclass(frozen=True)
@@ -188,8 +401,6 @@ def _local_functionals(operators: Entries, start: np.ndarray, H: np.ndarray) -> 
                    cols[order], values[order].astype(complex))
 
 
-
-
 def local_structure(chains) -> ChainStructure:
     """The local approach's rate-free structure of a ChainOperators stack, in the site basis.
 
@@ -224,11 +435,17 @@ def chain_structure(chains, approach) -> ChainStructure:
 
 
 def assemble(spec, approach) -> LindbladModel:
-    """The package's global model, or the local model on the block's :func:`local_structure`."""
+    """The dense model of ``spec`` on the package's global structure of its chain alone.
+
+    For the local approach, on the block's :func:`local_structure`.  Raises
+    the package's DegenerateTransition where the eigenbasis route
+    degenerates.
+    """
     if approach == "local":
-        return LindbladModel(spec=spec, approach=approach,
-                             structure=local_structure(chain_operators([spec])))
-    return chainflux.lindblad.assemble(spec, approach)
+        structure = local_structure(chain_operators([spec]))
+    else:
+        structure = chainflux.lindblad.assemble(spec, approach)
+    return LindbladModel(spec=spec, approach=approach, structure=structure)
 
 
 def local_block_reports(specs):

@@ -20,24 +20,21 @@ from chainflux import (
     dimer_global_populations_analytic,
     dimer_local_heat_flux_analytic,
     dimer_local_populations_analytic,
-    evolve_rk4,
-    heat_flux,
     monomer,
     monomer_heat_flux_analytic,
     monomer_population_analytic,
     steady_report,
-    trace_distance,
     universal_e,
 )
 from chainflux.cli import cli_main
-from chainflux.observables import steady_reports
+from chainflux.observables import heat_flux, steady_reports
 from chainflux.steady import solve_steady
 from chainflux.sweep import read_csv_table
 
 T1_GRID_20 = np.logspace(np.log10(0.01), np.log10(20.0), 50)
 FIGURE_FILES = ("figure2.csv", "figure3a.csv", "figure3b.csv", "figure3c.csv")
 
-from oracles import assemble
+from oracles import assemble, evolve_rk4, trace_distance
 
 
 def conclude(num, title, clauses):

@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from chainflux import (
-    bose_occupation,
-    chain,
-    heat_flux,
-    qubit_population,
-    solve_steady,
-    steady_report,
-    thermal_dissipator,
-)
-from chainflux.lindblad import full_unknowns, superoperator
+from chainflux import bose_occupation, chain, steady_report
+from chainflux.lindblad import full_unknowns, superoperator, thermal_dissipator
+from chainflux.observables import heat_flux, qubit_population
+from chainflux.steady import solve_steady
 from chainflux.operators import excitation_numbers, site_operator
 
-from oracles import assemble
+from oracles import assemble, gather
 
 
 def random_cases(seed, n_qubits, count):
@@ -121,7 +115,7 @@ def test_gibbs_state_is_fixed_point_of_block_generator():
         weights = np.exp(-(es.energies - es.energies.min()) / t)
         gibbs = (es.vectors * (weights / weights.sum())) @ es.vectors.conj().T
         in_frame = es.frame.conj().T @ gibbs @ es.frame
-        assert np.abs(model.block @ model.unknowns.gather(in_frame)).max() <= 1e-9
+        assert np.abs(model.block @ gather(model.unknowns, in_frame)).max() <= 1e-9
 
 
 def test_bin_joining_raising_and_lowering_jumps_solves_beyond_the_excitation_block():

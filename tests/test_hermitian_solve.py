@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainflux import DegenerateTransition, apply_axis, chain, solve_steady
+from chainflux import DegenerateTransition, apply_axis, chain
 from chainflux.generator import real_superoperator
 from chainflux.observables import steady_reports
-from chainflux.steady import checked_inverse, unique
+from chainflux.steady import checked_inverse, solve_steady, unique
 
-from oracles import assemble, local_block_reports
+from oracles import assemble, gather, local_block_reports
 
 
 def seeded_chains():
@@ -78,7 +78,7 @@ def test_real_block_is_the_complex_block_in_orthonormal_coordinates(spec, approa
     x = np.random.default_rng(unknowns.size).normal(size=unknowns.size)
     rho = unknowns.state(x)
     assert np.array_equal(rho, rho.conj().T)
-    assert np.abs(unknowns.gather(rho) - U @ x).max() <= 1e-15
+    assert np.abs(gather(unknowns, rho) - U @ x).max() <= 1e-15
 
 
 @pytest.mark.parametrize("spec, approach", CASES, ids=IDS)

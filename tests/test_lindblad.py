@@ -17,11 +17,8 @@ from chainflux import (
     dimer,
     monomer,
     site_operator,
-    solve_steady,
-    thermal_dissipator,
-    unvectorize,
-    vectorize,
 )
+from chainflux.generator import unvectorize, vectorize
 from chainflux.lindblad import (
     build_liouvillian,
     build_local_dissipator,
@@ -31,8 +28,10 @@ from chainflux.lindblad import (
     global_dissipator_bins,
     global_jump_operators,
     superoperator,
+    thermal_dissipator,
     thermal_rates,
 )
+from chainflux.steady import solve_steady
 
 from oracles import assemble, chain_structure, dimer_analytic_eigensystem
 

@@ -14,16 +14,15 @@ from chainflux import (
     dimer_local_populations_analytic,
     bose_occupation,
     figure_requests,
-    heat_flux,
     monomer,
     monomer_heat_flux_analytic,
     monomer_population_analytic,
-    qubit_population,
     run_sweep,
-    solve_steady,
     steady_report,
     universal_e,
 )
+from chainflux.observables import heat_flux, qubit_population
+from chainflux.steady import solve_steady
 
 LOG_GRID = np.logspace(-2, 2, 60)
 

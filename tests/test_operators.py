@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chainflux import (
-    DegenerateDenominator,
     IndexOutOfRange,
     NotHermitian,
     NTooLarge,
@@ -11,10 +10,9 @@ from chainflux import (
     diagonalize,
     dimer,
     site_operator,
-    total_excitation,
 )
 
-from oracles import dimer_analytic_eigensystem
+from oracles import DegenerateDenominator, dimer_analytic_eigensystem, total_excitation
 
 
 def test_single_qubit_sigma_z():

@@ -9,9 +9,9 @@ from chainflux import (
     DegenerateTransition,
     build_chain_hamiltonian,
     chain,
-    qubit_population,
     steady_report,
 )
+from chainflux.observables import qubit_population
 
 PROPERTIES = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 

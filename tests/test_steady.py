@@ -8,28 +8,23 @@ import numpy as np
 import pytest
 
 import chainflux
-from chainflux.steady import checked_inverse, uniqueness_error
 from chainflux import (
     DegenerateKernel,
     DimensionMismatch,
     NoConvergence,
-    StepTooLarge,
     chain,
-    check_density_matrix,
     dimer,
-    evolve_rk4,
     monomer,
     monomer_population_analytic,
-    qubit_population,
     site_operator,
-    solve_steady,
     steady_report,
-    thermal_dissipator,
-    trace_distance,
-    vectorize,
 )
+from chainflux.generator import unvectorize, vectorize
+from chainflux.lindblad import thermal_dissipator
+from chainflux.observables import qubit_population
+from chainflux.steady import checked_inverse, solve_steady, uniqueness_error
 
-from oracles import assemble
+from oracles import StepTooLarge, assemble, check_density_matrix, evolve_rk4, trace_distance
 
 
 def test_steady_state_is_a_density_matrix_with_small_residual():
@@ -136,7 +131,8 @@ def test_rk4_trace_drift_raises_under_python_O():
     check = (
         "import sys\n"
         "import numpy as np\n"
-        "from chainflux import NoConvergence, evolve_rk4\n"
+        "from chainflux import NoConvergence\n"
+        "from oracles import evolve_rk4\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit(3)\n"
         "try:\n"
@@ -146,7 +142,8 @@ def test_rk4_trace_drift_raises_under_python_O():
         "    raise SystemExit(0)\n"
         "raise SystemExit(4)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(chainflux.__file__).resolve().parents[1]))
+    paths = (Path(chainflux.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     result = subprocess.run([sys.executable, "-O", "-c", check], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -217,5 +214,4 @@ def test_steady_state_positive_over_figure_grids():
 def test_vectorization_round_trip():
     rng = np.random.default_rng(2)
     rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    from chainflux import unvectorize
     assert np.array_equal(unvectorize(vectorize(rho), 4), rho)

@@ -12,15 +12,13 @@ from chainflux import (
     dimer,
     dimer_global_heat_flux_analytic,
     dimer_local_heat_flux_analytic,
-    heat_flux,
     run_sweep,
-    solve_steady,
     steady_report,
 )
 import chainflux.observables
-from chainflux.observables import steady_reports
+from chainflux.observables import heat_flux, steady_reports
 from chainflux.operators import excited_qubits
-from chainflux.steady import uniqueness_error
+from chainflux.steady import solve_steady, uniqueness_error
 from chainflux.sweep import SweepRequest
 
 from oracles import assemble
