@@ -13,7 +13,8 @@ nbar_j + 1), adds lambda_j to Lambda_ss and gamma_j nbar_j to G_ss; with X
     0 = X C + C X^dag + G,
 
 N^2 real equations for the N^2 real coordinates of the Hermitian C
-(:class:`~chainflux.generator.Unknowns`).  C is unique exactly when X is
+(:class:`~chainflux.generator.Unknowns`), built for each row from its own
+X (:func:`_correlation_systems`).  C is unique exactly when X is
 Hurwitz: when no eigenvector of h vanishes at every attached site, which
 holds for every chain whose couplings are all nonzero (the eigenvectors of
 a Jacobi matrix have nonzero end entries).  A chain with an undamped
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .generator import full_unknowns, read_only
-from .operators import excited_qubits
+from .operators import excited_qubits, qubit_bits
 from .steady import check_residual, checked_inverse, unique
 
 
@@ -49,7 +50,7 @@ def _pair_tables(n_qubits: int) -> np.ndarray:
     """
     d = 2**n_qubits
     excited = excited_qubits(n_qubits).astype(bool)
-    bits = 1 << (n_qubits - 1 - np.arange(n_qubits))
+    bits = qubit_bits(n_qubits)
     sign = 1 - 2 * ((np.cumsum(excited, axis=0) - excited) % 2)  # sign[q, b]
     lowered = np.arange(d) | bits[:, None]  # [j, b]: b with qubit j lowered
     i, j, b = np.nonzero(excited & ~excited[:, lowered])  # j excited in b, i not in lowered[j, b]
@@ -60,58 +61,50 @@ def _pair_tables(n_qubits: int) -> np.ndarray:
     return tables
 
 
-@lru_cache(maxsize=None)
-def _correlation_basis(n_qubits: int) -> np.ndarray:
-    """The real N^2 x N^2 system of C -> X C + C X^dag for each coefficient of X, (n + n^2, n^4).
+def _correlation_systems(h: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """The real N^2 x N^2 system of C -> X C + C X^dag of each row, (k, n^2, n^2).
 
-    X = i h - Lambda / 2: item q < n is the system of Lambda_qq = 1, item n
-    + a n + b that of h_ab = 1.  In column stacking the map is L = I (x) X
-    + conj(X) (x) I, taken to the real coordinates x of a Hermitian C, v =
-    U x, as Re(U^dag L U) (:meth:`~chainflux.generator.Unknowns.hermitian`).
+    X = i h - Lambda / 2 with Lambda = diag(decay).  In column stacking the
+    map is L = I (x) X + conj(X) (x) I, taken to the real coordinates x of
+    a Hermitian C, v = U x, as Re(U^dag L U)
+    (:meth:`~chainflux.generator.Unknowns.hermitian`).
     """
-    n = n_qubits
-    E = np.eye(n * n).reshape(-1, n, n)  # E_ab at item a n + b
-    X = np.concatenate([-0.5 * E[::n + 1], 1j * E])
-    L = np.zeros((len(X), n, n, n, n), dtype=complex)  # [., a, i, b, j] at (a n + i, b n + j)
-    for a in range(n):  # I (x) X, then conj(X) (x) I; no entry takes more than two terms
-        L[:, a, :, a, :] += X
-        L[:, :, a, :, a] += X.conj()
-    basis = full_unknowns(n).hermitian(L.reshape(len(X), n * n, n * n)).reshape(len(X), -1)
-    read_only(basis)
-    return basis
+    k, n = decay.shape
+    a = np.arange(n)
+    X = 1j * h
+    X[:, a, a] -= 0.5 * decay
+    L = np.zeros((k, n, n, n, n), dtype=complex)  # [., a, i, b, j] at (a n + i, b n + j)
+    L[:, a, :, a, :] = X
+    L[:, :, a, :, a] += X.conj()
+    return full_unknowns(n).hermitian(L.reshape(k, n * n, n * n))
 
 
 @lru_cache(maxsize=None)
 def _site_layout(n_qubits: int) -> tuple:
     """Where the 2^N generator of :func:`_site_generator` reads a state, and what it scales.
 
-    Per coupling i: the flat gathers of rows and of columns at the states
-    with qubits i, i + 1 swapped, and the (d, d) masks of the rows and of
-    the columns where they differ (H joins those only).  Per qubit s: the
-    flat gather at the states with s flipped, the masks g_a g_b and e_a e_b
-    of the states with s in its ground state and excited, and (e_a + e_b)
-    / 2 and (g_a + g_b) / 2.
+    Item i of each coupling array: the flat gathers of rows and of columns
+    at the states with qubits i, i + 1 swapped, and 1 at the states where
+    they differ (H joins those only).  Item s of each qubit array: the flat
+    gather at the states with s flipped, the masks g_a g_b and e_a e_b of
+    the states with s in its ground state and excited, and (e_a + e_b) / 2
+    and (g_a + g_b) / 2.
     """
     d = 2**n_qubits
     index = np.arange(d)
-    bits = 1 << (n_qubits - 1 - np.arange(n_qubits))
-    excited = excited_qubits(n_qubits)
-    ground = 1.0 - excited
-    hops = []
-    for i in range(n_qubits - 1):
-        swap = index ^ (bits[i] | bits[i + 1])
-        differ = excited[i] != excited[i + 1]
-        hops.append(((swap[:, None] * d + index).reshape(-1), (index[:, None] * d + swap).reshape(-1),
-                     np.broadcast_to(differ[:, None], (d, d)) * 1.0,
-                     np.broadcast_to(differ[None, :], (d, d)) * 1.0))
-    sites = []
-    for s in range(n_qubits):
-        flip, e, g = index ^ bits[s], excited[s], ground[s]
-        sites.append(((flip[:, None] * d + flip).reshape(-1), np.outer(g, g), np.outer(e, e),
-                      0.5 * (e[:, None] + e), 0.5 * (g[:, None] + g)))
-    layout = (tuple(hops), tuple(sites))
-    read_only(*(a for part in hops + sites for a in part))
-    return layout
+    bits = qubit_bits(n_qubits)
+    e = excited_qubits(n_qubits)[:, :, None]
+    g = 1.0 - e
+    swap = index ^ (bits[:-1] | bits[1:])[:, None]
+    flip = index ^ bits[:, None]
+    hops = ((swap[:, :, None] * d + index).reshape(-1, d * d),
+            (index[:, None] * d + swap[:, None, :]).reshape(-1, d * d),
+            1.0 * (e[:-1, :, 0] != e[1:, :, 0]))
+    sites = ((flip[:, :, None] * d + flip[:, None, :]).reshape(-1, d * d),
+             g * g.swapaxes(1, 2), e * e.swapaxes(1, 2),
+             0.5 * (e + e.swapaxes(1, 2)), 0.5 * (g + g.swapaxes(1, 2)))
+    read_only(*hops, *sites)
+    return hops, sites
 
 
 def _gaussian_states(C: np.ndarray) -> np.ndarray:
@@ -151,24 +144,23 @@ def _site_generator(energies, hoppings, rho, site_rates) -> np.ndarray:
     ground state.  Every term is a gather of rho and elementwise scalings.
     """
     k, d = rho.shape[:2]
-    hops, sites = _site_layout(site_rates.shape[1])
+    (rows, cols, differ), (flip, gg, ee, half_e, half_g) = _site_layout(site_rates.shape[1])
     flat = rho.reshape(k, d * d)
     out = -1j * (energies[:, :, None] - energies[:, None, :]) * rho
-    for i, (rows, cols, row_mask, col_mask) in enumerate(hops):
-        swapped = np.take(flat, rows, axis=1).reshape(k, d, d)
-        swapped *= row_mask
-        term = np.take(flat, cols, axis=1).reshape(k, d, d)
-        term *= col_mask
+    for i in range(len(differ)):
+        swapped = np.take(flat, rows[i], axis=1).reshape(k, d, d)
+        swapped *= differ[i, :, None]
+        term = np.take(flat, cols[i], axis=1).reshape(k, d, d)
+        term *= differ[i]
         swapped -= term
         swapped *= -1j * hoppings[:, i, None, None]
         out += swapped
     for s in np.flatnonzero(site_rates.any(axis=(0, 2))).tolist():
-        flip, gg, ee, half_e, half_g = sites[s]
         emission, absorption = (site_rates[:, s, j, None, None] for j in (0, 1))
-        term = np.take(flat, flip, axis=1).reshape(k, d, d)
-        term *= emission * gg + absorption * ee
+        term = np.take(flat, flip[s], axis=1).reshape(k, d, d)
+        term *= emission * gg[s] + absorption * ee[s]
         out += term
-        np.multiply(emission * half_e + absorption * half_g, rho, out=term)
+        np.multiply(emission * half_e[s] + absorption * half_g[s], rho, out=term)
         out -= term
     return out
 
@@ -217,9 +209,7 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     site_rates = np.zeros((k, n, 2))
     np.add.at(site_rates, (rows, sites), rates)
     decay = site_rates[:, :, 0] + site_rates[:, :, 1]  # Lambda: sum of gamma (2 nbar + 1)
-    coefficients = np.concatenate([decay, h.reshape(k, n * n)], axis=1)
-    R = (coefficients[:, None, :] @ _correlation_basis(n)).reshape(k, n * n, n * n)
-    inverse, rcond = checked_inverse(R)
+    inverse, rcond = checked_inverse(_correlation_systems(h, decay))
     solved = unique(rcond, n * n)
     unknowns = full_unknowns(n)
     source = np.zeros((k, n * n))

@@ -253,25 +253,37 @@ def coupled_sets(H: np.ndarray, operators: Entries, first, count) -> list:
 
 @lru_cache(maxsize=64)
 def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
-    """The closure of :func:`coupled_sets` over H's pattern and those of the A's after it."""
+    """The closure of :func:`coupled_sets` over H's pattern and those of the A's after it.
+
+    Each link joins two flat entries r d + c.  Every two entries A[p_j,
+    q_j], A[p_k, q_k] of one A join (q_j, q_k) to (p_j, p_k); those in one
+    row p (q_j, q_k of A^dag A) or one column (p_j, p_k of A A^dag) give J
+    its nonzero at (q_j, q_k) or (p_j, p_k), and each J[a, b], a != b,
+    joins (b, c) to (a, c) and (c, b) to (c, a) for every c.
+    """
     bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
-    bits = bits.reshape(count, dim, dim).astype(float)
-    ops, eye = bits[1:], np.eye(dim)
-    transposed = ops.swapaxes(1, 2)
-    damping = bits[0] + (transposed @ ops).sum(axis=0) + (ops @ transposed).sum(axis=0)
-    damping = damping + damping.T
-    # one step takes the reached entries R to R + D R + R D + sum_t A_t R A_t^T
-    # + A_t^T R A_t, i.e. to sum_t X_t R Y_t^T over the pairs (X_t, Y_t):
-    # [X_1 .. X_n] times the column of the R Y_t^T, two products per step
-    outer = np.concatenate([[eye, damping, eye], ops, transposed]).swapaxes(0, 1)
-    outer = outer.reshape(dim, -1)
-    inner = np.concatenate([[eye, eye, damping], transposed, ops])
-    reached = eye  # reached[r, c]: entry (r, c) is in the set
+    flat = np.flatnonzero(bits[dim * dim:])  # t d^2 + p d + q of each entry of each A_t
+    p, q = flat // dim % dim, flat % dim
+    j, k = equal_pairs(flat // (dim * dim))
+    J = bits[:dim * dim].reshape(dim, dim) != 0
+    row, column = p[j] == p[k], q[j] == q[k]
+    J[q[j][row], q[k][row]] = J[p[j][column], p[k][column]] = True
+    np.fill_diagonal(J, False)
+    a, b = np.nonzero(J | J.T)  # both (a, b) and (b, a), so each link below is taken both ways
+    c = np.arange(dim)
+    before, after = q[j] * dim + q[k], p[j] * dim + p[k]
+    source = np.concatenate([before, after, b[:, None] * dim + c, c * dim + b[:, None]],
+                            axis=None)
+    target = np.concatenate([after, before, a[:, None] * dim + c, c * dim + a[:, None]],
+                            axis=None)
+    reached = np.eye(dim, dtype=bool).reshape(-1)  # entry r d + c is in the set
+    size = dim
     while True:
-        grown = (outer @ (reached @ inner).reshape(-1, dim) > 0).astype(float)
-        if grown.sum() == reached.sum():  # it only grows
-            return _unknowns(dim, np.flatnonzero(reached.T))
-        reached = grown
+        reached[target[reached[source]]] = True
+        grown = np.count_nonzero(reached)
+        if grown == size:  # it only grows
+            return _unknowns(dim, np.flatnonzero(reached.reshape(dim, dim).T))
+        size = grown
 
 
 def kron_entries(left, right, unknowns: Unknowns) -> tuple:
@@ -280,24 +292,31 @@ def kron_entries(left, right, unknowns: Unknowns) -> tuple:
     ``left`` and ``right`` (T, d, d) are the patterns of the X_t and Y_t.
     In column stacking, entry (i, j) of conj(X) (x) Y on the unknowns is
     conj(X[c_i, c_j]) * Y[r_i, r_j], so it exists only where both factors
-    are nonzero: each pair of a nonzero of X_t and a nonzero of Y_t gives
-    one entry, kept if it joins two unknowns and r_i <= c_i.  Returns
-    (term, i, j, a, b) with a = c_i d + c_j and b = r_i d + r_j, the flat
-    positions of the two factors, ordered by term, then by b, then by a,
-    so one term never lists an (i, j) twice.
+    are nonzero: for each term and each unknown i with r_i <= c_i, every
+    nonzero of row c_i of X_t pairs with every nonzero of row r_i of Y_t,
+    and the pair is kept if it reaches an unknown j.  Returns (term, i, j,
+    a, b) with a = c_i d + c_j and b = r_i d + r_j, the flat positions of
+    the two factors, ordered by term, then by b, then by a, so one term
+    never lists an (i, j) twice.
     """
-    d, index = unknowns.dim, unknowns.index
-    tx, xr, xc = np.nonzero(left)
-    ty, yr, yc = np.nonzero(right)
-    nx = np.bincount(tx, minlength=len(left))
-    reps = nx[ty]  # each nonzero of Y_t pairs with every nonzero of X_t
-    q = np.repeat(np.arange(len(ty)), reps)
-    first = np.cumsum(nx) - nx
-    p = np.arange(len(q)) + np.repeat(first[ty] - (np.cumsum(reps) - reps), reps)
-    ri, rj, ci, cj = yr[q], yc[q], xr[p], xc[p]
-    i, j = index[ri, ci], index[rj, cj]
-    keep = (i >= 0) & (j >= 0) & (ri <= ci)
-    return tx[p][keep], i[keep], j[keep], (ci * d + cj)[keep], (ri * d + rj)[keep]
+    d, rows, cols = unknowns.dim, unknowns.rows, unknowns.cols
+    flat_x, flat_y = np.flatnonzero(left), np.flatnonzero(right)  # t d^2 + row d + col
+    rows_x = np.searchsorted(flat_x, d * np.arange(len(left) * d + 1))  # (t, row) -> its nonzeros
+    rows_y = np.searchsorted(flat_y, d * np.arange(len(right) * d + 1))
+    upper = np.flatnonzero(rows <= cols)
+    term = np.repeat(np.arange(len(left)), len(upper))
+    i = np.tile(upper, len(left))
+    x, y = rows_x[term * d + cols[i]], rows_y[term * d + rows[i]]
+    count_x, count_y = rows_x[term * d + cols[i] + 1] - x, rows_y[term * d + rows[i] + 1] - y
+    group, within = _runs(np.zeros_like(x), count_x * count_y)
+    x = flat_x[x[group] + within // count_y[group]]
+    y = flat_y[y[group] + within % count_y[group]]
+    term, i = term[group], i[group]
+    a, b = cols[i] * d + x % d, rows[i] * d + y % d
+    j = unknowns.index.reshape(-1)[b % d * d + a % d]
+    order = np.argsort((term * d**2 + b) * d**2 + a)
+    order = order[j[order] >= 0]
+    return term[order], i[order], j[order], a[order], b[order]
 
 
 def _slots(pattern: np.ndarray) -> np.ndarray:
@@ -412,13 +431,14 @@ def _real_targets(i, j, unknowns: Unknowns) -> tuple:
     """
     m, n = unknowns.size, len(i)
     rows, cols, partner = unknowns.rows, unknowns.cols, unknowns.partner
-    i_off, j_off, lower = rows[i] != cols[i], rows[j] != cols[j], rows[j] > cols[j]
-    re_col, im_col = np.where(lower, partner[j], j), np.where(lower, j, partner[j])
-    sign = np.where(lower, 1.0, -1.0)
+    off, lower, own = (rows != cols).astype(int), rows > cols, np.arange(m)
+    # per unknown: the Re and Im coordinates of its pair, and the sign
+    re, im, sign = np.where(lower, partner, own), np.where(lower, own, partner), 2.0 * lower - 1.0
+    i_off, j_off, re_col, im_col, sign = off[i], off[j], re[j], im[j], sign[j]
     targets = np.stack([i * m + re_col, i * m + im_col,
                         partner[i] * m + re_col, partner[i] * m + im_col], axis=1)
     source = 2 * np.arange(n)[:, None] + [0, 1, 1, 0]
-    coef = _SCALE[i_off.astype(int), j_off.astype(int)][:, None] * np.stack(
+    coef = _SCALE[i_off, j_off][:, None] * np.stack(
         [np.ones(n), sign * j_off, 1.0 * i_off, -sign * (i_off & j_off)], axis=1)
     keep = coef != 0
     return targets[keep], source[keep], coef[keep]

@@ -63,6 +63,7 @@ from .operators import (
     build_chain_hamiltonian,
     chain_arrays,
     diagonalize,
+    qubit_bits,
     site_operator,
 )
 
@@ -439,9 +440,11 @@ def chain_operators(epsilons, couplings=None, sites=None) -> ChainOperators:
 
 @lru_cache(maxsize=None)
 def _site_couplings(n_qubits: int) -> np.ndarray:
-    """sigma^+ + sigma^- of each qubit, (n, d, d)."""
-    couplings = np.array([site_operator(n_qubits, q, "raise") + site_operator(n_qubits, q, "lower")
-                          for q in range(n_qubits)])
+    """sigma^+ + sigma^- of each qubit, (n, d, d): 1 between the states that differ in its bit."""
+    d = 2**n_qubits
+    index = np.arange(d)
+    couplings = np.zeros((n_qubits, d, d), dtype=complex)
+    couplings[np.arange(n_qubits)[:, None], index, index ^ qubit_bits(n_qubits)[:, None]] = 1.0
     read_only(couplings)
     return couplings
 

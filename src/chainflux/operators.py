@@ -96,18 +96,31 @@ def build_chain_hamiltonian(spec, couplings=None) -> np.ndarray:
     return H[0] if single else H
 
 
+def qubit_bits(n_qubits: int) -> np.ndarray:
+    """The bit of each qubit in a basis state's index, (n,): qubit q is bit n - 1 - q.
+
+    The bit is clear where the qubit is excited.
+    """
+    return 1 << (n_qubits - 1 - np.arange(n_qubits))
+
+
 @lru_cache(maxsize=None)
 def _hamiltonian_layout(n_qubits: int) -> tuple:
     """Each qubit's sigma^z diagonal (n, d), and the entries of each hopping term.
 
-    Hopping term i is sigma_i^+ sigma_{i+1}^- + h.c.
+    sigma^z is 1 where the qubit's bit is clear (:func:`qubit_bits`).
+    Hopping term i, sigma_i^+ sigma_{i+1}^- + h.c., joins each state whose
+    qubits i, i + 1 differ to the state with both flipped.
     """
-    signs = np.array([site_operator(n_qubits, q, "z").diagonal().real for q in range(n_qubits)])
+    index, bits = np.arange(2**n_qubits), qubit_bits(n_qubits)
+    signs = np.where(index & bits[:, None], -1.0, 1.0)
     hops = []
     for i in range(n_qubits - 1):
-        hop = site_operator(n_qubits, i, "raise") @ site_operator(n_qubits, i + 1, "lower")
-        hops.append(np.nonzero(hop + hop.T))
-    return signs.reshape(n_qubits, 2**n_qubits), tuple(hops)
+        pair = bits[i] | bits[i + 1]
+        held = index & pair
+        rows = np.flatnonzero((held != 0) & (held != pair))
+        hops.append((rows, rows ^ pair))
+    return signs, tuple(hops)
 
 
 def assert_hermitian(A: np.ndarray, tol: float = HERMITICITY_TOL) -> None:

@@ -8,9 +8,10 @@ evolution (:func:`evolve_rk4`), the trace distance and the
 density-matrix check.  The dimer's closed-form eigensystem
 (:func:`dimer_analytic_eigensystem`); the dense adjoint dissipator; the
 correlation route's tables from dense operators (:func:`pair_tables`,
-:func:`correlation_basis`); the local approach's real block: its
-structure of sigma^+- entries in the site basis
-(:func:`local_structure`), solved on its coupled set of C(2N, N)
+:func:`correlation_basis`); the register layouts from dense site
+operators (:func:`hamiltonian_layout`, :func:`site_couplings`); the
+local approach's real block: its structure of sigma^+- entries in the
+site basis (:func:`local_structure`), solved on its coupled set of C(2N, N)
 unknowns by the same stacked block solve as the global rows
 (:func:`local_block_reports`), where the package solves the local rows
 through their N x N correlation matrices; and the global approach's
@@ -344,6 +345,26 @@ def correlation_basis(n_qubits: int) -> np.ndarray:
     L = (eye[None, :, None, :, None] * X[:, None, :, None, :]
          + X.conj()[:, :, None, :, None] * eye[None, None, :, None, :])
     return full_unknowns(n).hermitian(L.reshape(-1, n * n, n * n)).reshape(len(X), -1)
+
+
+def hamiltonian_layout(n_qubits: int) -> tuple:
+    """Each qubit's sigma^z diagonal (n, d), and the nonzeros of each hopping term, dense.
+
+    Hopping term i is sigma_i^+ sigma_{i+1}^- + h.c., a product of the
+    dense site operators.
+    """
+    signs = np.array([site_operator(n_qubits, q, "z").diagonal().real for q in range(n_qubits)])
+    hops = []
+    for i in range(n_qubits - 1):
+        hop = site_operator(n_qubits, i, "raise") @ site_operator(n_qubits, i + 1, "lower")
+        hops.append(np.nonzero(hop + hop.T))
+    return signs.reshape(n_qubits, 2**n_qubits), tuple(hops)
+
+
+def site_couplings(n_qubits: int) -> np.ndarray:
+    """sigma^+ + sigma^- of each qubit, (n, d, d), from the dense site operators."""
+    return np.array([site_operator(n_qubits, q, "raise") + site_operator(n_qubits, q, "lower")
+                     for q in range(n_qubits)])
 
 
 def entries_from_dense(matrices) -> Entries:

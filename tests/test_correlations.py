@@ -112,11 +112,20 @@ def test_the_residual_is_the_dense_generator_on_the_rebuilt_state():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_the_cached_tables_equal_their_dense_builders(n):
-    # the pair tables by index arithmetic and the correlation system by two
-    # dense products are bit for bit the dense Jordan-Wigner strings and the
-    # Unknowns.hermitian form of the broadcast map
+    # the pair tables by index arithmetic are bit for bit the dense
+    # Jordan-Wigner strings; each row's correlation system, built from its
+    # own X, is the oracle basis of the broadcast map contracted with the
+    # row's coefficients (Lambda_qq, then h_ab), to round-off
     assert np.array_equal(chainflux.correlations._pair_tables(n), pair_tables(n))
-    assert np.array_equal(chainflux.correlations._correlation_basis(n), correlation_basis(n))
+    chains = chain_operators(list(seeded_chains(760 + n, n, 6)))
+    h = chains.single_particle
+    decay = np.random.default_rng(n).uniform(0.0, 5.0, (len(h), n))
+    systems = chainflux.correlations._correlation_systems(h, decay)
+    coefficients = np.concatenate([decay, h.reshape(len(h), n * n)], axis=1)
+    expected = (coefficients @ correlation_basis(n)).reshape(systems.shape)
+    scale = np.abs(expected).max(axis=(1, 2))
+    assert systems.shape == (len(h), n * n, n * n)
+    assert np.all(np.abs(systems - expected).max(axis=(1, 2)) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_the_pair_tables_are_products_of_jordan_wigner_fermions():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chainflux
 from chainflux import (
     IndexOutOfRange,
     NotHermitian,
@@ -12,7 +18,16 @@ from chainflux import (
     site_operator,
 )
 
-from oracles import DegenerateDenominator, dimer_analytic_eigensystem, total_excitation
+from chainflux.lindblad import _site_couplings
+from chainflux.operators import _hamiltonian_layout
+
+from oracles import (
+    DegenerateDenominator,
+    dimer_analytic_eigensystem,
+    hamiltonian_layout,
+    site_couplings,
+    total_excitation,
+)
 
 
 def test_single_qubit_sigma_z():
@@ -44,6 +59,39 @@ def test_index_built_site_operators_equal_the_kronecker_chain(kind):
             op = site_operator(n, site, kind)
             assert op.dtype == complex and not op.flags.writeable
             assert np.array_equal(op, kron_site_operator(n, site, kind))
+
+
+def test_register_layouts_by_bit_arithmetic_equal_the_dense_products():
+    # the sigma^z signs, hopping entries and reservoir couplings from state
+    # indices are bit for bit those read off products of site operators
+    for n in range(1, 6):
+        signs, hops = _hamiltonian_layout(n)
+        dense_signs, dense_hops = hamiltonian_layout(n)
+        assert signs.dtype == dense_signs.dtype and np.array_equal(signs, dense_signs)
+        assert len(hops) == len(dense_hops) == n - 1
+        for (rows, cols), (dense_rows, dense_cols) in zip(hops, dense_hops):
+            assert rows.dtype == dense_rows.dtype and np.array_equal(rows, dense_rows)
+            assert cols.dtype == dense_cols.dtype and np.array_equal(cols, dense_cols)
+        couplings = _site_couplings(n)
+        assert couplings.dtype == complex and np.array_equal(couplings, site_couplings(n))
+
+
+def test_an_n5_sweep_builds_no_dense_site_operator():
+    # a fresh process runs an N = 5 sweep of both approaches without making
+    # one dense 2^N x 2^N site operator
+    check = (
+        "from chainflux import chain, run_sweep\n"
+        "from chainflux.operators import _site_operator_cached\n"
+        "from chainflux.sweep import SweepRequest\n"
+        "request = SweepRequest(base=chain([1.5] * 5, [1.0] * 4, t1=1.0, t2=0.0), axis='t1',\n"
+        "                       grid=(0.5, 2.0), approaches=('global', 'local'),\n"
+        "                       outputs=('populations', 'heat_flux'))\n"
+        "print(len(run_sweep(request).rows), _site_operator_cached.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chainflux.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["4", "0"]
 
 
 def test_commutator_on_one_site_gives_sigma_z():
