@@ -22,12 +22,12 @@ island is singular there and gets a DegenerateKernel, by the rcond of the
 N^2 system.
 
 From C: the populations n_q = C_qq; the heat current of bath j at site s,
-Q_j = h_ss gamma_j nbar_j - lambda_j sum_b h_sb Re C_sb; and the state rho
-= prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag), with C = U diag(nu)
-U^dag and f_k = sum_i U_ik c_i, from cached c_i^dag c_j tables.  The
-residual is |L(rho)| for the 2^N x 2^N site-basis generator, applied as
-index gathers and elementwise scalings, H's couplings and the sigma^+-
-dissipators alike.
+Q_j = h_ss gamma_j nbar_j - lambda_j sum_b h_sb Re C_sb; and the residual
+|L(rho(C))|_F of the 2^N x 2^N site-basis generator on the Gaussian state,
+in closed form from C (:func:`_gaussian_residuals`).  The state itself, rho
+= prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag) with C = U diag(nu)
+U^dag and f_k = sum_i U_ik c_i, is built from cached c_i^dag c_j tables
+only where it is read (:func:`_gaussian_states`).
 """
 
 from __future__ import annotations
@@ -61,50 +61,19 @@ def _pair_tables(n_qubits: int) -> np.ndarray:
     return tables
 
 
-def _correlation_systems(h: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """The real N^2 x N^2 system of C -> X C + C X^dag of each row, (k, n^2, n^2).
+def _correlation_systems(X: np.ndarray) -> np.ndarray:
+    """The real N^2 x N^2 system of C -> X C + C X^dag of each row's X, (k, n^2, n^2).
 
-    X = i h - Lambda / 2 with Lambda = diag(decay).  In column stacking the
-    map is L = I (x) X + conj(X) (x) I, taken to the real coordinates x of
-    a Hermitian C, v = U x, as Re(U^dag L U)
+    In column stacking the map is L = I (x) X + conj(X) (x) I, taken to the
+    real coordinates x of a Hermitian C, v = U x, as Re(U^dag L U)
     (:meth:`~chainflux.generator.Unknowns.hermitian`).
     """
-    k, n = decay.shape
+    k, n = X.shape[:2]
     a = np.arange(n)
-    X = 1j * h
-    X[:, a, a] -= 0.5 * decay
     L = np.zeros((k, n, n, n, n), dtype=complex)  # [., a, i, b, j] at (a n + i, b n + j)
     L[:, a, :, a, :] = X
     L[:, :, a, :, a] += X.conj()
     return full_unknowns(n).hermitian(L.reshape(k, n * n, n * n))
-
-
-@lru_cache(maxsize=None)
-def _site_layout(n_qubits: int) -> tuple:
-    """Where the 2^N generator of :func:`_site_generator` reads a state, and what it scales.
-
-    Item i of each coupling array: the flat gathers of rows and of columns
-    at the states with qubits i, i + 1 swapped, and 1 at the states where
-    they differ (H joins those only).  Item s of each qubit array: the flat
-    gather at the states with s flipped, the masks g_a g_b and e_a e_b of
-    the states with s in its ground state and excited, and (e_a + e_b) / 2
-    and (g_a + g_b) / 2.
-    """
-    d = 2**n_qubits
-    index = np.arange(d)
-    bits = qubit_bits(n_qubits)
-    e = excited_qubits(n_qubits)[:, :, None]
-    g = 1.0 - e
-    swap = index ^ (bits[:-1] | bits[1:])[:, None]
-    flip = index ^ bits[:, None]
-    hops = ((swap[:, :, None] * d + index).reshape(-1, d * d),
-            (index[:, None] * d + swap[:, None, :]).reshape(-1, d * d),
-            1.0 * (e[:-1, :, 0] != e[1:, :, 0]))
-    sites = ((flip[:, :, None] * d + flip[:, None, :]).reshape(-1, d * d),
-             g * g.swapaxes(1, 2), e * e.swapaxes(1, 2),
-             0.5 * (e + e.swapaxes(1, 2)), 0.5 * (g + g.swapaxes(1, 2)))
-    read_only(*hops, *sites)
-    return hops, sites
 
 
 def _gaussian_states(C: np.ndarray) -> np.ndarray:
@@ -131,38 +100,29 @@ def _gaussian_states(C: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _site_generator(energies, hoppings, rho, site_rates) -> np.ndarray:
-    """The local site-basis generator applied to each rho, (k, d, d).
+def _gaussian_residuals(X, absorption, C) -> np.ndarray:
+    """|L(rho(C))|_F of each row's site-basis generator on the Gaussian state of its C, (k,).
 
-    -i[H, rho] with H = diag(energies) plus K_i on the states that swap the
-    excitations of qubits i and i + 1, and at each site s with a rate, its
-    summed emission rate gamma (nbar + 1) through sigma^-_s and absorption
-    rate gamma nbar through sigma^+_s: D[sigma^-_s](rho)[a, b] = g_a g_b
-    rho[a', b'] - (e_a + e_b) rho[a, b] / 2 and D[sigma^+_s](rho)[a, b] =
-    e_a e_b rho[a', b'] - (g_a + g_b) rho[a, b] / 2, where a' is a with
-    qubit s flipped and e, g mark the states with s excited and in its
-    ground state.  Every term is a gather of rho and elementwise scalings.
+    L(rho(C)) is the derivative of rho(C) along R = X C + C X^dag + G, with
+    G = diag(absorption), and Tr(rho(C1) rho(C2)) = det(C1 C2 + (1 - C1)(1
+    - C2)); so |L(rho)|^2 = d/ds d/dt det(M0 + s R S + t S R + 2 s t R^2) at
+    0, with S = 2C - 1 and M0 = C^2 + (1 - C)^2: det M0 (2 tr(M0^-1 R^2) +
+    tr A tr B - tr(A B)) with A = M0^-1 R S and B = M0^-1 S R = S M0^-1 R,
+    whose traces are equal.  The eigenvalues of M0 are at least 1/2.
     """
-    k, d = rho.shape[:2]
-    (rows, cols, differ), (flip, gg, ee, half_e, half_g) = _site_layout(site_rates.shape[1])
-    flat = rho.reshape(k, d * d)
-    out = -1j * (energies[:, :, None] - energies[:, None, :]) * rho
-    for i in range(len(differ)):
-        swapped = np.take(flat, rows[i], axis=1).reshape(k, d, d)
-        swapped *= differ[i, :, None]
-        term = np.take(flat, cols[i], axis=1).reshape(k, d, d)
-        term *= differ[i]
-        swapped -= term
-        swapped *= -1j * hoppings[:, i, None, None]
-        out += swapped
-    for s in np.flatnonzero(site_rates.any(axis=(0, 2))).tolist():
-        emission, absorption = (site_rates[:, s, j, None, None] for j in (0, 1))
-        term = np.take(flat, flip[s], axis=1).reshape(k, d, d)
-        term *= emission * gg[s] + absorption * ee[s]
-        out += term
-        np.multiply(emission * half_e[s] + absorption * half_g[s], rho, out=term)
-        out -= term
-    return out
+    a = np.arange(C.shape[-1])
+    R = X @ C
+    R += R.conj().swapaxes(1, 2)
+    R[:, a, a] += absorption
+    S = 2.0 * C
+    S[:, a, a] -= 1.0
+    M0 = 2.0 * (C @ C) - S
+    P = np.linalg.inv(M0) @ R
+    A = P @ S  # and B = S P, with P = M0^-1 R
+    trace = np.einsum("kii->k", A).real
+    squares = np.linalg.det(M0).real * (2.0 * np.einsum("kij,kji->k", P, R).real + trace**2
+                                         - np.einsum("kij,kji->k", A, S @ P).real)
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def _generator_norms(energies, hoppings, site_rates) -> np.ndarray:
@@ -196,20 +156,23 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     reservoirs attached at the qubits sites[j] (k, 2), and each
     reservoir's emission and absorption rates gamma (nbar + 1) and gamma
     nbar in rates[j] (k, 2, 2).  Returns the populations (k, n), fluxes
-    (k, 2), site-basis states (k, d, d), residuals |L(rho)| and the
-    rcond_1 of each N^2 system, one stacked real solve
-    (:func:`~chainflux.steady.checked_inverse`).  A row whose C is not
-    unique (:func:`~chainflux.steady.unique`) gets zero populations, fluxes
-    and state.  A residual above RESIDUAL_TOL times |L| raises
-    NoConvergence.  Every step acts on each row alone, so a row's results
-    do not depend on its stack.
+    (k, 2), correlation matrices C (k, n, n), residuals |L(rho(C))|_F in
+    closed form (:func:`_gaussian_residuals`) and the rcond_1 of each N^2
+    system, one stacked real solve
+    (:func:`~chainflux.steady.checked_inverse`).  No 2^N state is built:
+    :func:`_gaussian_states` gives a row's from its C where it is read.  A
+    row whose C is not unique (:func:`~chainflux.steady.unique`) gets zero
+    populations, fluxes, C and residual.  A residual above RESIDUAL_TOL
+    times |L| raises NoConvergence.  Every step acts on each row alone, so a
+    row's results do not depend on its stack.
     """
     k, n = len(rates), h.shape[-1]
     rows = np.arange(k)[:, None]
     site_rates = np.zeros((k, n, 2))
     np.add.at(site_rates, (rows, sites), rates)
-    decay = site_rates[:, :, 0] + site_rates[:, :, 1]  # Lambda: sum of gamma (2 nbar + 1)
-    inverse, rcond = checked_inverse(_correlation_systems(h, decay))
+    X = 1j * h
+    X[:, np.arange(n), np.arange(n)] -= 0.5 * site_rates.sum(axis=2)  # Lambda: gamma (2 nbar + 1)
+    inverse, rcond = checked_inverse(_correlation_systems(X))
     solved = unique(rcond, n * n)
     unknowns = full_unknowns(n)
     source = np.zeros((k, n * n))
@@ -221,9 +184,8 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     current = (h_rows * C.real[rows, sites]).sum(axis=2)
     lam = rates.sum(axis=2)
     fluxes = h_rows[rows, np.arange(2), sites] * rates[:, :, 1] - lam * current
-    rho = _gaussian_states(C)
-    rho *= solved[:, None, None]
+    fluxes[~solved] = 0.0
+    residual = np.where(solved, _gaussian_residuals(X, site_rates[:, :, 1], C), 0.0)
     hoppings = h[:, np.arange(n - 1), np.arange(1, n)]
-    residual = np.linalg.norm(_site_generator(energies, hoppings, rho, site_rates), axis=(1, 2))
     check_residual(residual, _generator_norms(energies, hoppings, site_rates))
-    return populations, fluxes, rho, residual, rcond
+    return populations, fluxes, C, residual, rcond

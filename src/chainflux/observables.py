@@ -21,6 +21,7 @@ from .errors import (
     DegenerateTransition,
     DimensionMismatch,
 )
+from . import correlations
 from .correlations import local_steady_states
 from .generator import real_superoperator, unvectorize, vectorize
 from .lindblad import (
@@ -41,8 +42,7 @@ _FORM_TOL = 1e-12
 # The steady solves go in stacks of at most this many block elements
 # (128 KB per real array): stacks of more than about eight m = 70 systems
 # solved slower per row than single ones, and larger stacks raise the peak
-# memory of every sweep process.  The local stacks count the larger of
-# their N^2 x N^2 system and their d x d states.
+# memory of every sweep process.
 _GRID_ELEMENTS = 1 << 14
 
 
@@ -251,9 +251,12 @@ def dimer_local_heat_flux_analytic(eps, coupling, t1, t2,
 class SteadyReport:
     """Full numeric pipeline output for one chain under one approach.
 
-    A view of one row of a :class:`SteadyColumns`, built when asked for.
-    ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal condition
-    number and the number of entries of rho it solved for; ``chain`` gives
+    A view of one row of a :class:`SteadyColumns`, built when asked for;
+    ``rho`` is the state in the site basis, a local row's built from its
+    correlation matrix with the view.  ``residual`` is |L(rho)|_F, a local
+    row's in closed form from that matrix.  ``rcond`` and ``unknowns`` are
+    the solver's 1-norm reciprocal condition number and the number of real
+    coordinates it solved for; ``chain`` gives
     the chain's eigensystem, computed on first use and shared by the
     reports of both approaches on the chain.
     """
@@ -277,13 +280,16 @@ class SteadyColumns(Sequence):
     ``populations`` (rows, N), ``fluxes`` (rows, 2), ``residual``, ``rcond``
     and ``unknowns`` are columns; ``errors`` maps each row not solved to its
     DegenerateTransition (with its omega) or DegenerateKernel (with its
-    rcond), and such a row's entries are no result.  ``rho`` holds the
-    states in the site basis, the ones the row views give, and
-    ``channels`` the channel fluxes in bin order, zero-padded.  Row i is
-    on chain ``chain[i]`` of the call's ``chains``, and its channels
-    are the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by
-    reservoir (:class:`~chainflux.lindblad.ChainStructure`); nothing else
-    of the approach's structure is kept.  ``baths[i]`` holds the
+    rcond), and such a row's entries are no result.  Rows solved by the
+    real block (the global ones) keep their site-basis states in ``rho``
+    (rows, d, d); local rows keep only their correlation matrices C in
+    ``correlations`` (rows, N, N); the other field is None.  The row views
+    and :meth:`rho_diagonals` read the states from :meth:`states`.
+    ``channels`` holds the channel fluxes in bin order, zero-padded.  Row i
+    is on chain ``chain[i]`` of the call's ``chains``, and its channels are
+    the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by reservoir
+    (:class:`~chainflux.lindblad.ChainStructure`); nothing else of the
+    approach's structure is kept.  ``baths[i]`` holds the
     (temperature, gamma) of each reservoir of row i.  ``columns[i]`` builds
     row i's :class:`SteadyReport`, with the spec of its chain and baths, or
     gives its error.
@@ -296,7 +302,8 @@ class SteadyColumns(Sequence):
     rcond: np.ndarray
     unknowns: np.ndarray
     errors: dict
-    rho: np.ndarray
+    rho: np.ndarray | None
+    correlations: np.ndarray | None
     channels: np.ndarray
     chains: ChainOperators
     chain: np.ndarray
@@ -320,15 +327,26 @@ class SteadyColumns(Sequence):
         spec = ChainSpec(chains.epsilons.shape[1], tuple(chains.epsilons[c].tolist()),
                          tuple(chains.hoppings[c].tolist()), baths)
         return SteadyReport(
-            spec=spec, approach=self.approach, rho=self.rho[i],
+            spec=spec, approach=self.approach, rho=self.states([i])[0],
             populations=tuple(self.populations[i].tolist()),
             fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
             channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in pieces),
             rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]), chain=self.chains[c])
 
+    def states(self, rows) -> np.ndarray:
+        """The site-basis states of ``rows``, (rows, d, d): kept, or built from C.
+
+        A local row's is the Gaussian state of its correlation matrix
+        (:func:`~chainflux.correlations._gaussian_states`), built on each
+        call.
+        """
+        if self.correlations is None:
+            return self.rho[rows]
+        return correlations._gaussian_states(self.correlations[rows])
+
     def rho_diagonals(self, rows) -> np.ndarray:
         """The populations of the states of ``rows`` in their chain's eigenbasis, (rows, d)."""
-        rho, chain = self.rho[rows], self.chain[rows]
+        rho, chain = self.states(rows), self.chain[rows]
         if not len(chain):
             return np.zeros((0, rho.shape[-1]))
         vectors = self.chains.eigensystem.vectors[chain]
@@ -393,8 +411,9 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
 
     The local rows are solved through their N x N correlation matrices
     (:func:`~chainflux.correlations.local_steady_states`), every row of
-    the call in stacks of at most ``_GRID_ELEMENTS`` elements of the larger
-    of its N^2 x N^2 system and its state (:func:`_local_reports`).
+    the call in stacks of at most ``_GRID_ELEMENTS`` elements of their N^2
+    x N^2 systems (:func:`_local_reports`).  They keep their correlation
+    matrices, not their 2^N states.
 
     A row whose steady state is not unique gets its own DegenerateKernel.
     """
@@ -413,8 +432,9 @@ def _no_reports(approach) -> SteadyColumns:
     return SteadyColumns(
         approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
         residual=empty, rcond=empty, unknowns=none, errors={},
-        rho=np.zeros((0, 1, 1), dtype=complex), channels=np.zeros((0, 0)), chains=None,
-        chain=none, baths=np.zeros((0, 2, 2)), omegas=empty, edges=np.zeros(1, dtype=int))
+        rho=np.zeros((0, 1, 1), dtype=complex), correlations=None, channels=np.zeros((0, 0)),
+        chains=None, chain=none, baths=np.zeros((0, 2, 2)), omegas=empty,
+        edges=np.zeros(1, dtype=int))
 
 
 def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
@@ -441,7 +461,7 @@ def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
         approach=approach,
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
-        rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, width)),
+        rho=np.zeros((k, d, d), dtype=complex), correlations=None, channels=np.zeros((k, width)),
         chains=structure.chains, chain=chain, baths=baths, omegas=structure.omegas,
         edges=structure.edges)
     for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
@@ -468,23 +488,24 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
     reservoir in ``baths[i]``.  Each reservoir has one channel, the bare
     jump of its qubit at that qubit's gap.
     """
-    k, (c, n), d = len(chain), chains.epsilons.shape, chains.hamiltonian.shape[-1]
+    k, (c, n) = len(chain), chains.epsilons.shape
     omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)
     out = SteadyColumns(
         approach="local",
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.full(k, n * n), errors={},
-        rho=np.zeros((k, d, d), dtype=complex), channels=np.zeros((k, 2)),
+        rho=None, correlations=np.zeros((k, n, n), dtype=complex), channels=np.zeros((k, 2)),
         chains=chains, chain=chain, baths=baths, omegas=omegas.reshape(-1),
         edges=np.arange(2 * c + 1))
-    step = max(1, _GRID_ELEMENTS // max(n**4, d * d))
+    step = max(1, _GRID_ELEMENTS // n**4)
     for start in range(0, k, step):
         at = slice(start, start + step)
         rows = chain[at]
         rates = bath_rates(omegas[rows], baths[at])
-        out.populations[at], out.fluxes[at], out.rho[at], out.residual[at], out.rcond[at] = \
-            local_steady_states(chains.site_energies[rows], chains.single_particle[rows],
-                                chains.sites[rows], rates)
+        (out.populations[at], out.fluxes[at], out.correlations[at], out.residual[at],
+         out.rcond[at]) = local_steady_states(chains.site_energies[rows],
+                                              chains.single_particle[rows], chains.sites[rows],
+                                              rates)
     out.channels[:] = out.fluxes
     for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():
         out.errors[i] = uniqueness_error(out.rcond[i], n * n)

@@ -8,11 +8,14 @@ evolution (:func:`evolve_rk4`), the trace distance and the
 density-matrix check.  The dimer's closed-form eigensystem
 (:func:`dimer_analytic_eigensystem`); the dense adjoint dissipator; the
 correlation route's tables from dense operators (:func:`pair_tables`,
-:func:`correlation_basis`); the register layouts from dense site
-operators (:func:`hamiltonian_layout`, :func:`site_couplings`); the
-local approach's real block: its structure of sigma^+- entries in the
-site basis (:func:`local_structure`), solved on its coupled set of C(2N, N)
-unknowns by the same stacked block solve as the global rows
+:func:`correlation_basis`); the local site-basis generator applied to a
+stack of states by gathers (:func:`site_generator`), against which the
+correlation route's closed-form residual is checked; the register layouts
+from dense site operators (:func:`hamiltonian_layout`,
+:func:`site_couplings`); the local approach's real block: its structure
+of sigma^+- entries in the site basis (:func:`local_structure`), solved
+on its coupled set of C(2N, N) unknowns by the same stacked block solve
+as the global rows
 (:func:`local_block_reports`), where the package solves the local rows
 through their N x N correlation matrices; and the global approach's
 free-fermion form (:func:`global_free_fermion`), which shares no layer
@@ -47,7 +50,13 @@ from chainflux.generator import (
 )
 from chainflux.lindblad import OMEGA_MIN, SECULAR_TOL, ChainStructure, chain_operators
 from chainflux.observables import _two_bath_flux
-from chainflux.operators import EigenSystem, number_operator, site_operator
+from chainflux.operators import (
+    EigenSystem,
+    excited_qubits,
+    number_operator,
+    qubit_bits,
+    site_operator,
+)
 
 
 class DegenerateDenominator(ChainfluxError, ZeroDivisionError):
@@ -345,6 +354,72 @@ def correlation_basis(n_qubits: int) -> np.ndarray:
     L = (eye[None, :, None, :, None] * X[:, None, :, None, :]
          + X.conj()[:, :, None, :, None] * eye[None, None, :, None, :])
     return full_unknowns(n).hermitian(L.reshape(-1, n * n, n * n)).reshape(len(X), -1)
+
+
+@lru_cache(maxsize=None)
+def site_layout(n_qubits: int) -> tuple:
+    """Where the 2^N generator of :func:`site_generator` reads a state, and what it scales.
+
+    Item i of each coupling array: the flat gathers of rows and of columns
+    at the states with qubits i, i + 1 swapped, and 1 at the states where
+    they differ (H joins those only).  Item s of each qubit array: the flat
+    gather at the states with s flipped, the masks g_a g_b and e_a e_b of
+    the states with s in its ground state and excited, and (e_a + e_b) / 2
+    and (g_a + g_b) / 2.
+    """
+    d = 2**n_qubits
+    index = np.arange(d)
+    bits = qubit_bits(n_qubits)
+    e = excited_qubits(n_qubits)[:, :, None]
+    g = 1.0 - e
+    swap = index ^ (bits[:-1] | bits[1:])[:, None]
+    flip = index ^ bits[:, None]
+    hops = ((swap[:, :, None] * d + index).reshape(-1, d * d),
+            (index[:, None] * d + swap[:, None, :]).reshape(-1, d * d),
+            1.0 * (e[:-1, :, 0] != e[1:, :, 0]))
+    sites = ((flip[:, :, None] * d + flip[:, None, :]).reshape(-1, d * d),
+             g * g.swapaxes(1, 2), e * e.swapaxes(1, 2),
+             0.5 * (e + e.swapaxes(1, 2)), 0.5 * (g + g.swapaxes(1, 2)))
+    read_only(*hops, *sites)
+    return hops, sites
+
+
+def site_generator(energies, hoppings, rho, site_rates) -> np.ndarray:
+    """The local site-basis generator applied to each rho, (k, d, d).
+
+    -i[H, rho] with H = diag(energies) plus K_i on the states that swap the
+    excitations of qubits i and i + 1, and at each site s with a rate, its
+    summed emission rate gamma (nbar + 1) through sigma^-_s and absorption
+    rate gamma nbar through sigma^+_s: D[sigma^-_s](rho)[a, b] = g_a g_b
+    rho[a', b'] - (e_a + e_b) rho[a, b] / 2 and D[sigma^+_s](rho)[a, b] =
+    e_a e_b rho[a', b'] - (g_a + g_b) rho[a, b] / 2, where a' is a with
+    qubit s flipped and e, g mark the states with s excited and in its
+    ground state.  Every term is a gather of rho and elementwise scalings.
+    The package reads |L(rho)|_F of a local row's Gaussian state in closed
+    form instead (``chainflux.correlations._gaussian_residuals``).
+    """
+    k, d = rho.shape[:2]
+    (rows, cols, differ), (flip, gg, ee, half_e, half_g) = site_layout(site_rates.shape[1])
+    flat = rho.reshape(k, d * d)
+    out = -1j * (energies[:, :, None] - energies[:, None, :]) * rho
+    for i in range(len(differ)):
+        swapped = np.take(flat, rows[i], axis=1).reshape(k, d, d)
+        swapped *= differ[i, :, None]
+        term = np.take(flat, cols[i], axis=1).reshape(k, d, d)
+        term *= differ[i]
+        swapped -= term
+        swapped *= -1j * hoppings[:, i, None, None]
+        out += swapped
+    for s in np.flatnonzero(site_rates.any(axis=(0, 2))).tolist():
+        emission, absorption = (site_rates[:, s, j, None, None] for j in (0, 1))
+        term = np.take(flat, flip[s], axis=1).reshape(k, d, d)
+        term *= emission * gg[s] + absorption * ee[s]
+        out += term
+        np.multiply(emission * half_e[s] + absorption * half_g[s], rho, out=term)
+        out -= term
+    return out
+
+
 
 
 def hamiltonian_layout(n_qubits: int) -> tuple:

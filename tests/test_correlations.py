@@ -4,6 +4,8 @@ Also the global free-fermion form, the one oracle of the eigenbasis route
 that shares no layer with it.
 """
 
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import chainflux.correlations
 from chainflux import (
     DegenerateKernel,
     DegenerateTransition,
+    SweepRequest,
     apply_axis,
     build_chain_hamiltonian,
     chain,
@@ -34,6 +37,7 @@ from oracles import (
     global_free_fermion,
     local_block_reports,
     pair_tables,
+    site_generator,
 )
 from test_hermitian_solve import load_workloads
 
@@ -76,7 +80,7 @@ def test_local_rows_match_the_real_block_oracle(specs):
     assert not rows.errors and not block.errors
     assert np.abs(rows.populations - block.populations).max() <= 1e-12
     assert np.abs(rows.fluxes - block.fluxes).max() <= 1e-12
-    assert np.abs(rows.rho - block.rho).max() <= 1e-12
+    assert np.abs(rows.states(slice(None)) - block.rho).max() <= 1e-12
     for row, expected in zip(rows, block):
         assert len(row.channel_fluxes) == len(expected.channel_fluxes) == 2
         for ours, theirs in zip(row.channel_fluxes, expected.channel_fluxes):
@@ -85,29 +89,60 @@ def test_local_rows_match_the_real_block_oracle(specs):
         assert row.unknowns == row.spec.n_qubits**2 and row.residual <= 1e-12
 
 
-def test_the_residual_is_the_dense_generator_on_the_rebuilt_state():
-    # |L(rho)| and |L| of the 2^N generator, applied by gathers and scalings
-    # and in closed form, against the dense local generator
+def local_generator(spec):
+    """The dense local generator of ``spec``, and its site energies, hoppings and site rates."""
+    model = assemble(spec, "local")
+    n = spec.n_qubits
+    site_rates = np.zeros((1, n, 2))
+    for bath, pair in zip(spec.baths, model.rates.reshape(2, 2)):
+        site_rates[0, bath.attached_site] += pair
+    energies = chain_operators([spec]).site_energies
+    return model.liouvillian, energies, np.array([spec.couplings]), site_rates
+
+
+def random_correlations(rng, n, count):
+    """Hermitian C with eigenvalues in [0, 1]: correlation matrices of no steady state."""
+    Z = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    U = np.linalg.qr(Z)[0]
+    return (U * rng.uniform(0.0, 1.0, (count, 1, n))) @ U.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_closed_form_residual_is_the_dense_generator_on_the_gaussian_state(n):
+    # |L(rho(C))|_F from C alone, against the dense local generator applied
+    # to the rebuilt 2^N state, on random C of no steady state
+    spec = next(seeded_chains(720 + n, n, 1))
+    L, energies, hoppings, site_rates = local_generator(spec)
+    C = random_correlations(np.random.default_rng(n), n, 6)
+    X = 1j * chain_operators([spec]).single_particle - 0.5 * np.diag(site_rates[0].sum(axis=1))
+    absorption = site_rates[:, :, 1].repeat(len(C), 0)
+    closed = chainflux.correlations._gaussian_residuals(X.repeat(len(C), 0), absorption, C)
+    rho = chainflux.correlations._gaussian_states(C)
+    dense = np.linalg.norm(np.einsum("ab,kb->ka", L, rho.transpose(0, 2, 1).reshape(len(C), -1)),
+                           axis=1)
+    assert np.all(dense > 1e-3)
+    assert np.all(np.abs(closed - dense) <= 1e-12 * dense)
+
+
+def test_the_gather_oracle_is_the_dense_generator():
+    # the 2^N generator applied by gathers and scalings, and |L| in closed
+    # form, against the dense local generator
     for n in range(1, 6):
         spec = next(seeded_chains(720 + n, n, 1))
-        model = assemble(spec, "local")
-        L = model.liouvillian
-        report = steady_report(spec, "local")
-        rho = report.rho
-        dense = np.linalg.norm(L @ rho.reshape(-1, order="F"))
-        assert report.residual == pytest.approx(dense, rel=1e-6, abs=1e-15)
+        L, energies, hoppings, site_rates = local_generator(spec)
         x = np.random.default_rng(n).normal(size=(spec.dim, spec.dim))
-        chains = chain_operators([spec])
-        energies, hoppings = chains.site_energies, np.array([spec.couplings])
-        site_rates = np.zeros((1, n, 2))
-        for bath, pair in zip(spec.baths, model.rates.reshape(2, 2)):
-            site_rates[0, bath.attached_site] += pair
-        applied = chainflux.correlations._site_generator(energies, hoppings,
-                                                         x[None].astype(complex), site_rates)
+        applied = site_generator(energies, hoppings, x[None].astype(complex), site_rates)
         assert np.abs(applied[0] - (L @ x.reshape(-1, order="F")).reshape(
             spec.dim, spec.dim, order="F")).max() <= 1e-12 * np.abs(L).max()
         norm = chainflux.correlations._generator_norms(energies, hoppings, site_rates)[0]
         assert norm == pytest.approx(np.linalg.norm(L), rel=1e-12)
+
+
+def test_solved_rows_have_round_off_residuals():
+    for n in range(1, 6):
+        (rows,) = steady_reports(list(seeded_chains(780 + n, n, 6)), ("local",))
+        assert not rows.errors
+        assert rows.residual.max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -120,7 +155,9 @@ def test_the_cached_tables_equal_their_dense_builders(n):
     chains = chain_operators(list(seeded_chains(760 + n, n, 6)))
     h = chains.single_particle
     decay = np.random.default_rng(n).uniform(0.0, 5.0, (len(h), n))
-    systems = chainflux.correlations._correlation_systems(h, decay)
+    X = 1j * h
+    X[:, np.arange(n), np.arange(n)] -= 0.5 * decay
+    systems = chainflux.correlations._correlation_systems(X)
     coefficients = np.concatenate([decay, h.reshape(len(h), n * n)], axis=1)
     expected = (coefficients @ correlation_basis(n)).reshape(systems.shape)
     scale = np.abs(expected).max(axis=(1, 2))
@@ -145,6 +182,53 @@ def test_the_pair_tables_are_products_of_jordan_wigner_fermions():
         assert np.abs(H - build_chain_hamiltonian(spec)).max() <= 1e-14
 
 
+# ------------------------------------------------------- states on demand
+
+
+def local_t1_sweep(points, outputs):
+    """A local-only T1 sweep of the uniform N = 5 chain."""
+    return SweepRequest(base=chain([1.5] * 5, [1.0] * 4, 1.0, 0.0), axis="t1",
+                        grid=tuple(np.linspace(0.1, 5.0, points).tolist()),
+                        approaches=("local",), outputs=outputs)
+
+
+def test_a_local_sweep_builds_a_state_only_to_read_it(monkeypatch):
+    # populations, fluxes and residuals come from C alone: no 2^N state is
+    # built.  The diagonals come from each row's state, built from its C, and
+    # are those of a one-row report, bit for bit, across the sweep's stacks
+    def refuse(*args):
+        raise AssertionError("a 2^N state was built")
+
+    request = local_t1_sweep(40, ("populations", "heat_flux"))
+    with monkeypatch.context() as patch:
+        patch.setattr(chainflux.correlations, "_gaussian_states", refuse)
+        patch.setattr(chainflux.correlations, "_pair_tables", refuse)
+        lean = run_sweep(request)
+    table = run_sweep(replace(request, outputs=("populations", "heat_flux", "rho_diagonals")))
+    assert len(table.rows) == len(request.grid) and not table.skipped
+    for row, same in zip(table.rows, lean.rows):
+        assert (row.populations, row.fluxes, row.residual) == \
+            (same.populations, same.fluxes, same.residual)
+        report = steady_report(apply_axis(request.base, "t1", row.axis_value), "local")
+        vectors = report.chain.eigensystem.vectors
+        assert row.diagonals == tuple(np.diag(vectors.conj().T @ report.rho @ vectors).real)
+
+
+def test_a_local_sweep_keeps_no_states_in_memory():
+    # 500 rows of N = 5: their states alone would be 8.2 MB.  The traced peak
+    # of the warm sweep was 9.8 MB while each row kept its state, and is
+    # 1.5 MB with its correlation matrix alone
+    request = local_t1_sweep(500, ("populations", "heat_flux"))
+    run_sweep(request)
+    tracemalloc.start()
+    try:
+        run_sweep(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
 # ------------------------------------------------------------- uniqueness
 
 # an undamped island: the middle qubit of N = 3 at K = (0, 0), and the pair
@@ -158,6 +242,11 @@ def test_an_undamped_island_has_no_unique_local_state(spec):
     with pytest.raises(DegenerateKernel) as err:
         steady_report(spec, "local")
     assert err.value.rcond <= spec.n_qubits**4 * np.finfo(float).eps
+    # its row is no result: zero C, populations, fluxes and residual
+    (rows,) = steady_reports([spec], ("local",))
+    assert list(rows.errors) == [0]
+    for column in (rows.correlations, rows.populations, rows.fluxes, rows.residual):
+        assert not column.any()
     request = parse_config("\n".join([
         f"n_qubits = {spec.n_qubits}",
         f"epsilons = {', '.join(map(repr, spec.epsilons))}",

@@ -88,7 +88,7 @@ def test_real_coordinate_states_match_the_complex_solves(spec, approach):
     report = columns[0]
     assert np.abs(report.rho - solve_steady(model.liouvillian).rho).max() <= 1e-12
     rho, rcond = complex_solve(model.block, model.unknowns)
-    assert np.abs(columns.rho[0] - model.to_site(rho)).max() <= 1e-12
+    assert np.abs(columns.states([0])[0] - model.to_site(rho)).max() <= 1e-12
     # |X|_1 changes by at most a factor 2 under U or U^dag, so the real and
     # the complex rcond_1 are within a factor 4; measured 0.89-1.44 over
     # 917 systems of random, uniform and benchmark chains.  A local row's

@@ -65,8 +65,8 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
         return real(structure, chain, rates, unknowns)
 
     def recording_local(H, h, sites, rates):
-        # the larger of the N^2 x N^2 system and the d x d state
-        stacks.append(("local", rates.reshape(len(rates), -1), max(n**4, 4**n)))
+        # the N^2 x N^2 system: no d x d state is stacked
+        stacks.append(("local", rates.reshape(len(rates), -1), n**4))
         return real_local(H, h, sites, rates)
 
     for epsilons in ([10.0] * n, np.linspace(0.9, 1.7, n)):

@@ -220,19 +220,24 @@ def test_degenerate_point_is_skipped_not_fatal():
     assert sum(1 for r in table.rows if r.approach == "local") == 3
 
 
-def test_non_unique_steady_state_is_skipped_not_fatal(tmp_path):
+@pytest.mark.parametrize("base, grid, approach", [
     # the global N = 5 chain at eps = 1.5, K = 3 has two steady states
-    req = SweepRequest(base=chain([1.5] * 5, [1.0] * 4, 1.0, 0.5), axis="k",
-                       grid=(2.9, 3.0, 3.1), approaches=("global",),
+    (chain([1.5] * 5, [1.0] * 4, 1.0, 0.5), (2.9, 3.0, 3.1), "global"),
+    # at K = 0 the middle qubit of N = 3 is an undamped island: the local row
+    # is skipped with zero results, in one stack with the rows that solve
+    (chain([1.5, 1.2, 0.9], [1.0, 1.0], 1.0, 0.5), (-0.5, 0.0, 0.5), "local"),
+], ids=["global-N5", "local-island-N3"])
+def test_non_unique_steady_state_is_skipped_not_fatal(base, grid, approach, tmp_path):
+    req = SweepRequest(base=base, axis="k", grid=grid, approaches=(approach,),
                        outputs=("heat_flux",))
     table = run_sweep(req)
-    assert [r.axis_value for r in table.rows] == [2.9, 3.1]
-    assert [(s.axis_value, s.approach) for s in table.skipped] == [(3.0, "global")]
+    assert [r.axis_value for r in table.rows] == [grid[0], grid[2]]
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [(grid[1], approach)]
     assert table.skipped[0].reason.startswith("degenerate-kernel (rcond = ")
     path = tmp_path / "k.csv"
     emit_csv(table, path)
     metadata, _, _ = read_csv_table(path)
-    assert any(line.startswith("# skipped: degenerate-kernel") and "k=3 " in line
+    assert any(line.startswith("# skipped: degenerate-kernel") and f"k={grid[1]:.17g} " in line
                for line in metadata)
 
 
