@@ -1,4 +1,4 @@
-"""The local approach's steady states through the N x N correlation matrix of its fermions.
+"""Steady states through the N x N correlation matrix of the chain's fermions.
 
 Under the Jordan-Wigner map c_i = (prod_{j<i} (1 - 2 n_j)) sigma^-_i
 (Lieb, Schultz & Mattis 1961) the chain Hamiltonian is sum_ab h_ab c_a^dag
@@ -28,6 +28,14 @@ in closed form from C (:func:`_gaussian_residuals`).  The state itself, rho
 = prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag) with C = U diag(nu)
 U^dag and f_k = sum_i U_ik c_i, is built from cached c_i^dag c_j tables
 only where it is read (:func:`_gaussian_states`).
+
+The global generator is quadratic too where no frequency bin holds two
+modes h phi_k = omega_k phi_k: each jump is then one mode's f_k or f_k^dag,
+the endpoint couplings being linear in the fermions up to the total
+parity, which commutes with H.  Its steady state is the Gaussian state of
+C = phi diag(occ) phi^T, each mode's occupation in closed form, and its
+residual the closed form above in the mode frame
+(:func:`global_steady_states`).
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .generator import full_unknowns, read_only
+from .lindblad import bath_rates
 from .operators import excited_qubits, qubit_bits
 from .steady import check_residual, checked_inverse, unique
 
@@ -137,8 +146,7 @@ def _generator_norms(energies, hoppings, site_rates) -> np.ndarray:
     """
     excited = excited_qubits(site_rates.shape[1])
     d = excited.shape[1]
-    D = 0.5 * ((site_rates[:, :, 0, None] * excited).sum(axis=1)
-               + (site_rates[:, :, 1, None] * (1.0 - excited)).sum(axis=1))
+    D = 0.5 * (site_rates[:, :, 0] @ excited + site_rates[:, :, 1] @ (1.0 - excited))
     squares_H = (energies**2).sum(axis=1) + d / 2 * (hoppings**2).sum(axis=1)
     squares = (2 * d * (squares_H + (D**2).sum(axis=1))
                + 2 * (D.sum(axis=1) ** 2 - energies.sum(axis=1) ** 2)
@@ -189,3 +197,57 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     hoppings = h[:, np.arange(n - 1), np.arange(1, n)]
     check_residual(residual, _generator_norms(energies, hoppings, site_rates))
     return populations, fluxes, C, residual, rcond
+
+
+def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
+                         baths: np.ndarray) -> tuple:
+    """Steady states of a stack of rows under the global approach, from their chains' modes.
+
+    Row j's chain has the modes omega[j] (k, n) and phi[j] (k, n, n)
+    (:attr:`~chainflux.lindblad.ChainOperators.modes`), its reservoirs at
+    the qubits sites[j] (k, 2) and their (temperature, gamma) in baths[j]
+    (k, 2, 2); its bins must not mix modes
+    (:func:`~chainflux.lindblad.mode_route`).  Then each global jump is
+    f_k, or f_k^dag where omega_k < 0, at |omega_k|, with Gamma_jk = gamma_j
+    phi_k(site_j)^2, and the modes relax on their own: with the emission
+    and absorption rates Gamma_jk (nbar_jk + 1) and Gamma_jk nbar_jk at
+    |omega_k|, Lambda_k their sum and gain_k those that fill mode k, occ_k
+    = gain_k / Lambda_k and C = phi diag(occ) phi^T.  Reservoir 1 puts
+    |omega_k| Gamma_1k Gamma_2k (nbar_1k - nbar_2k) / Lambda_k into mode k,
+    and reservoir 2 its negative.  The residual is that of the Gaussian
+    state in the mode frame (:func:`_gaussian_residuals`), with X = i
+    diag(omega) - diag(Lambda) / 2, G = diag(gain) and phi^T C phi, checked
+    against |L| of the mode Fock energies (:func:`_generator_norms`).
+    Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
+    through each mode (k, 2, n), C (k, n, n), the residuals and rcond =
+    min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
+    Lambda_k occ_k = gain_k; a row whose rcond fails
+    :func:`~chainflux.steady.unique` for N unknowns gets zero results.  The
+    only arrays of 2^N per row are the mode Fock energies of the norm.
+    """
+    k, n = omega.shape
+    rows, a = np.arange(k)[:, None], np.arange(n)
+    weights = phi[rows, sites] ** 2  # phi_k(site_j)^2, (k, 2, n)
+    freqs = np.abs(omega)
+    rates = bath_rates(np.broadcast_to(freqs[:, None], weights.shape), baths[:, :, None])
+    emission, absorption = (rates[..., i] * weights for i in (0, 1))
+    emitted, absorbed = emission.sum(axis=1), absorption.sum(axis=1)
+    lam = emitted + absorbed
+    positive = omega > 0
+    gain, loss = np.where(positive, absorbed, emitted), np.where(positive, emitted, absorbed)
+    rcond = lam.min(axis=1) / lam.max(axis=1)
+    solved = unique(rcond, n)
+    occupations = np.where(solved[:, None], gain / lam, 0.0)
+    C = (phi * occupations[:, None, :]) @ phi.swapaxes(1, 2)
+    populations = np.diagonal(C, axis1=1, axis2=2)
+    gamma = baths[:, :, 1, None]
+    current = freqs * weights.prod(axis=1) * (gamma[:, 1] * rates[:, 0, :, 1]
+                                              - gamma[:, 0] * rates[:, 1, :, 1]) / lam
+    channels = np.where(solved[:, None, None], current[:, None, :] * [[1.0], [-1.0]], 0.0)
+    X = np.zeros((k, n, n), dtype=complex)
+    X[:, a, a] = 1j * omega - 0.5 * lam
+    residual = np.where(solved, _gaussian_residuals(X, gain, phi.swapaxes(1, 2) @ C @ phi), 0.0)
+    energies = omega @ excited_qubits(n) - 0.5 * omega.sum(axis=1, keepdims=True)
+    check_residual(residual, _generator_norms(energies, np.zeros((k, n - 1)),
+                                              np.stack([loss, gain], axis=2)))
+    return populations, channels.sum(axis=2), channels, C, residual, rcond

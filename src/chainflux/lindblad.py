@@ -13,11 +13,16 @@ the chain operators built here.
 All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
 
-The global route ends in one operator form: per reservoir, a list of bins
-with their Bohr frequencies and their operators A and A^dag, held as
-nonzero entries (:class:`~chainflux.generator.Entries`) in the eigenbasis
-frame the steady state is solved in, where each entry is one jump.  The
-generators are built from those entries (:mod:`chainflux.generator`).
+Where no bin holds two modes, each global jump is one single-particle
+mode's f_k or f_k^dag, and the global rows of such a chain
+(:func:`mode_route`) are solved from its modes (:attr:`ChainOperators.modes`,
+:func:`chainflux.correlations.global_steady_states`) with no 2^N array.
+On every other chain the global route ends in one operator form: per
+reservoir, a list of bins with their Bohr frequencies and their operators
+A and A^dag, held as nonzero entries
+(:class:`~chainflux.generator.Entries`) in the eigenbasis frame the steady
+state is solved in, where each entry is one jump.  The generators are
+built from those entries (:mod:`chainflux.generator`).
 The dense site-basis builders (:func:`global_dissipator_bins`,
 :func:`build_local_dissipator`, :func:`build_liouvillian`,
 :func:`assemble`) are on no solve path: the benchmark harness
@@ -27,11 +32,11 @@ against is in ``tests/oracles.py``.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
-as stacks over the chains of one qubit count, not kept: H, its eigensystem
-and the site operators of the chains (gaps, couplings, attachments) in
-:func:`chain_operators`, the binned operators, their products A^dag A and
-each bin's flux functionals of the chains, as entries, in
-:func:`chain_structure`.  No population operator is built: the solved
+as stacks over the chains of one qubit count, not kept: H, its eigensystem,
+its single-particle modes and the site operators of the chains (gaps,
+couplings, attachments) in :func:`chain_operators`, the binned operators,
+their products A^dag A and each bin's flux functionals of the chains, as
+entries, in :func:`chain_structure`.  No population operator is built: the solved
 states are taken to the site basis and read off their diagonals
 (:mod:`chainflux.observables`).  The caller that owns a request
 (:func:`chainflux.observables.steady_reports`) builds each once per call
@@ -70,6 +75,14 @@ from .operators import (
 # Smallest Bohr frequency the eigenbasis construction will accept; below it
 # the Bose occupation diverges for any bath at nonzero temperature.
 OMEGA_MIN = 1e-8
+
+# Smallest |omega_k| of a chain whose global rows come from its free-fermion
+# modes (:func:`mode_route`); a chain with a softer mode keeps the real
+# block.  Near figure3a's omega = 1e-3 channel the block is 6.3e-12 off a
+# 40-digit reference, the modes 1.9e-16, so the modes would move those rows
+# by more than the CSVs' 1e-12 gate against the previous release allows.
+# The floor can go once an extended-precision reference judges such rows.
+MODE_OMEGA_MIN = 1e-2
 
 # Relative tolerance used to group jump operators into one frequency bin.
 SECULAR_TOL = 1e-9
@@ -262,12 +275,12 @@ class ChainOperators:
     attached at the qubits ``sites[c]``, where each couples through
     sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The stacked
     sector ``eigensystem`` of the Hamiltonians, their diagonals
-    ``site_energies`` and the single-particle matrices h are computed on
-    first use.  Both approaches are solved from one stack
+    ``site_energies``, the single-particle matrices h and their ``modes``
+    are computed on first use.  Both approaches are solved from one stack
     (:func:`chain_structure`, :mod:`chainflux.correlations`), so each H is
-    built and diagonalized once.  Item c of the stack is chain
-    c's :class:`Chain`, the same object on every access.  Every array is
-    read-only.
+    built once, and diagonalized only where its 2^N eigensystem is read.
+    Item c of the stack is chain c's :class:`Chain`, the same object on
+    every access.  Every array is read-only.
     """
 
     hamiltonian: np.ndarray
@@ -280,6 +293,12 @@ class ChainOperators:
 
     def __getitem__(self, c) -> Chain:
         return self._views[c]
+
+    def take(self, chains) -> ChainOperators:
+        """The stack of only the chains at the indices ``chains``, newly built."""
+        arrays = [a[chains] for a in (self.hamiltonian, self.epsilons, self.hoppings, self.sites)]
+        read_only(*arrays)
+        return ChainOperators(*arrays)
 
     @cached_property
     def _views(self) -> tuple:
@@ -303,6 +322,19 @@ class ChainOperators:
         energies = np.diagonal(self.hamiltonian, axis1=1, axis2=2).real.copy()
         read_only(energies)
         return energies
+
+    @cached_property
+    def modes(self) -> tuple:
+        """The modes h phi_k = omega_k phi_k of each h, by ascending |omega_k|: (k, n), (k, n, n).
+
+        phi is real and orthogonal; f_k = sum_i phi_ik c_i.
+        """
+        omega, phi = np.linalg.eigh(self.single_particle)
+        order = np.argsort(np.abs(omega), axis=1, kind="stable")
+        omega = np.take_along_axis(omega, order, axis=1)
+        phi = np.take_along_axis(phi, order[:, None, :], axis=2)
+        read_only(omega, phi)
+        return omega, phi
 
     @cached_property
     def single_particle(self) -> np.ndarray:
@@ -490,6 +522,25 @@ def chain_structure(chains: ChainOperators) -> ChainStructure:
     return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
                           reservoirs=reservoirs, edges=edges, operators=operators, start=start,
                           flux_functionals=functionals, errors=errors)
+
+
+def mode_route(chains: ChainOperators) -> tuple:
+    """Which chains' global rows come from their free-fermion modes, and the modes' channels.
+
+    There every global jump is one mode's f_k or f_k^dag: the |omega_k|
+    (:attr:`ChainOperators.modes`) are pairwise farther apart than the bin
+    tolerance of :func:`global_jump_operators` (SECULAR_TOL relative to the
+    many-body energy scale, sum_k |omega_k| / 2), every mode has weight at
+    an attached site, and none is below MODE_OMEGA_MIN.  Returns that mask
+    (k,) and ``bright`` (k, 2, n), where mode k is a channel of reservoir
+    r: |phi_k(site_r)| above ELEMENT_TOL, as a jump of the block is kept.
+    """
+    omega, phi = chains.modes
+    freqs = np.abs(omega)
+    bright = np.abs(np.take_along_axis(phi, chains.sites[:, :, None], axis=1)) > ELEMENT_TOL
+    tol = SECULAR_TOL * np.maximum(1.0, 0.5 * freqs.sum(axis=1))
+    apart = (np.diff(freqs, axis=1) > tol[:, None]).all(axis=1)
+    return apart & bright.any(axis=1).all(axis=1) & (freqs[:, 0] >= MODE_OMEGA_MIN), bright
 
 
 def assemble(spec: ChainSpec, approach: str) -> ChainStructure:

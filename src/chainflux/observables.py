@@ -6,6 +6,12 @@ raises instead of silently returning either value.  Rational forms are
 rewritten in terms of the Bose occupations nbar and nbar + 1 before
 implementation so that zero temperature stays exact and nothing is ever
 exponentiated.
+
+The numeric pipeline solves stacks of rows as columns (:func:`chain_reports`).
+Local rows, and the global rows of chains whose bins keep their modes
+apart (:func:`~chainflux.lindblad.mode_route`), are solved through N x N
+correlation matrices (:mod:`chainflux.correlations`); the global rows of
+every other chain by the real block on the chain's eigenbasis structure.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     DimensionMismatch,
 )
 from . import correlations
-from .correlations import local_steady_states
+from .correlations import global_steady_states, local_steady_states
 from .generator import real_superoperator, unvectorize, vectorize
 from .lindblad import (
     OMEGA_MIN,
@@ -32,6 +38,7 @@ from .lindblad import (
     bose_occupation,
     chain_operators,
     chain_structure,
+    mode_route,
 )
 from .model import BathSpec, ChainSpec
 from .operators import excited_qubits, number_operator
@@ -252,11 +259,13 @@ class SteadyReport:
     """Full numeric pipeline output for one chain under one approach.
 
     A view of one row of a :class:`SteadyColumns`, built when asked for;
-    ``rho`` is the state in the site basis, a local row's built from its
-    correlation matrix with the view.  ``residual`` is |L(rho)|_F, a local
-    row's in closed form from that matrix.  ``rcond`` and ``unknowns`` are
-    the solver's 1-norm reciprocal condition number and the number of real
-    coordinates it solved for; ``chain`` gives
+    ``rho`` is the state in the site basis, built with the view from the
+    row's correlation matrix unless the real block solved it.
+    ``residual`` is |L(rho)|_F, in closed form from that matrix where there
+    is one.  ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal
+    condition number and the number of real coordinates it solved for: the
+    block's, the local row's N^2, or a global row's N mode occupations with
+    rcond min_k Lambda_k / max_k Lambda_k; ``chain`` gives
     the chain's eigensystem, computed on first use and shared by the
     reports of both approaches on the chain.
     """
@@ -280,11 +289,11 @@ class SteadyColumns(Sequence):
     ``populations`` (rows, N), ``fluxes`` (rows, 2), ``residual``, ``rcond``
     and ``unknowns`` are columns; ``errors`` maps each row not solved to its
     DegenerateTransition (with its omega) or DegenerateKernel (with its
-    rcond), and such a row's entries are no result.  Rows solved by the
-    real block (the global ones) keep their site-basis states in ``rho``
-    (rows, d, d); local rows keep only their correlation matrices C in
-    ``correlations`` (rows, N, N); the other field is None.  The row views
-    and :meth:`rho_diagonals` read the states from :meth:`states`.
+    rcond), and such a row's entries are no result.  Row i, if the real
+    block solved it, keeps its site-basis state at ``rho[kept[i]]``
+    (``kept[i]`` is -1 otherwise), and else only its correlation matrix C
+    at ``correlations[i]`` (rows, N, N; None where no row has one).  The row
+    views and :meth:`rho_diagonals` read the states from :meth:`states`.
     ``channels`` holds the channel fluxes in bin order, zero-padded.  Row i
     is on chain ``chain[i]`` of the call's ``chains``, and its channels are
     the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by reservoir
@@ -302,7 +311,8 @@ class SteadyColumns(Sequence):
     rcond: np.ndarray
     unknowns: np.ndarray
     errors: dict
-    rho: np.ndarray | None
+    rho: np.ndarray
+    kept: np.ndarray
     correlations: np.ndarray | None
     channels: np.ndarray
     chains: ChainOperators
@@ -336,13 +346,19 @@ class SteadyColumns(Sequence):
     def states(self, rows) -> np.ndarray:
         """The site-basis states of ``rows``, (rows, d, d): kept, or built from C.
 
-        A local row's is the Gaussian state of its correlation matrix
+        A row the real block solved keeps its state at ``rho[kept[i]]``; any
+        other row's is the Gaussian state of its correlation matrix
         (:func:`~chainflux.correlations._gaussian_states`), built on each
         call.
         """
-        if self.correlations is None:
-            return self.rho[rows]
-        return correlations._gaussian_states(self.correlations[rows])
+        rows = np.arange(len(self))[rows]
+        at = self.kept[rows]
+        gaussian = at < 0
+        out = np.empty((len(rows),) + self.rho.shape[1:], dtype=complex)
+        out[~gaussian] = self.rho[at[~gaussian]]
+        if gaussian.any():
+            out[gaussian] = correlations._gaussian_states(self.correlations[rows[gaussian]])
+        return out
 
     def rho_diagonals(self, rows) -> np.ndarray:
         """The populations of the states of ``rows`` in their chain's eigenbasis, (rows, d)."""
@@ -396,11 +412,14 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir at ``baths[i]`` (rows, 2, 2).  The call owns every chain's
     rate-free data, built as stacks over its chains: one
-    :class:`ChainOperators` stack, so every H is built and diagonalized
-    once for every approach.
+    :class:`ChainOperators` stack, so every H is built once for every
+    approach, and its modes and eigensystem computed once where read.
 
-    The global rows use one :class:`~chainflux.lindblad.ChainStructure`
-    stack, dropped once they are solved.  They are grouped by their
+    The global rows of chains whose bins keep their modes apart
+    (:func:`~chainflux.lindblad.mode_route`) come from their modes
+    (:func:`_global_reports`).  The others use one
+    :class:`~chainflux.lindblad.ChainStructure` stack of only their chains,
+    dropped once they are solved.  They are grouped by their
     chain's set of unknowns, one per chain whatever its rates, across
     chains: every row of a temperature sweep, at T = 0 or not, and the
     rows of chains whose frame generators couple the same entries.  Each
@@ -423,8 +442,7 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
     if not len(chain):
         return [_no_reports(approach) for approach in approaches]
     return [_local_reports(chains, chain, baths) if approach == "local" else
-            _approach_reports(approach, chain_structure(chains), chain, baths)
-            for approach in approaches]
+            _global_reports(chains, chain, baths) for approach in approaches]
 
 
 def _no_reports(approach) -> SteadyColumns:
@@ -432,9 +450,66 @@ def _no_reports(approach) -> SteadyColumns:
     return SteadyColumns(
         approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
         residual=empty, rcond=empty, unknowns=none, errors={},
-        rho=np.zeros((0, 1, 1), dtype=complex), correlations=None, channels=np.zeros((0, 0)),
+        rho=np.zeros((0, 1, 1), dtype=complex), kept=none, correlations=None,
+        channels=np.zeros((0, 0)),
         chains=None, chain=none, baths=np.zeros((0, 2, 2)), omegas=empty,
         edges=np.zeros(1, dtype=int))
+
+
+def _global_reports(chains, chain, baths) -> SteadyColumns:
+    """:func:`chain_reports` under the global approach, on the call's ``chains`` stack.
+
+    The rows on chains of :func:`~chainflux.lindblad.mode_route` come from
+    their free-fermion modes (:func:`~chainflux.correlations.global_steady_states`),
+    in stacks of at most ``_GRID_ELEMENTS / 2^N`` rows, and keep their
+    correlation matrices; their channels are each reservoir's bright modes
+    by ascending |omega_k|, and their ``unknowns`` read N.  The other rows
+    are solved by the real block (:func:`_approach_reports`) on the
+    structure of a stack of only their chains, and keep their states.
+    """
+    (c, n), k = chains.epsilons.shape, len(chain)
+    route, bright = mode_route(chains)
+    others, at = np.flatnonzero(~route), np.flatnonzero(~route[chain])
+    counts = bright.sum(axis=2)  # channels per chain and reservoir
+    rho = np.zeros((0,) + chains.hamiltonian.shape[1:], dtype=complex)
+    if len(others):
+        block = _approach_reports("global", chain_structure(chains.take(others)),
+                                  np.searchsorted(others, chain[at]), baths[at])
+        counts[others] = np.diff(block.edges).reshape(-1, 2)
+        rho = block.rho
+    edges = np.zeros(2 * c + 1, dtype=int)
+    np.cumsum(counts, out=edges[1:])
+    omegas, owner = np.zeros(edges[-1]), route[np.repeat(np.arange(c), counts.sum(axis=1))]
+    freqs = np.abs(chains.modes[0])
+    omegas[owner] = np.broadcast_to(freqs[:, None], bright.shape)[bright & route[:, None, None]]
+    out = SteadyColumns(
+        approach="global",
+        populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
+        rcond=np.zeros(k), unknowns=np.full(k, n), errors={}, rho=rho, kept=np.full(k, -1),
+        correlations=np.zeros((k, n, n), dtype=complex),
+        channels=np.zeros((k, counts.sum(axis=1).max(initial=0))),
+        chains=chains, chain=chain, baths=baths, omegas=omegas, edges=edges)
+    if len(others):
+        omegas[~owner] = block.omegas
+        (out.populations[at], out.fluxes[at], out.residual[at], out.rcond[at],
+         out.unknowns[at]) = (block.populations, block.fluxes, block.residual, block.rcond,
+                              block.unknowns)
+        out.channels[at, :block.channels.shape[1]] = block.channels
+        out.kept[at] = np.arange(len(at))
+        out.errors.update((int(at[i]), error) for i, error in block.errors.items())
+    modes, step = np.flatnonzero(route[chain]), max(1, _GRID_ELEMENTS // 2**n)
+    for rows in (modes[i:i + step] for i in range(0, len(modes), step)):
+        on = chain[rows]
+        omega, phi = (a[on] for a in chains.modes)
+        (out.populations[rows], out.fluxes[rows], channels, out.correlations[rows],
+         out.residual[rows], out.rcond[rows]) = global_steady_states(omega, phi,
+                                                                     chains.sites[on], baths[rows])
+        mask = bright[on].reshape(len(rows), -1)
+        out.channels[rows[np.nonzero(mask)[0]], (np.cumsum(mask, axis=1) - 1)[mask]] = (
+            channels.reshape(len(rows), -1)[mask])
+    for i in modes[~unique(out.rcond[modes], n)].tolist():
+        out.errors[i] = uniqueness_error(out.rcond[i], n)
+    return out
 
 
 def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
@@ -461,7 +536,8 @@ def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
         approach=approach,
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
-        rho=np.zeros((k, d, d), dtype=complex), correlations=None, channels=np.zeros((k, width)),
+        rho=np.zeros((k, d, d), dtype=complex), kept=np.arange(k), correlations=None,
+        channels=np.zeros((k, width)),
         chains=structure.chains, chain=chain, baths=baths, omegas=structure.omegas,
         edges=structure.edges)
     for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
@@ -494,7 +570,8 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
         approach="local",
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.full(k, n * n), errors={},
-        rho=None, correlations=np.zeros((k, n, n), dtype=complex), channels=np.zeros((k, 2)),
+        rho=np.zeros((0, 2**n, 2**n), dtype=complex), kept=np.full(k, -1),
+        correlations=np.zeros((k, n, n), dtype=complex), channels=np.zeros((k, 2)),
         chains=chains, chain=chain, baths=baths, omegas=omegas.reshape(-1),
         edges=np.arange(2 * c + 1))
     step = max(1, _GRID_ELEMENTS // n**4)

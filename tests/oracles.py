@@ -14,10 +14,11 @@ correlation route's closed-form residual is checked; the register layouts
 from dense site operators (:func:`hamiltonian_layout`,
 :func:`site_couplings`); the local approach's real block: its structure
 of sigma^+- entries in the site basis (:func:`local_structure`), solved
-on its coupled set of C(2N, N) unknowns by the same stacked block solve
-as the global rows
-(:func:`local_block_reports`), where the package solves the local rows
-through their N x N correlation matrices; and the global approach's
+on its coupled set of C(2N, N) unknowns by the package's stacked block
+solve, and the global approach's block on every chain
+(:func:`block_reports`), where the package solves the local rows through
+their N x N correlation matrices and the global rows of chains whose bins
+keep the modes apart from those modes; and the global approach's
 free-fermion form (:func:`global_free_fermion`), which shares no layer
 with the package's eigenbasis route.
 """
@@ -544,12 +545,15 @@ def assemble(spec, approach) -> LindbladModel:
     return LindbladModel(spec=spec, approach=approach, structure=structure)
 
 
-def local_block_reports(specs):
-    """The local SteadyColumns of ``specs`` from the real block on C(2N, N) unknowns.
+def block_reports(specs, approach):
+    """The SteadyColumns of ``specs`` from the package's real block, whatever their chains.
 
-    The rows are grouped and stacked as the package groups its global rows
-    (``_approach_reports``), on one :func:`local_structure` of the specs'
-    distinct chains.
+    The global rows on the package's eigenbasis structure, which the
+    package itself solves only on chains whose bins mix modes; the local
+    rows on C(2N, N) unknowns (:func:`local_structure`).  The rows are
+    grouped and stacked as the package groups its block rows
+    (``_approach_reports``), on one structure of the specs' distinct
+    chains.
     """
     keys = {}
     chain = np.array([keys.setdefault((spec.epsilons, spec.couplings,
@@ -558,8 +562,8 @@ def local_block_reports(specs):
     first = {c: spec for spec, c in zip(specs, chain.tolist())}
     chains = chain_operators([first[c] for c in range(len(keys))])
     baths = np.array([[(b.temperature, b.gamma) for b in spec.baths] for spec in specs])
-    return chainflux.observables._approach_reports("local", local_structure(chains), chain,
-                                                   baths.reshape(len(specs), 2, 2))
+    return chainflux.observables._approach_reports(approach, chain_structure(chains, approach),
+                                                   chain, baths.reshape(len(specs), 2, 2))
 
 
 def free_fermion_form(spec) -> tuple:

@@ -9,7 +9,7 @@ from chainflux.observables import heat_flux, qubit_population
 from chainflux.steady import solve_steady
 from chainflux.operators import excitation_numbers, site_operator
 
-from oracles import assemble, gather
+from oracles import assemble, block_reports, gather
 
 
 def random_cases(seed, n_qubits, count):
@@ -28,28 +28,38 @@ CASES += list(random_cases(45, 5, 2))  # one global and one local point
 @pytest.mark.parametrize("spec, approach", CASES,
                          ids=[f"N{s.n_qubits}-{a}-{i}" for i, (s, a) in enumerate(CASES)])
 def test_block_solve_matches_dense_oracle(spec, approach):
+    # the real block solves every chain; the package solves these rows
+    # through N x N forms, and both agree with the dense oracle
     model = assemble(spec, approach)
     assert model.unknowns.size < spec.dim**2
+    block = block_reports([spec], approach)[0]
+    assert block.unknowns == model.unknowns.size and 0 < block.rcond <= 1
     report = steady_report(spec, approach)
-    # a local row solves the N^2 coordinates of its correlation matrix
-    m = model.unknowns.size if approach == "global" else spec.n_qubits**2
-    assert report.unknowns == m and 0 < report.rcond <= 1
+    # a local row solves the N^2 coordinates of its correlation matrix, a
+    # global row on a chain whose bins keep the modes apart the
+    # occupations of its N modes
+    assert report.unknowns == (spec.n_qubits if approach == "global" else spec.n_qubits**2)
+    assert 0 < report.rcond <= 1
     # the dense uniqueness check passes wherever the block's does
     dense = solve_steady(model.liouvillian).rho
-    assert np.abs(report.rho - dense).max() <= 1e-12
-
-    for q in range(spec.n_qubits):
-        assert report.populations[q] == pytest.approx(qubit_population(dense, q), abs=1e-12)
     H = model.hamiltonian
-    for j, (bins, bath) in enumerate(zip(model.bins, spec.baths)):
-        oracles = [heat_flux(H, thermal_dissipator(model.to_site(A), bath.gamma,
-                                                   bose_occupation(omega, bath.temperature)),
-                             dense)
-                   for omega, A in bins]
-        assert [omega for omega, _ in report.channel_fluxes[j]] == [omega for omega, _ in bins]
-        assert [q for _, q in report.channel_fluxes[j]] == pytest.approx(oracles, abs=1e-10)
-        assert report.fluxes[j] == pytest.approx(sum(oracles), abs=1e-10)
-    assert abs(report.fluxes[0] + report.fluxes[1]) <= 1e-9
+    for ours in (block, report):
+        assert np.abs(ours.rho - dense).max() <= 1e-12
+        for q in range(spec.n_qubits):
+            assert ours.populations[q] == pytest.approx(qubit_population(dense, q), abs=1e-12)
+        for j, (bins, bath) in enumerate(zip(model.bins, spec.baths)):
+            oracles = [heat_flux(H, thermal_dissipator(model.to_site(A), bath.gamma,
+                                                       bose_occupation(omega, bath.temperature)),
+                                 dense)
+                       for omega, A in bins]
+            omegas = [omega for omega, _ in ours.channel_fluxes[j]]
+            if ours is block:
+                assert omegas == [omega for omega, _ in bins]
+            else:
+                assert omegas == pytest.approx([omega for omega, _ in bins], rel=1e-12)
+            assert [q for _, q in ours.channel_fluxes[j]] == pytest.approx(oracles, abs=1e-10)
+            assert ours.fluxes[j] == pytest.approx(sum(oracles), abs=1e-10)
+        assert abs(ours.fluxes[0] + ours.fluxes[1]) <= 1e-9
 
 
 def test_global_bins_sum_to_the_frame_coupling():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from chainflux import bose_occupation
 from chainflux.cli import cli_main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -86,9 +87,19 @@ def test_steady_prints_solver_diagnostics(capsys):
                      "--t1", "2", "--t2", "0"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "solver residual" in l]
     assert len(lines) == 2
-    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", lines[0])
+    # the global dimer's modes at 0.5 and 2.5 are apart: its row solves
+    # their 2 occupations, and rcond reads min_k Lambda_k / max_k Lambda_k,
+    # with Lambda_k = (2 nbar_1 + 1) / 2 + 1 / 2 at T2 = 0
+    rcond = (bose_occupation(2.5, 2.0) + 1.0) / (bose_occupation(0.5, 2.0) + 1.0)
+    assert lines[0].endswith(f"(rcond {rcond:.3e}, 2 unknowns)")
     # the local dimer solves the N^2 = 4 coordinates of its correlation matrix
     assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", lines[1])
+    # a mode at 1e-3, below the mode route's floor: the real block on the
+    # 4 coupled entries of the dimer's frame
+    assert cli_main(["steady", "--epsilons", "1.001,1.001", "--couplings", "1",
+                     "--t1", "2", "--t2", "0", "--approach", "global"]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if "solver residual" in l]
+    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", line)
 
 
 def test_sweep_command_writes_csv(tmp_path, capsys):

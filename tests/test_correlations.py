@@ -35,7 +35,7 @@ from oracles import (
     correlation_basis,
     free_fermion_form,
     global_free_fermion,
-    local_block_reports,
+    block_reports,
     pair_tables,
     site_generator,
 )
@@ -76,7 +76,7 @@ LOCAL_GRIDS = list(local_grids())
                          ids=[name for name, _ in LOCAL_GRIDS])
 def test_local_rows_match_the_real_block_oracle(specs):
     (rows,) = steady_reports(specs, ("local",))
-    block = local_block_reports(specs)
+    block = block_reports(specs, "local")
     assert not rows.errors and not block.errors
     assert np.abs(rows.populations - block.populations).max() <= 1e-12
     assert np.abs(rows.fluxes - block.fluxes).max() <= 1e-12

@@ -22,7 +22,7 @@ from chainflux.lindblad import chain_operators
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
 
-from oracles import assemble, chain_structure
+from oracles import assemble, block_reports, chain_structure
 from test_block_solve import CASES
 
 
@@ -116,8 +116,8 @@ def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
     base = chain([1.5] * 4, [1.0] * 3, 2.0, 0.5)
     specs = [apply_axis(base, "k", k) for k in np.linspace(0.5, 3.0, 15)]
     sets = set()
-    for reports in steady_reports(specs, ("global", "local")):
-        assert all(isinstance(r, SteadyReport) for r in reports)
+    # the real block on every chain: the package takes it only where bins mix modes
+    assert all(isinstance(r, SteadyReport) for r in block_reports(specs, "global"))
     for structure, rows_chain, rates, unknowns in stacks:
         for c in rows_chain.tolist():
             key = unknowns_key(structure.unknown_sets([c])[0])
@@ -133,7 +133,8 @@ def test_the_global_rows_of_a_uniform_k_scan_share_one_stack(n, monkeypatch):
     # each chain's frame puts every excitation sector at that sector's own
     # sites, so the chains of a K scan couple the same entries of the frame
     # state; the grid stays clear of the zero modes and of K = 3, where a
-    # bin joins two sectors
+    # bin joins two sectors.  The real block on every chain: the package
+    # takes it only where bins mix modes or a mode is soft
     stacks = []
     real = chainflux.observables._stack_reports
 
@@ -146,7 +147,7 @@ def test_the_global_rows_of_a_uniform_k_scan_share_one_stack(n, monkeypatch):
     zeros = [1.5 / (2 * math.cos(k * math.pi / (n + 1))) for k in range(1, (n + 1) // 2 + 1)
              if math.cos(k * math.pi / (n + 1)) > 1e-12]
     grid = [k for k in np.linspace(0.2, 2.8, 14) if min(abs(k - z) for z in zeros) > 0.05]
-    (reports,) = steady_reports([apply_axis(base, "k", k) for k in grid], ("global",))
+    reports = block_reports([apply_axis(base, "k", k) for k in grid], "global")
     assert all(isinstance(r, SteadyReport) for r in reports)
     # one set of unknowns, cut only by the stack size
     assert len({key for _, key in stacks}) == 1
@@ -299,19 +300,22 @@ def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_m
     built = count_calls(monkeypatch, chainflux.observables, "chain_structure")
     glob, local = steady_reports(specs, ("global", "local"))
     chains = {build_chain_hamiltonian(spec).tobytes() for spec in specs}
-    # one stack holding every chain once, diagonalized by one call, built
-    # into one global structure and read by the local rows as it is
-    ((stack,),) = diagonalized
-    assert sorted(H.tobytes() for H in stack) == sorted(chains)
-    ((chains_arg,),) = built
-    assert local.chains is glob.chains is chains_arg
-    assert len(chains_arg) == len(chains)
+    # the global rows of chains whose modes are apart diagonalize nothing;
+    # only the zero mode's chain takes the real block, whose structure is
+    # built on a stack of that chain alone, diagonalized by one call
+    blocked = [] if zero_mode is None else [build_chain_hamiltonian(specs[zero_mode]).tobytes()]
+    assert [sorted(H.tobytes() for H in stack) for (stack,) in diagonalized] == \
+        ([blocked] if blocked else [])
+    assert [len(chains_arg) for (chains_arg,) in built] == ([1] if blocked else [])
+    assert local.chains is glob.chains and len(glob.chains) == len(chains)
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
-    # the local reports' eigensystems, rho_diagonals' basis, are the ones the
-    # global route diagonalized, the zero mode's chain too
+    # the reports' eigensystems, rho_diagonals' basis, are one stacked call
+    # over every chain of the call, shared by both approaches
     assert all(report.chain.eigensystem is not None for report in local)
-    assert len(diagonalized) == 1
+    assert len(diagonalized) == 1 + len(blocked)
+    (stack,) = diagonalized[-1]
+    assert sorted(H.tobytes() for H in stack) == sorted(chains)
     for g, l in zip(glob, local):
         assert isinstance(g, DegenerateTransition) or g.chain is l.chain
 
@@ -333,7 +337,8 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     # both approaches of a task share each chain's eigensystem, however many
     # chains the task holds, the zero mode's chain too: one stacked call
     # holds every chain of the task once (the bound on a task's chains is
-    # lifted, so the grid is one task)
+    # lifted, so the grid is one task).  Before it, the real block's
+    # structure diagonalizes the one chain whose global rows take it.
     import chainflux.lindblad
     import chainflux.sweep
 
@@ -352,13 +357,15 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
-    assert calls == [(len(grid), 8, 8)]
+    assert calls == [(1, 8, 8), (len(grid), 8, 8)]
 
 
 def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
     # a 41-point K scan at workers = 1 goes to steady_reports in two calls of
-    # 21 and 20 chains, each chain diagonalized once in its call, and its
-    # rows are those of one call over every chain
+    # 21 and 20 chains, each chain diagonalized once in its call for the
+    # eigenbasis diagonals (the zero mode's, in the second call, once more
+    # for the real block's structure), and its rows are those of one call
+    # over every chain
     import chainflux.lindblad
     import chainflux.sweep
 
@@ -376,7 +383,7 @@ def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
     monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 32)
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     table = run_sweep(request)
-    assert calls == [(21, 8, 8), (20, 8, 8)]
+    assert calls == [(21, 8, 8), (1, 8, 8), (20, 8, 8)]
     assert tuple(table.rows) == tuple(whole.rows)
     assert table.skipped == whole.skipped
 
@@ -396,10 +403,12 @@ def test_rows_with_different_zero_rates_share_a_stack(monkeypatch):
     for n in (1, 2, 3, 4):
         base = chain(np.linspace(0.9, 1.7, n), np.linspace(0.6, 1.1, n - 1), 0.7, 0.0, 0.8, 1.3)
         specs = [apply_axis(base, "t1", t1) for t1 in (0.0, 0.3, 0.0, 1.0, 4.0)]
-        for approach, whole in zip(("global", "local"),
-                                   steady_reports(specs, ("global", "local"))):
-            for spec, report in zip(specs, whole):
-                assert_same_report(report, cold_report(spec, approach))
+        # the real block on these chains, whose global rows the package
+        # takes from their modes
+        for spec, report in zip(specs, block_reports(specs, "global")):
+            assert_same_report(report, block_reports([spec], "global")[0])
+        for spec, report in zip(specs, steady_reports(specs, ("local",))[0]):
+            assert_same_report(report, cold_report(spec, "local"))
     assert any(len({(row == 0).tobytes() for row in rates}) > 1 for rates in stacks)
     assert any(len(rates) > 1 for rates in stacks)
 

@@ -12,7 +12,7 @@ from chainflux.generator import real_superoperator
 from chainflux.observables import steady_reports
 from chainflux.steady import checked_inverse, solve_steady, unique
 
-from oracles import assemble, gather, local_block_reports
+from oracles import assemble, block_reports, gather
 
 
 def seeded_chains():
@@ -92,8 +92,9 @@ def test_real_coordinate_states_match_the_complex_solves(spec, approach):
     # |X|_1 changes by at most a factor 2 under U or U^dag, so the real and
     # the complex rcond_1 are within a factor 4; measured 0.89-1.44 over
     # 917 systems of random, uniform and benchmark chains.  A local row's
-    # rcond is its correlation system's; the block's is the oracle's.
-    block = report if approach == "global" else local_block_reports([spec])[0]
+    # rcond is its correlation system's and a global row's on these chains
+    # its modes'; the block's is the oracle's.
+    block = block_reports([spec], approach)[0]
     assert 0.85 <= block.rcond / rcond <= 1.5
 
 

@@ -16,6 +16,7 @@ from chainflux import (
     steady_report,
 )
 import chainflux.observables
+from chainflux.lindblad import chain_operators, mode_route
 from chainflux.observables import heat_flux, steady_reports
 from chainflux.operators import excited_qubits
 from chainflux.steady import solve_steady, uniqueness_error
@@ -48,8 +49,26 @@ def assert_rows_match_cold_reports(table, request):
 
 
 # T = 0 and T1 = 0.01 at eps = 10 give nbar = 0 exactly: the zero absorption
-# rates change the generator's pattern between rows of one structure
-GRID = (0.0, 0.01, 0.3, 1.0, 4.0)
+# rates change the generator's pattern between rows of one structure.  The
+# grid is longer than the stack step of the local N = 5 systems (26 rows),
+# so the stacks are cut.
+GRID = (0.0, 0.01) + tuple(np.geomspace(0.3, 4.0, 26).tolist())
+
+
+def temperature_chains(n):
+    """Gaps and couplings of two chains whose global rows come from their modes.
+
+    And of a chain with a mode near 1e-3, below the mode route's floor,
+    whose global rows take the real block: one qubit at that gap, or the
+    uniform chain just past the coupling of its zero mode.
+    """
+    couplings = np.linspace(0.6, 1.1, n - 1)
+    yield [10.0] * n, couplings, False
+    yield np.linspace(0.9, 1.7, n), couplings, False
+    if n == 1:
+        yield [1e-3], couplings, True
+    else:
+        yield [1.5] * n, [1.5 / (2 * np.cos(np.pi / (n + 1))) * (1 + 1e-3)] * (n - 1), True
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -59,6 +78,7 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
     stacks = []
     real = chainflux.observables._stack_reports
     real_local = chainflux.observables.local_steady_states
+    real_modes = chainflux.observables.global_steady_states
 
     def recording(structure, chain, rates, unknowns):
         stacks.append(("global", rates, unknowns.size**2))
@@ -69,8 +89,13 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
         stacks.append(("local", rates.reshape(len(rates), -1), n**4))
         return real_local(H, h, sites, rates)
 
-    for epsilons in ([10.0] * n, np.linspace(0.9, 1.7, n)):
-        base = chain(epsilons, np.linspace(0.6, 1.1, n - 1), 0.7, 0.2, 0.8, 1.3)
+    def recording_modes(omega, phi, sites, baths):
+        stacks.append(("modes", baths, None))
+        return real_modes(omega, phi, sites, baths)
+
+    for epsilons, couplings, block in temperature_chains(n):
+        base = chain(epsilons, couplings, 0.7, 0.2, 0.8, 1.3)
+        assert mode_route(chain_operators([base]))[0][0] != block
         request = SweepRequest(base=base, axis=axis, grid=GRID,
                                approaches=("global", "local"),
                                outputs=("populations", "heat_flux"))
@@ -78,12 +103,16 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
             built = record_builds(patch)
             patch.setattr(chainflux.observables, "_stack_reports", recording)
             patch.setattr(chainflux.observables, "local_steady_states", recording_local)
+            patch.setattr(chainflux.observables, "global_steady_states", recording_modes)
             table = run_sweep(request)
-        # one global structure for the whole grid, of its one chain
-        assert built == [1]
+        # one global structure for the whole grid, of its one chain, where
+        # its rows take the block; else the modes, in one stack of every row
+        assert built == ([1] if block else [])
+        modes = [len(baths) for a, baths, _ in stacks if a == "modes"]
+        assert modes == ([] if block else [len(GRID)])
         # T = 0 rows and nbar > 0 rows share a stack within each approach:
         # its rows are one group, cut only by the stack size
-        for approach in ("global", "local"):
+        for approach in ("global", "local") if block else ("local",):
             mine = [(rates, size) for a, rates, size in stacks if a == approach]
             step = max(1, chainflux.observables._GRID_ELEMENTS // mine[0][1])
             assert [len(rates) for rates, _ in mine] == [min(step, len(GRID) - i)
@@ -91,6 +120,8 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
             first = mine[0][0]  # from the T = 0 row on
             assert (first[0] == 0).any()
             assert len(first) == 1 or (first != 0).all(axis=1).any()
+        if n == 5:
+            assert len([a for a, _, _ in stacks if a == "local"]) == 2
         stacks.clear()
         assert_rows_match_cold_reports(table, request)
 
@@ -133,13 +164,15 @@ def test_stack_flags_only_its_singular_and_ill_conditioned_members():
 
 def test_structure_is_shared_across_temperatures_and_rates(monkeypatch):
     # within one call: temperatures and rates share a chain's structure, a
-    # new coupling is a new chain, and each approach builds one stack of
-    # the two chains
+    # new coupling is a new chain, and the global rows build one structure
+    # of the two chains with a mode near 1e-3, below the mode route's floor;
+    # the fourth chain's modes at 0.5 and 2.5 need none
     built = record_builds(monkeypatch)
-    specs = [dimer(1.5, 1.5, 1.0, 0.4, 0.0, 1.0, 1.0), dimer(1.5, 1.5, 1.0, 3.0, 0.7, 0.3, 2.0),
-             dimer(1.5, 1.5, 1.1, 0.4, 0.0)]
+    specs = [dimer(1.001, 1.001, 1.0, 0.4, 0.0, 1.0, 1.0),
+             dimer(1.001, 1.001, 1.0, 3.0, 0.7, 0.3, 2.0), dimer(1.001, 1.001, 1.002, 0.4, 0.0),
+             dimer(1.5, 1.5, 1.0, 0.4, 0.0)]
     glob, local = steady_reports(specs, ("global", "local"))
-    assert built == [2] and local.chains is glob.chains
+    assert built == [2] and local.chains is glob.chains and len(glob.chains) == 3
     assert glob[0].chain is glob[1].chain is local[0].chain is local[1].chain
     assert glob[2].chain is local[2].chain is not glob[0].chain
 
