@@ -1,20 +1,19 @@
 """Lindblad generators in vectorized form, on a chosen set of unknowns.
 
 A generator -i[H, .] + sum_t rate_t D[A_t] acts on the column-stacked density
-matrix (:func:`vectorize`).  The steady solves build it one way: from the
-nonzero entries of its jump operators (:class:`Entries`), one enumeration of
-the generator's nonzero entries (:func:`kron_entries`) is scattered into a
-real block in the coordinates of a Hermitian rho on the entries the
-generator couples to the diagonal (:func:`coupled_sets`,
-:func:`real_superoperator`).  The dense oracles the tests compare it with
-(:func:`superoperator`) gather the same Kronecker products from dense
-operators and share no code with it.
+matrix (:func:`vectorize`).  The steady solves build it one way: from a
+dense (T, d, d) stack of jump operators, one enumeration of the generator's
+nonzero entries (:func:`kron_entries`) is scattered into a real block in
+the coordinates of a Hermitian rho on the entries the generator couples to
+the diagonal (:func:`coupled_sets`, :func:`real_superoperator`).  The
+dense oracles the tests compare it with (:func:`superoperator`) gather the
+same Kronecker products from the operators and share no code with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,7 @@ def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
 class Unknowns:
     """Density-matrix entries rho[rows[i], cols[i]] a generator acts on.
 
-    Entries are listed in column-stacked order, so the full set reproduces
+    They are listed in column-stacked order, so the full set reproduces
     :func:`vectorize`.  ``index[r, c]`` is the position of entry (r, c),
     -1 outside the set, and ``diagonal`` lists the positions with rows ==
     cols.  The set holds the transpose of each of its entries, at
@@ -112,93 +111,6 @@ def full_unknowns(dim: int) -> Unknowns:
     return _unknowns(dim, np.arange(dim * dim))
 
 
-@dataclass(frozen=True, eq=False)
-class Entries:
-    """A list of sparse d x d matrices, each held as its nonzero entries.
-
-    Item t is the sum of values[e] |rows[e]><cols[e]| over the entries e
-    in ``edges[t]:edges[t + 1]``; two entries of an item may share a
-    position.  The jump operators of a structure, their products A^dag A
-    (:attr:`decay`) and their flux functionals are held this way, and the
-    generator blocks and the flux readout are built from the entries.
-    Every array is read-only.
-    """
-
-    dim: int
-    edges: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        read_only(self.edges, self.rows, self.cols, self.values)
-
-    def __len__(self) -> int:
-        return len(self.edges) - 1
-
-    def dense(self, items: slice = slice(None)) -> np.ndarray:
-        """The items of a contiguous slice as a complex (n, d, d) stack: the oracles' form."""
-        start, stop, _ = items.indices(len(self))
-        at = slice(self.edges[start], self.edges[stop])
-        out = np.zeros((stop - start, self.dim, self.dim), dtype=complex)
-        item = np.repeat(np.arange(stop - start), np.diff(self.edges[start:stop + 1]))
-        np.add.at(out, (item, self.rows[at], self.cols[at]), self.values[at])
-        return out
-
-    def take(self, first, count) -> tuple:
-        """The entries of items first[j] .. first[j] + count[j] - 1 of each row j, row by row.
-
-        ``count`` is one count for every row or one per row.  Returns (j,
-        item - first[j], index of the entry) for each of them.
-        """
-        first, count = np.asarray(first), np.asarray(count)
-        low = self.edges[first]
-        row, index = _runs(low, self.edges[first + count] - low)
-        return row, self.items[index] - first[row], index
-
-    def traces(self, first: np.ndarray, count: int, rho: np.ndarray) -> np.ndarray:
-        """Tr{F rho[j]} of the items F first[j] .. first[j] + count - 1 of each row j, (k, count).
-
-        Tr{F rho} is the sum of F[r, c] rho[c, r] over the entries of F,
-        added to zero one at a time in entry order (``np.add.at``), so a
-        row's traces do not depend on its stack.
-        """
-        k = len(first)
-        row, t, e = self.take(first, count)
-        terms = self.values[e] * rho.reshape(k, -1)[row, self.cols[e] * self.dim + self.rows[e]]
-        traces = np.zeros(k * count, dtype=complex)
-        np.add.at(traces, row * count + t, terms)
-        return traces.reshape(k, count)
-
-    @cached_property
-    def items(self) -> np.ndarray:
-        """The item of each entry."""
-        items = np.repeat(np.arange(len(self)), np.diff(self.edges))
-        read_only(items)
-        return items
-
-    @cached_property
-    def row_pairs(self) -> tuple:
-        """(j, k, edges): every ordered pair of entries of one item in one row, item by item.
-
-        Item t's pairs are ``j[edges[t]:edges[t + 1]]`` and the same of k.
-        """
-        key = self.items * self.dim + self.rows
-        order = np.argsort(key, kind="stable")
-        j, k = equal_pairs(key[order])
-        j, k = order[j], order[k]
-        edges = np.searchsorted(self.items[j], np.arange(len(self) + 1))
-        read_only(j, k, edges)
-        return j, k, edges
-
-    @cached_property
-    def decay(self) -> Entries:
-        """A^dag A of each item A: conj(v_j) v_k at (y_j, y_k) for entries at (x, y_j), (x, y_k)."""
-        j, k, edges = self.row_pairs
-        return Entries(self.dim, edges, self.cols[j], self.cols[k],
-                       self.values[j].conj() * self.values[k])
-
-
 def _runs(low: np.ndarray, sizes: np.ndarray) -> tuple:
     """(r, i) for every i in low[r] .. low[r] + sizes[r] - 1, run r by run r, in order."""
     run = np.repeat(np.arange(len(sizes)), sizes)
@@ -220,19 +132,19 @@ def equal_pairs(keys: np.ndarray) -> tuple:
     return j, k
 
 
-def coupled_sets(H: np.ndarray, operators: Entries, first, count) -> list:
+def coupled_sets(H: np.ndarray, operators: np.ndarray, first, count) -> list:
     """The entries of rho that the generator of each H[j] (k, d, d) joins to the diagonal.
 
     Row j's operators are the items first[j] .. first[j] + count[j] - 1 of
-    ``operators``, in pairs A, A^dag (count[j] even).  The generator I (x)
-    J + conj(J) (x) I + sum rate * conj(A) (x) A with J = -iH - sum rate *
-    A^dag A / 2 links entry (r, c) to (r', c) where J[r', r] != 0, to (r,
-    c') where J[c', c] != 0, and to (r', c') where A[r', r] and A[c', c]
-    are both nonzero.  A row's set is every entry reached from a diagonal
-    one over these links taken in both directions, read off the structural
-    nonzero pattern of H and of each pair's A: the links of A^dag are
-    those of A taken backwards, and J holds both A^dag A and A A^dag.  No
-    link leaves it, at any rates: a zero rate only removes
+    the (T, d, d) stack ``operators``, in pairs A, A^dag (count[j] even).
+    The generator I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A with
+    J = -iH - sum rate * A^dag A / 2 links entry (r, c) to (r', c) where
+    J[r', r] != 0, to (r, c') where J[c', c] != 0, and to (r', c') where
+    A[r', r] and A[c', c] are both nonzero.  A row's set is every entry
+    reached from a diagonal one over these links taken in both directions,
+    read off the nonzero pattern of H and of each pair's A: the links of
+    A^dag are those of A taken backwards, and J holds both A^dag A and A
+    A^dag.  No link leaves it, at any rates: a zero rate only removes
     links (emission rates gamma (nbar + 1) never vanish; absorption rates
     gamma nbar do), so one set serves every row of a chain.  It holds every
     diagonal entry, so it carries the trace and the steady state, and
@@ -240,15 +152,10 @@ def coupled_sets(H: np.ndarray, operators: Entries, first, count) -> list:
     whether that state is unique.  Each set is listed in column-stacked
     order and cached by pattern, which a sweep's rows share.
     """
-    d, pairs = operators.dim, np.asarray(count) // 2
-    j, t, e = operators.take(first, 2 * pairs)
-    emitted = t % 2 == 0
-    j, t, e = j[emitted], t[emitted] // 2, e[emitted]
-    patterns = np.zeros((len(H), 1 + pairs.max(initial=0), d, d), dtype=bool)
-    patterns[:, 0] = H != 0
-    patterns[j, 1 + t, operators.rows[e], operators.cols[e]] = True
-    return [_coupled_unknowns(d, 1 + n, np.packbits(pattern[:1 + n]).tobytes())
-            for n, pattern in zip(pairs.tolist(), patterns)]
+    d = H.shape[-1]
+    return [_coupled_unknowns(d, 1 + n // 2, np.packbits(np.concatenate(
+                [h[None] != 0, operators[f:f + n:2] != 0])).tobytes())
+            for h, f, n in zip(H, np.asarray(first).tolist(), np.asarray(count).tolist())]
 
 
 @lru_cache(maxsize=64)
@@ -331,56 +238,38 @@ def _slots(pattern: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _generator_terms(H: np.ndarray, operators: Entries, rates: np.ndarray, first) -> tuple:
+def _generator_terms(H: np.ndarray, operators: np.ndarray, decay: np.ndarray,
+                     rates: np.ndarray, first) -> tuple:
     """The used rates, operator values and J of a stack of generators, and their pattern.
 
     Row j of ``rates`` (k, T) has the operators first[j] .. first[j] + T - 1
-    of ``operators`` and the Hamiltonian H[j] (H (k, d, d)).  Terms whose
-    rate is zero in every row are dropped; one at a zero rate in some rows
-    adds exact zeros to theirs.  ``pattern`` (U + 1, d^2) is nonzero where
-    a used operator, or J = -iH - sum rate * A^dag A / 2 last, has an entry
-    in any row; the values are laid out on its :func:`_slots`.  The
-    operators' entries are taken once per distinct ``first`` (the rows of
-    one chain share it) and their values gathered to its rows.  J is iH row
-    by row, then its A^dag A part (:attr:`Entries.decay`), which the rates
-    scale, is added to each row from its operators' entries, one entry at a
-    time, term by term (``np.add.at``), so a row's values do not depend on
-    its stack.
+    of the stack ``operators``, their products A^dag A at the same items of
+    ``decay``, and the Hamiltonian H[j] (H (k, d, d)).  Terms whose rate is
+    zero in every row are dropped; one at a zero rate in some rows adds
+    exact zeros to theirs.  ``pattern`` (U + 1, d^2) is nonzero where a
+    used operator, or J = -iH - sum rate * A^dag A / 2 last, has an entry
+    in any row; the values are laid out on its :func:`_slots`, read from
+    the stacks at the pattern's places once per distinct ``first`` (the
+    rows of one chain share it) and gathered to its rows.  J is iH, then
+    each term's rate * A^dag A / 2 added in turn (a cumulative sum over
+    the terms), so a row's values do not depend on its stack.
     """
-    d, (k, T) = operators.dim, rates.shape
+    (k, d), T = H.shape[:2], len(operators)
     sets, of_row = np.unique(first, return_inverse=True)
     used = rates.any(axis=0)
-    count = int(np.count_nonzero(used))
-    decay = operators.decay
-    s, t, e = operators.take(sets, T)
-    d_s, d_t, d_e = decay.take(sets, T)
-    if count < T:
-        rank = np.cumsum(used) - 1
-        keep, d_keep = np.flatnonzero(used[t]), np.flatnonzero(used[d_t])
-        s, t, e = s[keep], rank[t[keep]], e[keep]
-        d_s, d_t, d_e = d_s[d_keep], rank[d_t[d_keep]], d_e[d_keep]
-        rates = rates[:, used]
-    flat = operators.rows[e] * d + operators.cols[e]
-    d_flat = decay.rows[d_e] * d + decay.cols[d_e]
-    H = H.reshape(-1, d * d)
-    h_flat = np.flatnonzero(H.any(axis=0))
-    pattern = np.zeros((count + 1, d * d), dtype=bool)
-    pattern[t, flat] = True
-    pattern[count, d_flat] = True
-    pattern[count, h_flat] = True
-    slots = _slots(pattern)
-    ops = np.zeros((len(sets), np.count_nonzero(pattern[:-1])), dtype=complex)
-    ops[s, slots[t, flat]] = operators.values[e]
-    size = np.count_nonzero(pattern[-1])
-    J = np.zeros((k, size), dtype=complex)  # -J: iH, then rate A^dag A / 2 term by term
-    J[:, slots[count, h_flat]] = 1j * H[:, h_flat]
-    # row j's decay entries are run of_row[j] of the sets' entries
-    d_slot, d_value = slots[count, d_flat], decay.values[d_e]
-    sizes = np.bincount(d_s, minlength=len(sets))
-    row, index = _runs((np.cumsum(sizes) - sizes)[of_row], sizes[of_row])
-    terms = (0.5 * rates[row, d_t[index]]) * d_value[index]
-    np.add.at(J.reshape(-1), row * size + d_slot[index], terms)
-    return rates, ops[of_row], -J, pattern.reshape(count + 1, d, d)
+    items = sets[:, None] + np.flatnonzero(used)  # (chains, U)
+    rates = rates[:, used]
+    A, products, H = operators.reshape(T, d * d), decay.reshape(T, d * d), H.reshape(k, d * d)
+    on = np.flatnonzero((products != 0)[items].any(axis=(0, 1)) | H.any(axis=0))
+    pattern = np.zeros((rates.shape[1] + 1, d * d), dtype=bool)
+    pattern[:-1] = (A != 0)[items].any(axis=0)
+    pattern[-1, on] = True
+    term, place = np.nonzero(pattern[:-1])
+    J = np.empty((k, rates.shape[1] + 1, len(on)), dtype=complex)  # -J: iH, then the terms
+    J[:, 0] = 1j * H[:, on]
+    np.multiply((0.5 * rates)[:, :, None], products[items[:, :, None], on][of_row], out=J[:, 1:])
+    np.cumsum(J, axis=1, out=J)
+    return rates, A[items[:, term], place][of_row], -J[:, -1], pattern
 
 
 def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
@@ -472,13 +361,14 @@ def _real_layout(unknowns: Unknowns, count: int, key: bytes) -> tuple:
     return layout
 
 
-def real_superoperator(H: np.ndarray, operators: Entries, rates: np.ndarray,
-                       unknowns: Unknowns, first: np.ndarray) -> np.ndarray:
+def real_superoperator(H: np.ndarray, operators: np.ndarray, decay: np.ndarray,
+                       rates: np.ndarray, unknowns: Unknowns, first: np.ndarray) -> np.ndarray:
     """A stack of generators on ``unknowns`` as U^dag L U, in real Hermitian coordinates.
 
     Row j is -i[H[j], .] + sum_t rates[j, t] D[A_t] over the operators A_t
-    first[j] .. first[j] + T - 1 of ``operators``, with ``rates`` (k, T)
-    and H (k, d, d) (:func:`_generator_terms`).
+    first[j] .. first[j] + T - 1 of the stack ``operators``, whose products
+    A_t^dag A_t are the same items of ``decay``, with ``rates`` (k, T) and
+    H (k, d, d) (:func:`_generator_terms`).
     D[A] rho = A rho A^dag - {A^dag A, rho} / 2; in column stacking the
     generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
     J = -iH - sum rate * A^dag A / 2.  Only the entries of rows i with
@@ -490,7 +380,7 @@ def real_superoperator(H: np.ndarray, operators: Entries, rates: np.ndarray,
     Returns the real (k, m, m) stack.
     """
     m = unknowns.size
-    rates, ops, J, pattern = _generator_terms(H, operators, rates, first)
+    rates, ops, J, pattern = _generator_terms(H, operators, decay, rates, first)
     k = len(rates)
     t, a, b, right, left, targets, source, coef = _real_layout(unknowns, len(pattern),
                                                                np.packbits(pattern).tobytes())

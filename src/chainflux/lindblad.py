@@ -19,10 +19,9 @@ mode's f_k or f_k^dag, and the global rows of such a chain
 :func:`chainflux.correlations.global_steady_states`) with no 2^N array.
 On every other chain the global route ends in one operator form: per
 reservoir, a list of bins with their Bohr frequencies and their operators
-A and A^dag, held as nonzero entries
-(:class:`~chainflux.generator.Entries`) in the eigenbasis frame the steady
-state is solved in, where each entry is one jump.  The generators are
-built from those entries (:mod:`chainflux.generator`).
+A and A^dag, held as one dense (T, d, d) stack in the eigenbasis frame the
+steady state is solved in, where each nonzero of an A is one jump.  The
+generators are built from that stack (:mod:`chainflux.generator`).
 The dense site-basis builders (:func:`global_dissipator_bins`,
 :func:`build_local_dissipator`, :func:`build_liouvillian`,
 :func:`assemble`) are on no solve path: the benchmark harness
@@ -36,7 +35,7 @@ as stacks over the chains of one qubit count, not kept: H, its eigensystem,
 its single-particle modes and the site operators of the chains (gaps,
 couplings, attachments) in :func:`chain_operators`, the binned operators,
 their products A^dag A and each bin's flux functionals of the chains, as
-entries, in :func:`chain_structure`.  No population operator is built: the solved
+dense stacks, in :func:`chain_structure`.  No population operator is built: the solved
 states are taken to the site basis and read off their diagonals
 (:mod:`chainflux.observables`).  The caller that owns a request
 (:func:`chainflux.observables.steady_reports`) builds each once per call
@@ -56,7 +55,6 @@ from .errors import (
     NonPositiveFrequency,
 )
 from .generator import (
-    Entries,
     coupled_sets,
     full_unknowns,
     read_only,
@@ -217,28 +215,43 @@ def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
     ``first[b]`` is the index of bin b's first jump.  Jumps sharing a bin
     are summed before the Lindblad form is applied, so equal-frequency cross
     terms survive while cross terms between different bins are dropped.
-    ``operators`` (:class:`Entries`) holds bin b's operator A at item 2 b
-    and its adjoint A^dag at item 2 b + 1, in the basis of its chain's
-    ``es.frame``: each jump of the bin is one entry of A, its weight at
-    the frame positions of (p, q), and of A^dag, the conjugate weight at
-    (q, p).  ``es`` is the stack the jumps' chains index, or the one
-    eigensystem of chain 0.
+    ``operators``, a read-only complex (2 B, d, d) stack, holds bin b's
+    operator A at item 2 b and its adjoint A^dag at item 2 b + 1, in the
+    basis of its chain's ``es.frame``: each jump of the bin is one nonzero
+    of A, its weight at the frame positions of (p, q), and of A^dag, the
+    conjugate weight at (q, p).  ``es`` is the stack the jumps' chains
+    index, or the one eigensystem of chain 0.
     """
+    first, item, lower, upper = _bin_positions(es, jumps)
+    weights = jumps["weight"]
+    operators = _bin_stack((2 * len(first), es.dim, es.dim), item, lower, upper, weights,
+                           weights.conj())
+    read_only(operators)
+    return first, operators
+
+
+def _bin_positions(es: EigenSystem, jumps: np.ndarray) -> tuple:
+    """The first jump of each bin, and each jump's item 2 b and frame positions of (p, q)."""
     new = np.zeros(len(jumps), dtype=bool)
     new[:1] = True
     for name in ("chain", "reservoir", "omega"):
         new[1:] |= np.diff(jumps[name]) != 0
-    d = es.dim
-    position = np.argsort(es.frame_order, axis=-1).reshape(-1, d)
+    position = np.argsort(es.frame_order, axis=-1).reshape(-1, es.dim)
     lower = position[jumps["chain"], jumps["lower"]]
     upper = position[jumps["chain"], jumps["upper"]]
-    item = 2 * (np.cumsum(new) - 1)  # A's; A^dag's is the next
-    item = np.concatenate([item, item + 1])
-    order = np.argsort(item, kind="stable")
-    edges = np.searchsorted(item[order], np.arange(2 * np.count_nonzero(new) + 1))
-    values = np.concatenate([jumps["weight"], jumps["weight"].conj()])[order]
-    return np.flatnonzero(new), Entries(d, edges, np.concatenate([lower, upper])[order],
-                                         np.concatenate([upper, lower])[order], values)
+    return np.flatnonzero(new), 2 * (np.cumsum(new) - 1), lower, upper
+
+
+def _bin_stack(shape: tuple, item, rows, cols, values, pairs) -> np.ndarray:
+    """A complex stack of ``shape``, ``values`` at (rows, cols) of ``item`` and ``pairs`` after.
+
+    ``pairs`` go at (cols, rows) of ``item + 1``: with the conjugate
+    values, A and A^dag of each bin.
+    """
+    stack = np.zeros(shape, dtype=complex)
+    stack[item, rows, cols] = values
+    stack[item + 1, cols, rows] = pairs
+    return stack
 
 
 # Dense site-basis builders outside the sweep path; perfbench/tracing.py
@@ -248,7 +261,7 @@ def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -
     first, operators = global_bins(es, jumps)
     return [(omega, thermal_dissipator(es.frame @ A @ es.frame.conj().T, bath.gamma,
                                        bose_occupation(omega, bath.temperature)))
-            for omega, A in zip(jumps["omega"][first].tolist(), operators.dense()[::2])]
+            for omega, A in zip(jumps["omega"][first].tolist(), operators[::2])]
 
 
 def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
@@ -380,13 +393,13 @@ class ChainStructure:
     - the bins of every chain, chain by chain and reservoir by reservoir:
       their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
       at reservoir r are ``edges[2c + r]:edges[2c + r + 1]``;
-    - the jump ``operators`` A and A^dag of each bin in that order, as
-      :class:`Entries` (with their products A^dag A, ``operators.decay``),
-      chain c's from item ``start[c]`` on;
-    - ``flux_functionals``, as :class:`Entries`, D[A]^dag(H) and
-      D[A^dag]^dag(H) of every bin b at items 2 b and 2 b + 1, so that a
-      channel's heat current is gamma (nbar + 1) Tr{F[2 b] rho} + gamma
-      nbar Tr{F[2 b + 1] rho} (Alicki's form), rho in the frame;
+    - the jump ``operators`` A and A^dag of each bin in that order, a
+      complex (2 B, d, d) stack (:func:`global_bins`), chain c's from item
+      ``start[c]`` on, and their products A^dag A, ``decay``, item by item;
+    - ``flux_functionals`` (2 B, d, d), D[A]^dag(H) and D[A^dag]^dag(H)
+      of every bin b at items 2 b and 2 b + 1, so that a channel's heat
+      current is gamma (nbar + 1) Tr{F[2 b] rho} + gamma nbar Tr{F[2 b +
+      1] rho} (Alicki's form), rho in the frame;
     - ``errors``, the DegenerateTransition of each chain, by index, whose
       eigenbasis route degenerates; such a chain has no bins.
 
@@ -400,9 +413,10 @@ class ChainStructure:
     omegas: np.ndarray
     reservoirs: np.ndarray
     edges: np.ndarray
-    operators: Entries
+    operators: np.ndarray
+    decay: np.ndarray
     start: np.ndarray
-    flux_functionals: Entries
+    flux_functionals: np.ndarray
     errors: dict
 
     def rates(self, chain, baths) -> tuple:
@@ -481,28 +495,15 @@ def _site_couplings(n_qubits: int) -> np.ndarray:
     return couplings
 
 
-def _diagonal_functionals(operators: Entries, h: np.ndarray, chain: np.ndarray) -> Entries:
-    """D[A]^dag(H) = A^dag H A - {A^dag A, H} / 2 of every item A, for H = diag(h[chain[A]]).
-
-    With H diagonal, every pair of entries v_j, v_k of A in one row p, at
-    the columns q_j and q_k, gives the entry conj(v_j) v_k (h_p - (h_{q_j}
-    + h_{q_k}) / 2) at (q_j, q_k): the pairs of its A^dag A
-    (:attr:`Entries.row_pairs`).
-    """
-    j, k, edges = operators.row_pairs
-    c = np.repeat(chain, np.diff(edges))
-    p, q_j, q_k = operators.rows[j], operators.cols[j], operators.cols[k]
-    return Entries(operators.dim, edges, q_j, q_k,
-                   operators.decay.values * (h[c, p] - 0.5 * (h[c, q_j] + h[c, q_k])))
-
-
 def chain_structure(chains: ChainOperators) -> ChainStructure:
     """The rate-free eigenbasis structure of the ``chains`` stack, newly built as one stack.
 
     One transition scan over every chain and reservoir
     (:func:`global_jump_operators`) on the stacked eigensystem, whose jumps
-    are the entries of the bins' operators (:func:`global_bins`); their
-    functionals come from pairs of jumps (:func:`_diagonal_functionals`).
+    are the nonzeros of the bins' operators, laid out as :func:`global_bins`
+    lays them.  Their products A^dag A and functionals D[A]^dag(H) =
+    A^dag H A - {A^dag A, H} / 2 (H diagonal in the frame) are one stacked
+    product each.
     A chain whose route degenerates keeps its DegenerateTransition in
     ``errors`` and the others are built as usual.
     """
@@ -510,18 +511,29 @@ def chain_structure(chains: ChainOperators) -> ChainStructure:
     errors = {}
     es = chains.eigensystem
     jumps = global_jump_operators(es, chains.couplings, errors)
-    first, operators = global_bins(es, jumps)
+    first, item, lower, upper = _bin_positions(es, jumps)
+    shape, weights = (2 * len(first), d, d), jumps["weight"]
+    operators = _bin_stack(shape, item, lower, upper, weights, weights.conj())
     omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
     edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
     h = np.take_along_axis(es.energies, es.frame_order, axis=1)
     frame_H = np.zeros((k, d, d))
     frame_H[:, np.arange(d), np.arange(d)] = h
-    functionals = _diagonal_functionals(operators, h, np.repeat(owner, 2))
+    # D[A]^dag(H)[a, b] = sum_p conj(A[p, a]) A[p, b] (h_p - (h_a + h_b) / 2) is -(X + X^dag) / 2
+    # with X = W^dag A, W[p, q] = A[p, q] (h_q - h_p): each jump times its own Bohr frequency
+    energies = es.energies.reshape(k, d)
+    scaled = weights * (energies[jumps["chain"], jumps["upper"]]
+                        - energies[jumps["chain"], jumps["lower"]])
+    decay = _bin_stack(shape, item, upper, lower, weights.conj(), weights) @ operators
+    weighted = _bin_stack(shape, item, upper, lower, scaled.conj(), -scaled)  # W^dag
+    functionals = weighted @ operators
+    functionals += np.conj(functionals.swapaxes(1, 2), out=weighted)
+    functionals *= -0.5
     start = edges[:-1:2] * 2
-    read_only(frame_H, omegas, reservoirs, edges, start)
+    read_only(operators, decay, frame_H, omegas, reservoirs, edges, start, functionals)
     return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
-                          reservoirs=reservoirs, edges=edges, operators=operators, start=start,
-                          flux_functionals=functionals, errors=errors)
+                          reservoirs=reservoirs, edges=edges, operators=operators, decay=decay,
+                          start=start, flux_functionals=functionals, errors=errors)
 
 
 def mode_route(chains: ChainOperators) -> tuple:

@@ -33,10 +33,10 @@ from .errors import (
 )
 
 # 2^5 qubits give a 1024 x 1024 dense generator, the largest test oracle this
-# package builds.  The global steady solve runs only on the entries the
-# generator couples to the diagonal, 36 for the uniform chain in its
-# eigenbasis; the local one on the 25 real coordinates of the correlation
-# matrix.
+# package builds.  The steady solves stay far smaller: the local one and the
+# global one of a chain whose modes stay apart (the uniform chain's) run on
+# its N x N correlation matrix, and the real block of any other chain only
+# on the entries its generator couples to the diagonal.
 MAX_QUBITS = 5
 
 _CONVENTIONS_TEXT = (

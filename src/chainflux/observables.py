@@ -603,22 +603,27 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     ``structure``, at ``rates[j]``.  The blocks are built at once in the
     real coordinates of a Hermitian rho
     (:func:`~chainflux.generator.real_superoperator`), each on its own
-    chain's H and jump operators, and solved by one stacked call
-    (:func:`~chainflux.steady.solve_hermitian`).  Tr{H D(rho)} is linear in rho:
-    gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho} with the flux
-    functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H) of each bin,
-    so a gather of each frame rho at the functionals' entries gives every
-    channel's flux (:meth:`~chainflux.generator.Entries.traces`), and each
-    reservoir's flux is the sum of its channel fluxes in channel order.
-    Each rho is then taken to the site basis, once, and each row's
-    populations are summed off its own diagonal, whatever its stack.
+    chain's H and dense stack of jump operators, and solved by one stacked
+    call (:func:`~chainflux.steady.solve_hermitian`).  Tr{H D(rho)} is
+    linear in rho: gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho}
+    with the flux functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H)
+    of each bin.  rho is zero off the unknowns (r_i, c_i), so each trace
+    is the sum of F[c_i, r_i] rho[r_i, c_i] over them: the functionals are
+    read only there, and each reservoir's flux is the sum of its channel
+    fluxes in channel order.  Each rho is then taken to the site basis,
+    once, and each row's populations are summed off its own diagonal,
+    whatever its stack.
     """
-    k = len(chain)
+    k, d = len(chain), unknowns.dim
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
-    R = real_superoperator(structure.frame_hamiltonian[chain], structure.operators, rates,
-                           unknowns, structure.start[chain])
+    R = real_superoperator(structure.frame_hamiltonian[chain], structure.operators,
+                           structure.decay, rates, unknowns, structure.start[chain])
     sol = solve_hermitian(R, unknowns)
-    traces = structure.flux_functionals.traces(2 * first, 2 * bins, sol.rho)
+    items = 2 * first[:, None, None] + np.arange(2 * bins)[:, None]
+    functionals = structure.flux_functionals.reshape(-1, d * d)[
+        items, unknowns.cols * d + unknowns.rows]
+    states = sol.rho.reshape(k, 1, d * d)[:, :, unknowns.rows * d + unknowns.cols]
+    traces = (functionals * states).sum(axis=2)
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
     channels = _imaginary_residue(channels, "heat flux")
     fluxes = np.zeros((k, 2))

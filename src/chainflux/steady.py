@@ -144,7 +144,7 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
 
     ``L`` is one m x m generator or a (k, m, m) stack of them, all on the
     same ``unknowns``: the entries of rho that v holds, by default all of
-    them, with L the dense d^2 x d^2 generator.  Entries outside the set are
+    them, with L the dense d^2 x d^2 generator.  Those outside the set are
     zero in the returned state, which is exact when L keeps the set
     invariant, as a frame generator keeps its chain's coupled set; the
     uniqueness check (:func:`checked_inverse`), which always runs, then

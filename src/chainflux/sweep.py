@@ -390,11 +390,15 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     it.  The chunks are as few, and as even in size, as lets none hold
     more than ``_CALL_CHAINS`` distinct chains, which bounds the memory of
     a call: a K or eps scan gives each point its own chain, and a
-    temperature sweep one chain to all, so it is one chunk.  A chunk solves each
-    approach's rows in stacks grouped by set of unknowns, across chains: a
-    temperature sweep's chunk is one stacked solve, its rows at T = 0
-    included, and the chains of a K or eps scan that couple the same
-    entries are solved together.
+    temperature sweep one chain to all, so it is one chunk.  In a chunk the
+    local rows go in stacks of N x N correlation matrices, the global rows
+    of chains whose modes stay apart (the mode route) in stacks of
+    ``_GRID_ELEMENTS // 2^N`` rows (:mod:`chainflux.observables`), and only
+    the global rows of the other chains (the real block) are grouped by set
+    of unknowns, across chains:
+    a temperature sweep of such a chain is one stacked solve, its rows at
+    T = 0 included, and the block chains of a K or eps scan that couple the
+    same entries are solved together.
 
     ``workers`` is ignored.  It is kept only because the benchmark harness
     passes ``workers=2`` for its ``kscan4_par`` workload; the benchmark

@@ -13,7 +13,7 @@ stack of states by gathers (:func:`site_generator`), against which the
 correlation route's closed-form residual is checked; the register layouts
 from dense site operators (:func:`hamiltonian_layout`,
 :func:`site_couplings`); the local approach's real block: its structure
-of sigma^+- entries in the site basis (:func:`local_structure`), solved
+of dense sigma^+- operators in the site basis (:func:`local_structure`), solved
 on its coupled set of C(2N, N) unknowns by the package's stacked block
 solve, and the global approach's block on every chain
 (:func:`block_reports`), where the package solves the local rows through
@@ -40,9 +40,7 @@ from chainflux import (
     bose_occupation,
 )
 from chainflux.generator import (
-    Entries,
     Unknowns,
-    equal_pairs,
     full_unknowns,
     read_only,
     superoperator,
@@ -116,10 +114,7 @@ class LindbladModel:
     def operators(self) -> np.ndarray:
         """The jump operators A and A^dag of every bin, reservoir by reservoir, dense (T, d, d)."""
         start = self.structure.start[0]
-        count = 2 * self.structure.edges[-1]
-        operators = self.structure.operators.dense(slice(start, start + count))
-        read_only(operators)
-        return operators
+        return self.structure.operators[start:start + 2 * self.structure.edges[-1]]
 
     @cached_property
     def bins(self) -> tuple:
@@ -443,59 +438,18 @@ def site_couplings(n_qubits: int) -> np.ndarray:
                      for q in range(n_qubits)])
 
 
-def entries_from_dense(matrices) -> Entries:
-    """The nonzero entries of a (n, d, d) stack, item by item, row-major within an item."""
-    matrices = np.asarray(matrices)
-    t, r, c = np.nonzero(matrices)
-    edges = np.searchsorted(t, np.arange(len(matrices) + 1))
-    return Entries(matrices.shape[-1], edges, r, c, matrices[t, r, c].astype(complex))
-
-
 @lru_cache(maxsize=None)
-def _local_operators(n_qubits: int, pairs: tuple) -> Entries:
+def _local_operators(n_qubits: int, pairs: tuple) -> np.ndarray:
     """The local structure's operators, for every chain attached at one of these ``pairs``.
 
     Pair s n + s' holds sigma^- of qubit s and its adjoint, then the same
-    of qubit s', as entries.
+    of qubit s', a read-only (4 pairs, d, d) stack.
     """
     lowering = [site_operator(n_qubits, site, "lower")
                 for pair in pairs for site in divmod(pair, n_qubits)]
-    return entries_from_dense([op for A in lowering for op in (A, A.conj().T)])
-
-
-def _local_functionals(operators: Entries, start: np.ndarray, H: np.ndarray) -> Entries:
-    """D[A]^dag(H_c) of the four operators A of each chain c, items start[c] to start[c] + 3.
-
-    Each A holds at most one nonzero per row and per column, as sigma^-
-    and sigma^+ do.  So A^dag H A has the entry conj(v_j) H[p_j, p_k] v_k
-    at (q_j, q_k) for every two entries v_j at (p_j, q_j) and v_k at (p_k,
-    q_k), and A^dag A is diag(n) with n_q = |v|^2 at each column q; the
-    functional is these entries followed by -(n_i H[i, l] + H[i, l] n_l)
-    / 2 at each entry (i, l) of H with n_i or n_l nonzero.  Chain c's are
-    items 4 c to 4 c + 3.
-    """
-    k, d = len(H), H.shape[-1]
-    chain, t, e = operators.take(start, 4)
-    group = 4 * chain + t
-    a, b = equal_pairs(group)  # every two entries of one operator
-    h = H[chain[a], operators.rows[e[a]], operators.rows[e[b]]]
-    nonzero = h != 0
-    a, b, h = a[nonzero], b[nonzero], h[nonzero]
-    first = (group[a], operators.cols[e[a]], operators.cols[e[b]],
-             (operators.values[e[a]].conj() * h) * operators.values[e[b]])
-    n = np.zeros((4 * k, d))
-    n[group, operators.cols[e]] = np.abs(operators.values[e]) ** 2
-    c, row, col = np.nonzero(H)
-    group = 4 * c[:, None] + np.arange(4)
-    h = H[c, row, col][:, None]
-    n_row, n_col = n[group, row[:, None]], n[group, col[:, None]]
-    keep = (n_row != 0) | (n_col != 0)
-    at = np.nonzero(keep)[0]
-    second = (group[keep], row[at], col[at], (-0.5 * (n_row * h + h * n_col))[keep])
-    group, rows, cols, values = (np.concatenate(pair) for pair in zip(first, second))
-    order = np.argsort(group, kind="stable")
-    return Entries(d, np.searchsorted(group[order], np.arange(4 * k + 1)), rows[order],
-                   cols[order], values[order].astype(complex))
+    operators = np.array([op for A in lowering for op in (A, A.conj().T)], dtype=complex)
+    read_only(operators)
+    return operators
 
 
 def local_structure(chains) -> ChainStructure:
@@ -503,9 +457,10 @@ def local_structure(chains) -> ChainStructure:
 
     The bare jump of each reservoir's qubit at that qubit's gap: one set of
     operators per pair of attachment sites, shared by the chains with those
-    sites (:func:`_local_operators`), and their functionals
-    (:func:`_local_functionals`).  Its frame is the site basis: an
-    eigensystem of identity vectors, at the diagonals of the Hamiltonians.
+    sites (:func:`_local_operators`), and each chain's functionals of its
+    four operators, :func:`adjoint_dissipator` of its site-basis H.  Its
+    frame is the site basis: an eigensystem of identity vectors, at the
+    diagonals of the Hamiltonians.
     """
     k, n = chains.epsilons.shape
     d = chains.hamiltonian.shape[-1]
@@ -517,11 +472,14 @@ def local_structure(chains) -> ChainStructure:
     omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1).reshape(-1)
     reservoirs = np.tile([0, 1], k)
     edges = np.arange(2 * k + 1)
-    functionals = _local_functionals(operators, start, chains.hamiltonian)
-    read_only(omegas, reservoirs, edges, start)
+    own = operators[start[:, None] + np.arange(4)].reshape(2 * k, 2, d, d)
+    functionals = adjoint_dissipator(own, np.repeat(chains.hamiltonian, 2, axis=0))
+    functionals = functionals.reshape(4 * k, d, d)
+    decay = operators.conj().swapaxes(1, 2) @ operators
+    read_only(omegas, reservoirs, edges, start, functionals, decay)
     return ChainStructure(chains=chains, eigensystem=identity, frame_hamiltonian=chains.hamiltonian,
                           omegas=omegas, reservoirs=reservoirs, edges=edges, operators=operators,
-                          start=start, flux_functionals=functionals, errors={})
+                          decay=decay, start=start, flux_functionals=functionals, errors={})
 
 
 def chain_structure(chains, approach) -> ChainStructure:

@@ -207,7 +207,7 @@ def test_closure_over_the_a_items_is_the_closure_over_every_item(specs):
     structure = chain_structure(chain_operators(specs), "global")
     for c, unknowns in enumerate(structure.unknown_sets(np.arange(len(specs)))):
         start, count = structure.start[c], 2 * (structure.edges[2 * c + 2] - structure.edges[2 * c])
-        operators = structure.operators.dense(slice(start, start + count))
+        operators = structure.operators[start:start + count]
         expected = closure_over_every_item(structure.frame_hamiltonian[c], operators)
         assert np.array_equal(unknowns.cols * unknowns.dim + unknowns.rows, expected)
 
@@ -453,13 +453,6 @@ def test_one_call_over_chains_of_mixed_degeneracies_gives_the_cold_rows(n):
     assert n == 1 or len(bins) > 2  # one qubit has one bin per reservoir
 
 
-def item_arrays(entries, start, stop):
-    """The edges (from zero), rows, columns and values of items start .. stop - 1 of entries."""
-    at = slice(entries.edges[start], entries.edges[stop])
-    return (entries.edges[start:stop + 1] - entries.edges[start], entries.rows[at],
-            entries.cols[at], entries.values[at])
-
-
 def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
     # the stacked structure of each chain is the one it gets alone, bit for
     # bit, whatever its neighbours; the zero mode's chain gets its error and
@@ -480,11 +473,10 @@ def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
             start, count = stack.start[c], 2 * (high - low)
             pairs = [(stack.frame_hamiltonian[c], alone.frame_hamiltonian[0]),
                      (stack.omegas[low:high], alone.omegas),
-                     (stack.reservoirs[low:high], alone.reservoirs)]
-            for a, b, first in ((stack.operators, alone.operators, start),
-                                (stack.operators.decay, alone.operators.decay, start),
-                                (stack.flux_functionals, alone.flux_functionals, 2 * low)):
-                pairs += zip(item_arrays(a, first, first + count), item_arrays(b, 0, count))
+                     (stack.reservoirs[low:high], alone.reservoirs),
+                     (stack.operators[start:start + count], alone.operators[:count]),
+                     (stack.decay[start:start + count], alone.decay[:count]),
+                     (stack.flux_functionals[2 * low:2 * high], alone.flux_functionals)]
             for a, b in pairs:
                 assert a.tobytes() == b.tobytes()
     (glob,) = steady_reports(specs, ("global",))
@@ -496,9 +488,9 @@ def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
 @pytest.mark.parametrize("approach", ["global", "local"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_a_stacked_generator_builds_each_row_as_alone_whatever_its_chains(n, approach):
-    # the operators' entries are taken once per distinct chain and gathered
-    # to its rows, and J's decay part is added row by row at the row's
-    # rates: rows of several chains, interleaved and repeated, some at
+    # the operators and their products A^dag A are taken once per distinct
+    # chain and gathered to its rows, and J's decay part is added at the
+    # row's rates: rows of several chains, interleaved and repeated, some at
     # T = 0, build the block each builds alone, bit for bit, and the dense
     # oracle's; the local chains 0 and 1 share their operators
     rng = np.random.default_rng(80 + n)
@@ -519,11 +511,11 @@ def test_a_stacked_generator_builds_each_row_as_alone_whatever_its_chains(n, app
     rates = rates[offsets[:-1, None] + np.arange(bins)].reshape(len(rows), -1)
     assert (rates == 0).any(axis=1).sum() >= 3
     H, first = structure.frame_hamiltonian, structure.start
-    stack = real_superoperator(H[rows], structure.operators, rates, unknowns, first[rows])
+    stacks = structure.operators, structure.decay
+    stack = real_superoperator(H[rows], *stacks, rates, unknowns, first[rows])
     for j, c in enumerate(rows.tolist()):
-        alone = real_superoperator(H[[c]], structure.operators, rates[j:j + 1], unknowns,
-                                   first[[c]])
+        alone = real_superoperator(H[[c]], *stacks, rates[j:j + 1], unknowns, first[[c]])
         assert stack[j].tobytes() == alone[0].tobytes()
-        operators = structure.operators.dense(slice(first[c], first[c] + rates.shape[1]))
+        operators = structure.operators[first[c]:first[c] + rates.shape[1]]
         L = superoperator(H[c], operators, rates[j], unknowns)
         assert np.abs(stack[j] - unknowns.hermitian(L)).max() <= 1e-13 * np.abs(L).max()

@@ -69,8 +69,8 @@ def test_real_block_is_the_complex_block_in_orthonormal_coordinates(spec, approa
     scale = np.abs(L).max()
     assert np.abs(exact.imag).max() <= 1e-13 * scale  # L keeps rho Hermitian
     structure = model.structure
-    R = real_superoperator(structure.frame_hamiltonian, structure.operators, model.rates[None],
-                           unknowns, structure.start[:1])[0]
+    R = real_superoperator(structure.frame_hamiltonian, structure.operators, structure.decay,
+                           model.rates[None], unknowns, structure.start[:1])[0]
     assert R.dtype == float
     assert np.abs(R - exact.real).max() <= 1e-13 * scale
     assert np.abs(unknowns.hermitian(L) - exact.real).max() <= 1e-13 * scale

@@ -145,7 +145,7 @@ def test_monomer_single_jump_operator():
     assert jumps["weight"][0] == pytest.approx(1.0)
     first, ops = global_bins(es, jumps)
     assert first.tolist() == [0]
-    omega, A = jumps["omega"][0], ops.dense()[0]
+    omega, A = jumps["omega"][0], ops[0]
     assert np.allclose(es.frame @ A @ es.frame.conj().T, site_operator(1, 0, "lower"))
 
 
@@ -169,7 +169,7 @@ def test_jump_operators_lower_energy_by_omega():
     jumps = global_jump_operators(es, coupling_op(3, 0))
     first, ops = global_bins(es, jumps)
     assert len(first)
-    for omega, A in zip(jumps["omega"][first], ops.dense()[::2]):
+    for omega, A in zip(jumps["omega"][first], ops[::2]):
         comm = frame_H @ A - A @ frame_H
         assert np.abs(comm + omega * A).max() <= 1e-10 * scale
 
@@ -196,7 +196,7 @@ def test_asymmetric_dimer_weights_match_analytic_amplitudes():
         jumps = global_jump_operators(es, coupling_op(2, site))
         assert len(jumps) == 4
         first, ops = global_bins(es, jumps)
-        bins = dict(zip(jumps["omega"][first].tolist(), ops.dense()[::2]))
+        bins = dict(zip(jumps["omega"][first].tolist(), ops[::2]))
         for _, _, omega, p, q, weight in jumps.tolist():
             assert weight == pytest.approx(expected[reservoir][(p, q)], abs=1e-10)
             assert bins[omega][position[p], position[q]] == weight

@@ -5,8 +5,6 @@ import pytest
 
 from chainflux.generator import coupled_sets, full_unknowns, superoperator
 
-from oracles import entries_from_dense
-
 
 def textbook(H, operators, rates, d):
     """I (x) J + conj(J) (x) I + sum rate * conj(A) (x) A, J = -iH - sum rate * A^dag A / 2."""
@@ -56,7 +54,7 @@ def test_oracle_on_a_coupled_set_is_the_submatrix_of_the_dense_generator():
                     A[rng.integers(d), rng.integers(d)] = rng.normal() + 1j * rng.normal()
             operators[1::2] = operators[::2].conj().swapaxes(1, 2)
             rates = rng.uniform(0.1, 2.0, count)
-            (unknowns,) = coupled_sets(H[None], entries_from_dense(operators), [0], [count])
+            (unknowns,) = coupled_sets(H[None], operators, [0], [count])
             flat = unknowns.cols * d + unknowns.rows
             L = superoperator(H, operators, rates, full_unknowns(d))
             assert np.array_equal(superoperator(H, operators, rates, unknowns),

@@ -210,11 +210,8 @@ def test_cached_arrays_are_read_only():
         model = assemble(spec, approach)
         structure = model.structure
         arrays = [model.hamiltonian, model.frame_hamiltonian, excited_qubits(3),
-                  structure.chains.eigensystem.energies, structure.chains.eigensystem.vectors]
-        for entries in (structure.operators, structure.operators.decay,
-                        structure.flux_functionals):
-            arrays += [entries.edges, entries.rows, entries.cols, entries.values]
-        arrays += structure.operators.row_pairs
+                  structure.chains.eigensystem.energies, structure.chains.eigensystem.vectors,
+                  structure.operators, structure.decay, structure.flux_functionals]
         arrays += [A for reservoir in model.bins for _, A in reservoir]
         for a in arrays:
             with pytest.raises(ValueError):
