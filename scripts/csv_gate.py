@@ -8,10 +8,13 @@ Both directories hold the CSVs of ``chainflux figures`` and of the sweeps
 of ``configs/`` (``kscan4.csv`` and so on), made at two commits.  For each
 CSV the base produced, the head's must have the same header, row count,
 ``# skipped:`` lines and ``approach`` column, and every numeric column
-must lie within 1e-12 (absolute) of the base's.  Prints the largest
-deviation of each column and exits non-zero naming the CSVs that differ.
+must lie within 1e-12 (absolute) of the base's; a CSV the base produced
+and the head did not fails.  Prints ``identical`` for a CSV whose bytes
+match the base's, else the largest deviation of each column, and exits
+non-zero naming the CSVs that differ or are missing.
 """
 
+import filecmp
 import os
 import sys
 
@@ -24,11 +27,19 @@ NAMES = ("figure2", "figure3a", "figure3b", "figure3c", "kscan4", "chain5", "cha
 def main(base: str, head: str) -> None:
     failed = []
     for name in NAMES:
-        if not os.path.exists(f"{base}/{name}.csv"):
+        old_path, new_path = f"{base}/{name}.csv", f"{head}/{name}.csv"
+        if not os.path.exists(old_path):
             print(f"{name}.csv: not produced at the base, skipped")
             continue
-        old_meta, header, old = read_csv_table(f"{base}/{name}.csv")
-        new_meta, new_header, new = read_csv_table(f"{head}/{name}.csv")
+        if not os.path.exists(new_path):
+            print(f"{name}.csv: produced at the base, not here")
+            failed.append(name)
+            continue
+        if filecmp.cmp(old_path, new_path, shallow=False):
+            print(f"{name}.csv: identical")
+            continue
+        old_meta, header, old = read_csv_table(old_path)
+        new_meta, new_header, new = read_csv_table(new_path)
         old_skips = [line for line in old_meta if line.startswith("# skipped:")]
         new_skips = [line for line in new_meta if line.startswith("# skipped:")]
         if new_header != header or len(new) != len(old) or new_skips != old_skips:
@@ -48,7 +59,8 @@ def main(base: str, head: str) -> None:
                 failed.append(name)
         print(f"{name}.csv: " + ", ".join(deviations))
     if failed:
-        sys.exit(f"differ from the base by more than 1e-12: {', '.join(sorted(set(failed)))}")
+        sys.exit(f"missing or differ from the base by more than 1e-12: "
+                 f"{', '.join(sorted(set(failed)))}")
 
 
 if __name__ == "__main__":

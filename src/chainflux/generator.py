@@ -1,13 +1,14 @@
 """Lindblad generators in vectorized form, on a chosen set of unknowns.
 
 A generator -i[H, .] + sum_t rate_t D[A_t] acts on the column-stacked density
-matrix (:func:`vectorize`).  The steady solves build it one way: from a
-dense (T, d, d) stack of jump operators, one enumeration of the generator's
-nonzero entries (:func:`kron_entries`) is scattered into a real block in
-the coordinates of a Hermitian rho on the entries the generator couples to
-the diagonal (:func:`coupled_sets`, :func:`real_superoperator`).  The
-dense oracles the tests compare it with (:func:`superoperator`) gather the
-same Kronecker products from the operators and share no code with it.
+matrix (:func:`vectorize`).  The steady solves build it one way: the
+entries of rho the generator couples to the diagonal (:func:`coupled_sets`)
+are the unknowns, the generator's terms are gathered from a dense (T, d, d)
+stack of jump operators on their m x m grid, and the complex block is taken
+to the real coordinates of a Hermitian rho (:func:`real_superoperator`).
+The dense oracle the tests compare it with (:func:`superoperator`) forms
+the dissipative part as one outer product of the vectorized operators and
+shares no code with it.
 """
 
 from __future__ import annotations
@@ -111,12 +112,6 @@ def full_unknowns(dim: int) -> Unknowns:
     return _unknowns(dim, np.arange(dim * dim))
 
 
-def _runs(low: np.ndarray, sizes: np.ndarray) -> tuple:
-    """(r, i) for every i in low[r] .. low[r] + sizes[r] - 1, run r by run r, in order."""
-    run = np.repeat(np.arange(len(sizes)), sizes)
-    return run, np.arange(len(run)) + np.repeat(low - (np.cumsum(sizes) - sizes), sizes)
-
-
 def equal_pairs(keys: np.ndarray) -> tuple:
     """Every ordered pair (j, k) of places of ``keys`` holding the same key, by j, then k.
 
@@ -193,85 +188,6 @@ def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
         size = grown
 
 
-def kron_entries(left, right, unknowns: Unknowns) -> tuple:
-    """The entries of sum_t conj(X_t) (x) Y_t in rows r_i <= c_i of ``unknowns``.
-
-    ``left`` and ``right`` (T, d, d) are the patterns of the X_t and Y_t.
-    In column stacking, entry (i, j) of conj(X) (x) Y on the unknowns is
-    conj(X[c_i, c_j]) * Y[r_i, r_j], so it exists only where both factors
-    are nonzero: for each term and each unknown i with r_i <= c_i, every
-    nonzero of row c_i of X_t pairs with every nonzero of row r_i of Y_t,
-    and the pair is kept if it reaches an unknown j.  Returns (term, i, j,
-    a, b) with a = c_i d + c_j and b = r_i d + r_j, the flat positions of
-    the two factors, ordered by term, then by b, then by a, so one term
-    never lists an (i, j) twice.
-    """
-    d, rows, cols = unknowns.dim, unknowns.rows, unknowns.cols
-    flat_x, flat_y = np.flatnonzero(left), np.flatnonzero(right)  # t d^2 + row d + col
-    rows_x = np.searchsorted(flat_x, d * np.arange(len(left) * d + 1))  # (t, row) -> its nonzeros
-    rows_y = np.searchsorted(flat_y, d * np.arange(len(right) * d + 1))
-    upper = np.flatnonzero(rows <= cols)
-    term = np.repeat(np.arange(len(left)), len(upper))
-    i = np.tile(upper, len(left))
-    x, y = rows_x[term * d + cols[i]], rows_y[term * d + rows[i]]
-    count_x, count_y = rows_x[term * d + cols[i] + 1] - x, rows_y[term * d + rows[i] + 1] - y
-    group, within = _runs(np.zeros_like(x), count_x * count_y)
-    x = flat_x[x[group] + within // count_y[group]]
-    y = flat_y[y[group] + within % count_y[group]]
-    term, i = term[group], i[group]
-    a, b = cols[i] * d + x % d, rows[i] * d + y % d
-    j = unknowns.index.reshape(-1)[b % d * d + a % d]
-    order = np.argsort((term * d**2 + b) * d**2 + a)
-    order = order[j[order] >= 0]
-    return term[order], i[order], j[order], a[order], b[order]
-
-
-def _slots(pattern: np.ndarray) -> np.ndarray:
-    """Places of the entries of a (U + 1, d^2) term pattern in the operators' values, J's last.
-
-    The U operators' positions are numbered together, term by term, and
-    J's apart; -1 off the pattern.
-    """
-    slots = np.full(pattern.shape, -1, dtype=np.intp)
-    slots[:-1][pattern[:-1]] = np.arange(np.count_nonzero(pattern[:-1]))
-    slots[-1][pattern[-1]] = np.arange(np.count_nonzero(pattern[-1]))
-    return slots
-
-
-def _generator_terms(H: np.ndarray, operators: np.ndarray, decay: np.ndarray,
-                     rates: np.ndarray, first) -> tuple:
-    """The used rates, operator values and J of a stack of generators, and their pattern.
-
-    Row j of ``rates`` (k, T) has the operators first[j] .. first[j] + T - 1
-    of the stack ``operators``, their products A^dag A at the same items of
-    ``decay``, and the Hamiltonian H[j] (H (k, d, d)).  Terms whose rate is
-    zero in every row are dropped; one at a zero rate in some rows adds
-    exact zeros to theirs.  ``pattern`` (U + 1, d^2) is nonzero where a
-    used operator, or J = -iH - sum rate * A^dag A / 2 last, has an entry
-    in any row; the values are laid out on its :func:`_slots`, read from
-    the stacks at the pattern's places once per distinct ``first`` (the
-    rows of one chain share it) and gathered to its rows.  J is iH, then
-    each term's rate * A^dag A / 2 added in turn (a cumulative sum over
-    the terms), so a row's values do not depend on its stack.
-    """
-    (k, d), T = H.shape[:2], len(operators)
-    sets, of_row = np.unique(first, return_inverse=True)
-    used = rates.any(axis=0)
-    items = sets[:, None] + np.flatnonzero(used)  # (chains, U)
-    rates = rates[:, used]
-    A, products, H = operators.reshape(T, d * d), decay.reshape(T, d * d), H.reshape(k, d * d)
-    on = np.flatnonzero((products != 0)[items].any(axis=(0, 1)) | H.any(axis=0))
-    pattern = np.zeros((rates.shape[1] + 1, d * d), dtype=bool)
-    pattern[:-1] = (A != 0)[items].any(axis=0)
-    pattern[-1, on] = True
-    term, place = np.nonzero(pattern[:-1])
-    J = np.empty((k, rates.shape[1] + 1, len(on)), dtype=complex)  # -J: iH, then the terms
-    J[:, 0] = 1j * H[:, on]
-    np.multiply((0.5 * rates)[:, :, None], products[items[:, :, None], on][of_row], out=J[:, 1:])
-    np.cumsum(J, axis=1, out=J)
-    return rates, A[items[:, term], place][of_row], -J[:, -1], pattern
-
-
 def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
     """-i[H, .] + sum_t rates[t] D[operators[t]] on ``unknowns``: the dense oracle.
 
@@ -299,68 +215,6 @@ def superoperator(H, operators, rates, unknowns: Unknowns) -> np.ndarray:
             + jumps[cols[:, None] * d + cols, rows[:, None] * d + rows])
 
 
-# Entry (i, j), with r_i <= c_i, lands in the real block in four slots:
-# (Re row, Re column) from its real part, (Re row, Im column) and (Im row,
-# Re column) from its imaginary part, (Im row, Im column) from its real
-# part.  (LU)[i, :] holds the entry at a diagonal column j, and entry /
-# sqrt(2) at the Re column and s i entry / sqrt(2) at the Im column of an
-# off-diagonal j (s = 1 for r_j < c_j, -1 otherwise); row i of U^dag L U
-# is Re (LU)[i, :] for a diagonal i, and sqrt(2) Re, sqrt(2) Im of it for
-# r_i < c_i.  So each slot is scaled by _SCALE[i off diagonal, j off
-# diagonal] times the sign below, and the Im row or column of a diagonal
-# entry does not exist.
-_SCALE = np.array([[1.0, _HALF_SQRT2], [np.sqrt(2.0), 1.0]])
-
-
-def _real_targets(i, j, unknowns: Unknowns) -> tuple:
-    """Flat targets in the real block, source and coefficient of each slot of the entries (i, j).
-
-    ``source`` is 2 e for the real part of entry e, 2 e + 1 for its
-    imaginary part, its place in the entries' values viewed as floats.
-    """
-    m, n = unknowns.size, len(i)
-    rows, cols, partner = unknowns.rows, unknowns.cols, unknowns.partner
-    off, lower, own = (rows != cols).astype(int), rows > cols, np.arange(m)
-    # per unknown: the Re and Im coordinates of its pair, and the sign
-    re, im, sign = np.where(lower, partner, own), np.where(lower, own, partner), 2.0 * lower - 1.0
-    i_off, j_off, re_col, im_col, sign = off[i], off[j], re[j], im[j], sign[j]
-    targets = np.stack([i * m + re_col, i * m + im_col,
-                        partner[i] * m + re_col, partner[i] * m + im_col], axis=1)
-    source = 2 * np.arange(n)[:, None] + [0, 1, 1, 0]
-    coef = _SCALE[i_off, j_off][:, None] * np.stack(
-        [np.ones(n), sign * j_off, 1.0 * i_off, -sign * (i_off & j_off)], axis=1)
-    keep = coef != 0
-    return targets[keep], source[keep], coef[keep]
-
-
-@lru_cache(maxsize=64)
-def _real_layout(unknowns: Unknowns, count: int, key: bytes) -> tuple:
-    """Where :func:`real_superoperator` reads and scatters the entries of a generator.
-
-    The entries (:func:`kron_entries`) of conj(A_t) (x) A_t, I (x) J and
-    conj(J) (x) I, in that order, for the ``count`` term patterns packed in
-    ``key`` (J's last): the term t of each operator entry and the places
-    of its two factors in the operators' values, the places in J's values
-    of the J factors of the other two terms (:func:`_slots`; the identity
-    factor is never read), then the slots of every entry in the real block
-    (:func:`_real_targets`).  Cached by pattern, which the stacks of a
-    sweep share.
-    """
-    d = unknowns.dim
-    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * d * d)
-    pattern = bits.reshape(count, d, d).astype(bool)
-    eye, ops, J = np.eye(d, dtype=bool)[None], pattern[:-1], pattern[-1:]
-    term, i, j, a, b = kron_entries(np.concatenate([ops, eye, J]), np.concatenate([ops, J, eye]),
-                                    unknowns)
-    slots = _slots(pattern.reshape(count, -1))
-    s, e = np.searchsorted(term, [count - 1, count]).tolist()
-    t = term[:s]
-    layout = ((t, slots[t, a[:s]], slots[t, b[:s]], slots[-1, b[s:e]], slots[-1, a[e:]])
-              + _real_targets(i, j, unknowns))
-    read_only(*layout)
-    return layout
-
-
 def real_superoperator(H: np.ndarray, operators: np.ndarray, decay: np.ndarray,
                        rates: np.ndarray, unknowns: Unknowns, first: np.ndarray) -> np.ndarray:
     """A stack of generators on ``unknowns`` as U^dag L U, in real Hermitian coordinates.
@@ -368,24 +222,30 @@ def real_superoperator(H: np.ndarray, operators: np.ndarray, decay: np.ndarray,
     Row j is -i[H[j], .] + sum_t rates[j, t] D[A_t] over the operators A_t
     first[j] .. first[j] + T - 1 of the stack ``operators``, whose products
     A_t^dag A_t are the same items of ``decay``, with ``rates`` (k, T) and
-    H (k, d, d) (:func:`_generator_terms`).
-    D[A] rho = A rho A^dag - {A^dag A, rho} / 2; in column stacking the
-    generator is sum rate * conj(A) (x) A + I (x) J + conj(J) (x) I with
-    J = -iH - sum rate * A^dag A / 2.  Only the entries of rows i with
-    r_i <= c_i are formed (:func:`kron_entries`); for a generator that
-    keeps rho Hermitian the others are their conjugates.  Each is scattered
-    into the real block at up to four places, and the block is summed in
-    the fixed order of :func:`kron_entries` by one ``np.bincount`` per
-    stack, so a row's block does not depend on the stack it is built in.
-    Returns the real (k, m, m) stack.
+    H (k, d, d).  In column stacking the generator is sum rate * conj(A)
+    (x) A + I (x) J + conj(J) (x) I with J = -iH - sum rate * A^dag A / 2,
+    so its entry (i, j) on the unknowns is sum_t rate_t conj(A_t[c_i, c_j])
+    A_t[r_i, r_j] + delta(c_i, c_j) J[r_i, r_j] + conj(J[c_i, c_j])
+    delta(r_i, r_j).  Each term is gathered on the m x m grid of the
+    unknowns and added item by item, as is J's decay part, so a row's block
+    does not depend on the stack it is built in.  The complex block goes to
+    real coordinates by :meth:`Unknowns.hermitian`, the map of every real
+    system of the package.  Returns the real (k, m, m) stack.
     """
-    m = unknowns.size
-    rates, ops, J, pattern = _generator_terms(H, operators, decay, rates, first)
-    k = len(rates)
-    t, a, b, right, left, targets, source, coef = _real_layout(unknowns, len(pattern),
-                                                               np.packbits(pattern).tobytes())
-    values = np.concatenate([(rates[:, t] * ops[:, a].conj()) * ops[:, b], J[:, right],
-                             J[:, left].conj()], axis=1)
-    weights = np.ascontiguousarray(values).view(float)[:, source] * coef
-    flat = (np.arange(k)[:, None] * (m * m) + targets).reshape(-1)
-    return np.bincount(flat, weights.reshape(-1), minlength=k * m * m).reshape(k, m, m)
+    d, rows, cols = unknowns.dim, unknowns.rows, unknowns.cols
+    r, c = rows[:, None] * d + rows, cols[:, None] * d + cols  # flat places on the grid
+    k, T = rates.shape
+    A, products = operators.reshape(-1, d * d), decay.reshape(-1, d * d)
+    J = -1j * H.reshape(k, d * d)
+    L = np.zeros((k, unknowns.size, unknowns.size), dtype=complex)
+    for t in range(T):
+        item = first + t
+        at = item[:, None, None]
+        L += rates[:, t, None, None] * A[at, c].conj() * A[at, r]
+        J -= (0.5 * rates[:, t, None]) * products[item]
+    L += (np.where(cols[:, None] == cols, J[:, r], 0)
+          + np.where(rows[:, None] == rows, J[:, c].conj(), 0))
+    # hermitian returns a transposed view, and solve_hermitian's |R x| sums
+    # in the order of R's memory: on the view, figure3a's global residual
+    # moves by 1e-12, so the block is copied row-major
+    return np.ascontiguousarray(unknowns.hermitian(L))

@@ -473,7 +473,7 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
     counts = bright.sum(axis=2)  # channels per chain and reservoir
     rho = np.zeros((0,) + chains.hamiltonian.shape[1:], dtype=complex)
     if len(others):
-        block = _approach_reports("global", chain_structure(chains.take(others)),
+        block = _approach_reports(chain_structure(chains.take(others)),
                                   np.searchsorted(others, chain[at]), baths[at])
         counts[others] = np.diff(block.edges).reshape(-1, 2)
         rho = block.rho
@@ -512,8 +512,8 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
     return out
 
 
-def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
-    """:func:`chain_reports` under one approach, on the call's ``structure`` stack.
+def _approach_reports(structure, chain, baths) -> SteadyColumns:
+    """:func:`chain_reports` from the real block, on the call's ``structure`` stack.
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir in ``baths[i]``.  The rates of every row and bin are one
@@ -533,7 +533,7 @@ def _approach_reports(approach, structure, chain, baths) -> SteadyColumns:
     k, d, n = len(chain), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
     width = int(np.diff(structure.edges[::2]).max(initial=0))
     out = SteadyColumns(
-        approach=approach,
+        approach="global",
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
         rho=np.zeros((k, d, d), dtype=complex), kept=np.arange(k), correlations=None,
@@ -600,19 +600,20 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     """Populations, fluxes, channel fluxes, site-basis states and solution of a stack of rows.
 
     The rows share ``unknowns``; row j is on chain ``chain[j]`` of
-    ``structure``, at ``rates[j]``.  The blocks are built at once in the
-    real coordinates of a Hermitian rho
-    (:func:`~chainflux.generator.real_superoperator`), each on its own
-    chain's H and dense stack of jump operators, and solved by one stacked
-    call (:func:`~chainflux.steady.solve_hermitian`).  Tr{H D(rho)} is
-    linear in rho: gamma (nbar + 1) Tr{F_e rho} + gamma nbar Tr{F_a rho}
-    with the flux functionals F_e = D[A]^dag(H) and F_a = D[A^dag]^dag(H)
-    of each bin.  rho is zero off the unknowns (r_i, c_i), so each trace
-    is the sum of F[c_i, r_i] rho[r_i, c_i] over them: the functionals are
-    read only there, and each reservoir's flux is the sum of its channel
-    fluxes in channel order.  Each rho is then taken to the site basis,
-    once, and each row's populations are summed off its own diagonal,
-    whatever its stack.
+    ``structure``, at ``rates[j]``.  The blocks are gathered at once on the
+    unknowns, each from its own chain's H and dense stack of jump
+    operators, taken to the real coordinates of a Hermitian rho
+    (:func:`~chainflux.generator.real_superoperator`) and solved by one
+    stacked call (:func:`~chainflux.steady.solve_hermitian`).
+    Tr{H D(rho)} is linear in rho: gamma (nbar + 1) Tr{F_e rho} + gamma
+    nbar Tr{F_a rho} with the flux functionals F_e = D[A]^dag(H) and F_a =
+    D[A^dag]^dag(H) of each bin.  rho is zero off the unknowns (r_i, c_i),
+    so each trace is the sum of F[c_i, r_i] rho[r_i, c_i] over them: the
+    functionals are read only there (at (r_i, c_i) they would give
+    Tr{F rho^T}, wrong wherever the frame state has complex coherences),
+    and each reservoir's flux is the sum of its channel fluxes in channel
+    order.  Each rho is then taken to the site basis, once, and each row's
+    populations are summed off its own diagonal, whatever its stack.
     """
     k, d = len(chain), unknowns.dim
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]

@@ -24,7 +24,7 @@ with the package's eigenbasis route.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -520,8 +520,9 @@ def block_reports(specs, approach):
     first = {c: spec for spec, c in zip(specs, chain.tolist())}
     chains = chain_operators([first[c] for c in range(len(keys))])
     baths = np.array([[(b.temperature, b.gamma) for b in spec.baths] for spec in specs])
-    return chainflux.observables._approach_reports(approach, chain_structure(chains, approach),
-                                                   chain, baths.reshape(len(specs), 2, 2))
+    block = chainflux.observables._approach_reports(chain_structure(chains, approach), chain,
+                                                    baths.reshape(len(specs), 2, 2))
+    return replace(block, approach=approach)
 
 
 def free_fermion_form(spec) -> tuple:

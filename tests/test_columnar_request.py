@@ -102,15 +102,14 @@ def test_a_single_qubit_k_scan_is_one_chain(tmp_path, monkeypatch):
     ("k", (1.5 / (2 * math.cos(math.pi / 5)), 1.5 / (2 * math.cos(2 * math.pi / 5)))),
     ("eps", (2 * math.cos(2 * math.pi / 5), 2 * math.cos(math.pi / 5))),
 ])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, axis, zeros, workers):
+def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, axis, zeros):
     # the uniform N = 4 chain has zero modes at K = eps / (2 cos(k pi / 5)) and
-    # eps = 2 K cos(k pi / 5); workers = 2 runs the same chunk in process
+    # eps = 2 K cos(k pi / 5)
     base = chain([1.5] * 4, [1.0] * 3, 2.0, 0.5)
     grid = tuple(sorted({0.3, 0.75, 1.2, 2.0, 2.6, *zeros}))
     request = SweepRequest(base=base, axis=axis, grid=grid, approaches=("global", "local"),
                            outputs=("populations", "heat_flux", "rho_diagonals"))
-    table = run_sweep(request, workers=workers)
+    table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(z, "global") for z in zeros]
     assert_same_table(table, spec_path_table(request), tmp_path)
 

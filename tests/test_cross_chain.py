@@ -88,16 +88,15 @@ def test_scan_rows_match_cold_reports_for_any_stack_split(base, axis, grid):
 
     request = SweepRequest(base=base, axis=axis, grid=grid, approaches=("global", "local"),
                            outputs=("populations", "heat_flux"))
-    for workers in (1, 2):
-        table = run_sweep(request, workers=workers)
-        skipped = {(s.axis_value, s.approach) for s in table.skipped}
-        expected_skips = {(grid[2], "global")} if base.n_qubits > 1 else set()
-        assert skipped == expected_skips
-        assert len(table.rows) == 2 * len(grid) - len(expected_skips)
-        for row in table.rows:
-            report = cold_report(apply_axis(base, axis, row.axis_value), row.approach)
-            assert repr((row.populations, row.fluxes, row.residual)) == \
-                repr((report.populations, report.fluxes, report.residual))
+    table = run_sweep(request)
+    skipped = {(s.axis_value, s.approach) for s in table.skipped}
+    expected_skips = {(grid[2], "global")} if base.n_qubits > 1 else set()
+    assert skipped == expected_skips
+    assert len(table.rows) == 2 * len(grid) - len(expected_skips)
+    for row in table.rows:
+        report = cold_report(apply_axis(base, axis, row.axis_value), row.approach)
+        assert repr((row.populations, row.fluxes, row.residual)) == \
+            repr((report.populations, report.fluxes, report.residual))
 
 
 def unknowns_key(unknowns):
@@ -488,11 +487,11 @@ def test_a_degenerate_chain_leaves_the_rest_of_its_stack_intact():
 @pytest.mark.parametrize("approach", ["global", "local"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_a_stacked_generator_builds_each_row_as_alone_whatever_its_chains(n, approach):
-    # the operators and their products A^dag A are taken once per distinct
-    # chain and gathered to its rows, and J's decay part is added at the
-    # row's rates: rows of several chains, interleaved and repeated, some at
-    # T = 0, build the block each builds alone, bit for bit, and the dense
-    # oracle's; the local chains 0 and 1 share their operators
+    # each item's operators and products A^dag A are gathered to the rows
+    # of its chain, and J's decay part is added at the row's rates: rows of
+    # several chains, interleaved and repeated, some at T = 0, build the
+    # block each builds alone, bit for bit, and the dense oracle's; the
+    # local chains 0 and 1 share their operators
     rng = np.random.default_rng(80 + n)
     sites = np.array([[0, n - 1], [0, n - 1], [n - 1, 0], [0, n // 2]])
     structure = chain_structure(chain_operators(rng.uniform(0.5, 2.5, (4, n)),

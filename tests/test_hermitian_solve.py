@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from chainflux import DegenerateTransition, apply_axis, chain
-from chainflux.generator import real_superoperator
+from chainflux.generator import (
+    coupled_sets,
+    full_unknowns,
+    real_superoperator,
+    superoperator,
+)
 from chainflux.observables import steady_reports
 from chainflux.steady import checked_inverse, solve_steady, unique
 
@@ -79,6 +84,47 @@ def test_real_block_is_the_complex_block_in_orthonormal_coordinates(spec, approa
     rho = unknowns.state(x)
     assert np.array_equal(rho, rho.conj().T)
     assert np.abs(gather(unknowns, rho) - U @ x).max() <= 1e-15
+
+
+def random_pairs(rng, pattern, count):
+    """``count`` pairs A, A^dag of random complex operators on the nonzero ``pattern``."""
+    shape = (count,) + pattern.shape
+    A = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * pattern
+    return np.stack([A, A.conj().swapaxes(1, 2)], axis=1).reshape((2 * count,) + pattern.shape)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_real_block_of_complex_operators_is_the_oracle_s_and_each_row_s_alone(coupled):
+    # the chains' H and operators are complex, so a swap of the factors
+    # conj(A[c_i, c_j]) A[r_i, r_j] or of J's two sides moves the block off
+    # the diagonal entries; rows of three chains, interleaved, some rates
+    # zero.  The coupled set keeps the energy blocks {0, 1, 2} and {3, 4, 5}
+    # apart: H within them, the jumps from the upper to the lower
+    rng = np.random.default_rng(41 + coupled)
+    d, chains, pairs = 6, 3, 2
+    blocks = np.arange(d)[:, None] // 3 == np.arange(d) // 3
+    jumps = ~blocks & (np.arange(d)[:, None] < np.arange(d)) if coupled else np.ones((d, d))
+    H = rng.normal(size=(chains, d, d)) + 1j * rng.normal(size=(chains, d, d))
+    H = (H + H.conj().swapaxes(1, 2)) * (blocks if coupled else 1.0)
+    operators = random_pairs(rng, jumps, chains * pairs)
+    decay = operators.conj().swapaxes(1, 2) @ operators
+    rows = np.array([0, 2, 1, 2, 0, 1])
+    first, T = 2 * pairs * rows, 2 * pairs
+    rates = rng.uniform(0.2, 2.0, (len(rows), T))
+    rates[1, 0] = rates[3] = rates[4, 1::2] = 0.0
+    if coupled:
+        sets = coupled_sets(H[rows], operators, first, np.full(len(rows), T))
+        unknowns = sets[0]
+        assert all(u is unknowns for u in sets) and unknowns.size == 18
+    else:
+        unknowns = full_unknowns(d)
+    stack = real_superoperator(H[rows], operators, decay, rates, unknowns, first)
+    for j, c in enumerate(rows.tolist()):
+        alone = real_superoperator(H[[c]], operators, decay, rates[j:j + 1], unknowns,
+                                   first[j:j + 1])
+        assert stack[j].tobytes() == alone[0].tobytes()
+        L = superoperator(H[c], operators[first[j]:first[j] + T], rates[j], unknowns)
+        assert np.abs(stack[j] - unknowns.hermitian(L)).max() <= 1e-13 * np.abs(L).max()
 
 
 @pytest.mark.parametrize("spec, approach", CASES, ids=IDS)

@@ -2,14 +2,15 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chainflux import chain
-from chainflux.generator import _generator_terms
 from chainflux.lindblad import chain_operators, global_bins, global_jump_operators
-from chainflux.observables import steady_reports
+from chainflux.observables import _stack_reports, steady_reports
+from chainflux.operators import EigenSystem
 
 from oracles import adjoint_dissipator, chain_structure
 
@@ -27,11 +28,10 @@ def functional_chains():
 @pytest.mark.parametrize("specs", list(functional_chains()))
 @pytest.mark.parametrize("approach", ["global", "local"])
 def test_functionals_and_products_match_the_dense_reference(specs, approach):
-    # the functionals are read at the unknowns (c_i, r_i), and A^dag A
-    # enters J = -iH - sum rate A^dag A / 2, built once per distinct chain
+    # the functionals are read at the unknowns (c_i, r_i), and the products
+    # A^dag A are the decay terms of J = -iH - sum rate A^dag A / 2
     structure = chain_structure(chain_operators(specs), approach)
     d = structure.frame_hamiltonian.shape[-1]
-    rng = np.random.default_rng(d)
     for c, unknowns in enumerate(structure.unknown_sets(np.arange(len(specs)))):
         low, high = structure.edges[2 * c], structure.edges[2 * c + 2]
         start, count = structure.start[c], 2 * (high - low)
@@ -43,14 +43,39 @@ def test_functionals_and_products_match_the_dense_reference(specs, approach):
         functionals = structure.flux_functionals[2 * low:2 * high]
         scale = np.abs(reference).max()
         assert np.abs(functionals[at] - reference[at]).max() <= 1e-14 * scale
-        rates = rng.uniform(0.5, 2.0, (1, count))
         decay = operators.conj().swapaxes(-1, -2) @ operators
         assert np.abs(structure.decay[start:start + count] - decay).max() <= 1e-14
-        _, _, J, pattern = _generator_terms(H[None], structure.operators, structure.decay, rates,
-                                            [start])
-        expected = (-1j * H - 0.5 * np.tensordot(rates[0], decay, axes=1)).reshape(-1)
-        assert not expected[~pattern[-1]].any()
-        assert np.abs(J[0] - expected[pattern[-1]]).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_block_reports_do_not_move_when_the_frame_vectors_take_phases():
+    # frame vector q times P_q puts conj(P_a) P_b on entry (a, b) of the
+    # frame's operators, products, functionals and steady state; the mixed
+    # bin of this chain leaves coherences among its 26 unknowns, so the
+    # traces Tr{F rho} hold only where F is read at (c_i, r_i)
+    structure = chain_structure(chain_operators([chain([1.5] * 4, [3.0] * 3, 1.0, 0.5)]),
+                                "global")
+    (unknowns,) = structure.unknown_sets([0])
+    assert unknowns.size == 26
+    rng = np.random.default_rng(29)
+    es = structure.eigensystem
+    phases = np.exp(2j * np.pi * rng.uniform(size=es.energies.shape))
+    P = np.take_along_axis(phases, es.frame_order, axis=1)[0]
+
+    def rotate(X):
+        return P.conj()[:, None] * X * P
+
+    turned = replace(structure, eigensystem=EigenSystem(es.energies, es.vectors * phases[:, None]),
+                     frame_hamiltonian=rotate(structure.frame_hamiltonian),
+                     operators=rotate(structure.operators), decay=rotate(structure.decay),
+                     flux_functionals=rotate(structure.flux_functionals))
+    rows = np.zeros(4, dtype=int)  # four rows on chain 0
+    baths = np.stack([rng.uniform(0.2, 3.0, (4, 2)), rng.uniform(0.5, 1.5, (4, 2))], axis=2)
+    rates, offsets = structure.rates(rows, baths)
+    rates = rates[offsets[:-1, None] + np.arange(offsets[1])].reshape(len(rows), -1)
+    before, after = (_stack_reports(s, rows, rates, unknowns) for s in (structure, turned))
+    assert np.abs(after[4].rho.imag).max() > 1e-2  # the turned frame state is complex
+    for old, new in zip(before[:3], after[:3]):  # populations, fluxes, channel fluxes
+        assert np.abs(new - old).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5])
