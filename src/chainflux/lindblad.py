@@ -291,7 +291,8 @@ class ChainOperators:
     ``site_energies``, the single-particle matrices h and their ``modes``
     are computed on first use.  Both approaches are solved from one stack
     (:func:`chain_structure`, :mod:`chainflux.correlations`), so each H is
-    built once, and diagonalized only where its 2^N eigensystem is read.
+    built once, and diagonalized once, only where its 2^N eigensystem is
+    read.
     Item c of the stack is chain c's :class:`Chain`, the same object on
     every access.  Every array is read-only.
     """
@@ -308,14 +309,24 @@ class ChainOperators:
         return self._views[c]
 
     def take(self, chains) -> ChainOperators:
-        """The stack of only the chains at the indices ``chains``, newly built."""
+        """The stack of only the chains at the indices ``chains``, newly built.
+
+        This stack's :attr:`eigensystem` reads those chains from the new
+        stack's, if that one is computed first.
+        """
         arrays = [a[chains] for a in (self.hamiltonian, self.epsilons, self.hoppings, self.sites)]
         read_only(*arrays)
-        return ChainOperators(*arrays)
+        stack = ChainOperators(*arrays)
+        self._taken.append((chains, stack))
+        return stack
 
     @cached_property
     def _views(self) -> tuple:
         return tuple(Chain(self, c) for c in range(len(self)))
+
+    @cached_property
+    def _taken(self) -> list:
+        return []  # (chain indices, stack) of each take
 
     @cached_property
     def couplings(self) -> np.ndarray:
@@ -325,7 +336,28 @@ class ChainOperators:
 
     @cached_property
     def eigensystem(self) -> EigenSystem:
-        es = diagonalize(self.hamiltonian)
+        """The stacked sector eigensystem: energies (k, d), vectors (k, d, d).
+
+        A chain that a stack of :meth:`take` has diagonalized already is
+        read from it, and only the others go to one :func:`diagonalize`
+        call, so each chain is diagonalized once.  ``diagonalize`` gives
+        each matrix the eigenpairs a call on it alone gives, so the arrays
+        are the same bits either way.
+        """
+        todo, known = np.ones(len(self), dtype=bool), []
+        for chains, stack in self._taken:
+            if "eigensystem" in vars(stack):
+                todo[chains] = False
+                known.append((chains, stack.eigensystem))
+        if not known:
+            es = diagonalize(self.hamiltonian)
+        else:
+            if todo.any():
+                known.append((todo, diagonalize(self.hamiltonian[todo])))
+            es = EigenSystem(np.empty(self.hamiltonian.shape[:2]),
+                             np.empty(self.hamiltonian.shape, dtype=complex))
+            for chains, part in known:
+                es.energies[chains], es.vectors[chains] = part.energies, part.vectors
         read_only(es.energies, es.vectors)
         return es
 

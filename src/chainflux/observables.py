@@ -367,7 +367,7 @@ class SteadyColumns(Sequence):
             return np.zeros((0, rho.shape[-1]))
         vectors = self.chains.eigensystem.vectors[chain]
         rho = vectors.conj().swapaxes(1, 2) @ rho @ vectors
-        return np.diagonal(rho, axis1=1, axis2=2).real
+        return np.diagonal(rho, axis1=1, axis2=2).real.copy()  # not a view that keeps rho
 
 
 def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
@@ -465,7 +465,8 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
     correlation matrices; their channels are each reservoir's bright modes
     by ascending |omega_k|, and their ``unknowns`` read N.  The other rows
     are solved by the real block (:func:`_approach_reports`) on the
-    structure of a stack of only their chains, and keep their states.
+    structure of a stack of only their chains, and keep their states; the
+    call's stack reads those chains' eigensystems from it.
     """
     (c, n), k = chains.epsilons.shape, len(chain)
     route, bright = mode_route(chains)

@@ -1,7 +1,8 @@
 """Parameter sweeps over validated chain specs, with reproducible CSV output.
 
-A sweep runs in the calling process: its grid goes in chunks of at most
-``_CALL_CHAINS`` distinct chains, solved one after the other.
+A sweep runs in the calling process: its grid goes in chunks, solved one
+after the other, whose chains hold at most ``_CALL_ELEMENTS`` elements of
+their 2^N x 2^N Hamiltonians, 32 chains at N = 5.
 """
 
 from __future__ import annotations
@@ -314,9 +315,11 @@ def format_config(request: SweepRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
-# At most this many distinct chains go into one steady_reports call, which
-# bounds the rate-free structures and stacks a call holds at once.
-_CALL_CHAINS = 32
+# The distinct chains of one chain_reports call hold at most this many
+# elements of their 2^N x 2^N Hamiltonians, which bounds the 2^N stacks
+# (H, eigensystems, states) a call holds at once: 32 chains at N = 5, 128
+# at N = 4, 512 at N = 3.
+_CALL_ELEMENTS = 32 * 4**5
 
 
 _SKIP_REASONS = {
@@ -387,15 +390,16 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     under every approach of the request in one :func:`chain_reports` call
     (:func:`_row_task`), so both approaches of a chain share its H,
     eigensystem and site operators, built in that call and dropped after
-    it.  The chunks are as few, and as even in size, as lets none hold
-    more than ``_CALL_CHAINS`` distinct chains, which bounds the memory of
-    a call: a K or eps scan gives each point its own chain, and a
-    temperature sweep one chain to all, so it is one chunk.  In a chunk the
-    local rows go in stacks of N x N correlation matrices, the global rows
-    of chains whose modes stay apart (the mode route) in stacks of
-    ``_GRID_ELEMENTS // 2^N`` rows (:mod:`chainflux.observables`), and only
-    the global rows of the other chains (the real block) are grouped by set
-    of unknowns, across chains:
+    it.  The chunks are as few, and as even in size, as lets the distinct
+    chains of none hold more than ``_CALL_ELEMENTS`` elements of their
+    2^N x 2^N Hamiltonians (32 chains at N = 5, 128 at N = 4, 512 at
+    N = 3), which bounds the memory of a call: a K or eps scan gives each
+    point its own chain, and a temperature sweep one chain to all, so it
+    is one chunk.  In a chunk the local rows go in stacks of N x N
+    correlation matrices, the global rows of chains whose modes stay apart
+    (the mode route) in stacks of ``_GRID_ELEMENTS // 2^N`` rows
+    (:mod:`chainflux.observables`), and only the global rows of the other
+    chains (the real block) are grouped by set of unknowns, across chains:
     a temperature sweep of such a chain is one stacked solve, its rows at
     T = 0 included, and the block chains of a K or eps scan that couple the
     same entries are solved together.
@@ -422,7 +426,8 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     if (values[1:] <= values[:-1]).any():
         raise ConfigSyntaxError("grid must be strictly increasing")
     chains = len(values) if request.axis in ("k", "eps") else 1  # t1, t2: one chain to all
-    size = -(-len(values) // -(-chains // _CALL_CHAINS))  # even chunks, each within the bound
+    bound = max(1, _CALL_ELEMENTS // 4**base.n_qubits)  # chains per call
+    size = -(-len(values) // -(-chains // bound))  # even chunks, each within the bound
     chunks = [_row_task(request, values[i:i + size]) for i in range(0, len(values), size)]
     blocks = [chunk[a] for a in range(len(request.approaches)) for chunk in chunks]
     rows = SweepColumns(*(np.concatenate([getattr(columns, f.name) for columns, _ in blocks])

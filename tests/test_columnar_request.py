@@ -115,10 +115,12 @@ def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, axis, zeros):
 
 
 @pytest.mark.parametrize("axis", AXES)
-def test_a_sweep_of_several_chunks_gives_the_rows_of_one_spec_per_point(tmp_path, axis):
-    # 70 points: a K or eps scan goes in three chunks of at most 32 chains,
-    # a temperature sweep in one; the rows are those of one call over every
-    # point's spec
+def test_a_sweep_of_several_chunks_gives_the_rows_of_one_spec_per_point(tmp_path, axis,
+                                                                        monkeypatch):
+    # 70 points with the bound at 32 N = 3 chains: a K or eps scan goes in
+    # three chunks, a temperature sweep in one; the rows are those of one
+    # call over every point's spec
+    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 32 * 4**3)
     request = SweepRequest(base=seeded_base(3, 950), axis=axis,
                            grid=tuple(np.linspace(0.1, 3.0, 70)), approaches=("global", "local"),
                            outputs=("populations", "heat_flux", "rho_diagonals"))

@@ -1,6 +1,7 @@
 """K and eps scans: rows of different chains solved in shared stacks, bit for bit."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chainflux import (
     apply_axis,
     build_chain_hamiltonian,
     chain,
+    parse_config,
     run_sweep,
     steady_report,
 )
@@ -24,6 +26,8 @@ from chainflux.sweep import SweepRequest
 
 from oracles import assemble, block_reports, chain_structure
 from test_block_solve import CASES
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def cold_report(spec, approach):
@@ -294,6 +298,7 @@ def temperature_sweep():
 def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_mode,
                                                                   monkeypatch):
     import chainflux.lindblad
+    import chainflux.operators
 
     diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
     built = count_calls(monkeypatch, chainflux.observables, "chain_structure")
@@ -310,11 +315,18 @@ def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_m
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
     # the reports' eigensystems, rho_diagonals' basis, are one stacked call
-    # over every chain of the call, shared by both approaches
+    # over every chain the block has not diagonalized, shared by both
+    # approaches: each chain of the call is diagonalized exactly once
     assert all(report.chain.eigensystem is not None for report in local)
     assert len(diagonalized) == 1 + len(blocked)
     (stack,) = diagonalized[-1]
-    assert sorted(H.tobytes() for H in stack) == sorted(chains)
+    assert sorted(H.tobytes() for H in stack) == sorted(chains - set(blocked))
+    passed = [H.tobytes() for (stack,) in diagonalized for H in stack]
+    assert sorted(passed) == sorted(chains)
+    # and the eigensystem joined from both calls is that of one call on all
+    whole = chainflux.operators.diagonalize(glob.chains.hamiltonian)
+    for name in ("energies", "vectors"):
+        assert getattr(glob.chains.eigensystem, name).tobytes() == getattr(whole, name).tobytes()
     for g, l in zip(glob, local):
         assert isinstance(g, DegenerateTransition) or g.chain is l.chain
 
@@ -334,14 +346,12 @@ def test_a_repeated_call_gives_bit_identical_reports():
 
 def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     # both approaches of a task share each chain's eigensystem, however many
-    # chains the task holds, the zero mode's chain too: one stacked call
-    # holds every chain of the task once (the bound on a task's chains is
-    # lifted, so the grid is one task).  Before it, the real block's
-    # structure diagonalizes the one chain whose global rows take it.
+    # chains the task holds: 41 N = 3 chains are within the bound of a task
+    # (512), so the grid is one task.  The real block's structure
+    # diagonalizes the one chain whose global rows take it, and one stacked
+    # call then holds every other chain of the task once.
     import chainflux.lindblad
-    import chainflux.sweep
 
-    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 64)
     calls = []
 
     def counting(H, _real=chainflux.lindblad.diagonalize):
@@ -356,15 +366,38 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
-    assert calls == [(1, 8, 8), (len(grid), 8, 8)]
+    assert calls == [(1, 8, 8), (len(grid) - 1, 8, 8)]
+
+
+@pytest.mark.parametrize("config", ["kscan4.cfg", "eps4.cfg"])
+def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_each_chain_exactly_once(config,
+                                                                                   monkeypatch):
+    # 14 N = 4 chains are within the bound of a call (128), so the scan is
+    # one chain_reports call.  The real block's chains (the zero modes' and
+    # a mixed bin's) are diagonalized for its structure, and the eigenbasis
+    # diagonals read them from there: every chain's H reaches diagonalize
+    # once, in two stacked calls
+    import chainflux.lindblad
+    import chainflux.sweep
+
+    request = parse_config((REPO / "configs" / config).read_text())
+    calls = count_calls(monkeypatch, chainflux.sweep, "chain_reports")
+    diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
+    run_sweep(request)
+    ((chains, _, _, _),) = calls
+    assert len(chains) == len(request.grid)
+    assert len(diagonalized) == 2
+    passed = [H.tobytes() for (stack,) in diagonalized for H in stack]
+    assert sorted(passed) == sorted(H.tobytes() for H in chains.hamiltonian)
 
 
 def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
-    # a 41-point K scan at workers = 1 goes to steady_reports in two calls of
-    # 21 and 20 chains, each chain diagonalized once in its call for the
-    # eigenbasis diagonals (the zero mode's, in the second call, once more
-    # for the real block's structure), and its rows are those of one call
-    # over every chain
+    # with the bound at 32 N = 3 chains, a 41-point K scan goes to
+    # chain_reports in two calls of 21 and 20 chains, each chain
+    # diagonalized once in its call: the zero mode's, in the second call,
+    # for the real block's structure, whose eigensystem the eigenbasis
+    # diagonals then read, and the other chains for the eigenbasis
+    # diagonals.  Its rows are those of one call over every chain.
     import chainflux.lindblad
     import chainflux.sweep
 
@@ -377,12 +410,11 @@ def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
     grid = tuple(np.linspace(0.3, 0.8, 40)) + (1.5 / (2 * math.cos(math.pi / 4)),)
     request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k", grid=grid,
                            approaches=("global", "local"), outputs=("rho_diagonals",))
-    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 64)
     whole = run_sweep(request)
-    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 32)
+    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 32 * 4**3)
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     table = run_sweep(request)
-    assert calls == [(21, 8, 8), (1, 8, 8), (20, 8, 8)]
+    assert calls == [(21, 8, 8), (1, 8, 8), (19, 8, 8)]
     assert tuple(table.rows) == tuple(whole.rows)
     assert table.skipped == whole.skipped
 

@@ -190,3 +190,62 @@ def test_a_long_sweep_of_both_approaches_keeps_no_states_in_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
+
+
+def test_a_long_n4_k_scan_with_eigenbasis_diagonals_stays_within_its_bound():
+    # a K scan gives every point its own chain, so the chains per call are
+    # bounded (128 at N = 4) and each call's (rows, d, d) states and
+    # eigensystems are dropped after it: a 1000-point scan of both
+    # approaches with rho_diagonals peaked at 4.3 MB traced; 27.9 MB with
+    # the whole grid in one call, and 11.5 MB while each call's diagonals
+    # were a view that kept its rotated states
+    request = SweepRequest(base=chain([1.5] * 4, [1.0] * 3, 2.0, 0.5), axis="k",
+                           grid=tuple(np.linspace(0.3, 3.0, 1000).tolist()),
+                           approaches=("global", "local"),
+                           outputs=("populations", "heat_flux", "rho_diagonals"))
+    run_sweep(SweepRequest(base=request.base, axis="k", grid=request.grid[:3],
+                           approaches=request.approaches, outputs=request.outputs))
+    tracemalloc.start()
+    try:
+        table = run_sweep(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 2 * len(request.grid) - len(table.skipped)
+    assert peak <= 8e6
+
+
+@pytest.mark.parametrize("config", ["kscan4.cfg", "eps4.cfg"])
+def test_the_eigenbasis_diagonals_of_mode_rows_sum_to_their_fock_states_per_level(config):
+    # a mode row's state is the product of its modes' occupations, diagonal
+    # on the mode Fock states; rho_diagonals reads it on the eigenvectors
+    # diagonalize returns, which inside a degenerate level are eigh's choice
+    # of basis.  Only each level's sum is basis-free: the product
+    # probabilities of the Fock states at that energy
+    request = parse_config((REPO / "configs" / config).read_text())
+    specs = [apply_axis(request.base, request.axis, value) for value in request.grid]
+    (columns,) = steady_reports(specs, ("global",))
+    rows = np.array([i for i in np.flatnonzero(columns.kept < 0).tolist()
+                     if i not in columns.errors])
+    diagonals = columns.rho_diagonals(rows)
+    on = columns.chain[rows]
+    energies = columns.chains.eigensystem.energies[on]
+    omega, phi = (a[on] for a in columns.chains.modes)
+    occupations = np.einsum("rik,ril,rlk->rk", phi, columns.correlations[rows].real, phi)
+    n = omega.shape[1]
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # occupied modes of each Fock state
+    fock = omega @ bits.T
+    probabilities = np.where(bits, occupations[:, None], 1 - occupations[:, None]).prod(axis=2)
+    order = np.argsort(fock, axis=1, kind="stable")
+    fock, probabilities = (np.take_along_axis(a, order, axis=1) for a in (fock, probabilities))
+    # the same spectrum, up to the constant of the Jordan-Wigner form
+    assert np.ptp(energies - fock, axis=1).max() < 1e-10
+    degenerate = 0
+    for energy, diagonal, probability in zip(energies, diagonals, probabilities):
+        level = np.concatenate([[0], np.cumsum(np.diff(energy) > 1e-8)])
+        sums = np.zeros((2, level[-1] + 1))
+        np.add.at(sums, (0, level), diagonal)
+        np.add.at(sums, (1, level), probability)
+        assert np.abs(sums[0] - sums[1]).max() <= 1e-12
+        degenerate += int((np.bincount(level) > 1).sum())
+    assert len(rows) >= 9 and degenerate > 0

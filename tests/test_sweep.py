@@ -600,25 +600,33 @@ def test_the_shipped_n5_k_scan_skips_its_zero_modes_in_two_chunks(monkeypatch):
     assert len(table.rows) == 2 * len(request.grid) - len(zeros)
 
 
-# Chunk sizes by axis and grid points: a K or eps scan has a chain per
-# point, in as few chunks of at most 32 chains as there can be, as even as
-# the ceiling division makes them; a temperature sweep is one chain, one
-# chunk, whatever its grid.
-CHUNKS = {1: [1], 32: [32], 33: [17, 16], 97: [25, 25, 25, 22]}
+# Chunk sizes by qubit count and grid points: a K or eps scan has a chain
+# per point, in as few chunks as keep each within the bound, as even as the
+# ceiling division makes them.  The bound is the chains whose 2^N x 2^N
+# Hamiltonians hold 32 N = 5 chains' elements: 32 chains at N = 5, 128 at
+# N = 4, 512 at N = 3 and 2048 at N = 2.  A temperature sweep is one chain,
+# one chunk, whatever its grid.
+CHUNKS = {
+    (5, 1): [1], (5, 32): [32], (5, 33): [17, 16], (5, 97): [25, 25, 25, 22],
+    (4, 128): [128], (4, 129): [65, 64], (4, 385): [97, 97, 97, 94],
+    (3, 512): [512], (3, 513): [257, 256],
+    (2, 2048): [2048], (2, 2049): [1025, 1024],
+}
 
 
-@pytest.mark.parametrize("points", sorted(CHUNKS))
+@pytest.mark.parametrize("n, points", sorted(CHUNKS))
 @pytest.mark.parametrize("axis", ["t1", "t2", "k", "eps"])
-def test_a_sweep_runs_in_even_chunks_of_at_most_the_bound_of_chains(points, axis, monkeypatch):
+def test_a_sweep_runs_in_even_chunks_of_at_most_the_bound_of_chains(n, points, axis,
+                                                                    monkeypatch):
     import chainflux.sweep
 
     grid = {"t1": (0.2, 3.0), "t2": (0.0, 2.0), "k": (-1.0, 2.0), "eps": (0.6, 2.4)}[axis]
-    request = SweepRequest(base=chain([1.2, 1.6], [0.7], 1.3, 0.4), axis=axis,
-                           grid=tuple(np.linspace(*grid, points)), approaches=("global", "local"),
-                           outputs=("populations", "heat_flux"))
-    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 10**6)
+    base = chain(np.linspace(1.2, 1.6, n), [0.7] * (n - 1), 1.3, 0.4)
+    request = SweepRequest(base=base, axis=axis, grid=tuple(np.linspace(*grid, points)),
+                           approaches=("global", "local"), outputs=("populations", "heat_flux"))
+    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 10**9)
     whole = run_sweep(request)
-    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 32)
+    monkeypatch.undo()
     chunks = []
 
     def recording(request, values, _real=chainflux.sweep._row_task):
@@ -627,7 +635,7 @@ def test_a_sweep_runs_in_even_chunks_of_at_most_the_bound_of_chains(points, axis
 
     monkeypatch.setattr(chainflux.sweep, "_row_task", recording)
     table = run_sweep(request)
-    assert [len(values) for values in chunks] == (CHUNKS[points] if axis in ("k", "eps")
+    assert [len(values) for values in chunks] == (CHUNKS[n, points] if axis in ("k", "eps")
                                                   else [points])
     assert [value for values in chunks for value in values] == list(request.grid)
     assert tuple(table.rows) == tuple(whole.rows)
@@ -639,7 +647,7 @@ def test_the_first_failing_chunk_in_grid_order_is_raised(monkeypatch):
     # no chunk after it is solved
     import chainflux.sweep
 
-    monkeypatch.setattr(chainflux.sweep, "_CALL_CHAINS", 1)
+    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 1)  # one chain per chunk
     real, solved = chainflux.sweep._row_task, []
 
     def failing(request, values):
