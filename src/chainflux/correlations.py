@@ -29,13 +29,17 @@ in closed form from C (:func:`_gaussian_residuals`).  The state itself, rho
 U^dag and f_k = sum_i U_ik c_i, is built from cached c_i^dag c_j tables
 only where it is read (:func:`_gaussian_states`).
 
-The global generator is quadratic too where no frequency bin holds two
-modes h phi_k = omega_k phi_k: each jump is then one mode's f_k or f_k^dag,
-the endpoint couplings being linear in the fermions up to the total
-parity, which commutes with H.  Its steady state is the Gaussian state of
-C = phi diag(occ) phi^T, each mode's occupation in closed form, and its
-residual the closed form above in the mode frame
-(:func:`global_steady_states`).
+The global generator is quadratic too: each jump is one single-particle
+mode's f_k or f_k^dag (h phi_k = omega_k phi_k), the endpoint couplings
+being linear in the fermions up to the total parity, which commutes with H.
+Where no frequency bin holds two modes, its steady state is the Gaussian
+state of C = phi diag(occ) phi^T, each mode's occupation in closed form,
+and its residual the closed form above in the mode frame
+(:func:`global_steady_states`).  Where a bin holds two or more, the hole
+frame f~_k (f_k, or f_k^dag where omega_k < 0) makes every global generator
+number-conserving, and its C~ solves the N^2 system above with that
+frame's X and G (:func:`group_steady_states`); its state has the anomalous
+terms c_i^dag c_j^dag of the hole modes.
 """
 
 from __future__ import annotations
@@ -51,21 +55,23 @@ from .steady import check_residual, checked_inverse, unique
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(n_qubits: int) -> np.ndarray:
-    """c_i^dag c_j of every (i, j), as complex (n^2, d^2) rows: i n + j holds its d x d matrix.
-
-    c_j lowers qubit j of b, then c_i^dag raises qubit i; each multiplies
-    by (-1)^(excited qubits before its site) of the state it acts on.
-    """
+def _fermions(n_qubits: int) -> np.ndarray:
+    """c_j of every j, real (n, d, d): qubit j of b lowered, signed by the excitations before j."""
     d = 2**n_qubits
     excited = excited_qubits(n_qubits).astype(bool)
-    bits = qubit_bits(n_qubits)
     sign = 1 - 2 * ((np.cumsum(excited, axis=0) - excited) % 2)  # sign[q, b]
-    lowered = np.arange(d) | bits[:, None]  # [j, b]: b with qubit j lowered
-    i, j, b = np.nonzero(excited & ~excited[:, lowered])  # j excited in b, i not in lowered[j, b]
-    tables = np.zeros((n_qubits, n_qubits, d, d), dtype=complex)
-    tables[i, j, lowered[j, b] & ~bits[i], b] = sign[j, b] * sign[i, lowered[j, b]]
-    tables = tables.reshape(n_qubits**2, d * d)
+    j, b = np.nonzero(excited)
+    fermions = np.zeros((n_qubits, d, d))
+    fermions[j, b | qubit_bits(n_qubits)[j], b] = sign[j, b]
+    read_only(fermions)
+    return fermions
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(n_qubits: int) -> np.ndarray:
+    """c_i^dag c_j of every (i, j), as complex (n^2, d^2) rows: i n + j holds its d x d matrix."""
+    c = _fermions(n_qubits)
+    tables = (c.swapaxes(1, 2)[:, None] @ c[None]).reshape(n_qubits**2, -1).astype(complex)
     read_only(tables)
     return tables
 
@@ -85,22 +91,36 @@ def _correlation_systems(X: np.ndarray) -> np.ndarray:
     return full_unknowns(n).hermitian(L.reshape(k, n * n, n * n))
 
 
-def _gaussian_states(C: np.ndarray) -> np.ndarray:
-    """prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag) of each C = U diag(nu) U^dag, (k, d, d).
+def _gaussian_states(C: np.ndarray, phi: np.ndarray = None, holes: np.ndarray = None) -> np.ndarray:
+    """prod_k (nu_k g_k^dag g_k + (1 - nu_k) g_k g_k^dag) of each C = U diag(nu) U^dag, (k, d, d).
 
-    f_k^dag f_k = sum_ij conj(U_ik) U_jk c_i^dag c_j, and f_k f_k^dag = 1
-    - f_k^dag f_k; the factors commute, and their product is made Hermitian
-    against round-off.
+    C_ij = <a_i^dag a_j> over fermions a_i: the site fermions c_i, where
+    g_k = sum_i U_ik c_i and g_k^dag g_k = sum_ij conj(U_ik) U_jk c_i^dag
+    c_j; or, given ``phi`` (k, n, n) and ``holes`` (k, n), the hole-frame
+    modes a_i = f_i = sum_q phi_qi c_q, and f_i^dag where ``holes[:, i]``.
+    There g_k = sum_q (u_qk c_q + v_qk c_q^dag), with the anomalous part v
+    from the hole modes, and g_k^dag g_k is formed from the matrices of the
+    c_q (:func:`_fermions`).  g_k g_k^dag = 1 - g_k^dag g_k; the factors
+    commute, and their product is made Hermitian against round-off.
     """
     k, n = C.shape[:2]
-    tables = _pair_tables(n)
-    d = int(np.sqrt(tables.shape[1]))
+    d = 2**n
     nu, U = np.linalg.eigh(C)
+    if phi is None:
+        tables = _pair_tables(n)
+    else:  # the coefficients u of the c_q, then v of the c_q^dag, of each g_k
+        c = _fermions(n)
+        fermions = np.concatenate([c, c.swapaxes(1, 2)]).reshape(2 * n, d * d)
+        uv = np.concatenate([phi * ~holes[:, None, :], phi * holes[:, None, :]], axis=1) @ U
     rho = None
     for mode in range(n):
-        u = U[:, :, mode]
-        weights = (u.conj()[:, :, None] * u[:, None, :]).reshape(k, 1, n * n)
-        factor = (weights @ tables).reshape(k, d, d)
+        if phi is None:
+            u = U[:, :, mode]
+            weights = (u.conj()[:, :, None] * u[:, None, :]).reshape(k, 1, n * n)
+            factor = (weights @ tables).reshape(k, d, d)
+        else:
+            g = (uv[:, :, mode] @ fermions).reshape(k, d, d)
+            factor = g.conj().swapaxes(1, 2) @ g
         factor *= 2.0 * nu[:, mode, None, None] - 1.0
         factor[:, np.arange(d), np.arange(d)] += 1.0 - nu[:, mode, None]
         rho = factor if rho is None else rho @ factor
@@ -109,20 +129,24 @@ def _gaussian_states(C: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _gaussian_residuals(X, absorption, C) -> np.ndarray:
-    """|L(rho(C))|_F of each row's site-basis generator on the Gaussian state of its C, (k,).
+def _gaussian_residuals(X, G, C) -> np.ndarray:
+    """|L(rho(C))|_F of each row's generator on the Gaussian state of its C, (k,).
 
     L(rho(C)) is the derivative of rho(C) along R = X C + C X^dag + G, with
-    G = diag(absorption), and Tr(rho(C1) rho(C2)) = det(C1 C2 + (1 - C1)(1
-    - C2)); so |L(rho)|^2 = d/ds d/dt det(M0 + s R S + t S R + 2 s t R^2) at
-    0, with S = 2C - 1 and M0 = C^2 + (1 - C)^2: det M0 (2 tr(M0^-1 R^2) +
-    tr A tr B - tr(A B)) with A = M0^-1 R S and B = M0^-1 S R = S M0^-1 R,
-    whose traces are equal.  The eigenvalues of M0 are at least 1/2.
+    G (k, n, n), or diag(G) where G is (k, n); and Tr(rho(C1) rho(C2)) =
+    det(C1 C2 + (1 - C1)(1 - C2)); so |L(rho)|^2 = d/ds d/dt det(M0 + s R
+    S + t S R + 2 s t R^2) at 0, with S = 2C - 1 and M0 = C^2 + (1 - C)^2:
+    det M0 (2 tr(M0^-1 R^2) + tr A tr B - tr(A B)) with A = M0^-1 R S and B
+    = M0^-1 S R = S M0^-1 R, whose traces are equal.  The eigenvalues of M0
+    are at least 1/2.
     """
     a = np.arange(C.shape[-1])
     R = X @ C
     R += R.conj().swapaxes(1, 2)
-    R[:, a, a] += absorption
+    if G.ndim == R.ndim:
+        R += G
+    else:
+        R[:, a, a] += G
     S = 2.0 * C
     S[:, a, a] -= 1.0
     M0 = 2.0 * (C @ C) - S
@@ -207,7 +231,7 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     (:attr:`~chainflux.lindblad.ChainOperators.modes`), its reservoirs at
     the qubits sites[j] (k, 2) and their (temperature, gamma) in baths[j]
     (k, 2, 2); its bins must not mix modes
-    (:func:`~chainflux.lindblad.mode_route`).  Then each global jump is
+    (:func:`~chainflux.lindblad.mode_groups`).  Then each global jump is
     f_k, or f_k^dag where omega_k < 0, at |omega_k|, with Gamma_jk = gamma_j
     phi_k(site_j)^2, and the modes relax on their own: with the emission
     and absorption rates Gamma_jk (nbar_jk + 1) and Gamma_jk nbar_jk at
@@ -221,8 +245,9 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
     through each mode (k, 2, n), C (k, n, n), the residuals and rcond =
     min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
-    Lambda_k occ_k = gain_k; a row whose rcond fails
-    :func:`~chainflux.steady.unique` for N unknowns gets zero results.  The
+    Lambda_k occ_k = gain_k, 0 where a mode has no weight at an attached
+    site; a row whose rcond fails :func:`~chainflux.steady.unique` for N
+    unknowns gets zero results.  The
     only arrays of 2^N per row are the mode Fock energies of the norm.
     """
     k, n = omega.shape
@@ -237,12 +262,15 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     gain, loss = np.where(positive, absorbed, emitted), np.where(positive, emitted, absorbed)
     rcond = lam.min(axis=1) / lam.max(axis=1)
     solved = unique(rcond, n)
-    occupations = np.where(solved[:, None], gain / lam, 0.0)
+    damped = lam > 0  # a dark mode's occupation is left undetermined: its row is not solved
+    occupations = np.where(solved[:, None],
+                           np.divide(gain, lam, where=damped, out=np.zeros_like(lam)), 0.0)
     C = (phi * occupations[:, None, :]) @ phi.swapaxes(1, 2)
     populations = np.diagonal(C, axis1=1, axis2=2)
     gamma = baths[:, :, 1, None]
-    current = freqs * weights.prod(axis=1) * (gamma[:, 1] * rates[:, 0, :, 1]
-                                              - gamma[:, 0] * rates[:, 1, :, 1]) / lam
+    current = np.divide(freqs * weights.prod(axis=1) * (gamma[:, 1] * rates[:, 0, :, 1]
+                                                        - gamma[:, 0] * rates[:, 1, :, 1]),
+                        lam, where=damped, out=np.zeros_like(lam))
     channels = np.where(solved[:, None, None], current[:, None, :] * [[1.0], [-1.0]], 0.0)
     X = np.zeros((k, n, n), dtype=complex)
     X[:, a, a] = 1j * omega - 0.5 * lam
@@ -250,4 +278,69 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     energies = omega @ excited_qubits(n) - 0.5 * omega.sum(axis=1, keepdims=True)
     check_residual(residual, _generator_norms(energies, np.zeros((k, n - 1)),
                                               np.stack([loss, gain], axis=2)))
+    return populations, channels.sum(axis=2), channels, C, residual, rcond
+
+
+def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
+                        sites: np.ndarray, baths: np.ndarray) -> tuple:
+    """Steady states of a stack of rows under the global approach, from their chains' mode groups.
+
+    Row j's chain has the modes omega[j] (k, n) and phi[j] (k, n, n), each
+    mode's bin ``group[j]`` (k, n) (:func:`~chainflux.lindblad.mode_groups`),
+    its reservoirs at the qubits sites[j] (k, 2) and their (temperature,
+    gamma) in baths[j] (k, 2, 2).  In the hole frame f~_k = f_k where
+    omega_k > 0 and f_k^dag where omega_k < 0, H is sum_k |omega_k|
+    f~_k^dag f~_k plus a constant, and reservoir j's bin of group g is
+    A_jg = sum_{k in g} a_jk f~_k with a_jk = phi_k(site_j): every global
+    generator conserves the number of f~.  At site N - 1 the coupling
+    sigma^+ + sigma^- is P_tot (c - c^dag), with the total parity P_tot,
+    which drops out on the even states, so a_jk is negated there for hole
+    modes.  With nbar_j at the group's mean |omega|, Lambda = sum_j gamma_j
+    (2 nbar_j + 1) a_j a_j^T and G = sum_j gamma_j nbar_j a_j a_j^T, each
+    kept within the groups, and X = i diag|omega| - Lambda / 2, the
+    hole-frame C~_kl = <f~_k^dag f~_l> solves 0 = X C~ + C~ X^dag + G: one
+    stacked real N^2 system (:func:`_correlation_systems`,
+    :func:`~chainflux.steady.checked_inverse`).  Reservoir j puts
+    Tr(h G_j) - Re Tr(sym(h Lambda_j) C~), h = diag|omega|, into each group.
+    Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
+    through each group (k, 2, n, by group index), C~ (k, n, n), the
+    residuals (:func:`_gaussian_residuals`, against the scale of the mode
+    Fock energies at each mode's diagonal rates) and the rcond_1 of each
+    system; a row whose rcond fails :func:`~chainflux.steady.unique` for
+    N^2 unknowns gets zero results.
+    """
+    k, n = omega.shape
+    rows, a = np.arange(k)[:, None], np.arange(n)
+    freqs, holes = np.abs(omega), omega < 0
+    members = group[:, :, None] == a  # [row, mode, group]
+    means = np.einsum("km,kmg->kg", freqs, members) / members.sum(axis=1).clip(1)
+    coupling = phi[rows, sites] * np.where((sites == n - 1)[:, :, None] & holes[:, None, :],
+                                           -1.0, 1.0)  # a_jk, (k, 2, n)
+    at = np.broadcast_to(np.take_along_axis(means, group, axis=1)[:, None, :], (k, 2, n))
+    rates = bath_rates(at, baths[:, :, None])  # (k, 2, n, 2) at each mode's group
+    outer = coupling[:, :, :, None] * coupling[:, :, None, :]
+    outer *= (group[:, :, None] == group[:, None, :])[:, None]
+    lam = rates.sum(axis=3)[..., None] * outer  # Lambda_j, (k, 2, n, n)
+    gain = rates[..., 1, None] * outer  # G_j
+    Lambda, G = lam.sum(axis=1), gain.sum(axis=1)
+    X = -0.5 * Lambda.astype(complex)
+    X[:, a, a] += 1j * freqs
+    inverse, rcond = checked_inverse(_correlation_systems(X))
+    solved = unique(rcond, n * n)
+    unknowns = full_unknowns(n)
+    x = np.where(solved[:, None], (inverse @ unknowns.coordinates(-G)[:, :, None])[:, :, 0], 0.0)
+    C = unknowns.state(x)
+    pairs = holes[:, :, None] == holes[:, None, :]  # the normal entries <f_k^dag f_l>
+    normal = np.where(pairs & ~holes[:, :, None], C,
+                      np.where(pairs, np.eye(n) - C.swapaxes(1, 2), 0.0))
+    populations = np.einsum("kqm,kml,kql->kq", phi, normal, phi).real
+    symmetric = 0.5 * lam * (freqs[:, None, :, None] + freqs[:, None, None, :])
+    per_mode = (freqs[:, None] * np.diagonal(gain, axis1=2, axis2=3)
+                - (symmetric * C.real.swapaxes(1, 2)[:, None]).sum(axis=3))
+    channels = np.where(solved[:, None, None], per_mode @ members, 0.0)
+    residual = np.where(solved, _gaussian_residuals(X, G, C), 0.0)
+    gains, losses = np.diagonal(G, axis1=1, axis2=2), np.diagonal(Lambda - G, axis1=1, axis2=2)
+    energies = freqs @ excited_qubits(n) - 0.5 * freqs.sum(axis=1, keepdims=True)
+    check_residual(residual, _generator_norms(energies, np.zeros((k, n - 1)),
+                                              np.stack([losses, gains], axis=2)))
     return populations, channels.sum(axis=2), channels, C, residual, rcond

@@ -1,45 +1,36 @@
-"""Jump operators, frequency bins and the rate-free structures of the eigenbasis generators.
+"""Jump operators, frequency bins and the chain operators both approaches are solved from.
 
-Two master equations describe a chain.  The eigenbasis ("global") route,
-built here, decomposes each endpoint coupling operator into lowering
-components between energy eigenstates, groups them into Bohr-frequency bins
-and keeps cross terms only within a bin (full secular approximation).  The
-site-basis ("local") route attaches thermal raising/lowering of the bare
-endpoint qubit at its own gap, ignoring the interqubit coupling in the
-rates; its generator is quadratic in Jordan-Wigner fermions and is solved
-through the N x N correlation matrix (:mod:`chainflux.correlations`), from
-the chain operators built here.
+Two master equations describe a chain.  The eigenbasis ("global") route
+decomposes each endpoint coupling operator into lowering components between
+energy eigenstates, groups them into Bohr-frequency bins and keeps cross
+terms only within a bin (full secular approximation).  The site-basis
+("local") route attaches thermal raising/lowering of the bare endpoint
+qubit at its own gap, ignoring the interqubit coupling in the rates.  Both
+generators are quadratic in the chain's Jordan-Wigner fermions and are
+solved through N x N correlation matrices (:mod:`chainflux.correlations`),
+from the chain operators built here.
 
 All rates are expressed through the Bose occupation nbar and nbar + 1, never
 through exp(beta * omega), so zero temperature and large beta are exact.
 
-Where no bin holds two modes, each global jump is one single-particle
-mode's f_k or f_k^dag, and the global rows of such a chain
-(:func:`mode_route`) are solved from its modes (:attr:`ChainOperators.modes`,
-:func:`chainflux.correlations.global_steady_states`) with no 2^N array.
-On every other chain the global route ends in one operator form: per
-reservoir, a list of bins with their Bohr frequencies and their operators
-A and A^dag, held as one dense (T, d, d) stack in the eigenbasis frame the
-steady state is solved in, where each nonzero of an A is one jump.  The
-generators are built from that stack (:mod:`chainflux.generator`).
-The dense site-basis builders (:func:`global_dissipator_bins`,
-:func:`build_local_dissipator`, :func:`build_liouvillian`,
-:func:`assemble`) are on no solve path: the benchmark harness
-(``perfbench/tracing.py``) binds them by name, and ``verify`` compares
-the two monomer generators with them.  The dense model the tests compare
-against is in ``tests/oracles.py``.
+Each global jump is one single-particle mode's f_k, or f_k^dag where
+omega_k < 0, and each bin one group of modes at a shared |omega_k|
+(:func:`mode_groups`).  The 2^N jump scan (:func:`global_jump_operators`)
+is on no solve path but that of a chain with a zero mode, whose
+DegenerateTransition it gives.  The dense site-basis builders
+(:func:`global_dissipator_bins`, :func:`build_local_dissipator`,
+:func:`build_liouvillian`, :func:`assemble`) are on no solve path: the
+benchmark harness (``perfbench/tracing.py``) binds them by name, and
+``verify`` compares the two monomer generators with them.  The dense model
+and the real block the tests compare against are in ``tests/oracles.py``.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
 as stacks over the chains of one qubit count, not kept: H, its eigensystem,
 its single-particle modes and the site operators of the chains (gaps,
-couplings, attachments) in :func:`chain_operators`, the binned operators,
-their products A^dag A and each bin's flux functionals of the chains, as
-dense stacks, in :func:`chain_structure`.  No population operator is built: the solved
-states are taken to the site basis and read off their diagonals
-(:mod:`chainflux.observables`).  The caller that owns a request
-(:func:`chainflux.observables.steady_reports`) builds each once per call
-and shares the chain operators between the rows and both approaches.
+couplings, attachments) in :func:`chain_operators`.  The caller that owns a
+request (:func:`chainflux.observables.steady_reports`) builds them once per
+call and shares them between the rows and both approaches.
 """
 
 from __future__ import annotations
@@ -54,12 +45,7 @@ from .errors import (
     DimensionMismatch,
     NonPositiveFrequency,
 )
-from .generator import (
-    coupled_sets,
-    full_unknowns,
-    read_only,
-    superoperator,
-)
+from .generator import full_unknowns, read_only, superoperator
 from .model import BathSpec, ChainSpec
 from .operators import (
     EigenSystem,
@@ -73,14 +59,6 @@ from .operators import (
 # Smallest Bohr frequency the eigenbasis construction will accept; below it
 # the Bose occupation diverges for any bath at nonzero temperature.
 OMEGA_MIN = 1e-8
-
-# Smallest |omega_k| of a chain whose global rows come from its free-fermion
-# modes (:func:`mode_route`); a chain with a softer mode keeps the real
-# block.  Near figure3a's omega = 1e-3 channel the block is 6.3e-12 off a
-# 40-digit reference, the modes 1.9e-16, so the modes would move those rows
-# by more than the CSVs' 1e-12 gate against the previous release allows.
-# The floor can go once an extended-precision reference judges such rows.
-MODE_OMEGA_MIN = 1e-2
 
 # Relative tolerance used to group jump operators into one frequency bin.
 SECULAR_TOL = 1e-9
@@ -222,16 +200,6 @@ def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
     conjugate weight at (q, p).  ``es`` is the stack the jumps' chains
     index, or the one eigensystem of chain 0.
     """
-    first, item, lower, upper = _bin_positions(es, jumps)
-    weights = jumps["weight"]
-    operators = _bin_stack((2 * len(first), es.dim, es.dim), item, lower, upper, weights,
-                           weights.conj())
-    read_only(operators)
-    return first, operators
-
-
-def _bin_positions(es: EigenSystem, jumps: np.ndarray) -> tuple:
-    """The first jump of each bin, and each jump's item 2 b and frame positions of (p, q)."""
     new = np.zeros(len(jumps), dtype=bool)
     new[:1] = True
     for name in ("chain", "reservoir", "omega"):
@@ -239,19 +207,12 @@ def _bin_positions(es: EigenSystem, jumps: np.ndarray) -> tuple:
     position = np.argsort(es.frame_order, axis=-1).reshape(-1, es.dim)
     lower = position[jumps["chain"], jumps["lower"]]
     upper = position[jumps["chain"], jumps["upper"]]
-    return np.flatnonzero(new), 2 * (np.cumsum(new) - 1), lower, upper
-
-
-def _bin_stack(shape: tuple, item, rows, cols, values, pairs) -> np.ndarray:
-    """A complex stack of ``shape``, ``values`` at (rows, cols) of ``item`` and ``pairs`` after.
-
-    ``pairs`` go at (cols, rows) of ``item + 1``: with the conjugate
-    values, A and A^dag of each bin.
-    """
-    stack = np.zeros(shape, dtype=complex)
-    stack[item, rows, cols] = values
-    stack[item + 1, cols, rows] = pairs
-    return stack
+    item, weights = 2 * (np.cumsum(new) - 1), jumps["weight"]
+    operators = np.zeros((2 * np.count_nonzero(new), es.dim, es.dim), dtype=complex)
+    operators[item, lower, upper] = weights
+    operators[item + 1, upper, lower] = weights.conj()
+    read_only(operators)
+    return np.flatnonzero(new), operators
 
 
 # Dense site-basis builders outside the sweep path; perfbench/tracing.py
@@ -289,10 +250,11 @@ class ChainOperators:
     sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The stacked
     sector ``eigensystem`` of the Hamiltonians, their diagonals
     ``site_energies``, the single-particle matrices h and their ``modes``
-    are computed on first use.  Both approaches are solved from one stack
-    (:func:`chain_structure`, :mod:`chainflux.correlations`), so each H is
-    built once, and diagonalized once, only where its 2^N eigensystem is
-    read.
+    are computed on first use.  Both approaches are solved from the N x N
+    h and its modes (:mod:`chainflux.correlations`); the 2^N eigensystem is
+    computed once, for the whole stack, only where it is read: by the
+    eigenbasis diagonals of the states, and by the jump scan of a chain
+    with a zero mode (:func:`mode_groups`).
     Item c of the stack is chain c's :class:`Chain`, the same object on
     every access.  Every array is read-only.
     """
@@ -308,25 +270,9 @@ class ChainOperators:
     def __getitem__(self, c) -> Chain:
         return self._views[c]
 
-    def take(self, chains) -> ChainOperators:
-        """The stack of only the chains at the indices ``chains``, newly built.
-
-        This stack's :attr:`eigensystem` reads those chains from the new
-        stack's, if that one is computed first.
-        """
-        arrays = [a[chains] for a in (self.hamiltonian, self.epsilons, self.hoppings, self.sites)]
-        read_only(*arrays)
-        stack = ChainOperators(*arrays)
-        self._taken.append((chains, stack))
-        return stack
-
     @cached_property
     def _views(self) -> tuple:
         return tuple(Chain(self, c) for c in range(len(self)))
-
-    @cached_property
-    def _taken(self) -> list:
-        return []  # (chain indices, stack) of each take
 
     @cached_property
     def couplings(self) -> np.ndarray:
@@ -336,28 +282,8 @@ class ChainOperators:
 
     @cached_property
     def eigensystem(self) -> EigenSystem:
-        """The stacked sector eigensystem: energies (k, d), vectors (k, d, d).
-
-        A chain that a stack of :meth:`take` has diagonalized already is
-        read from it, and only the others go to one :func:`diagonalize`
-        call, so each chain is diagonalized once.  ``diagonalize`` gives
-        each matrix the eigenpairs a call on it alone gives, so the arrays
-        are the same bits either way.
-        """
-        todo, known = np.ones(len(self), dtype=bool), []
-        for chains, stack in self._taken:
-            if "eigensystem" in vars(stack):
-                todo[chains] = False
-                known.append((chains, stack.eigensystem))
-        if not known:
-            es = diagonalize(self.hamiltonian)
-        else:
-            if todo.any():
-                known.append((todo, diagonalize(self.hamiltonian[todo])))
-            es = EigenSystem(np.empty(self.hamiltonian.shape[:2]),
-                             np.empty(self.hamiltonian.shape, dtype=complex))
-            for chains, part in known:
-                es.energies[chains], es.vectors[chains] = part.energies, part.vectors
+        """The stacked sector eigensystem: energies (k, d), vectors (k, d, d)."""
+        es = diagonalize(self.hamiltonian)
         read_only(es.energies, es.vectors)
         return es
 
@@ -410,80 +336,6 @@ class Chain:
         return self.stack.eigensystem[self.index]
 
 
-@dataclass(frozen=True, eq=False)
-class ChainStructure:
-    """The rate-free part of the frame generators of a :class:`ChainOperators` stack.
-
-    Temperatures and bath rates enter the generator only through the rates
-    gamma (nbar + 1) and gamma nbar of each channel (frequency bin), so
-    everything here is fixed by the gaps, couplings and approach, and one
-    structure serves every row of every chain of the stack:
-
-    - ``chains``, and ``eigensystem``, their stacked eigensystem, whose
-      ``frame`` is each chain's solve frame;
-    - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
-    - the bins of every chain, chain by chain and reservoir by reservoir:
-      their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
-      at reservoir r are ``edges[2c + r]:edges[2c + r + 1]``;
-    - the jump ``operators`` A and A^dag of each bin in that order, a
-      complex (2 B, d, d) stack (:func:`global_bins`), chain c's from item
-      ``start[c]`` on, and their products A^dag A, ``decay``, item by item;
-    - ``flux_functionals`` (2 B, d, d), D[A]^dag(H) and D[A^dag]^dag(H)
-      of every bin b at items 2 b and 2 b + 1, so that a channel's heat
-      current is gamma (nbar + 1) Tr{F[2 b] rho} + gamma nbar Tr{F[2 b +
-      1] rho} (Alicki's form), rho in the frame;
-    - ``errors``, the DegenerateTransition of each chain, by index, whose
-      eigenbasis route degenerates; such a chain has no bins.
-
-    Each chain's set of unknowns is rate-free too (:meth:`unknown_sets`).
-    Every array is read-only.
-    """
-
-    chains: ChainOperators
-    eigensystem: EigenSystem
-    frame_hamiltonian: np.ndarray
-    omegas: np.ndarray
-    reservoirs: np.ndarray
-    edges: np.ndarray
-    operators: np.ndarray
-    decay: np.ndarray
-    start: np.ndarray
-    flux_functionals: np.ndarray
-    errors: dict
-
-    def rates(self, chain, baths) -> tuple:
-        """Rates of the :attr:`operators` of each row's chain at the row's baths, row after row.
-
-        Row i is on chain ``chain[i]`` at ``baths[i]``, the (temperature,
-        gamma) of each reservoir, (rows, 2, 2).  Returns the (pairs, 2)
-        emission and absorption rates of every row's bins, thermal_rates
-        gamma (nbar + 1) and gamma nbar, with row i's bins at
-        ``offsets[i]:offsets[i + 1]``.  The Bose occupations come from one
-        divide and one ``expm1``, each value bit for bit the
-        :func:`bose_occupation` of its bin.  Raises NonPositiveFrequency for
-        a bin at omega <= 0.
-        """
-        low, high = self.edges[2 * chain], self.edges[2 * chain + 2]
-        offsets = np.zeros(len(chain) + 1, dtype=int)
-        np.cumsum(high - low, out=offsets[1:])
-        bins = np.arange(offsets[-1]) + np.repeat(low - offsets[:-1], high - low)
-        omegas = self.omegas[bins]
-        if (omegas <= 0).any():
-            raise NonPositiveFrequency(f"omega must be > 0, got {omegas[omegas <= 0][0]}")
-        rows, reservoirs = np.repeat(np.arange(len(chain)), high - low), self.reservoirs[bins]
-        return bath_rates(omegas, baths[rows, reservoirs]), offsets
-
-    def unknown_sets(self, chain) -> list:
-        """The coupled set of each chain of ``chain``: one for every rate, its rows share it.
-
-        It closes over the chain's frame H and all of its operators
-        (:func:`~chainflux.generator.coupled_sets`).
-        """
-        chain = np.asarray(chain, dtype=int)
-        count = 2 * (self.edges[2 * chain + 2] - self.edges[2 * chain])
-        return coupled_sets(self.frame_hamiltonian[chain], self.operators, self.start[chain], count)
-
-
 def bath_rates(omegas: np.ndarray, baths: np.ndarray) -> np.ndarray:
     """Emission and absorption rates gamma (nbar + 1), gamma nbar at each omega, (..., 2).
 
@@ -527,77 +379,58 @@ def _site_couplings(n_qubits: int) -> np.ndarray:
     return couplings
 
 
-def chain_structure(chains: ChainOperators) -> ChainStructure:
-    """The rate-free eigenbasis structure of the ``chains`` stack, newly built as one stack.
+def mode_groups(chains: ChainOperators) -> tuple:
+    """The frequency bins of each chain's modes, their channels, and the chains with a zero mode.
 
-    One transition scan over every chain and reservoir
-    (:func:`global_jump_operators`) on the stacked eigensystem, whose jumps
-    are the nonzeros of the bins' operators, laid out as :func:`global_bins`
-    lays them.  Their products A^dag A and functionals D[A]^dag(H) =
-    A^dag H A - {A^dag A, H} / 2 (H diagonal in the frame) are one stacked
-    product each.
-    A chain whose route degenerates keeps its DegenerateTransition in
-    ``errors`` and the others are built as usual.
-    """
-    k, d = len(chains), chains.hamiltonian.shape[-1]
-    errors = {}
-    es = chains.eigensystem
-    jumps = global_jump_operators(es, chains.couplings, errors)
-    first, item, lower, upper = _bin_positions(es, jumps)
-    shape, weights = (2 * len(first), d, d), jumps["weight"]
-    operators = _bin_stack(shape, item, lower, upper, weights, weights.conj())
-    omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
-    edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
-    h = np.take_along_axis(es.energies, es.frame_order, axis=1)
-    frame_H = np.zeros((k, d, d))
-    frame_H[:, np.arange(d), np.arange(d)] = h
-    # D[A]^dag(H)[a, b] = sum_p conj(A[p, a]) A[p, b] (h_p - (h_a + h_b) / 2) is -(X + X^dag) / 2
-    # with X = W^dag A, W[p, q] = A[p, q] (h_q - h_p): each jump times its own Bohr frequency
-    energies = es.energies.reshape(k, d)
-    scaled = weights * (energies[jumps["chain"], jumps["upper"]]
-                        - energies[jumps["chain"], jumps["lower"]])
-    decay = _bin_stack(shape, item, upper, lower, weights.conj(), weights) @ operators
-    weighted = _bin_stack(shape, item, upper, lower, scaled.conj(), -scaled)  # W^dag
-    functionals = weighted @ operators
-    functionals += np.conj(functionals.swapaxes(1, 2), out=weighted)
-    functionals *= -0.5
-    start = edges[:-1:2] * 2
-    read_only(operators, decay, frame_H, omegas, reservoirs, edges, start, functionals)
-    return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
-                          reservoirs=reservoirs, edges=edges, operators=operators, decay=decay,
-                          start=start, flux_functionals=functionals, errors=errors)
-
-
-def mode_route(chains: ChainOperators) -> tuple:
-    """Which chains' global rows come from their free-fermion modes, and the modes' channels.
-
-    There every global jump is one mode's f_k or f_k^dag: the |omega_k|
-    (:attr:`ChainOperators.modes`) are pairwise farther apart than the bin
-    tolerance of :func:`global_jump_operators` (SECULAR_TOL relative to the
-    many-body energy scale, sum_k |omega_k| / 2), every mode has weight at
-    an attached site, and none is below MODE_OMEGA_MIN.  Returns that mask
-    (k,) and ``bright`` (k, 2, n), where mode k is a channel of reservoir
-    r: |phi_k(site_r)| above ELEMENT_TOL, as a jump of the block is kept.
+    Every global jump is one mode's f_k, or f_k^dag where omega_k < 0, at
+    |omega_k| (:attr:`ChainOperators.modes`).  The modes share bins as
+    :func:`global_jump_operators` bins its jumps: walked from the lowest
+    |omega_k|, a mode opens a new group where it lies more than SECULAR_TOL
+    times the many-body energy scale max(1, sum_k |omega_k| / 2) above the
+    mode that opened the current one.  Returns ``group`` (k, n), each
+    mode's group, numbered from 0 by ascending |omega|; ``bright``
+    (k, 2, n), where mode k is a channel of reservoir r: |phi_k(site_r)|
+    above ELEMENT_TOL, as a jump is kept; and ``errors``, by chain index,
+    the DegenerateTransition of each chain with a bright mode at |omega_k|
+    <= OMEGA_MIN: the one :func:`global_jump_operators` gives on the
+    chain's 2^N eigensystem, else one at that |omega_k|.
     """
     omega, phi = chains.modes
     freqs = np.abs(omega)
-    bright = np.abs(np.take_along_axis(phi, chains.sites[:, :, None], axis=1)) > ELEMENT_TOL
+    bright = np.abs(phi[np.arange(len(phi))[:, None], chains.sites]) > ELEMENT_TOL
     tol = SECULAR_TOL * np.maximum(1.0, 0.5 * freqs.sum(axis=1))
-    apart = (np.diff(freqs, axis=1) > tol[:, None]).all(axis=1)
-    return apart & bright.any(axis=1).all(axis=1) & (freqs[:, 0] >= MODE_OMEGA_MIN), bright
+    new = np.ones(freqs.shape, dtype=bool)
+    new[:, 1:] = freqs[:, 1:] - freqs[:, :-1] > tol[:, None]
+    for c in np.flatnonzero(~new.all(axis=1)).tolist():  # a shared bin: the walk
+        low = freqs[c, 0]
+        for k in range(1, freqs.shape[1]):
+            if new[c, k] or freqs[c, k] - low > tol[c]:
+                new[c, k], low = True, freqs[c, k]
+    errors = {}
+    if (freqs[:, 0] <= OMEGA_MIN).any():  # the lowest |omega_k| comes first
+        soft = bright.any(axis=1) & (freqs <= OMEGA_MIN)
+        zero, found = np.flatnonzero(soft.any(axis=1)), {}
+        if len(zero):
+            global_jump_operators(chains.eigensystem[zero], chains.couplings[zero], found)
+        for i, c in enumerate(zero.tolist()):
+            omega_min = float(freqs[c][soft[c]].min())
+            errors[c] = found.get(i) or DegenerateTransition(
+                f"mode at |omega| = {omega_min:.3e} below cutoff {OMEGA_MIN:.1e}",
+                omega=omega_min)
+    return np.cumsum(new, axis=1) - 1, bright, errors
 
 
-def assemble(spec: ChainSpec, approach: str) -> ChainStructure:
-    """The global structure of ``spec``'s chain alone, newly built (:func:`chain_structure`).
+def assemble(spec: ChainSpec, approach: str) -> tuple:
+    """``spec``'s chain alone as a :class:`ChainOperators` stack, newly built, and its global jumps.
 
-    Raises DegenerateTransition where the eigenbasis route degenerates.
-    The local approach has no frame structure: it is solved through its
-    correlation matrix (:mod:`chainflux.correlations`), and its dense
-    generator is :func:`build_liouvillian` of :func:`build_local_dissipator`.
+    The jumps are :func:`global_jump_operators` of the chain's eigensystem,
+    from which ``tests/oracles.py`` builds the dense global model; raises
+    DegenerateTransition where the eigenbasis route degenerates.  The local
+    approach is solved through its correlation matrix
+    (:mod:`chainflux.correlations`), and its dense generator is
+    :func:`build_liouvillian` of :func:`build_local_dissipator`.
     """
     if approach != "global":
         raise ValueError(f"only the global approach is assembled, got {approach!r}")
-    structure = chain_structure(chain_operators([spec]))
-    if structure.errors:
-        raise structure.errors[0]
-    return structure
+    chains = chain_operators([spec])
+    return chains, global_jump_operators(chains.eigensystem, chains.couplings)

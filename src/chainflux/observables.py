@@ -8,10 +8,10 @@ implementation so that zero temperature stays exact and nothing is ever
 exponentiated.
 
 The numeric pipeline solves stacks of rows as columns (:func:`chain_reports`).
-Local rows, and the global rows of chains whose bins keep their modes
-apart (:func:`~chainflux.lindblad.mode_route`), are solved through N x N
-correlation matrices (:mod:`chainflux.correlations`); the global rows of
-every other chain by the real block on the chain's eigenbasis structure.
+Every row, local or global, is solved through an N x N correlation matrix
+(:mod:`chainflux.correlations`): the local rows from the site fermions, the
+global rows from the chain's modes, grouped by shared frequency bin
+(:func:`~chainflux.lindblad.mode_groups`).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .errors import (
     DimensionMismatch,
 )
 from . import correlations
-from .correlations import global_steady_states, local_steady_states
-from .generator import real_superoperator, unvectorize, vectorize
+from .correlations import global_steady_states, group_steady_states, local_steady_states
+from .generator import unvectorize, vectorize
 from .lindblad import (
     OMEGA_MIN,
     Chain,
@@ -37,19 +37,18 @@ from .lindblad import (
     bath_rates,
     bose_occupation,
     chain_operators,
-    chain_structure,
-    mode_route,
+    mode_groups,
 )
 from .model import BathSpec, ChainSpec
-from .operators import excited_qubits, number_operator
-from .steady import solve_hermitian, unique, uniqueness_error
+from .operators import number_operator
+from .steady import unique, uniqueness_error
 
 _FORM_TOL = 1e-12
 
-# The steady solves go in stacks of at most this many block elements
-# (128 KB per real array): stacks of more than about eight m = 70 systems
-# solved slower per row than single ones, and larger stacks raise the peak
-# memory of every sweep process.
+# The steady solves go in stacks of at most this many elements (128 KB per
+# real array): of the N^2 x N^2 correlation systems of the local rows and
+# of the global rows with a shared bin, and of the 2^N mode Fock energies
+# of the closed-form global rows, which bounds the peak memory of a sweep.
 _GRID_ELEMENTS = 1 << 14
 
 
@@ -260,14 +259,13 @@ class SteadyReport:
 
     A view of one row of a :class:`SteadyColumns`, built when asked for;
     ``rho`` is the state in the site basis, built with the view from the
-    row's correlation matrix unless the real block solved it.
-    ``residual`` is |L(rho)|_F, in closed form from that matrix where there
-    is one.  ``rcond`` and ``unknowns`` are the solver's 1-norm reciprocal
-    condition number and the number of real coordinates it solved for: the
-    block's, the local row's N^2, or a global row's N mode occupations with
-    rcond min_k Lambda_k / max_k Lambda_k; ``chain`` gives
-    the chain's eigensystem, computed on first use and shared by the
-    reports of both approaches on the chain.
+    row's correlation matrix.  ``residual`` is |L(rho)|_F, in closed form
+    from that matrix.  ``rcond`` and ``unknowns`` are the solver's 1-norm
+    reciprocal condition number and the number of real coordinates it
+    solved for: N^2 for a local row or a global row with a shared bin, N
+    for a global row solved mode by mode, with rcond min_k Lambda_k / max_k
+    Lambda_k; ``chain`` gives the chain's eigensystem, computed on first
+    use and shared by the reports of both approaches on the chain.
     """
 
     spec: ChainSpec
@@ -289,19 +287,18 @@ class SteadyColumns(Sequence):
     ``populations`` (rows, N), ``fluxes`` (rows, 2), ``residual``, ``rcond``
     and ``unknowns`` are columns; ``errors`` maps each row not solved to its
     DegenerateTransition (with its omega) or DegenerateKernel (with its
-    rcond), and such a row's entries are no result.  Row i, if the real
-    block solved it, keeps its site-basis state at ``rho[kept[i]]``
-    (``kept[i]`` is -1 otherwise), and else only its correlation matrix C
-    at ``correlations[i]`` (rows, N, N; None where no row has one).  The row
-    views and :meth:`rho_diagonals` read the states from :meth:`states`.
-    ``channels`` holds the channel fluxes in bin order, zero-padded.  Row i
-    is on chain ``chain[i]`` of the call's ``chains``, and its channels are
-    the bins at ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by reservoir
-    (:class:`~chainflux.lindblad.ChainStructure`); nothing else of the
-    approach's structure is kept.  ``baths[i]`` holds the
-    (temperature, gamma) of each reservoir of row i.  ``columns[i]`` builds
-    row i's :class:`SteadyReport`, with the spec of its chain and baths, or
-    gives its error.
+    rcond), and such a row's entries are no result.  Row i keeps only its
+    correlation matrix, ``correlations[i]`` (rows, N, N): over the site
+    fermions, or, where ``hole_frame[i]``, over the hole-frame modes of its
+    chain (:func:`~chainflux.correlations.group_steady_states`).  The row
+    views and :meth:`rho_diagonals` build the states from it
+    (:meth:`states`).  ``channels`` holds the channel fluxes in bin order,
+    zero-padded.  Row i is on chain ``chain[i]`` of the call's ``chains``,
+    and its channels are the bins at ``omegas[edges[2c]:edges[2c + 2]]``,
+    reservoir by reservoir.  ``baths[i]`` holds the (temperature, gamma) of
+    each reservoir of row i.  ``columns[i]`` builds row i's
+    :class:`SteadyReport`, with the spec of its chain and baths, or gives
+    its error.
     """
 
     approach: str
@@ -311,9 +308,8 @@ class SteadyColumns(Sequence):
     rcond: np.ndarray
     unknowns: np.ndarray
     errors: dict
-    rho: np.ndarray
-    kept: np.ndarray
-    correlations: np.ndarray | None
+    correlations: np.ndarray
+    hole_frame: np.ndarray
     channels: np.ndarray
     chains: ChainOperators
     chain: np.ndarray
@@ -344,20 +340,22 @@ class SteadyColumns(Sequence):
             rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]), chain=self.chains[c])
 
     def states(self, rows) -> np.ndarray:
-        """The site-basis states of ``rows``, (rows, d, d): kept, or built from C.
+        """The site-basis states of ``rows``, (rows, d, d), built on each call.
 
-        A row the real block solved keeps its state at ``rho[kept[i]]``; any
-        other row's is the Gaussian state of its correlation matrix
-        (:func:`~chainflux.correlations._gaussian_states`), built on each
-        call.
+        Each is the Gaussian state of the row's correlation matrix
+        (:func:`~chainflux.correlations._gaussian_states`), in its hole
+        frame where ``hole_frame`` marks it.
         """
         rows = np.arange(len(self))[rows]
-        at = self.kept[rows]
-        gaussian = at < 0
-        out = np.empty((len(rows),) + self.rho.shape[1:], dtype=complex)
-        out[~gaussian] = self.rho[at[~gaussian]]
-        if gaussian.any():
-            out[gaussian] = correlations._gaussian_states(self.correlations[rows[gaussian]])
+        n = self.correlations.shape[-1]
+        out = np.empty((len(rows), 2**n, 2**n), dtype=complex)
+        holes = self.hole_frame[rows]
+        if not holes.all():
+            out[~holes] = correlations._gaussian_states(self.correlations[rows[~holes]])
+        if holes.any():
+            omega, phi = (a[self.chain[rows[holes]]] for a in self.chains.modes)
+            out[holes] = correlations._gaussian_states(self.correlations[rows[holes]], phi,
+                                                       omega < 0)
         return out
 
     def rho_diagonals(self, rows) -> np.ndarray:
@@ -415,18 +413,11 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
     :class:`ChainOperators` stack, so every H is built once for every
     approach, and its modes and eigensystem computed once where read.
 
-    The global rows of chains whose bins keep their modes apart
-    (:func:`~chainflux.lindblad.mode_route`) come from their modes
-    (:func:`_global_reports`).  The others use one
-    :class:`~chainflux.lindblad.ChainStructure` stack of only their chains,
-    dropped once they are solved.  They are grouped by their
-    chain's set of unknowns, one per chain whatever its rates, across
-    chains: every row of a temperature sweep, at T = 0 or not, and the
-    rows of chains whose frame generators couple the same entries.  Each
-    group is solved in stacks of at most ``_GRID_ELEMENTS`` block elements
-    (:func:`_stack_reports`).  Every row of a chain whose eigenbasis route
-    degenerates gets that DegenerateTransition (the other chains of the
-    call are solved as usual).
+    The global rows come from the modes of their chains
+    (:func:`_global_reports`): mode by mode where no bin holds two modes,
+    else by one N^2 system in the chain's hole frame.  Every row of a chain
+    with a zero mode gets that chain's DegenerateTransition (the other
+    chains of the call are solved as usual).
 
     The local rows are solved through their N x N correlation matrices
     (:func:`~chainflux.correlations.local_steady_states`), every row of
@@ -450,7 +441,7 @@ def _no_reports(approach) -> SteadyColumns:
     return SteadyColumns(
         approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
         residual=empty, rcond=empty, unknowns=none, errors={},
-        rho=np.zeros((0, 1, 1), dtype=complex), kept=none, correlations=None,
+        correlations=np.zeros((0, 0, 0)), hole_frame=np.zeros(0, dtype=bool),
         channels=np.zeros((0, 0)),
         chains=None, chain=none, baths=np.zeros((0, 2, 2)), omegas=empty,
         edges=np.zeros(1, dtype=int))
@@ -459,102 +450,56 @@ def _no_reports(approach) -> SteadyColumns:
 def _global_reports(chains, chain, baths) -> SteadyColumns:
     """:func:`chain_reports` under the global approach, on the call's ``chains`` stack.
 
-    The rows on chains of :func:`~chainflux.lindblad.mode_route` come from
-    their free-fermion modes (:func:`~chainflux.correlations.global_steady_states`),
-    in stacks of at most ``_GRID_ELEMENTS / 2^N`` rows, and keep their
-    correlation matrices; their channels are each reservoir's bright modes
-    by ascending |omega_k|, and their ``unknowns`` read N.  The other rows
-    are solved by the real block (:func:`_approach_reports`) on the
-    structure of a stack of only their chains, and keep their states; the
-    call's stack reads those chains' eigensystems from it.
+    Each chain's modes are grouped by shared bin, and its channels are
+    each reservoir's groups with a bright mode, by ascending |omega|, each
+    at its modes' mean |omega_k| (:func:`~chainflux.lindblad.mode_groups`).
+    The rows on chains where every group holds one mode come from their
+    modes in closed form (:func:`~chainflux.correlations.global_steady_states`),
+    in stacks of at most ``_GRID_ELEMENTS / 2^N`` rows, and their
+    ``unknowns`` read N; those on chains with a shared bin from the N^2
+    system of their hole frame
+    (:func:`~chainflux.correlations.group_steady_states`), in stacks of at
+    most ``_GRID_ELEMENTS / N^4`` rows, and their ``unknowns`` read N^2.
+    Every row keeps its correlation matrix.  The rows of a chain with a
+    bright zero mode get its DegenerateTransition and are not solved.
     """
     (c, n), k = chains.epsilons.shape, len(chain)
-    route, bright = mode_route(chains)
-    others, at = np.flatnonzero(~route), np.flatnonzero(~route[chain])
-    counts = bright.sum(axis=2)  # channels per chain and reservoir
-    rho = np.zeros((0,) + chains.hamiltonian.shape[1:], dtype=complex)
-    if len(others):
-        block = _approach_reports(chain_structure(chains.take(others)),
-                                  np.searchsorted(others, chain[at]), baths[at])
-        counts[others] = np.diff(block.edges).reshape(-1, 2)
-        rho = block.rho
+    group, lit, zero = mode_groups(chains)
+    freqs, shared = np.abs(chains.modes[0]), group[:, -1] < n - 1
+    if shared.any():  # each group's channels, and its mean |omega_k|
+        members = group[:, :, None] == np.arange(n)
+        lit = (lit[:, :, :, None] & members[:, None]).any(axis=2)
+        freqs = np.einsum("cm,cmg->cg", freqs, members) / members.sum(axis=1).clip(1)
+    counts = lit.sum(axis=2)  # channels per chain and reservoir
     edges = np.zeros(2 * c + 1, dtype=int)
     np.cumsum(counts, out=edges[1:])
-    omegas, owner = np.zeros(edges[-1]), route[np.repeat(np.arange(c), counts.sum(axis=1))]
-    freqs = np.abs(chains.modes[0])
-    omegas[owner] = np.broadcast_to(freqs[:, None], bright.shape)[bright & route[:, None, None]]
     out = SteadyColumns(
         approach="global",
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
-        rcond=np.zeros(k), unknowns=np.full(k, n), errors={}, rho=rho, kept=np.full(k, -1),
-        correlations=np.zeros((k, n, n), dtype=complex),
+        rcond=np.zeros(k), unknowns=np.where(shared[chain], n * n, n), errors={},
+        correlations=np.zeros((k, n, n), dtype=complex), hole_frame=shared[chain],
         channels=np.zeros((k, counts.sum(axis=1).max(initial=0))),
-        chains=chains, chain=chain, baths=baths, omegas=omegas, edges=edges)
-    if len(others):
-        omegas[~owner] = block.omegas
-        (out.populations[at], out.fluxes[at], out.residual[at], out.rcond[at],
-         out.unknowns[at]) = (block.populations, block.fluxes, block.residual, block.rcond,
-                              block.unknowns)
-        out.channels[at, :block.channels.shape[1]] = block.channels
-        out.kept[at] = np.arange(len(at))
-        out.errors.update((int(at[i]), error) for i, error in block.errors.items())
-    modes, step = np.flatnonzero(route[chain]), max(1, _GRID_ELEMENTS // 2**n)
-    for rows in (modes[i:i + step] for i in range(0, len(modes), step)):
-        on = chain[rows]
-        omega, phi = (a[on] for a in chains.modes)
-        (out.populations[rows], out.fluxes[rows], channels, out.correlations[rows],
-         out.residual[rows], out.rcond[rows]) = global_steady_states(omega, phi,
-                                                                     chains.sites[on], baths[rows])
-        mask = bright[on].reshape(len(rows), -1)
-        out.channels[rows[np.nonzero(mask)[0]], (np.cumsum(mask, axis=1) - 1)[mask]] = (
-            channels.reshape(len(rows), -1)[mask])
-    for i in modes[~unique(out.rcond[modes], n)].tolist():
-        out.errors[i] = uniqueness_error(out.rcond[i], n)
-    return out
-
-
-def _approach_reports(structure, chain, baths) -> SteadyColumns:
-    """:func:`chain_reports` from the real block, on the call's ``structure`` stack.
-
-    Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
-    reservoir in ``baths[i]``.  The rates of every row and bin are one
-    array (:meth:`~chainflux.lindblad.ChainStructure.rates`), and the rows
-    are grouped by their chain's bin count and set of unknowns, one set per
-    chain whatever its rates.
-    """
-    failed = np.isin(chain, list(structure.errors))
-    errors = {i: structure.errors[chain[i]] for i in np.flatnonzero(failed).tolist()}
-    rows = np.flatnonzero(~failed)
-    rates, offsets = structure.rates(chain[rows], baths[rows])
-    chains, which = np.unique(chain[rows], return_inverse=True)
-    sets, bins = structure.unknown_sets(chains), np.diff(structure.edges[::2])[chains].tolist()
-    keys = {}  # (bin count, set of unknowns) -> its group
-    group = np.array([keys.setdefault((b, u.dim, u.rows.tobytes(), u.cols.tobytes()), len(keys))
-                      for b, u in zip(bins, sets)], dtype=int)
-    k, d, n = len(chain), structure.frame_hamiltonian.shape[-1], structure.chains.epsilons.shape[1]
-    width = int(np.diff(structure.edges[::2]).max(initial=0))
-    out = SteadyColumns(
-        approach="global",
-        populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
-        rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
-        rho=np.zeros((k, d, d), dtype=complex), kept=np.arange(k), correlations=None,
-        channels=np.zeros((k, width)),
-        chains=structure.chains, chain=chain, baths=baths, omegas=structure.omegas,
-        edges=structure.edges)
-    for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
-        unknowns, members = sets[i], np.flatnonzero(group[which] == g)
-        m = unknowns.size
-        step = max(1, _GRID_ELEMENTS // m**2)
-        for start in range(0, len(members), step):
-            stack = members[start:start + step]
-            row_rates = rates[offsets[stack][:, None] + np.arange(bins[i])].reshape(len(stack), -1)
-            at = rows[stack]
-            out.populations[at], out.fluxes[at], channels, out.rho[at], sol = _stack_reports(
-                structure, chain[at], row_rates, unknowns)
-            out.channels[at, :channels.shape[1]] = channels
-            out.residual[at], out.rcond[at], out.unknowns[at] = sol.residual, sol.rcond, m
-            for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
-                errors[int(at[j])] = uniqueness_error(sol.rcond[j], m)
+        chains=chains, chain=chain, baths=baths,
+        omegas=np.broadcast_to(freqs[:, None], lit.shape)[lit], edges=edges)
+    failed = np.zeros(c, dtype=bool)
+    failed[list(zero)] = True
+    failed = failed[chain]
+    out.errors.update((i, zero[chain[i]]) for i in np.flatnonzero(failed).tolist())
+    for route, solve, size in ((~shared, global_steady_states, 2**n),
+                               (shared, group_steady_states, n**4)):
+        todo, step = np.flatnonzero(route[chain] & ~failed), max(1, _GRID_ELEMENTS // size)
+        for rows in (todo[i:i + step] for i in range(0, len(todo), step)):
+            on = chain[rows]
+            omega, phi = (a[on] for a in chains.modes)
+            groups = (group[on],) if solve is group_steady_states else ()
+            (out.populations[rows], out.fluxes[rows], channels, out.correlations[rows],
+             out.residual[rows], out.rcond[rows]) = solve(omega, phi, *groups, chains.sites[on],
+                                                          baths[rows])
+            mask = lit[on].reshape(len(rows), -1)
+            out.channels[rows[np.nonzero(mask)[0]], (np.cumsum(mask, axis=1) - 1)[mask]] = (
+                channels.reshape(len(rows), -1)[mask])
+        for i in todo[~unique(out.rcond[todo], out.unknowns[todo])].tolist():
+            out.errors[i] = uniqueness_error(out.rcond[i], int(out.unknowns[i]))
     return out
 
 
@@ -571,8 +516,8 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
         approach="local",
         populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.full(k, n * n), errors={},
-        rho=np.zeros((0, 2**n, 2**n), dtype=complex), kept=np.full(k, -1),
-        correlations=np.zeros((k, n, n), dtype=complex), channels=np.zeros((k, 2)),
+        correlations=np.zeros((k, n, n), dtype=complex), hole_frame=np.zeros(k, dtype=bool),
+        channels=np.zeros((k, 2)),
         chains=chains, chain=chain, baths=baths, omegas=omegas.reshape(-1),
         edges=np.arange(2 * c + 1))
     step = max(1, _GRID_ELEMENTS // n**4)
@@ -588,52 +533,3 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
     for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():
         out.errors[i] = uniqueness_error(out.rcond[i], n * n)
     return out
-
-
-def _imaginary_residue(values: np.ndarray, what: str) -> np.ndarray:
-    worst = np.abs(values.imag).max(initial=0.0)
-    if worst > 1e-10:
-        raise ValueError(f"{what} has imaginary residue {worst:.3e}")
-    return values.real
-
-
-def _stack_reports(structure, chain, rates, unknowns) -> tuple:
-    """Populations, fluxes, channel fluxes, site-basis states and solution of a stack of rows.
-
-    The rows share ``unknowns``; row j is on chain ``chain[j]`` of
-    ``structure``, at ``rates[j]``.  The blocks are gathered at once on the
-    unknowns, each from its own chain's H and dense stack of jump
-    operators, taken to the real coordinates of a Hermitian rho
-    (:func:`~chainflux.generator.real_superoperator`) and solved by one
-    stacked call (:func:`~chainflux.steady.solve_hermitian`).
-    Tr{H D(rho)} is linear in rho: gamma (nbar + 1) Tr{F_e rho} + gamma
-    nbar Tr{F_a rho} with the flux functionals F_e = D[A]^dag(H) and F_a =
-    D[A^dag]^dag(H) of each bin.  rho is zero off the unknowns (r_i, c_i),
-    so each trace is the sum of F[c_i, r_i] rho[r_i, c_i] over them: the
-    functionals are read only there (at (r_i, c_i) they would give
-    Tr{F rho^T}, wrong wherever the frame state has complex coherences),
-    and each reservoir's flux is the sum of its channel fluxes in channel
-    order.  Each rho is then taken to the site basis, once, and each row's
-    populations are summed off its own diagonal, whatever its stack.
-    """
-    k, d = len(chain), unknowns.dim
-    bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
-    R = real_superoperator(structure.frame_hamiltonian[chain], structure.operators,
-                           structure.decay, rates, unknowns, structure.start[chain])
-    sol = solve_hermitian(R, unknowns)
-    items = 2 * first[:, None, None] + np.arange(2 * bins)[:, None]
-    functionals = structure.flux_functionals.reshape(-1, d * d)[
-        items, unknowns.cols * d + unknowns.rows]
-    states = sol.rho.reshape(k, 1, d * d)[:, :, unknowns.rows * d + unknowns.cols]
-    traces = (functionals * states).sum(axis=2)
-    channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
-    channels = _imaginary_residue(channels, "heat flux")
-    fluxes = np.zeros((k, 2))
-    reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
-    np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
-    frames = structure.eigensystem.frame[chain]
-    rho = frames @ sol.rho @ frames.conj().swapaxes(1, 2)
-    diagonal = _imaginary_residue(np.diagonal(rho, axis1=1, axis2=2), "population")
-    occupations = excited_qubits(structure.chains.epsilons.shape[1])
-    populations = (diagonal[:, None] * occupations).sum(axis=2)
-    return populations, fluxes, channels, rho, sol

@@ -1,9 +1,10 @@
-"""Steady states by constrained linear solve in the real coordinates of a Hermitian rho.
+"""Steady states by constrained linear solve in the real coordinates of a Hermitian matrix.
 
-The sweep solves stacks of real blocks (:func:`solve_hermitian`);
-:func:`solve_steady` takes a complex generator instead, for the dense
-oracles of the tests, and stays here because the benchmark harness
-(``perfbench/tracing.py``) binds it by name.
+The sweep solves stacks of N^2 correlation systems (:func:`checked_inverse`,
+:func:`unique`).  :func:`solve_steady` takes a dense complex generator,
+for the oracles of the tests, and stays here because the benchmark harness
+(``perfbench/tracing.py``) binds it by name; :func:`solve_hermitian` is its
+body.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
     """Steady states of a (k, m, m) stack of real blocks in the coordinates of a Hermitian rho.
 
     ``R`` is U^dag L U on ``unknowns`` (:class:`~chainflux.generator.Unknowns`),
-    as :func:`~chainflux.generator.real_superoperator` builds it.  The trace
+    as :meth:`~chainflux.generator.Unknowns.hermitian` builds it.  The trace
     constraint replaces one row per block, chosen among the rows of
     diagonal entries: trace preservation makes those rows sum to zero, so
     dropping the one with the largest diagonal magnitude never removes an
@@ -157,8 +158,7 @@ def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
     in a stack, such a row gets a zero rho and its ``rcond`` tells it apart
     (:func:`uniqueness_error`).  A residual above RESIDUAL_TOL * |L| raises
     NoConvergence.  The whole stack is solved by one stacked LAPACK call, so
-    callers keep stacks small (the sweep's hold at most ``_GRID_ELEMENTS``
-    block elements).
+    callers keep stacks small.
     """
     single = L.ndim == 2
     stack = L[None] if single else L

@@ -395,14 +395,13 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     2^N x 2^N Hamiltonians (32 chains at N = 5, 128 at N = 4, 512 at
     N = 3), which bounds the memory of a call: a K or eps scan gives each
     point its own chain, and a temperature sweep one chain to all, so it
-    is one chunk.  In a chunk the local rows go in stacks of N x N
-    correlation matrices, the global rows of chains whose modes stay apart
-    (the mode route) in stacks of ``_GRID_ELEMENTS // 2^N`` rows
-    (:mod:`chainflux.observables`), and only the global rows of the other
-    chains (the real block) are grouped by set of unknowns, across chains:
-    a temperature sweep of such a chain is one stacked solve, its rows at
-    T = 0 included, and the block chains of a K or eps scan that couple the
-    same entries are solved together.
+    is one chunk.  In a chunk every row is solved from an N x N
+    correlation matrix (:mod:`chainflux.observables`): the local rows in
+    stacks of their N^2 systems, and the global rows from their chain's
+    modes, mode by mode where no frequency bin holds two modes, else by the
+    N^2 system of the chain's hole frame, in which every global generator
+    conserves the number of fermions.  The chunk's 2^N eigensystems are
+    built only where ``rho_diagonals`` is read or a chain has a zero mode.
 
     ``workers`` is ignored.  It is kept only because the benchmark harness
     passes ``workers=2`` for its ``kscan4_par`` workload; the benchmark

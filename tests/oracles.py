@@ -12,43 +12,58 @@ correlation route's tables from dense operators (:func:`pair_tables`,
 stack of states by gathers (:func:`site_generator`), against which the
 correlation route's closed-form residual is checked; the register layouts
 from dense site operators (:func:`hamiltonian_layout`,
-:func:`site_couplings`); the local approach's real block: its structure
-of dense sigma^+- operators in the site basis (:func:`local_structure`), solved
-on its coupled set of C(2N, N) unknowns by the package's stacked block
-solve, and the global approach's block on every chain
-(:func:`block_reports`), where the package solves the local rows through
-their N x N correlation matrices and the global rows of chains whose bins
-keep the modes apart from those modes; and the global approach's
+:func:`site_couplings`).
+
+The real block (:func:`block_reports`), which the package solved its
+global rows of chains with shared bins by until it solved every row from
+N x N correlation matrices: each chain's rate-free structure
+(:class:`ChainStructure`), the eigenbasis one of its binned jumps
+(:func:`global_structure`) or the local one of dense sigma^+- operators in
+the site basis (:func:`local_structure`); the entries of rho its generator
+joins to the diagonal (:func:`coupled_sets`); the generator on them in the
+real coordinates of a Hermitian rho (:func:`real_superoperator`), solved by
+the package's ``steady.solve_hermitian``.  And the global approach's
 free-fermion form (:func:`global_free_fermion`), which shares no layer
 with the package's eigenbasis route.
 """
 
+from __future__ import annotations
+
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 import chainflux.lindblad
-import chainflux.observables
 from chainflux import (
     ChainfluxError,
     ChainSpec,
     DegenerateTransition,
     DimensionMismatch,
     NoConvergence,
+    NonPositiveFrequency,
     bose_occupation,
 )
 from chainflux.generator import (
     Unknowns,
+    _unknowns,
     full_unknowns,
     read_only,
     superoperator,
     unvectorize,
     vectorize,
 )
-from chainflux.lindblad import OMEGA_MIN, SECULAR_TOL, ChainStructure, chain_operators
-from chainflux.observables import _two_bath_flux
+from chainflux.lindblad import (
+    OMEGA_MIN,
+    SECULAR_TOL,
+    bath_rates,
+    chain_operators,
+    global_bins,
+    global_jump_operators,
+)
+from chainflux.observables import SteadyColumns, _two_bath_flux
+from chainflux.steady import solve_hermitian, unique, uniqueness_error
 from chainflux.operators import (
     EigenSystem,
     excited_qubits,
@@ -81,7 +96,7 @@ class LindbladModel:
     """Generator of one chain under one approach at one set of bath rates.
 
     ``structure`` is the rate-free part of a stack of this one chain
-    (the package's eigenbasis structure for the global approach,
+    (:func:`global_structure` for the global approach,
     :func:`local_structure` for the local one); the rates of its jump
     operators come from ``spec``'s baths.  The steady state is solved in
     the frame ``eigensystem.frame``, the eigenbasis for the global
@@ -438,6 +453,158 @@ def site_couplings(n_qubits: int) -> np.ndarray:
                      for q in range(n_qubits)])
 
 
+@dataclass(frozen=True, eq=False)
+class ChainStructure:
+    """The rate-free part of the real block's frame generators of a ChainOperators stack.
+
+    Temperatures and bath rates enter the generator only through the rates
+    gamma (nbar + 1) and gamma nbar of each channel (frequency bin), so
+    everything here is fixed by the gaps, couplings and approach, and one
+    structure serves every row of every chain of the stack:
+
+    - ``chains``, and ``eigensystem``, their stacked eigensystem, whose
+      ``frame`` is each chain's solve frame;
+    - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
+    - the bins of every chain, chain by chain and reservoir by reservoir:
+      their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
+      at reservoir r are ``edges[2c + r]:edges[2c + r + 1]``;
+    - the jump ``operators`` A and A^dag of each bin in that order, a
+      complex (2 B, d, d) stack, chain c's from item ``start[c]`` on, and
+      their products A^dag A, ``decay``, item by item;
+    - ``flux_functionals`` (2 B, d, d), D[A]^dag(H) and D[A^dag]^dag(H)
+      of every bin, so that a channel's heat current is gamma (nbar + 1)
+      Tr{F[2 b] rho} + gamma nbar Tr{F[2 b + 1] rho}, rho in the frame;
+    - ``errors``, the DegenerateTransition of each chain, by index, whose
+      eigenbasis route degenerates; such a chain has no bins.
+    """
+
+    chains: object
+    eigensystem: EigenSystem
+    frame_hamiltonian: np.ndarray
+    omegas: np.ndarray
+    reservoirs: np.ndarray
+    edges: np.ndarray
+    operators: np.ndarray
+    decay: np.ndarray
+    start: np.ndarray
+    flux_functionals: np.ndarray
+    errors: dict
+
+    def rates(self, chain, baths) -> tuple:
+        """Emission and absorption rates (pairs, 2) of the bins of each row, row after row.
+
+        Row i is on chain ``chain[i]`` at ``baths[i]``, the (temperature,
+        gamma) of each reservoir, (rows, 2, 2); row i's bins are at
+        ``offsets[i]:offsets[i + 1]``.  Raises NonPositiveFrequency for a
+        bin at omega <= 0.
+        """
+        low, high = self.edges[2 * chain], self.edges[2 * chain + 2]
+        offsets = np.zeros(len(chain) + 1, dtype=int)
+        np.cumsum(high - low, out=offsets[1:])
+        bins = np.arange(offsets[-1]) + np.repeat(low - offsets[:-1], high - low)
+        omegas = self.omegas[bins]
+        if (omegas <= 0).any():
+            raise NonPositiveFrequency(f"omega must be > 0, got {omegas[omegas <= 0][0]}")
+        rows, reservoirs = np.repeat(np.arange(len(chain)), high - low), self.reservoirs[bins]
+        return bath_rates(omegas, baths[rows, reservoirs]), offsets
+
+    def unknown_sets(self, chain) -> list:
+        """The coupled set of each chain of ``chain`` (:func:`coupled_sets`)."""
+        chain = np.asarray(chain, dtype=int)
+        count = 2 * (self.edges[2 * chain + 2] - self.edges[2 * chain])
+        return coupled_sets(self.frame_hamiltonian[chain], self.operators, self.start[chain], count)
+
+
+def equal_pairs(keys: np.ndarray) -> tuple:
+    """Every ordered pair (j, k) of places of ``keys`` holding the same key, by j, then k.
+
+    Equal keys must be adjacent.
+    """
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(keys)))
+    size = np.repeat(sizes, sizes)  # the size of each place's run
+    j = np.repeat(np.arange(len(keys)), size)
+    k = np.arange(len(j)) + np.repeat(np.repeat(starts, sizes) - (np.cumsum(size) - size), size)
+    return j, k
+
+
+def coupled_sets(H: np.ndarray, operators: np.ndarray, first, count) -> list:
+    """The entries of rho that the generator of each H[j] (k, d, d) joins to the diagonal.
+
+    Row j's operators are the items first[j] .. first[j] + count[j] - 1 of
+    the (T, d, d) stack ``operators``, in pairs A, A^dag.  The generator
+    links entry (r, c) to (r', c) where J[r', r] != 0, to (r, c') where
+    J[c', c] != 0, and to (r', c') where A[r', r] and A[c', c] are both
+    nonzero, J = -iH - sum rate * A^dag A / 2.  A row's set is every entry
+    reached from a diagonal one over these links taken in both directions;
+    a zero rate only removes links, so one set serves every row of a
+    chain.  It holds every diagonal entry, so restricting the solve to it
+    is exact.
+    """
+    d = H.shape[-1]
+    return [_coupled_unknowns(d, 1 + n // 2, np.packbits(np.concatenate(
+                [h[None] != 0, operators[f:f + n:2] != 0])).tobytes())
+            for h, f, n in zip(H, np.asarray(first).tolist(), np.asarray(count).tolist())]
+
+
+@lru_cache(maxsize=64)
+def _coupled_unknowns(dim: int, count: int, key: bytes) -> Unknowns:
+    """The closure of :func:`coupled_sets` over H's pattern and those of the A's after it."""
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=count * dim * dim)
+    flat = np.flatnonzero(bits[dim * dim:])  # t d^2 + p d + q of each entry of each A_t
+    p, q = flat // dim % dim, flat % dim
+    j, k = equal_pairs(flat // (dim * dim))
+    J = bits[:dim * dim].reshape(dim, dim) != 0
+    row, column = p[j] == p[k], q[j] == q[k]
+    J[q[j][row], q[k][row]] = J[p[j][column], p[k][column]] = True
+    np.fill_diagonal(J, False)
+    a, b = np.nonzero(J | J.T)  # both (a, b) and (b, a), so each link below is taken both ways
+    c = np.arange(dim)
+    before, after = q[j] * dim + q[k], p[j] * dim + p[k]
+    source = np.concatenate([before, after, b[:, None] * dim + c, c * dim + b[:, None]],
+                            axis=None)
+    target = np.concatenate([after, before, a[:, None] * dim + c, c * dim + a[:, None]],
+                            axis=None)
+    reached = np.eye(dim, dtype=bool).reshape(-1)  # entry r d + c is in the set
+    size = dim
+    while True:
+        reached[target[reached[source]]] = True
+        grown = np.count_nonzero(reached)
+        if grown == size:  # it only grows
+            return _unknowns(dim, np.flatnonzero(reached.reshape(dim, dim).T))
+        size = grown
+
+
+def real_superoperator(H: np.ndarray, operators: np.ndarray, decay: np.ndarray,
+                       rates: np.ndarray, unknowns: Unknowns, first: np.ndarray) -> np.ndarray:
+    """A stack of generators on ``unknowns`` as U^dag L U, in real Hermitian coordinates.
+
+    Row j is -i[H[j], .] + sum_t rates[j, t] D[A_t] over the operators A_t
+    first[j] .. first[j] + T - 1 of the stack ``operators``, whose products
+    A_t^dag A_t are the same items of ``decay``.  Its entry (i, j) on the
+    unknowns is sum_t rate_t conj(A_t[c_i, c_j]) A_t[r_i, r_j] + delta(c_i,
+    c_j) J[r_i, r_j] + conj(J[c_i, c_j]) delta(r_i, r_j), gathered on the
+    m x m grid of the unknowns item by item, so a row's block does not
+    depend on its stack.  Returns the real (k, m, m) stack.
+    """
+    d, rows, cols = unknowns.dim, unknowns.rows, unknowns.cols
+    r, c = rows[:, None] * d + rows, cols[:, None] * d + cols  # flat places on the grid
+    k, T = rates.shape
+    A, products = operators.reshape(-1, d * d), decay.reshape(-1, d * d)
+    J = -1j * H.reshape(k, d * d)
+    L = np.zeros((k, unknowns.size, unknowns.size), dtype=complex)
+    for t in range(T):
+        item = first + t
+        at = item[:, None, None]
+        L += rates[:, t, None, None] * A[at, c].conj() * A[at, r]
+        J -= (0.5 * rates[:, t, None]) * products[item]
+    L += (np.where(cols[:, None] == cols, J[:, r], 0)
+          + np.where(rows[:, None] == rows, J[:, c].conj(), 0))
+    return np.ascontiguousarray(unknowns.hermitian(L))
+
+
 @lru_cache(maxsize=None)
 def _local_operators(n_qubits: int, pairs: tuple) -> np.ndarray:
     """The local structure's operators, for every chain attached at one of these ``pairs``.
@@ -482,36 +649,75 @@ def local_structure(chains) -> ChainStructure:
                           decay=decay, start=start, flux_functionals=functionals, errors={})
 
 
+def global_structure(chains, jumps=None) -> ChainStructure:
+    """The eigenbasis structure of a ChainOperators stack, from the package's binned jumps.
+
+    The jumps of every chain and reservoir (``global_jump_operators``, or
+    ``jumps`` of a stack of one chain whose route resolves) in the bins of
+    ``global_bins``, in each chain's frame, and each bin's functionals,
+    :func:`adjoint_dissipator` of its chain's frame H.  A chain whose route
+    degenerates keeps its DegenerateTransition in ``errors`` and has no
+    bins.
+    """
+    k, d = len(chains), chains.hamiltonian.shape[-1]
+    es, errors = chains.eigensystem, {}
+    if jumps is None:
+        jumps = global_jump_operators(es, chains.couplings, errors)
+    first, operators = global_bins(es, jumps)
+    omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
+    edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
+    frame_H = np.zeros((k, d, d))
+    frame_H[:, np.arange(d), np.arange(d)] = np.take_along_axis(es.energies, es.frame_order,
+                                                                 axis=1)
+    decay = operators.conj().swapaxes(1, 2) @ operators
+    functionals = adjoint_dissipator(operators.reshape(-1, 2, d, d), frame_H[owner])
+    functionals = functionals.reshape(-1, d, d)
+    start = edges[:-1:2] * 2
+    read_only(frame_H, omegas, reservoirs, edges, decay, start, functionals)
+    return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
+                          reservoirs=reservoirs, edges=edges, operators=operators, decay=decay,
+                          start=start, flux_functionals=functionals, errors=errors)
+
+
 def chain_structure(chains, approach) -> ChainStructure:
-    """The package's eigenbasis structure, or the local block's :func:`local_structure`."""
+    """The real block's eigenbasis structure, or its local :func:`local_structure`."""
     if approach == "local":
         return local_structure(chains)
-    return chainflux.lindblad.chain_structure(chains)
+    return global_structure(chains)
 
 
 def assemble(spec, approach) -> LindbladModel:
-    """The dense model of ``spec`` on the package's global structure of its chain alone.
+    """The dense model of ``spec`` on the global structure of its chain alone.
 
     For the local approach, on the block's :func:`local_structure`.  Raises
     the package's DegenerateTransition where the eigenbasis route
-    degenerates.
+    degenerates (``chainflux.lindblad.assemble``).
     """
     if approach == "local":
         structure = local_structure(chain_operators([spec]))
     else:
-        structure = chainflux.lindblad.assemble(spec, approach)
+        structure = global_structure(*chainflux.lindblad.assemble(spec, approach))
     return LindbladModel(spec=spec, approach=approach, structure=structure)
 
 
-def block_reports(specs, approach):
-    """The SteadyColumns of ``specs`` from the package's real block, whatever their chains.
+@dataclass(frozen=True, eq=False)
+class BlockColumns(SteadyColumns):
+    """The package's SteadyColumns of rows the real block solved, keeping their states ``rho``."""
 
-    The global rows on the package's eigenbasis structure, which the
-    package itself solves only on chains whose bins mix modes; the local
-    rows on C(2N, N) unknowns (:func:`local_structure`).  The rows are
-    grouped and stacked as the package groups its block rows
-    (``_approach_reports``), on one structure of the specs' distinct
-    chains.
+    rho: np.ndarray = None
+
+    def states(self, rows) -> np.ndarray:
+        return self.rho[np.arange(len(self))[rows]]
+
+
+def block_reports(specs, approach) -> BlockColumns:
+    """The columns of ``specs`` from the real block, whatever their chains.
+
+    The global rows on the eigenbasis structure (:func:`global_structure`),
+    the local rows on C(2N, N) unknowns (:func:`local_structure`), on one
+    structure of the specs' distinct chains.  The rates of every row and
+    bin are one array, and the rows are grouped by their chain's bin count
+    and set of unknowns, each group solved in one stack.
     """
     keys = {}
     chain = np.array([keys.setdefault((spec.epsilons, spec.couplings,
@@ -519,10 +725,80 @@ def block_reports(specs, approach):
                       for spec in specs])
     first = {c: spec for spec, c in zip(specs, chain.tolist())}
     chains = chain_operators([first[c] for c in range(len(keys))])
-    baths = np.array([[(b.temperature, b.gamma) for b in spec.baths] for spec in specs])
-    block = chainflux.observables._approach_reports(chain_structure(chains, approach), chain,
-                                                    baths.reshape(len(specs), 2, 2))
-    return replace(block, approach=approach)
+    baths = np.array([[(b.temperature, b.gamma) for b in spec.baths]
+                      for spec in specs]).reshape(len(specs), 2, 2)
+    structure = chain_structure(chains, approach)
+    failed = np.isin(chain, list(structure.errors))
+    errors = {i: structure.errors[chain[i]] for i in np.flatnonzero(failed).tolist()}
+    rows = np.flatnonzero(~failed)
+    rates, offsets = structure.rates(chain[rows], baths[rows])
+    distinct, which = np.unique(chain[rows], return_inverse=True)
+    sets, bins = structure.unknown_sets(distinct), np.diff(structure.edges[::2])[distinct].tolist()
+    groups = {}  # (bin count, set of unknowns) -> its group
+    group = np.array([groups.setdefault((b, u.rows.tobytes(), u.cols.tobytes()), len(groups))
+                      for b, u in zip(bins, sets)], dtype=int)
+    k, d, n = len(chain), chains.hamiltonian.shape[-1], chains.epsilons.shape[1]
+    out = BlockColumns(
+        approach=approach, populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)),
+        residual=np.zeros(k), rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
+        correlations=None, hole_frame=None,
+        channels=np.zeros((k, int(np.diff(structure.edges[::2]).max(initial=0)))),
+        chains=chains, chain=chain, baths=baths, omegas=structure.omegas, edges=structure.edges,
+        rho=np.zeros((k, d, d), dtype=complex))
+    for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
+        unknowns, members = sets[i], np.flatnonzero(group[which] == g)
+        m = unknowns.size
+        step = max(1, (1 << 14) // m**2)
+        for stack in (members[j:j + step] for j in range(0, len(members), step)):
+            at = rows[stack]
+            row_rates = rates[offsets[stack][:, None] + np.arange(bins[i])].reshape(len(at), -1)
+            out.populations[at], out.fluxes[at], channels, out.rho[at], sol = _stack_reports(
+                structure, chain[at], row_rates, unknowns)
+            out.channels[at, :channels.shape[1]] = channels
+            out.residual[at], out.rcond[at], out.unknowns[at] = sol.residual, sol.rcond, m
+            for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
+                errors[int(at[j])] = uniqueness_error(sol.rcond[j], m)
+    return out
+
+
+def _real_part(values: np.ndarray, what: str) -> np.ndarray:
+    worst = np.abs(values.imag).max(initial=0.0)
+    if worst > 1e-10:
+        raise ValueError(f"{what} has imaginary residue {worst:.3e}")
+    return values.real
+
+
+def _stack_reports(structure, chain, rates, unknowns) -> tuple:
+    """Populations, fluxes, channel fluxes, site-basis states and solution of a stack of rows.
+
+    The rows share ``unknowns``; row j is on chain ``chain[j]`` at
+    ``rates[j]``.  Tr{H D(rho)} is gamma (nbar + 1) Tr{F_e rho} + gamma
+    nbar Tr{F_a rho} with the flux functionals of each bin; rho is zero off
+    the unknowns (r_i, c_i), so each trace is the sum of F[c_i, r_i]
+    rho[r_i, c_i] over them, and each reservoir's flux is the sum of its
+    channel fluxes in channel order.
+    """
+    k, d = len(chain), unknowns.dim
+    bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
+    R = real_superoperator(structure.frame_hamiltonian[chain], structure.operators,
+                           structure.decay, rates, unknowns, structure.start[chain])
+    sol = solve_hermitian(R, unknowns)
+    items = 2 * first[:, None, None] + np.arange(2 * bins)[:, None]
+    functionals = structure.flux_functionals.reshape(-1, d * d)[
+        items, unknowns.cols * d + unknowns.rows]
+    states = sol.rho.reshape(k, 1, d * d)[:, :, unknowns.rows * d + unknowns.cols]
+    traces = (functionals * states).sum(axis=2)
+    channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
+    channels = _real_part(channels, "heat flux")
+    fluxes = np.zeros((k, 2))
+    reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
+    np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
+    frames = structure.eigensystem.frame[chain]
+    rho = frames @ sol.rho @ frames.conj().swapaxes(1, 2)
+    diagonal = _real_part(np.diagonal(rho, axis1=1, axis2=2), "population")
+    occupations = excited_qubits(structure.chains.epsilons.shape[1])
+    populations = (diagonal[:, None] * occupations).sum(axis=2)
+    return populations, fluxes, channels, rho, sol
 
 
 def free_fermion_form(spec) -> tuple:

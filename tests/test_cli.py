@@ -94,9 +94,13 @@ def test_steady_prints_solver_diagnostics(capsys):
     assert lines[0].endswith(f"(rcond {rcond:.3e}, 2 unknowns)")
     # the local dimer solves the N^2 = 4 coordinates of its correlation matrix
     assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", lines[1])
-    # a mode at 1e-3, below the mode route's floor: the real block on the
-    # 4 coupled entries of the dimer's frame
+    # a mode at 1e-3 is solved mode by mode too; two modes in one bin
+    # (K = 0, equal gaps) solve the N^2 = 4 coordinates of the hole frame
     assert cli_main(["steady", "--epsilons", "1.001,1.001", "--couplings", "1",
+                     "--t1", "2", "--t2", "0", "--approach", "global"]) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if "solver residual" in l]
+    assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 2 unknowns\)$", line)
+    assert cli_main(["steady", "--epsilons", "1.5,1.5", "--couplings", "0",
                      "--t1", "2", "--t2", "0", "--approach", "global"]) == 0
     (line,) = [l for l in capsys.readouterr().out.splitlines() if "solver residual" in l]
     assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", line)

@@ -19,12 +19,12 @@ from chainflux import (
     run_sweep,
     steady_report,
 )
-from chainflux.generator import real_superoperator, superoperator
+from chainflux.generator import superoperator
 from chainflux.lindblad import chain_operators
 from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
 
-from oracles import assemble, block_reports, chain_structure
+from oracles import assemble, chain_structure, real_superoperator
 from test_block_solve import CASES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -101,62 +101,6 @@ def test_scan_rows_match_cold_reports_for_any_stack_split(base, axis, grid):
         report = cold_report(apply_axis(base, axis, row.axis_value), row.approach)
         assert repr((row.populations, row.fluxes, row.residual)) == \
             repr((report.populations, report.fluxes, report.residual))
-
-
-def unknowns_key(unknowns):
-    return unknowns.dim, unknowns.rows.tobytes(), unknowns.cols.tobytes()
-
-
-def test_stacks_span_chains_but_never_sets_of_unknowns(monkeypatch):
-    stacks = []
-    real = chainflux.observables._stack_reports
-
-    def recording(structure, rows_chain, rates, unknowns):
-        stacks.append((structure, rows_chain, rates, unknowns))
-        return real(structure, rows_chain, rates, unknowns)
-
-    monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
-    base = chain([1.5] * 4, [1.0] * 3, 2.0, 0.5)
-    specs = [apply_axis(base, "k", k) for k in np.linspace(0.5, 3.0, 15)]
-    sets = set()
-    # the real block on every chain: the package takes it only where bins mix modes
-    assert all(isinstance(r, SteadyReport) for r in block_reports(specs, "global"))
-    for structure, rows_chain, rates, unknowns in stacks:
-        for c in rows_chain.tolist():
-            key = unknowns_key(structure.unknown_sets([c])[0])
-            assert key == unknowns_key(unknowns)
-            sets.add(key)
-    assert len(sets) > 1  # the global frames couple different entries
-    assert any(len(set(rows_chain.tolist())) > 1 for _, rows_chain, _, _ in stacks)
-    assert len(stacks) < 2 * len(specs)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_the_global_rows_of_a_uniform_k_scan_share_one_stack(n, monkeypatch):
-    # each chain's frame puts every excitation sector at that sector's own
-    # sites, so the chains of a K scan couple the same entries of the frame
-    # state; the grid stays clear of the zero modes and of K = 3, where a
-    # bin joins two sectors.  The real block on every chain: the package
-    # takes it only where bins mix modes or a mode is soft
-    stacks = []
-    real = chainflux.observables._stack_reports
-
-    def recording(structure, rows_chain, rates, unknowns):
-        stacks.append((len(rows_chain), unknowns_key(unknowns)))
-        return real(structure, rows_chain, rates, unknowns)
-
-    monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
-    base = chain([1.5] * n, [1.0] * (n - 1), 2.0, 0.5)
-    zeros = [1.5 / (2 * math.cos(k * math.pi / (n + 1))) for k in range(1, (n + 1) // 2 + 1)
-             if math.cos(k * math.pi / (n + 1)) > 1e-12]
-    grid = [k for k in np.linspace(0.2, 2.8, 14) if min(abs(k - z) for z in zeros) > 0.05]
-    reports = block_reports([apply_axis(base, "k", k) for k in grid], "global")
-    assert all(isinstance(r, SteadyReport) for r in reports)
-    # one set of unknowns, cut only by the stack size
-    assert len({key for _, key in stacks}) == 1
-    step = chainflux.observables._GRID_ELEMENTS // reports[0].unknowns**2
-    assert [size for size, _ in stacks] == [min(step, len(grid) - i)
-                                            for i in range(0, len(grid), step)]
 
 
 def loop_closure(H, operators):
@@ -301,29 +245,20 @@ def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_m
     import chainflux.operators
 
     diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
-    built = count_calls(monkeypatch, chainflux.observables, "chain_structure")
     glob, local = steady_reports(specs, ("global", "local"))
     chains = {build_chain_hamiltonian(spec).tobytes() for spec in specs}
-    # the global rows of chains whose modes are apart diagonalize nothing;
-    # only the zero mode's chain takes the real block, whose structure is
-    # built on a stack of that chain alone, diagonalized by one call
-    blocked = [] if zero_mode is None else [build_chain_hamiltonian(specs[zero_mode]).tobytes()]
-    assert [sorted(H.tobytes() for H in stack) for (stack,) in diagonalized] == \
-        ([blocked] if blocked else [])
-    assert [len(chains_arg) for (chains_arg,) in built] == ([1] if blocked else [])
+    # no row is solved on the 2^N eigensystem: only the zero mode's chain
+    # reads it, for its jump scan, and that diagonalizes the call's whole
+    # stack at once
+    assert len(diagonalized) == (0 if zero_mode is None else 1)
     assert local.chains is glob.chains and len(glob.chains) == len(chains)
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
-    # the reports' eigensystems, rho_diagonals' basis, are one stacked call
-    # over every chain the block has not diagonalized, shared by both
-    # approaches: each chain of the call is diagonalized exactly once
+    # the reports' eigensystems, rho_diagonals' basis, are that one stacked
+    # call, shared by both approaches: each chain is diagonalized exactly once
     assert all(report.chain.eigensystem is not None for report in local)
-    assert len(diagonalized) == 1 + len(blocked)
-    (stack,) = diagonalized[-1]
-    assert sorted(H.tobytes() for H in stack) == sorted(chains - set(blocked))
-    passed = [H.tobytes() for (stack,) in diagonalized for H in stack]
-    assert sorted(passed) == sorted(chains)
-    # and the eigensystem joined from both calls is that of one call on all
+    ((stack,),) = diagonalized
+    assert sorted(H.tobytes() for H in stack) == sorted(chains)
     whole = chainflux.operators.diagonalize(glob.chains.hamiltonian)
     for name in ("energies", "vectors"):
         assert getattr(glob.chains.eigensystem, name).tobytes() == getattr(whole, name).tobytes()
@@ -347,9 +282,9 @@ def test_a_repeated_call_gives_bit_identical_reports():
 def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     # both approaches of a task share each chain's eigensystem, however many
     # chains the task holds: 41 N = 3 chains are within the bound of a task
-    # (512), so the grid is one task.  The real block's structure
-    # diagonalizes the one chain whose global rows take it, and one stacked
-    # call then holds every other chain of the task once.
+    # (512), so the grid is one task, and one stacked call holds every chain
+    # of the task once: the zero mode's jump scan reads it, and so do the
+    # eigenbasis diagonals.
     import chainflux.lindblad
 
     calls = []
@@ -366,17 +301,16 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
-    assert calls == [(1, 8, 8), (len(grid) - 1, 8, 8)]
+    assert calls == [(len(grid), 8, 8)]
 
 
 @pytest.mark.parametrize("config", ["kscan4.cfg", "eps4.cfg"])
 def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_each_chain_exactly_once(config,
                                                                                    monkeypatch):
     # 14 N = 4 chains are within the bound of a call (128), so the scan is
-    # one chain_reports call.  The real block's chains (the zero modes' and
-    # a mixed bin's) are diagonalized for its structure, and the eigenbasis
-    # diagonals read them from there: every chain's H reaches diagonalize
-    # once, in two stacked calls
+    # one chain_reports call.  The zero modes' jump scans and the eigenbasis
+    # diagonals read one eigensystem of the whole stack: every chain's H
+    # reaches diagonalize once, in one stacked call
     import chainflux.lindblad
     import chainflux.sweep
 
@@ -386,7 +320,7 @@ def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_each_chain_exactly_once
     run_sweep(request)
     ((chains, _, _, _),) = calls
     assert len(chains) == len(request.grid)
-    assert len(diagonalized) == 2
+    assert len(diagonalized) == 1
     passed = [H.tobytes() for (stack,) in diagonalized for H in stack]
     assert sorted(passed) == sorted(H.tobytes() for H in chains.hamiltonian)
 
@@ -394,10 +328,9 @@ def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_each_chain_exactly_once
 def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
     # with the bound at 32 N = 3 chains, a 41-point K scan goes to
     # chain_reports in two calls of 21 and 20 chains, each chain
-    # diagonalized once in its call: the zero mode's, in the second call,
-    # for the real block's structure, whose eigensystem the eigenbasis
-    # diagonals then read, and the other chains for the eigenbasis
-    # diagonals.  Its rows are those of one call over every chain.
+    # diagonalized once in its call, where the zero mode's jump scan (in the
+    # second call) and the eigenbasis diagonals read it.  Its rows are those
+    # of one call over every chain.
     import chainflux.lindblad
     import chainflux.sweep
 
@@ -414,34 +347,31 @@ def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
     monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 32 * 4**3)
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     table = run_sweep(request)
-    assert calls == [(21, 8, 8), (1, 8, 8), (19, 8, 8)]
+    assert calls == [(21, 8, 8), (20, 8, 8)]
     assert tuple(table.rows) == tuple(whole.rows)
     assert table.skipped == whole.skipped
 
 
 def test_rows_with_different_zero_rates_share_a_stack(monkeypatch):
     # T = 0 switches a reservoir's absorption terms off; rows with and
-    # without zero rates share a stack, and each row is its cold report bit
-    # for bit
+    # without zero rates share a stack of each route, and each row is its
+    # cold report bit for bit
     stacks = []
-    real = chainflux.observables._stack_reports
+    for name in ("global_steady_states", "group_steady_states", "local_steady_states"):
+        def recording(*args, _real=getattr(chainflux.observables, name)):
+            stacks.append(args[-1].reshape(len(args[-1]), -1))  # the baths, or the rates
+            return _real(*args)
 
-    def recording(structure, rows_chain, rates, unknowns):
-        stacks.append(rates)
-        return real(structure, rows_chain, rates, unknowns)
-
-    monkeypatch.setattr(chainflux.observables, "_stack_reports", recording)
+        monkeypatch.setattr(chainflux.observables, name, recording)
     for n in (1, 2, 3, 4):
         base = chain(np.linspace(0.9, 1.7, n), np.linspace(0.6, 1.1, n - 1), 0.7, 0.0, 0.8, 1.3)
         specs = [apply_axis(base, "t1", t1) for t1 in (0.0, 0.3, 0.0, 1.0, 4.0)]
-        # the real block on these chains, whose global rows the package
-        # takes from their modes
-        for spec, report in zip(specs, block_reports(specs, "global")):
-            assert_same_report(report, block_reports([spec], "global")[0])
-        for spec, report in zip(specs, steady_reports(specs, ("local",))[0]):
-            assert_same_report(report, cold_report(spec, "local"))
-    assert any(len({(row == 0).tobytes() for row in rates}) > 1 for rates in stacks)
-    assert any(len(rates) > 1 for rates in stacks)
+        for approach, reports in zip(("global", "local"),
+                                     steady_reports(specs, ("global", "local"))):
+            for spec, report in zip(specs, reports):
+                assert_same_report(report, cold_report(spec, approach))
+    assert any(len({(row == 0).tobytes() for row in rows}) > 1 for rows in stacks)
+    assert any(len(rows) > 1 for rows in stacks)
 
 
 def test_one_call_takes_chains_of_one_length():

@@ -1,4 +1,8 @@
-"""The steady solve in the real coordinates of a Hermitian rho, against the complex solve."""
+"""The steady solve in the real coordinates of a Hermitian rho, against the complex solve.
+
+The real block (``tests/oracles.py``) against the dense generator, and the
+package's states against both.
+"""
 
 import importlib.util
 import sys
@@ -8,16 +12,11 @@ import numpy as np
 import pytest
 
 from chainflux import DegenerateTransition, apply_axis, chain
-from chainflux.generator import (
-    coupled_sets,
-    full_unknowns,
-    real_superoperator,
-    superoperator,
-)
+from chainflux.generator import full_unknowns, superoperator
 from chainflux.observables import steady_reports
 from chainflux.steady import checked_inverse, solve_steady, unique
 
-from oracles import assemble, block_reports, gather
+from oracles import assemble, block_reports, coupled_sets, gather, real_superoperator
 
 
 def seeded_chains():

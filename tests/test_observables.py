@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainflux import (
+    apply_axis,
     DegenerateTransition,
     chain,
     diagonalize,
@@ -26,7 +27,7 @@ from chainflux.steady import solve_steady
 
 LOG_GRID = np.logspace(-2, 2, 60)
 
-from oracles import assemble, free_fermion_form
+from oracles import assemble, block_reports, free_fermion_form
 
 
 def test_qubit_population_basic_states():
@@ -295,23 +296,28 @@ def decimal_global_flux(eps, coupling, t1, digits=40):
         return total
 
 
-def test_near_a_zero_mode_the_block_loses_digits_the_closed_forms_keep():
+def test_near_a_zero_mode_the_sweep_keeps_the_digits_of_the_closed_forms():
     # figure3a sits at omega = |eps - K| = 1e-3: against a 40-digit decimal
-    # reference the closed form and the free-fermion form keep their last
-    # digits (8.4e-17 and 1.9e-16 at most), while the block rows of the sweep
-    # lose about five (6.3e-12 at T1 = 95.5)
+    # reference the closed form, the free-fermion form and the sweep's
+    # global rows keep their last digits (8.4e-17, 1.9e-16 and 2.0e-16 at
+    # most), while the real block that solved those rows lost about five
+    # (6.3e-12 at T1 = 95.5): no row of the sweep is farther from the
+    # reference than the block's
     request = figure_requests()["figure3a"]
     eps, coupling = request.base.epsilons[0], request.base.couplings[0]
     rows = [row for row in run_sweep(request).rows if row.approach == "global"]
     assert len(rows) == len(request.grid)
+    block = block_reports([apply_axis(request.base, "t1", t1) for t1 in request.grid], "global")
     errors = []
-    for row in rows:
+    for row, blocked in zip(rows, block.fluxes[:, 0].tolist()):
         t1 = row.axis_value
         exact = decimal_global_flux(eps, coupling, t1)
         values = (dimer_global_heat_flux_analytic(eps, coupling, t1, 0.0).total,
-                  free_fermion_form(chain([eps, eps], [coupling], t1, 0.0))[2], row.fluxes[0])
+                  free_fermion_form(chain([eps, eps], [coupling], t1, 0.0))[2], row.fluxes[0],
+                  blocked)
         errors.append([abs(float(Decimal(value) - exact)) for value in values])
-    closed, modes, block = np.max(errors, axis=0)
-    assert closed <= 1e-15 and modes <= 1e-15
-    assert block <= 1e-11
-    assert block > 100 * max(closed, modes)  # the block is the less accurate side
+    errors = np.array(errors)
+    closed, modes, sweep, blocked = errors.max(axis=0)
+    assert closed <= 1e-15 and modes <= 1e-15 and sweep <= 1e-15
+    assert 1e-12 < blocked <= 1e-11
+    assert (errors[:, 2] <= np.maximum(errors[:, 3], 1e-15)).all()

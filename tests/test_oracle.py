@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from chainflux.generator import coupled_sets, full_unknowns, superoperator
+from chainflux.generator import full_unknowns, superoperator
+
+from oracles import coupled_sets
 
 
 def textbook(H, operators, rates, d):

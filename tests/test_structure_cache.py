@@ -1,4 +1,4 @@
-"""The rate-free chain structure is built once per call and reused exactly across rows."""
+"""The rate-free chain operators are built once per call and reused exactly across rows."""
 
 import numpy as np
 import pytest
@@ -16,25 +16,13 @@ from chainflux import (
     steady_report,
 )
 import chainflux.observables
-from chainflux.lindblad import chain_operators, mode_route
+from chainflux.lindblad import chain_operators, mode_groups
 from chainflux.observables import heat_flux, steady_reports
 from chainflux.operators import excited_qubits
 from chainflux.steady import solve_steady, uniqueness_error
 from chainflux.sweep import SweepRequest
 
 from oracles import assemble
-
-
-def record_builds(monkeypatch):
-    """Number of chains of every global structure stack the reports build, in order."""
-    built = []
-
-    def recording(chains, _real=chainflux.observables.chain_structure):
-        built.append(len(chains))
-        return _real(chains)
-
-    monkeypatch.setattr(chainflux.observables, "chain_structure", recording)
-    return built
 
 
 def assert_rows_match_cold_reports(table, request):
@@ -56,19 +44,28 @@ GRID = (0.0, 0.01) + tuple(np.geomspace(0.3, 4.0, 26).tolist())
 
 
 def temperature_chains(n):
-    """Gaps and couplings of two chains whose global rows come from their modes.
+    """Gaps and couplings of three chains, and whether a bin of the third holds two modes.
 
-    And of a chain with a mode near 1e-3, below the mode route's floor,
-    whose global rows take the real block: one qubit at that gap, or the
-    uniform chain just past the coupling of its zero mode.
+    Two chains whose modes are apart, and a third: one qubit at a gap of
+    1e-3; two equal uncoupled qubits, whose modes share |omega| = 1.5; the
+    uniform N = 3 chain just past the coupling of its zero mode, a mode near
+    1e-3; or a uniform N = 4 or 5 chain whose modes 2 and 4, or 3 and 5,
+    sit at +-omega, eps = -K (cos a + cos b).  The real block once solved
+    the global rows of each third chain.
     """
     couplings = np.linspace(0.6, 1.1, n - 1)
     yield [10.0] * n, couplings, False
     yield np.linspace(0.9, 1.7, n), couplings, False
     if n == 1:
-        yield [1e-3], couplings, True
+        yield [1e-3], couplings, False
+    elif n == 2:
+        yield [1.5] * 2, [0.0], True
+    elif n == 3:
+        yield [1.5] * n, [1.5 / (2 * np.cos(np.pi / (n + 1))) * (1 + 1e-3)] * (n - 1), False
     else:
-        yield [1.5] * n, [1.5 / (2 * np.cos(np.pi / (n + 1))) * (1 + 1e-3)] * (n - 1), True
+        a, b = (2, 4) if n == 4 else (3, 5)
+        eps = -(np.cos(a * np.pi / (n + 1)) + np.cos(b * np.pi / (n + 1)))
+        yield [eps] * n, [1.0] * (n - 1), True
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -76,53 +73,38 @@ def temperature_chains(n):
 def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypatch):
     assert bose_occupation(10.0, 0.01) == 0.0
     stacks = []
-    real = chainflux.observables._stack_reports
-    real_local = chainflux.observables.local_steady_states
-    real_modes = chainflux.observables.global_steady_states
+    for route, name in (("modes", "global_steady_states"), ("groups", "group_steady_states"),
+                        ("local", "local_steady_states")):
+        def recording(*args, _real=getattr(chainflux.observables, name), _route=route):
+            stacks.append((_route, args[-1].reshape(len(args[-1]), -1)))  # baths, or rates
+            return _real(*args)
 
-    def recording(structure, chain, rates, unknowns):
-        stacks.append(("global", rates, unknowns.size**2))
-        return real(structure, chain, rates, unknowns)
-
-    def recording_local(H, h, sites, rates):
-        # the N^2 x N^2 system: no d x d state is stacked
-        stacks.append(("local", rates.reshape(len(rates), -1), n**4))
-        return real_local(H, h, sites, rates)
-
-    def recording_modes(omega, phi, sites, baths):
-        stacks.append(("modes", baths, None))
-        return real_modes(omega, phi, sites, baths)
-
-    for epsilons, couplings, block in temperature_chains(n):
+        monkeypatch.setattr(chainflux.observables, name, recording)
+    for epsilons, couplings, shared in temperature_chains(n):
         base = chain(epsilons, couplings, 0.7, 0.2, 0.8, 1.3)
-        assert mode_route(chain_operators([base]))[0][0] != block
+        group = mode_groups(chain_operators([base]))[0]
+        assert (group[0, -1] < n - 1) == shared
         request = SweepRequest(base=base, axis=axis, grid=GRID,
                                approaches=("global", "local"),
                                outputs=("populations", "heat_flux"))
-        with monkeypatch.context() as patch:
-            built = record_builds(patch)
-            patch.setattr(chainflux.observables, "_stack_reports", recording)
-            patch.setattr(chainflux.observables, "local_steady_states", recording_local)
-            patch.setattr(chainflux.observables, "global_steady_states", recording_modes)
-            table = run_sweep(request)
-        # one global structure for the whole grid, of its one chain, where
-        # its rows take the block; else the modes, in one stack of every row
-        assert built == ([1] if block else [])
-        modes = [len(baths) for a, baths, _ in stacks if a == "modes"]
-        assert modes == ([] if block else [len(GRID)])
-        # T = 0 rows and nbar > 0 rows share a stack within each approach:
-        # its rows are one group, cut only by the stack size
-        for approach in ("global", "local") if block else ("local",):
-            mine = [(rates, size) for a, rates, size in stacks if a == approach]
-            step = max(1, chainflux.observables._GRID_ELEMENTS // mine[0][1])
-            assert [len(rates) for rates, _ in mine] == [min(step, len(GRID) - i)
-                                                         for i in range(0, len(GRID), step)]
-            first = mine[0][0]  # from the T = 0 row on
+        stacks.clear()
+        table = run_sweep(request)
+        # the global rows in one stack of every row, mode by mode, or in
+        # stacks of N^2 systems where a bin is shared, as the local rows
+        modes = [len(rows) for route, rows in stacks if route == "modes"]
+        assert modes == ([] if shared else [len(GRID)])
+        # T = 0 rows and nbar > 0 rows share a stack within each route: its
+        # rows are one group, cut only by the stack size
+        step = max(1, chainflux.observables._GRID_ELEMENTS // n**4)
+        for route in ("groups", "local") if shared else ("local",):
+            mine = [rows for r, rows in stacks if r == route]
+            assert [len(rows) for rows in mine] == [min(step, len(GRID) - i)
+                                                    for i in range(0, len(GRID), step)]
+            first = mine[0]  # from the T = 0 row on
             assert (first[0] == 0).any()
             assert len(first) == 1 or (first != 0).all(axis=1).any()
         if n == 5:
-            assert len([a for a, _, _ in stacks if a == "local"]) == 2
-        stacks.clear()
+            assert len([r for r, _ in stacks if r == "local"]) == 2
         assert_rows_match_cold_reports(table, request)
 
 
@@ -162,17 +144,14 @@ def test_stack_flags_only_its_singular_and_ill_conditioned_members():
             assert (sol.residual[i], sol.rcond[i]) == (single.residual, single.rcond)
 
 
-def test_structure_is_shared_across_temperatures_and_rates(monkeypatch):
-    # within one call: temperatures and rates share a chain's structure, a
-    # new coupling is a new chain, and the global rows build one structure
-    # of the two chains with a mode near 1e-3, below the mode route's floor;
-    # the fourth chain's modes at 0.5 and 2.5 need none
-    built = record_builds(monkeypatch)
+def test_chains_are_shared_across_temperatures_and_rates():
+    # within one call: temperatures and rates share a chain, and a new
+    # coupling is a new chain, whose operators both approaches share
     specs = [dimer(1.001, 1.001, 1.0, 0.4, 0.0, 1.0, 1.0),
              dimer(1.001, 1.001, 1.0, 3.0, 0.7, 0.3, 2.0), dimer(1.001, 1.001, 1.002, 0.4, 0.0),
              dimer(1.5, 1.5, 1.0, 0.4, 0.0)]
     glob, local = steady_reports(specs, ("global", "local"))
-    assert built == [2] and local.chains is glob.chains and len(glob.chains) == 3
+    assert local.chains is glob.chains and len(glob.chains) == 3
     assert glob[0].chain is glob[1].chain is local[0].chain is local[1].chain
     assert glob[2].chain is local[2].chain is not glob[0].chain
 
