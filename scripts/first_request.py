@@ -1,4 +1,4 @@
-"""Fresh-process and warm times of a 2-point T1 sweep for N = 1..5, and of a 48-point N = 4 K scan.
+"""Fresh-process and warm times of a 2-point T1 sweep for N = 1..5, and of two K scans.
 
 Run from the root of a checkout::
 
@@ -10,11 +10,12 @@ request, then the best of 20 more passes of the same request in the same
 process.  The import is not timed.  The T1 sweep (T1 = 0.5, 2) is on the
 uniform chain (eps = 1.5, K = 1, T2 = 0); it takes both approaches, the
 global alone and the local alone, so each route's cost shows beside their
-sum.  The K scan takes 48 evenly spaced K in [0.5, 3] on the uniform N = 4
-chain (eps = 1.5, T1 = 2, T2 = 0.5), both approaches, with the eigenbasis
-diagonals: every point is a chain of its own, and the grid crosses both
-zero modes of the global description between its points.  Prints the
-median of each over the repeats, in ms.
+sum.  The K scans take 48 evenly spaced K in [0.5, 3] on the uniform
+N = 4 chain and 1000 in [0.3, 3] on the uniform N = 5 chain (eps = 1.5,
+T1 = 2, T2 = 0.5), both approaches, with the mode Fock diagonals
+(``rho_diagonals``): every point is a chain of its own, and each grid
+crosses the zero modes of the global description between its points.
+Prints the median of each over the repeats, in ms.
 """
 
 from __future__ import annotations
@@ -45,13 +46,17 @@ def t1_request(n_qubits: int, approaches: tuple):
                         outputs=("populations", "heat_flux"))
 
 
-def k_scan_request():
+K_SCANS = {"kscan4": (4, 48, 0.5, 3.0), "kscan5": (5, 1000, 0.3, 3.0)}  # N, points, K range
+
+
+def k_scan_request(name: str):
     from chainflux import chain
     from chainflux.sweep import SweepRequest
 
-    grid = tuple(0.5 + 2.5 * i / 47 for i in range(48))
-    return SweepRequest(base=chain([1.5] * 4, [1.0] * 3, t1=2.0, t2=0.5), axis="k", grid=grid,
-                        approaches=("global", "local"),
+    n, points, low, high = K_SCANS[name]
+    grid = tuple(low + (high - low) * i / (points - 1) for i in range(points))
+    return SweepRequest(base=chain([1.5] * n, [1.0] * (n - 1), t1=2.0, t2=0.5), axis="k",
+                        grid=grid, approaches=("global", "local"),
                         outputs=("populations", "heat_flux", "rho_diagonals"))
 
 
@@ -86,10 +91,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5, help="fresh processes per N")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding chainflux")
-    parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # "kscan4", or N, approaches
+    parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)  # a K scan, or N, approaches
     args = parser.parse_args(argv)
     if args.child is not None:
-        request = (k_scan_request() if args.child == ["kscan4"] else
+        request = (k_scan_request(args.child[0]) if args.child[0] in K_SCANS else
                    t1_request(int(args.child[0]), tuple(args.child[1:])))
         print(json.dumps(one_process(request)))
         return 0
@@ -102,9 +107,10 @@ def main(argv=None) -> int:
     for n in range(1, 6):
         print(f"{n:>2} " + " ".join(medians([str(n), *approaches], env, args.repeats)
                                     for approaches in APPROACHES))
-    print("48-point N = 4 K scan, both approaches, rho_diagonals")
-    print(f"{'':>2} {'first request ms':>17} {'warm ms':>6}")
-    print(f"{'':>2} {medians(['kscan4'], env, args.repeats)}")
+    for name, (n, points, _, _) in K_SCANS.items():
+        print(f"{points}-point N = {n} K scan, both approaches, rho_diagonals")
+        print(f"{'':>2} {'first request ms':>17} {'warm ms':>6}")
+        print(f"{'':>2} {medians([name], env, args.repeats)}")
     return 0
 
 

@@ -58,6 +58,7 @@ from .observables import (
     monomer_heat_flux_analytic,
     monomer_population_analytic,
     steady_report,
+    steady_reports,
     universal_e,
 )
 from .sweep import (
@@ -88,7 +89,7 @@ __all__ = [
     "dimer_global_heat_flux_analytic", "dimer_global_populations_analytic",
     "dimer_local_heat_flux_analytic", "dimer_local_populations_analytic",
     "monomer_heat_flux_analytic", "monomer_population_analytic",
-    "steady_report", "universal_e",
+    "steady_report", "steady_reports", "universal_e",
     "SweepRequest", "SweepTable", "apply_axis", "emit_csv", "figure_requests",
     "format_config", "parse_config", "read_csv_table", "run_sweep",
     "run_verification",

@@ -9,7 +9,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ChainfluxError
 from .model import chain
-from .observables import steady_report
+from .observables import steady_reports
 from .sweep import emit_csv, figure_requests, parse_config, run_sweep
 from .verify import run_verification
 
@@ -69,9 +69,15 @@ def _print_report(report) -> None:
 def cmd_steady(args) -> int:
     spec = chain(args.epsilons, args.couplings, args.t1, args.t2, args.gamma1, args.gamma2)
     approaches = ("global", "local") if args.approach == "both" else (args.approach,)
-    for approach in approaches:
-        _print_report(steady_report(spec, approach))
-    return 0
+    status = 0
+    for approach, (report,) in zip(approaches, steady_reports([spec], approaches)):
+        if isinstance(report, ChainfluxError):  # it does not hide the other approach's report
+            print(f"approach: {approach}")
+            print(f"error: {report}", file=sys.stderr)
+            status = 2
+        else:
+            _print_report(report)
+    return status
 
 
 def cmd_sweep(args) -> int:

@@ -26,8 +26,9 @@ Q_j = h_ss gamma_j nbar_j - lambda_j sum_b h_sb Re C_sb; and the residual
 |L(rho(C))|_F of the 2^N x 2^N site-basis generator on the Gaussian state,
 in closed form from C (:func:`_gaussian_residuals`).  The state itself, rho
 = prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag) with C = U diag(nu)
-U^dag and f_k = sum_i U_ik c_i, is built from cached c_i^dag c_j tables
-only where it is read (:func:`_gaussian_states`).
+U^dag and f_k = sum_i U_ik c_i, is built only where it is read
+(:func:`_gaussian_states`); its diagonal on the Fock states of a chain's
+modes is read from C alone (:func:`fock_probabilities`).
 
 The global generator is quadratic too: each jump is one single-particle
 mode's f_k or f_k^dag (h phi_k = omega_k phi_k), the endpoint couplings
@@ -67,15 +68,6 @@ def _fermions(n_qubits: int) -> np.ndarray:
     return fermions
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(n_qubits: int) -> np.ndarray:
-    """c_i^dag c_j of every (i, j), as complex (n^2, d^2) rows: i n + j holds its d x d matrix."""
-    c = _fermions(n_qubits)
-    tables = (c.swapaxes(1, 2)[:, None] @ c[None]).reshape(n_qubits**2, -1).astype(complex)
-    read_only(tables)
-    return tables
-
-
 def _correlation_systems(X: np.ndarray) -> np.ndarray:
     """The real N^2 x N^2 system of C -> X C + C X^dag of each row's X, (k, n^2, n^2).
 
@@ -94,39 +86,48 @@ def _correlation_systems(X: np.ndarray) -> np.ndarray:
 def _gaussian_states(C: np.ndarray, phi: np.ndarray = None, holes: np.ndarray = None) -> np.ndarray:
     """prod_k (nu_k g_k^dag g_k + (1 - nu_k) g_k g_k^dag) of each C = U diag(nu) U^dag, (k, d, d).
 
-    C_ij = <a_i^dag a_j> over fermions a_i: the site fermions c_i, where
-    g_k = sum_i U_ik c_i and g_k^dag g_k = sum_ij conj(U_ik) U_jk c_i^dag
-    c_j; or, given ``phi`` (k, n, n) and ``holes`` (k, n), the hole-frame
-    modes a_i = f_i = sum_q phi_qi c_q, and f_i^dag where ``holes[:, i]``.
-    There g_k = sum_q (u_qk c_q + v_qk c_q^dag), with the anomalous part v
-    from the hole modes, and g_k^dag g_k is formed from the matrices of the
-    c_q (:func:`_fermions`).  g_k g_k^dag = 1 - g_k^dag g_k; the factors
-    commute, and their product is made Hermitian against round-off.
+    C_ij = <a_i^dag a_j> over fermions a_i: the site fermions c_i, or,
+    given ``phi`` (k, n, n) and ``holes`` (k, n), the hole-frame modes a_i
+    = f_i = sum_q phi_qi c_q, and f_i^dag where ``holes[:, i]``.  Then g_k
+    = sum_i U_ik a_i = sum_q (u_qk c_q + v_qk c_q^dag), with the anomalous
+    part v from the hole modes, and g_k^dag g_k is formed from the
+    matrices of the c_q (:func:`_fermions`).  g_k g_k^dag = 1 - g_k^dag
+    g_k; the factors commute, and their product is made Hermitian against
+    round-off.
     """
     k, n = C.shape[:2]
     d = 2**n
-    nu, U = np.linalg.eigh(C)
     if phi is None:
-        tables = _pair_tables(n)
-    else:  # the coefficients u of the c_q, then v of the c_q^dag, of each g_k
-        c = _fermions(n)
-        fermions = np.concatenate([c, c.swapaxes(1, 2)]).reshape(2 * n, d * d)
-        uv = np.concatenate([phi * ~holes[:, None, :], phi * holes[:, None, :]], axis=1) @ U
+        phi, holes = np.broadcast_to(np.eye(n), (k, n, n)), np.zeros((k, n), dtype=bool)
+    nu, U = np.linalg.eigh(C)
+    c = _fermions(n)
+    fermions = np.concatenate([c, c.swapaxes(1, 2)]).reshape(2 * n, d * d)
+    uv = np.concatenate([phi * ~holes[:, None, :], phi * holes[:, None, :]], axis=1) @ U
     rho = None
     for mode in range(n):
-        if phi is None:
-            u = U[:, :, mode]
-            weights = (u.conj()[:, :, None] * u[:, None, :]).reshape(k, 1, n * n)
-            factor = (weights @ tables).reshape(k, d, d)
-        else:
-            g = (uv[:, :, mode] @ fermions).reshape(k, d, d)
-            factor = g.conj().swapaxes(1, 2) @ g
+        g = (uv[:, :, mode] @ fermions).reshape(k, d, d)
+        factor = g.conj().swapaxes(1, 2) @ g
         factor *= 2.0 * nu[:, mode, None, None] - 1.0
         factor[:, np.arange(d), np.arange(d)] += 1.0 - nu[:, mode, None]
         rho = factor if rho is None else rho @ factor
     rho += rho.conj().swapaxes(1, 2)
     rho *= 0.5
     return rho
+
+
+def fock_probabilities(C: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """Each row's probabilities of the Fock states of its modes a_k, (k, 2^n).
+
+    C (k, n, n) is <a_k^dag a_l> of a number-conserving Gaussian state, and
+    entry i is that of the state with a_k occupied where bit k of i is set:
+    det(N C + (1 - N)(1 - C)), N = diag(n) (Peschel, J. Phys. A 36, L205
+    (2003)).  Where ``holes`` (k, n) is set, a_k = f_k^dag, and bit k is
+    the occupation of f_k.
+    """
+    n = C.shape[-1]
+    occupied = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool) ^ holes[:, None, :]
+    M = np.where(occupied[..., None], C[:, None], np.eye(n) - C[:, None])  # rows of C or 1 - C
+    return np.linalg.det(M).real
 
 
 def _gaussian_residuals(X, G, C) -> np.ndarray:
@@ -247,8 +248,8 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
     Lambda_k occ_k = gain_k, 0 where a mode has no weight at an attached
     site; a row whose rcond fails :func:`~chainflux.steady.unique` for N
-    unknowns gets zero results.  The
-    only arrays of 2^N per row are the mode Fock energies of the norm.
+    unknowns gets zero results.  The only arrays of 2^N per row are the
+    mode Fock energies of the norm.
     """
     k, n = omega.shape
     rows, a = np.arange(k)[:, None], np.arange(n)

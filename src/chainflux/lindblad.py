@@ -26,11 +26,11 @@ and the real block the tests compare against are in ``tests/oracles.py``.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
-as stacks over the chains of one qubit count, not kept: H, its eigensystem,
-its single-particle modes and the site operators of the chains (gaps,
-couplings, attachments) in :func:`chain_operators`.  The caller that owns a
-request (:func:`chainflux.observables.steady_reports`) builds them once per
-call and shares them between the rows and both approaches.
+as stacks over the chains of one qubit count, not kept: the chains'
+operators (:func:`chain_operators`) and the order of their mode Fock
+states (:func:`fock_order`).  The caller that owns a request
+(:func:`chainflux.observables.steady_reports`) builds them once per call
+and shares them between the rows and both approaches.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .operators import (
     build_chain_hamiltonian,
     chain_arrays,
     diagonalize,
+    excited_qubits,
     qubit_bits,
     site_operator,
 )
@@ -150,22 +151,11 @@ def global_jump_operators(es: EigenSystem, couplings: np.ndarray,
     weights = elements[chain, reservoir, lower, upper]
     real = np.abs(weights.imag) <= 1e-10 * np.maximum(1.0, np.abs(weights))
     # a new bin where the chain or reservoir changes or omega leaves the
-    # lowest of its bin by more than tol; consecutive steps above tol
-    # start one for certain, and only a run that spans more than tol needs
-    # the walk from its lowest
+    # lowest of its bin by more than tol
     tol = SECULAR_TOL * np.maximum(1.0, np.abs(energies).max(axis=1))[chain]
     new = np.ones(len(omegas), dtype=bool)
-    new[1:] = (np.diff(omegas) > tol[1:]) | (np.diff(chain) != 0) | (np.diff(reservoir) != 0)
-    starts = np.flatnonzero(new)
-    stops = np.append(starts, len(omegas))[1:]
-    wide = omegas[stops - 1] - omegas[starts] > tol[starts]
-    for start, stop in zip(starts[wide].tolist(), stops[wide].tolist()):
-        values = omegas[start:stop].tolist()
-        for i in range(1, stop - start):
-            if values[i] - values[0] > tol[start]:
-                new[start + i] = True
-                values[0] = values[i]
-    starts = np.flatnonzero(new)
+    new[1:] = (np.diff(chain) != 0) | (np.diff(reservoir) != 0)
+    starts = np.flatnonzero(_walk(omegas, tol, new))
     counts = np.diff(np.append(starts, len(omegas)))
     jumps = np.empty(len(omegas), dtype=JUMP_DTYPE)
     jumps["chain"], jumps["reservoir"] = chain, reservoir
@@ -244,28 +234,24 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
 class ChainOperators:
     """The approach-independent operators of a stack of chains of one qubit count, site basis.
 
-    Chain c has the Hamiltonian ``hamiltonian[c]`` (k, d, d), the gaps
-    ``epsilons[c]``, the couplings ``hoppings[c]`` and its reservoirs
-    attached at the qubits ``sites[c]``, where each couples through
-    sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The stacked
-    sector ``eigensystem`` of the Hamiltonians, their diagonals
-    ``site_energies``, the single-particle matrices h and their ``modes``
-    are computed on first use.  Both approaches are solved from the N x N
-    h and its modes (:mod:`chainflux.correlations`); the 2^N eigensystem is
-    computed once, for the whole stack, only where it is read: by the
-    eigenbasis diagonals of the states, and by the jump scan of a chain
-    with a zero mode (:func:`mode_groups`).
-    Item c of the stack is chain c's :class:`Chain`, the same object on
-    every access.  Every array is read-only.
+    Chain c has the gaps ``epsilons[c]``, the couplings ``hoppings[c]`` and
+    its reservoirs attached at the qubits ``sites[c]``, where each couples
+    through sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The
+    rest is computed on first use: the single-particle h and its ``modes``,
+    from which both approaches are solved (:mod:`chainflux.correlations`);
+    the diagonals ``site_energies`` of the Hamiltonians, from the gaps and
+    the sigma^z signs; and the 2^N ``hamiltonian`` stack (k, d, d) and its
+    sector ``eigensystem``, read only by a row's :class:`Chain`, ``verify``
+    and :func:`assemble`.  Item c of the stack is chain c's :class:`Chain`,
+    the same object on every access.  Every array is read-only.
     """
 
-    hamiltonian: np.ndarray
     epsilons: np.ndarray
     hoppings: np.ndarray
     sites: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.hamiltonian)
+        return len(self.epsilons)
 
     def __getitem__(self, c) -> Chain:
         return self._views[c]
@@ -273,6 +259,13 @@ class ChainOperators:
     @cached_property
     def _views(self) -> tuple:
         return tuple(Chain(self, c) for c in range(len(self)))
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """Each chain's H, (k, d, d) (:func:`~chainflux.operators.build_chain_hamiltonian`)."""
+        H = build_chain_hamiltonian(self.epsilons, self.hoppings)
+        read_only(H)
+        return H
 
     @cached_property
     def couplings(self) -> np.ndarray:
@@ -290,7 +283,8 @@ class ChainOperators:
     @cached_property
     def site_energies(self) -> np.ndarray:
         """The diagonal of each H, (k, d): the energies of the site basis states."""
-        energies = np.diagonal(self.hamiltonian, axis1=1, axis2=2).real.copy()
+        energies = (self.epsilons @ excited_qubits(self.epsilons.shape[1])
+                    - 0.5 * self.epsilons.sum(axis=1, keepdims=True))
         read_only(energies)
         return energies
 
@@ -363,9 +357,8 @@ def chain_operators(epsilons, couplings=None, sites=None) -> ChainOperators:
     """
     if couplings is None:
         epsilons, couplings, sites = chain_arrays(epsilons)
-    H = build_chain_hamiltonian(epsilons, couplings)
-    read_only(H, epsilons, couplings, sites)
-    return ChainOperators(hamiltonian=H, epsilons=epsilons, hoppings=couplings, sites=sites)
+    read_only(epsilons, couplings, sites)
+    return ChainOperators(epsilons=epsilons, hoppings=couplings, sites=sites)
 
 
 @lru_cache(maxsize=None)
@@ -379,45 +372,83 @@ def _site_couplings(n_qubits: int) -> np.ndarray:
     return couplings
 
 
+def _walk(values: np.ndarray, tol: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``new`` (m,) bool, set also where one of the ascending ``values`` (m,) opens a bin.
+
+    Runs start where ``new`` is set.  Walked from its first value, a value
+    opens a bin where it lies more than its ``tol`` above the value that
+    opened the current one; only a run that spans more than tol is walked.
+    """
+    new[1:] |= np.diff(values) > tol[1:]
+    starts = np.flatnonzero(new)
+    stops = np.append(starts, len(values))[1:]
+    wide = values[stops - 1] - values[starts] > tol[starts]
+    for start, stop in zip(starts[wide].tolist(), stops[wide].tolist()):
+        low = values[start]
+        for i in range(start + 1, stop):
+            if values[i] - low > tol[start]:
+                new[i], low = True, values[i]
+    return new
+
+
+def _levels(values: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Each row's levels of ascending ``values`` (k, m), from 0, for the chains' modes ``omega``.
+
+    :func:`_walk` within SECULAR_TOL times the many-body energy scale
+    max(1, sum_k |omega_k| / 2).
+    """
+    k, m = values.shape
+    tol = SECULAR_TOL * np.maximum(1.0, 0.5 * np.abs(omega).sum(axis=1))
+    new = np.arange(k * m) % m == 0  # each row is a run of its own
+    return np.cumsum(_walk(values.reshape(-1), tol.repeat(m), new).reshape(k, m), axis=1) - 1
+
+
 def mode_groups(chains: ChainOperators) -> tuple:
     """The frequency bins of each chain's modes, their channels, and the chains with a zero mode.
 
     Every global jump is one mode's f_k, or f_k^dag where omega_k < 0, at
     |omega_k| (:attr:`ChainOperators.modes`).  The modes share bins as
-    :func:`global_jump_operators` bins its jumps: walked from the lowest
-    |omega_k|, a mode opens a new group where it lies more than SECULAR_TOL
-    times the many-body energy scale max(1, sum_k |omega_k| / 2) above the
-    mode that opened the current one.  Returns ``group`` (k, n), each
-    mode's group, numbered from 0 by ascending |omega|; ``bright``
-    (k, 2, n), where mode k is a channel of reservoir r: |phi_k(site_r)|
-    above ELEMENT_TOL, as a jump is kept; and ``errors``, by chain index,
-    the DegenerateTransition of each chain with a bright mode at |omega_k|
-    <= OMEGA_MIN: the one :func:`global_jump_operators` gives on the
-    chain's 2^N eigensystem, else one at that |omega_k|.
+    :func:`global_jump_operators` bins its jumps (:func:`_levels`).  Returns
+    ``group`` (k, n), each mode's group, numbered from 0 by ascending
+    |omega|; ``bright`` (k, 2, n), where mode k is a channel of reservoir
+    r: |phi_k(site_r)| above ELEMENT_TOL, as a jump is kept; and
+    ``errors``, by chain index, the DegenerateTransition of each chain with
+    a bright mode at |omega_k| <= OMEGA_MIN: the one
+    :func:`global_jump_operators` gives on the 2^N eigensystem of that
+    chain's H, built for those chains alone, else one at that |omega_k|.
     """
     omega, phi = chains.modes
     freqs = np.abs(omega)
     bright = np.abs(phi[np.arange(len(phi))[:, None], chains.sites]) > ELEMENT_TOL
-    tol = SECULAR_TOL * np.maximum(1.0, 0.5 * freqs.sum(axis=1))
-    new = np.ones(freqs.shape, dtype=bool)
-    new[:, 1:] = freqs[:, 1:] - freqs[:, :-1] > tol[:, None]
-    for c in np.flatnonzero(~new.all(axis=1)).tolist():  # a shared bin: the walk
-        low = freqs[c, 0]
-        for k in range(1, freqs.shape[1]):
-            if new[c, k] or freqs[c, k] - low > tol[c]:
-                new[c, k], low = True, freqs[c, k]
     errors = {}
     if (freqs[:, 0] <= OMEGA_MIN).any():  # the lowest |omega_k| comes first
         soft = bright.any(axis=1) & (freqs <= OMEGA_MIN)
         zero, found = np.flatnonzero(soft.any(axis=1)), {}
         if len(zero):
-            global_jump_operators(chains.eigensystem[zero], chains.couplings[zero], found)
+            es = diagonalize(build_chain_hamiltonian(chains.epsilons[zero], chains.hoppings[zero]))
+            couplings = _site_couplings(freqs.shape[1])[chains.sites[zero]]
+            global_jump_operators(es, couplings, found)
         for i, c in enumerate(zero.tolist()):
             omega_min = float(freqs[c][soft[c]].min())
             errors[c] = found.get(i) or DegenerateTransition(
                 f"mode at |omega| = {omega_min:.3e} below cutoff {OMEGA_MIN:.1e}",
                 omega=omega_min)
-    return np.cumsum(new, axis=1) - 1, bright, errors
+    return _levels(freqs, freqs), bright, errors
+
+
+def fock_order(omega: np.ndarray) -> np.ndarray:
+    """The mode Fock states of each chain in ascending energy, (k, 2^n) of state indices.
+
+    State i occupies mode k (of :attr:`ChainOperators.modes`) where bit k
+    of i is set.  The states go by ascending E(n) = sum_k omega_k n_k, in
+    levels grouped as the modes are (:func:`_levels`), and inside a level
+    by ascending index.
+    """
+    n = omega.shape[1]
+    energies = (((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * omega[:, None, :]).sum(axis=2)
+    order = np.argsort(energies, axis=1, kind="stable")
+    level = _levels(np.take_along_axis(energies, order, axis=1), omega)
+    return np.take_along_axis(order, np.lexsort((order, level)), axis=1)
 
 
 def assemble(spec: ChainSpec, approach: str) -> tuple:

@@ -28,7 +28,12 @@ from .errors import (
     DimensionMismatch,
 )
 from . import correlations
-from .correlations import global_steady_states, group_steady_states, local_steady_states
+from .correlations import (
+    fock_probabilities,
+    global_steady_states,
+    group_steady_states,
+    local_steady_states,
+)
 from .generator import unvectorize, vectorize
 from .lindblad import (
     OMEGA_MIN,
@@ -37,6 +42,7 @@ from .lindblad import (
     bath_rates,
     bose_occupation,
     chain_operators,
+    fock_order,
     mode_groups,
 )
 from .model import BathSpec, ChainSpec
@@ -45,10 +51,12 @@ from .steady import unique, uniqueness_error
 
 _FORM_TOL = 1e-12
 
-# The steady solves go in stacks of at most this many elements (128 KB per
-# real array): of the N^2 x N^2 correlation systems of the local rows and
-# of the global rows with a shared bin, and of the 2^N mode Fock energies
-# of the closed-form global rows, which bounds the peak memory of a sweep.
+# The steady solves and the diagonals go in stacks of at most this many
+# elements (128 KB per real array): of the N^2 x N^2 correlation systems of
+# the local rows and of the global rows with a shared bin, of the 2^N mode
+# Fock energies of the closed-form global rows, and of the 2^N N x N
+# determinants of rho_diagonals.  A sweep holds no larger array per row, so
+# this bounds its peak memory.
 _GRID_ELEMENTS = 1 << 14
 
 
@@ -290,15 +298,15 @@ class SteadyColumns(Sequence):
     rcond), and such a row's entries are no result.  Row i keeps only its
     correlation matrix, ``correlations[i]`` (rows, N, N): over the site
     fermions, or, where ``hole_frame[i]``, over the hole-frame modes of its
-    chain (:func:`~chainflux.correlations.group_steady_states`).  The row
-    views and :meth:`rho_diagonals` build the states from it
-    (:meth:`states`).  ``channels`` holds the channel fluxes in bin order,
-    zero-padded.  Row i is on chain ``chain[i]`` of the call's ``chains``,
-    and its channels are the bins at ``omegas[edges[2c]:edges[2c + 2]]``,
-    reservoir by reservoir.  ``baths[i]`` holds the (temperature, gamma) of
-    each reservoir of row i.  ``columns[i]`` builds row i's
-    :class:`SteadyReport`, with the spec of its chain and baths, or gives
-    its error.
+    chain (:func:`~chainflux.correlations.group_steady_states`), from which
+    the row views build the states (:meth:`states`) and
+    :meth:`rho_diagonals` reads the diagonals.  ``channels`` holds the
+    channel fluxes in bin order, zero-padded.  Row i is on chain
+    ``chain[i]`` of the call's ``chains``, and its channels are the bins at
+    ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by reservoir.
+    ``baths[i]`` holds the (temperature, gamma) of each reservoir of row i.
+    ``columns[i]`` builds row i's :class:`SteadyReport`, with the spec of
+    its chain and baths, or gives its error.
     """
 
     approach: str
@@ -347,25 +355,32 @@ class SteadyColumns(Sequence):
         frame where ``hole_frame`` marks it.
         """
         rows = np.arange(len(self))[rows]
-        n = self.correlations.shape[-1]
-        out = np.empty((len(rows), 2**n, 2**n), dtype=complex)
-        holes = self.hole_frame[rows]
-        if not holes.all():
-            out[~holes] = correlations._gaussian_states(self.correlations[rows[~holes]])
-        if holes.any():
-            omega, phi = (a[self.chain[rows[holes]]] for a in self.chains.modes)
-            out[holes] = correlations._gaussian_states(self.correlations[rows[holes]], phi,
-                                                       omega < 0)
-        return out
+        omega, phi = (a[self.chain[rows]] for a in self.chains.modes)
+        holes = self.hole_frame[rows, None]
+        return correlations._gaussian_states(
+            self.correlations[rows], np.where(holes[..., None], phi, np.eye(phi.shape[-1])),
+            holes & (omega < 0))
 
     def rho_diagonals(self, rows) -> np.ndarray:
-        """The populations of the states of ``rows`` in their chain's eigenbasis, (rows, d)."""
-        rho, chain = self.states(rows), self.chain[rows]
-        if not len(chain):
-            return np.zeros((0, rho.shape[-1]))
-        vectors = self.chains.eigensystem.vectors[chain]
-        rho = vectors.conj().swapaxes(1, 2) @ rho @ vectors
-        return np.diagonal(rho, axis1=1, axis2=2).real.copy()  # not a view that keeps rho
+        """The probabilities of ``rows`` on their chain's mode Fock states in its order, (rows, d).
+
+        From phi^T C phi, or a hole-frame C~ as it is
+        (:func:`~chainflux.correlations.fock_probabilities`), in stacks of
+        at most ``_GRID_ELEMENTS`` elements of their (d, N, N) determinants;
+        the order is each chain's :func:`~chainflux.lindblad.fock_order`.
+        """
+        rows, n = np.arange(len(self))[rows], self.correlations.shape[-1]
+        out = np.empty((len(rows), 2**n))
+        if len(rows):
+            chains, which = np.unique(self.chain[rows], return_inverse=True)
+            omega, phi = (a[chains] for a in self.chains.modes)
+            order, step = fock_order(omega), max(1, _GRID_ELEMENTS // (2**n * n * n))
+            for at in (slice(i, i + step) for i in range(0, len(rows), step)):
+                on, holes, C = which[at], self.hole_frame[rows[at]], self.correlations[rows[at]]
+                C = np.where(holes[:, None, None], C, phi[on].swapaxes(1, 2) @ C @ phi[on])
+                out[at] = np.take_along_axis(
+                    fock_probabilities(C, (omega[on] < 0) & holes[:, None]), order[on], axis=1)
+        return out
 
 
 def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
@@ -399,8 +414,7 @@ def steady_reports(specs, approaches) -> list:
             first.append(spec)
         chain.append(c)
     baths = np.array([(b.temperature, b.gamma) for s in specs for b in s.baths]).reshape(-1, 2, 2)
-    return chain_reports(chain_operators(first) if first else None, np.array(chain, dtype=int),
-                         baths, approaches)
+    return chain_reports(chain_operators(first), np.array(chain, dtype=int), baths, approaches)
 
 
 def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
@@ -409,42 +423,20 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir at ``baths[i]`` (rows, 2, 2).  The call owns every chain's
-    rate-free data, built as stacks over its chains: one
-    :class:`ChainOperators` stack, so every H is built once for every
-    approach, and its modes and eigensystem computed once where read.
-
-    The global rows come from the modes of their chains
-    (:func:`_global_reports`): mode by mode where no bin holds two modes,
-    else by one N^2 system in the chain's hole frame.  Every row of a chain
-    with a zero mode gets that chain's DegenerateTransition (the other
-    chains of the call are solved as usual).
-
-    The local rows are solved through their N x N correlation matrices
-    (:func:`~chainflux.correlations.local_steady_states`), every row of
-    the call in stacks of at most ``_GRID_ELEMENTS`` elements of their N^2
-    x N^2 systems (:func:`_local_reports`).  They keep their correlation
-    matrices, not their 2^N states.
-
-    A row whose steady state is not unique gets its own DegenerateKernel.
+    rate-free data, one :class:`ChainOperators` stack, so every chain's
+    modes are computed once for both approaches.  Every row is solved
+    through its N x N correlation matrix and keeps it, not its 2^N state:
+    the global rows from their chains' modes (:func:`_global_reports`),
+    where every row of a chain with a zero mode gets that chain's
+    DegenerateTransition, and the local rows from their site fermions
+    (:func:`_local_reports`).  A row whose steady state is not unique gets
+    its own DegenerateKernel.
     """
     for approach in approaches:
         if approach not in ("global", "local"):
             raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    if not len(chain):
-        return [_no_reports(approach) for approach in approaches]
     return [_local_reports(chains, chain, baths) if approach == "local" else
             _global_reports(chains, chain, baths) for approach in approaches]
-
-
-def _no_reports(approach) -> SteadyColumns:
-    empty, none = np.zeros(0), np.zeros(0, dtype=int)
-    return SteadyColumns(
-        approach=approach, populations=np.zeros((0, 0)), fluxes=np.zeros((0, 2)),
-        residual=empty, rcond=empty, unknowns=none, errors={},
-        correlations=np.zeros((0, 0, 0)), hole_frame=np.zeros(0, dtype=bool),
-        channels=np.zeros((0, 0)),
-        chains=None, chain=none, baths=np.zeros((0, 2, 2)), omegas=empty,
-        edges=np.zeros(1, dtype=int))
 
 
 def _global_reports(chains, chain, baths) -> SteadyColumns:
@@ -454,14 +446,11 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
     each reservoir's groups with a bright mode, by ascending |omega|, each
     at its modes' mean |omega_k| (:func:`~chainflux.lindblad.mode_groups`).
     The rows on chains where every group holds one mode come from their
-    modes in closed form (:func:`~chainflux.correlations.global_steady_states`),
-    in stacks of at most ``_GRID_ELEMENTS / 2^N`` rows, and their
-    ``unknowns`` read N; those on chains with a shared bin from the N^2
-    system of their hole frame
+    modes in closed form (:func:`~chainflux.correlations.global_steady_states`,
+    N ``unknowns``), the others from the N^2 system of their hole frame
     (:func:`~chainflux.correlations.group_steady_states`), in stacks of at
-    most ``_GRID_ELEMENTS / N^4`` rows, and their ``unknowns`` read N^2.
-    Every row keeps its correlation matrix.  The rows of a chain with a
-    bright zero mode get its DegenerateTransition and are not solved.
+    most ``_GRID_ELEMENTS`` elements.  The rows of a chain with a bright
+    zero mode get its DegenerateTransition and are not solved.
     """
     (c, n), k = chains.epsilons.shape, len(chain)
     group, lit, zero = mode_groups(chains)

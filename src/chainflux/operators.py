@@ -62,10 +62,11 @@ def number_operator(n_qubits: int, site: int) -> np.ndarray:
 
 def chain_arrays(specs) -> tuple:
     """The gaps (k, n), couplings (k, n - 1) and attachment sites (k, 2) of ChainSpecs of one N."""
-    k, n = len(specs), specs[0].n_qubits
+    k, n = len(specs), specs[0].n_qubits if specs else 1  # no spec: an empty stack of one qubit
     epsilons = np.array([spec.epsilons for spec in specs], dtype=float).reshape(k, n)
     couplings = np.array([spec.couplings for spec in specs], dtype=float).reshape(k, n - 1)
-    sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs]).reshape(k, 2)
+    sites = np.array([[bath.attached_site for bath in spec.baths] for spec in specs],
+                     dtype=int).reshape(k, 2)
     return epsilons, couplings, sites
 
 

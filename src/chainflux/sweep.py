@@ -1,8 +1,8 @@
 """Parameter sweeps over validated chain specs, with reproducible CSV output.
 
-A sweep runs in the calling process: its grid goes in chunks, solved one
-after the other, whose chains hold at most ``_CALL_ELEMENTS`` elements of
-their 2^N x 2^N Hamiltonians, 32 chains at N = 5.
+A sweep runs in the calling process, its whole grid in one stack of
+chains: every row is solved, and its outputs read, from N x N data, in
+stacks of at most ``observables._GRID_ELEMENTS`` elements.
 """
 
 from __future__ import annotations
@@ -315,13 +315,6 @@ def format_config(request: SweepRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The distinct chains of one chain_reports call hold at most this many
-# elements of their 2^N x 2^N Hamiltonians, which bounds the 2^N stacks
-# (H, eigensystems, states) a call holds at once: 32 chains at N = 5, 128
-# at N = 4, 512 at N = 3.
-_CALL_ELEMENTS = 32 * 4**5
-
-
 _SKIP_REASONS = {
     DegenerateTransition: "degenerate-transition (omega = {0.omega:.3e})",
     DegenerateKernel: "degenerate-kernel (rcond = {0.rcond:.3e})",
@@ -329,12 +322,13 @@ _SKIP_REASONS = {
 
 
 def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
-    """Columns and skips of one chunk of grid ``values`` (floats), per approach of ``request``.
+    """The rows of the grid ``values`` (floats) as columns, and its skips, by approach, then value.
 
-    The chunk's chains are one stack built from arrays: one chain for a
+    The grid's chains are one stack built from arrays: one chain for a
     temperature sweep or a K scan of one qubit, else one per point.  Its
     points are solved under every approach in one :func:`chain_reports`
-    call, which builds each H and eigensystem once for both approaches; a
+    call, from N x N data in stacks of at most ``_GRID_ELEMENTS`` elements
+    (:mod:`chainflux.observables`), which bounds the memory of a sweep; a
     point whose eigenbasis degenerates or whose steady state is not unique
     becomes an annotated skip.  The rows leave as arrays.
     """
@@ -350,23 +344,23 @@ def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
         chain = np.arange(k)
     reports = chain_reports(chain_operators(epsilons, couplings, sites), chain, baths,
                             request.approaches)
-    out = []
+    blocks, skipped = [], []
     for approach, results in zip(request.approaches, reports):
         rows = np.flatnonzero(~np.isin(np.arange(k), list(results.errors)))
         empty = np.zeros((len(rows), 0))
-        columns = SweepColumns(
+        blocks.append(SweepColumns(
             axis_value=values[rows], approach=np.full(len(rows), approach, dtype=object),
             populations=results.populations[rows] if "populations" in request.outputs else empty,
             fluxes=results.fluxes[rows] if "heat_flux" in request.outputs else empty,
             diagonals=(results.rho_diagonals(rows) if "rho_diagonals" in request.outputs
                        else empty),
             residual=results.residual[rows],
-        )
-        skips = tuple(SkippedRow(axis_value=values[i].item(), approach=approach,
-                                 reason=_SKIP_REASONS[type(error)].format(error))
-                      for i, error in sorted(results.errors.items()))
-        out.append((columns, skips))
-    return tuple(out)
+        ))
+        skipped += [SkippedRow(axis_value=values[i].item(), approach=approach,
+                               reason=_SKIP_REASONS[type(error)].format(error))
+                    for i, error in sorted(results.errors.items())]
+    return SweepColumns(*(np.concatenate([getattr(block, f.name) for block in blocks])
+                          for f in fields(SweepColumns))), tuple(skipped)
 
 
 def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
@@ -377,31 +371,15 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     array is checked against the swept field's rule at once, and the first
     invalid value in grid order raises the SpecError :func:`validate_spec`
     raises on its spec (:func:`apply_axis`).  No spec is built for the
-    other points.  The solved rows are joined as columns in (approach,
-    axis value) order; points where the eigenbasis construction
-    degenerates or the steady state is not unique are recorded as
-    annotated skips instead of aborting the run.  A row residual above
-    ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst row, the first
-    of the largest.  A request :func:`parse_config` would refuse and one
+    other points.  A request :func:`parse_config` would refuse and one
     that repeats an approach raise ConfigSyntaxError before any row is
     solved; the grid's order is checked after its values.
 
-    The grid goes in contiguous chunks, one after the other, each solved
-    under every approach of the request in one :func:`chain_reports` call
-    (:func:`_row_task`), so both approaches of a chain share its H,
-    eigensystem and site operators, built in that call and dropped after
-    it.  The chunks are as few, and as even in size, as lets the distinct
-    chains of none hold more than ``_CALL_ELEMENTS`` elements of their
-    2^N x 2^N Hamiltonians (32 chains at N = 5, 128 at N = 4, 512 at
-    N = 3), which bounds the memory of a call: a K or eps scan gives each
-    point its own chain, and a temperature sweep one chain to all, so it
-    is one chunk.  In a chunk every row is solved from an N x N
-    correlation matrix (:mod:`chainflux.observables`): the local rows in
-    stacks of their N^2 systems, and the global rows from their chain's
-    modes, mode by mode where no frequency bin holds two modes, else by the
-    N^2 system of the chain's hole frame, in which every global generator
-    conserves the number of fermions.  The chunk's 2^N eigensystems are
-    built only where ``rho_diagonals`` is read or a chain has a zero mode.
+    The whole grid goes to one :func:`_row_task` call; points where the
+    eigenbasis construction degenerates or the steady state is not unique
+    are recorded as annotated skips instead of aborting the run.  A row
+    residual above ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst
+    row, the first of the largest.
 
     ``workers`` is ignored.  It is kept only because the benchmark harness
     passes ``workers=2`` for its ``kscan4_par`` workload; the benchmark
@@ -424,14 +402,7 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
         apply_axis(base, request.axis, values[i])
     if (values[1:] <= values[:-1]).any():
         raise ConfigSyntaxError("grid must be strictly increasing")
-    chains = len(values) if request.axis in ("k", "eps") else 1  # t1, t2: one chain to all
-    bound = max(1, _CALL_ELEMENTS // 4**base.n_qubits)  # chains per call
-    size = -(-len(values) // -(-chains // bound))  # even chunks, each within the bound
-    chunks = [_row_task(request, values[i:i + size]) for i in range(0, len(values), size)]
-    blocks = [chunk[a] for a in range(len(request.approaches)) for chunk in chunks]
-    rows = SweepColumns(*(np.concatenate([getattr(columns, f.name) for columns, _ in blocks])
-                          for f in fields(SweepColumns)))
-    skipped = tuple(skip for _, skips in blocks for skip in skips)
+    rows, skipped = _row_task(request, values)
     if len(rows) and rows.residual.max() > ROW_RESIDUAL_LIMIT:
         worst = rows[int(rows.residual.argmax())]
         raise NoConvergence(

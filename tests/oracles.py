@@ -24,7 +24,9 @@ joins to the diagonal (:func:`coupled_sets`); the generator on them in the
 real coordinates of a Hermitian rho (:func:`real_superoperator`), solved by
 the package's ``steady.solve_hermitian``.  And the global approach's
 free-fermion form (:func:`global_free_fermion`), which shares no layer
-with the package's eigenbasis route.
+with the package's eigenbasis route.  The Fock states of a chain's modes
+as dense site-basis vectors, in the order ``rho_diagonals`` states
+(:func:`mode_fock_states`, :func:`mode_fock_diagonals`).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from chainflux.lindblad import (
     global_bins,
     global_jump_operators,
 )
+from chainflux.correlations import _fermions
 from chainflux.observables import SteadyColumns, _two_bath_flux
 from chainflux.steady import solve_hermitian, unique, uniqueness_error
 from chainflux.operators import (
@@ -849,3 +852,44 @@ def global_free_fermion(spec) -> tuple:
         raise DegenerateTransition(f"two modes share |omega| = {freqs[close[0]]:.6g}",
                                    omega=float(freqs[close[0]]))
     return free_fermion_form(spec)
+
+
+def mode_fock_states(omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The Fock states of one chain's modes as site-basis columns (d, d), in the stated order.
+
+    |n> = prod_k (f_k^dag)^{n_k} |vac>, with f_k^dag = sum_i phi_ik c_i^dag
+    from the package's matrices of the c_i (``correlations._fermions``)
+    and |vac> the state with every qubit in its ground state (every bit
+    set).  Mode k is bit k of a state's index n.  The states go by
+    ascending E(n) = sum_k omega_k n_k; walked from the lowest, a state
+    opens a new level where its E lies more than SECULAR_TOL max(1, sum_k
+    |omega_k| / 2) above the E that opened the current one, and inside a
+    level the states go by ascending n.  Loops over Python floats, sharing
+    no code with ``lindblad.fock_order``.
+    """
+    n = len(omega)
+    d = 2**n
+    raising = [sum(phi[i, k] * _fermions(n)[i].T for i in range(n)) for k in range(n)]
+    columns = []
+    for index in range(d):
+        state = np.zeros(d)
+        state[d - 1] = 1.0
+        for k in range(n):
+            if index >> k & 1:
+                state = raising[k] @ state
+        columns.append(state)
+    energies = [sum(float(omega[k]) for k in range(n) if index >> k & 1) for index in range(d)]
+    tol = SECULAR_TOL * max(1.0, 0.5 * sum(abs(float(w)) for w in omega))
+    level, low, levels = -1, None, {}
+    for index in sorted(range(d), key=lambda i: energies[i]):
+        if low is None or energies[index] - low > tol:
+            level, low = level + 1, energies[index]
+        levels[index] = level
+    order = sorted(range(d), key=lambda i: (levels[i], i))
+    return np.array(columns).T[:, order]
+
+
+def mode_fock_diagonals(rho: np.ndarray, omega: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """<n|rho|n> of a site-basis state on its chain's mode Fock states, in the stated order."""
+    states = mode_fock_states(omega, phi)
+    return np.einsum("in,ij,jn->n", states.conj(), rho, states).real

@@ -106,6 +106,21 @@ def test_steady_prints_solver_diagnostics(capsys):
     assert re.search(r"\(rcond \d\.\d{3}e[-+]\d+, 4 unknowns\)$", line)
 
 
+@pytest.mark.parametrize("approach", ["both", "global", "local"])
+def test_steady_prints_each_approach_beside_the_other_s_error(approach, capsys):
+    # eps = K: the global dimer has a zero mode, the local one solves; a
+    # failed approach prints its name and its error, and the exit code is 2
+    code = cli_main(["steady", "--epsilons", "1,1", "--couplings", "1", "--t1", "1",
+                     "--t2", "0", "--approach", approach])
+    captured = capsys.readouterr()
+    assert code == (0 if approach == "local" else 2)
+    names = re.findall(r"^approach: (\w+)$", captured.out, flags=re.M)
+    assert names == (["global", "local"] if approach == "both" else [approach])
+    assert ("n1 = 0.213780913119" in captured.out) == (approach != "global")
+    error = "error: coupling element across degenerate eigenstates 0, 1\n"
+    assert captured.err == (error if approach != "local" else "")
+
+
 def test_sweep_command_writes_csv(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -115,14 +115,11 @@ def test_zero_mode_skips_are_those_of_one_spec_per_point(tmp_path, axis, zeros):
 
 
 @pytest.mark.parametrize("axis", AXES)
-def test_a_sweep_of_several_chunks_gives_the_rows_of_one_spec_per_point(tmp_path, axis,
-                                                                        monkeypatch):
-    # 70 points with the bound at 32 N = 3 chains: a K or eps scan goes in
-    # three chunks, a temperature sweep in one; the rows are those of one
-    # call over every point's spec
-    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 32 * 4**3)
+def test_a_long_grid_gives_the_rows_of_one_spec_per_point(tmp_path, axis):
+    # 600 points at N = 3, more chains than a call once held (512): the
+    # rows are those of one call over every point's spec
     request = SweepRequest(base=seeded_base(3, 950), axis=axis,
-                           grid=tuple(np.linspace(0.1, 3.0, 70)), approaches=("global", "local"),
+                           grid=tuple(np.linspace(0.1, 3.0, 600)), approaches=("global", "local"),
                            outputs=("populations", "heat_flux", "rho_diagonals"))
     assert_same_table(run_sweep(request), spec_path_table(request), tmp_path)
 

@@ -36,6 +36,7 @@ from oracles import (
     free_fermion_form,
     global_free_fermion,
     block_reports,
+    mode_fock_diagonals,
     pair_tables,
     site_generator,
 )
@@ -145,13 +146,19 @@ def test_solved_rows_have_round_off_residuals():
         assert rows.residual.max() <= 1e-12
 
 
+def fermion_pairs(n):
+    """c_i^dag c_j of every (i, j), (n^2, d^2), from the package's matrices of the c_i."""
+    c = chainflux.correlations._fermions(n)
+    return (c.swapaxes(1, 2)[:, None] @ c[None]).reshape(n * n, -1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_the_cached_tables_equal_their_dense_builders(n):
-    # the pair tables by index arithmetic are bit for bit the dense
+    # the pairs of the c_i, by index arithmetic, are bit for bit the dense
     # Jordan-Wigner strings; each row's correlation system, built from its
     # own X, is the oracle basis of the broadcast map contracted with the
     # row's coefficients (Lambda_qq, then h_ab), to round-off
-    assert np.array_equal(chainflux.correlations._pair_tables(n), pair_tables(n))
+    assert np.array_equal(fermion_pairs(n), pair_tables(n))
     chains = chain_operators(list(seeded_chains(760 + n, n, 6)))
     h = chains.single_particle
     decay = np.random.default_rng(n).uniform(0.0, 5.0, (len(h), n))
@@ -170,7 +177,7 @@ def test_the_pair_tables_are_products_of_jordan_wigner_fermions():
     # sigma^+ sigma^-, and H is sum_ab h_ab c_a^dag c_b minus sum eps / 2
     for n in range(1, 6):
         d = 2**n
-        tables = chainflux.correlations._pair_tables(n).reshape(n, n, d, d)
+        tables = fermion_pairs(n).reshape(n, n, d, d)
         assert np.array_equal(tables, tables.transpose(1, 0, 3, 2))
         for i in range(n):
             lower = site_operator(n, i, "lower").real
@@ -192,26 +199,27 @@ def local_t1_sweep(points, outputs):
                         approaches=("local",), outputs=outputs)
 
 
-def test_a_local_sweep_builds_a_state_only_to_read_it(monkeypatch):
-    # populations, fluxes and residuals come from C alone: no 2^N state is
-    # built.  The diagonals come from each row's state, built from its C, and
-    # are those of a one-row report, bit for bit, across the sweep's stacks
+def test_a_local_sweep_builds_no_state(monkeypatch):
+    # populations, fluxes, residuals and the mode Fock diagonals come from C
+    # alone: no 2^N state is built.  The diagonals are those of the row's
+    # state on its chain's mode Fock states (oracles), in the stated order
     def refuse(*args):
         raise AssertionError("a 2^N state was built")
 
     request = local_t1_sweep(40, ("populations", "heat_flux"))
+    lean = run_sweep(request)
     with monkeypatch.context() as patch:
         patch.setattr(chainflux.correlations, "_gaussian_states", refuse)
-        patch.setattr(chainflux.correlations, "_pair_tables", refuse)
-        lean = run_sweep(request)
-    table = run_sweep(replace(request, outputs=("populations", "heat_flux", "rho_diagonals")))
+        patch.setattr(chainflux.correlations, "_fermions", refuse)
+        table = run_sweep(replace(request, outputs=("populations", "heat_flux", "rho_diagonals")))
     assert len(table.rows) == len(request.grid) and not table.skipped
     for row, same in zip(table.rows, lean.rows):
         assert (row.populations, row.fluxes, row.residual) == \
             (same.populations, same.fluxes, same.residual)
-        report = steady_report(apply_axis(request.base, "t1", row.axis_value), "local")
-        vectors = report.chain.eigensystem.vectors
-        assert row.diagonals == tuple(np.diag(vectors.conj().T @ report.rho @ vectors).real)
+        (columns,) = steady_reports([apply_axis(request.base, "t1", row.axis_value)], ("local",))
+        omega, phi = (a[0] for a in columns.chains.modes)
+        expected = mode_fock_diagonals(columns.states([0])[0], omega, phi)
+        assert np.abs(np.subtract(row.diagonals, expected)).max() <= 1e-12
 
 
 def test_a_local_sweep_keeps_no_states_in_memory():

@@ -239,8 +239,7 @@ def temperature_sweep():
 
 @pytest.mark.parametrize("specs, zero_mode", [temperature_sweep(), k_scan_with_a_zero_mode()],
                          ids=["t1-sweep", "k-scan"])
-def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_mode,
-                                                                  monkeypatch):
+def test_one_call_diagonalizes_only_its_zero_mode_chain(specs, zero_mode, monkeypatch):
     import chainflux.lindblad
     import chainflux.operators
 
@@ -248,17 +247,20 @@ def test_one_call_diagonalizes_each_chain_once_for_both_approaches(specs, zero_m
     glob, local = steady_reports(specs, ("global", "local"))
     chains = {build_chain_hamiltonian(spec).tobytes() for spec in specs}
     # no row is solved on the 2^N eigensystem: only the zero mode's chain
-    # reads it, for its jump scan, and that diagonalizes the call's whole
-    # stack at once
-    assert len(diagonalized) == (0 if zero_mode is None else 1)
+    # reads it, for its jump scan, which builds and diagonalizes that
+    # chain's H alone
     assert local.chains is glob.chains and len(glob.chains) == len(chains)
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
-    # the reports' eigensystems, rho_diagonals' basis, are that one stacked
-    # call, shared by both approaches: each chain is diagonalized exactly once
+    if zero_mode is None:
+        assert diagonalized == []
+    else:
+        ((stack,),) = diagonalized
+        assert [H.tobytes() for H in stack] == [build_chain_hamiltonian(specs[zero_mode]).tobytes()]
+    # the reports' eigensystems, read by a view, are one stacked call over
+    # the call's chains, shared by both approaches
+    assert "eigensystem" not in vars(glob.chains)
     assert all(report.chain.eigensystem is not None for report in local)
-    ((stack,),) = diagonalized
-    assert sorted(H.tobytes() for H in stack) == sorted(chains)
     whole = chainflux.operators.diagonalize(glob.chains.hamiltonian)
     for name in ("energies", "vectors"):
         assert getattr(glob.chains.eigensystem, name).tobytes() == getattr(whole, name).tobytes()
@@ -279,12 +281,9 @@ def test_a_repeated_call_gives_bit_identical_reports():
             assert_same_report(report, expected)
 
 
-def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
-    # both approaches of a task share each chain's eigensystem, however many
-    # chains the task holds: 41 N = 3 chains are within the bound of a task
-    # (512), so the grid is one task, and one stacked call holds every chain
-    # of the task once: the zero mode's jump scan reads it, and so do the
-    # eigenbasis diagonals.
+def test_a_long_k_scan_diagonalizes_its_zero_mode_chain_alone(monkeypatch):
+    # 41 N = 3 chains with the eigenbasis-free diagonals: the zero mode's
+    # jump scan is the one diagonalize call, on that chain's H alone
     import chainflux.lindblad
 
     calls = []
@@ -301,55 +300,45 @@ def test_a_long_k_scan_diagonalizes_each_chain_once(monkeypatch):
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
-    assert calls == [(len(grid), 8, 8)]
+    assert calls == [(1, 8, 8)]
 
 
 @pytest.mark.parametrize("config", ["kscan4.cfg", "eps4.cfg"])
-def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_each_chain_exactly_once(config,
-                                                                                   monkeypatch):
-    # 14 N = 4 chains are within the bound of a call (128), so the scan is
-    # one chain_reports call.  The zero modes' jump scans and the eigenbasis
-    # diagonals read one eigensystem of the whole stack: every chain's H
-    # reaches diagonalize once, in one stacked call
+def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_its_zero_mode_chains_alone(
+        config, monkeypatch):
+    # the scan is one chain_reports call over its 14 chains; its two zero
+    # modes' jump scans pass the H of those chains, and no other, to
+    # diagonalize, in one stacked call
     import chainflux.lindblad
     import chainflux.sweep
 
     request = parse_config((REPO / "configs" / config).read_text())
     calls = count_calls(monkeypatch, chainflux.sweep, "chain_reports")
     diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
-    run_sweep(request)
+    table = run_sweep(request)
     ((chains, _, _, _),) = calls
     assert len(chains) == len(request.grid)
-    assert len(diagonalized) == 1
-    passed = [H.tobytes() for (stack,) in diagonalized for H in stack]
-    assert sorted(passed) == sorted(H.tobytes() for H in chains.hamiltonian)
+    zeros = [apply_axis(request.base, request.axis, skip.axis_value) for skip in table.skipped]
+    assert len(zeros) == 2
+    ((stack,),) = diagonalized
+    assert [H.tobytes() for H in stack] == [build_chain_hamiltonian(s).tobytes() for s in zeros]
 
 
-def test_a_k_scan_solves_at_most_the_bound_of_chains_per_call(monkeypatch):
-    # with the bound at 32 N = 3 chains, a 41-point K scan goes to
-    # chain_reports in two calls of 21 and 20 chains, each chain
-    # diagonalized once in its call, where the zero mode's jump scan (in the
-    # second call) and the eigenbasis diagonals read it.  Its rows are those
-    # of one call over every chain.
+def test_a_k_scan_beyond_the_former_bound_is_one_call(monkeypatch):
+    # 600 N = 3 chains, more than the 512 a call once held, go to one
+    # chain_reports call, which builds no chain's H
     import chainflux.lindblad
     import chainflux.sweep
 
-    calls = []
-
-    def counting(H, _real=chainflux.lindblad.diagonalize):
-        calls.append(H.shape)
-        return _real(H)
-
-    grid = tuple(np.linspace(0.3, 0.8, 40)) + (1.5 / (2 * math.cos(math.pi / 4)),)
-    request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k", grid=grid,
+    calls = count_calls(monkeypatch, chainflux.sweep, "chain_reports")
+    built = count_calls(monkeypatch, chainflux.lindblad, "build_chain_hamiltonian")
+    request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k",
+                           grid=tuple(np.linspace(1.1, 3.0, 600)),
                            approaches=("global", "local"), outputs=("rho_diagonals",))
-    whole = run_sweep(request)
-    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 32 * 4**3)
-    monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     table = run_sweep(request)
-    assert calls == [(21, 8, 8), (20, 8, 8)]
-    assert tuple(table.rows) == tuple(whole.rows)
-    assert table.skipped == whole.skipped
+    ((chains, chain_index, _, _),) = calls
+    assert len(chains) == 600 and chain_index.tolist() == list(range(600))
+    assert built == [] and not table.skipped and len(table.rows) == 1200
 
 
 def test_rows_with_different_zero_rates_share_a_stack(monkeypatch):

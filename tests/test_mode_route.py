@@ -5,11 +5,15 @@ apart mode by mode (``correlations.global_steady_states``), and those of a
 chain with a shared bin by the N^2 system of its hole frame
 (``correlations.group_steady_states``); the real block
 (``oracles.block_reports`` on the chain's eigenbasis structure) is the
-oracle of both.
+oracle of both.  The diagonals on the mode Fock states, of every route,
+are checked against the dense states on Fock states built from the modes
+(``oracles.mode_fock_states``), and no sweep of chains without a zero mode
+builds a 2^N x 2^N array.
 """
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +24,14 @@ import chainflux.lindblad
 import chainflux.observables
 import chainflux.operators
 import chainflux.steady
+import chainflux.sweep
 from chainflux import (
     DegenerateKernel,
     DegenerateTransition,
     SweepRequest,
     apply_axis,
     bose_occupation,
+    build_chain_hamiltonian,
     chain,
     figure_requests,
     parse_config,
@@ -34,11 +40,16 @@ from chainflux import (
 from chainflux.lindblad import chain_operators, mode_groups
 from chainflux.observables import steady_reports
 
-from oracles import block_reports
+from oracles import block_reports, mode_fock_diagonals
 from test_correlations import non_uniform_chains
+from test_hole_frame import PAIRS, TEMPERATURES
 from test_hermitian_solve import load_workloads
 
 REPO = Path(__file__).resolve().parent.parent
+OUTPUTS = ("populations", "heat_flux", "rho_diagonals")
+# a warm 1000-point N = 5 K scan of both approaches with rho_diagonals, in
+# one call, peaked at 5.3-5.4 MB traced (numpy 2.4, x86-64)
+PEAK_N5_K_SCAN = 7e6
 
 
 def grid_specs(request):
@@ -90,8 +101,11 @@ def assert_rows_match_the_block(specs, bounds=None):
         assert np.abs(getattr(rows, name) - getattr(block, name))[solved].max(initial=0) \
             <= bounds[name]
     assert np.abs(rows.states(solved) - block.states(solved)).max(initial=0) <= bounds["states"]
-    assert np.abs(rows.rho_diagonals(solved) - block.rho_diagonals(solved)).max(initial=0) \
-        <= bounds["states"]
+    # the diagonals on the mode Fock states, against the block's states
+    diagonals = rows.rho_diagonals(solved)
+    for i, rho, diagonal in zip(solved, block.states(solved), diagonals):
+        omega, phi = (a[rows.chain[i]] for a in rows.chains.modes)
+        assert np.abs(diagonal - mode_fock_diagonals(rho, omega, phi)).max() <= bounds["states"]
     for i in solved:
         for ours, theirs in zip(rows[i].channel_fluxes, block[i].channel_fluxes):
             assert len(ours) == len(theirs)
@@ -183,33 +197,57 @@ def n5_t1_sweep(points):
 
 
 def test_a_sweep_of_mode_chains_does_no_2n_work(monkeypatch):
-    # the uniform N = 5 chain's modes are apart: no 2^N eigensystem, jump
-    # scan, real block or Gaussian state on either approach's rows
+    # the uniform N = 5 chain's modes are apart: no 2^N Hamiltonian,
+    # eigensystem, jump scan, real block or Gaussian state on either
+    # approach's rows, the mode Fock diagonals included
     def refuse(*args, **kwargs):
         raise AssertionError("2^N work on the sweep path")
 
-    for module, name in ((chainflux.operators, "diagonalize"),
+    for module, name in ((chainflux.operators, "build_chain_hamiltonian"),
+                         (chainflux.lindblad, "build_chain_hamiltonian"),
+                         (chainflux.operators, "diagonalize"),
                          (chainflux.lindblad, "diagonalize"),
                          (chainflux.lindblad, "global_jump_operators"),
                          (chainflux.steady, "solve_hermitian"),
                          (chainflux.correlations, "_gaussian_states")):
         monkeypatch.setattr(module, name, refuse)
-    table = run_sweep(n5_t1_sweep(40))
+    table = run_sweep(replace(n5_t1_sweep(40), outputs=OUTPUTS))
     assert len(table.rows) == 80 and not table.skipped
     # a K scan of both approaches through K = 3, where a bin holds two
     # modes, and a chain with a soft mode near 1e-3, which the real block
     # once solved: no zero mode, so no 2^N work either
     scan = SweepRequest(base=chain([1.5] * 4, [1.0] * 3, 2.0, 0.5), axis="k",
                         grid=(0.5, 1.2, 2.2, 3.0, 3.4), approaches=("global", "local"),
-                        outputs=("populations", "heat_flux"))
+                        outputs=OUTPUTS)
     soft = SweepRequest(base=chain([1.001] * 2, [1.0], 0.01, 0.0), axis="t1",
                         grid=(0.01, 0.5, 20.0), approaches=("global", "local"),
-                        outputs=("heat_flux",))
+                        outputs=("heat_flux", "rho_diagonals"))
     for request, shared in ((scan, True), (soft, False)):
         specs = grid_specs(request)
         assert (not on_modes(specs).all()) == shared
         table = run_sweep(request)
         assert len(table.rows) == 2 * len(request.grid) and not table.skipped
+
+
+def test_a_k_scan_through_a_zero_mode_diagonalizes_that_chain_alone(monkeypatch):
+    # the jump scan that gives the zero mode's DegenerateTransition builds
+    # and diagonalizes the H of that chain only, not the call's stack
+    calls = []
+
+    def recording(H, _real=chainflux.lindblad.diagonalize):
+        calls.append(H.copy())
+        return _real(H)
+
+    monkeypatch.setattr(chainflux.lindblad, "diagonalize", recording)
+    zero_mode = 1.5 / (2 * math.cos(math.pi / 4))
+    request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k",
+                           grid=(0.4, 0.9, zero_mode, 1.4), approaches=("global", "local"),
+                           outputs=OUTPUTS)
+    table = run_sweep(request)
+    assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
+    ((H,),) = calls
+    zero = apply_axis(request.base, "k", zero_mode)
+    assert H.tobytes() == build_chain_hamiltonian(zero).tobytes()
 
 
 def test_a_long_sweep_of_both_approaches_keeps_no_states_in_memory():
@@ -226,60 +264,134 @@ def test_a_long_sweep_of_both_approaches_keeps_no_states_in_memory():
     assert peak <= 10e6
 
 
-def test_a_long_n4_k_scan_with_eigenbasis_diagonals_stays_within_its_bound():
-    # a K scan gives every point its own chain, so the chains per call are
-    # bounded (128 at N = 4) and each call's (rows, d, d) states and
-    # eigensystems are dropped after it: a 1000-point scan of both
-    # approaches with rho_diagonals peaked at 4.3 MB traced; 27.9 MB with
-    # the whole grid in one call, and 11.5 MB while each call's diagonals
-    # were a view that kept its rotated states
-    request = SweepRequest(base=chain([1.5] * 4, [1.0] * 3, 2.0, 0.5), axis="k",
-                           grid=tuple(np.linspace(0.3, 3.0, 1000).tolist()),
-                           approaches=("global", "local"),
-                           outputs=("populations", "heat_flux", "rho_diagonals"))
-    run_sweep(SweepRequest(base=request.base, axis="k", grid=request.grid[:3],
-                           approaches=request.approaches, outputs=request.outputs))
+def traced_peak(request):
+    """The traced peak of a warm run of ``request``, and its table."""
+    run_sweep(replace(request, grid=request.grid[:3]))
     tracemalloc.start()
     try:
         table = run_sweep(request)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], table
     finally:
         tracemalloc.stop()
+
+
+def k_scan(n, points):
+    """A K scan of both approaches of the uniform chain, with every output."""
+    return SweepRequest(base=chain([1.5] * n, [1.0] * (n - 1), 2.0, 0.5), axis="k",
+                        grid=tuple(np.linspace(0.3, 3.0, points).tolist()),
+                        approaches=("global", "local"), outputs=OUTPUTS)
+
+
+def test_a_long_n4_k_scan_with_rho_diagonals_stays_within_its_bound():
+    # a K scan gives every point its own chain; the whole grid is one call,
+    # which holds no 2^N x 2^N array.  A 1000-point scan of both approaches
+    # with rho_diagonals peaked at 4.3 MB traced in calls of at most 128
+    # chains, 27.9 MB with the whole grid's eigensystems and states in one
+    # call, and 11.5 MB while each call's diagonals kept its rotated states
+    request = k_scan(4, 1000)
+    peak, table = traced_peak(request)
     assert len(table.rows) == 2 * len(request.grid) - len(table.skipped)
     assert peak <= 8e6
 
 
+def test_a_long_n5_k_scan_with_rho_diagonals_is_one_call_within_its_bound(monkeypatch):
+    # the request a bound of 32 chains per call split into 32 calls, which
+    # peaked at 9.5 MB traced, is one call (the first, of 3 points, warms up)
+    calls = []
+
+    def recording(request, values, _real=chainflux.sweep._row_task):
+        calls.append(len(values))
+        return _real(request, values)
+
+    monkeypatch.setattr(chainflux.sweep, "_row_task", recording)
+    request = k_scan(5, 1000)
+    peak, table = traced_peak(request)
+    assert calls == [3, 1000]
+    assert len(table.rows) == 2 * len(request.grid) - len(table.skipped)
+    assert peak <= PEAK_N5_K_SCAN
+
+
+# ------------------------------------------------- mode Fock diagonals
+
+DIAGONAL_CONFIGS = sorted(path.name for path in (REPO / "configs").glob("*.cfg")
+                          if "rho_diagonals" in parse_config(path.read_text()).outputs)
+
+
+def diagonal_grids():
+    for name in DIAGONAL_CONFIGS:
+        yield name, grid_specs(parse_config((REPO / "configs" / name).read_text()))
+    # the hole-frame chains with a unique global state (test_hole_frame.py),
+    # at each pair of temperatures
+    for name, spec in PAIRS:
+        if name in ("N4-24", "N5-35", "same-sign"):
+            yield f"hole-frame-{name}", [apply_axis(apply_axis(spec, "t1", t1), "t2", t2)
+                                         for t1, t2 in TEMPERATURES.values()]
+
+
+DIAGONAL_GRIDS = list(diagonal_grids())
+
+
+def solved_rows(columns):
+    return np.array([i for i in range(len(columns)) if i not in columns.errors], dtype=int)
+
+
+def test_the_configs_that_write_rho_diagonals():
+    assert DIAGONAL_CONFIGS == ["chain3.cfg", "chain5x.cfg", "cold4.cfg", "eps4.cfg",
+                                "kscan4.cfg", "kscan5.cfg", "t2sweep.cfg"]
+
+
+@pytest.mark.parametrize("specs", [specs for _, specs in DIAGONAL_GRIDS],
+                         ids=[name for name, _ in DIAGONAL_GRIDS])
+def test_rho_diagonals_are_the_state_on_the_mode_fock_states(specs, request):
+    # every row of both approaches against <n|rho|n>, rho the row's state
+    # and |n> built from its chain's modes in the stated order (oracles),
+    # degenerate levels and hole frames included
+    hole_frame = 0
+    for columns in steady_reports(specs, ("global", "local")):
+        rows = solved_rows(columns)
+        for i, rho, diagonal in zip(rows, columns.states(rows), columns.rho_diagonals(rows)):
+            omega, phi = (a[columns.chain[i]] for a in columns.chains.modes)
+            assert np.abs(diagonal - mode_fock_diagonals(rho, omega, phi)).max() <= 1e-12
+        hole_frame += int(columns.hole_frame[rows].sum())
+    assert hole_frame > 0 or not request.node.callspec.id.startswith("hole-frame")
+
+
+def test_the_zero_energy_level_of_the_uniform_n4_chain():
+    # the many-body level E = 0 holds the mode Fock states 6 (modes 1 and 2)
+    # and 9 (modes 0 and 3), positions 7 and 8 of the stated order, in
+    # ascending index; their eigenvectors from eigh both read 0.025235
+    spec = chain([1.5] * 4, [1.2] * 3, 2.0, 0.5)
+    (columns,) = steady_reports([spec], ("global",))
+    omega = columns.chains.modes[0][0]
+    energies = sorted(sum(omega[k] for k in range(4) if i >> k & 1) - omega.sum() / 2
+                      for i in range(16))
+    zero = [position for position, energy in enumerate(energies) if abs(energy) < 1e-9]
+    assert zero == [7, 8]
+    assert columns.rho_diagonals([0])[0][zero] == pytest.approx([0.022105, 0.028365], abs=5e-7)
+
+
 @pytest.mark.parametrize("config", ["kscan4.cfg", "eps4.cfg"])
-def test_the_eigenbasis_diagonals_of_mode_rows_sum_to_their_fock_states_per_level(config):
-    # a mode row's state is the product of its modes' occupations, diagonal
-    # on the mode Fock states; rho_diagonals reads it on the eigenvectors
-    # diagonalize returns, which inside a degenerate level are eigh's choice
-    # of basis.  Only each level's sum is basis-free: the product
-    # probabilities of the Fock states at that energy
+def test_the_mode_fock_diagonals_sum_to_the_eigenbasis_diagonals_per_level(config):
+    # on the eigenvectors diagonalize returns, inside a degenerate level
+    # eigh's choice of basis, only each level's sum is basis-free: the sum
+    # of the mode Fock probabilities at that energy, on every row of both
+    # approaches, mode rows, hole frames and local rows alike
     request = parse_config((REPO / "configs" / config).read_text())
     specs = [apply_axis(request.base, request.axis, value) for value in request.grid]
-    (columns,) = steady_reports(specs, ("global",))
-    rows = np.array([i for i in np.flatnonzero(~columns.hole_frame).tolist()
-                     if i not in columns.errors])
-    diagonals = columns.rho_diagonals(rows)
-    on = columns.chain[rows]
-    energies = columns.chains.eigensystem.energies[on]
-    omega, phi = (a[on] for a in columns.chains.modes)
-    occupations = np.einsum("rik,ril,rlk->rk", phi, columns.correlations[rows].real, phi)
-    n = omega.shape[1]
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # occupied modes of each Fock state
-    fock = omega @ bits.T
-    probabilities = np.where(bits, occupations[:, None], 1 - occupations[:, None]).prod(axis=2)
-    order = np.argsort(fock, axis=1, kind="stable")
-    fock, probabilities = (np.take_along_axis(a, order, axis=1) for a in (fock, probabilities))
-    # the same spectrum, up to the constant of the Jordan-Wigner form
-    assert np.ptp(energies - fock, axis=1).max() < 1e-10
-    degenerate = 0
-    for energy, diagonal, probability in zip(energies, diagonals, probabilities):
-        level = np.concatenate([[0], np.cumsum(np.diff(energy) > 1e-8)])
-        sums = np.zeros((2, level[-1] + 1))
-        np.add.at(sums, (0, level), diagonal)
-        np.add.at(sums, (1, level), probability)
-        assert np.abs(sums[0] - sums[1]).max() <= 1e-12
-        degenerate += int((np.bincount(level) > 1).sum())
-    assert len(rows) >= 9 and degenerate > 0
+    degenerate, kinds = 0, set()
+    for columns in steady_reports(specs, ("global", "local")):
+        rows = solved_rows(columns)
+        diagonals, on = columns.rho_diagonals(rows), columns.chain[rows]
+        es = columns.chains.eigensystem[on]
+        eigenbasis = np.einsum("rip,rij,rjp->rp", es.vectors.conj(), columns.states(rows),
+                               es.vectors).real
+        for energy, diagonal, expected in zip(es.energies, diagonals, eigenbasis):
+            level = np.concatenate([[0], np.cumsum(np.diff(energy) > 1e-8)])
+            sums = np.zeros((2, level[-1] + 1))
+            np.add.at(sums, (0, level), diagonal)
+            np.add.at(sums, (1, level), expected)
+            assert np.abs(sums[0] - sums[1]).max() <= 1e-12
+            degenerate += int((np.bincount(level) > 1).sum())
+        kinds |= {(columns.approach, bool(h)) for h in columns.hole_frame[rows]}
+    assert degenerate > 0
+    assert kinds == {("global", False), ("global", True), ("local", False)}

@@ -26,6 +26,7 @@ from chainflux import (
 )
 from chainflux._version import __version__
 from chainflux.cli import cli_main
+from chainflux.observables import steady_reports
 from chainflux.model import BathSpec, conventions_fingerprint, validate_spec
 from chainflux.sweep import SweepRequest, SweepTable
 
@@ -350,11 +351,9 @@ def test_only_true_zero_modes_are_skipped(n):
     assert len(table.rows) == len(grid) - len(zeros)
 
 
-def test_global_rows_diagonalize_once(monkeypatch):
-    # a temperature sweep reuses its chain's structure, and both approaches
-    # share the chain's eigensystem: H is diagonalized once, in one stacked
-    # call holding the one chain, for the eigenbasis frame (global) and the
-    # rho_diagonals columns (local), not once per row or per approach
+def test_a_temperature_sweep_with_rho_diagonals_diagonalizes_nothing(monkeypatch):
+    # both approaches and the diagonals come from the chain's N x N modes:
+    # no H is diagonalized, for the rows or for the rho_diagonals columns
     import chainflux.lindblad
 
     calls = []
@@ -365,8 +364,8 @@ def test_global_rows_diagonalize_once(monkeypatch):
 
     monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
     req = small_request(outputs=("rho_diagonals",), grid=(0.5, 1.0, 2.0))
-    run_sweep(req)
-    assert calls == [(1, 4, 4)]
+    assert len(run_sweep(req).rows) == 6
+    assert calls == []
 
 
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
@@ -487,9 +486,10 @@ def oracle_csv(request) -> str:
                 fields += report.populations
             if "heat_flux" in request.outputs:
                 fields += report.fluxes
-            if "rho_diagonals" in request.outputs:
-                vectors = report.chain.eigensystem.vectors
-                fields += np.diag(vectors.conj().T @ report.rho @ vectors).real.tolist()
+            if "rho_diagonals" in request.outputs:  # a cold call of this point alone
+                spec = apply_axis(request.base, request.axis, value)
+                (columns,) = steady_reports([spec], (approach,))
+                fields += columns.rho_diagonals([0])[0].tolist()
             fields.append(report.residual)
             rows.append(f"{value:.17g},{approach}," + ",".join(f"{x:.17g}" for x in fields))
     return "\n".join(lines + [",".join(header)] + rows) + "\n"
@@ -577,91 +577,72 @@ def test_run_sweep_ignores_its_workers_keyword(workers):
     assert table.skipped == serial.skipped
 
 
-def test_the_shipped_n5_k_scan_skips_its_zero_modes_in_two_chunks(monkeypatch):
+def test_the_shipped_n5_k_scan_skips_its_zero_modes_in_one_call(monkeypatch):
     # CI compares this config's CSV with the base commit's; its global
-    # zero-mode rows are skipped, in the first and the second of its chunks
+    # zero-mode rows are skipped, and its 102 chains are one call
     import chainflux.sweep
 
     request = parse_config((REPO / "configs" / "kscan5.cfg").read_text())
     zeros = (0.8660254037844386, 1.4999999999999998)
     assert len(request.grid) >= 100
     assert set(zeros) <= set(request.grid)
-    chunks = []
+    calls = []
 
     def recording(request, values, _real=chainflux.sweep._row_task):
-        chunks.append(values.tolist())
+        calls.append(values.tolist())
         return _real(request, values)
 
     monkeypatch.setattr(chainflux.sweep, "_row_task", recording)
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(z, "global") for z in zeros]
     assert all(s.reason.startswith("degenerate-transition") for s in table.skipped)
-    assert [i for i, values in enumerate(chunks) for z in zeros if z in values] == [0, 1]
+    assert calls == [list(request.grid)]
     assert len(table.rows) == 2 * len(request.grid) - len(zeros)
 
 
-# Chunk sizes by qubit count and grid points: a K or eps scan has a chain
-# per point, in as few chunks as keep each within the bound, as even as the
-# ceiling division makes them.  The bound is the chains whose 2^N x 2^N
-# Hamiltonians hold 32 N = 5 chains' elements: 32 chains at N = 5, 128 at
-# N = 4, 512 at N = 3 and 2048 at N = 2.  A temperature sweep is one chain,
-# one chunk, whatever its grid.
-CHUNKS = {
-    (5, 1): [1], (5, 32): [32], (5, 33): [17, 16], (5, 97): [25, 25, 25, 22],
-    (4, 128): [128], (4, 129): [65, 64], (4, 385): [97, 97, 97, 94],
-    (3, 512): [512], (3, 513): [257, 256],
-    (2, 2048): [2048], (2, 2049): [1025, 1024],
-}
+# Grids of every length a bound of 32 N = 5 chains' 2^N x 2^N elements per
+# call once split: one call holds the whole grid, whatever its axis.
+GRID_POINTS = [(5, 1), (5, 32), (5, 33), (5, 97), (4, 128), (4, 129), (4, 385), (3, 512),
+               (3, 513), (2, 2048), (2, 2049)]
 
 
-@pytest.mark.parametrize("n, points", sorted(CHUNKS))
+@pytest.mark.parametrize("n, points", GRID_POINTS)
 @pytest.mark.parametrize("axis", ["t1", "t2", "k", "eps"])
-def test_a_sweep_runs_in_even_chunks_of_at_most_the_bound_of_chains(n, points, axis,
-                                                                    monkeypatch):
+def test_a_sweep_is_one_row_task_call_whatever_its_grid(n, points, axis, monkeypatch):
     import chainflux.sweep
 
     grid = {"t1": (0.2, 3.0), "t2": (0.0, 2.0), "k": (-1.0, 2.0), "eps": (0.6, 2.4)}[axis]
     base = chain(np.linspace(1.2, 1.6, n), [0.7] * (n - 1), 1.3, 0.4)
     request = SweepRequest(base=base, axis=axis, grid=tuple(np.linspace(*grid, points)),
                            approaches=("global", "local"), outputs=("populations", "heat_flux"))
-    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 10**9)
-    whole = run_sweep(request)
-    monkeypatch.undo()
-    chunks = []
+    calls = []
 
     def recording(request, values, _real=chainflux.sweep._row_task):
-        chunks.append(values.tolist())
+        calls.append(values.tolist())
         return _real(request, values)
 
     monkeypatch.setattr(chainflux.sweep, "_row_task", recording)
     table = run_sweep(request)
-    assert [len(values) for values in chunks] == (CHUNKS[n, points] if axis in ("k", "eps")
-                                                  else [points])
-    assert [value for values in chunks for value in values] == list(request.grid)
-    assert tuple(table.rows) == tuple(whole.rows)
-    assert table.skipped == whole.skipped
+    assert calls == [list(request.grid)]
+    assert len(table.rows) + len(table.skipped) == 2 * points
 
 
-def test_the_first_failing_chunk_in_grid_order_is_raised(monkeypatch):
-    # a chunk's exception leaves run_sweep with its type and message, and
-    # no chunk after it is solved
+def test_the_row_task_s_error_leaves_run_sweep_as_raised(monkeypatch):
+    # an exception of the one call over the grid leaves run_sweep with its
+    # type and message
     import chainflux.sweep
 
-    monkeypatch.setattr(chainflux.sweep, "_CALL_ELEMENTS", 1)  # one chain per chunk
-    real, solved = chainflux.sweep._row_task, []
+    solved = []
 
     def failing(request, values):
         solved.append(values.tolist())
-        for value in values.tolist():
-            if value >= 2.0:
-                raise NoConvergence(f"no steady state at k = {value!r}")
-        return real(request, values)
+        raise NoConvergence(f"no steady state at k = {values.tolist()[2]!r}")
 
     monkeypatch.setattr(chainflux.sweep, "_row_task", failing)
     request = small_request(axis="k", grid=(0.5, 1.0, 2.0, 3.0))
     with pytest.raises(NoConvergence, match=r"^no steady state at k = 2\.0$"):
         run_sweep(request)
-    assert solved == [[0.5], [1.0], [2.0]]
+    assert solved == [[0.5, 1.0, 2.0, 3.0]]
 
 
 def test_figure_presets_encode_the_right_parameters():
