@@ -10,8 +10,9 @@ CSV the base produced, the head's must have the same header, row count,
 ``# skipped:`` lines and ``approach`` column, and every numeric column
 must lie within 1e-12 (absolute) of the base's; a CSV the base produced
 and the head did not fails.  Prints ``identical`` for a CSV whose bytes
-match the base's, else the largest deviation of each column, and exits
-non-zero naming the CSVs that differ or are missing.
+match the base's; else each ``# skipped:`` line that differs, at the base
+and here, and the largest deviation of each column; and exits non-zero
+naming the CSVs that differ or are missing.
 """
 
 import filecmp
@@ -42,11 +43,15 @@ def main(base: str, head: str) -> None:
         new_meta, new_header, new = read_csv_table(new_path)
         old_skips = [line for line in old_meta if line.startswith("# skipped:")]
         new_skips = [line for line in new_meta if line.startswith("# skipped:")]
-        if new_header != header or len(new) != len(old) or new_skips != old_skips:
+        if new_header != header or len(new) != len(old) or len(new_skips) != len(old_skips):
             print(f"{name}.csv: {len(old)} rows and {len(old_skips)} skips at the base, "
                   f"{len(new)} and {len(new_skips)} here, columns {header} -> {new_header}")
             failed.append(name)
             continue
+        for old_skip, new_skip in zip(old_skips, new_skips):
+            if old_skip != new_skip:
+                print(f"{name}.csv: at the base {old_skip}\n{name}.csv: here        {new_skip}")
+                failed.append(name)
         deviations = []
         for c, column in enumerate(header):
             if column == "approach":

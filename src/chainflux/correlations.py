@@ -159,32 +159,37 @@ def _gaussian_residuals(X, G, C) -> np.ndarray:
     return np.sqrt(np.maximum(squares, 0.0))
 
 
-def _generator_norms(energies, hoppings, site_rates) -> np.ndarray:
-    """|L|_F of each local site-basis generator, in closed form.
+def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
+    """|L|_F of each local site-basis generator, in closed form from its N x N data.
 
     L = I (x) J + conj(J) (x) I + sum rate conj(A) (x) A with J = -iH - D,
     D = sum rate A^dag A / 2 diagonal.  The sigma^+- are traceless and
     orthogonal between sites and kinds, so every cross term vanishes but
     the one between the two J terms: |L|^2 = 2 d (|H|^2 + |D|^2) + 2 ((tr
-    D)^2 - (tr H)^2) + (d / 2)^2 sum_s (emission_s^2 + absorption_s^2),
-    where each coupling K_i fills d / 2 entries of H.
+    D)^2 - (tr H)^2) + (d / 2)^2 sum_q (e_q^2 + a_q^2), with the emission
+    e_q and absorption a_q rates ``site_rates`` (k, n, 2) and d = 2^N.  H
+    has the diagonal sum_q (eps_q / 2) sigma^z_q of the ``gaps`` (k, n) and
+    each coupling K_i in d / 2 entries, so tr H = 0 and |H|^2 = d/4 sum
+    eps^2 + d/2 sum K^2.  D has the diagonal sum_q (e_q or a_q) / 2 over
+    the qubits excited or not, so with s_q = e_q + a_q, tr D = d/4 sum s
+    and |D|^2 = d/8 (sum (e^2 + a^2) + sum_{q<r} s_q s_r), a sum of
+    nonnegative terms: rates that overflow it give |L| = inf, never NaN.
     """
-    excited = excited_qubits(site_rates.shape[1])
-    d = excited.shape[1]
-    D = 0.5 * (site_rates[:, :, 0] @ excited + site_rates[:, :, 1] @ (1.0 - excited))
-    squares_H = (energies**2).sum(axis=1) + d / 2 * (hoppings**2).sum(axis=1)
-    squares = (2 * d * (squares_H + (D**2).sum(axis=1))
-               + 2 * (D.sum(axis=1) ** 2 - energies.sum(axis=1) ** 2)
-               + (d / 2) ** 2 * (site_rates**2).sum(axis=(1, 2)))
+    d = 2.0 ** gaps.shape[1]
+    s = site_rates.sum(axis=2)
+    total, rate_squares = s.sum(axis=1), (site_rates**2).sum(axis=(1, 2))
+    pairs = np.triu(s[:, :, None] * s[:, None, :], 1).sum(axis=(1, 2))
+    squares_H = d / 4 * (gaps**2).sum(axis=1) + d / 2 * (hoppings**2).sum(axis=1)
+    squares_D = d / 8 * (rate_squares + pairs)
+    squares = (2 * d * (squares_H + squares_D) + 2 * (d / 4 * total) ** 2
+               + (d / 2) ** 2 * rate_squares)
     return np.sqrt(squares)
 
 
-def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
-                        rates: np.ndarray) -> tuple:
+def local_steady_states(h: np.ndarray, sites: np.ndarray, rates: np.ndarray) -> tuple:
     """Steady states of a stack of rows under the local approach, by their correlation matrices.
 
-    Row j has the site-basis energies energies[j] (k, d), the diagonal of
-    its H, its single-particle h[j] (k, n, n)
+    Row j has its single-particle h[j] (k, n, n)
     (:attr:`~chainflux.lindblad.ChainOperators.single_particle`), its
     reservoirs attached at the qubits sites[j] (k, 2), and each
     reservoir's emission and absorption rates gamma (nbar + 1) and gamma
@@ -219,8 +224,8 @@ def local_steady_states(energies: np.ndarray, h: np.ndarray, sites: np.ndarray,
     fluxes = h_rows[rows, np.arange(2), sites] * rates[:, :, 1] - lam * current
     fluxes[~solved] = 0.0
     residual = np.where(solved, _gaussian_residuals(X, site_rates[:, :, 1], C), 0.0)
-    hoppings = h[:, np.arange(n - 1), np.arange(1, n)]
-    check_residual(residual, _generator_norms(energies, hoppings, site_rates))
+    gaps, hoppings = h[:, np.arange(n), np.arange(n)], h[:, np.arange(n - 1), np.arange(1, n)]
+    check_residual(residual, _generator_norms(gaps, hoppings, site_rates))
     return populations, fluxes, C, residual, rcond
 
 
@@ -242,14 +247,13 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     and reservoir 2 its negative.  The residual is that of the Gaussian
     state in the mode frame (:func:`_gaussian_residuals`), with X = i
     diag(omega) - diag(Lambda) / 2, G = diag(gain) and phi^T C phi, checked
-    against |L| of the mode Fock energies (:func:`_generator_norms`).
+    against |L| of the modes as the gaps (:func:`_generator_norms`).
     Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
     through each mode (k, 2, n), C (k, n, n), the residuals and rcond =
     min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
     Lambda_k occ_k = gain_k, 0 where a mode has no weight at an attached
     site; a row whose rcond fails :func:`~chainflux.steady.unique` for N
-    unknowns gets zero results.  The only arrays of 2^N per row are the
-    mode Fock energies of the norm.
+    unknowns gets zero results.  No array of 2^N is built.
     """
     k, n = omega.shape
     rows, a = np.arange(k)[:, None], np.arange(n)
@@ -276,8 +280,7 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     X = np.zeros((k, n, n), dtype=complex)
     X[:, a, a] = 1j * omega - 0.5 * lam
     residual = np.where(solved, _gaussian_residuals(X, gain, phi.swapaxes(1, 2) @ C @ phi), 0.0)
-    energies = omega @ excited_qubits(n) - 0.5 * omega.sum(axis=1, keepdims=True)
-    check_residual(residual, _generator_norms(energies, np.zeros((k, n - 1)),
+    check_residual(residual, _generator_norms(omega, np.zeros((k, n - 1)),
                                               np.stack([loss, gain], axis=2)))
     return populations, channels.sum(axis=2), channels, C, residual, rcond
 
@@ -305,8 +308,8 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
     Tr(h G_j) - Re Tr(sym(h Lambda_j) C~), h = diag|omega|, into each group.
     Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
     through each group (k, 2, n, by group index), C~ (k, n, n), the
-    residuals (:func:`_gaussian_residuals`, against the scale of the mode
-    Fock energies at each mode's diagonal rates) and the rcond_1 of each
+    residuals (:func:`_gaussian_residuals`, against the |L| of the
+    |omega_k| as the gaps at each mode's diagonal rates) and the rcond_1 of each
     system; a row whose rcond fails :func:`~chainflux.steady.unique` for
     N^2 unknowns gets zero results.
     """
@@ -341,7 +344,6 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
     channels = np.where(solved[:, None, None], per_mode @ members, 0.0)
     residual = np.where(solved, _gaussian_residuals(X, G, C), 0.0)
     gains, losses = np.diagonal(G, axis1=1, axis2=2), np.diagonal(Lambda - G, axis1=1, axis2=2)
-    energies = freqs @ excited_qubits(n) - 0.5 * freqs.sum(axis=1, keepdims=True)
-    check_residual(residual, _generator_norms(energies, np.zeros((k, n - 1)),
+    check_residual(residual, _generator_norms(freqs, np.zeros((k, n - 1)),
                                               np.stack([losses, gains], axis=2)))
     return populations, channels.sum(axis=2), channels, C, residual, rcond

@@ -15,22 +15,22 @@ through exp(beta * omega), so zero temperature and large beta are exact.
 
 Each global jump is one single-particle mode's f_k, or f_k^dag where
 omega_k < 0, and each bin one group of modes at a shared |omega_k|
-(:func:`mode_groups`).  The 2^N jump scan (:func:`global_jump_operators`)
-is on no solve path but that of a chain with a zero mode, whose
-DegenerateTransition it gives.  The dense site-basis builders
+(:func:`mode_groups`, which also gives the DegenerateTransition of a chain
+with a bright zero mode).  No solve path builds a 2^N operator.  The 2^N
+jump scan (:func:`global_jump_operators`) and the dense site-basis builders
 (:func:`global_dissipator_bins`, :func:`build_local_dissipator`,
-:func:`build_liouvillian`, :func:`assemble`) are on no solve path: the
-benchmark harness (``perfbench/tracing.py``) binds them by name, and
-``verify`` compares the two monomer generators with them.  The dense model
-and the real block the tests compare against are in ``tests/oracles.py``.
+:func:`build_liouvillian`, :func:`assemble`) are kept because the benchmark
+harness (``perfbench/tracing.py``) binds them by name, ``verify`` compares
+the two monomer generators with them, and the dense model and the real
+block the tests compare against (``tests/oracles.py``) are built on them.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
 as stacks over the chains of one qubit count, not kept: the chains'
-operators (:func:`chain_operators`) and the order of their mode Fock
-states (:func:`fock_order`).  The caller that owns a request
-(:func:`chainflux.observables.steady_reports`) builds them once per call
-and shares them between the rows and both approaches.
+single-particle h and modes (:func:`chain_operators`) and the order of
+their mode Fock states (:func:`fock_order`).  The caller that owns a
+request (:func:`chainflux.observables.steady_reports`) builds them once per
+call and shares them between the rows and both approaches.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .operators import (
     build_chain_hamiltonian,
     chain_arrays,
     diagonalize,
-    excited_qubits,
     qubit_bits,
     site_operator,
 )
@@ -232,18 +231,13 @@ def build_liouvillian(H: np.ndarray, dissipators) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChainOperators:
-    """The approach-independent operators of a stack of chains of one qubit count, site basis.
+    """The approach-independent data of a stack of chains of one qubit count, all N x N.
 
     Chain c has the gaps ``epsilons[c]``, the couplings ``hoppings[c]`` and
-    its reservoirs attached at the qubits ``sites[c]``, where each couples
-    through sigma^+ + sigma^- (``couplings[c]``, one per reservoir).  The
-    rest is computed on first use: the single-particle h and its ``modes``,
-    from which both approaches are solved (:mod:`chainflux.correlations`);
-    the diagonals ``site_energies`` of the Hamiltonians, from the gaps and
-    the sigma^z signs; and the 2^N ``hamiltonian`` stack (k, d, d) and its
-    sector ``eigensystem``, read only by a row's :class:`Chain`, ``verify``
-    and :func:`assemble`.  Item c of the stack is chain c's :class:`Chain`,
-    the same object on every access.  Every array is read-only.
+    its reservoirs attached at the qubits ``sites[c]``.  Its single-particle
+    h and the ``modes`` of h, from which both approaches are solved
+    (:mod:`chainflux.correlations`), are computed on first use.  Every array
+    is read-only.
     """
 
     epsilons: np.ndarray
@@ -252,41 +246,6 @@ class ChainOperators:
 
     def __len__(self) -> int:
         return len(self.epsilons)
-
-    def __getitem__(self, c) -> Chain:
-        return self._views[c]
-
-    @cached_property
-    def _views(self) -> tuple:
-        return tuple(Chain(self, c) for c in range(len(self)))
-
-    @cached_property
-    def hamiltonian(self) -> np.ndarray:
-        """Each chain's H, (k, d, d) (:func:`~chainflux.operators.build_chain_hamiltonian`)."""
-        H = build_chain_hamiltonian(self.epsilons, self.hoppings)
-        read_only(H)
-        return H
-
-    @cached_property
-    def couplings(self) -> np.ndarray:
-        couplings = _site_couplings(self.epsilons.shape[1])[self.sites]
-        read_only(couplings)
-        return couplings
-
-    @cached_property
-    def eigensystem(self) -> EigenSystem:
-        """The stacked sector eigensystem: energies (k, d), vectors (k, d, d)."""
-        es = diagonalize(self.hamiltonian)
-        read_only(es.energies, es.vectors)
-        return es
-
-    @cached_property
-    def site_energies(self) -> np.ndarray:
-        """The diagonal of each H, (k, d): the energies of the site basis states."""
-        energies = (self.epsilons @ excited_qubits(self.epsilons.shape[1])
-                    - 0.5 * self.epsilons.sum(axis=1, keepdims=True))
-        read_only(energies)
-        return energies
 
     @cached_property
     def modes(self) -> tuple:
@@ -315,19 +274,6 @@ class ChainOperators:
         h[:, np.arange(1, n), np.arange(n - 1)] = self.hoppings
         read_only(h)
         return h
-
-
-@dataclass(frozen=True, eq=False)
-class Chain:
-    """Chain ``index`` of a :class:`ChainOperators` stack, giving its eigensystem."""
-
-    stack: ChainOperators
-    index: int
-
-    @property
-    def eigensystem(self) -> EigenSystem:
-        """A view of the stack's eigensystem, which is computed on first use."""
-        return self.stack.eigensystem[self.index]
 
 
 def bath_rates(omegas: np.ndarray, baths: np.ndarray) -> np.ndarray:
@@ -412,27 +358,18 @@ def mode_groups(chains: ChainOperators) -> tuple:
     ``group`` (k, n), each mode's group, numbered from 0 by ascending
     |omega|; ``bright`` (k, 2, n), where mode k is a channel of reservoir
     r: |phi_k(site_r)| above ELEMENT_TOL, as a jump is kept; and
-    ``errors``, by chain index, the DegenerateTransition of each chain with
-    a bright mode at |omega_k| <= OMEGA_MIN: the one
-    :func:`global_jump_operators` gives on the 2^N eigensystem of that
-    chain's H, built for those chains alone, else one at that |omega_k|.
+    ``errors``, by chain index, a DegenerateTransition for each chain with
+    a bright mode at |omega_k| <= OMEGA_MIN, at the smallest such |omega_k|.
     """
     omega, phi = chains.modes
     freqs = np.abs(omega)
     bright = np.abs(phi[np.arange(len(phi))[:, None], chains.sites]) > ELEMENT_TOL
+    soft = bright.any(axis=1) & (freqs <= OMEGA_MIN)
     errors = {}
-    if (freqs[:, 0] <= OMEGA_MIN).any():  # the lowest |omega_k| comes first
-        soft = bright.any(axis=1) & (freqs <= OMEGA_MIN)
-        zero, found = np.flatnonzero(soft.any(axis=1)), {}
-        if len(zero):
-            es = diagonalize(build_chain_hamiltonian(chains.epsilons[zero], chains.hoppings[zero]))
-            couplings = _site_couplings(freqs.shape[1])[chains.sites[zero]]
-            global_jump_operators(es, couplings, found)
-        for i, c in enumerate(zero.tolist()):
-            omega_min = float(freqs[c][soft[c]].min())
-            errors[c] = found.get(i) or DegenerateTransition(
-                f"mode at |omega| = {omega_min:.3e} below cutoff {OMEGA_MIN:.1e}",
-                omega=omega_min)
+    for c in np.flatnonzero(soft.any(axis=1)).tolist():
+        w = float(freqs[c][soft[c]].min())
+        errors[c] = DegenerateTransition(
+            f"mode at |omega| = {w:.3e} below cutoff {OMEGA_MIN:.1e}", omega=w)
     return _levels(freqs, freqs), bright, errors
 
 
@@ -454,14 +391,15 @@ def fock_order(omega: np.ndarray) -> np.ndarray:
 def assemble(spec: ChainSpec, approach: str) -> tuple:
     """``spec``'s chain alone as a :class:`ChainOperators` stack, newly built, and its global jumps.
 
-    The jumps are :func:`global_jump_operators` of the chain's eigensystem,
-    from which ``tests/oracles.py`` builds the dense global model; raises
-    DegenerateTransition where the eigenbasis route degenerates.  The local
-    approach is solved through its correlation matrix
-    (:mod:`chainflux.correlations`), and its dense generator is
+    The jumps are :func:`global_jump_operators` of the eigensystem of the
+    chain's H, from which ``tests/oracles.py`` builds the dense global
+    model; raises DegenerateTransition where the eigenbasis route
+    degenerates.  The local approach is solved through its correlation
+    matrix (:mod:`chainflux.correlations`), and its dense generator is
     :func:`build_liouvillian` of :func:`build_local_dissipator`.
     """
     if approach != "global":
         raise ValueError(f"only the global approach is assembled, got {approach!r}")
     chains = chain_operators([spec])
-    return chains, global_jump_operators(chains.eigensystem, chains.couplings)
+    es = diagonalize(build_chain_hamiltonian(chains.epsilons, chains.hoppings))
+    return chains, global_jump_operators(es, _site_couplings(spec.n_qubits)[chains.sites])

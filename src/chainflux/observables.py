@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .correlations import (
 from .generator import unvectorize, vectorize
 from .lindblad import (
     OMEGA_MIN,
-    Chain,
     ChainOperators,
     bath_rates,
     bose_occupation,
@@ -53,8 +52,8 @@ _FORM_TOL = 1e-12
 
 # The steady solves and the diagonals go in stacks of at most this many
 # elements (128 KB per real array): of the N^2 x N^2 correlation systems of
-# the local rows and of the global rows with a shared bin, of the 2^N mode
-# Fock energies of the closed-form global rows, and of the 2^N N x N
+# the local rows and of the global rows with a shared bin, of the N x N
+# matrices of the closed-form global rows, and of the 2^N N x N
 # determinants of rho_diagonals.  A sweep holds no larger array per row, so
 # this bounds its peak memory.
 _GRID_ELEMENTS = 1 << 14
@@ -272,8 +271,7 @@ class SteadyReport:
     reciprocal condition number and the number of real coordinates it
     solved for: N^2 for a local row or a global row with a shared bin, N
     for a global row solved mode by mode, with rcond min_k Lambda_k / max_k
-    Lambda_k; ``chain`` gives the chain's eigensystem, computed on first
-    use and shared by the reports of both approaches on the chain.
+    Lambda_k.
     """
 
     spec: ChainSpec
@@ -285,7 +283,6 @@ class SteadyReport:
     channel_fluxes: tuple  # per reservoir: ((omega, flux), ...)
     rcond: float
     unknowns: int
-    chain: Chain = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +342,7 @@ class SteadyColumns(Sequence):
             populations=tuple(self.populations[i].tolist()),
             fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
             channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in pieces),
-            rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]), chain=self.chains[c])
+            rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]))
 
     def states(self, rows) -> np.ndarray:
         """The site-basis states of ``rows``, (rows, d, d), built on each call.
@@ -474,7 +471,7 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
     failed[list(zero)] = True
     failed = failed[chain]
     out.errors.update((i, zero[chain[i]]) for i in np.flatnonzero(failed).tolist())
-    for route, solve, size in ((~shared, global_steady_states, 2**n),
+    for route, solve, size in ((~shared, global_steady_states, n * n),
                                (shared, group_steady_states, n**4)):
         todo, step = np.flatnonzero(route[chain] & ~failed), max(1, _GRID_ELEMENTS // size)
         for rows in (todo[i:i + step] for i in range(0, len(todo), step)):
@@ -515,8 +512,7 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
         rows = chain[at]
         rates = bath_rates(omegas[rows], baths[at])
         (out.populations[at], out.fluxes[at], out.correlations[at], out.residual[at],
-         out.rcond[at]) = local_steady_states(chains.site_energies[rows],
-                                              chains.single_particle[rows], chains.sites[rows],
+         out.rcond[at]) = local_steady_states(chains.single_particle[rows], chains.sites[rows],
                                               rates)
     out.channels[:] = out.fluxes
     for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():

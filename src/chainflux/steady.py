@@ -99,10 +99,13 @@ def checked_inverse(M: np.ndarray) -> tuple:
 
 
 def check_residual(residual: np.ndarray, scale: np.ndarray) -> None:
-    """Raise NoConvergence where a residual exceeds RESIDUAL_TOL times max(scale, 1)."""
+    """Raise NoConvergence where a residual is not within RESIDUAL_TOL times max(scale, 1).
+
+    A NaN residual, as an overflow leaves, fails too.
+    """
     scale = np.maximum(scale, 1.0)
     worst = int((residual / scale).argmax())
-    if residual[worst] > RESIDUAL_TOL * scale[worst]:
+    if not residual[worst] <= RESIDUAL_TOL * scale[worst]:
         raise NoConvergence(
             f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
         )

@@ -378,8 +378,8 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     The whole grid goes to one :func:`_row_task` call; points where the
     eigenbasis construction degenerates or the steady state is not unique
     are recorded as annotated skips instead of aborting the run.  A row
-    residual above ROW_RESIDUAL_LIMIT raises NoConvergence naming the worst
-    row, the first of the largest.
+    residual above ROW_RESIDUAL_LIMIT or NaN raises NoConvergence naming the
+    worst row, the first NaN or else the first of the largest.
 
     ``workers`` is ignored.  It is kept only because the benchmark harness
     passes ``workers=2`` for its ``kscan4_par`` workload; the benchmark
@@ -403,7 +403,7 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     if (values[1:] <= values[:-1]).any():
         raise ConfigSyntaxError("grid must be strictly increasing")
     rows, skipped = _row_task(request, values)
-    if len(rows) and rows.residual.max() > ROW_RESIDUAL_LIMIT:
+    if len(rows) and not rows.residual.max() <= ROW_RESIDUAL_LIMIT:
         worst = rows[int(rows.residual.argmax())]
         raise NoConvergence(
             f"row residual {worst.residual:.3e} exceeds {ROW_RESIDUAL_LIMIT:.1e} at "

@@ -86,8 +86,8 @@ def _dimer_population_blocks(t1_grid):
     dev_diag = dev_coh = dev_n = dev_loc = 0.0
     specs = [dimer(eps, eps, coupling, t1, 0.0) for t1 in t1_grid]
     glob, local = map(_solved, steady_reports(specs, ("global", "local")))
+    es = diagonalize(build_chain_hamiltonian(specs[0]))
     for t1, report, loc in zip(t1_grid, glob, local):
-        es = report.chain.eigensystem
         rho_eig = es.vectors.conj().T @ report.rho @ es.vectors
         ana = dimer_global_populations_analytic(eps, coupling, t1, 0.0)
         diff = np.abs(np.real(np.diag(rho_eig)) - np.array(ana.diagonals_by_energy()))

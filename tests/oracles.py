@@ -12,7 +12,10 @@ correlation route's tables from dense operators (:func:`pair_tables`,
 stack of states by gathers (:func:`site_generator`), against which the
 correlation route's closed-form residual is checked; the register layouts
 from dense site operators (:func:`hamiltonian_layout`,
-:func:`site_couplings`).
+:func:`site_couplings`).  Each chain's 2^N H, eigensystem and reservoir
+couplings (:func:`dense_chains`), which the package's chain stack does not
+hold, and |L|_F summed over the 2^N diagonals
+(:func:`summed_generator_norms`), which it computes in closed form.
 
 The real block (:func:`block_reports`), which the package solved its
 global rows of chains with shared bins by until it solved every row from
@@ -69,6 +72,8 @@ from chainflux.observables import SteadyColumns, _two_bath_flux
 from chainflux.steady import solve_hermitian, unique, uniqueness_error
 from chainflux.operators import (
     EigenSystem,
+    build_chain_hamiltonian,
+    diagonalize,
     excited_qubits,
     number_operator,
     qubit_bits,
@@ -116,7 +121,7 @@ class LindbladModel:
     @property
     def hamiltonian(self) -> np.ndarray:
         """H in the site basis."""
-        return self.structure.chains.hamiltonian[0]
+        return self.structure.hamiltonian[0]
 
     @property
     def eigensystem(self) -> EigenSystem:
@@ -456,6 +461,38 @@ def site_couplings(n_qubits: int) -> np.ndarray:
                      for q in range(n_qubits)])
 
 
+def dense_chains(chains) -> tuple:
+    """The 2^N operators of a ChainOperators stack, which the package no longer builds.
+
+    Each chain's site-basis H (k, d, d), read-only, their stacked
+    eigensystem, and the coupling sigma^+ + sigma^- of each reservoir's
+    qubit (k, 2, d, d).
+    """
+    H = build_chain_hamiltonian(chains.epsilons, chains.hoppings)
+    read_only(H)
+    couplings = chainflux.lindblad._site_couplings(chains.epsilons.shape[1])[chains.sites]
+    return H, diagonalize(H), couplings
+
+
+def summed_generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
+    """|L|_F of each local site-basis generator, summed over the 2^N diagonal of H and of D.
+
+    The reference for ``correlations._generator_norms``: |L|^2 = 2 d (|H|^2
+    + |D|^2) + 2 ((tr D)^2 - (tr H)^2) + (d / 2)^2 sum_s (emission_s^2 +
+    absorption_s^2), H's diagonal the site energies of the ``gaps`` and
+    each coupling K_i in d / 2 entries, D = sum rate A^dag A / 2 diagonal.
+    """
+    excited = excited_qubits(site_rates.shape[1])
+    d = excited.shape[1]
+    energies = gaps @ excited - 0.5 * gaps.sum(axis=1, keepdims=True)
+    D = 0.5 * (site_rates[:, :, 0] @ excited + site_rates[:, :, 1] @ (1.0 - excited))
+    squares_H = (energies**2).sum(axis=1) + d / 2 * (hoppings**2).sum(axis=1)
+    squares = (2 * d * (squares_H + (D**2).sum(axis=1))
+               + 2 * (D.sum(axis=1) ** 2 - energies.sum(axis=1) ** 2)
+               + (d / 2) ** 2 * (site_rates**2).sum(axis=(1, 2)))
+    return np.sqrt(squares)
+
+
 @dataclass(frozen=True, eq=False)
 class ChainStructure:
     """The rate-free part of the real block's frame generators of a ChainOperators stack.
@@ -465,8 +502,9 @@ class ChainStructure:
     everything here is fixed by the gaps, couplings and approach, and one
     structure serves every row of every chain of the stack:
 
-    - ``chains``, and ``eigensystem``, their stacked eigensystem, whose
-      ``frame`` is each chain's solve frame;
+    - ``chains``, their site-basis ``hamiltonian`` (k, d, d) and
+      ``eigensystem``, a stacked eigensystem whose ``frame`` is each
+      chain's solve frame;
     - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
     - the bins of every chain, chain by chain and reservoir by reservoir:
       their Bohr frequencies ``omegas`` and ``reservoirs``; chain c's bins
@@ -482,6 +520,7 @@ class ChainStructure:
     """
 
     chains: object
+    hamiltonian: np.ndarray
     eigensystem: EigenSystem
     frame_hamiltonian: np.ndarray
     omegas: np.ndarray
@@ -633,8 +672,9 @@ def local_structure(chains) -> ChainStructure:
     diagonals of the Hamiltonians.
     """
     k, n = chains.epsilons.shape
-    d = chains.hamiltonian.shape[-1]
-    identity = EigenSystem(energies=chains.site_energies,
+    H, _, _ = dense_chains(chains)
+    d = H.shape[-1]
+    identity = EigenSystem(energies=np.diagonal(H, axis1=1, axis2=2).real,
                            vectors=np.broadcast_to(np.eye(d, dtype=complex), (k, d, d)))
     pairs, which = np.unique(chains.sites @ [n, 1], return_inverse=True)
     operators = _local_operators(n, tuple(pairs.tolist()))
@@ -643,11 +683,11 @@ def local_structure(chains) -> ChainStructure:
     reservoirs = np.tile([0, 1], k)
     edges = np.arange(2 * k + 1)
     own = operators[start[:, None] + np.arange(4)].reshape(2 * k, 2, d, d)
-    functionals = adjoint_dissipator(own, np.repeat(chains.hamiltonian, 2, axis=0))
+    functionals = adjoint_dissipator(own, np.repeat(H, 2, axis=0))
     functionals = functionals.reshape(4 * k, d, d)
     decay = operators.conj().swapaxes(1, 2) @ operators
     read_only(omegas, reservoirs, edges, start, functionals, decay)
-    return ChainStructure(chains=chains, eigensystem=identity, frame_hamiltonian=chains.hamiltonian,
+    return ChainStructure(chains=chains, hamiltonian=H, eigensystem=identity, frame_hamiltonian=H,
                           omegas=omegas, reservoirs=reservoirs, edges=edges, operators=operators,
                           decay=decay, start=start, flux_functionals=functionals, errors={})
 
@@ -662,10 +702,10 @@ def global_structure(chains, jumps=None) -> ChainStructure:
     degenerates keeps its DegenerateTransition in ``errors`` and has no
     bins.
     """
-    k, d = len(chains), chains.hamiltonian.shape[-1]
-    es, errors = chains.eigensystem, {}
+    H, es, couplings = dense_chains(chains)
+    k, d, errors = len(chains), H.shape[-1], {}
     if jumps is None:
-        jumps = global_jump_operators(es, chains.couplings, errors)
+        jumps = global_jump_operators(es, couplings, errors)
     first, operators = global_bins(es, jumps)
     omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
     edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
@@ -677,9 +717,9 @@ def global_structure(chains, jumps=None) -> ChainStructure:
     functionals = functionals.reshape(-1, d, d)
     start = edges[:-1:2] * 2
     read_only(frame_H, omegas, reservoirs, edges, decay, start, functionals)
-    return ChainStructure(chains=chains, eigensystem=es, frame_hamiltonian=frame_H, omegas=omegas,
-                          reservoirs=reservoirs, edges=edges, operators=operators, decay=decay,
-                          start=start, flux_functionals=functionals, errors=errors)
+    return ChainStructure(chains=chains, hamiltonian=H, eigensystem=es, frame_hamiltonian=frame_H,
+                          omegas=omegas, reservoirs=reservoirs, edges=edges, operators=operators,
+                          decay=decay, start=start, flux_functionals=functionals, errors=errors)
 
 
 def chain_structure(chains, approach) -> ChainStructure:
@@ -705,12 +745,21 @@ def assemble(spec, approach) -> LindbladModel:
 
 @dataclass(frozen=True, eq=False)
 class BlockColumns(SteadyColumns):
-    """The package's SteadyColumns of rows the real block solved, keeping their states ``rho``."""
+    """The package's SteadyColumns of rows the real block solved, keeping their states ``rho``.
+
+    It has no correlation matrices: the states and their diagonals on the
+    mode Fock states (:func:`mode_fock_diagonals`) are read off ``rho``.
+    """
 
     rho: np.ndarray = None
 
     def states(self, rows) -> np.ndarray:
         return self.rho[np.arange(len(self))[rows]]
+
+    def rho_diagonals(self, rows) -> np.ndarray:
+        rows, modes = np.arange(len(self))[rows], self.chains.modes
+        return np.array([mode_fock_diagonals(self.rho[i], *(a[self.chain[i]] for a in modes))
+                         for i in rows.tolist()]).reshape(len(rows), self.rho.shape[-1])
 
 
 def block_reports(specs, approach) -> BlockColumns:
@@ -740,7 +789,8 @@ def block_reports(specs, approach) -> BlockColumns:
     groups = {}  # (bin count, set of unknowns) -> its group
     group = np.array([groups.setdefault((b, u.rows.tobytes(), u.cols.tobytes()), len(groups))
                       for b, u in zip(bins, sets)], dtype=int)
-    k, d, n = len(chain), chains.hamiltonian.shape[-1], chains.epsilons.shape[1]
+    k, n = len(chain), chains.epsilons.shape[1]
+    d = 2**n
     out = BlockColumns(
         approach=approach, populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)),
         residual=np.zeros(k), rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,

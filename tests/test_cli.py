@@ -117,8 +117,20 @@ def test_steady_prints_each_approach_beside_the_other_s_error(approach, capsys):
     names = re.findall(r"^approach: (\w+)$", captured.out, flags=re.M)
     assert names == (["global", "local"] if approach == "both" else [approach])
     assert ("n1 = 0.213780913119" in captured.out) == (approach != "global")
-    error = "error: coupling element across degenerate eigenstates 0, 1\n"
+    error = "error: mode at |omega| = 0.000e+00 below cutoff 1.0e-08\n"
     assert captured.err == (error if approach != "local" else "")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_steady_fails_on_a_nan_residual(capsys):
+    # T1 = 1e300 overflows the global dimer's residual to NaN: an error and
+    # exit code 2, not a printed "solver residual: nan"
+    code = cli_main(["steady", "--epsilons", "1.5,1.5", "--couplings", "1", "--t1", "1e300",
+                     "--t2", "0", "--approach", "global"])
+    captured = capsys.readouterr()
+    assert code == 2 and "nan" not in captured.out
+    assert captured.err.startswith("error: steady-state residual nan exceeds")
 
 
 def test_sweep_command_writes_csv(tmp_path, capsys):

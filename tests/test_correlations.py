@@ -39,6 +39,7 @@ from oracles import (
     mode_fock_diagonals,
     pair_tables,
     site_generator,
+    summed_generator_norms,
 )
 from test_hermitian_solve import load_workloads
 
@@ -97,7 +98,7 @@ def local_generator(spec):
     site_rates = np.zeros((1, n, 2))
     for bath, pair in zip(spec.baths, model.rates.reshape(2, 2)):
         site_rates[0, bath.attached_site] += pair
-    energies = chain_operators([spec]).site_energies
+    energies = np.diagonal(model.hamiltonian).real[None]
     return model.liouvillian, energies, np.array([spec.couplings]), site_rates
 
 
@@ -135,8 +136,27 @@ def test_the_gather_oracle_is_the_dense_generator():
         applied = site_generator(energies, hoppings, x[None].astype(complex), site_rates)
         assert np.abs(applied[0] - (L @ x.reshape(-1, order="F")).reshape(
             spec.dim, spec.dim, order="F")).max() <= 1e-12 * np.abs(L).max()
-        norm = chainflux.correlations._generator_norms(energies, hoppings, site_rates)[0]
+        norm = chainflux.correlations._generator_norms(np.array([spec.epsilons]), hoppings,
+                                                       site_rates)[0]
         assert norm == pytest.approx(np.linalg.norm(L), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_closed_form_generator_norm_is_the_sum_over_the_2n_diagonal(n):
+    # |L|_F from the N gaps, couplings and site rates, against the sum over
+    # the 2^N diagonals of H and D (oracles), on random draws: gaps of
+    # either sign (the modes omega_k of the global rows), rows at T = 0 (no
+    # absorption), sites with no bath and chains with no coupling
+    rng = np.random.default_rng(90 + n)
+    k = 200
+    gaps = rng.uniform(-3.0, 3.0, (k, n)) * rng.choice([1e-3, 1.0, 1e3], (k, 1))
+    hoppings = rng.uniform(-2.0, 2.0, (k, n - 1)) * rng.choice([0.0, 1.0], (k, 1))
+    site_rates = rng.uniform(0.0, 5.0, (k, n, 2)) * rng.choice([0.0, 1.0], (k, n, 1))
+    site_rates[: k // 4, :, 1] = 0.0
+    closed = chainflux.correlations._generator_norms(gaps, hoppings, site_rates)
+    summed = summed_generator_norms(gaps, hoppings, site_rates)
+    assert (np.abs(closed - summed) <= 1e-14 * summed).all()
+    assert (closed > 0).all()
 
 
 def test_solved_rows_have_round_off_residuals():

@@ -1,11 +1,13 @@
 """K and eps scans: rows of different chains solved in shared stacks, bit for bit."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainflux.lindblad
 import chainflux.observables
 from chainflux import (
     DegenerateKernel,
@@ -13,7 +15,6 @@ from chainflux import (
     DimensionMismatch,
     SteadyReport,
     apply_axis,
-    build_chain_hamiltonian,
     chain,
     parse_config,
     run_sweep,
@@ -198,19 +199,21 @@ def test_stacked_closure_matches_the_loop_over_cases_and_zero_rate_patterns():
     assert checked > 4 * len(specs)
 
 
-def test_both_approaches_share_one_eigensystem():
+def test_both_approaches_share_one_stack_of_n_by_n_chain_data():
+    # one ChainOperators stack per call, shared by both approaches; it
+    # holds the gaps, couplings, sites, h and its modes, computed once, and
+    # no 2^N member, and a report carries no chain view
     spec = chain([1.2, 1.5, 0.9], [0.5, 0.7], 1.0, 0.2)
-    chains = chain_operators([spec, apply_axis(spec, "k", 0.8)])
-    # the local structures diagonalize nothing; the global ones the whole
-    # stack on demand, once
-    local = chain_structure(chains, "local")
-    assert "eigensystem" not in vars(chains)
-    glob = chain_structure(chains, "global")
-    assert glob.chains is local.chains is chains
-    assert glob.eigensystem is chains.eigensystem
-    glob_report, local_report = (r for (r,) in steady_reports([spec], ("global", "local")))
-    assert glob_report.chain is local_report.chain
-    assert glob_report.chain.stack is not chains  # each call builds its own
+    glob, local = steady_reports([spec, apply_axis(spec, "k", 0.8)], ("global", "local"))
+    chains = glob.chains
+    assert local.chains is chains and len(chains) == 2
+    assert set(vars(chains)) == {"epsilons", "hoppings", "sites", "single_particle", "modes"}
+    for name in ("hamiltonian", "eigensystem", "couplings", "site_energies", "__getitem__"):
+        assert not hasattr(chains, name)
+    assert not hasattr(chainflux.lindblad, "Chain")
+    assert "chain" not in {f.name for f in fields(SteadyReport)}
+    (again,) = steady_reports([spec], ("global",))
+    assert again.chains is not chains  # each call builds its own
 
 
 def count_calls(monkeypatch, module, name):
@@ -239,33 +242,19 @@ def temperature_sweep():
 
 @pytest.mark.parametrize("specs, zero_mode", [temperature_sweep(), k_scan_with_a_zero_mode()],
                          ids=["t1-sweep", "k-scan"])
-def test_one_call_diagonalizes_only_its_zero_mode_chain(specs, zero_mode, monkeypatch):
-    import chainflux.lindblad
-    import chainflux.operators
-
+def test_one_call_diagonalizes_no_chain(specs, zero_mode, monkeypatch):
+    # no row is solved on a 2^N eigensystem, and the zero mode's
+    # DegenerateTransition comes from its chain's modes: nothing is built
+    # or diagonalized, the report views included
+    built = count_calls(monkeypatch, chainflux.lindblad, "build_chain_hamiltonian")
     diagonalized = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
     glob, local = steady_reports(specs, ("global", "local"))
-    chains = {build_chain_hamiltonian(spec).tobytes() for spec in specs}
-    # no row is solved on the 2^N eigensystem: only the zero mode's chain
-    # reads it, for its jump scan, which builds and diagonalizes that
-    # chain's H alone
+    chains = {(spec.epsilons, spec.couplings) for spec in specs}
     assert local.chains is glob.chains and len(glob.chains) == len(chains)
     for i, report in enumerate(glob):
         assert isinstance(report, DegenerateTransition) == (i == zero_mode)
-    if zero_mode is None:
-        assert diagonalized == []
-    else:
-        ((stack,),) = diagonalized
-        assert [H.tobytes() for H in stack] == [build_chain_hamiltonian(specs[zero_mode]).tobytes()]
-    # the reports' eigensystems, read by a view, are one stacked call over
-    # the call's chains, shared by both approaches
-    assert "eigensystem" not in vars(glob.chains)
-    assert all(report.chain.eigensystem is not None for report in local)
-    whole = chainflux.operators.diagonalize(glob.chains.hamiltonian)
-    for name in ("energies", "vectors"):
-        assert getattr(glob.chains.eigensystem, name).tobytes() == getattr(whole, name).tobytes()
-    for g, l in zip(glob, local):
-        assert isinstance(g, DegenerateTransition) or g.chain is l.chain
+    assert all(isinstance(report, SteadyReport) for report in local)
+    assert built == diagonalized == []
 
 
 def test_a_repeated_call_gives_bit_identical_reports():
@@ -281,18 +270,10 @@ def test_a_repeated_call_gives_bit_identical_reports():
             assert_same_report(report, expected)
 
 
-def test_a_long_k_scan_diagonalizes_its_zero_mode_chain_alone(monkeypatch):
-    # 41 N = 3 chains with the eigenbasis-free diagonals: the zero mode's
-    # jump scan is the one diagonalize call, on that chain's H alone
-    import chainflux.lindblad
-
-    calls = []
-
-    def counting(H, _real=chainflux.lindblad.diagonalize):
-        calls.append(H.shape)
-        return _real(H)
-
-    monkeypatch.setattr(chainflux.lindblad, "diagonalize", counting)
+def test_a_long_k_scan_through_a_zero_mode_diagonalizes_nothing(monkeypatch):
+    # 41 N = 3 chains with the eigenbasis-free diagonals: the zero mode is
+    # skipped from its chain's modes, with no diagonalize call
+    calls = count_calls(monkeypatch, chainflux.lindblad, "diagonalize")
     zero_mode = 1.5 / (2 * math.cos(math.pi / 4))
     grid = tuple(np.linspace(0.3, 0.8, 40)) + (zero_mode,)
     request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k", grid=grid,
@@ -300,16 +281,13 @@ def test_a_long_k_scan_diagonalizes_its_zero_mode_chain_alone(monkeypatch):
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
     assert len(table.rows) == 2 * len(grid) - 1
-    assert calls == [(1, 8, 8)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("config", ["kscan4.cfg", "eps4.cfg"])
-def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_its_zero_mode_chains_alone(
-        config, monkeypatch):
+def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_nothing(config, monkeypatch):
     # the scan is one chain_reports call over its 14 chains; its two zero
-    # modes' jump scans pass the H of those chains, and no other, to
-    # diagonalize, in one stacked call
-    import chainflux.lindblad
+    # modes are skipped from their chains' modes, with no diagonalize call
     import chainflux.sweep
 
     request = parse_config((REPO / "configs" / config).read_text())
@@ -318,16 +296,13 @@ def test_a_shipped_n4_scan_is_one_call_that_diagonalizes_its_zero_mode_chains_al
     table = run_sweep(request)
     ((chains, _, _, _),) = calls
     assert len(chains) == len(request.grid)
-    zeros = [apply_axis(request.base, request.axis, skip.axis_value) for skip in table.skipped]
-    assert len(zeros) == 2
-    ((stack,),) = diagonalized
-    assert [H.tobytes() for H in stack] == [build_chain_hamiltonian(s).tobytes() for s in zeros]
+    assert [skip.approach for skip in table.skipped] == ["global", "global"]
+    assert diagonalized == []
 
 
 def test_a_k_scan_beyond_the_former_bound_is_one_call(monkeypatch):
     # 600 N = 3 chains, more than the 512 a call once held, go to one
     # chain_reports call, which builds no chain's H
-    import chainflux.lindblad
     import chainflux.sweep
 
     calls = count_calls(monkeypatch, chainflux.sweep, "chain_reports")

@@ -15,7 +15,7 @@ import pytest
 from chainflux import DegenerateKernel, DegenerateTransition, apply_axis, chain, steady_report
 from chainflux.correlations import _gaussian_residuals, _gaussian_states
 from chainflux.generator import full_unknowns, vectorize
-from chainflux.lindblad import bose_occupation, chain_operators, mode_groups
+from chainflux.lindblad import OMEGA_MIN, bose_occupation, chain_operators, mode_groups
 from chainflux.observables import heat_flux, qubit_population
 from chainflux.steady import solve_steady
 
@@ -182,15 +182,19 @@ def test_the_uniform_n4_chain_at_k_3_over_sqrt5_has_no_unique_global_state():
         solve_steady(assemble(spec, "global").liouvillian)
 
 
-def test_a_bright_zero_mode_gives_the_jump_scan_s_transition():
-    # the message and omega are those of the 2^N jump scan of the chain
+def test_a_bright_zero_mode_gives_its_mode_s_transition():
+    # the message and omega are those of the chain's smallest bright
+    # |omega_k|; the 2^N jump scan of the dense model degenerates too, at a
+    # many-body gap of round-off size
     spec = chain([1.5] * 4, [1.5 / (2 * math.cos(math.pi / 5))] * 3, 2.0, 0.5)
     with pytest.raises(DegenerateTransition) as raised:
         steady_report(spec, "global")
+    omega = np.abs(chain_operators([spec]).modes[0][0])
+    assert raised.value.omega == omega[0] <= OMEGA_MIN < omega[1]
+    assert str(raised.value) == f"mode at |omega| = {omega[0]:.3e} below cutoff 1.0e-08"
     with pytest.raises(DegenerateTransition) as dense:
         assemble(spec, "global")
-    assert str(raised.value) == str(dense.value)
-    assert raised.value.omega == dense.value.omega
+    assert dense.value.omega <= OMEGA_MIN
 
 
 def test_coordinates_invert_state():

@@ -10,14 +10,15 @@ from chainflux import chain
 from chainflux.lindblad import chain_operators, global_bins, global_jump_operators
 from chainflux.observables import steady_reports
 
+from oracles import dense_chains
+
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_each_bin_of_a_degenerate_uniform_chain_holds_exactly_its_jumps(n):
     # bins whose jumps share a lower or an upper state, where one entry of
     # A^dag A or of a functional sums two jumps
-    chains = chain_operators([chain([1.5] * n, [1.0] * (n - 1), 1.0, 0.5)])
-    es = chains.eigensystem
-    jumps = global_jump_operators(es, chains.couplings)
+    _, es, couplings = dense_chains(chain_operators([chain([1.5] * n, [1.0] * (n - 1), 1.0, 0.5)]))
+    jumps = global_jump_operators(es, couplings)
     first, operators = global_bins(es, jumps)
     counts = np.diff(np.append(first, len(jumps)))
     position = np.argsort(es.frame_order[0])

@@ -7,8 +7,8 @@ chain with a shared bin by the N^2 system of its hole frame
 (``oracles.block_reports`` on the chain's eigenbasis structure) is the
 oracle of both.  The diagonals on the mode Fock states, of every route,
 are checked against the dense states on Fock states built from the modes
-(``oracles.mode_fock_states``), and no sweep of chains without a zero mode
-builds a 2^N x 2^N array.
+(``oracles.mode_fock_states``), and no sweep builds a 2^N x 2^N array,
+not even one through a zero mode.
 """
 
 import math
@@ -31,16 +31,15 @@ from chainflux import (
     SweepRequest,
     apply_axis,
     bose_occupation,
-    build_chain_hamiltonian,
     chain,
     figure_requests,
     parse_config,
     run_sweep,
 )
-from chainflux.lindblad import chain_operators, mode_groups
+from chainflux.lindblad import OMEGA_MIN, chain_operators, mode_groups
 from chainflux.observables import steady_reports
 
-from oracles import block_reports, mode_fock_diagonals
+from oracles import block_reports, dense_chains, mode_fock_diagonals
 from test_correlations import non_uniform_chains
 from test_hole_frame import PAIRS, TEMPERATURES
 from test_hermitian_solve import load_workloads
@@ -82,10 +81,11 @@ def on_modes(specs):
 def assert_rows_match_the_block(specs, bounds=None):
     """The package's global rows against the real block's: errors, and values within 1e-12.
 
-    Both raise DegenerateTransition with the same message (the jump scan of
-    the chain's own eigensystem) and DegenerateKernel on the same rows; the
-    rcond of a kernel's message is each solver's own.  ``bounds`` loosens
-    the bound of named columns.
+    Both raise DegenerateTransition and DegenerateKernel on the same rows.
+    The package's transition is at its chain's smallest bright |omega_k| at
+    or below OMEGA_MIN, the block's from the jump scan of the chain's 2^N
+    eigensystem; the rcond of a kernel's message is each solver's own.
+    ``bounds`` loosens the bound of named columns.
     """
     bounds = {"populations": 1e-12, "fluxes": 1e-12, "channels": 1e-12, "states": 1e-12,
               **(bounds or {})}
@@ -95,17 +95,17 @@ def assert_rows_match_the_block(specs, bounds=None):
     for i, error in rows.errors.items():
         assert type(error) is type(block.errors[i])
         if isinstance(error, DegenerateTransition):
-            assert str(error) == str(block.errors[i])
+            assert error.omega == smallest_bright_mode(rows.chains, rows.chain[i])
+            assert str(error) == (f"mode at |omega| = {error.omega:.3e} "
+                                  f"below cutoff {OMEGA_MIN:.1e}")
     solved = [i for i in range(len(specs)) if i not in rows.errors]
     for name in ("populations", "fluxes"):
         assert np.abs(getattr(rows, name) - getattr(block, name))[solved].max(initial=0) \
             <= bounds[name]
     assert np.abs(rows.states(solved) - block.states(solved)).max(initial=0) <= bounds["states"]
     # the diagonals on the mode Fock states, against the block's states
-    diagonals = rows.rho_diagonals(solved)
-    for i, rho, diagonal in zip(solved, block.states(solved), diagonals):
-        omega, phi = (a[rows.chain[i]] for a in rows.chains.modes)
-        assert np.abs(diagonal - mode_fock_diagonals(rho, omega, phi)).max() <= bounds["states"]
+    assert np.abs(rows.rho_diagonals(solved) - block.rho_diagonals(solved)).max(initial=0) \
+        <= bounds["states"]
     for i in solved:
         for ours, theirs in zip(rows[i].channel_fluxes, block[i].channel_fluxes):
             assert len(ours) == len(theirs)
@@ -133,6 +133,13 @@ def test_global_rows_match_the_real_block_oracle(specs, request):
             assert rows.rcond[i] == pytest.approx(mode_rcond(specs[i]), rel=1e-12)
         else:
             assert rows.unknowns[i] == specs[i].n_qubits**2 and 0 < rows.rcond[i] <= 1
+
+
+def smallest_bright_mode(chains, c):
+    """The smallest |omega_k| of chain c's modes with weight at an attached site."""
+    omega, phi = (a[c] for a in chains.modes)
+    bright = (np.abs(phi[chains.sites[c]]) > chainflux.lindblad.ELEMENT_TOL).any(axis=0)
+    return float(np.abs(omega[bright]).min())
 
 
 def mode_rcond(spec):
@@ -190,16 +197,34 @@ def test_the_block_chains_fail_as_they_did():
                          "dark-mode": {DegenerateKernel}}
 
 
+def test_the_block_gives_its_states_on_the_mode_fock_states():
+    # the block keeps no correlation matrices: its rho_diagonals reads its
+    # dense states on the mode Fock states, in the package's order
+    specs = BLOCK_CHAINS[0][1]
+    block = block_reports(specs, "global")
+    diagonals = block.rho_diagonals(slice(None))
+    assert diagonals.shape == (len(specs), 2 ** specs[0].n_qubits)
+    assert np.abs(diagonals.sum(axis=1) - 1.0).max() <= 1e-12 and diagonals.min() >= -1e-12
+    (rows,) = steady_reports(specs, ("global",))
+    assert np.abs(diagonals - rows.rho_diagonals(slice(None))).max() <= 1e-12
+    assert block.rho_diagonals([]).shape == (0, 2 ** specs[0].n_qubits)
+
+
 def n5_t1_sweep(points):
     return SweepRequest(base=chain([1.5] * 5, [1.0] * 4, t1=1.0, t2=0.0), axis="t1",
                         grid=tuple(np.geomspace(0.05, 50.0, points).tolist()),
                         approaches=("global", "local"), outputs=("populations", "heat_flux"))
 
 
-def test_a_sweep_of_mode_chains_does_no_2n_work(monkeypatch):
-    # the uniform N = 5 chain's modes are apart: no 2^N Hamiltonian,
-    # eigensystem, jump scan, real block or Gaussian state on either
-    # approach's rows, the mode Fock diagonals included
+# the skip points of the shipped scans through zero modes, as before the
+# zero modes were found from the modes alone
+ZERO_MODE_SKIPS = {"kscan4.cfg": (0.9270509831248422, 2.427050983124842),
+                   "kscan5.cfg": (0.8660254037844386, 1.4999999999999998),
+                   "eps4.cfg": (0.6180339887498949, 1.618033988749895)}
+
+
+def refuse_2n_work(monkeypatch):
+    """Make every builder of a 2^N operator on the sweep path raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("2^N work on the sweep path")
 
@@ -208,9 +233,17 @@ def test_a_sweep_of_mode_chains_does_no_2n_work(monkeypatch):
                          (chainflux.operators, "diagonalize"),
                          (chainflux.lindblad, "diagonalize"),
                          (chainflux.lindblad, "global_jump_operators"),
+                         (chainflux.lindblad, "_site_couplings"),
                          (chainflux.steady, "solve_hermitian"),
                          (chainflux.correlations, "_gaussian_states")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def test_a_sweep_of_mode_chains_does_no_2n_work(monkeypatch):
+    # the uniform N = 5 chain's modes are apart: no 2^N Hamiltonian,
+    # eigensystem, jump scan, real block or Gaussian state on either
+    # approach's rows, the mode Fock diagonals included
+    refuse_2n_work(monkeypatch)
     table = run_sweep(replace(n5_t1_sweep(40), outputs=OUTPUTS))
     assert len(table.rows) == 80 and not table.skipped
     # a K scan of both approaches through K = 3, where a bin holds two
@@ -227,27 +260,35 @@ def test_a_sweep_of_mode_chains_does_no_2n_work(monkeypatch):
         assert (not on_modes(specs).all()) == shared
         table = run_sweep(request)
         assert len(table.rows) == 2 * len(request.grid) and not table.skipped
+    # the shipped scans through zero modes: the same skips, each at its
+    # chain's smallest bright |omega_k|, found from the modes alone
+    for name, points in ZERO_MODE_SKIPS.items():
+        request = parse_config((REPO / "configs" / name).read_text())
+        table = run_sweep(request)
+        assert [(s.axis_value, s.approach) for s in table.skipped] == [
+            (value, "global") for value in points]
+        assert len(table.rows) == 2 * len(request.grid) - len(points)
+        chains = chain_operators([apply_axis(request.base, request.axis, v) for v in points])
+        assert [s.reason for s in table.skipped] == [
+            f"degenerate-transition (omega = {smallest_bright_mode(chains, c):.3e})"
+            for c in range(len(points))]
 
 
-def test_a_k_scan_through_a_zero_mode_diagonalizes_that_chain_alone(monkeypatch):
-    # the jump scan that gives the zero mode's DegenerateTransition builds
-    # and diagonalizes the H of that chain only, not the call's stack
-    calls = []
-
-    def recording(H, _real=chainflux.lindblad.diagonalize):
-        calls.append(H.copy())
-        return _real(H)
-
-    monkeypatch.setattr(chainflux.lindblad, "diagonalize", recording)
+def test_a_k_scan_through_a_zero_mode_skips_it_at_its_mode(monkeypatch):
+    # the zero mode's DegenerateTransition comes from the chain's modes:
+    # nothing is diagonalized, and the skip is at the mode's own |omega_k|
+    # (0 here: the middle mode of the uniform N = 3 chain at eps = sqrt2 K)
+    refuse_2n_work(monkeypatch)
     zero_mode = 1.5 / (2 * math.cos(math.pi / 4))
     request = SweepRequest(base=chain([1.5] * 3, [1.0] * 2, 1.0, 0.2), axis="k",
                            grid=(0.4, 0.9, zero_mode, 1.4), approaches=("global", "local"),
                            outputs=OUTPUTS)
     table = run_sweep(request)
     assert [(s.axis_value, s.approach) for s in table.skipped] == [(zero_mode, "global")]
-    ((H,),) = calls
-    zero = apply_axis(request.base, "k", zero_mode)
-    assert H.tobytes() == build_chain_hamiltonian(zero).tobytes()
+    chains = chain_operators([apply_axis(request.base, "k", zero_mode)])
+    omega = smallest_bright_mode(chains, 0)
+    assert omega <= OMEGA_MIN
+    assert table.skipped[0].reason == f"degenerate-transition (omega = {omega:.3e})"
 
 
 def test_a_long_sweep_of_both_approaches_keeps_no_states_in_memory():
@@ -382,7 +423,7 @@ def test_the_mode_fock_diagonals_sum_to_the_eigenbasis_diagonals_per_level(confi
     for columns in steady_reports(specs, ("global", "local")):
         rows = solved_rows(columns)
         diagonals, on = columns.rho_diagonals(rows), columns.chain[rows]
-        es = columns.chains.eigensystem[on]
+        es = dense_chains(columns.chains)[1][on]
         eigenbasis = np.einsum("rip,rij,rjp->rp", es.vectors.conj(), columns.states(rows),
                                es.vectors).real
         for energy, diagonal, expected in zip(es.energies, diagonals, eigenbasis):

@@ -382,6 +382,29 @@ def test_row_residual_failure_names_the_worst_row(monkeypatch):
     assert f"t1 = {worst.axis_value!r}, approach {worst.approach}" in message
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_nan_residual_fails_the_sweep_and_the_report(monkeypatch):
+    # at T1 = 1e200 and 1e300 the global dimer's rates overflow the
+    # residual to NaN, which fails the steady solve's check, and, past it,
+    # the sweep's check, which names its row; the local rows are not unique
+    # there and are skipped
+    import chainflux.correlations
+
+    request = small_request(grid=(1.0, 1e200, 1e300))
+    with pytest.raises(NoConvergence, match="residual nan"):
+        run_sweep(request)
+    with pytest.raises(NoConvergence, match="residual nan"):
+        steady_report(dimer(1.5, 1.5, 1.0, 1e300, 0.0), "global")
+    # rates that overflow |L| alone, not the residual, keep their report
+    report = steady_report(dimer(1.5, 1.5, 1.0, 1e160, 0.0), "global")
+    assert report.populations == pytest.approx((0.5, 0.5), abs=1e-15)
+    monkeypatch.setattr(chainflux.correlations, "check_residual", lambda residual, scale: None)
+    with pytest.raises(NoConvergence, match=r"^row residual nan exceeds 1\.0e-09 at t1 = 1e\+200, "
+                                            r"approach global$"):
+        run_sweep(request)
+
+
 def test_run_matches_direct_pipeline():
     from chainflux import steady_report
     table = run_sweep(small_request(grid=(2.0,), approaches=("global",)))
