@@ -139,7 +139,8 @@ def _gaussian_residuals(X, G, C) -> np.ndarray:
     S + t S R + 2 s t R^2) at 0, with S = 2C - 1 and M0 = C^2 + (1 - C)^2:
     det M0 (2 tr(M0^-1 R^2) + tr A tr B - tr(A B)) with A = M0^-1 R S and B
     = M0^-1 S R = S M0^-1 R, whose traces are equal.  The eigenvalues of M0
-    are at least 1/2.
+    are at least 1/2.  |L| is linear in R, so each row's R is scaled by the
+    normal power of two nearest max |R_ij|: no square over- or underflows.
     """
     a = np.arange(C.shape[-1])
     R = X @ C
@@ -148,6 +149,8 @@ def _gaussian_residuals(X, G, C) -> np.ndarray:
         R += G
     else:
         R[:, a, a] += G
+    e = np.minimum(np.maximum(np.frexp(np.abs(R).max(axis=(1, 2)))[1], -1021), 1021)
+    R *= np.ldexp(1.0, -e)[:, None, None]
     S = 2.0 * C
     S[:, a, a] -= 1.0
     M0 = 2.0 * (C @ C) - S
@@ -156,7 +159,7 @@ def _gaussian_residuals(X, G, C) -> np.ndarray:
     trace = np.einsum("kii->k", A).real
     squares = np.linalg.det(M0).real * (2.0 * np.einsum("kij,kji->k", P, R).real + trace**2
                                          - np.einsum("kij,kji->k", A, S @ P).real)
-    return np.sqrt(np.maximum(squares, 0.0))
+    return np.ldexp(np.sqrt(np.maximum(squares, 0.0)), e)
 
 
 def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
@@ -173,9 +176,14 @@ def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
     eps^2 + d/2 sum K^2.  D has the diagonal sum_q (e_q or a_q) / 2 over
     the qubits excited or not, so with s_q = e_q + a_q, tr D = d/4 sum s
     and |D|^2 = d/8 (sum (e^2 + a^2) + sum_{q<r} s_q s_r), a sum of
-    nonnegative terms: rates that overflow it give |L| = inf, never NaN.
+    nonnegative terms, each row scaled as in :func:`_gaussian_residuals`
+    by its largest gap, coupling or rate.
     """
     d = 2.0 ** gaps.shape[1]
+    top = np.concatenate([np.abs(gaps), np.abs(hoppings), site_rates.reshape(len(gaps), -1)], 1)
+    e = np.minimum(np.maximum(np.frexp(top.max(axis=1))[1], -1021), 1021)
+    scale = np.ldexp(1.0, -e)[:, None]
+    gaps, hoppings, site_rates = gaps * scale, hoppings * scale, site_rates * scale[:, :, None]
     s = site_rates.sum(axis=2)
     total, rate_squares = s.sum(axis=1), (site_rates**2).sum(axis=(1, 2))
     pairs = np.triu(s[:, :, None] * s[:, None, :], 1).sum(axis=(1, 2))
@@ -183,7 +191,7 @@ def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
     squares_D = d / 8 * (rate_squares + pairs)
     squares = (2 * d * (squares_H + squares_D) + 2 * (d / 4 * total) ** 2
                + (d / 2) ** 2 * rate_squares)
-    return np.sqrt(squares)
+    return np.ldexp(np.sqrt(squares), e)
 
 
 def local_steady_states(h: np.ndarray, sites: np.ndarray, rates: np.ndarray) -> tuple:

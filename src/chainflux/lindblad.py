@@ -19,10 +19,10 @@ omega_k < 0, and each bin one group of modes at a shared |omega_k|
 with a bright zero mode).  No solve path builds a 2^N operator.  The 2^N
 jump scan (:func:`global_jump_operators`) and the dense site-basis builders
 (:func:`global_dissipator_bins`, :func:`build_local_dissipator`,
-:func:`build_liouvillian`, :func:`assemble`) are kept because the benchmark
-harness (``perfbench/tracing.py``) binds them by name, ``verify`` compares
-the two monomer generators with them, and the dense model and the real
-block the tests compare against (``tests/oracles.py``) are built on them.
+:func:`build_liouvillian`, :func:`assemble`), in the eigenbasis of one H,
+are kept because the benchmark harness (``perfbench/tracing.py``) binds
+them by name, ``verify`` compares the two monomer generators with them, and
+the tests' dense model and real block (``tests/oracles.py``) use them.
 
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
@@ -36,7 +36,7 @@ call and shares them between the rows and both approaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .operators import (
     build_chain_hamiltonian,
     chain_arrays,
     diagonalize,
-    qubit_bits,
     site_operator,
 )
 
@@ -175,43 +174,24 @@ def thermal_dissipator(A: np.ndarray, gamma: float, nbar: float) -> np.ndarray:
                          full_unknowns(A.shape[0]))
 
 
-def global_bins(es: EigenSystem, jumps: np.ndarray) -> tuple:
-    """The frequency bins of a :data:`JUMP_DTYPE` array, and each bin's operators in the frame.
+# Dense site-basis builders outside the sweep path; perfbench/tracing.py
+# binds them by these names.
+def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
+    """Dense (omega, dissipator) pair of each frequency bin of one chain's reservoir.
 
-    A bin is a run of jumps of one chain and reservoir at one ``omega``;
-    ``first[b]`` is the index of bin b's first jump.  Jumps sharing a bin
-    are summed before the Lindblad form is applied, so equal-frequency cross
-    terms survive while cross terms between different bins are dropped.
-    ``operators``, a read-only complex (2 B, d, d) stack, holds bin b's
-    operator A at item 2 b and its adjoint A^dag at item 2 b + 1, in the
-    basis of its chain's ``es.frame``: each jump of the bin is one nonzero
-    of A, its weight at the frame positions of (p, q), and of A^dag, the
-    conjugate weight at (q, p).  ``es`` is the stack the jumps' chains
-    index, or the one eigensystem of chain 0.
+    A bin, a run of jumps of one chain, reservoir and ``omega``, is summed
+    into A = sum weight |p><q| in the eigenbasis, so only equal-frequency
+    cross terms survive, and A goes to the site basis by ``es.vectors``.
     """
     new = np.zeros(len(jumps), dtype=bool)
     new[:1] = True
     for name in ("chain", "reservoir", "omega"):
         new[1:] |= np.diff(jumps[name]) != 0
-    position = np.argsort(es.frame_order, axis=-1).reshape(-1, es.dim)
-    lower = position[jumps["chain"], jumps["lower"]]
-    upper = position[jumps["chain"], jumps["upper"]]
-    item, weights = 2 * (np.cumsum(new) - 1), jumps["weight"]
-    operators = np.zeros((2 * np.count_nonzero(new), es.dim, es.dim), dtype=complex)
-    operators[item, lower, upper] = weights
-    operators[item + 1, upper, lower] = weights.conj()
-    read_only(operators)
-    return np.flatnonzero(new), operators
-
-
-# Dense site-basis builders outside the sweep path; perfbench/tracing.py
-# binds them by these names.
-def global_dissipator_bins(es: EigenSystem, jumps: np.ndarray, bath: BathSpec) -> list:
-    """Dense (omega, dissipator) pair of each frequency bin of one chain's reservoir."""
-    first, operators = global_bins(es, jumps)
-    return [(omega, thermal_dissipator(es.frame @ A @ es.frame.conj().T, bath.gamma,
-                                       bose_occupation(omega, bath.temperature)))
-            for omega, A in zip(jumps["omega"][first].tolist(), operators[::2])]
+    A = np.zeros((np.count_nonzero(new), es.dim, es.dim), dtype=complex)
+    A[np.cumsum(new) - 1, jumps["lower"], jumps["upper"]] = jumps["weight"]
+    A = es.vectors @ A @ es.vectors.conj().swapaxes(-1, -2)
+    return [(omega, thermal_dissipator(a, bath.gamma, bose_occupation(omega, bath.temperature)))
+            for omega, a in zip(jumps["omega"][new].tolist(), A)]
 
 
 def build_local_dissipator(spec: ChainSpec, bath: BathSpec) -> np.ndarray:
@@ -307,17 +287,6 @@ def chain_operators(epsilons, couplings=None, sites=None) -> ChainOperators:
     return ChainOperators(epsilons=epsilons, hoppings=couplings, sites=sites)
 
 
-@lru_cache(maxsize=None)
-def _site_couplings(n_qubits: int) -> np.ndarray:
-    """sigma^+ + sigma^- of each qubit, (n, d, d): 1 between the states that differ in its bit."""
-    d = 2**n_qubits
-    index = np.arange(d)
-    couplings = np.zeros((n_qubits, d, d), dtype=complex)
-    couplings[np.arange(n_qubits)[:, None], index, index ^ qubit_bits(n_qubits)[:, None]] = 1.0
-    read_only(couplings)
-    return couplings
-
-
 def _walk(values: np.ndarray, tol: np.ndarray, new: np.ndarray) -> np.ndarray:
     """``new`` (m,) bool, set also where one of the ascending ``values`` (m,) opens a bin.
 
@@ -392,14 +361,16 @@ def assemble(spec: ChainSpec, approach: str) -> tuple:
     """``spec``'s chain alone as a :class:`ChainOperators` stack, newly built, and its global jumps.
 
     The jumps are :func:`global_jump_operators` of the eigensystem of the
-    chain's H, from which ``tests/oracles.py`` builds the dense global
-    model; raises DegenerateTransition where the eigenbasis route
-    degenerates.  The local approach is solved through its correlation
-    matrix (:mod:`chainflux.correlations`), and its dense generator is
-    :func:`build_liouvillian` of :func:`build_local_dissipator`.
+    chain's H at each bath qubit's sigma^+ + sigma^-, for the dense global
+    model of ``tests/oracles.py``; raises DegenerateTransition where the
+    eigenbasis route degenerates.  The local approach is solved through its
+    correlation matrix (:mod:`chainflux.correlations`), and its dense
+    generator is :func:`build_liouvillian` of :func:`build_local_dissipator`.
     """
     if approach != "global":
         raise ValueError(f"only the global approach is assembled, got {approach!r}")
-    chains = chain_operators([spec])
+    chains, n = chain_operators([spec]), spec.n_qubits
     es = diagonalize(build_chain_hamiltonian(chains.epsilons, chains.hoppings))
-    return chains, global_jump_operators(es, _site_couplings(spec.n_qubits)[chains.sites])
+    couplings = [site_operator(n, s, "raise") + site_operator(n, s, "lower")
+                 for s in chains.sites[0].tolist()]
+    return chains, global_jump_operators(es, couplings)

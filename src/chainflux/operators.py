@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,11 +139,11 @@ def assert_hermitian(A: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
 class EigenSystem:
     """Eigendecomposition with energies ascending and a fixed phase gauge.
 
-    Column p of ``vectors`` is the eigenvector of ``energies[p]``.  Each
-    column is rotated so its largest-magnitude entry is real and positive
-    (ties broken by the lowest index), which makes jump operators built from
-    it reproducible.  A stack of eigensystems has energies (k, d) and
-    vectors (k, d, d), and ``es[c]`` is the eigensystem of matrix c.
+    Column p of ``vectors`` is the eigenvector of ``energies[p]``, position
+    p of the eigenbasis.  Each column is rotated so its largest-magnitude
+    entry is real and positive (ties broken by the lowest index), which
+    makes jump operators built from it reproducible.  A stack has energies
+    (k, d) and vectors (k, d, d), and ``es[c]`` is the one of matrix c.
     """
 
     energies: np.ndarray
@@ -155,33 +155,6 @@ class EigenSystem:
 
     def __getitem__(self, c) -> EigenSystem:
         return EigenSystem(energies=self.energies[c], vectors=self.vectors[c])
-
-    @cached_property
-    def frame_order(self) -> np.ndarray:
-        """Eigenvector position at each frame position: each excitation sector at its own sites.
-
-        An eigenvector's sector is that of the site holding its leading
-        entry, the one the phase gauge makes real and positive.  Each
-        sector's eigenvectors, in ascending energy, take that sector's
-        site indices in ascending order, so chains of one qubit count put
-        the same sectors at the same frame positions whatever their
-        couplings, and a single qubit's frame is the identity.  Defined for
-        the operators of a qubit register.
-        """
-        labels = excitation_numbers(self.dim.bit_length() - 1)
-        lead = np.abs(self.vectors).argmax(axis=-2)
-        order = np.empty(lead.shape, dtype=np.intp)
-        order[..., np.argsort(labels, kind="stable")] = np.argsort(labels[lead], axis=-1,
-                                                                   kind="stable")
-        order.setflags(write=False)
-        return order
-
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """The eigenvectors as columns in :attr:`frame_order`."""
-        frame = np.take_along_axis(self.vectors, self.frame_order[..., None, :], axis=-1)
-        frame.setflags(write=False)
-        return frame
 
 
 @lru_cache(maxsize=None)

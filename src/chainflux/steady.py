@@ -1,10 +1,10 @@
 """Steady states by constrained linear solve in the real coordinates of a Hermitian matrix.
 
 The sweep solves stacks of N^2 correlation systems (:func:`checked_inverse`,
-:func:`unique`).  :func:`solve_steady` takes a dense complex generator,
-for the oracles of the tests, and stays here because the benchmark harness
-(``perfbench/tracing.py``) binds it by name; :func:`solve_hermitian` is its
-body.
+:func:`unique`).  :func:`solve_steady` takes dense d^2 x d^2 generators,
+for the oracles of the tests, and stays because the benchmark harness
+(``perfbench/tracing.py``) binds it by name; its body :func:`solve_hermitian`
+also solves a subset of the entries of rho, in real coordinates.
 """
 
 from __future__ import annotations
@@ -143,46 +143,35 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
                           unknowns=m)
 
 
-def solve_steady(L: np.ndarray, unknowns: Unknowns = None) -> SteadySolution:
+def solve_steady(L: np.ndarray) -> SteadySolution:
     """Solve L v = 0 with the trace constraint replacing one row.
 
-    ``L`` is one m x m generator or a (k, m, m) stack of them, all on the
-    same ``unknowns``: the entries of rho that v holds, by default all of
-    them, with L the dense d^2 x d^2 generator.  Those outside the set are
-    zero in the returned state, which is exact when L keeps the set
-    invariant, as a frame generator keeps its chain's coupled set; the
-    uniqueness check (:func:`checked_inverse`), which always runs, then
-    covers that set only.
-    L is mapped to the real coordinates of a Hermitian rho
-    (``unknowns.hermitian``) and solved there by :func:`solve_hermitian`,
-    with the residual taken against the complex L itself, so a generator
-    that does not keep rho Hermitian leaves a residual and is not solved.
-    One generator whose steady state is not unique raises DegenerateKernel;
-    in a stack, such a row gets a zero rho and its ``rcond`` tells it apart
+    ``L`` is one dense d^2 x d^2 generator or a (k, d^2, d^2) stack of
+    them, mapped to the real coordinates of a Hermitian rho on every entry
+    and solved there by :func:`solve_hermitian`, with the residual taken
+    against the complex L itself, so a generator that does not keep rho
+    Hermitian leaves a residual and is not solved.  One generator whose
+    steady state is not unique raises DegenerateKernel; in a stack, such a
+    row gets a zero rho and its ``rcond`` tells it apart
     (:func:`uniqueness_error`).  A residual above RESIDUAL_TOL * |L| raises
     NoConvergence.  The whole stack is solved by one stacked LAPACK call, so
     callers keep stacks small.
     """
     single = L.ndim == 2
     stack = L[None] if single else L
-    if unknowns is None:
-        d2 = stack.shape[-1]
-        d = int(round(np.sqrt(d2)))
-        if d * d != d2:
-            raise DimensionMismatch(f"generator shape {L.shape} is not a square over d^2")
-        unknowns = full_unknowns(d)
-    m = unknowns.size
-    if stack.shape[1:] != (m, m):
-        raise DimensionMismatch(f"generator shape {L.shape} does not match {m} unknowns")
-
+    d2 = stack.shape[-1]
+    d = int(round(np.sqrt(d2)))
+    if d * d != d2 or stack.shape[1] != d2:
+        raise DimensionMismatch(f"generator shape {L.shape} is not d^2 x d^2")
+    unknowns = full_unknowns(d)
     sol = solve_hermitian(unknowns.hermitian(stack), unknowns)
     residual = np.linalg.norm(stack @ sol.rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
     check_residual(residual, np.linalg.norm(stack, axis=(1, 2)))
     if not single:
         return replace(sol, residual=residual)
-    error = uniqueness_error(sol.rcond[0], m)
+    error = uniqueness_error(sol.rcond[0], d2)
     if error is not None:
         raise error
     return SteadySolution(rho=sol.rho[0], residual=float(residual[0]),
                           replaced_row=int(sol.replaced_row[0]), rcond=float(sol.rcond[0]),
-                          unknowns=m)
+                          unknowns=d2)

@@ -11,17 +11,18 @@ correlation route's tables from dense operators (:func:`pair_tables`,
 :func:`correlation_basis`); the local site-basis generator applied to a
 stack of states by gathers (:func:`site_generator`), against which the
 correlation route's closed-form residual is checked; the register layouts
-from dense site operators (:func:`hamiltonian_layout`,
-:func:`site_couplings`).  Each chain's 2^N H, eigensystem and reservoir
-couplings (:func:`dense_chains`), which the package's chain stack does not
-hold, and |L|_F summed over the 2^N diagonals
+and the couplings sigma^+ + sigma^- from dense site operators
+(:func:`hamiltonian_layout`, :func:`site_couplings`).  Each chain's 2^N H,
+eigensystem and reservoir couplings (:func:`dense_chains`), which the
+package's chain stack does not hold, and |L|_F summed over the 2^N diagonals
 (:func:`summed_generator_norms`), which it computes in closed form.
 
 The real block (:func:`block_reports`), which the package solved its
 global rows of chains with shared bins by until it solved every row from
 N x N correlation matrices: each chain's rate-free structure
-(:class:`ChainStructure`), the eigenbasis one of its binned jumps
-(:func:`global_structure`) or the local one of dense sigma^+- operators in
+(:class:`ChainStructure`), the eigenbasis one of its binned jumps, in
+eigenvalue order (:func:`global_structure`, its bins from
+:func:`eigenbasis_bins`), or the local one of dense sigma^+- operators in
 the site basis (:func:`local_structure`); the entries of rho its generator
 joins to the diagonal (:func:`coupled_sets`); the generator on them in the
 real coordinates of a Hermitian rho (:func:`real_superoperator`), solved by
@@ -64,7 +65,6 @@ from chainflux.lindblad import (
     SECULAR_TOL,
     bath_rates,
     chain_operators,
-    global_bins,
     global_jump_operators,
 )
 from chainflux.correlations import _fermions
@@ -107,11 +107,11 @@ class LindbladModel:
     (:func:`global_structure` for the global approach,
     :func:`local_structure` for the local one); the rates of its jump
     operators come from ``spec``'s baths.  The steady state is solved in
-    the frame ``eigensystem.frame``, the eigenbasis for the global
-    approach, where H is diagonal.  Everything else is derived on first
-    use: ``block`` in the frame on the unknowns the steady state occupies,
-    and in the site basis the dense ``liouvillian`` and the per-reservoir
-    ``dissipators``.
+    the frame of ``eigensystem.vectors``: the eigenbasis in eigenvalue
+    order for the global approach, where H is diagonal, and the site basis
+    for the local one.  Everything else is derived on first use: ``block``
+    in the frame on the unknowns the steady state occupies, and in the site
+    basis the dense ``liouvillian`` and the per-reservoir ``dissipators``.
     """
 
     spec: ChainSpec
@@ -154,8 +154,8 @@ class LindbladModel:
 
     def to_site(self, rho: np.ndarray) -> np.ndarray:
         """Matrices given in the solve frame (one, or a stack), in the site basis."""
-        frame = self.eigensystem.frame
-        return frame @ rho @ frame.conj().T
+        vectors = self.eigensystem.vectors
+        return vectors @ rho @ vectors.conj().T
 
     @cached_property
     def unknowns(self) -> Unknowns:
@@ -470,7 +470,7 @@ def dense_chains(chains) -> tuple:
     """
     H = build_chain_hamiltonian(chains.epsilons, chains.hoppings)
     read_only(H)
-    couplings = chainflux.lindblad._site_couplings(chains.epsilons.shape[1])[chains.sites]
+    couplings = site_couplings(chains.epsilons.shape[1])[chains.sites]
     return H, diagonalize(H), couplings
 
 
@@ -503,7 +503,7 @@ class ChainStructure:
     structure serves every row of every chain of the stack:
 
     - ``chains``, their site-basis ``hamiltonian`` (k, d, d) and
-      ``eigensystem``, a stacked eigensystem whose ``frame`` is each
+      ``eigensystem``, a stacked eigensystem whose ``vectors`` are each
       chain's solve frame;
     - ``frame_hamiltonian`` (k, d, d), each chain's H in its frame;
     - the bins of every chain, chain by chain and reservoir by reservoir:
@@ -692,26 +692,45 @@ def local_structure(chains) -> ChainStructure:
                           decay=decay, start=start, flux_functionals=functionals, errors={})
 
 
+def eigenbasis_bins(es, jumps: np.ndarray) -> tuple:
+    """The frequency bins of a ``JUMP_DTYPE`` array, and each bin's operators in the eigenbasis.
+
+    A bin is a run of jumps of one chain and reservoir at one ``omega``;
+    ``first[b]`` is the index of bin b's first jump.  ``operators``, a
+    read-only complex (2 B, d, d) stack, holds bin b's A = sum weight
+    |p><q| over its jumps at item 2 b and A^dag at item 2 b + 1.
+    """
+    new = np.zeros(len(jumps), dtype=bool)
+    new[:1] = True
+    for name in ("chain", "reservoir", "omega"):
+        new[1:] |= np.diff(jumps[name]) != 0
+    item, weights = 2 * (np.cumsum(new) - 1), jumps["weight"]
+    operators = np.zeros((2 * np.count_nonzero(new), es.dim, es.dim), dtype=complex)
+    operators[item, jumps["lower"], jumps["upper"]] = weights
+    operators[item + 1, jumps["upper"], jumps["lower"]] = weights.conj()
+    read_only(operators)
+    return np.flatnonzero(new), operators
+
+
 def global_structure(chains, jumps=None) -> ChainStructure:
     """The eigenbasis structure of a ChainOperators stack, from the package's binned jumps.
 
     The jumps of every chain and reservoir (``global_jump_operators``, or
     ``jumps`` of a stack of one chain whose route resolves) in the bins of
-    ``global_bins``, in each chain's frame, and each bin's functionals,
-    :func:`adjoint_dissipator` of its chain's frame H.  A chain whose route
-    degenerates keeps its DegenerateTransition in ``errors`` and has no
-    bins.
+    :func:`eigenbasis_bins`, in each chain's eigenbasis, and each bin's
+    functionals, :func:`adjoint_dissipator` of its chain's diagonal H.  A
+    chain whose route degenerates keeps its DegenerateTransition in
+    ``errors`` and has no bins.
     """
     H, es, couplings = dense_chains(chains)
     k, d, errors = len(chains), H.shape[-1], {}
     if jumps is None:
         jumps = global_jump_operators(es, couplings, errors)
-    first, operators = global_bins(es, jumps)
+    first, operators = eigenbasis_bins(es, jumps)
     omegas, reservoirs, owner = (jumps[name][first] for name in ("omega", "reservoir", "chain"))
     edges = np.searchsorted(2 * owner + reservoirs, np.arange(2 * k + 1))
     frame_H = np.zeros((k, d, d))
-    frame_H[:, np.arange(d), np.arange(d)] = np.take_along_axis(es.energies, es.frame_order,
-                                                                 axis=1)
+    frame_H[:, np.arange(d), np.arange(d)] = es.energies
     decay = operators.conj().swapaxes(1, 2) @ operators
     functionals = adjoint_dissipator(operators.reshape(-1, 2, d, d), frame_H[owner])
     functionals = functionals.reshape(-1, d, d)
@@ -846,8 +865,8 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     fluxes = np.zeros((k, 2))
     reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
     np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
-    frames = structure.eigensystem.frame[chain]
-    rho = frames @ sol.rho @ frames.conj().swapaxes(1, 2)
+    vectors = structure.eigensystem.vectors[chain]
+    rho = vectors @ sol.rho @ vectors.conj().swapaxes(1, 2)
     diagonal = _real_part(np.diagonal(rho, axis1=1, axis2=2), "population")
     occupations = excited_qubits(structure.chains.epsilons.shape[1])
     populations = (diagonal[:, None] * occupations).sum(axis=2)

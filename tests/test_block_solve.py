@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+import chainflux.lindblad
 from chainflux import bose_occupation, chain, steady_report
-from chainflux.lindblad import full_unknowns, superoperator, thermal_dissipator
+from chainflux.lindblad import (
+    full_unknowns,
+    global_dissipator_bins,
+    superoperator,
+    thermal_dissipator,
+)
 from chainflux.observables import heat_flux, qubit_population
 from chainflux.steady import solve_steady
 from chainflux.operators import excitation_numbers, site_operator
 
-from oracles import assemble, block_reports, gather
+from oracles import assemble, block_reports, dense_chains, gather
 
 
 def random_cases(seed, n_qubits, count):
@@ -62,18 +68,39 @@ def test_block_solve_matches_dense_oracle(spec, approach):
         assert abs(ours.fluxes[0] + ours.fluxes[1]) <= 1e-9
 
 
-def test_global_bins_sum_to_the_frame_coupling():
-    # sum_b (A_b + A_b^dag) = F^dag sigma^x F: the binning drops and
+def test_eigenbasis_bins_sum_to_the_eigenbasis_coupling():
+    # sum_b (A_b + A_b^dag) = V^dag sigma^x V over the bins of
+    # eigenbasis_bins, in eigenvalue order: the binning drops and
     # double-counts no jump
     for spec, _ in CASES:
         model = assemble(spec, "global")
-        frame = model.eigensystem.frame
+        vectors = model.eigensystem.vectors
         for bins, bath in zip(model.bins, spec.baths):
             site = bath.attached_site
             coupling = (site_operator(spec.n_qubits, site, "raise")
                         + site_operator(spec.n_qubits, site, "lower"))
             total = sum(A + A.conj().T for _, A in bins)
-            assert np.abs(total - frame.conj().T @ coupling @ frame).max() <= 1e-12
+            assert np.abs(total - vectors.conj().T @ coupling @ vectors).max() <= 1e-12
+
+
+BIN_CASES = [spec for spec, _ in CASES] + [chain([1.5] * 4, [1.0] * 3, 1.0, 0.5)]
+
+
+@pytest.mark.parametrize("spec", BIN_CASES)
+def test_global_dissipator_bins_sum_to_the_dense_dissipator_of_each_reservoir(spec):
+    # the package's dense bins, built in the eigenbasis and rotated by its
+    # vectors, against the oracle's per-reservoir dissipator; the uniform
+    # N = 4 chain has bins of several jumps that share a lower or an upper
+    # state
+    chains, jumps = chainflux.lindblad.assemble(spec, "global")
+    _, es, _ = dense_chains(chains)
+    model = assemble(spec, "global")
+    for r, bath in enumerate(spec.baths):
+        own = jumps[jumps["reservoir"] == r]
+        bins = global_dissipator_bins(es, own, bath)
+        assert [omega for omega, _ in bins] == [omega for omega, _ in model.bins[r]]
+        total = sum(D for _, D in bins)
+        assert np.abs(total - model.dissipators[r]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("approach", ["global", "local"])
@@ -124,7 +151,7 @@ def test_gibbs_state_is_fixed_point_of_block_generator():
         es = model.eigensystem
         weights = np.exp(-(es.energies - es.energies.min()) / t)
         gibbs = (es.vectors * (weights / weights.sum())) @ es.vectors.conj().T
-        in_frame = es.frame.conj().T @ gibbs @ es.frame
+        in_frame = es.vectors.conj().T @ gibbs @ es.vectors
         assert np.abs(model.block @ gather(model.unknowns, in_frame)).max() <= 1e-9
 
 

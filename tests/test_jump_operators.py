@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from chainflux import chain
-from chainflux.lindblad import chain_operators, global_bins, global_jump_operators
+from chainflux.lindblad import chain_operators, global_jump_operators
 from chainflux.observables import steady_reports
 
-from oracles import dense_chains
+from oracles import dense_chains, eigenbasis_bins
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -19,10 +19,9 @@ def test_each_bin_of_a_degenerate_uniform_chain_holds_exactly_its_jumps(n):
     # A^dag A or of a functional sums two jumps
     _, es, couplings = dense_chains(chain_operators([chain([1.5] * n, [1.0] * (n - 1), 1.0, 0.5)]))
     jumps = global_jump_operators(es, couplings)
-    first, operators = global_bins(es, jumps)
+    first, operators = eigenbasis_bins(es, jumps)
     counts = np.diff(np.append(first, len(jumps)))
-    position = np.argsort(es.frame_order[0])
-    lower, upper = position[jumps["lower"]], position[jumps["upper"]]
+    lower, upper = jumps["lower"], jumps["upper"]  # eigenvalue positions
     shared = 0
     for b, (A, adjoint) in enumerate(zip(operators[::2], operators[1::2])):
         at = slice(first[b], first[b] + counts[b])

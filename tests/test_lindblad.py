@@ -24,7 +24,6 @@ from chainflux.lindblad import (
     build_local_dissipator,
     chain_operators,
     full_unknowns,
-    global_bins,
     global_dissipator_bins,
     global_jump_operators,
     superoperator,
@@ -33,7 +32,13 @@ from chainflux.lindblad import (
 )
 from chainflux.steady import solve_steady
 
-from oracles import assemble, chain_structure, dense_chains, dimer_analytic_eigensystem
+from oracles import (
+    assemble,
+    chain_structure,
+    dense_chains,
+    dimer_analytic_eigensystem,
+    eigenbasis_bins,
+)
 
 
 def coupling_op(n, site):
@@ -143,10 +148,10 @@ def test_monomer_single_jump_operator():
     assert len(jumps) == 1
     assert jumps["omega"][0] == pytest.approx(1.5)
     assert jumps["weight"][0] == pytest.approx(1.0)
-    first, ops = global_bins(es, jumps)
+    first, ops = eigenbasis_bins(es, jumps)
     assert first.tolist() == [0]
-    omega, A = jumps["omega"][0], ops[0]
-    assert np.allclose(es.frame @ A @ es.frame.conj().T, site_operator(1, 0, "lower"))
+    A = ops[0]
+    assert np.allclose(es.vectors @ A @ es.vectors.conj().T, site_operator(1, 0, "lower"))
 
 
 def test_symmetric_dimer_has_two_frequency_bins_per_reservoir():
@@ -164,10 +169,10 @@ def test_jump_operators_lower_energy_by_omega():
     spec = chain([1.2, 0.7, 2.1], [0.4, 0.9], 1.0, 0.0)
     H = build_chain_hamiltonian(spec)
     es = diagonalize(H)
-    frame_H = np.diag(es.energies[es.frame_order])
+    frame_H = np.diag(es.energies)
     scale = np.abs(H).max()
     jumps = global_jump_operators(es, coupling_op(3, 0))
-    first, ops = global_bins(es, jumps)
+    first, ops = eigenbasis_bins(es, jumps)
     assert len(first)
     for omega, A in zip(jumps["omega"][first], ops[::2]):
         comm = frame_H @ A - A @ frame_H
@@ -191,15 +196,14 @@ def test_asymmetric_dimer_weights_match_analytic_amplitudes():
         1: {(0, 1): sigma4 * ana.c42, (0, 2): sigma3 * ana.c32,
             (1, 3): sigma4 * ana.c41, (2, 3): sigma3 * ana.c31},
     }
-    position = np.argsort(es.frame_order)
     for reservoir, site in ((0, 0), (1, 1)):
         jumps = global_jump_operators(es, coupling_op(2, site))
         assert len(jumps) == 4
-        first, ops = global_bins(es, jumps)
+        first, ops = eigenbasis_bins(es, jumps)
         bins = dict(zip(jumps["omega"][first].tolist(), ops[::2]))
         for _, _, omega, p, q, weight in jumps.tolist():
             assert weight == pytest.approx(expected[reservoir][(p, q)], abs=1e-10)
-            assert bins[omega][position[p], position[q]] == weight
+            assert bins[omega][p, q] == weight
 
 
 def test_degenerate_transition_raises():

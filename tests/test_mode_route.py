@@ -233,7 +233,7 @@ def refuse_2n_work(monkeypatch):
                          (chainflux.operators, "diagonalize"),
                          (chainflux.lindblad, "diagonalize"),
                          (chainflux.lindblad, "global_jump_operators"),
-                         (chainflux.lindblad, "_site_couplings"),
+                         (chainflux.lindblad, "site_operator"),
                          (chainflux.steady, "solve_hermitian"),
                          (chainflux.correlations, "_gaussian_states")):
         monkeypatch.setattr(module, name, refuse)

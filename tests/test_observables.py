@@ -279,21 +279,35 @@ def test_local_population_never_exceeds_global_on_cold_side():
             )
 
 
-def decimal_global_flux(eps, coupling, t1, digits=40):
-    """Global Q1 of the symmetric dimer against T2 = 0 at unit rates, in ``digits``-digit decimals.
+def decimal_references(eps, coupling, t1, approach, digits=40):
+    """Q1, -Q2, n1 and n2 of the symmetric dimer against T2 = 0 at unit rates, in decimals.
 
-    The float inputs are taken exactly.  Each channel omega in {|eps - K|,
-    eps + K} carries omega g1 g2 n1 / (g1 (2 n1 + 1) + g2) with g1 = g2 = 1/2,
-    that is omega n1 / (4 (n1 + 1)).
+    ``digits``-digit decimals, the float inputs taken exactly.  Global: each
+    channel omega in {|eps - K|, eps + K} carries omega n / (4 (n + 1)) and
+    puts n / (4 (n + 1)) on each qubit (eps > K).  Local: Q1 = eps n / (2 n
+    + 2) * 4K^2 / (4K^2 + 2 n + 1), n1 = (2K^2 e + n) / (4K^2 + 2 n + 1)
+    and n2 = 2K^2 e / (4K^2 + 2 n + 1), e = n / (n + 1), n at eps.  -Q2 =
+    Q1 in both.
     """
     with localcontext() as ctx:
         ctx.prec = digits
         eps, coupling, t1 = Decimal(eps), Decimal(coupling), Decimal(t1)
-        total = Decimal(0)
-        for omega in (abs(eps - coupling), eps + coupling):
-            n1 = 1 / ((omega / t1).exp() - 1)
-            total += omega * n1 / (4 * (n1 + 1))
-        return total
+
+        def nbar(omega):
+            return 1 / ((omega / t1).exp() - 1)
+
+        if approach == "global":
+            flux = population = Decimal(0)
+            for omega in (abs(eps - coupling), eps + coupling):
+                n = nbar(omega)
+                flux += omega * n / (4 * (n + 1))
+                population += n / (4 * (n + 1))
+            return flux, flux, population, population
+        n, k2 = nbar(eps), coupling * coupling
+        den = 4 * k2 + 2 * n + 1
+        flux = eps * n / (2 * n + 2) * 4 * k2 / den
+        e = n / (n + 1)
+        return flux, flux, (2 * k2 * e + n) / den, 2 * k2 * e / den
 
 
 def test_near_a_zero_mode_the_sweep_keeps_the_digits_of_the_closed_forms():
@@ -311,7 +325,7 @@ def test_near_a_zero_mode_the_sweep_keeps_the_digits_of_the_closed_forms():
     errors = []
     for row, blocked in zip(rows, block.fluxes[:, 0].tolist()):
         t1 = row.axis_value
-        exact = decimal_global_flux(eps, coupling, t1)
+        exact = decimal_references(eps, coupling, t1, "global")[0]
         values = (dimer_global_heat_flux_analytic(eps, coupling, t1, 0.0).total,
                   free_fermion_form(chain([eps, eps], [coupling], t1, 0.0))[2], row.fluxes[0],
                   blocked)
@@ -321,3 +335,40 @@ def test_near_a_zero_mode_the_sweep_keeps_the_digits_of_the_closed_forms():
     assert closed <= 1e-15 and modes <= 1e-15 and sweep <= 1e-15
     assert 1e-12 < blocked <= 1e-11
     assert (errors[:, 2] <= np.maximum(errors[:, 3], 1e-15)).all()
+
+
+# The largest absolute error of each column over a preset's 200 rows against
+# decimal_references, measured on x86-64 with numpy 2.4.6 and OpenBLAS
+# 0.3.31; each bound is four times it.  Local Q1 is the hot reservoir's
+# h_ss (gamma nbar - lambda C_ss), which cancels about two digits (1.3e-12
+# relative on figure3a); -Q2 does not cancel.
+PRESET_ERRORS = {
+    "figure2": {"global": (2.5e-16, 2.5e-16, 1.5e-16), "local": (1.9e-14, 9.2e-17, 8.4e-17)},
+    "figure3a": {"global": (2.0e-16, 2.0e-16), "local": (1.6e-14, 4.5e-17)},
+    "figure3b": {"global": (5.5e-16, 5.5e-16), "local": (1.6e-14, 1.5e-16)},
+    "figure3c": {"global": (2.3e-15, 2.3e-15), "local": (1.9e-14, 6.5e-16)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_ERRORS))
+def test_every_preset_row_keeps_the_digits_of_the_40_digit_references(name):
+    # Q1, -Q2 and, for figure2, the populations n1 and n2 of every row of
+    # both approaches, each column within four times its measured error
+    request = figure_requests()[name]
+    eps, coupling = request.base.epsilons[0], request.base.couplings[0]
+    table = run_sweep(request)
+    assert not table.skipped
+    for approach, measured in PRESET_ERRORS[name].items():
+        rows = [row for row in table.rows if row.approach == approach]
+        assert len(rows) == len(request.grid)
+        errors = []
+        for row in rows:
+            q1, minus_q2, n1, n2 = decimal_references(eps, coupling, row.axis_value, approach)
+            pairs = [(row.fluxes[0], q1), (-row.fluxes[1], minus_q2)]
+            if len(measured) == 3:
+                pairs += [(row.populations[0], n1), (row.populations[1], n2)]
+            errors.append([abs(float(Decimal(value) - exact)) for value, exact in pairs])
+        errors = np.array(errors).max(axis=0)
+        if len(measured) == 3:
+            errors = np.append(errors[:2], errors[2:].max())
+        assert (errors <= 4 * np.array(measured)).all(), (approach, errors.tolist())

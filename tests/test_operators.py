@@ -18,14 +18,12 @@ from chainflux import (
     site_operator,
 )
 
-from chainflux.lindblad import _site_couplings
 from chainflux.operators import _hamiltonian_layout
 
 from oracles import (
     DegenerateDenominator,
     dimer_analytic_eigensystem,
     hamiltonian_layout,
-    site_couplings,
     total_excitation,
 )
 
@@ -62,8 +60,8 @@ def test_index_built_site_operators_equal_the_kronecker_chain(kind):
 
 
 def test_register_layouts_by_bit_arithmetic_equal_the_dense_products():
-    # the sigma^z signs, hopping entries and reservoir couplings from state
-    # indices are bit for bit those read off products of site operators
+    # the sigma^z signs and hopping entries from state indices are bit for
+    # bit those read off products of site operators
     for n in range(1, 6):
         signs, hops = _hamiltonian_layout(n)
         dense_signs, dense_hops = hamiltonian_layout(n)
@@ -72,8 +70,6 @@ def test_register_layouts_by_bit_arithmetic_equal_the_dense_products():
         for (rows, cols), (dense_rows, dense_cols) in zip(hops, dense_hops):
             assert rows.dtype == dense_rows.dtype and np.array_equal(rows, dense_rows)
             assert cols.dtype == dense_cols.dtype and np.array_equal(cols, dense_cols)
-        couplings = _site_couplings(n)
-        assert couplings.dtype == complex and np.array_equal(couplings, site_couplings(n))
 
 
 def test_an_n5_sweep_builds_no_dense_site_operator():

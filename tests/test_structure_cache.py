@@ -16,10 +16,10 @@ from chainflux import (
     steady_report,
 )
 import chainflux.observables
-from chainflux.lindblad import _site_couplings, chain_operators, mode_groups
+from chainflux.lindblad import chain_operators, mode_groups
 from chainflux.observables import heat_flux, steady_reports
 from chainflux.operators import excited_qubits
-from chainflux.steady import solve_steady, uniqueness_error
+from chainflux.steady import solve_hermitian, solve_steady, uniqueness_error
 from chainflux.sweep import SweepRequest
 
 from oracles import assemble
@@ -130,7 +130,7 @@ def test_stack_flags_only_its_singular_and_ill_conditioned_members():
     singular = np.zeros_like(model.block)  # the trace row alone: an exact zero pivot
     weak = 1e-20 * model.block  # LU succeeds, rcond ~ 1e-20
     for stack in ([model.block, singular, weak, other.block], [model.block, weak, other.block]):
-        sol = solve_steady(np.array(stack), unknowns)
+        sol = solve_hermitian(unknowns.hermitian(np.array(stack)), unknowns)
         errors = [uniqueness_error(rcond, m) for rcond in sol.rcond]
         flagged = [i for i, error in enumerate(errors) if error is not None]
         assert flagged == [i for i, L in enumerate(stack) if L is singular or L is weak]
@@ -139,9 +139,9 @@ def test_stack_flags_only_its_singular_and_ill_conditioned_members():
             assert (errors[i].rcond == 0) == (stack[i] is singular)
             assert not sol.rho[i].any()
         for i, L in ((0, model.block), (len(stack) - 1, other.block)):
-            single = solve_steady(L, unknowns)
-            assert np.array_equal(sol.rho[i], single.rho)
-            assert (sol.residual[i], sol.rcond[i]) == (single.residual, single.rcond)
+            single = solve_hermitian(unknowns.hermitian(L[None]), unknowns)
+            assert np.array_equal(sol.rho[i], single.rho[0])
+            assert (sol.residual[i], sol.rcond[i]) == (single.residual[0], single.rcond[0])
 
 
 def test_chains_are_shared_across_temperatures_and_rates():
@@ -191,7 +191,7 @@ def test_cached_arrays_are_read_only():
         model = assemble(spec, approach)
         structure = model.structure
         arrays = [chains.epsilons, chains.hoppings, chains.sites, chains.single_particle,
-                  *chains.modes, excited_qubits(3), _site_couplings(3), model.frame_hamiltonian,
+                  *chains.modes, excited_qubits(3), model.frame_hamiltonian,
                   structure.operators, structure.decay, structure.flux_functionals]
         arrays += [A for reservoir in model.bins for _, A in reservoir]
         for a in arrays:

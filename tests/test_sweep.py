@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -385,24 +386,44 @@ def test_row_residual_failure_names_the_worst_row(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_a_nan_residual_fails_the_sweep_and_the_report(monkeypatch):
-    # at T1 = 1e200 and 1e300 the global dimer's rates overflow the
-    # residual to NaN, which fails the steady solve's check, and, past it,
-    # the sweep's check, which names its row; the local rows are not unique
-    # there and are skipped
+    # a NaN residual, made here for the rows whose rates pass 1e180 (the
+    # global rows at T1 = 1e200 and 1e300), fails the steady solve's check,
+    # and, past it, the sweep's check, which names its row; the local rows
+    # are not unique there and are skipped
     import chainflux.correlations
 
+    residuals = chainflux.correlations._gaussian_residuals
+
+    def nan_at_large_rates(X, G, C):
+        return np.where(np.abs(X).max(axis=(1, 2)) > 1e180, np.nan, residuals(X, G, C))
+
     request = small_request(grid=(1.0, 1e200, 1e300))
+    # rates below the made NaN keep their report
+    report = steady_report(dimer(1.5, 1.5, 1.0, 1e160, 0.0), "global")
+    assert report.populations == pytest.approx((0.5, 0.5), abs=1e-15)
+    monkeypatch.setattr(chainflux.correlations, "_gaussian_residuals", nan_at_large_rates)
     with pytest.raises(NoConvergence, match="residual nan"):
         run_sweep(request)
     with pytest.raises(NoConvergence, match="residual nan"):
         steady_report(dimer(1.5, 1.5, 1.0, 1e300, 0.0), "global")
-    # rates that overflow |L| alone, not the residual, keep their report
-    report = steady_report(dimer(1.5, 1.5, 1.0, 1e160, 0.0), "global")
-    assert report.populations == pytest.approx((0.5, 0.5), abs=1e-15)
     monkeypatch.setattr(chainflux.correlations, "check_residual", lambda residual, scale: None)
     with pytest.raises(NoConvergence, match=r"^row residual nan exceeds 1\.0e-09 at t1 = 1e\+200, "
                                             r"approach global$"):
         run_sweep(request)
+
+
+@pytest.mark.parametrize("t1", [1e155, 1e200, 1e300])
+def test_rates_whose_squares_overflow_keep_a_finite_checked_residual(t1):
+    # from T1 ~ 1e154 on the squares of the global dimer's rates overflow;
+    # each row's residual and |L| are scaled by one power of two, so the row
+    # is solved, its residual is finite and checked against a finite |L|,
+    # and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = steady_report(dimer(1.5, 1.5, 1.0, t1, 0.0), "global")
+    assert report.populations == pytest.approx((0.5, 0.5), abs=1e-15)
+    assert report.fluxes[0] == pytest.approx(0.75, abs=1e-15)
+    assert 0 < report.residual < np.inf
 
 
 def test_run_matches_direct_pipeline():
