@@ -6,29 +6,26 @@ c_b plus a constant, with h = diag(eps) and the couplings K on its
 off-diagonals, and each local dissipator is linear in the c_s of its
 attached site.  The generator is quadratic, so its steady state is the
 Gaussian state fixed by the two-point matrix C_ij = <c_i^dag c_j> (Prosen,
-NJP 10, 043026 (2008)).  Bath j at site s, with lambda_j = gamma_j (2
-nbar_j + 1), adds lambda_j to Lambda_ss and gamma_j nbar_j to G_ss; with X
-= i h - Lambda / 2,
+NJP 10, 043026 (2008)), and with X = i h - Lambda / 2,
 
     0 = X C + C X^dag + G,
 
 N^2 real equations for the N^2 real coordinates of the Hermitian C
 (:class:`~chainflux.generator.Unknowns`), built for each row from its own
-X (:func:`_correlation_systems`).  C is unique exactly when X is
-Hurwitz: when no eigenvector of h vanishes at every attached site, which
-holds for every chain whose couplings are all nonzero (the eigenvectors of
-a Jacobi matrix have nonzero end entries).  A chain with an undamped
-island is singular there and gets a DegenerateKernel, by the rcond of the
-N^2 system.
-
-From C: the populations n_q = C_qq; the heat current of bath j at site s,
-Q_j = h_ss gamma_j nbar_j - lambda_j sum_b h_sb Re C_sb; and the residual
-|L(rho(C))|_F of the 2^N x 2^N site-basis generator on the Gaussian state,
-in closed form from C (:func:`_gaussian_residuals`).  The state itself, rho
-= prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag) with C = U diag(nu)
-U^dag and f_k = sum_i U_ik c_i, is built only where it is read
-(:func:`_gaussian_states`); its diagonal on the Fock states of a chain's
-modes is read from C alone (:func:`fock_probabilities`).
+X (:func:`_correlation_systems`).  :func:`quadratic_steady_states` solves
+it for any fermions the baths drain, and gives the channel fluxes, read
+from the colder bath, and the residual |L(rho(C))|_F of the 2^N x 2^N
+generator on the Gaussian state, in closed form from C
+(:func:`_gaussian_residuals`); a local row's baths drain the c_s of their
+sites.  C is unique exactly when X is Hurwitz: for a local row, when no
+eigenvector of h vanishes at every attached site, which holds for every
+chain whose couplings are all nonzero (the eigenvectors of a Jacobi matrix
+have nonzero end entries).  A chain with an undamped island is singular
+there and gets a DegenerateKernel, by the rcond of the N^2 system.  The
+state itself, rho = prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag)
+with C = U diag(nu) U^dag and f_k = sum_i U_ik c_i, is built only where it
+is read (:func:`_gaussian_states`); its diagonal on the Fock states of a
+chain's modes is read from C alone (:func:`fock_probabilities`).
 
 The global generator is quadratic too: each jump is one single-particle
 mode's f_k or f_k^dag (h phi_k = omega_k phi_k), the endpoint couplings
@@ -38,9 +35,9 @@ state of C = phi diag(occ) phi^T, each mode's occupation in closed form,
 and its residual the closed form above in the mode frame
 (:func:`global_steady_states`).  Where a bin holds two or more, the hole
 frame f~_k (f_k, or f_k^dag where omega_k < 0) makes every global generator
-number-conserving, and its C~ solves the N^2 system above with that
-frame's X and G (:func:`group_steady_states`); its state has the anomalous
-terms c_i^dag c_j^dag of the hole modes.
+number-conserving, and its C~ is the :func:`quadratic_steady_states` of
+h = diag|omega| with a channel per bin (:func:`group_steady_states`); its
+state has the anomalous terms c_i^dag c_j^dag of the hole modes.
 """
 
 from __future__ import annotations
@@ -133,8 +130,8 @@ def fock_probabilities(C: np.ndarray, holes: np.ndarray) -> np.ndarray:
 def _gaussian_residuals(X, G, C) -> np.ndarray:
     """|L(rho(C))|_F of each row's generator on the Gaussian state of its C, (k,).
 
-    L(rho(C)) is the derivative of rho(C) along R = X C + C X^dag + G, with
-    G (k, n, n), or diag(G) where G is (k, n); and Tr(rho(C1) rho(C2)) =
+    L(rho(C)) is the derivative of rho(C) along R = X C + C X^dag + G, all
+    (k, n, n); and Tr(rho(C1) rho(C2)) =
     det(C1 C2 + (1 - C1)(1 - C2)); so |L(rho)|^2 = d/ds d/dt det(M0 + s R
     S + t S R + 2 s t R^2) at 0, with S = 2C - 1 and M0 = C^2 + (1 - C)^2:
     det M0 (2 tr(M0^-1 R^2) + tr A tr B - tr(A B)) with A = M0^-1 R S and B
@@ -145,10 +142,7 @@ def _gaussian_residuals(X, G, C) -> np.ndarray:
     a = np.arange(C.shape[-1])
     R = X @ C
     R += R.conj().swapaxes(1, 2)
-    if G.ndim == R.ndim:
-        R += G
-    else:
-        R[:, a, a] += G
+    R += G
     e = np.minimum(np.maximum(np.frexp(np.abs(R).max(axis=(1, 2)))[1], -1021), 1021)
     R *= np.ldexp(1.0, -e)[:, None, None]
     S = 2.0 * C
@@ -194,47 +188,61 @@ def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
     return np.ldexp(np.sqrt(squares), e)
 
 
-def local_steady_states(h: np.ndarray, sites: np.ndarray, rates: np.ndarray) -> tuple:
-    """Steady states of a stack of rows under the local approach, by their correlation matrices.
+_BATH_SIGNS = np.array([[1.0], [-1.0]])  # bath 0's flux, and bath 1's
 
-    Row j has its single-particle h[j] (k, n, n)
-    (:attr:`~chainflux.lindblad.ChainOperators.single_particle`), its
-    reservoirs attached at the qubits sites[j] (k, 2), and each
-    reservoir's emission and absorption rates gamma (nbar + 1) and gamma
-    nbar in rates[j] (k, 2, 2).  Returns the populations (k, n), fluxes
-    (k, 2), correlation matrices C (k, n, n), residuals |L(rho(C))|_F in
-    closed form (:func:`_gaussian_residuals`) and the rcond_1 of each N^2
-    system, one stacked real solve
-    (:func:`~chainflux.steady.checked_inverse`).  No 2^N state is built:
-    :func:`_gaussian_states` gives a row's from its C where it is read.  A
-    row whose C is not unique (:func:`~chainflux.steady.unique`) gets zero
-    populations, fluxes, C and residual.  A residual above RESIDUAL_TOL
-    times |L| raises NoConvergence.  Every step acts on each row alone, so a
-    row's results do not depend on its stack.
+
+def quadratic_steady_states(h: np.ndarray, u: np.ndarray, rates: np.ndarray) -> tuple:
+    """Steady states of a stack of rows of a quadratic generator, by their correlation matrices.
+
+    Row j has the single-particle h[j] (k, n, n), real, and bath b drains
+    through its channel m the fermion sum_i u[j, b, m, i] a_i (u (k, 2, m,
+    n), real) at the emission and absorption rates e and a in rates[j, b,
+    m] (k, 2, m, 2).  With Lambda = sum (e + a) u u^T, G = sum a u u^T and
+    X = i h - Lambda / 2, C_il = <a_i^dag a_l> solves 0 = X C + C X^dag +
+    G: one stacked real N^2 system (:func:`_correlation_systems`,
+    :func:`~chainflux.steady.checked_inverse`).  Bath b puts Q_bm = a u^T h
+    u - (e + a) Re u^T C h u through channel m; the two baths' fluxes
+    through a channel sum to zero at the steady state, so only that of the
+    bath with the lower a / e, whose terms do not cancel, is computed, and
+    the other's is its negative.  Returns C (k, n, n), the channel fluxes
+    (k, 2, m), the residuals (:func:`_gaussian_residuals`, checked against
+    :func:`_generator_norms` of h at the diagonal rates of Lambda - G and
+    G) and the rcond_1 of each row-equilibrated system D M, 1 / (|D M|_1
+    |M^-1 D^-1|_1), D the power-of-two scales of the 1-norms of M's rows:
+    the damping outgrows h as a bath heats, and the rcond_1 of M falls
+    like 1 / T.  A row whose rcond fails :func:`~chainflux.steady.unique`
+    for N^2 unknowns gets zero results.  Every step acts on each row alone.
     """
-    k, n = len(rates), h.shape[-1]
-    rows = np.arange(k)[:, None]
-    site_rates = np.zeros((k, n, 2))
-    np.add.at(site_rates, (rows, sites), rates)
-    X = 1j * h
-    X[:, np.arange(n), np.arange(n)] -= 0.5 * site_rates.sum(axis=2)  # Lambda: gamma (2 nbar + 1)
-    inverse, rcond = checked_inverse(_correlation_systems(X))
+    k, n = h.shape[:2]
+    U = u.reshape(k, -1, n)
+    outer = U[:, :, :, None] * U[:, :, None, :]
+    e, a = rates[..., 0], rates[..., 1]
+    lam = e + a
+    Lambda = (lam.reshape(k, -1, 1, 1) * outer).sum(axis=1)
+    G = (a.reshape(k, -1, 1, 1) * outer).sum(axis=1)
+    X = 1j * h - 0.5 * Lambda
+    M = _correlation_systems(X)
+    inverse, rcond = checked_inverse(M)
+    M, ones = np.abs(M), np.ones(n * n)
+    scale = np.ldexp(1.0, -np.frexp(M @ ones)[1])  # D, of the rows' 1-norms
+    norms = (scale[:, None] @ M).max(axis=(1, 2)) * ((ones @ np.abs(inverse)) / scale).max(axis=1)
+    rcond = np.divide(1.0, norms, out=np.zeros(k), where=rcond > 0)
     solved = unique(rcond, n * n)
     unknowns = full_unknowns(n)
-    source = np.zeros((k, n * n))
-    source[:, unknowns.diagonal] = -site_rates[:, :, 1]  # -G
-    x = np.where(solved[:, None], (inverse @ source[:, :, None])[:, :, 0], 0.0)
+    x = np.where(solved[:, None], (inverse @ unknowns.coordinates(-G)[:, :, None])[:, :, 0], 0.0)
     C = unknowns.state(x)
-    populations = np.diagonal(C, axis1=1, axis2=2).real
-    h_rows = h[rows, sites]  # row s of h at each reservoir's site, (k, 2, n)
-    current = (h_rows * C.real[rows, sites]).sum(axis=2)
-    lam = rates.sum(axis=2)
-    fluxes = h_rows[rows, np.arange(2), sites] * rates[:, :, 1] - lam * current
-    fluxes[~solved] = 0.0
-    residual = np.where(solved, _gaussian_residuals(X, site_rates[:, :, 1], C), 0.0)
-    gaps, hoppings = h[:, np.arange(n), np.arange(n)], h[:, np.arange(n - 1), np.arange(1, n)]
-    check_residual(residual, _generator_norms(gaps, hoppings, site_rates))
-    return populations, fluxes, C, residual, rcond
+    V = U @ h  # the u^T h, (k, 2 m, n)
+    fluxes = (a.reshape(k, -1) * (V * U).sum(axis=2)
+              - lam.reshape(k, -1) * ((U @ C.real) * V).sum(axis=2)).reshape(a.shape)
+    ratio = a / e
+    first = ratio[:, 0] <= ratio[:, 1]  # bath 0 is the colder through the channel
+    flux = np.where(first, fluxes[:, 0], 0.0 - fluxes[:, 1]) * solved[:, None]  # bath 0's
+    channels = flux[:, None] * _BATH_SIGNS + 0.0  # and no -0.0
+    residual = np.where(solved, _gaussian_residuals(X, G, C), 0.0)
+    check_residual(residual, _generator_norms(
+        np.diagonal(h, axis1=1, axis2=2), np.diagonal(h, 1, axis1=1, axis2=2),
+        (U * U).swapaxes(1, 2) @ rates.reshape(k, -1, 2)))  # diag(Lambda - G), diag G
+    return C, channels, residual, rcond
 
 
 def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
@@ -256,8 +264,8 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     state in the mode frame (:func:`_gaussian_residuals`), with X = i
     diag(omega) - diag(Lambda) / 2, G = diag(gain) and phi^T C phi, checked
     against |L| of the modes as the gaps (:func:`_generator_norms`).
-    Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
-    through each mode (k, 2, n), C (k, n, n), the residuals and rcond =
+    Returns the populations (k, n), each reservoir's flux through each
+    mode (k, 2, n), C (k, n, n), the residuals and rcond =
     min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
     Lambda_k occ_k = gain_k, 0 where a mode has no weight at an attached
     site; a row whose rcond fails :func:`~chainflux.steady.unique` for N
@@ -284,13 +292,14 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     current = np.divide(freqs * weights.prod(axis=1) * (gamma[:, 1] * rates[:, 0, :, 1]
                                                         - gamma[:, 0] * rates[:, 1, :, 1]),
                         lam, where=damped, out=np.zeros_like(lam))
-    channels = np.where(solved[:, None, None], current[:, None, :] * [[1.0], [-1.0]], 0.0)
+    channels = np.where(solved[:, None, None], current[:, None, :] * _BATH_SIGNS, 0.0)
     X = np.zeros((k, n, n), dtype=complex)
     X[:, a, a] = 1j * omega - 0.5 * lam
-    residual = np.where(solved, _gaussian_residuals(X, gain, phi.swapaxes(1, 2) @ C @ phi), 0.0)
+    residual = np.where(solved, _gaussian_residuals(X, gain[:, :, None] * np.eye(n),
+                                                    phi.swapaxes(1, 2) @ C @ phi), 0.0)
     check_residual(residual, _generator_norms(omega, np.zeros((k, n - 1)),
                                               np.stack([loss, gain], axis=2)))
-    return populations, channels.sum(axis=2), channels, C, residual, rcond
+    return populations, channels, C, residual, rcond
 
 
 def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
@@ -307,51 +316,28 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
     generator conserves the number of f~.  At site N - 1 the coupling
     sigma^+ + sigma^- is P_tot (c - c^dag), with the total parity P_tot,
     which drops out on the even states, so a_jk is negated there for hole
-    modes.  With nbar_j at the group's mean |omega|, Lambda = sum_j gamma_j
-    (2 nbar_j + 1) a_j a_j^T and G = sum_j gamma_j nbar_j a_j a_j^T, each
-    kept within the groups, and X = i diag|omega| - Lambda / 2, the
-    hole-frame C~_kl = <f~_k^dag f~_l> solves 0 = X C~ + C~ X^dag + G: one
-    stacked real N^2 system (:func:`_correlation_systems`,
-    :func:`~chainflux.steady.checked_inverse`).  Reservoir j puts
-    Tr(h G_j) - Re Tr(sym(h Lambda_j) C~), h = diag|omega|, into each group.
-    Returns the populations (k, n), fluxes (k, 2), each reservoir's flux
-    through each group (k, 2, n, by group index), C~ (k, n, n), the
-    residuals (:func:`_gaussian_residuals`, against the |L| of the
-    |omega_k| as the gaps at each mode's diagonal rates) and the rcond_1 of each
-    system; a row whose rcond fails :func:`~chainflux.steady.unique` for
-    N^2 unknowns gets zero results.
+    modes.  The hole-frame C~_kl = <f~_k^dag f~_l> is the
+    :func:`quadratic_steady_states` of h = diag|omega|, each reservoir's
+    channel g draining A_jg at its rates at the group's mean |omega|.
+    Returns the populations (k, n), each reservoir's flux through each
+    group (k, 2, n, by group index), C~ (k, n, n), the residuals and the
+    rcond of that solve; a row not solved gets zero results.
     """
     k, n = omega.shape
     rows, a = np.arange(k)[:, None], np.arange(n)
     freqs, holes = np.abs(omega), omega < 0
     members = group[:, :, None] == a  # [row, mode, group]
-    means = np.einsum("km,kmg->kg", freqs, members) / members.sum(axis=1).clip(1)
+    counts = members.sum(axis=1)
+    means = np.divide(np.einsum("km,kmg->kg", freqs, members), counts, out=np.ones((k, n)),
+                      where=counts > 0)  # an empty group's 1 meets only zero couplings
     coupling = phi[rows, sites] * np.where((sites == n - 1)[:, :, None] & holes[:, None, :],
                                            -1.0, 1.0)  # a_jk, (k, 2, n)
-    at = np.broadcast_to(np.take_along_axis(means, group, axis=1)[:, None, :], (k, 2, n))
-    rates = bath_rates(at, baths[:, :, None])  # (k, 2, n, 2) at each mode's group
-    outer = coupling[:, :, :, None] * coupling[:, :, None, :]
-    outer *= (group[:, :, None] == group[:, None, :])[:, None]
-    lam = rates.sum(axis=3)[..., None] * outer  # Lambda_j, (k, 2, n, n)
-    gain = rates[..., 1, None] * outer  # G_j
-    Lambda, G = lam.sum(axis=1), gain.sum(axis=1)
-    X = -0.5 * Lambda.astype(complex)
-    X[:, a, a] += 1j * freqs
-    inverse, rcond = checked_inverse(_correlation_systems(X))
-    solved = unique(rcond, n * n)
-    unknowns = full_unknowns(n)
-    x = np.where(solved[:, None], (inverse @ unknowns.coordinates(-G)[:, :, None])[:, :, 0], 0.0)
-    C = unknowns.state(x)
+    rates = bath_rates(np.broadcast_to(means[:, None], (k, 2, n)), baths[:, :, None])
+    C, channels, residual, rcond = quadratic_steady_states(
+        freqs[:, :, None] * np.eye(n), coupling[:, :, None, :] * members.swapaxes(1, 2)[:, None],
+        rates)
     pairs = holes[:, :, None] == holes[:, None, :]  # the normal entries <f_k^dag f_l>
     normal = np.where(pairs & ~holes[:, :, None], C,
                       np.where(pairs, np.eye(n) - C.swapaxes(1, 2), 0.0))
     populations = np.einsum("kqm,kml,kql->kq", phi, normal, phi).real
-    symmetric = 0.5 * lam * (freqs[:, None, :, None] + freqs[:, None, None, :])
-    per_mode = (freqs[:, None] * np.diagonal(gain, axis1=2, axis2=3)
-                - (symmetric * C.real.swapaxes(1, 2)[:, None]).sum(axis=3))
-    channels = np.where(solved[:, None, None], per_mode @ members, 0.0)
-    residual = np.where(solved, _gaussian_residuals(X, G, C), 0.0)
-    gains, losses = np.diagonal(G, axis1=1, axis2=2), np.diagonal(Lambda - G, axis1=1, axis2=2)
-    check_residual(residual, _generator_norms(freqs, np.zeros((k, n - 1)),
-                                              np.stack([losses, gains], axis=2)))
-    return populations, channels.sum(axis=2), channels, C, residual, rcond
+    return populations, channels, C, residual, rcond

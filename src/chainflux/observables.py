@@ -9,9 +9,11 @@ exponentiated.
 
 The numeric pipeline solves stacks of rows as columns (:func:`chain_reports`).
 Every row, local or global, is solved through an N x N correlation matrix
-(:mod:`chainflux.correlations`): the local rows from the site fermions, the
-global rows from the chain's modes, grouped by shared frequency bin
-(:func:`~chainflux.lindblad.mode_groups`).
+(:mod:`chainflux.correlations`): the local rows, and the global rows of
+chains with a frequency bin of several modes
+(:func:`~chainflux.lindblad.mode_groups`), by one N^2 solve that differs
+only in its inputs (:func:`~chainflux.correlations.quadratic_steady_states`),
+the other global rows from their modes in closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .correlations import (
     fock_probabilities,
     global_steady_states,
     group_steady_states,
-    local_steady_states,
+    quadratic_steady_states,
 )
 from .generator import unvectorize, vectorize
 from .lindblad import (
@@ -269,9 +271,9 @@ class SteadyReport:
     row's correlation matrix.  ``residual`` is |L(rho)|_F, in closed form
     from that matrix.  ``rcond`` and ``unknowns`` are the solver's 1-norm
     reciprocal condition number and the number of real coordinates it
-    solved for: N^2 for a local row or a global row with a shared bin, N
-    for a global row solved mode by mode, with rcond min_k Lambda_k / max_k
-    Lambda_k.
+    solved for: N^2 for a local row or a global row with a shared bin,
+    with the rcond of the row-equilibrated system, and N for a global row
+    solved mode by mode, with rcond min_k Lambda_k / max_k Lambda_k.
     """
 
     spec: ChainSpec
@@ -289,18 +291,19 @@ class SteadyReport:
 class SteadyColumns(Sequence):
     """One approach's results for the rows of a :func:`chain_reports` call.
 
-    ``populations`` (rows, N), ``fluxes`` (rows, 2), ``residual``, ``rcond``
-    and ``unknowns`` are columns; ``errors`` maps each row not solved to its
+    ``populations`` (rows, N), ``residual``, ``rcond`` and ``unknowns``
+    are columns; ``errors`` maps each row not solved to its
     DegenerateTransition (with its omega) or DegenerateKernel (with its
     rcond), and such a row's entries are no result.  Row i keeps only its
     correlation matrix, ``correlations[i]`` (rows, N, N): over the site
     fermions, or, where ``hole_frame[i]``, over the hole-frame modes of its
     chain (:func:`~chainflux.correlations.group_steady_states`), from which
     the row views build the states (:meth:`states`) and
-    :meth:`rho_diagonals` reads the diagonals.  ``channels`` holds the
-    channel fluxes in bin order, zero-padded.  Row i is on chain
-    ``chain[i]`` of the call's ``chains``, and its channels are the bins at
-    ``omegas[edges[2c]:edges[2c + 2]]``, reservoir by reservoir.
+    :meth:`rho_diagonals` reads the diagonals.  Row i is on chain
+    ``chain[i]`` of the call's ``chains``; ``channels[i]`` (rows, 2, m)
+    holds each reservoir's flux through each of m channel slots, chain c's
+    slot at ``omegas[c]`` (chains, 2, m), a channel where ``lit[c]``
+    (chains, 2, m) is set, and ``fluxes`` (rows, 2) is their sum.
     ``baths[i]`` holds the (temperature, gamma) of each reservoir of row i.
     ``columns[i]`` builds row i's :class:`SteadyReport`, with the spec of
     its chain and baths, or gives its error.
@@ -308,7 +311,6 @@ class SteadyColumns(Sequence):
 
     approach: str
     populations: np.ndarray
-    fluxes: np.ndarray
     residual: np.ndarray
     rcond: np.ndarray
     unknowns: np.ndarray
@@ -320,7 +322,11 @@ class SteadyColumns(Sequence):
     chain: np.ndarray
     baths: np.ndarray
     omegas: np.ndarray
-    edges: np.ndarray
+    lit: np.ndarray
+
+    @property
+    def fluxes(self) -> np.ndarray:
+        return self.channels.sum(axis=2)
 
     def __len__(self) -> int:
         return len(self.residual)
@@ -330,9 +336,7 @@ class SteadyColumns(Sequence):
         if i in self.errors:
             return self.errors[i]
         c = int(self.chain[i])
-        low, split, high = self.edges[2 * c:2 * c + 3].tolist()
-        omegas, values = self.omegas[low:high].tolist(), self.channels[i].tolist()
-        pieces = (slice(0, split - low), slice(split - low, high - low))
+        lit, omegas, values = self.lit[c], self.omegas[c], self.channels[i]
         chains, (t, gamma) = self.chains, self.baths[i].T.tolist()
         baths = tuple(map(BathSpec, t, gamma, self.chains.sites[c].tolist()))
         spec = ChainSpec(chains.epsilons.shape[1], tuple(chains.epsilons[c].tolist()),
@@ -340,8 +344,9 @@ class SteadyColumns(Sequence):
         return SteadyReport(
             spec=spec, approach=self.approach, rho=self.states([i])[0],
             populations=tuple(self.populations[i].tolist()),
-            fluxes=tuple(self.fluxes[i].tolist()), residual=self.residual[i].item(),
-            channel_fluxes=tuple(tuple(zip(omegas[piece], values[piece])) for piece in pieces),
+            fluxes=tuple(values.sum(axis=1).tolist()), residual=self.residual[i].item(),
+            channel_fluxes=tuple(tuple(zip(omegas[j, lit[j]].tolist(), values[j, lit[j]].tolist()))
+                                 for j in range(2)),
             rcond=self.rcond[i].item(), unknowns=int(self.unknowns[i]))
 
     def states(self, rows) -> np.ndarray:
@@ -439,34 +444,29 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
 def _global_reports(chains, chain, baths) -> SteadyColumns:
     """:func:`chain_reports` under the global approach, on the call's ``chains`` stack.
 
-    Each chain's modes are grouped by shared bin, and its channels are
-    each reservoir's groups with a bright mode, by ascending |omega|, each
-    at its modes' mean |omega_k| (:func:`~chainflux.lindblad.mode_groups`).
-    The rows on chains where every group holds one mode come from their
-    modes in closed form (:func:`~chainflux.correlations.global_steady_states`,
-    N ``unknowns``), the others from the N^2 system of their hole frame
+    Each chain's modes are grouped by shared bin, and its channel slots are
+    its groups by ascending |omega|, each at its modes' mean |omega_k| and
+    a channel of the reservoirs it has a bright mode of
+    (:func:`~chainflux.lindblad.mode_groups`).  The rows on chains where
+    every group holds one mode come from their modes in closed form
+    (:func:`~chainflux.correlations.global_steady_states`, N ``unknowns``),
+    the others from the N^2 system of their hole frame
     (:func:`~chainflux.correlations.group_steady_states`), in stacks of at
     most ``_GRID_ELEMENTS`` elements.  The rows of a chain with a bright
     zero mode get its DegenerateTransition and are not solved.
     """
     (c, n), k = chains.epsilons.shape, len(chain)
     group, lit, zero = mode_groups(chains)
-    freqs, shared = np.abs(chains.modes[0]), group[:, -1] < n - 1
-    if shared.any():  # each group's channels, and its mean |omega_k|
-        members = group[:, :, None] == np.arange(n)
-        lit = (lit[:, :, :, None] & members[:, None]).any(axis=2)
-        freqs = np.einsum("cm,cmg->cg", freqs, members) / members.sum(axis=1).clip(1)
-    counts = lit.sum(axis=2)  # channels per chain and reservoir
-    edges = np.zeros(2 * c + 1, dtype=int)
-    np.cumsum(counts, out=edges[1:])
+    shared, members = group[:, -1] < n - 1, group[:, :, None] == np.arange(n)
+    lit = (lit[:, :, :, None] & members[:, None]).any(axis=2)
+    means = np.einsum("cm,cmg->cg", np.abs(chains.modes[0]), members) / members.sum(axis=1).clip(1)
     out = SteadyColumns(
         approach="global",
-        populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
+        populations=np.zeros((k, n)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.where(shared[chain], n * n, n), errors={},
         correlations=np.zeros((k, n, n), dtype=complex), hole_frame=shared[chain],
-        channels=np.zeros((k, counts.sum(axis=1).max(initial=0))),
-        chains=chains, chain=chain, baths=baths,
-        omegas=np.broadcast_to(freqs[:, None], lit.shape)[lit], edges=edges)
+        channels=np.zeros((k, 2, n)), chains=chains, chain=chain, baths=baths,
+        omegas=np.broadcast_to(means[:, None], lit.shape), lit=lit)
     failed = np.zeros(c, dtype=bool)
     failed[list(zero)] = True
     failed = failed[chain]
@@ -478,12 +478,9 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
             on = chain[rows]
             omega, phi = (a[on] for a in chains.modes)
             groups = (group[on],) if solve is group_steady_states else ()
-            (out.populations[rows], out.fluxes[rows], channels, out.correlations[rows],
+            (out.populations[rows], out.channels[rows], out.correlations[rows],
              out.residual[rows], out.rcond[rows]) = solve(omega, phi, *groups, chains.sites[on],
                                                           baths[rows])
-            mask = lit[on].reshape(len(rows), -1)
-            out.channels[rows[np.nonzero(mask)[0]], (np.cumsum(mask, axis=1) - 1)[mask]] = (
-                channels.reshape(len(rows), -1)[mask])
         for i in todo[~unique(out.rcond[todo], out.unknowns[todo])].tolist():
             out.errors[i] = uniqueness_error(out.rcond[i], int(out.unknowns[i]))
     return out
@@ -494,27 +491,29 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir in ``baths[i]``.  Each reservoir has one channel, the bare
-    jump of its qubit at that qubit's gap.
+    jump of its qubit at that qubit's gap: the rows are the
+    :func:`~chainflux.correlations.quadratic_steady_states` of the chain's
+    single-particle h, each reservoir draining the fermion of its qubit,
+    and their populations the diagonals of C.
     """
     k, (c, n) = len(chain), chains.epsilons.shape
-    omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)
+    omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)[:, :, None]
     out = SteadyColumns(
         approach="local",
-        populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)), residual=np.zeros(k),
+        populations=np.zeros((k, n)), residual=np.zeros(k),
         rcond=np.zeros(k), unknowns=np.full(k, n * n), errors={},
         correlations=np.zeros((k, n, n), dtype=complex), hole_frame=np.zeros(k, dtype=bool),
-        channels=np.zeros((k, 2)),
-        chains=chains, chain=chain, baths=baths, omegas=omegas.reshape(-1),
-        edges=np.arange(2 * c + 1))
+        channels=np.zeros((k, 2, 1)), chains=chains, chain=chain, baths=baths,
+        omegas=omegas, lit=np.ones((c, 2, 1), dtype=bool))
     step = max(1, _GRID_ELEMENTS // n**4)
     for start in range(0, k, step):
         at = slice(start, start + step)
         rows = chain[at]
-        rates = bath_rates(omegas[rows], baths[at])
-        (out.populations[at], out.fluxes[at], out.correlations[at], out.residual[at],
-         out.rcond[at]) = local_steady_states(chains.single_particle[rows], chains.sites[rows],
-                                              rates)
-    out.channels[:] = out.fluxes
+        (out.correlations[at], out.channels[at], out.residual[at],
+         out.rcond[at]) = quadratic_steady_states(
+            chains.single_particle[rows], np.eye(n)[chains.sites[rows], None],
+            bath_rates(omegas[rows], baths[at, :, None]))
+    out.populations[:] = np.diagonal(out.correlations, axis1=1, axis2=2).real
     for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():
         out.errors[i] = uniqueness_error(out.rcond[i], n * n)
     return out

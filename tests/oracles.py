@@ -810,12 +810,15 @@ def block_reports(specs, approach) -> BlockColumns:
                       for b, u in zip(bins, sets)], dtype=int)
     k, n = len(chain), chains.epsilons.shape[1]
     d = 2**n
+    counts = np.diff(structure.edges).reshape(-1, 2)  # bins per chain and reservoir
+    lit = np.arange(counts.max(initial=0)) < counts[:, :, None]
+    omegas = np.zeros(lit.shape)
+    omegas[lit] = structure.omegas  # bins in chain, reservoir, slot order
     out = BlockColumns(
-        approach=approach, populations=np.zeros((k, n)), fluxes=np.zeros((k, 2)),
+        approach=approach, populations=np.zeros((k, n)),
         residual=np.zeros(k), rcond=np.zeros(k), unknowns=np.zeros(k, dtype=int), errors=errors,
-        correlations=None, hole_frame=None,
-        channels=np.zeros((k, int(np.diff(structure.edges[::2]).max(initial=0)))),
-        chains=chains, chain=chain, baths=baths, omegas=structure.omegas, edges=structure.edges,
+        correlations=None, hole_frame=None, channels=np.zeros((k,) + lit.shape[1:]),
+        chains=chains, chain=chain, baths=baths, omegas=omegas, lit=lit,
         rho=np.zeros((k, d, d), dtype=complex))
     for g, i in enumerate(np.unique(group, return_index=True)[1].tolist()):  # i: its first chain
         unknowns, members = sets[i], np.flatnonzero(group[which] == g)
@@ -824,9 +827,10 @@ def block_reports(specs, approach) -> BlockColumns:
         for stack in (members[j:j + step] for j in range(0, len(members), step)):
             at = rows[stack]
             row_rates = rates[offsets[stack][:, None] + np.arange(bins[i])].reshape(len(at), -1)
-            out.populations[at], out.fluxes[at], channels, out.rho[at], sol = _stack_reports(
+            out.populations[at], channels, out.rho[at], sol = _stack_reports(
                 structure, chain[at], row_rates, unknowns)
-            out.channels[at, :channels.shape[1]] = channels
+            row, reservoir, slot = np.nonzero(lit[chain[at]])
+            out.channels[at[row], reservoir, slot] = channels.reshape(-1)
             out.residual[at], out.rcond[at], out.unknowns[at] = sol.residual, sol.rcond, m
             for j in np.flatnonzero(~unique(sol.rcond, m)).tolist():
                 errors[int(at[j])] = uniqueness_error(sol.rcond[j], m)
@@ -841,14 +845,14 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _stack_reports(structure, chain, rates, unknowns) -> tuple:
-    """Populations, fluxes, channel fluxes, site-basis states and solution of a stack of rows.
+    """Populations, channel fluxes, site-basis states and solution of a stack of rows.
 
     The rows share ``unknowns``; row j is on chain ``chain[j]`` at
     ``rates[j]``.  Tr{H D(rho)} is gamma (nbar + 1) Tr{F_e rho} + gamma
     nbar Tr{F_a rho} with the flux functionals of each bin; rho is zero off
     the unknowns (r_i, c_i), so each trace is the sum of F[c_i, r_i]
-    rho[r_i, c_i] over them, and each reservoir's flux is the sum of its
-    channel fluxes in channel order.
+    rho[r_i, c_i] over them.  The channel fluxes are each row's bins,
+    reservoir by reservoir, in bin order.
     """
     k, d = len(chain), unknowns.dim
     bins, first = rates.shape[1] // 2, structure.edges[2 * chain]
@@ -862,15 +866,12 @@ def _stack_reports(structure, chain, rates, unknowns) -> tuple:
     traces = (functionals * states).sum(axis=2)
     channels = (rates.reshape(k, -1, 2) * traces.reshape(k, -1, 2)).sum(axis=2)
     channels = _real_part(channels, "heat flux")
-    fluxes = np.zeros((k, 2))
-    reservoirs = structure.reservoirs[first[:, None] + np.arange(bins)]
-    np.add.at(fluxes, (np.arange(k)[:, None], reservoirs), channels)
     vectors = structure.eigensystem.vectors[chain]
     rho = vectors @ sol.rho @ vectors.conj().swapaxes(1, 2)
     diagonal = _real_part(np.diagonal(rho, axis1=1, axis2=2), "population")
     occupations = excited_qubits(structure.chains.epsilons.shape[1])
     populations = (diagonal[:, None] * occupations).sum(axis=2)
-    return populations, fluxes, channels, rho, sol
+    return populations, channels, rho, sol
 
 
 def free_fermion_form(spec) -> tuple:

@@ -117,8 +117,8 @@ def test_the_closed_form_residual_is_the_dense_generator_on_the_gaussian_state(n
     L, energies, hoppings, site_rates = local_generator(spec)
     C = random_correlations(np.random.default_rng(n), n, 6)
     X = 1j * chain_operators([spec]).single_particle - 0.5 * np.diag(site_rates[0].sum(axis=1))
-    absorption = site_rates[:, :, 1].repeat(len(C), 0)
-    closed = chainflux.correlations._gaussian_residuals(X.repeat(len(C), 0), absorption, C)
+    G = np.diag(site_rates[0, :, 1])[None].repeat(len(C), 0)
+    closed = chainflux.correlations._gaussian_residuals(X.repeat(len(C), 0), G, C)
     rho = chainflux.correlations._gaussian_states(C)
     dense = np.linalg.norm(np.einsum("ab,kb->ka", L, rho.transpose(0, 2, 1).reshape(len(C), -1)),
                            axis=1)

@@ -321,7 +321,7 @@ def test_rows_with_different_zero_rates_share_a_stack(monkeypatch):
     # without zero rates share a stack of each route, and each row is its
     # cold report bit for bit
     stacks = []
-    for name in ("global_steady_states", "group_steady_states", "local_steady_states"):
+    for name in ("global_steady_states", "group_steady_states", "quadratic_steady_states"):
         def recording(*args, _real=getattr(chainflux.observables, name)):
             stacks.append(args[-1].reshape(len(args[-1]), -1))  # the baths, or the rates
             return _real(*args)

@@ -1,4 +1,6 @@
+import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,12 @@ from chainflux import (
     monomer,
     monomer_heat_flux_analytic,
     monomer_population_analytic,
+    parse_config,
     run_sweep,
     steady_report,
     universal_e,
 )
-from chainflux.observables import heat_flux, qubit_population
+from chainflux.observables import heat_flux, qubit_population, steady_reports
 from chainflux.steady import solve_steady
 
 LOG_GRID = np.logspace(-2, 2, 60)
@@ -233,6 +236,23 @@ def test_analytics_match_numeric_pipeline_at_quoted_points():
         assert loc.populations[1] == pytest.approx(n2, abs=1e-8)
 
 
+@pytest.mark.parametrize("t1", [3e14, 1e20, 1e100, 1e155, 1e300])
+def test_hot_local_dimer_rows_are_solved_and_match_the_closed_forms(t1):
+    # the N^2 system's own rcond_1 falls like 1 / T1 (2.5e-15 at 3e14,
+    # below m^2 eps = 3.6e-15), the row-equilibrated one stays near 0.2;
+    # n2 and Q1 are of order 1 / T1, and at 1e300 the inverse's entries
+    # of order 1 / T1^2 underflow, so there they are within 1e-299
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = steady_report(dimer(1.5, 1.5, 1.0, t1, 0.0), "local")
+    assert report.rcond > 0.1
+    floor = 1e-299 if t1 > 1e200 else 0.0
+    exact = (*dimer_local_populations_analytic(1.5, 1.0, t1, 0.0),
+             dimer_local_heat_flux_analytic(1.5, 1.0, t1, 0.0))
+    for ours, theirs in zip((*report.populations, report.fluxes[0]), exact):
+        assert abs(ours - theirs) <= 1e-14 * abs(theirs) + floor
+
+
 @pytest.mark.parametrize("eps", [1.001, 2.5, 10.0])
 def test_local_flux_interior_maximum(eps):
     grid = np.logspace(-2, 2, 200)
@@ -339,15 +359,35 @@ def test_near_a_zero_mode_the_sweep_keeps_the_digits_of_the_closed_forms():
 
 # The largest absolute error of each column over a preset's 200 rows against
 # decimal_references, measured on x86-64 with numpy 2.4.6 and OpenBLAS
-# 0.3.31; each bound is four times it.  Local Q1 is the hot reservoir's
-# h_ss (gamma nbar - lambda C_ss), which cancels about two digits (1.3e-12
-# relative on figure3a); -Q2 does not cancel.
+# 0.3.31; each bound is four times it.  Local Q1 is -Q2, read from the cold
+# reservoir: the hot reservoir's own h_ss (gamma nbar - lambda C_ss)
+# cancels about two digits (up to 1.9e-14, 1.3e-12 relative on figure3a).
 PRESET_ERRORS = {
-    "figure2": {"global": (2.5e-16, 2.5e-16, 1.5e-16), "local": (1.9e-14, 9.2e-17, 8.4e-17)},
-    "figure3a": {"global": (2.0e-16, 2.0e-16), "local": (1.6e-14, 4.5e-17)},
-    "figure3b": {"global": (5.5e-16, 5.5e-16), "local": (1.6e-14, 1.5e-16)},
-    "figure3c": {"global": (2.3e-15, 2.3e-15), "local": (1.9e-14, 6.5e-16)},
+    "figure2": {"global": (2.5e-16, 2.5e-16, 1.5e-16), "local": (9.2e-17, 9.2e-17, 8.4e-17)},
+    "figure3a": {"global": (2.0e-16, 2.0e-16), "local": (4.5e-17, 4.5e-17)},
+    "figure3b": {"global": (5.5e-16, 5.5e-16), "local": (1.5e-16, 1.5e-16)},
+    "figure3c": {"global": (2.3e-15, 2.3e-15), "local": (6.5e-16, 6.5e-16)},
 }
+
+
+def preset_and_config_grids():
+    for name, request in figure_requests().items():
+        yield name, request
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")):
+        yield path.name, parse_config(path.read_text())
+
+
+@pytest.mark.parametrize("name, request_", list(preset_and_config_grids()),
+                         ids=[name for name, _ in preset_and_config_grids()])
+def test_the_two_fluxes_of_every_row_cancel_exactly(name, request_):
+    # each channel's flux is read from its colder bath and the other's is
+    # its negative, so Q1 + Q2 is 0.0, not round-off, under both approaches
+    specs = [apply_axis(request_.base, request_.axis, value) for value in request_.grid]
+    for rows in steady_reports(specs, ("global", "local")):
+        solved = np.setdiff1d(np.arange(len(rows)), list(rows.errors))
+        assert len(solved) >= len(specs) - 2
+        assert (rows.fluxes[solved].sum(axis=1) == 0.0).all()
+        assert (rows.channels[solved].sum(axis=1) == 0.0).all()
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_ERRORS))

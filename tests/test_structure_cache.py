@@ -74,7 +74,7 @@ def test_temperature_sweep_rows_match_reports_on_a_cold_cache(n, axis, monkeypat
     assert bose_occupation(10.0, 0.01) == 0.0
     stacks = []
     for route, name in (("modes", "global_steady_states"), ("groups", "group_steady_states"),
-                        ("local", "local_steady_states")):
+                        ("local", "quadratic_steady_states")):
         def recording(*args, _real=getattr(chainflux.observables, name), _route=route):
             stacks.append((_route, args[-1].reshape(len(args[-1]), -1)))  # baths, or rates
             return _real(*args)
