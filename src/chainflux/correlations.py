@@ -49,7 +49,7 @@ import numpy as np
 from .generator import full_unknowns, read_only
 from .lindblad import bath_rates
 from .operators import excited_qubits, qubit_bits
-from .steady import check_residual, checked_inverse, unique
+from .steady import stacked_inverse, unique
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +170,9 @@ def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
     eps^2 + d/2 sum K^2.  D has the diagonal sum_q (e_q or a_q) / 2 over
     the qubits excited or not, so with s_q = e_q + a_q, tr D = d/4 sum s
     and |D|^2 = d/8 (sum (e^2 + a^2) + sum_{q<r} s_q s_r), a sum of
-    nonnegative terms, each row scaled as in :func:`_gaussian_residuals`
-    by its largest gap, coupling or rate.
+    nonnegative terms (each s_r times the running sum of the s_q before
+    it), each row scaled as in :func:`_gaussian_residuals` by its largest
+    gap, coupling or rate.
     """
     d = 2.0 ** gaps.shape[1]
     top = np.concatenate([np.abs(gaps), np.abs(hoppings), site_rates.reshape(len(gaps), -1)], 1)
@@ -180,7 +181,7 @@ def _generator_norms(gaps, hoppings, site_rates) -> np.ndarray:
     gaps, hoppings, site_rates = gaps * scale, hoppings * scale, site_rates * scale[:, :, None]
     s = site_rates.sum(axis=2)
     total, rate_squares = s.sum(axis=1), (site_rates**2).sum(axis=(1, 2))
-    pairs = np.triu(s[:, :, None] * s[:, None, :], 1).sum(axis=(1, 2))
+    pairs = (s[:, 1:] * np.cumsum(s[:, :-1], axis=1)).sum(axis=1)
     squares_H = d / 4 * (gaps**2).sum(axis=1) + d / 2 * (hoppings**2).sum(axis=1)
     squares_D = d / 8 * (rate_squares + pairs)
     squares = (2 * d * (squares_H + squares_D) + 2 * (d / 4 * total) ** 2
@@ -200,18 +201,19 @@ def quadratic_steady_states(h: np.ndarray, u: np.ndarray, rates: np.ndarray) -> 
     m] (k, 2, m, 2).  With Lambda = sum (e + a) u u^T, G = sum a u u^T and
     X = i h - Lambda / 2, C_il = <a_i^dag a_l> solves 0 = X C + C X^dag +
     G: one stacked real N^2 system (:func:`_correlation_systems`,
-    :func:`~chainflux.steady.checked_inverse`).  Bath b puts Q_bm = a u^T h
+    :func:`~chainflux.steady.stacked_inverse`).  Bath b puts Q_bm = a u^T h
     u - (e + a) Re u^T C h u through channel m; the two baths' fluxes
     through a channel sum to zero at the steady state, so only that of the
     bath with the lower a / e, whose terms do not cancel, is computed, and
     the other's is its negative.  Returns C (k, n, n), the channel fluxes
-    (k, 2, m), the residuals (:func:`_gaussian_residuals`, checked against
-    :func:`_generator_norms` of h at the diagonal rates of Lambda - G and
-    G) and the rcond_1 of each row-equilibrated system D M, 1 / (|D M|_1
-    |M^-1 D^-1|_1), D the power-of-two scales of the 1-norms of M's rows:
-    the damping outgrows h as a bath heats, and the rcond_1 of M falls
-    like 1 / T.  A row whose rcond fails :func:`~chainflux.steady.unique`
-    for N^2 unknowns gets zero results.  Every step acts on each row alone.
+    (k, 2, m), the residuals (:func:`_gaussian_residuals`), the |L|_F they
+    are judged against (:func:`_generator_norms` of h at the diagonal
+    rates of Lambda - G and G) and the rcond_1 of each row-equilibrated
+    system D M, 1 / (|D M|_1 |M^-1 D^-1|_1), D the power-of-two scales of
+    the 1-norms of M's rows: the damping outgrows h as a bath heats, and
+    the rcond_1 of M falls like 1 / T.  A row whose rcond fails
+    :func:`~chainflux.steady.unique` for N^2 unknowns gets zero results.
+    Every step acts on each row alone.
     """
     k, n = h.shape[:2]
     U = u.reshape(k, -1, n)
@@ -222,11 +224,11 @@ def quadratic_steady_states(h: np.ndarray, u: np.ndarray, rates: np.ndarray) -> 
     G = (a.reshape(k, -1, 1, 1) * outer).sum(axis=1)
     X = 1j * h - 0.5 * Lambda
     M = _correlation_systems(X)
-    inverse, rcond = checked_inverse(M)
+    inverse, singular = stacked_inverse(M)
     M, ones = np.abs(M), np.ones(n * n)
     scale = np.ldexp(1.0, -np.frexp(M @ ones)[1])  # D, of the rows' 1-norms
     norms = (scale[:, None] @ M).max(axis=(1, 2)) * ((ones @ np.abs(inverse)) / scale).max(axis=1)
-    rcond = np.divide(1.0, norms, out=np.zeros(k), where=rcond > 0)
+    rcond = np.divide(1.0, norms, out=np.zeros(k), where=~singular)
     solved = unique(rcond, n * n)
     unknowns = full_unknowns(n)
     x = np.where(solved[:, None], (inverse @ unknowns.coordinates(-G)[:, :, None])[:, :, 0], 0.0)
@@ -239,10 +241,10 @@ def quadratic_steady_states(h: np.ndarray, u: np.ndarray, rates: np.ndarray) -> 
     flux = np.where(first, fluxes[:, 0], 0.0 - fluxes[:, 1]) * solved[:, None]  # bath 0's
     channels = flux[:, None] * _BATH_SIGNS + 0.0  # and no -0.0
     residual = np.where(solved, _gaussian_residuals(X, G, C), 0.0)
-    check_residual(residual, _generator_norms(
+    norm = _generator_norms(
         np.diagonal(h, axis1=1, axis2=2), np.diagonal(h, 1, axis1=1, axis2=2),
-        (U * U).swapaxes(1, 2) @ rates.reshape(k, -1, 2)))  # diag(Lambda - G), diag G
-    return C, channels, residual, rcond
+        (U * U).swapaxes(1, 2) @ rates.reshape(k, -1, 2))  # diag(Lambda - G), diag G
+    return C, channels, residual, norm, rcond
 
 
 def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
@@ -262,10 +264,10 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     |omega_k| Gamma_1k Gamma_2k (nbar_1k - nbar_2k) / Lambda_k into mode k,
     and reservoir 2 its negative.  The residual is that of the Gaussian
     state in the mode frame (:func:`_gaussian_residuals`), with X = i
-    diag(omega) - diag(Lambda) / 2, G = diag(gain) and phi^T C phi, checked
-    against |L| of the modes as the gaps (:func:`_generator_norms`).
+    diag(omega) - diag(Lambda) / 2, G = diag(gain) and phi^T C phi, judged
+    against |L|_F of the modes as the gaps (:func:`_generator_norms`).
     Returns the populations (k, n), each reservoir's flux through each
-    mode (k, 2, n), C (k, n, n), the residuals and rcond =
+    mode (k, 2, n), C (k, n, n), the residuals, those |L|_F and rcond =
     min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
     Lambda_k occ_k = gain_k, 0 where a mode has no weight at an attached
     site; a row whose rcond fails :func:`~chainflux.steady.unique` for N
@@ -297,9 +299,8 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     X[:, a, a] = 1j * omega - 0.5 * lam
     residual = np.where(solved, _gaussian_residuals(X, gain[:, :, None] * np.eye(n),
                                                     phi.swapaxes(1, 2) @ C @ phi), 0.0)
-    check_residual(residual, _generator_norms(omega, np.zeros((k, n - 1)),
-                                              np.stack([loss, gain], axis=2)))
-    return populations, channels, C, residual, rcond
+    norm = _generator_norms(omega, np.zeros((k, n - 1)), np.stack([loss, gain], axis=2))
+    return populations, channels, C, residual, norm, rcond
 
 
 def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
@@ -320,8 +321,8 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
     :func:`quadratic_steady_states` of h = diag|omega|, each reservoir's
     channel g draining A_jg at its rates at the group's mean |omega|.
     Returns the populations (k, n), each reservoir's flux through each
-    group (k, 2, n, by group index), C~ (k, n, n), the residuals and the
-    rcond of that solve; a row not solved gets zero results.
+    group (k, 2, n, by group index), C~ (k, n, n), and the residuals, their
+    |L|_F and the rcond of that solve; a row not solved gets zero results.
     """
     k, n = omega.shape
     rows, a = np.arange(k)[:, None], np.arange(n)
@@ -333,11 +334,11 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
     coupling = phi[rows, sites] * np.where((sites == n - 1)[:, :, None] & holes[:, None, :],
                                            -1.0, 1.0)  # a_jk, (k, 2, n)
     rates = bath_rates(np.broadcast_to(means[:, None], (k, 2, n)), baths[:, :, None])
-    C, channels, residual, rcond = quadratic_steady_states(
+    C, channels, residual, norm, rcond = quadratic_steady_states(
         freqs[:, :, None] * np.eye(n), coupling[:, :, None, :] * members.swapaxes(1, 2)[:, None],
         rates)
     pairs = holes[:, :, None] == holes[:, None, :]  # the normal entries <f_k^dag f_l>
     normal = np.where(pairs & ~holes[:, :, None], C,
                       np.where(pairs, np.eye(n) - C.swapaxes(1, 2), 0.0))
     populations = np.einsum("kqm,kml,kql->kq", phi, normal, phi).real
-    return populations, channels, C, residual, rcond
+    return populations, channels, C, residual, norm, rcond

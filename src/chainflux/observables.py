@@ -28,6 +28,7 @@ from .errors import (
     AnalyticFormMismatch,
     DegenerateTransition,
     DimensionMismatch,
+    NoConvergence,
 )
 from . import correlations
 from .correlations import (
@@ -48,7 +49,7 @@ from .lindblad import (
 )
 from .model import BathSpec, ChainSpec
 from .operators import number_operator
-from .steady import unique, uniqueness_error
+from .steady import RESIDUAL_TOL, unique, uniqueness_error
 
 _FORM_TOL = 1e-12
 
@@ -292,14 +293,15 @@ class SteadyColumns(Sequence):
     """One approach's results for the rows of a :func:`chain_reports` call.
 
     ``populations`` (rows, N), ``residual``, ``rcond`` and ``unknowns``
-    are columns; ``errors`` maps each row not solved to its
-    DegenerateTransition (with its omega) or DegenerateKernel (with its
-    rcond), and such a row's entries are no result.  Row i keeps only its
-    correlation matrix, ``correlations[i]`` (rows, N, N): over the site
-    fermions, or, where ``hole_frame[i]``, over the hole-frame modes of its
-    chain (:func:`~chainflux.correlations.group_steady_states`), from which
-    the row views build the states (:meth:`states`) and
-    :meth:`rho_diagonals` reads the diagonals.  Row i is on chain
+    are columns; ``errors`` maps each row without a result to its
+    DegenerateTransition (with its omega), DegenerateKernel (with its
+    rcond) or NoConvergence (naming its residual), and such a row's
+    entries are no result.  Row i keeps only its correlation matrix,
+    ``correlations[i]`` (rows, N, N): over the site fermions, or, where
+    ``hole_frame[i]``, over the hole-frame modes of its chain
+    (:func:`~chainflux.correlations.group_steady_states`), from which the
+    row views build the states (:meth:`states`) and :meth:`rho_diagonals`
+    reads the diagonals.  Row i is on chain
     ``chain[i]`` of the call's ``chains``; ``channels[i]`` (rows, 2, m)
     holds each reservoir's flux through each of m channel slots, chain c's
     slot at ``omegas[c]`` (chains, 2, m), a channel where ``lit[c]``
@@ -388,8 +390,8 @@ class SteadyColumns(Sequence):
 def steady_report(spec: ChainSpec, approach: str) -> SteadyReport:
     """Assemble, solve and measure one chain; the one-stop numeric pipeline.
 
-    A stack of one of :func:`steady_reports`; raises the DegenerateTransition
-    or DegenerateKernel that function would return.
+    A stack of one of :func:`steady_reports`; raises the DegenerateTransition,
+    DegenerateKernel or NoConvergence that function would return.
     """
     ((report,),) = steady_reports([spec], (approach,))
     if isinstance(report, Exception):
@@ -431,17 +433,31 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
     the global rows from their chains' modes (:func:`_global_reports`),
     where every row of a chain with a zero mode gets that chain's
     DegenerateTransition, and the local rows from their site fermions
-    (:func:`_local_reports`).  A row whose steady state is not unique gets
-    its own DegenerateKernel.
+    (:func:`_local_reports`).  Every other row is judged here alone: it
+    gets its DegenerateKernel where its steady state is not unique
+    (:func:`~chainflux.steady.unique`), else its NoConvergence where its
+    residual is NaN or above RESIDUAL_TOL * max(|L|_F, 1).
     """
     for approach in approaches:
         if approach not in ("global", "local"):
             raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    return [_local_reports(chains, chain, baths) if approach == "local" else
-            _global_reports(chains, chain, baths) for approach in approaches]
+    out = []
+    for approach in approaches:
+        columns, norm = (_local_reports if approach == "local" else _global_reports)(
+            chains, chain, baths)
+        rcond, unknowns, residual = columns.rcond, columns.unknowns, columns.residual
+        bound = RESIDUAL_TOL * np.maximum(norm, 1.0)
+        failed = ~unique(rcond, unknowns) | ~(residual <= bound)
+        failed[list(columns.errors)] = False  # the DegenerateTransition rows are not solved
+        for i in np.flatnonzero(failed).tolist():
+            columns.errors[i] = uniqueness_error(rcond[i], int(unknowns[i])) or NoConvergence(
+                f"steady-state residual {residual[i]:.3e} exceeds {bound[i]:.3e} = "
+                f"{RESIDUAL_TOL:.1e} * max(|L|_F, 1)")
+        out.append(columns)
+    return out
 
 
-def _global_reports(chains, chain, baths) -> SteadyColumns:
+def _global_reports(chains, chain, baths) -> tuple:
     """:func:`chain_reports` under the global approach, on the call's ``chains`` stack.
 
     Each chain's modes are grouped by shared bin, and its channel slots are
@@ -453,7 +469,8 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
     the others from the N^2 system of their hole frame
     (:func:`~chainflux.correlations.group_steady_states`), in stacks of at
     most ``_GRID_ELEMENTS`` elements.  The rows of a chain with a bright
-    zero mode get its DegenerateTransition and are not solved.
+    zero mode get its DegenerateTransition and are not solved.  Returns
+    the columns and each row's |L|_F.
     """
     (c, n), k = chains.epsilons.shape, len(chain)
     group, lit, zero = mode_groups(chains)
@@ -467,6 +484,7 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
         correlations=np.zeros((k, n, n), dtype=complex), hole_frame=shared[chain],
         channels=np.zeros((k, 2, n)), chains=chains, chain=chain, baths=baths,
         omegas=np.broadcast_to(means[:, None], lit.shape), lit=lit)
+    norm = np.zeros(k)
     failed = np.zeros(c, dtype=bool)
     failed[list(zero)] = True
     failed = failed[chain]
@@ -479,14 +497,12 @@ def _global_reports(chains, chain, baths) -> SteadyColumns:
             omega, phi = (a[on] for a in chains.modes)
             groups = (group[on],) if solve is group_steady_states else ()
             (out.populations[rows], out.channels[rows], out.correlations[rows],
-             out.residual[rows], out.rcond[rows]) = solve(omega, phi, *groups, chains.sites[on],
-                                                          baths[rows])
-        for i in todo[~unique(out.rcond[todo], out.unknowns[todo])].tolist():
-            out.errors[i] = uniqueness_error(out.rcond[i], int(out.unknowns[i]))
-    return out
+             out.residual[rows], norm[rows], out.rcond[rows]) = solve(
+                omega, phi, *groups, chains.sites[on], baths[rows])
+    return out, norm
 
 
-def _local_reports(chains, chain, baths) -> SteadyColumns:
+def _local_reports(chains, chain, baths) -> tuple:
     """:func:`chain_reports` under the local approach, on the call's ``chains`` stack.
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
@@ -494,7 +510,8 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
     jump of its qubit at that qubit's gap: the rows are the
     :func:`~chainflux.correlations.quadratic_steady_states` of the chain's
     single-particle h, each reservoir draining the fermion of its qubit,
-    and their populations the diagonals of C.
+    and their populations the diagonals of C.  Returns the columns and
+    each row's |L|_F.
     """
     k, (c, n) = len(chain), chains.epsilons.shape
     omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)[:, :, None]
@@ -505,15 +522,13 @@ def _local_reports(chains, chain, baths) -> SteadyColumns:
         correlations=np.zeros((k, n, n), dtype=complex), hole_frame=np.zeros(k, dtype=bool),
         channels=np.zeros((k, 2, 1)), chains=chains, chain=chain, baths=baths,
         omegas=omegas, lit=np.ones((c, 2, 1), dtype=bool))
-    step = max(1, _GRID_ELEMENTS // n**4)
+    norm, step = np.zeros(k), max(1, _GRID_ELEMENTS // n**4)
     for start in range(0, k, step):
         at = slice(start, start + step)
         rows = chain[at]
-        (out.correlations[at], out.channels[at], out.residual[at],
+        (out.correlations[at], out.channels[at], out.residual[at], norm[at],
          out.rcond[at]) = quadratic_steady_states(
             chains.single_particle[rows], np.eye(n)[chains.sites[rows], None],
             bath_rates(omegas[rows], baths[at, :, None]))
     out.populations[:] = np.diagonal(out.correlations, axis1=1, axis2=2).real
-    for i in np.flatnonzero(~unique(out.rcond, n * n)).tolist():
-        out.errors[i] = uniqueness_error(out.rcond[i], n * n)
-    return out
+    return out, norm

@@ -1,9 +1,11 @@
 """Steady states by constrained linear solve in the real coordinates of a Hermitian matrix.
 
-The sweep solves stacks of N^2 correlation systems (:func:`checked_inverse`,
-:func:`unique`).  :func:`solve_steady` takes dense d^2 x d^2 generators,
-for the oracles of the tests, and stays because the benchmark harness
-(``perfbench/tracing.py``) binds it by name; its body :func:`solve_hermitian`
+The sweep solves stacks of N^2 correlation systems (:func:`stacked_inverse`,
+:func:`unique`), and its rows' residuals are judged against RESIDUAL_TOL
+(:func:`chainflux.observables.chain_reports`).  :func:`solve_steady` takes
+dense d^2 x d^2 generators, for the oracles of the tests, and stays because
+the benchmark harness (``perfbench/tracing.py``) binds it by name; its body
+:func:`solve_hermitian`, with its own residual check (:func:`check_residual`),
 also solves a subset of the entries of rho, in real coordinates.
 """
 
@@ -65,20 +67,15 @@ def uniqueness_error(rcond: float, m: int):
         "the steady state is not unique", rcond=float(rcond))
 
 
-def checked_inverse(M: np.ndarray) -> tuple:
-    """Inverse and rcond_1 of each constrained steady-state system of a (k, m, m) stack.
+def stacked_inverse(M: np.ndarray) -> tuple:
+    """Inverse of each system of a (k, m, m) stack, and whether its LU met an exactly zero pivot.
 
     One stacked ``np.linalg.solve`` against the identity gives every
     inverse, one LU factorization per system; the solves pass real
     systems, in the coordinates of a Hermitian rho, and any dtype works.
-    numpy gives no access to the LU factors, so |M^-1|_1 is read off the
-    explicit inverse rather than estimated.  A system whose LU meets an
-    exactly zero pivot makes numpy reject the whole stack; the stack is then
-    solved system by system, and only such a system gets a zero inverse and
-    rcond 0.  rcond_1 = 1 / (|M|_1 |M^-1|_1); :func:`uniqueness_error`
-    rejects a system when it is <= m^2 eps.  Since |X|_2 <= sqrt(m) |X|_1,
-    rcond_1 <= m rcond_2, so every system that ``np.linalg.matrix_rank``
-    calls rank deficient (rcond_2 <= m eps) is rejected as well.
+    A system whose LU meets an exactly zero pivot makes numpy reject the
+    whole stack; the stack is then solved system by system, and only such
+    a system gets a zero inverse and is marked singular.
     """
     m = M.shape[-1]
     identity = np.eye(m, dtype=M.dtype)
@@ -92,6 +89,21 @@ def checked_inverse(M: np.ndarray) -> tuple:
                 inverse[i] = np.linalg.solve(system, identity)
             except np.linalg.LinAlgError:
                 singular[i] = True
+    return inverse, singular
+
+
+def checked_inverse(M: np.ndarray) -> tuple:
+    """Inverse and rcond_1 of each constrained steady-state system of a (k, m, m) stack.
+
+    The inverses are :func:`stacked_inverse`'s.  numpy gives no access to
+    the LU factors, so |M^-1|_1 is read off the explicit inverse rather
+    than estimated.  rcond_1 = 1 / (|M|_1 |M^-1|_1), 0 for a singular
+    system; :func:`uniqueness_error` rejects a system when it is <= m^2
+    eps.  Since |X|_2 <= sqrt(m) |X|_1, rcond_1 <= m rcond_2, so every
+    system that ``np.linalg.matrix_rank`` calls rank deficient (rcond_2 <=
+    m eps) is rejected as well.
+    """
+    inverse, singular = stacked_inverse(M)
     norms = np.abs(M).sum(axis=1).max(axis=1) * np.abs(inverse).sum(axis=1).max(axis=1)
     rcond = np.zeros(len(M))
     np.divide(1.0, norms, out=rcond, where=~singular)

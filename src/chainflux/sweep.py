@@ -39,8 +39,6 @@ _KEYS = frozenset({
     "t1", "t2", "gamma1", "gamma2", "axis", "grid", "approaches", "outputs",
 })
 
-ROW_RESIDUAL_LIMIT = 1e-9
-
 
 @dataclass(frozen=True)
 class SweepRequest:
@@ -330,7 +328,10 @@ def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
     call, from N x N data in stacks of at most ``_GRID_ELEMENTS`` elements
     (:mod:`chainflux.observables`), which bounds the memory of a sweep; a
     point whose eigenbasis degenerates or whose steady state is not unique
-    becomes an annotated skip.  The rows leave as arrays.
+    becomes an annotated skip.  A row that :func:`chain_reports` gave a
+    NoConvergence raises it, with the row's axis value and approach: the
+    failed row with the largest residual, the first NaN or else the first
+    of the largest.  The rows leave as arrays.
     """
     base, k = request.base, len(values)
     epsilons, couplings, sites = chain_arrays([base])
@@ -344,7 +345,7 @@ def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
         chain = np.arange(k)
     reports = chain_reports(chain_operators(epsilons, couplings, sites), chain, baths,
                             request.approaches)
-    blocks, skipped = [], []
+    blocks, skipped, failed = [], [], []
     for approach, results in zip(request.approaches, reports):
         rows = np.flatnonzero(~np.isin(np.arange(k), list(results.errors)))
         empty = np.zeros((len(rows), 0))
@@ -356,9 +357,15 @@ def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
                        else empty),
             residual=results.residual[rows],
         ))
-        skipped += [SkippedRow(axis_value=values[i].item(), approach=approach,
-                               reason=_SKIP_REASONS[type(error)].format(error))
-                    for i, error in sorted(results.errors.items())]
+        for i, error in sorted(results.errors.items()):
+            if isinstance(error, NoConvergence):
+                failed.append((results.residual[i], f"{error} at {request.axis} = "
+                               f"{values[i].item()!r}, approach {approach}"))
+            else:
+                skipped.append(SkippedRow(axis_value=values[i].item(), approach=approach,
+                                          reason=_SKIP_REASONS[type(error)].format(error)))
+    if failed:
+        raise NoConvergence(failed[int(np.argmax([residual for residual, _ in failed]))][1])
     return SweepColumns(*(np.concatenate([getattr(block, f.name) for block in blocks])
                           for f in fields(SweepColumns))), tuple(skipped)
 
@@ -378,8 +385,9 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     The whole grid goes to one :func:`_row_task` call; points where the
     eigenbasis construction degenerates or the steady state is not unique
     are recorded as annotated skips instead of aborting the run.  A row
-    residual above ROW_RESIDUAL_LIMIT or NaN raises NoConvergence naming the
-    worst row, the first NaN or else the first of the largest.
+    whose residual fails the one check of :func:`chain_reports`, NaN or
+    above RESIDUAL_TOL * max(|L|_F, 1), raises NoConvergence naming the
+    worst such row, its axis value and its approach.
 
     ``workers`` is ignored.  It is kept only because the benchmark harness
     passes ``workers=2`` for its ``kscan4_par`` workload; the benchmark
@@ -403,13 +411,6 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     if (values[1:] <= values[:-1]).any():
         raise ConfigSyntaxError("grid must be strictly increasing")
     rows, skipped = _row_task(request, values)
-    if len(rows) and not rows.residual.max() <= ROW_RESIDUAL_LIMIT:
-        worst = rows[int(rows.residual.argmax())]
-        raise NoConvergence(
-            f"row residual {worst.residual:.3e} exceeds {ROW_RESIDUAL_LIMIT:.1e} at "
-            f"{request.axis} = {worst.axis_value!r}, approach {worst.approach}"
-        )
-
     metadata = (("tool", f"chainflux {__version__}"),
                 ("conventions", conventions_fingerprint()))
     return SweepTable(request=request, rows=rows, skipped=skipped, metadata=metadata)

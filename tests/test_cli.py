@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chainflux.correlations
+import chainflux.observables
 from chainflux import bose_occupation
 from chainflux.cli import cli_main
 
@@ -136,6 +137,25 @@ def test_steady_fails_on_a_nan_residual(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and "nan" not in captured.out
     assert captured.err.startswith("error: steady-state residual nan exceeds")
+
+
+def test_steady_prints_the_report_beside_the_other_approach_s_residual_failure(capsys, monkeypatch):
+    # the local row's residual, raised here past RESIDUAL_TOL * max(|L|_F, 1),
+    # fails the residual check: its NoConvergence is printed, the global
+    # report still is, and the exit code is 2
+    def past_the_bound(*args, _real=chainflux.observables.quadratic_steady_states):
+        C, channels, residual, norm, rcond = _real(*args)
+        return C, channels, residual + norm, norm, rcond
+
+    monkeypatch.setattr(chainflux.observables, "quadratic_steady_states", past_the_bound)
+    code = cli_main(["steady", "--epsilons", "1.5,1.5", "--couplings", "1", "--t1", "1",
+                     "--t2", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert re.findall(r"^approach: (\w+)$", captured.out, flags=re.M) == ["global", "local"]
+    assert captured.out.count("solver residual") == 1
+    assert re.fullmatch(r"error: steady-state residual \S+ exceeds \S+ = 1\.0e-10 \* "
+                        r"max\(\|L\|_F, 1\)\n", captured.err)
 
 
 def test_sweep_command_writes_csv(tmp_path, capsys):

@@ -17,6 +17,10 @@ from chainflux import (
     apply_axis,
     chain,
     dimer,
+    dimer_global_heat_flux_analytic,
+    dimer_global_populations_analytic,
+    dimer_local_heat_flux_analytic,
+    dimer_local_populations_analytic,
     emit_csv,
     figure_requests,
     format_config,
@@ -370,26 +374,28 @@ def test_a_temperature_sweep_with_rho_diagonals_diagonalizes_nothing(monkeypatch
 
 
 def test_row_residual_failure_names_the_worst_row(monkeypatch):
-    import chainflux.sweep
+    # with no tolerance every row with a nonzero residual fails the one
+    # residual check, of chain_reports; the sweep names the largest
+    import chainflux.observables
 
     table = run_sweep(small_request())
     worst = max(table.rows, key=lambda r: r.residual)
     assert worst.residual > 0
-    monkeypatch.setattr(chainflux.sweep, "ROW_RESIDUAL_LIMIT", 0.5 * worst.residual)
+    monkeypatch.setattr(chainflux.observables, "RESIDUAL_TOL", 0.0)
     with pytest.raises(NoConvergence) as info:
         run_sweep(small_request())
     message = str(info.value)
-    assert f"{worst.residual:.3e}" in message
-    assert f"t1 = {worst.axis_value!r}, approach {worst.approach}" in message
+    assert message.startswith(f"steady-state residual {worst.residual:.3e} exceeds 0.000e+00 ")
+    assert message.endswith(f" at t1 = {worst.axis_value!r}, approach {worst.approach}")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_a_nan_residual_fails_the_sweep_and_the_report(monkeypatch):
     # a NaN residual, made here for the rows whose rates pass 1e180 (the
-    # global rows at T1 = 1e200 and 1e300), fails the steady solve's check,
-    # and, past it, the sweep's check, which names its row; the local rows
-    # are not unique there and are skipped
+    # rows at T1 = 1e200 and 1e300), fails the one residual check, of
+    # chain_reports: the sweep names the first NaN row, and the report
+    # raises its row's error
     import chainflux.correlations
 
     residuals = chainflux.correlations._gaussian_residuals
@@ -402,14 +408,11 @@ def test_a_nan_residual_fails_the_sweep_and_the_report(monkeypatch):
     report = steady_report(dimer(1.5, 1.5, 1.0, 1e160, 0.0), "global")
     assert report.populations == pytest.approx((0.5, 0.5), abs=1e-15)
     monkeypatch.setattr(chainflux.correlations, "_gaussian_residuals", nan_at_large_rates)
-    with pytest.raises(NoConvergence, match="residual nan"):
+    with pytest.raises(NoConvergence, match=r"^steady-state residual nan exceeds .* at "
+                                            r"t1 = 1e\+200, approach global$"):
         run_sweep(request)
     with pytest.raises(NoConvergence, match="residual nan"):
         steady_report(dimer(1.5, 1.5, 1.0, 1e300, 0.0), "global")
-    monkeypatch.setattr(chainflux.correlations, "check_residual", lambda residual, scale: None)
-    with pytest.raises(NoConvergence, match=r"^row residual nan exceeds 1\.0e-09 at t1 = 1e\+200, "
-                                            r"approach global$"):
-        run_sweep(request)
 
 
 @pytest.mark.parametrize("t1", [1e155, 1e200, 1e300])
@@ -424,6 +427,43 @@ def test_rates_whose_squares_overflow_keep_a_finite_checked_residual(t1):
     assert report.populations == pytest.approx((0.5, 0.5), abs=1e-15)
     assert report.fluxes[0] == pytest.approx(0.75, abs=1e-15)
     assert 0 < report.residual < np.inf
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_t1_sweep_to_1e300_keeps_every_row_of_the_reports(n):
+    # the hot limit, where the global flux saturates: every row of both
+    # approaches passes the one residual check, against its own |L|_F, and
+    # is the row steady_reports gives for its spec, bit for bit, without a
+    # warning (an absolute 1e-9 gate on the sweep failed the global dimer
+    # rows from T1 = 3.2e6 on)
+    base = chain([1.5] * n, [1.0] * (n - 1), 0.01, 0.0)
+    request = SweepRequest(base=base, axis="t1", grid=tuple(np.logspace(-2.0, 300.0, 60).tolist()),
+                           approaches=("global", "local"),
+                           outputs=("populations", "heat_flux", "rho_diagonals"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = run_sweep(request)
+        reports = steady_reports([apply_axis(base, "t1", t1) for t1 in request.grid],
+                                 request.approaches)
+    assert not table.skipped and len(table.rows) == 2 * len(request.grid)
+    for j, columns in enumerate(reports):
+        assert not columns.errors
+        rows = slice(j * len(request.grid), (j + 1) * len(request.grid))
+        assert table.rows.populations[rows].tobytes() == columns.populations.tobytes()
+        assert table.rows.fluxes[rows].tobytes() == columns.fluxes.tobytes()
+        assert table.rows.diagonals[rows].tobytes() == columns.rho_diagonals(slice(None)).tobytes()
+        assert table.rows.residual[rows].tobytes() == columns.residual.tobytes()
+    if n == 2:  # the dimer's closed forms, which the dense block cannot follow past T1 ~ 1e4
+        for row in table.rows:
+            if row.approach == "global":
+                q = dimer_global_heat_flux_analytic(1.5, 1.0, row.axis_value, 0.0).total
+                pops = dimer_global_populations_analytic(1.5, 1.0, row.axis_value, 0.0)
+                pops = pops.n1, pops.n2
+            else:
+                q = dimer_local_heat_flux_analytic(1.5, 1.0, row.axis_value, 0.0)
+                pops = dimer_local_populations_analytic(1.5, 1.0, row.axis_value, 0.0)
+            assert row.fluxes == pytest.approx((q, -q), abs=1e-15)
+            assert row.populations == pytest.approx(pops, abs=1e-15)
 
 
 def test_run_matches_direct_pipeline():
