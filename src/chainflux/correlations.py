@@ -13,19 +13,20 @@ NJP 10, 043026 (2008)), and with X = i h - Lambda / 2,
 N^2 real equations for the N^2 real coordinates of the Hermitian C
 (:class:`~chainflux.generator.Unknowns`), built for each row from its own
 X (:func:`_correlation_systems`).  :func:`quadratic_steady_states` solves
-it for any fermions the baths drain, and gives the channel fluxes, read
-from the colder bath, and the residual |L(rho(C))|_F of the 2^N x 2^N
-generator on the Gaussian state, in closed form from C
-(:func:`_gaussian_residuals`); a local row's baths drain the c_s of their
-sites.  C is unique exactly when X is Hurwitz: for a local row, when no
-eigenvector of h vanishes at every attached site, which holds for every
-chain whose couplings are all nonzero (the eigenvectors of a Jacobi matrix
-have nonzero end entries).  A chain with an undamped island is singular
-there and gets a DegenerateKernel, by the rcond of the N^2 system.  The
-state itself, rho = prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag)
-with C = U diag(nu) U^dag and f_k = sum_i U_ik c_i, is built only where it
-is read (:func:`_gaussian_states`); its diagonal on the Fock states of a
-chain's modes is read from C alone (:func:`fock_probabilities`).
+it for any fermions the baths drain (a local row's drain the c_s of their
+sites), and gives the channel fluxes, read from the colder bath, and the
+inputs of the residual |L(rho(C))|_F of the 2^N x 2^N generator on the
+Gaussian state, in closed form from C (:func:`_gaussian_residuals`), and
+of its scale (:func:`_generator_norms`).  C is unique exactly when X is
+Hurwitz: for a local row, when no eigenvector of h vanishes at every
+attached site, which holds for every chain whose couplings are all
+nonzero (the eigenvectors of a Jacobi matrix have nonzero end entries).
+A chain with an undamped island is singular there and gets a
+DegenerateKernel, by the rcond of the N^2 system.  The state itself, rho =
+prod_k (nu_k f_k^dag f_k + (1 - nu_k) f_k f_k^dag) with C = U diag(nu)
+U^dag and f_k = sum_i U_ik c_i, is built only where it is read
+(:func:`_gaussian_states`); its diagonal on the Fock states of a chain's
+modes is read from C alone (:func:`fock_probabilities`).
 
 The global generator is quadratic too: each jump is one single-particle
 mode's f_k or f_k^dag (h phi_k = omega_k phi_k), the endpoint couplings
@@ -95,7 +96,7 @@ def _gaussian_states(C: np.ndarray, phi: np.ndarray = None, holes: np.ndarray = 
     k, n = C.shape[:2]
     d = 2**n
     if phi is None:
-        phi, holes = np.broadcast_to(np.eye(n), (k, n, n)), np.zeros((k, n), dtype=bool)
+        phi, holes = np.eye(n), np.zeros((k, n), dtype=bool)
     nu, U = np.linalg.eigh(C)
     c = _fermions(n)
     fermions = np.concatenate([c, c.swapaxes(1, 2)]).reshape(2 * n, d * d)
@@ -206,14 +207,14 @@ def quadratic_steady_states(h: np.ndarray, u: np.ndarray, rates: np.ndarray) -> 
     through a channel sum to zero at the steady state, so only that of the
     bath with the lower a / e, whose terms do not cancel, is computed, and
     the other's is its negative.  Returns C (k, n, n), the channel fluxes
-    (k, 2, m), the residuals (:func:`_gaussian_residuals`), the |L|_F they
-    are judged against (:func:`_generator_norms` of h at the diagonal
-    rates of Lambda - G and G) and the rcond_1 of each row-equilibrated
-    system D M, 1 / (|D M|_1 |M^-1 D^-1|_1), D the power-of-two scales of
-    the 1-norms of M's rows: the damping outgrows h as a bath heats, and
-    the rcond_1 of M falls like 1 / T.  A row whose rcond fails
-    :func:`~chainflux.steady.unique` for N^2 unknowns gets zero results.
-    Every step acts on each row alone.
+    (k, 2, m), the rcond_1 of each row-equilibrated system D M, 1 / (|D
+    M|_1 |M^-1 D^-1|_1), D the power-of-two scales of the 1-norms of M's
+    rows (the damping outgrows h as a bath heats, and the rcond_1 of M
+    falls like 1 / T), and the residual inputs: X, G and C of
+    :func:`_gaussian_residuals`, and the gaps, hoppings and site rates of
+    :func:`_generator_norms`, h at the diagonal rates of Lambda - G and G.
+    A row whose rcond fails :func:`~chainflux.steady.unique` for N^2
+    unknowns gets zero results.  Every step acts on each row alone.
     """
     k, n = h.shape[:2]
     U = u.reshape(k, -1, n)
@@ -240,11 +241,9 @@ def quadratic_steady_states(h: np.ndarray, u: np.ndarray, rates: np.ndarray) -> 
     first = ratio[:, 0] <= ratio[:, 1]  # bath 0 is the colder through the channel
     flux = np.where(first, fluxes[:, 0], 0.0 - fluxes[:, 1]) * solved[:, None]  # bath 0's
     channels = flux[:, None] * _BATH_SIGNS + 0.0  # and no -0.0
-    residual = np.where(solved, _gaussian_residuals(X, G, C), 0.0)
-    norm = _generator_norms(
-        np.diagonal(h, axis1=1, axis2=2), np.diagonal(h, 1, axis1=1, axis2=2),
-        (U * U).swapaxes(1, 2) @ rates.reshape(k, -1, 2))  # diag(Lambda - G), diag G
-    return C, channels, residual, norm, rcond
+    site_rates = (U * U).swapaxes(1, 2) @ rates.reshape(k, -1, 2)  # diag(Lambda - G), diag G
+    return C, channels, rcond, (X, G, C, np.diagonal(h, axis1=1, axis2=2),
+                                np.diagonal(h, 1, axis1=1, axis2=2), site_rates)
 
 
 def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
@@ -262,22 +261,22 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     |omega_k|, Lambda_k their sum and gain_k those that fill mode k, occ_k
     = gain_k / Lambda_k and C = phi diag(occ) phi^T.  Reservoir 1 puts
     |omega_k| Gamma_1k Gamma_2k (nbar_1k - nbar_2k) / Lambda_k into mode k,
-    and reservoir 2 its negative.  The residual is that of the Gaussian
-    state in the mode frame (:func:`_gaussian_residuals`), with X = i
-    diag(omega) - diag(Lambda) / 2, G = diag(gain) and phi^T C phi, judged
-    against |L|_F of the modes as the gaps (:func:`_generator_norms`).
-    Returns the populations (k, n), each reservoir's flux through each
-    mode (k, 2, n), C (k, n, n), the residuals, those |L|_F and rcond =
+    and reservoir 2 its negative.  Returns the populations (k, n), each
+    reservoir's flux through each mode (k, 2, n), C (k, n, n), rcond =
     min_k Lambda_k / max_k Lambda_k, the rcond_1 of the diagonal system
     Lambda_k occ_k = gain_k, 0 where a mode has no weight at an attached
-    site; a row whose rcond fails :func:`~chainflux.steady.unique` for N
-    unknowns gets zero results.  No array of 2^N is built.
+    site, and the residual inputs of the Gaussian state in the mode frame
+    (:func:`_gaussian_residuals`): X = i diag(omega) - diag(Lambda) / 2, G
+    = diag(gain) and phi^T C phi, and the modes as the gaps of the |L|_F
+    it is judged against (:func:`_generator_norms`).  A row whose rcond
+    fails :func:`~chainflux.steady.unique` for N unknowns gets zero
+    results.  No array of 2^N is built.
     """
     k, n = omega.shape
     rows, a = np.arange(k)[:, None], np.arange(n)
     weights = phi[rows, sites] ** 2  # phi_k(site_j)^2, (k, 2, n)
     freqs = np.abs(omega)
-    rates = bath_rates(np.broadcast_to(freqs[:, None], weights.shape), baths[:, :, None])
+    rates = bath_rates(freqs[:, None], baths[:, :, None])
     emission, absorption = (rates[..., i] * weights for i in (0, 1))
     emitted, absorbed = emission.sum(axis=1), absorption.sum(axis=1)
     lam = emitted + absorbed
@@ -297,10 +296,9 @@ def global_steady_states(omega: np.ndarray, phi: np.ndarray, sites: np.ndarray,
     channels = np.where(solved[:, None, None], current[:, None, :] * _BATH_SIGNS, 0.0)
     X = np.zeros((k, n, n), dtype=complex)
     X[:, a, a] = 1j * omega - 0.5 * lam
-    residual = np.where(solved, _gaussian_residuals(X, gain[:, :, None] * np.eye(n),
-                                                    phi.swapaxes(1, 2) @ C @ phi), 0.0)
-    norm = _generator_norms(omega, np.zeros((k, n - 1)), np.stack([loss, gain], axis=2))
-    return populations, channels, C, residual, norm, rcond
+    return populations, channels, C, rcond, (
+        X, gain[:, :, None] * np.eye(n), phi.swapaxes(1, 2) @ C @ phi,
+        omega, np.zeros((k, n - 1)), np.stack([loss, gain], axis=2))
 
 
 def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
@@ -321,8 +319,8 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
     :func:`quadratic_steady_states` of h = diag|omega|, each reservoir's
     channel g draining A_jg at its rates at the group's mean |omega|.
     Returns the populations (k, n), each reservoir's flux through each
-    group (k, 2, n, by group index), C~ (k, n, n), and the residuals, their
-    |L|_F and the rcond of that solve; a row not solved gets zero results.
+    group (k, 2, n, by group index), C~ (k, n, n), and the rcond and the
+    residual inputs of that solve; a row not solved gets zero results.
     """
     k, n = omega.shape
     rows, a = np.arange(k)[:, None], np.arange(n)
@@ -333,12 +331,12 @@ def group_steady_states(omega: np.ndarray, phi: np.ndarray, group: np.ndarray,
                       where=counts > 0)  # an empty group's 1 meets only zero couplings
     coupling = phi[rows, sites] * np.where((sites == n - 1)[:, :, None] & holes[:, None, :],
                                            -1.0, 1.0)  # a_jk, (k, 2, n)
-    rates = bath_rates(np.broadcast_to(means[:, None], (k, 2, n)), baths[:, :, None])
-    C, channels, residual, norm, rcond = quadratic_steady_states(
+    rates = bath_rates(means[:, None], baths[:, :, None])
+    C, channels, rcond, inputs = quadratic_steady_states(
         freqs[:, :, None] * np.eye(n), coupling[:, :, None, :] * members.swapaxes(1, 2)[:, None],
         rates)
     pairs = holes[:, :, None] == holes[:, None, :]  # the normal entries <f_k^dag f_l>
     normal = np.where(pairs & ~holes[:, :, None], C,
                       np.where(pairs, np.eye(n) - C.swapaxes(1, 2), 0.0))
     populations = np.einsum("kqm,kml,kql->kq", phi, normal, phi).real
-    return populations, channels, C, residual, norm, rcond
+    return populations, channels, C, rcond, inputs

@@ -27,10 +27,10 @@ the tests' dense model and real block (``tests/oracles.py``) use them.
 Temperatures and bath rates enter only through the rates gamma (nbar + 1)
 and gamma nbar of the bins.  Everything else is rate-free and is built here
 as stacks over the chains of one qubit count, not kept: the chains'
-single-particle h and modes (:func:`chain_operators`) and the order of
-their mode Fock states (:func:`fock_order`).  The caller that owns a
-request (:func:`chainflux.observables.steady_reports`) builds them once per
-call and shares them between the rows and both approaches.
+single-particle h, their modes and the order of their mode Fock states
+(:func:`chain_operators`).  The caller that owns a request
+(:func:`chainflux.observables.chain_reports`) builds them once per call
+and shares them between the rows and both approaches.
 """
 
 from __future__ import annotations
@@ -215,9 +215,9 @@ class ChainOperators:
 
     Chain c has the gaps ``epsilons[c]``, the couplings ``hoppings[c]`` and
     its reservoirs attached at the qubits ``sites[c]``.  Its single-particle
-    h and the ``modes`` of h, from which both approaches are solved
-    (:mod:`chainflux.correlations`), are computed on first use.  Every array
-    is read-only.
+    h, the ``modes`` of h, from which both approaches are solved
+    (:mod:`chainflux.correlations`), and the ``fock_order`` of its mode Fock
+    states are computed on first use.  Every array is read-only.
     """
 
     epsilons: np.ndarray
@@ -235,10 +235,23 @@ class ChainOperators:
         """
         omega, phi = np.linalg.eigh(self.single_particle)
         order = np.argsort(np.abs(omega), axis=1, kind="stable")
-        omega = np.take_along_axis(omega, order, axis=1)
-        phi = np.take_along_axis(phi, order[:, None, :], axis=2)
+        rows, sites = np.arange(len(omega))[:, None], np.arange(omega.shape[1])[:, None]
+        omega, phi = omega[rows, order], phi[rows[:, None], sites, order[:, None]]
         read_only(omega, phi)
         return omega, phi
+
+    @cached_property
+    def fock_order(self) -> np.ndarray:
+        """Each chain's mode Fock states i (mode k occupied where bit k of i is set), (k, 2^n), by
+        E(n) = sum_k omega_k n_k in levels grouped as the modes are (:func:`_levels`), then by i."""
+        omega = self.modes[0]
+        n, rows = omega.shape[1], np.arange(len(omega))[:, None]
+        energies = (((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * omega[:, None]).sum(axis=2)
+        order = np.argsort(energies, axis=1, kind="stable")
+        level = _levels(energies[rows, order], omega)
+        order = order[rows, np.lexsort((order, level))]
+        read_only(order)
+        return order
 
     @cached_property
     def single_particle(self) -> np.ndarray:
@@ -259,15 +272,15 @@ class ChainOperators:
 def bath_rates(omegas: np.ndarray, baths: np.ndarray) -> np.ndarray:
     """Emission and absorption rates gamma (nbar + 1), gamma nbar at each omega, (..., 2).
 
-    ``baths`` holds the (temperature, gamma) of each omega, (..., 2).  The
-    Bose occupations come from one divide and one ``expm1``, each value
-    bit for bit the :func:`bose_occupation` of its omega, which must be > 0.
+    ``baths`` holds the (temperature, gamma) of each omega, (..., 2), broadcast
+    against ``omegas``.  The Bose occupations come from one divide and one ``expm1``,
+    each value bit for bit the :func:`bose_occupation` of its omega, which must be > 0.
     """
     temperature, gamma = baths[..., 0], baths[..., 1]
     with np.errstate(divide="ignore", over="ignore"):
         x = omegas / temperature
         nbar = np.where((temperature == 0) | (x > _EXP_ARG_MAX), 0.0, 1.0 / np.expm1(x))
-    rates = np.empty(np.shape(omegas) + (2,))
+    rates = np.empty(nbar.shape + (2,))
     rates[..., 0] = gamma * (nbar + 1.0)
     rates[..., 1] = gamma * nbar
     return rates
@@ -296,7 +309,7 @@ def _walk(values: np.ndarray, tol: np.ndarray, new: np.ndarray) -> np.ndarray:
     """
     new[1:] |= np.diff(values) > tol[1:]
     starts = np.flatnonzero(new)
-    stops = np.append(starts, len(values))[1:]
+    stops = np.concatenate((starts, [len(values)]))[1:]
     wide = values[stops - 1] - values[starts] > tol[starts]
     for start, stop in zip(starts[wide].tolist(), stops[wide].tolist()):
         low = values[start]
@@ -340,21 +353,6 @@ def mode_groups(chains: ChainOperators) -> tuple:
         errors[c] = DegenerateTransition(
             f"mode at |omega| = {w:.3e} below cutoff {OMEGA_MIN:.1e}", omega=w)
     return _levels(freqs, freqs), bright, errors
-
-
-def fock_order(omega: np.ndarray) -> np.ndarray:
-    """The mode Fock states of each chain in ascending energy, (k, 2^n) of state indices.
-
-    State i occupies mode k (of :attr:`ChainOperators.modes`) where bit k
-    of i is set.  The states go by ascending E(n) = sum_k omega_k n_k, in
-    levels grouped as the modes are (:func:`_levels`), and inside a level
-    by ascending index.
-    """
-    n = omega.shape[1]
-    energies = (((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * omega[:, None, :]).sum(axis=2)
-    order = np.argsort(energies, axis=1, kind="stable")
-    level = _levels(np.take_along_axis(energies, order, axis=1), omega)
-    return np.take_along_axis(order, np.lexsort((order, level)), axis=1)
 
 
 def assemble(spec: ChainSpec, approach: str) -> tuple:

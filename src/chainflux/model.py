@@ -44,11 +44,12 @@ _CONVENTIONS_TEXT = (
     "qubit basis=(excited,ground);site 0 leftmost;"
     "vec=column stacking"
 )
+_CONVENTIONS_FINGERPRINT = hashlib.sha256(_CONVENTIONS_TEXT.encode()).hexdigest()[:12]
 
 
 def conventions_fingerprint() -> str:
-    """Short stable hash of the package conventions, for output metadata."""
-    return hashlib.sha256(_CONVENTIONS_TEXT.encode()).hexdigest()[:12]
+    """Short stable hash of the package conventions, for output metadata, hashed at import."""
+    return _CONVENTIONS_FINGERPRINT
 
 
 @dataclass(frozen=True)

@@ -24,29 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AnalyticFormMismatch,
-    DegenerateTransition,
-    DimensionMismatch,
-    NoConvergence,
-)
+from .errors import AnalyticFormMismatch, DegenerateTransition, DimensionMismatch, NoConvergence
 from . import correlations
-from .correlations import (
-    fock_probabilities,
-    global_steady_states,
-    group_steady_states,
-    quadratic_steady_states,
-)
+from .correlations import (fock_probabilities, global_steady_states, group_steady_states,
+                           quadratic_steady_states)
 from .generator import unvectorize, vectorize
-from .lindblad import (
-    OMEGA_MIN,
-    ChainOperators,
-    bath_rates,
-    bose_occupation,
-    chain_operators,
-    fock_order,
-    mode_groups,
-)
+from .lindblad import (OMEGA_MIN, ChainOperators, bath_rates, bose_occupation, chain_operators,
+                       mode_groups)
 from .model import BathSpec, ChainSpec
 from .operators import number_operator
 from .steady import RESIDUAL_TOL, unique, uniqueness_error
@@ -371,19 +355,17 @@ class SteadyColumns(Sequence):
         From phi^T C phi, or a hole-frame C~ as it is
         (:func:`~chainflux.correlations.fock_probabilities`), in stacks of
         at most ``_GRID_ELEMENTS`` elements of their (d, N, N) determinants;
-        the order is each chain's :func:`~chainflux.lindblad.fock_order`.
+        the order is each chain's :attr:`ChainOperators.fock_order`.
         """
         rows, n = np.arange(len(self))[rows], self.correlations.shape[-1]
         out = np.empty((len(rows), 2**n))
-        if len(rows):
-            chains, which = np.unique(self.chain[rows], return_inverse=True)
-            omega, phi = (a[chains] for a in self.chains.modes)
-            order, step = fock_order(omega), max(1, _GRID_ELEMENTS // (2**n * n * n))
-            for at in (slice(i, i + step) for i in range(0, len(rows), step)):
-                on, holes, C = which[at], self.hole_frame[rows[at]], self.correlations[rows[at]]
-                C = np.where(holes[:, None, None], C, phi[on].swapaxes(1, 2) @ C @ phi[on])
-                out[at] = np.take_along_axis(
-                    fock_probabilities(C, (omega[on] < 0) & holes[:, None]), order[on], axis=1)
+        (omega, phi), order = self.chains.modes, self.chains.fock_order
+        step = max(1, _GRID_ELEMENTS // (2**n * n * n))
+        for at in (slice(i, i + step) for i in range(0, len(rows), step)):
+            on, holes, C = (a[rows[at]] for a in (self.chain, self.hole_frame, self.correlations))
+            C = np.where(holes[:, None, None], C, phi[on].swapaxes(1, 2) @ C @ phi[on])
+            probabilities = fock_probabilities(C, (omega[on] < 0) & holes[:, None])
+            out[at] = probabilities[np.arange(len(on))[:, None], order[on]]
         return out
 
 
@@ -428,36 +410,62 @@ def chain_reports(chains: ChainOperators, chain: np.ndarray, baths: np.ndarray,
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
     reservoir at ``baths[i]`` (rows, 2, 2).  The call owns every chain's
     rate-free data, one :class:`ChainOperators` stack, so every chain's
-    modes are computed once for both approaches.  Every row is solved
-    through its N x N correlation matrix and keeps it, not its 2^N state:
-    the global rows from their chains' modes (:func:`_global_reports`),
-    where every row of a chain with a zero mode gets that chain's
-    DegenerateTransition, and the local rows from their site fermions
-    (:func:`_local_reports`).  Every other row is judged here alone: it
-    gets its DegenerateKernel where its steady state is not unique
+    modes and Fock order are computed once for both approaches.  Every row
+    is solved through its N x N correlation matrix and keeps it, not its
+    2^N state: the global rows from their chains' modes
+    (:func:`_global_reports`), where a chain with a zero mode gives its
+    rows its DegenerateTransition, and the local rows from their site
+    fermions (:func:`_local_reports`).  The other rows of both approaches are
+    judged in one :class:`_ResidualPass`: a row gets its DegenerateKernel,
+    and residual 0, where its steady state is not unique
     (:func:`~chainflux.steady.unique`), else its NoConvergence where its
     residual is NaN or above RESIDUAL_TOL * max(|L|_F, 1).
     """
     for approach in approaches:
         if approach not in ("global", "local"):
             raise ValueError(f"approach must be 'global' or 'local', got {approach!r}")
-    out = []
-    for approach in approaches:
-        columns, norm = (_local_reports if approach == "local" else _global_reports)(
-            chains, chain, baths)
-        rcond, unknowns, residual = columns.rcond, columns.unknowns, columns.residual
-        bound = RESIDUAL_TOL * np.maximum(norm, 1.0)
-        failed = ~unique(rcond, unknowns) | ~(residual <= bound)
-        failed[list(columns.errors)] = False  # the DegenerateTransition rows are not solved
-        for i in np.flatnonzero(failed).tolist():
-            columns.errors[i] = uniqueness_error(rcond[i], int(unknowns[i])) or NoConvergence(
-                f"steady-state residual {residual[i]:.3e} exceeds {bound[i]:.3e} = "
-                f"{RESIDUAL_TOL:.1e} * max(|L|_F, 1)")
-        out.append(columns)
+    residuals = _ResidualPass(chains.epsilons.shape[1])
+    out = [(_local_reports if approach == "local" else _global_reports)(
+        chains, chain, baths, residuals) for approach in approaches]
+    residuals.flush()
     return out
 
 
-def _global_reports(chains, chain, baths) -> tuple:
+class _ResidualPass:
+    """Solved stacks of both approaches, judged from one residual and one |L|_F call per flush.
+
+    :meth:`flush` joins the queued residual inputs, also before the queue would pass
+    ``_GRID_ELEMENTS`` elements per (rows, N, N) array; each row keeps the bits of its own stack.
+    """
+
+    def __init__(self, n: int):
+        self.limit, self.queue = max(1, _GRID_ELEMENTS // (n * n)), []
+
+    def add(self, columns: SteadyColumns, rows: np.ndarray, inputs: tuple) -> None:
+        if sum(len(queued[1]) for queued in self.queue) + len(rows) > self.limit:
+            self.flush()
+        self.queue.append((columns, rows, inputs))
+
+    def flush(self) -> None:
+        if self.queue:
+            X, G, C, gaps, hoppings, rates = map(np.concatenate, zip(*(q[2] for q in self.queue)))
+            residuals = correlations._gaussian_residuals(X, G, C)
+            norms, start = correlations._generator_norms(gaps, hoppings, rates), 0
+            for columns, rows, _ in self.queue:
+                at, start = slice(start, start + len(rows)), start + len(rows)
+                rcond, unknowns = columns.rcond[rows], columns.unknowns[rows]
+                solved = unique(rcond, unknowns)
+                columns.residual[rows] = residual = np.where(solved, residuals[at], 0.0)
+                bound = RESIDUAL_TOL * np.maximum(norms[at], 1.0)
+                for i in np.flatnonzero(~solved | ~(residual <= bound)).tolist():
+                    error = uniqueness_error(rcond[i], int(unknowns[i]))
+                    columns.errors[int(rows[i])] = error or NoConvergence(
+                        f"steady-state residual {residual[i]:.3e} exceeds {bound[i]:.3e} = "
+                        f"{RESIDUAL_TOL:.1e} * max(|L|_F, 1)")
+        self.queue = []
+
+
+def _global_reports(chains, chain, baths, residuals) -> SteadyColumns:
     """:func:`chain_reports` under the global approach, on the call's ``chains`` stack.
 
     Each chain's modes are grouped by shared bin, and its channel slots are
@@ -468,9 +476,9 @@ def _global_reports(chains, chain, baths) -> tuple:
     (:func:`~chainflux.correlations.global_steady_states`, N ``unknowns``),
     the others from the N^2 system of their hole frame
     (:func:`~chainflux.correlations.group_steady_states`), in stacks of at
-    most ``_GRID_ELEMENTS`` elements.  The rows of a chain with a bright
-    zero mode get its DegenerateTransition and are not solved.  Returns
-    the columns and each row's |L|_F.
+    most ``_GRID_ELEMENTS`` elements, queued on ``residuals``.  The rows of
+    a chain with a bright zero mode get its DegenerateTransition and are
+    not solved.
     """
     (c, n), k = chains.epsilons.shape, len(chain)
     group, lit, zero = mode_groups(chains)
@@ -483,8 +491,7 @@ def _global_reports(chains, chain, baths) -> tuple:
         rcond=np.zeros(k), unknowns=np.where(shared[chain], n * n, n), errors={},
         correlations=np.zeros((k, n, n), dtype=complex), hole_frame=shared[chain],
         channels=np.zeros((k, 2, n)), chains=chains, chain=chain, baths=baths,
-        omegas=np.broadcast_to(means[:, None], lit.shape), lit=lit)
-    norm = np.zeros(k)
+        omegas=means[:, None].repeat(2, axis=1), lit=lit)
     failed = np.zeros(c, dtype=bool)
     failed[list(zero)] = True
     failed = failed[chain]
@@ -496,13 +503,13 @@ def _global_reports(chains, chain, baths) -> tuple:
             on = chain[rows]
             omega, phi = (a[on] for a in chains.modes)
             groups = (group[on],) if solve is group_steady_states else ()
-            (out.populations[rows], out.channels[rows], out.correlations[rows],
-             out.residual[rows], norm[rows], out.rcond[rows]) = solve(
-                omega, phi, *groups, chains.sites[on], baths[rows])
-    return out, norm
+            (out.populations[rows], out.channels[rows], out.correlations[rows], out.rcond[rows],
+             inputs) = solve(omega, phi, *groups, chains.sites[on], baths[rows])
+            residuals.add(out, rows, inputs)
+    return out
 
 
-def _local_reports(chains, chain, baths) -> tuple:
+def _local_reports(chains, chain, baths, residuals) -> SteadyColumns:
     """:func:`chain_reports` under the local approach, on the call's ``chains`` stack.
 
     Row i is on chain ``chain[i]`` with the (temperature, gamma) of each
@@ -510,11 +517,11 @@ def _local_reports(chains, chain, baths) -> tuple:
     jump of its qubit at that qubit's gap: the rows are the
     :func:`~chainflux.correlations.quadratic_steady_states` of the chain's
     single-particle h, each reservoir draining the fermion of its qubit,
-    and their populations the diagonals of C.  Returns the columns and
-    each row's |L|_F.
+    and their populations the diagonals of C, its stacks queued on
+    ``residuals``.
     """
     k, (c, n) = len(chain), chains.epsilons.shape
-    omegas = np.take_along_axis(chains.epsilons, chains.sites, axis=1)[:, :, None]
+    omegas = chains.epsilons[np.arange(c)[:, None], chains.sites][:, :, None]
     out = SteadyColumns(
         approach="local",
         populations=np.zeros((k, n)), residual=np.zeros(k),
@@ -522,13 +529,13 @@ def _local_reports(chains, chain, baths) -> tuple:
         correlations=np.zeros((k, n, n), dtype=complex), hole_frame=np.zeros(k, dtype=bool),
         channels=np.zeros((k, 2, 1)), chains=chains, chain=chain, baths=baths,
         omegas=omegas, lit=np.ones((c, 2, 1), dtype=bool))
-    norm, step = np.zeros(k), max(1, _GRID_ELEMENTS // n**4)
-    for start in range(0, k, step):
-        at = slice(start, start + step)
-        rows = chain[at]
-        (out.correlations[at], out.channels[at], out.residual[at], norm[at],
-         out.rcond[at]) = quadratic_steady_states(
-            chains.single_particle[rows], np.eye(n)[chains.sites[rows], None],
-            bath_rates(omegas[rows], baths[at, :, None]))
+    todo, step = np.arange(k), max(1, _GRID_ELEMENTS // n**4)
+    for rows in (todo[i:i + step] for i in range(0, k, step)):
+        on = chain[rows]
+        (out.correlations[rows], out.channels[rows], out.rcond[rows],
+         inputs) = quadratic_steady_states(chains.single_particle[on],
+                                           np.eye(n)[chains.sites[on], None],
+                                           bath_rates(omegas[on], baths[rows, :, None]))
+        residuals.add(out, rows, inputs)
     out.populations[:] = np.diagonal(out.correlations, axis1=1, axis2=2).real
-    return out, norm
+    return out

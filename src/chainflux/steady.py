@@ -110,17 +110,23 @@ def checked_inverse(M: np.ndarray) -> tuple:
     return inverse, rcond
 
 
-def check_residual(residual: np.ndarray, scale: np.ndarray) -> None:
-    """Raise NoConvergence where a residual is not within RESIDUAL_TOL times max(scale, 1).
+def check_residual(L: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|L v| of each system of a (k, m, m) stack at its v (k, m, 1), checked against |L|.
 
-    A NaN residual, as an overflow leaves, fails too.
+    Raises NoConvergence where |L v| is NaN, as an overflow leaves, or above RESIDUAL_TOL *
+    max(|L|, 1).  Each norm scales its matrix by the normal power of two of its max |entry|.
     """
-    scale = np.maximum(scale, 1.0)
+    norms = []
+    for A in (L @ v, L):
+        e = np.clip(np.frexp(np.abs(A).max(axis=(1, 2)))[1], -1021, 1021)
+        norms.append(np.ldexp(np.linalg.norm(A * np.ldexp(1.0, -e)[:, None, None], axis=(1, 2)), e))
+    residual, scale = norms[0], np.maximum(norms[1], 1.0)
     worst = int((residual / scale).argmax())
     if not residual[worst] <= RESIDUAL_TOL * scale[worst]:
         raise NoConvergence(
             f"steady-state residual {residual[worst]:.3e} exceeds {RESIDUAL_TOL:.1e} * |L|"
         )
+    return residual
 
 
 def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
@@ -148,8 +154,7 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
     inverse, rcond = checked_inverse(M)
     x = np.where(unique(rcond, m)[:, None], inverse[rows, :, replaced], 0.0)
     rho = unknowns.state(x)
-    residual = np.linalg.norm(R @ x[..., None], axis=(1, 2))
-    check_residual(residual, np.linalg.norm(R, axis=(1, 2)))
+    residual = check_residual(R, x[..., None])
     replaced_row = unknowns.cols[replaced] * unknowns.dim + unknowns.rows[replaced]
     return SteadySolution(rho=rho, residual=residual, replaced_row=replaced_row, rcond=rcond,
                           unknowns=m)
@@ -177,8 +182,7 @@ def solve_steady(L: np.ndarray) -> SteadySolution:
         raise DimensionMismatch(f"generator shape {L.shape} is not d^2 x d^2")
     unknowns = full_unknowns(d)
     sol = solve_hermitian(unknowns.hermitian(stack), unknowns)
-    residual = np.linalg.norm(stack @ sol.rho[:, unknowns.rows, unknowns.cols, None], axis=(1, 2))
-    check_residual(residual, np.linalg.norm(stack, axis=(1, 2)))
+    residual = check_residual(stack, sol.rho[:, unknowns.rows, unknowns.cols, None])
     if not single:
         return replace(sol, residual=residual)
     error = uniqueness_error(sol.rcond[0], d2)

@@ -14,15 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._version import __version__
-from .errors import (
-    ConfigSyntaxError,
-    DegenerateKernel,
-    DegenerateTransition,
-    NoConvergence,
-    SpecError,
-    SpecInvalid,
-    UnknownKey,
-)
+from .errors import (ConfigSyntaxError, DegenerateKernel, DegenerateTransition, NoConvergence,
+                     SpecError, SpecInvalid, UnknownKey)
 from .lindblad import chain_operators
 from .model import BathSpec, ChainSpec, chain, conventions_fingerprint, validate_spec
 from .observables import chain_reports
@@ -347,7 +340,9 @@ def _row_task(request: SweepRequest, values: np.ndarray) -> tuple:
                             request.approaches)
     blocks, skipped, failed = [], [], []
     for approach, results in zip(request.approaches, reports):
-        rows = np.flatnonzero(~np.isin(np.arange(k), list(results.errors)))
+        solved = np.ones(k, dtype=bool)
+        solved[list(results.errors)] = False
+        rows = np.flatnonzero(solved)
         empty = np.zeros((len(rows), 0))
         blocks.append(SweepColumns(
             axis_value=values[rows], approach=np.full(len(rows), approach, dtype=object),
@@ -450,10 +445,9 @@ def emit_csv(table: SweepTable, path) -> None:
     columns = _columns(table)
     lines.append(",".join(columns))
     row_format = ",".join("%s" if i < 2 else "%.17g" for i in range(len(columns)))
-    rows = table.rows
-    grid, at = np.unique(rows.axis_value, return_inverse=True)
-    grid = ["%.17g" % value for value in grid.tolist()]
-    values = [[grid[i] for i in at.tolist()], rows.approach.tolist(), *rows.populations.T.tolist(),
+    rows, axis = table.rows, table.rows.axis_value.tolist()
+    grid = {value: "%.17g" % value for value in set(axis)}
+    values = [[grid[value] for value in axis], rows.approach.tolist(), *rows.populations.T.tolist(),
               *rows.fluxes.T.tolist(), *rows.diagonals.T.tolist(), rows.residual.tolist()]
     lines += [row_format % row for row in zip(*values)]
     with open(path, "w", newline="") as fh:
@@ -488,21 +482,14 @@ def read_csv_table(path):
 
     Numeric fields come back as floats; the approach column stays a string.
     """
-    metadata = []
-    header = None
-    rows = []
+    metadata, header, rows = [], None, []
     with open(path, newline="") as fh:
-        for line in fh.read().splitlines():
-            if not line:
-                continue
+        for line in filter(None, fh.read().splitlines()):
             if line.startswith("#"):
                 metadata.append(line)
-                continue
-            if header is None:
+            elif header is None:
                 header = line.split(",")
-                continue
-            fields = line.split(",")
-            parsed = tuple(field if name == "approach" else float(field)
-                           for name, field in zip(header, fields))
-            rows.append(parsed)
+            else:
+                rows.append(tuple(field if name == "approach" else float(field)
+                                  for name, field in zip(header, line.split(","))))
     return metadata, header, rows

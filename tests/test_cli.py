@@ -140,17 +140,22 @@ def test_steady_fails_on_a_nan_residual(capsys, monkeypatch):
 
 
 def test_steady_prints_the_report_beside_the_other_approach_s_residual_failure(capsys, monkeypatch):
-    # the local row's residual, raised here past RESIDUAL_TOL * max(|L|_F, 1),
-    # fails the residual check: its NoConvergence is printed, the global
-    # report still is, and the exit code is 2
-    def past_the_bound(*args, _real=chainflux.observables.quadratic_steady_states):
-        C, channels, residual, norm, rcond = _real(*args)
-        return C, channels, residual + norm, norm, rcond
+    # the local row's residual, raised here past RESIDUAL_TOL * max(|L|_F, 1)
+    # in the one residual call both approaches' rows share, fails the
+    # residual check: its NoConvergence is printed, the global report still
+    # is, and the exit code is 2
+    calls = []
 
-    monkeypatch.setattr(chainflux.observables, "quadratic_steady_states", past_the_bound)
+    def past_the_bound(X, G, C, _real=chainflux.correlations._gaussian_residuals):
+        calls.append(len(X))
+        local = X[:, 0, 1] != 0  # the local row's X = i h - Lambda / 2 carries the coupling
+        return np.where(local, 1.0, _real(X, G, C))
+
+    monkeypatch.setattr(chainflux.correlations, "_gaussian_residuals", past_the_bound)
     code = cli_main(["steady", "--epsilons", "1.5,1.5", "--couplings", "1", "--t1", "1",
                      "--t2", "0"])
     captured = capsys.readouterr()
+    assert calls == [2]
     assert code == 2
     assert re.findall(r"^approach: (\w+)$", captured.out, flags=re.M) == ["global", "local"]
     assert captured.out.count("solver residual") == 1

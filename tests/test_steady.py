@@ -96,6 +96,16 @@ def test_non_unique_chain_steady_state_raises():
         steady_report(chain([1.5] * 5, [3.0] * 4, 1.0, 0.5), "global")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t1", [1e100, 1e160, 1e200])
+def test_the_hot_local_dimer_is_a_typed_degenerate_kernel_without_an_overflow(t1):
+    # the dense oracle's raw rcond_1 falls like 1 / T1; its residual norms
+    # square entries near T1, which overflowed from T1 ~ 1e154 on before
+    # they were scaled by a power of two
+    with pytest.raises(DegenerateKernel, match=r"rcond 3\.750e-"):
+        solve_steady(assemble(dimer(1.5, 1.5, 1.0, t1, 0.0), "local").liouvillian)
+
+
 def test_degenerate_kernel_detected():
     # pure dephasing keeps every diagonal state fixed: kernel dimension 2
     sz = site_operator(1, 0, "z")
