@@ -1,4 +1,4 @@
-"""Fresh-process and warm times of a 2-point T1 sweep for N = 1..5, and of two K scans.
+"""Fresh-process and warm times of a 2-point T1 sweep for N = 1..5, and of three K scans.
 
 Run from the root of a checkout::
 
@@ -14,8 +14,10 @@ sum.  The K scans take 48 evenly spaced K in [0.5, 3] on the uniform
 N = 4 chain and 1000 in [0.3, 3] on the uniform N = 5 chain (eps = 1.5,
 T1 = 2, T2 = 0.5), both approaches, with the mode Fock diagonals
 (``rho_diagonals``): every point is a chain of its own, and each grid
-crosses the zero modes of the global description between its points.
-Prints the median of each over the repeats, in ms.
+crosses the zero modes of the global description between its points.  The
+N = 5 scan runs once more without ``rho_diagonals``, so the diagonals'
+own cost is the difference of its two rows.  Prints the median of each
+over the repeats, in ms.
 
 With ``--base-src DIR`` each request runs in ``--repeats`` pairs of fresh
 processes that alternate between the chainflux of DIR (the base) and that
@@ -51,18 +53,20 @@ def t1_request(n_qubits: int, approaches: tuple):
                         outputs=("populations", "heat_flux"))
 
 
-K_SCANS = {"kscan4": (4, 48, 0.5, 3.0), "kscan5": (5, 1000, 0.3, 3.0)}  # N, points, K range
+# N, points, K range, whether rho_diagonals is an output
+K_SCANS = {"kscan4": (4, 48, 0.5, 3.0, True), "kscan5": (5, 1000, 0.3, 3.0, True),
+           "kscan5-bare": (5, 1000, 0.3, 3.0, False)}
 
 
 def k_scan_request(name: str):
     from chainflux import chain
     from chainflux.sweep import SweepRequest
 
-    n, points, low, high = K_SCANS[name]
+    n, points, low, high, diagonals = K_SCANS[name]
     grid = tuple(low + (high - low) * i / (points - 1) for i in range(points))
     return SweepRequest(base=chain([1.5] * n, [1.0] * (n - 1), t1=2.0, t2=0.5), axis="k",
                         grid=grid, approaches=("global", "local"),
-                        outputs=("populations", "heat_flux", "rho_diagonals"))
+                        outputs=("populations", "heat_flux") + ("rho_diagonals",) * diagonals)
 
 
 def one_process(request) -> dict:
@@ -141,8 +145,9 @@ def main(argv=None) -> int:
     for n in range(1, 6):
         print(f"{n:>2} " + " ".join(cell([str(n), *approaches], envs, args.repeats)
                                     for approaches in APPROACHES))
-    for name, (n, points, _, _) in K_SCANS.items():
-        print(f"{points}-point N = {n} K scan, both approaches, rho_diagonals")
+    for name, (n, points, _, _, diagonals) in K_SCANS.items():
+        print(f"{points}-point N = {n} K scan, both approaches, "
+              + ("rho_diagonals" if diagonals else "no rho_diagonals"))
         print(f"{'':>2} {header}")
         print(f"{'':>2} {cell([name], envs, args.repeats)}")
     return 0

@@ -50,7 +50,7 @@ import numpy as np
 from .generator import full_unknowns, read_only
 from .lindblad import bath_rates
 from .operators import excited_qubits, qubit_bits
-from .steady import stacked_inverse, unique
+from .steady import _EPS, stacked_inverse, unique
 
 
 @lru_cache(maxsize=None)
@@ -120,12 +120,23 @@ def fock_probabilities(C: np.ndarray, holes: np.ndarray) -> np.ndarray:
     entry i is that of the state with a_k occupied where bit k of i is set:
     det(N C + (1 - N)(1 - C)), N = diag(n) (Peschel, J. Phys. A 36, L205
     (2003)).  Where ``holes`` (k, n) is set, a_k = f_k^dag, and bit k is
-    the occupation of f_k.
+    the occupation of f_k.  All 2^n patterns share the pivot-free LU of
+    that matrix, one mode at a time: a branch's conditional occupation q =
+    S_00 of a_j weighs its filled child by q and its empty one by 1 - q,
+    whose C is S_11 - S_10 S_01 / p, p = q or q - 1, or S_11 where |p| <=
+    8 eps, a child of weight at most 8 eps that nothing is divided by.
     """
-    n = C.shape[-1]
-    occupied = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool) ^ holes[:, None, :]
-    M = np.where(occupied[..., None], C[:, None], np.eye(n) - C[:, None])  # rows of C or 1 - C
-    return np.linalg.det(M).real
+    k, n = C.shape[:2]
+    P, S = np.ones((k, 1, 1)), C[:, None, None]
+    for j in range(n):
+        q = S[..., 0, 0].real  # (k, 1, branches)
+        filled = (np.arange(2) != holes[:, j, None])[:, :, None]  # a_j in the child of bit j
+        P = (P * np.where(filled, q, 1.0 - q)).reshape(k, 1, -1)
+        pivot = q - ~filled
+        ratio = np.divide(1.0, pivot, out=np.zeros(pivot.shape), where=np.abs(pivot) > 8 * _EPS)
+        S = S[..., 1:, 1:] - ratio[..., None, None] * S[..., 1:, :1] * S[..., :1, 1:]
+        S = S.reshape(k, 1, 2 << j, n - j - 1, n - j - 1)
+    return P.reshape(k, -1)
 
 
 def _gaussian_residuals(X, G, C) -> np.ndarray:

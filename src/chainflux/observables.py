@@ -40,9 +40,9 @@ _FORM_TOL = 1e-12
 # The steady solves and the diagonals go in stacks of at most this many
 # elements (128 KB per real array): of the N^2 x N^2 correlation systems of
 # the local rows and of the global rows with a shared bin, of the N x N
-# matrices of the closed-form global rows, and of the 2^N N x N
-# determinants of rho_diagonals.  A sweep holds no larger array per row, so
-# this bounds its peak memory.
+# matrices of the closed-form global rows, and of the conditioning tree of
+# rho_diagonals, whose arrays hold at most 2^N N elements per row.  A sweep
+# holds no larger array per row, so this bounds its peak memory.
 _GRID_ELEMENTS = 1 << 14
 
 
@@ -352,15 +352,15 @@ class SteadyColumns(Sequence):
     def rho_diagonals(self, rows) -> np.ndarray:
         """The probabilities of ``rows`` on their chain's mode Fock states in its order, (rows, d).
 
-        From phi^T C phi, or a hole-frame C~ as it is
-        (:func:`~chainflux.correlations.fock_probabilities`), in stacks of
-        at most ``_GRID_ELEMENTS`` elements of their (d, N, N) determinants;
-        the order is each chain's :attr:`ChainOperators.fock_order`.
+        From phi^T C phi, or a hole-frame C~ as it is, by conditioning on one
+        mode at a time (:func:`~chainflux.correlations.fock_probabilities`),
+        in stacks of at most ``_GRID_ELEMENTS`` elements of that tree's d N
+        per row; the order is each chain's :attr:`ChainOperators.fock_order`.
         """
         rows, n = np.arange(len(self))[rows], self.correlations.shape[-1]
         out = np.empty((len(rows), 2**n))
         (omega, phi), order = self.chains.modes, self.chains.fock_order
-        step = max(1, _GRID_ELEMENTS // (2**n * n * n))
+        step = max(1, _GRID_ELEMENTS // (2**n * n))
         for at in (slice(i, i + step) for i in range(0, len(rows), step)):
             on, holes, C = (a[rows[at]] for a in (self.chain, self.hole_frame, self.correlations))
             C = np.where(holes[:, None, None], C, phi[on].swapaxes(1, 2) @ C @ phi[on])

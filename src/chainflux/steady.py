@@ -70,23 +70,21 @@ def uniqueness_error(rcond: float, m: int):
 def stacked_inverse(M: np.ndarray) -> tuple:
     """Inverse of each system of a (k, m, m) stack, and whether its LU met an exactly zero pivot.
 
-    One stacked ``np.linalg.solve`` against the identity gives every
-    inverse, one LU factorization per system; the solves pass real
-    systems, in the coordinates of a Hermitian rho, and any dtype works.
-    A system whose LU meets an exactly zero pivot makes numpy reject the
-    whole stack; the stack is then solved system by system, and only such
-    a system gets a zero inverse and is marked singular.
+    One stacked ``np.linalg.inv``, LAPACK gesv against the identity, gives
+    every inverse, one LU factorization per system; the solves pass real
+    systems, in the coordinates of a Hermitian rho, and any dtype works.  A
+    system whose LU meets an exactly zero pivot makes numpy reject the
+    whole stack; the stack is then inverted system by system, and only
+    such a system gets a zero inverse and is marked singular.
     """
-    m = M.shape[-1]
-    identity = np.eye(m, dtype=M.dtype)
     singular = np.zeros(len(M), dtype=bool)
     try:
-        inverse = np.linalg.solve(M, identity)
+        inverse = np.linalg.inv(M)
     except np.linalg.LinAlgError:
         inverse = np.zeros_like(M)
         for i, system in enumerate(M):
             try:
-                inverse[i] = np.linalg.solve(system, identity)
+                inverse[i] = np.linalg.inv(system)
             except np.linalg.LinAlgError:
                 singular[i] = True
     return inverse, singular
@@ -137,7 +135,7 @@ def solve_hermitian(R: np.ndarray, unknowns: Unknowns) -> SteadySolution:
     constraint replaces one row per block, chosen among the rows of
     diagonal entries: trace preservation makes those rows sum to zero, so
     dropping the one with the largest diagonal magnitude never removes an
-    independent equation.  One stacked real ``np.linalg.solve`` gives every
+    independent equation.  One stacked real ``np.linalg.inv`` gives every
     state and rcond_1 (:func:`checked_inverse`), and rho is rebuilt
     Hermitian from its coordinates x.  A row whose steady state is not
     unique gets a zero rho and its ``rcond`` tells it apart

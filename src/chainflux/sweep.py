@@ -106,6 +106,17 @@ def _valid_values(spec: ChainSpec, axis: str, values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (values > 0 if axis == "eps" else values >= 0)
 
 
+def _with_value(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
+    """Copy of ``spec`` with the swept field set to the float ``value``, not validated."""
+    baths = list(spec.baths)
+    if axis in ("t1", "t2"):
+        j = int(axis == "t2")
+        baths[j] = BathSpec(value, baths[j].gamma, baths[j].attached_site)
+    couplings = (value,) * len(spec.couplings) if axis == "k" else spec.couplings
+    epsilons = (value,) * spec.n_qubits if axis == "eps" else spec.epsilons
+    return ChainSpec(spec.n_qubits, epsilons, couplings, tuple(baths))
+
+
 def apply_axis(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
     """Copy of the validated ``spec`` with the swept field set to ``value``.
 
@@ -114,18 +125,8 @@ def apply_axis(spec: ChainSpec, axis: str, value: float) -> ChainSpec:
     through :func:`validate_spec`, which raises its error, so an invalid
     point fails exactly as a validated spec would.
     """
-    value = float(value)
-    valid = _valid_values(spec, axis, np.array(value))
-    epsilons, couplings, baths = spec.epsilons, spec.couplings, list(spec.baths)
-    if axis in ("t1", "t2"):
-        j = int(axis == "t2")
-        baths[j] = BathSpec(value, baths[j].gamma, baths[j].attached_site)
-    elif axis == "k":
-        couplings = (value,) * len(couplings)
-    else:
-        epsilons = (value,) * spec.n_qubits
-    out = ChainSpec(spec.n_qubits, epsilons, couplings, tuple(baths))
-    return out if valid else validate_spec(out)
+    out = _with_value(spec, axis, float(value))
+    return out if _valid_values(spec, axis, np.array(float(value))) else validate_spec(out)
 
 
 def _parse_floats(text: str, line: int) -> list:
@@ -400,7 +401,7 @@ def run_sweep(request: SweepRequest, workers: int = 1) -> SweepTable:
     _check_known(request.outputs, OUTPUTS, "output")
     values = np.array(request.grid, dtype=float)
     # the fields no point changes, validated once, then every value at once
-    base = validate_spec(apply_axis(request.base, request.axis, values[0]))
+    base = validate_spec(_with_value(request.base, request.axis, values[0].item()))
     for i in np.flatnonzero(~_valid_values(base, request.axis, values))[:1].tolist():
         apply_axis(base, request.axis, values[i])
     if (values[1:] <= values[:-1]).any():

@@ -30,7 +30,9 @@ the package's ``steady.solve_hermitian``.  And the global approach's
 free-fermion form (:func:`global_free_fermion`), which shares no layer
 with the package's eigenbasis route.  The Fock states of a chain's modes
 as dense site-basis vectors, in the order ``rho_diagonals`` states
-(:func:`mode_fock_states`, :func:`mode_fock_diagonals`).
+(:func:`mode_fock_states`, :func:`mode_fock_diagonals`), and their
+probabilities in a Gaussian state as one determinant each
+(:func:`fock_determinants`), which the package reads by conditioning.
 """
 
 from __future__ import annotations
@@ -963,3 +965,19 @@ def mode_fock_diagonals(rho: np.ndarray, omega: np.ndarray, phi: np.ndarray) -> 
     """<n|rho|n> of a site-basis state on its chain's mode Fock states, in the stated order."""
     states = mode_fock_states(omega, phi)
     return np.einsum("in,ij,jn->n", states.conj(), rho, states).real
+
+
+def fock_determinants(C: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """``correlations.fock_probabilities`` as 2^n LAPACK determinants per row, (k, 2^n).
+
+    Entry i is det(N C + (1 - N)(1 - C)), N = diag(n) with n_k bit k of i,
+    flipped where ``holes`` (k, n) is set (Peschel, J. Phys. A 36, L205
+    (2003)): rows of C where a_k is occupied and of 1 - C where it is empty.
+    numpy's complex det reads NaN, not 0, where its LU meets an exactly
+    zero pivot; such a determinant is 0.
+    """
+    n = C.shape[-1]
+    occupied = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(bool) ^ holes[:, None, :]
+    M = np.where(occupied[..., None], C[:, None], np.eye(n) - C[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.nan_to_num(np.linalg.det(M).real, nan=0.0)

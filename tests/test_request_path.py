@@ -4,7 +4,8 @@ Both approaches' solved stacks hand their residual inputs to one pass
 (``observables._ResidualPass``), which evaluates
 ``correlations._gaussian_residuals`` and ``correlations._generator_norms``
 once for as many stacks as fit in one; each row keeps the bits a call on
-its own stack gives.
+its own stack gives.  The request path calls no ``np.linalg.solve``, and
+the mode Fock diagonals no ``np.linalg.det``.
 """
 
 import hashlib
@@ -16,8 +17,9 @@ import pytest
 import chainflux.correlations
 import chainflux.model
 import chainflux.observables
-from chainflux import chain, emit_csv, figure_requests, parse_config, run_sweep
+from chainflux import apply_axis, chain, emit_csv, figure_requests, parse_config, run_sweep
 from chainflux.model import conventions_fingerprint
+from chainflux.observables import steady_reports
 from chainflux.sweep import SweepRequest
 
 from test_structure_cache import GRID, temperature_chains
@@ -80,10 +82,30 @@ def test_the_request_path_calls_no_numpy_set_or_gather_helper(name, request_, mo
                                                                tmp_path):
     for helper in ("isin", "unique", "take_along_axis", "append"):
         monkeypatch.setattr(np, helper, raising(helper))
+    monkeypatch.setattr(np.linalg, "solve", raising("linalg.solve"))
     emit_csv(run_sweep(request_), tmp_path / "refused.csv")
     monkeypatch.undo()
     emit_csv(run_sweep(request_), tmp_path / "free.csv")
     assert (tmp_path / "refused.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
+
+
+def test_the_mode_fock_diagonals_take_no_determinant(monkeypatch):
+    request = parse_config((REPO / "configs" / "kscan4.cfg").read_text())
+    specs = [apply_axis(request.base, request.axis, value) for value in request.grid]
+    calls = []
+
+    def det(*args, _real=np.linalg.det):
+        calls.append(args)
+        return _real(*args)
+
+    for results in steady_reports(specs, request.approaches):
+        rows = np.array([i for i in range(len(specs)) if i not in results.errors])
+        monkeypatch.setattr(np.linalg, "det", det)
+        diagonals = results.rho_diagonals(rows)
+        monkeypatch.undo()
+        assert diagonals.shape == (len(rows), 2**request.base.n_qubits)
+        assert np.abs(diagonals.sum(axis=1) - 1.0).max() <= 1e-14
+    assert calls == []
 
 
 def join_requests():
